@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race ci bench-smoke sweep-smoke chaos-smoke obs-smoke watch-smoke lake-smoke integrity-smoke bench clean
+.PHONY: all vet build test race ci loc bench-smoke sweep-smoke chaos-smoke obs-smoke watch-smoke lake-smoke integrity-smoke bench clean
 
 all: ci
 
@@ -25,6 +25,20 @@ race:
 	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./cmd/campaignd
 
 ci: vet build test race
+
+# loc prints the code-line count per package under cmd/ and internal/:
+# non-blank, non-comment lines of non-test Go files — the measure a
+# simplification is judged by (deleting comments or moving code into
+# _test.go files does not move it). CI prints it after `make ci`.
+loc:
+	@for d in $$(find cmd internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | awk -v d=$$d ' \
+			{ s = $$0; sub(/^[ \t]+/, "", s) } \
+			blk { if (index(s, "*/")) blk = 0; next } \
+			s == "" || substr(s, 1, 2) == "//" { next } \
+			substr(s, 1, 2) == "/*" { if (!index(s, "*/")) blk = 1; next } \
+			{ n++ } END { printf "%6d  %s\n", n, d }'; \
+	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
 # bench-smoke runs the warm-start comparisons once — both engines plus
 # the compare_vcd detector variant — and leaves BENCH_warmstart.json

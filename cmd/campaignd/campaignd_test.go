@@ -129,8 +129,7 @@ func TestServeWorkEndToEnd(t *testing.T) {
 	outPath := filepath.Join(dir, "result.json")
 	var serveOut bytes.Buffer
 	url, serveErr := startServe(t, serveOpts{
-		grid:     gridPtr(singleCampaignGrid(cs)),
-		single:   true,
+		grid:     gridPtr(sweep.CampaignGrid(cs)),
 		shards:   5,
 		journal:  journal,
 		leaseTTL: 300 * time.Millisecond,
@@ -187,8 +186,7 @@ func TestServeWorkEndToEnd(t *testing.T) {
 	outPath2 := filepath.Join(dir, "result2.json")
 	var serveOut2 bytes.Buffer
 	_, serveErr2 := startServe(t, serveOpts{
-		grid:     gridPtr(singleCampaignGrid(cs)),
-		single:   true,
+		grid:     gridPtr(sweep.CampaignGrid(cs)),
 		shards:   5,
 		journal:  journal,
 		leaseTTL: 300 * time.Millisecond,
@@ -451,11 +449,10 @@ func TestSweepSmokeByteIdentical(t *testing.T) {
 // cost block.
 func TestSweepStatusEndpoint(t *testing.T) {
 	cs := e2eSpec()
-	grid := singleCampaignGrid(cs)
+	grid := sweep.CampaignGrid(cs)
 	var out bytes.Buffer
 	url, serveErr := startServe(t, serveOpts{
 		grid:     gridPtr(grid),
-		single:   true,
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   time.Second,
@@ -907,7 +904,7 @@ func TestPurgeSweepDropsResourceAndJournal(t *testing.T) {
 
 	// Before the purge, the sweep's registered gauges are on the scrape,
 	// labeled with its fp12.
-	fp := fp12(reply.Fingerprint)
+	fp := shard.Short(reply.Fingerprint)
 	pre := scrapeProm(t, url+"/metrics")
 	if _, ok := pre.Value("sweep_campaigns_total", "sweep", fp); !ok {
 		t.Fatalf("per-sweep gauges missing before purge:\n%v", pre.Series)
@@ -962,7 +959,7 @@ func TestTerminalMarkerProtectsSharedCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	g := newRegistry(serveOpts{shards: 1, leaseTTL: time.Minute}, 0, store, map[string]map[int]*shard.Partial{}, &syncWriter{w: io.Discard})
+	g := newRegistry(serveOpts{shards: 1, leaseTTL: time.Minute}, 0, store, shard.MemPartials{}, &syncWriter{w: io.Discard})
 
 	specFor := func(seed uint64) shard.CampaignSpec {
 		cs := e2eSpec()

@@ -48,10 +48,9 @@ type sweepRun struct {
 	fp     string
 	grid   sweep.Grid
 	pool   *sweep.Pool
-	cfps   []string            // campaign fingerprints, parallel to grid.Spec.Items
-	single *shard.CampaignSpec // set when the sweep is one -soc campaign
-	params json.RawMessage     // declarative grid params, journaled so a standby can rebuild the sweep
-	seq    int                 // submission order, for lease routing
+	cfps   []string        // campaign fingerprints, parallel to grid.Spec.Items
+	params json.RawMessage // declarative grid params, journaled so a standby can rebuild the sweep
+	seq    int             // submission order, for lease routing
 
 	state    string // capi.State*
 	stateMsg string // failure detail when state is failed
@@ -66,36 +65,36 @@ type sweepRun struct {
 // handlers share: the journal, the clock, and the change signal the
 // serve loop blocks on.
 type registry struct {
-	mu        sync.Mutex
-	sweeps    map[string]*sweepRun // by sweep fingerprint
-	order     []*sweepRun          // submission order
-	byCamp    map[string]*sweepRun // campaign fingerprint -> owning sweep
-	journaled map[string]map[int]*shard.Partial
+	mu     sync.Mutex
+	sweeps map[string]*sweepRun // by sweep fingerprint
+	order  []*sweepRun          // submission order
+	byCamp map[string]*sweepRun // campaign fingerprint -> owning sweep
+	// Finished partials live in one ordered tier list. tiers[0] is
+	// journaled, the in-memory map (behind mu): authoritative, first
+	// completion wins. Behind it, in write-through order, the journal
+	// (write-only at runtime — it was replayed into memory at startup)
+	// and the artifact lake, each present only when configured.
+	journaled shard.MemPartials
+	tiers     shard.Tiers
 	store     *runstore.Store // nil = no journal
 	shards    int
 	ttl       time.Duration
-	epoch     uint64  // coordinator incarnation; stamps every lease as a fencing token
-	spec      float64 // straggler re-issue factor (0 = pool default, negative = off)
-	auditFrac float64 // fraction of completed shards re-executed for cross-checking (0 = off)
-	maxAtt    int     // per-shard execution bound before quarantine (0 = unbounded)
+	queue     shard.QueueConfig // every pool's queues are built from it
 	seq       int
 	now       func() time.Time
 	stdout    *syncWriter
-	log       *slog.Logger       // structured narration; epoch-tagged when led
-	obs       *obs.Registry      // metrics exposition; nil only in unit tests
-	fleet     *obs.Fleet         // worker-pushed metrics federation; nil only in unit tests
-	sm        *shard.Metrics     // lease/fence/speculation counters, shared by every pool
-	tracer    *obs.Tracer        // shard-lifecycle span journal; nil = tracing off
-	lake      *lake.Store        // fleet-wide artifact lake; nil = disabled
-	builder   shard.Builder      // campaign construction backend (lake-backed when lake is set)
-	partials  shard.PartialCache // lake partial cache; nil = disabled
-	initial   *sweepRun          // the self-submitted sweep, if any
-	outPath   string             // initial sweep's rendered-output file
-	outDir    string             // initial sweep's per-campaign JSON directory
-	single    bool               // initial sweep is one -soc campaign
-	submitted bool               // a sweep was ever submitted (survives purges)
-	draining  bool               // graceful shutdown: leases and submissions answer 503 + Retry-After
-	dead      bool               // crash-stopped (deposed or test-killed): no further journal writes
+	log       *slog.Logger  // structured narration; epoch-tagged when led
+	obs       *obs.Registry // metrics exposition; nil only in unit tests
+	fleet     *obs.Fleet    // worker-pushed metrics federation; nil only in unit tests
+	tracer    *obs.Tracer   // shard-lifecycle span journal; nil = tracing off
+	lake      *lake.Store   // fleet-wide artifact lake; nil = disabled
+	builder   shard.Builder // campaign construction backend: local, or lake-backed when lake is set
+	initial   *sweepRun     // the self-submitted sweep, if any
+	outPath   string        // initial sweep's rendered-output file
+	outDir    string        // initial sweep's per-campaign JSON directory
+	submitted bool          // a sweep was ever submitted (survives purges)
+	draining  bool          // graceful shutdown: leases and submissions answer 503 + Retry-After
+	dead      bool          // crash-stopped (deposed or test-killed): no further journal writes
 	changed   chan struct{}
 
 	// Worker health, guarded by its own mutex: the pool's audit hooks run
@@ -112,12 +111,15 @@ type registry struct {
 // workerStrikeThreshold is how many lost audit votes quarantine a worker.
 const workerStrikeThreshold = 2
 
-func newRegistry(opts serveOpts, epoch uint64, store *runstore.Store, journaled map[string]map[int]*shard.Partial, stdout *syncWriter) *registry {
+func newRegistry(opts serveOpts, epoch uint64, store *runstore.Store, journaled shard.MemPartials, stdout *syncWriter) *registry {
 	lg := newLogger(stdout)
 	if epoch > 0 {
 		lg = lg.With("epoch", epoch)
 	}
-	return &registry{
+	if journaled == nil {
+		journaled = shard.MemPartials{}
+	}
+	g := &registry{
 		log:         lg,
 		sweeps:      map[string]*sweepRun{},
 		byCamp:      map[string]*sweepRun{},
@@ -125,19 +127,47 @@ func newRegistry(opts serveOpts, epoch uint64, store *runstore.Store, journaled 
 		store:       store,
 		shards:      opts.shards,
 		ttl:         opts.leaseTTL,
-		epoch:       epoch,
-		spec:        opts.specFactor,
-		auditFrac:   opts.auditFrac,
-		maxAtt:      opts.maxAttempts,
+		queue:       opts.queue,
+		builder:     shard.LocalBuilder{},
 		now:         time.Now,
 		stdout:      stdout,
 		outPath:     opts.outPath,
 		outDir:      opts.outDir,
-		single:      opts.single,
 		changed:     make(chan struct{}, 1),
 		strikes:     map[string]int{},
 		quarWorkers: map[string]bool{},
 	}
+	g.queue.Epoch = epoch
+	g.queue.OnStrike = g.strikeWorker
+	g.queue.OnReplace = func(fp string, p *shard.Partial) {
+		g.log.Warn("audit majority replaced shard result", "campaign", shard.Short(fp), "shard", p.Index)
+		g.record(fp, p, true)
+	}
+	g.tiers = shard.Tiers{memTier{g}}
+	if store != nil {
+		g.tiers = append(g.tiers, store.Tier(func(fp string, p *shard.Partial, err error) {
+			// The result is already accepted and merging will proceed; a
+			// journal write failure only weakens crash recovery.
+			g.log.Warn("journal append failed", "campaign", shard.Short(fp), "shard", p.Index, "err", err)
+		}))
+	}
+	return g
+}
+
+// memTier is the registry's in-memory partials as a cache tier: the same
+// map, taken behind g.mu.
+type memTier struct{ g *registry }
+
+func (t memTier) GetPartial(fp string, start, end int) *shard.Partial {
+	t.g.mu.Lock()
+	defer t.g.mu.Unlock()
+	return t.g.journaled.GetPartial(fp, start, end)
+}
+
+func (t memTier) PutPartial(fp string, p *shard.Partial) {
+	t.g.mu.Lock()
+	defer t.g.mu.Unlock()
+	t.g.journaled.PutPartial(fp, p)
 }
 
 // ping nudges the serve loop after any submission or terminal
@@ -175,7 +205,7 @@ func (g *registry) idle() bool {
 // resumes rather than re-simulates). Grids overlapping a live sweep's
 // campaigns are refused: completions route by campaign fingerprint, and
 // two live owners would make that routing ambiguous.
-func (g *registry) submit(grid sweep.Grid, params json.RawMessage, single *shard.CampaignSpec, initial bool) (*sweepRun, bool, error) {
+func (g *registry) submit(grid sweep.Grid, params json.RawMessage, initial bool) (*sweepRun, bool, error) {
 	fp, err := grid.Spec.Fingerprint()
 	if err != nil {
 		return nil, false, err
@@ -186,20 +216,12 @@ func (g *registry) submit(grid sweep.Grid, params json.RawMessage, single *shard
 			return nil, false, err
 		}
 	}
-	pool, err := sweep.NewPool(grid.Spec, g.ttl)
+	cfg := g.queue
+	cfg.AuditSeed = g.now().UnixNano()
+	pool, err := sweep.NewPoolWith(grid.Spec, g.ttl, cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	pool.SetEpoch(g.epoch)
-	pool.SetMetrics(g.sm)
-	if g.spec != 0 {
-		pool.SetSpeculateFactor(g.spec)
-	}
-	pool.SetMaxAttempts(g.maxAtt)
-	if g.auditFrac > 0 {
-		pool.SetAudit(g.auditFrac, g.now().UnixNano())
-	}
-	pool.SetAuditSink(g.strikeWorker, g.auditReplace)
 	g.mu.Lock()
 	if prev, ok := g.sweeps[fp]; ok && (prev.state == capi.StateRunning || prev.state == capi.StateDone) {
 		g.mu.Unlock()
@@ -234,7 +256,6 @@ func (g *registry) submit(grid sweep.Grid, params json.RawMessage, single *shard
 		grid:     grid,
 		pool:     pool,
 		cfps:     cfps,
-		single:   single,
 		params:   params,
 		seq:      g.seq,
 		state:    capi.StateRunning,
@@ -254,13 +275,13 @@ func (g *registry) submit(grid sweep.Grid, params json.RawMessage, single *shard
 	g.ping()
 	pool.RegisterObs(g.obs)
 	g.tracer.Instant("submit", "sweep", 0, int64(sr.seq), map[string]any{
-		"sweep": fp12(fp), "campaigns": len(grid.Spec.Items),
+		"sweep": shard.Short(fp), "campaigns": len(grid.Spec.Items),
 	})
 	// Journal the submission: a warm standby rebuilds its sweep registry
 	// from these records, so a sweep whose spec lives only in a dead
 	// leader's memory would be unrecoverable.
 	g.journalSweep(sr, capi.StateRunning)
-	g.log.Info("sweep submitted", "sweep", grid.Spec.Name, "fp", fp12(fp),
+	g.log.Info("sweep submitted", "sweep", grid.Spec.Name, "fp", shard.Short(fp),
 		"campaigns", len(grid.Spec.Items), "shards", g.shards)
 	go g.run(sr)
 	return sr, true, nil
@@ -279,11 +300,13 @@ func (g *registry) journalSweep(sr *sweepRun, state string) {
 		Name:        sr.grid.Spec.Name,
 		State:       state,
 		Params:      sr.params,
-		Single:      sr.single,
+	}
+	if sr.grid.Spec.Single {
+		rec.Single = &sr.grid.Spec.Items[0].Campaign
 	}
 	if err := store.AppendSweep(rec); err != nil {
 		// Lost registry durability only; the sweep still runs here.
-		g.log.Warn("journal sweep record failed", "fp", fp12(sr.fp), "err", err)
+		g.log.Warn("journal sweep record failed", "fp", shard.Short(sr.fp), "err", err)
 	}
 }
 
@@ -361,7 +384,7 @@ func (g *registry) cancel(sr *sweepRun) string {
 	sr.pool.Cancel()
 	sr.stopOnce.Do(func() { close(sr.stop) })
 	g.ping()
-	g.log.Info("sweep cancelled", "sweep", sr.grid.Spec.Name, "fp", fp12(sr.fp))
+	g.log.Info("sweep cancelled", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp))
 	return capi.StateCancelled
 }
 
@@ -408,7 +431,7 @@ func (g *registry) run(sr *sweepRun) {
 		// must not burn hours on shards routed into a dead resource.
 		sr.pool.Cancel()
 		sr.stopOnce.Do(func() { close(sr.stop) })
-		g.log.Error("sweep failed", "sweep", sr.grid.Spec.Name, "fp", fp12(sr.fp), "err", err)
+		g.log.Error("sweep failed", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp), "err", err)
 	}
 	g.ping()
 }
@@ -432,7 +455,10 @@ func (g *registry) drive(sr *sweepRun) error {
 			default:
 			}
 			buildStart := time.Now()
-			b, fetched, err := g.buildCampaign(it.Campaign)
+			// The artifact lake's claim-or-fetch builder when a lake is attached
+			// (publishing after a real build, falling back to local on any lake
+			// error), a plain local build otherwise.
+			b, fetched, err := g.builder.Build(it.Campaign, nil)
 			if err != nil {
 				buildErr <- fmt.Errorf("building campaign %q: %v", it.Key, err)
 				return
@@ -442,17 +468,9 @@ func (g *registry) drive(sr *sweepRun) error {
 			// fleet trace assert each golden run happened exactly once anywhere.
 			if !fetched {
 				g.tracer.Span("golden", "coord", 0, int64(i), buildStart,
-					map[string]any{"campaign": fp12(b.Fingerprint)})
+					map[string]any{"campaign": shard.Short(b.Fingerprint)})
 			}
-			// A sweep's one -shards knob covers campaigns of very different
-			// sizes, so tiny campaigns degrade to fewer shards; a single
-			// campaign keeps the strict fail-fast validation socfault has.
-			var specs []shard.Spec
-			if sr.single != nil {
-				specs, err = shard.Plan(it.Campaign, g.shards, len(b.Jobs))
-			} else {
-				specs, err = shard.PlanAtMost(it.Campaign, g.shards, len(b.Jobs))
-			}
+			specs, err := sr.grid.Spec.Plan(it.Campaign, g.shards, len(b.Jobs))
 			if err != nil {
 				buildErr <- fmt.Errorf("planning campaign %q: %v", it.Key, err)
 				return
@@ -465,12 +483,16 @@ func (g *registry) drive(sr *sweepRun) error {
 				return
 			default:
 			}
-			nJournaled, err := sr.pool.Open(i, specs, g.seedPartials(b.Fingerprint, specs))
+			// Every planned shard some tier already holds — this journal's, or
+			// one another sweep's plan published to the lake — restores here:
+			// a resubmitted overlapping sweep completes without re-simulating
+			// what the fleet already ran.
+			nJournaled, err := sr.pool.Open(i, specs, g.tiers)
 			if err != nil {
 				buildErr <- err
 				return
 			}
-			g.log.Info("campaign opened", "campaign", it.Key, "fp", fp12(b.Fingerprint),
+			g.log.Info("campaign opened", "campaign", it.Key, "fp", shard.Short(b.Fingerprint),
 				"soc", it.Campaign.SoC, "workload", it.Campaign.Workload, "engine", it.Campaign.Engine,
 				"injections", len(b.Jobs), "shards", len(specs), "journaled", nJournaled)
 		}
@@ -503,7 +525,7 @@ func (g *registry) drive(sr *sweepRun) error {
 			}
 			results[b.Fingerprint] = res
 			merged++
-			g.log.Info("campaign merged", "campaign", items[idx].Key, "fp", fp12(b.Fingerprint),
+			g.log.Info("campaign merged", "campaign", items[idx].Key, "fp", shard.Short(b.Fingerprint),
 				"injections", len(res.Injections), "merged", merged, "campaigns", len(items))
 			if sr == g.initial && g.outDir != "" {
 				if err := writeResultJSON(filepath.Join(g.outDir, items[idx].Key+".json"), res); err != nil {
@@ -533,68 +555,16 @@ func (g *registry) drive(sr *sweepRun) error {
 			return err
 		}
 		if g.outPath != "" {
-			if g.single {
+			if sr.grid.Spec.Single {
 				return writeResultJSON(g.outPath, results[sr.cfps[0]])
 			}
 			return os.WriteFile(g.outPath, rendered.Bytes(), 0o644)
 		}
 	} else {
-		g.log.Info("sweep done", "sweep", sr.grid.Spec.Name, "fp", fp12(sr.fp),
+		g.log.Info("sweep done", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp),
 			"results", "/v1/sweeps/"+sr.fp+"/results")
 	}
 	return nil
-}
-
-// buildCampaign constructs a campaign through the configured backend:
-// the artifact lake's claim-or-fetch builder when a lake is attached
-// (publishing after a real build, falling back to local on any lake
-// error), a plain local build otherwise. fetched reports golden-run
-// adoption — those builds emit no "golden" span.
-func (g *registry) buildCampaign(cs shard.CampaignSpec) (*shard.Built, bool, error) {
-	if g.builder != nil {
-		return g.builder.Build(cs, nil)
-	}
-	b, err := shard.Build(cs)
-	return b, false, err
-}
-
-// seedPartials assembles a campaign's restore map for Pool.Open: the
-// journal's shards first, then — for every planned shard the journal
-// does not cover — the artifact lake's memoized partial for that plan
-// range, if any. Lake partials were published by another sweep's plan,
-// so their shard index is rewritten to this plan's before keying; the
-// Covers check in Open still validates range and length. This is the
-// cross-sweep path: a resubmitted overlapping sweep on a fresh journal
-// completes without re-simulating the shards the fleet already ran.
-func (g *registry) seedPartials(fp string, specs []shard.Spec) map[int]*shard.Partial {
-	seed := g.journaledFor(fp)
-	if g.partials == nil {
-		return seed
-	}
-	for _, sp := range specs {
-		if _, ok := seed[sp.Index]; ok {
-			continue
-		}
-		p := g.partials.GetPartial(fp, sp.Start, sp.End)
-		if p == nil {
-			continue
-		}
-		p.Index = sp.Index
-		if !p.Covers(sp) {
-			continue
-		}
-		if seed == nil {
-			seed = map[int]*shard.Partial{}
-		}
-		seed[sp.Index] = p
-	}
-	return seed
-}
-
-// campaignFingerprints lists one sweep's campaign fingerprints,
-// computed once at submission.
-func campaignFingerprints(sr *sweepRun) []string {
-	return sr.cfps
 }
 
 // initialSweep returns the self-submitted sweep, if any.
@@ -614,12 +584,12 @@ func (g *registry) initialSweep() *sweepRun {
 func (g *registry) droppableFingerprints(sr *sweepRun) []string {
 	protected := map[string]bool{}
 	if g.initial != nil && g.initial != sr {
-		for _, cfp := range campaignFingerprints(g.initial) {
+		for _, cfp := range g.initial.cfps {
 			protected[cfp] = true
 		}
 	}
 	var fps []string
-	for _, cfp := range campaignFingerprints(sr) {
+	for _, cfp := range sr.cfps {
 		if owner, ok := g.byCamp[cfp]; ok && owner != sr {
 			continue
 		}
@@ -643,7 +613,7 @@ func (g *registry) markJournalTerminal(sr *sweepRun) {
 	}
 	if err := store.MarkTerminal(fps); err != nil {
 		// Only journal hygiene is lost; the records stay loadable.
-		g.log.Warn("journal terminal marker failed", "fp", fp12(sr.fp), "err", err)
+		g.log.Warn("journal terminal marker failed", "fp", shard.Short(sr.fp), "err", err)
 	}
 }
 
@@ -668,7 +638,7 @@ func (g *registry) purge(sr *sweepRun) {
 	for _, cfp := range fps {
 		delete(g.journaled, cfp)
 	}
-	for _, cfp := range campaignFingerprints(sr) {
+	for _, cfp := range sr.cfps {
 		if g.byCamp[cfp] == sr {
 			delete(g.byCamp, cfp)
 		}
@@ -679,65 +649,35 @@ func (g *registry) purge(sr *sweepRun) {
 	sr.pool.UnregisterObs()
 	if store != nil {
 		if err := store.Purge(fps); err != nil {
-			g.log.Warn("journal purge failed", "fp", fp12(sr.fp), "err", err)
+			g.log.Warn("journal purge failed", "fp", shard.Short(sr.fp), "err", err)
 		}
 	}
 	g.ping()
-	g.log.Info("sweep purged", "sweep", sr.grid.Spec.Name, "fp", fp12(sr.fp))
+	g.log.Info("sweep purged", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp))
 }
 
-// journaledFor snapshots the journaled shards of one campaign. The map
-// grows as live completions land, so a later submission reusing a
-// campaign (after a cancel, say) restores everything delivered so far.
-func (g *registry) journaledFor(fp string) map[int]*shard.Partial {
+// record files an accepted completion in every tier: memory, then — while
+// this coordinator still leads — the journal and the lake, where any
+// future sweep whose plan covers the same range adopts it instead of
+// re-simulating. First wins: once a (fingerprint, range) has landed,
+// later copies — a speculative backup's duplicate, or a stale-epoch
+// completion arriving after a failover — are dropped without touching
+// the journal, so the bytes that merged are the bytes that persist. Only
+// an audit correction overwrites: memory explicitly, and the journal by
+// appending, since replay is last-record-wins.
+func (g *registry) record(fp string, p *shard.Partial, overwrite bool) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	src := g.journaled[fp]
-	if len(src) == 0 {
-		return nil
-	}
-	out := make(map[int]*shard.Partial, len(src))
-	for i, p := range src {
-		out[i] = p
-	}
-	return out
-}
-
-// recordJournaled mirrors an accepted completion into the in-memory
-// journal view (and the on-disk journal, if any). First wins: once a
-// (fingerprint, shard index) pair has landed, later copies — a
-// speculative backup's duplicate, or a stale-epoch completion arriving
-// after a failover — are dropped without touching the journal, so the
-// bytes that merged are the bytes that persist.
-func (g *registry) recordJournaled(fp string, p *shard.Partial) {
-	g.mu.Lock()
-	m := g.journaled[fp]
-	if m == nil {
-		m = map[int]*shard.Partial{}
-		g.journaled[fp] = m
-	}
-	if _, dup := m[p.Index]; dup {
+	if !overwrite && g.journaled.GetPartial(fp, p.Start, p.End) != nil {
 		g.mu.Unlock()
 		return
 	}
-	m[p.Index] = p
-	store := g.store
-	dead := g.dead
-	pc := g.partials
+	g.journaled.PutPartial(fp, p)
+	durable := g.tiers[1:]
+	if g.dead {
+		durable = nil
+	}
 	g.mu.Unlock()
-	if store != nil && !dead {
-		if err := store.Append(fp, p); err != nil {
-			// The result is already accepted and merging will proceed; a
-			// journal write failure only weakens crash recovery.
-			g.log.Warn("journal append failed", "campaign", fp12(fp), "shard", p.Index, "err", err)
-		}
-	}
-	if pc != nil && !dead {
-		// Promote the journaled shard to a durable fleet-wide cache object:
-		// any future sweep whose plan covers the same range adopts it
-		// instead of re-simulating. Best-effort by PartialCache contract.
-		pc.PutPartial(fp, p)
-	}
+	durable.PutPartial(fp, p)
 }
 
 // strikeWorker records one lost audit vote against a worker; at
@@ -776,35 +716,6 @@ func (g *registry) quarantinedWorkerCount() int {
 	g.healthMu.Lock()
 	defer g.healthMu.Unlock()
 	return len(g.quarWorkers)
-}
-
-// auditReplace re-journals a corrected partial after an audit majority
-// outvoted the original completion. The in-memory view is first-wins
-// (recordJournaled), so the correction must overwrite explicitly; the
-// on-disk journal replays last-record-wins (runstore.LoadAll), so an
-// appended record supersedes the wrong one without rewriting the file.
-// Runs as a pool audit hook: it takes g.mu but never a pool lock.
-func (g *registry) auditReplace(fp string, p *shard.Partial) {
-	g.mu.Lock()
-	m := g.journaled[fp]
-	if m == nil {
-		m = map[int]*shard.Partial{}
-		g.journaled[fp] = m
-	}
-	m[p.Index] = p
-	store := g.store
-	dead := g.dead
-	pc := g.partials
-	g.mu.Unlock()
-	g.log.Warn("audit majority replaced shard result", "campaign", fp12(fp), "shard", p.Index)
-	if store != nil && !dead {
-		if err := store.Append(fp, p); err != nil {
-			g.log.Warn("journal append failed", "campaign", fp12(fp), "shard", p.Index, "err", err)
-		}
-	}
-	if pc != nil && !dead {
-		pc.PutPartial(fp, p)
-	}
 }
 
 // liveSweeps returns the sweeps in submission order plus whether the
@@ -874,7 +785,7 @@ func (g *registry) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "%v", err)
 		return
 	}
-	sr, created, err := g.submit(grid, params, nil, false)
+	sr, created, err := g.submit(grid, params, false)
 	if err != nil {
 		capi.WriteError(w, http.StatusConflict, capi.CodeConflict, "%v", err)
 		return
@@ -1047,7 +958,7 @@ func (g *registry) handleLease(w http.ResponseWriter, r *http.Request) {
 				name = "audit"
 			}
 			g.tracer.Instant(name, "coord", 0, int64(l.Spec.Index), map[string]any{
-				"worker": req.Worker, "campaign": fp12(l.Spec.Fingerprint), "shard": l.Spec.Index,
+				"worker": req.Worker, "campaign": shard.Short(l.Spec.Fingerprint), "shard": l.Spec.Index,
 			})
 			capi.WriteJSON(w, l)
 			return
@@ -1074,7 +985,7 @@ func (g *registry) handleComplete(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "completion carries no partial")
 		return
 	}
-	fp := g.resolveFingerprint(req.Fingerprint)
+	fp := req.Fingerprint
 	sr, ok := g.routeCampaign(fp)
 	if !ok {
 		capi.WriteError(w, http.StatusConflict, capi.CodeConflict, "completion names unknown campaign %.12s", fp)
@@ -1088,9 +999,9 @@ func (g *registry) handleComplete(w http.ResponseWriter, r *http.Request) {
 			// first — but the worker learns its lease died with the old
 			// epoch, distinctly from an ordinary duplicate.
 			g.tracer.Instant("fenced", "coord", 0, int64(req.Partial.Index), map[string]any{
-				"campaign": fp12(fp), "shard": req.Partial.Index, "epoch": req.Epoch,
+				"campaign": shard.Short(fp), "shard": req.Partial.Index, "epoch": req.Epoch,
 			})
-			g.recordJournaled(fp, req.Partial)
+			g.record(fp, req.Partial, false)
 			capi.WriteError(w, http.StatusConflict, capi.CodeStaleEpoch, "%v", err)
 			return
 		}
@@ -1099,7 +1010,7 @@ func (g *registry) handleComplete(w http.ResponseWriter, r *http.Request) {
 			// worker-side) corruption. The result is refused, never journaled,
 			// and the shard is back on the queue for a clean re-execution.
 			g.tracer.Instant("integrity_reject", "coord", 0, int64(req.Partial.Index), map[string]any{
-				"campaign": fp12(fp), "shard": req.Partial.Index,
+				"campaign": shard.Short(fp), "shard": req.Partial.Index,
 			})
 			capi.WriteError(w, http.StatusConflict, capi.CodeIntegrityMismatch, "%v", err)
 			return
@@ -1108,9 +1019,9 @@ func (g *registry) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.tracer.Instant("complete", "coord", 0, int64(req.Partial.Index), map[string]any{
-		"campaign": fp12(fp), "shard": req.Partial.Index,
+		"campaign": shard.Short(fp), "shard": req.Partial.Index,
 	})
-	g.recordJournaled(fp, req.Partial)
+	g.record(fp, req.Partial, false)
 	w.WriteHeader(http.StatusOK)
 }
 
@@ -1124,7 +1035,7 @@ func (g *registry) handleFail(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "bad failure report: %v", err)
 		return
 	}
-	fp := g.resolveFingerprint(req.Fingerprint)
+	fp := req.Fingerprint
 	sr, ok := g.routeCampaign(fp)
 	if !ok {
 		capi.WriteError(w, http.StatusConflict, capi.CodeConflict, "failure report names unknown campaign %.12s", fp)
@@ -1135,7 +1046,7 @@ func (g *registry) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.tracer.Instant("fail", "coord", 0, 0, map[string]any{
-		"campaign": fp12(fp), "worker": req.Worker, "reason": req.Reason,
+		"campaign": shard.Short(fp), "worker": req.Worker, "reason": req.Reason,
 	})
 	g.ping()
 	w.WriteHeader(http.StatusOK)
@@ -1147,7 +1058,7 @@ func (g *registry) handleRenew(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "bad renewal: %v", err)
 		return
 	}
-	fp := g.resolveFingerprint(req.Fingerprint)
+	fp := req.Fingerprint
 	sr, ok := g.routeCampaign(fp)
 	if !ok {
 		capi.WriteError(w, http.StatusConflict, capi.CodeConflict, "renewal names unknown campaign %.12s", fp)
@@ -1161,28 +1072,10 @@ func (g *registry) handleRenew(w http.ResponseWriter, r *http.Request) {
 	capi.WriteJSON(w, capi.RenewReply{ExpiresAt: exp})
 }
 
-// resolveFingerprint fills in the campaign fingerprint for pre-sweep
-// workers that never sent one; with a single self-submitted campaign
-// served the routing is unambiguous.
-func (g *registry) resolveFingerprint(fp string) string {
-	if fp != "" {
-		return fp
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.initial != nil && g.initial.single != nil {
-		// The single campaign validated at submission; cfps[0] is its
-		// fingerprint, computed once there.
-		return g.initial.cfps[0]
-	}
-	return fp
-}
-
 // serveOpts is the parsed configuration of one serve run.
 type serveOpts struct {
 	grid     *sweep.Grid     // self-submitted at startup; nil = start empty
 	params   json.RawMessage // declarative params of the self-submitted grid, for journaling
-	single   bool            // one-campaign mode: legacy report + result-JSON -out
 	shards   int             // per campaign; tiny campaigns degrade to fewer
 	journal  string
 	lakeDir  string      // artifact-lake directory; "" = lake disabled
@@ -1197,11 +1090,11 @@ type serveOpts struct {
 	addr       string        // listen address a promoted standby rebinds
 	leaderTTL  time.Duration // leader-lease duration; renewed at a third of it
 	drainGrace time.Duration // graceful-drain bound on waiting out leased shards
-	specFactor float64       // straggler re-issue factor (0 = pool default, negative = off)
 
-	// Integrity knobs (DESIGN.md "Integrity & quarantine").
-	auditFrac   float64 // fraction of completions re-executed on another worker (0 = off)
-	maxAttempts int     // executions per shard before it is quarantined as poison (0 = unbounded)
+	// queue carries the scheduling and integrity knobs the flags set —
+	// Speculate, AuditFrac, MaxAttempts (DESIGN.md "Integrity &
+	// quarantine"); serve fills in the epoch, metrics and audit hooks.
+	queue shard.QueueConfig
 
 	// Observability (DESIGN.md "Observability"). Instrumentation never
 	// feeds back into scheduling or simulation: rendered sweep output is
@@ -1213,9 +1106,8 @@ type serveOpts struct {
 
 	// Warm-standby preloads: a promoted standby hands serve the state it
 	// tailed out of the journal instead of having serve re-read the file.
-	epoch        uint64                            // pre-acquired leader epoch; 0 = acquire at startup
-	preJournaled map[string]map[int]*shard.Partial // replaces runstore.LoadAll
-	preSweeps    []runstore.SweepRecord            // replaces runstore.LoadSweeps
+	epoch    uint64         // pre-acquired leader epoch; 0 = acquire at startup
+	replayed *runstore.Fold // replaces runstore.Replay
 
 	// Control channels; nil channels never fire.
 	signals <-chan os.Signal // graceful drain trigger (SIGINT/SIGTERM)
@@ -1285,26 +1177,20 @@ func runServe(args []string) error {
 		}
 	})
 	opts := serveOpts{
-		single:      single,
-		shards:      *shards,
-		journal:     *journal,
-		lakeDir:     *lakeDir,
-		lakeMax:     *lakeMax,
-		leaseTTL:    *lease,
-		leaderTTL:   *leaderTTL,
-		drainGrace:  *drainGrace,
-		specFactor:  *speculate,
-		auditFrac:   *auditFrac,
-		maxAttempts: *maxAttempts,
-		linger:      *linger,
-		outPath:     *out,
-		outDir:      *outDir,
-		addr:        *addr,
-		debugAddr:   *debugAddr,
-		tracePath:   *tracePath,
-	}
-	if *speculate <= 0 {
-		opts.specFactor = -1 // explicit off; serveOpts zero means "pool default"
+		shards:     *shards,
+		journal:    *journal,
+		lakeDir:    *lakeDir,
+		lakeMax:    *lakeMax,
+		leaseTTL:   *lease,
+		leaderTTL:  *leaderTTL,
+		drainGrace: *drainGrace,
+		queue:      shard.QueueConfig{Speculate: *speculate, AuditFrac: *auditFrac, MaxAttempts: *maxAttempts},
+		linger:     *linger,
+		outPath:    *out,
+		outDir:     *outDir,
+		addr:       *addr,
+		debugAddr:  *debugAddr,
+		tracePath:  *tracePath,
 	}
 	// SIGINT/SIGTERM drain gracefully: stop leasing, wait (bounded by
 	// -drain-grace) for leased shards to land, release leadership, exit 0.
@@ -1339,7 +1225,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		grid := singleCampaignGrid(cs)
+		grid := sweep.CampaignGrid(cs)
 		opts.grid = &grid
 	}
 	if *outDir != "" {
@@ -1354,27 +1240,6 @@ func runServe(args []string) error {
 		return err
 	}
 	return serve(opts, ln, os.Stdout)
-}
-
-// singleCampaignGrid wraps one campaign as a degenerate sweep whose
-// rendered artifact is the classic campaign report.
-func singleCampaignGrid(cs shard.CampaignSpec) sweep.Grid {
-	it := sweep.Item{Key: fmt.Sprintf("soc%d-%s", cs.SoC, cs.Workload), Campaign: cs}
-	return sweep.Grid{
-		Spec: sweep.SweepSpec{Name: "campaign", Items: []sweep.Item{it}},
-		Render: func(w io.Writer, results map[string]*inject.Result) error {
-			fp, err := cs.Fingerprint()
-			if err != nil {
-				return err
-			}
-			r, ok := results[fp]
-			if !ok {
-				return fmt.Errorf("campaign %.12s has no merged result", fp)
-			}
-			fmt.Fprint(w, r.String())
-			return nil
-		},
-	}
 }
 
 // syncWriter serializes progress lines: sweep run goroutines and their
@@ -1420,16 +1285,11 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	rm := runstore.NewMetrics(reg)
 
 	var store *runstore.Store
-	journaled := opts.preJournaled
-	preSweeps := opts.preSweeps
-	droppedRecords := 0
+	replayed := opts.replayed
 	var err error
 	if opts.journal != "" {
-		if journaled == nil {
-			if journaled, droppedRecords, err = runstore.LoadAll(opts.journal); err != nil {
-				return err
-			}
-			if preSweeps, err = runstore.LoadSweeps(opts.journal); err != nil {
+		if replayed == nil {
+			if replayed, err = runstore.Replay(opts.journal); err != nil {
 				return err
 			}
 		}
@@ -1439,8 +1299,8 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		store.SetMetrics(rm)
 		defer store.Close()
 	}
-	if journaled == nil {
-		journaled = map[string]map[int]*shard.Partial{}
+	if replayed == nil {
+		replayed = &runstore.Fold{}
 	}
 
 	// Leadership: with a journal, serve runs under a fenced epoch recorded
@@ -1478,13 +1338,13 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		defer stopLeader()
 	}
 
-	g := newRegistry(opts, epoch, store, journaled, stdout)
-	g.obs, g.sm, g.tracer = reg, shard.NewMetrics(reg), tracer
+	g := newRegistry(opts, epoch, store, replayed.Partials, stdout)
+	g.obs, g.queue.Metrics, g.tracer = reg, shard.NewMetrics(reg), tracer
 	g.fleet = obs.NewFleet(0)
 	g.fleet.SetQuarantined(g.quarantinedWorkerCount)
-	if droppedRecords > 0 {
+	if replayed.Dropped > 0 {
 		g.log.Warn("journal records failed their integrity checksum and were skipped; those shards re-simulate",
-			"journal", opts.journal, "dropped", droppedRecords)
+			"journal", opts.journal, "dropped", replayed.Dropped)
 	}
 
 	// Artifact lake: golden builds and finished partials become durable,
@@ -1502,7 +1362,7 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		lakeStore.SetMetrics(lake.NewMetrics(reg))
 		g.lake = lakeStore
 		g.builder = lake.NewStoreBuilder(lakeStore, defaultWorkerName())
-		g.partials = lake.NewStorePartials(lakeStore)
+		g.tiers = append(g.tiers, lake.NewStorePartials(lakeStore))
 		g.log.Info("artifact lake attached", "dir", lakeStore.Dir(), "bytes", lakeStore.Bytes())
 	}
 	if opts.tracePath != "" {
@@ -1528,30 +1388,26 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	go func() { srvErr <- srv.Serve(ln) }()
 
 	if opts.grid != nil {
-		var single *shard.CampaignSpec
-		if opts.single {
-			single = &opts.grid.Spec.Items[0].Campaign
-		}
-		if _, _, err := g.submit(*opts.grid, opts.params, single, true); err != nil {
+		if _, _, err := g.submit(*opts.grid, opts.params, true); err != nil {
 			return err
 		}
 	}
 	// Resubmit journaled running sweeps — the registry a dead leader left
 	// behind. Idempotent against the self-submission above, so a restart
 	// on the same flags keeps its batch-job surface.
-	for _, rec := range preSweeps {
+	for _, rec := range replayed.Sweeps() {
 		if rec.State != runstore.SweepStateRunning {
 			continue
 		}
-		grid, single, err := gridFromRecord(rec)
+		grid, err := gridFromRecord(rec)
 		if err != nil {
 			// An unreadable registry record must not sink the sweeps that do
 			// decode: serve what can be served, say what cannot.
-			g.log.Warn("journaled sweep not rebuilt", "fp", fp12(rec.Fingerprint), "err", err)
+			g.log.Warn("journaled sweep not rebuilt", "fp", shard.Short(rec.Fingerprint), "err", err)
 			continue
 		}
-		if _, _, err := g.submit(grid, rec.Params, single, false); err != nil {
-			g.log.Warn("journaled sweep not rebuilt", "fp", fp12(rec.Fingerprint), "err", err)
+		if _, _, err := g.submit(grid, rec.Params, false); err != nil {
+			g.log.Warn("journaled sweep not rebuilt", "fp", shard.Short(rec.Fingerprint), "err", err)
 		}
 	}
 
@@ -1567,67 +1423,47 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 
 	// Serve until idle (every submitted sweep terminal and the linger
 	// window passed without a new submission), or until a drain signal or
-	// crash ends the run early.
-	draining := false
+	// crash ends the run early. One select serves all three phases; the
+	// arms a phase does not want stay nil: the linger timer only runs
+	// while idle, the drain ticker and deadline only while draining, and a
+	// second signal cannot restart a drain.
+	signals := opts.signals
 	var drainDeadline <-chan time.Time
 	drainPoll := time.NewTicker(100 * time.Millisecond)
 	defer drainPoll.Stop()
-	startDrain := func(why string) {
-		draining = true
-		g.setDraining()
-		drainDeadline = time.After(opts.drainGrace)
-		g.log.Info("draining", "why", why, "leased", g.leasedShards(), "grace", opts.drainGrace)
-	}
 loop:
 	for {
-		if draining {
+		var linger, poll <-chan time.Time
+		switch {
+		case drainDeadline != nil:
 			if g.leasedShards() == 0 {
-				break
-			}
-			select {
-			case <-drainPoll.C:
-			case <-drainDeadline:
-				g.log.Warn("drain grace expired; exiting anyway", "leased", g.leasedShards())
 				break loop
-			case <-opts.crash:
-				return crashStop("test crash hook")
-			case <-deposed:
-				return crashStop("deposed: a newer epoch holds the leader lease")
-			case err := <-srvErr:
-				return fmt.Errorf("serving: %v", err)
 			}
-			continue
-		}
-		if g.idle() {
-			select {
-			case <-g.changed:
-				continue
-			case err := <-srvErr:
-				return fmt.Errorf("serving: %v", err)
-			case sig := <-opts.signals:
-				startDrain(sig.String() + " received")
-				continue
-			case <-opts.crash:
-				return crashStop("test crash hook")
-			case <-deposed:
-				return crashStop("deposed: a newer epoch holds the leader lease")
-			case <-time.After(opts.linger):
-				if !g.idle() {
-					continue
-				}
-			}
-			break
+			poll = drainPoll.C
+		case g.idle():
+			linger = time.After(opts.linger)
 		}
 		select {
 		case <-g.changed:
-		case err := <-srvErr:
-			return fmt.Errorf("serving: %v", err)
-		case sig := <-opts.signals:
-			startDrain(sig.String() + " received")
+		case <-poll:
+		case <-linger:
+			if g.idle() {
+				break loop
+			}
+		case <-drainDeadline:
+			g.log.Warn("drain grace expired; exiting anyway", "leased", g.leasedShards())
+			break loop
+		case sig := <-signals:
+			signals = nil
+			g.setDraining()
+			drainDeadline = time.After(opts.drainGrace)
+			g.log.Info("draining", "why", sig.String()+" received", "leased", g.leasedShards(), "grace", opts.drainGrace)
 		case <-opts.crash:
 			return crashStop("test crash hook")
 		case <-deposed:
 			return crashStop("deposed: a newer epoch holds the leader lease")
+		case err := <-srvErr:
+			return fmt.Errorf("serving: %v", err)
 		}
 	}
 
@@ -1647,7 +1483,7 @@ loop:
 			g.log.Warn("leader lease release failed", "err", err)
 		}
 	}
-	if draining {
+	if drainDeadline != nil {
 		g.log.Info("drained; leadership released")
 	}
 
@@ -1667,15 +1503,20 @@ loop:
 // (correctly, per the expiry this leader let happen) took over — the
 // deposed channel closes and this incarnation must crash-stop, never
 // write again. Successful heartbeats drive runstore_leader_renewals_total
-// and refresh runstore_leader_epoch. The returned stop is idempotent.
+// and refresh runstore_leader_epoch. The returned stop is idempotent and
+// returns only once the heartbeat goroutine has exited, so no renewal
+// can land after it — in particular not on top of the expired lease a
+// clean exit writes next to release leadership.
 func startLeaderRenewal(path string, me runstore.LeaderLease, ttl time.Duration, m *runstore.Metrics, deposed chan<- struct{}) (stop func()) {
 	done := make(chan struct{})
+	finished := make(chan struct{})
 	var once sync.Once
 	interval := ttl / 3
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
 	go func() {
+		defer close(finished)
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
@@ -1698,26 +1539,27 @@ func startLeaderRenewal(path string, me runstore.LeaderLease, ttl time.Duration,
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-finished
+	}
 }
 
 // gridFromRecord rebuilds a submitted sweep from its journal record —
 // the declarative params an API submission carried, or the single
 // campaign spec of a -soc self-submission.
-func gridFromRecord(rec runstore.SweepRecord) (sweep.Grid, *shard.CampaignSpec, error) {
+func gridFromRecord(rec runstore.SweepRecord) (sweep.Grid, error) {
 	if rec.Single != nil {
-		cs := *rec.Single
-		return singleCampaignGrid(cs), &cs, nil
+		return sweep.CampaignGrid(*rec.Single), nil
 	}
 	if len(rec.Params) == 0 {
-		return sweep.Grid{}, nil, fmt.Errorf("sweep record carries neither params nor a campaign spec")
+		return sweep.Grid{}, fmt.Errorf("sweep record carries neither params nor a campaign spec")
 	}
 	var params sweep.GridParams
 	if err := json.Unmarshal(rec.Params, &params); err != nil {
-		return sweep.Grid{}, nil, err
+		return sweep.Grid{}, err
 	}
-	grid, err := params.Grid()
-	return grid, nil, err
+	return params.Grid()
 }
 
 // standby tails a leader's journal, mirroring the shard results and
@@ -1757,42 +1599,11 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 		logger.Info("debug server listening", "addr", dbgAddr)
 	}
 
-	journaled := map[string]map[int]*shard.Partial{}
-	sweeps := map[string]runstore.SweepRecord{}
-	var order []string
-	apply := func(rec runstore.Record) {
-		switch {
-		case rec.Sweep != nil:
-			if _, seen := sweeps[rec.Sweep.Fingerprint]; !seen {
-				order = append(order, rec.Sweep.Fingerprint)
-			}
-			sweeps[rec.Sweep.Fingerprint] = *rec.Sweep
-		case rec.Partial != nil:
-			if rec.Partial.Verify() != nil {
-				// A record whose payload fails its own checksum must never
-				// restore: drop it here and the shard re-simulates after
-				// takeover, exactly as runstore.LoadAll would have decided.
-				return
-			}
-			m := journaled[rec.Fingerprint]
-			if m == nil {
-				m = map[int]*shard.Partial{}
-				journaled[rec.Fingerprint] = m
-			}
-			// Last record wins, mirroring runstore.LoadAll: the journal holds
-			// one record per shard except when an audit correction was
-			// appended after the original — the correction must supersede.
-			m[rec.Partial.Index] = rec.Partial
-		case len(rec.Terminal) > 0:
-			for _, fp := range rec.Terminal {
-				delete(journaled, fp)
-			}
-		}
-	}
-	// drainTail applies everything currently readable. A journal
-	// replacement (the leader compacting) resets the derived state and
-	// replays — replaying is idempotent because apply is deterministic
-	// in record order.
+	// drainTail folds everything currently readable into the replayed
+	// state. A journal replacement (the leader compacting) resets it and
+	// replays — idempotent, because the fold is deterministic in record
+	// order.
+	replayed := &runstore.Fold{}
 	drainTail := func() error {
 		for {
 			rec, ev, err := tail.Next()
@@ -1801,11 +1612,9 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 			}
 			switch ev {
 			case runstore.TailRecord:
-				apply(rec)
+				replayed.Apply(rec)
 			case runstore.TailReset:
-				journaled = map[string]map[int]*shard.Partial{}
-				sweeps = map[string]runstore.SweepRecord{}
-				order = nil
+				replayed = &runstore.Fold{}
 			case runstore.TailCaughtUp:
 				return nil
 			}
@@ -1882,11 +1691,11 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 	}
 
 	nShards := 0
-	for _, m := range journaled {
+	for _, m := range replayed.Partials {
 		nShards += len(m)
 	}
 	logger.Info("standby taking over", "expiredEpoch", lease.Epoch, "epoch", epoch, "addr", addr,
-		"sweeps", len(order), "journaledShards", nShards)
+		"sweeps", len(replayed.Sweeps()), "journaledShards", nShards)
 
 	// The follower's lag gauge dies with the tail; the promoted serve
 	// re-registers the runstore family over the shared registry.
@@ -1895,13 +1704,8 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 	takeover := opts
 	takeover.grid = nil
 	takeover.params = nil
-	takeover.single = false
 	takeover.epoch = epoch
-	takeover.preJournaled = journaled
-	takeover.preSweeps = nil
-	for _, fp := range order {
-		takeover.preSweeps = append(takeover.preSweeps, sweeps[fp])
-	}
+	takeover.replayed = replayed
 	return serve(takeover, ln, rawStdout)
 }
 

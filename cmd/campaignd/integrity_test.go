@@ -46,12 +46,11 @@ func TestIntegritySmoke(t *testing.T) {
 	// whole run; speculation off keeps completions single-sourced so every
 	// corrupt fault maps to one refused POST.
 	url, serveErr := startServe(t, serveOpts{
-		shards:     2,
-		leaseTTL:   time.Minute,
-		linger:     15 * time.Second,
-		specFactor: -1,
-		auditFrac:  1,
-		obsReg:     reg,
+		shards:   2,
+		leaseTTL: time.Minute,
+		linger:   15 * time.Second,
+		queue:    shard.QueueConfig{AuditFrac: 1},
+		obsReg:   reg,
 	}, serveOut)
 
 	client := capi.NewClient(url)
@@ -188,11 +187,11 @@ func TestPoisonShardQuarantine(t *testing.T) {
 	reg := obs.NewRegistry()
 	serveOut := &safeBuf{}
 	url, serveErr := startServe(t, serveOpts{
-		shards:      2,
-		leaseTTL:    time.Minute,
-		linger:      5 * time.Second,
-		maxAttempts: 2,
-		obsReg:      reg,
+		shards:   2,
+		leaseTTL: time.Minute,
+		linger:   5 * time.Second,
+		queue:    shard.QueueConfig{MaxAttempts: 2},
+		obsReg:   reg,
 	}, serveOut)
 
 	client := capi.NewClient(url)
@@ -290,13 +289,12 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 	// Phase 1: a clean journaled run establishes the reference journal.
 	serveOut1 := &safeBuf{}
 	url1, serveErr1 := startServe(t, serveOpts{
-		grid:       &grid,
-		shards:     2,
-		journal:    journal,
-		leaseTTL:   time.Minute,
-		linger:     time.Second,
-		specFactor: -1,
-		outPath:    out1,
+		grid:     &grid,
+		shards:   2,
+		journal:  journal,
+		leaseTTL: time.Minute,
+		linger:   time.Second,
+		outPath:  out1,
 	}, serveOut1)
 	w1Out := &safeBuf{}
 	w1Err := make(chan error, 1)
@@ -362,13 +360,12 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 	// that one shard through the worker, and render identical bytes.
 	serveOut2 := &safeBuf{}
 	url2, serveErr2 := startServe(t, serveOpts{
-		grid:       &grid,
-		shards:     2,
-		journal:    journal,
-		leaseTTL:   time.Minute,
-		linger:     time.Second,
-		specFactor: -1,
-		outPath:    out2,
+		grid:     &grid,
+		shards:   2,
+		journal:  journal,
+		leaseTTL: time.Minute,
+		linger:   time.Second,
+		outPath:  out2,
 	}, serveOut2)
 	w2Out := &safeBuf{}
 	w2Err := make(chan error, 1)

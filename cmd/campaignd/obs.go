@@ -25,15 +25,6 @@ func newLogger(w io.Writer) *slog.Logger {
 	}))
 }
 
-// fp12 truncates a fingerprint to the 12-hex prefix used in log lines,
-// metric labels and trace args.
-func fp12(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
-}
-
 // startDebugServer serves GET /metrics plus net/http/pprof on a side
 // address — the -debug-addr surface, deliberately separate from the
 // coordinator API so profiling a busy fleet never competes with lease

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/ssresf"
+	"repro/internal/sweep"
 )
 
 // scrapeProm fetches a /metrics endpoint and runs it through the strict
@@ -218,18 +219,17 @@ func TestSpeculationObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	serveOut := &safeBuf{}
 	url, serveErr := startServe(t, serveOpts{
-		grid:   gridPtr(singleCampaignGrid(cs)),
-		single: true,
+		grid:   gridPtr(sweep.CampaignGrid(cs)),
 		shards: 5,
 		// Long shard leases: only speculation — never expiry — may free
 		// the straggler's shard. The tiny factor fires a backup as soon
 		// as one completed shard establishes a duration baseline.
-		leaseTTL:   time.Minute,
-		linger:     time.Second,
-		specFactor: 0.01,
-		outPath:    outPath,
-		obsReg:     reg,
-		tracePath:  tracePath,
+		leaseTTL:  time.Minute,
+		linger:    time.Second,
+		queue:     shard.QueueConfig{Speculate: 0.01},
+		outPath:   outPath,
+		obsReg:    reg,
+		tracePath: tracePath,
 	}, serveOut)
 
 	straggler := leaseRaw(t, url, "straggler")

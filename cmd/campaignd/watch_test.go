@@ -15,6 +15,7 @@ import (
 	"repro/internal/capi"
 	"repro/internal/chaos"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/ssresf"
 )
 
@@ -268,7 +269,7 @@ func TestFleetFederation(t *testing.T) {
 	// Per-sweep cost attribution, federated: the worker's executor minted
 	// sweep_cost_* series labeled with this sweep's fp12, and they arrive
 	// on the fleet surface carrying both the sweep and worker labels.
-	fp := fp12(reply.Fingerprint)
+	fp := shard.Short(reply.Fingerprint)
 	if v, ok := sc.Value("sweep_cost_shards_total", "sweep", fp, "worker", "fw1"); !ok || v != 4 {
 		t.Fatalf("sweep_cost_shards_total{sweep=%q} = %v, %v; want 4", fp, v, ok)
 	}

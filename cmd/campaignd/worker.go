@@ -261,7 +261,7 @@ func work(ctx context.Context, opts workOpts) error {
 				// process survives. Report the failure so the coordinator
 				// releases the lease now (no TTL wait) and counts the attempt
 				// toward the shard's quarantine bound, then poll on.
-				logger.Error("shard execution panicked", "campaign", fp12(lease.Spec.Fingerprint),
+				logger.Error("shard execution panicked", "campaign", shard.Short(lease.Spec.Fingerprint),
 					"shard", lease.Spec.Index, "err", err)
 				if ferr := client.Fail(ctx, lease.Spec.Fingerprint, lease.ID, opts.name, err.Error()); ferr != nil && ctx.Err() == nil {
 					logger.Warn("failure report dropped", "err", ferr)
@@ -289,10 +289,10 @@ func work(ctx context.Context, opts workOpts) error {
 			// budget, the executor's result cache answers a re-issued copy
 			// of this shard instantly, and dying here would throw away the
 			// worker's warm golden runs over a transient blip.
-			logger.Warn("shard dropped", "campaign", fp12(lease.Spec.Fingerprint), "shard", lease.Spec.Index, "err", err)
+			logger.Warn("shard dropped", "campaign", shard.Short(lease.Spec.Fingerprint), "shard", lease.Spec.Index, "err", err)
 			continue
 		}
-		logger.Info("shard done", "campaign", fp12(lease.Spec.Fingerprint), "shard", lease.Spec.Index,
+		logger.Info("shard done", "campaign", shard.Short(lease.Spec.Fingerprint), "shard", lease.Spec.Index,
 			"range", fmt.Sprintf("[%d,%d)", lease.Spec.Start, lease.Spec.End),
 			"injections", len(p.Injections), "cached", cached)
 	}

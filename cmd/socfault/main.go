@@ -198,65 +198,11 @@ func run(cfg *cliConfig) error {
 		fmt.Print(run.Result.String())
 		return nil
 	}
-	return runSharded(cfg)
-}
-
-// runSharded executes the campaign as independent shards on this process,
-// optionally journaling each shard and skipping journaled ones, and
-// merges the partials into the exact single-process result.
-func runSharded(cfg *cliConfig) error {
-	b, err := shard.BuildLocal(cfg.spec, func(o *inject.Options) {
-		o.CheckpointEveryCycles = cfg.ckpt
-	})
-	if err != nil {
-		return err
-	}
-	specs, err := shard.Plan(cfg.spec, cfg.shards, len(b.Jobs))
-	if err != nil {
-		return err
-	}
-	fp := b.Fingerprint
-	var done map[int]*shard.Partial
-	if cfg.resume {
-		if done, err = runstore.Load(cfg.journal, fp); err != nil {
-			return err
-		}
-	}
-	var store *runstore.Store
-	if cfg.journal != "" {
-		if store, err = runstore.Open(cfg.journal); err != nil {
-			return err
-		}
-		defer store.Close()
-	}
-	partials := make([]*shard.Partial, 0, len(specs))
-	resumed := 0
-	for _, sp := range specs {
-		if p, ok := done[sp.Index]; ok && p.Covers(sp) {
-			partials = append(partials, p)
-			resumed++
-			continue
-		}
-		p, err := shard.ExecuteOn(b, sp)
-		if err != nil {
-			return err
-		}
-		if store != nil {
-			if err := store.Append(fp, p); err != nil {
-				return err
-			}
-		}
-		partials = append(partials, p)
-	}
-	res, err := shard.Merge(b, partials)
-	if err != nil {
-		return err
-	}
-	if resumed > 0 {
-		fmt.Printf("resumed %d of %d shards from %s\n", resumed, len(specs), cfg.journal)
-	}
-	fmt.Print(res.String())
-	return nil
+	// Sharded or journaled: the lone campaign rides the sweep path as a
+	// one-cell grid, keeping strict shard-count validation.
+	grid := sweep.CampaignGrid(cfg.spec)
+	cfg.grid = &grid
+	return runSweep(cfg)
 }
 
 // runSweep executes a whole experiment grid in this process — every
@@ -271,7 +217,13 @@ func runSweep(cfg *cliConfig) error {
 		Resume:     cfg.resume,
 		Checkpoint: cfg.ckpt,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			// A grid narrates on stderr; a lone campaign's resume notice has
+			// always preceded its report on stdout.
+			w := os.Stderr
+			if cfg.grid.Spec.Single {
+				w = os.Stdout
+			}
+			fmt.Fprintf(w, format+"\n", args...)
 		},
 	})
 	if err != nil {

@@ -51,7 +51,7 @@ func TestTerminalMarkerHidesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all["fp-a"]) != 1 || all["fp-a"][1] == nil {
+	if len(all["fp-a"]) != 1 || byIndex(all["fp-a"])[1] == nil {
 		t.Fatalf("fp-a loaded %d shards, want only the post-marker shard 1: %v", len(all["fp-a"]), all["fp-a"])
 	}
 	if len(all["fp-b"]) != 1 {

@@ -7,7 +7,7 @@
 //
 // The journal is crash-tolerant, not transactional: each record is one
 // JSON document followed by a newline, written with a single Write call,
-// and Load stops at the first undecodable record — a torn tail from a
+// and Replay stops at the first undecodable record — a torn tail from a
 // crash mid-append costs at most that one shard, which simply runs again.
 package runstore
 
@@ -87,11 +87,11 @@ func (s *Store) SetMetrics(m *Metrics) {
 // Open opens (creating if needed) a journal for appending. Any torn
 // tail — the partial record of an append interrupted by a crash — is
 // truncated first: appending after garbage would otherwise hide every
-// subsequent record from Load/LoadAll (which stop at the first
-// undecodable byte), silently losing the work of a long-lived
+// subsequent record from Replay (which stops at the first undecodable
+// byte), silently losing the work of a long-lived
 // coordinator that survives its own crash-restart. The journal is then
 // compacted: shard records covered by a later terminal marker, records
-// superseded by a later record of the same (campaign, shard), and the
+// superseded by a later record of the same (campaign, range), and the
 // markers themselves are rewritten away — a long-lived coordinator's
 // journal holds only the shards that could still resume something.
 func Open(path string) (*Store, error) {
@@ -118,17 +118,17 @@ func Open(path string) (*Store, error) {
 	return &Store{f: f, path: path, openCompacted: changed}, nil
 }
 
-// dedupeKey identifies a shard record for supersession: Load keys loaded
-// partials by (campaign, shard index) with last-record-wins, so earlier
-// records under the same key are dead weight compaction may drop.
-func dedupeKey(fp string, index int) string {
-	return fmt.Sprintf("%s#%d", fp, index)
+// dedupeKey identifies a shard record for supersession: the replay fold
+// keys partials by (campaign, plan range) with last-record-wins, so
+// earlier records under the same key are dead weight compaction may drop.
+func dedupeKey(fp string, p *shard.Partial) string {
+	return fmt.Sprintf("%s#%d-%d", fp, p.Start, p.End)
 }
 
 // compactFile rewrites the journal without its dead records and reports
 // whether anything changed. Dead are: shard records of campaigns a later
 // terminal marker covers, shard records superseded by a later record of
-// the same (campaign, shard index), and every marker (markers only exist
+// the same (campaign, plan range), and every marker (markers only exist
 // to kill earlier records; once those are gone the marker is too).
 // Records appended after a marker are live. The rewrite goes through a
 // temp file renamed into place, so a crash mid-compaction leaves either
@@ -179,7 +179,7 @@ func compactFile(path string) (bool, error) {
 			dead[i] = true // defensive: decodable but empty record
 			continue
 		}
-		key := dedupeKey(rec.Fingerprint, rec.Partial.Index)
+		key := dedupeKey(rec.Fingerprint, rec.Partial)
 		if j, ok := lastByKey[key]; ok {
 			dead[j] = true
 		}
@@ -296,6 +296,29 @@ func (s *Store) Append(fingerprint string, p *shard.Partial) error {
 	return s.append(Record{Fingerprint: fingerprint, Partial: p})
 }
 
+// Tier adapts the journal as a write-only shard.PartialCache, the tier
+// behind a process's in-memory partials: a put appends (and fsyncs) the
+// record, a get always misses — the journal is read once, by Replay at
+// startup, into the memory tier in front of it. The cache contract has no
+// error path, so a failed append goes to onErr and the caller decides
+// whether a journal that stopped recording is fatal.
+func (s *Store) Tier(onErr func(fp string, p *shard.Partial, err error)) shard.PartialCache {
+	return journalTier{s, onErr}
+}
+
+type journalTier struct {
+	s     *Store
+	onErr func(fp string, p *shard.Partial, err error)
+}
+
+func (journalTier) GetPartial(string, int, int) *shard.Partial { return nil }
+
+func (t journalTier) PutPartial(fp string, p *shard.Partial) {
+	if err := t.s.Append(fp, p); err != nil {
+		t.onErr(fp, p, err)
+	}
+}
+
 func (s *Store) append(rec Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -369,119 +392,108 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-// Load reads a journal and returns the completed shards recorded for the
-// given campaign fingerprint, keyed by shard index (last record wins —
-// deterministic execution makes duplicates equal anyway). Records for
-// other campaigns are skipped, so one journal file can serve consecutive
-// differently-configured runs. A missing file is an empty journal. A
-// record that fails to decode ends the load silently: it is the expected
-// torn tail of a crashed append, and everything before it is intact.
-func Load(path, fingerprint string) (map[int]*shard.Partial, error) {
-	all, _, err := LoadAll(path)
-	if err != nil {
-		return nil, err
-	}
-	out := all[fingerprint]
-	if out == nil {
-		out = map[int]*shard.Partial{}
-	}
-	return out, nil
+// Fold is the journal's one replay: records applied in file order yield
+// the state a coordinator resumes from. Replay folds a whole file; a warm
+// standby folds the leader's journal record by record as it tails it.
+// The zero value is an empty journal.
+type Fold struct {
+	// Partials holds every restorable shard result, by campaign and plan
+	// range. Last record wins — deterministic execution makes duplicates
+	// equal, and an audit correction appended after a wrong original must
+	// supersede it.
+	Partials shard.MemPartials
+	// Dropped counts records whose partial failed its integrity checksum
+	// (bytes damaged at rest, or a torn-then-overwritten write). They are
+	// skipped: the shard simply re-simulates, which is always correct.
+	Dropped int
+
+	sweeps map[string]SweepRecord
+	order  []string
 }
 
-// LoadAll reads a journal and returns every completed shard it records,
-// grouped by campaign fingerprint and keyed by shard index (last record
-// wins, as in Load). This is the sweep entry point: one journal file
-// holds the shards of every campaign in a grid, each namespaced by its
-// fingerprint, so a restarted sweep coordinator resumes all of them from
-// a single pass over the file. Missing files and torn tails behave as in
-// Load. A record that decodes but whose partial fails its integrity
-// checksum (bytes damaged at rest or by a torn-then-overwritten write)
-// is skipped and counted in dropped: the shard simply re-simulates,
-// which is always correct, never wrong.
-func LoadAll(path string) (all map[string]map[int]*shard.Partial, dropped int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]map[int]*shard.Partial{}, 0, nil
+// Apply folds one record in.
+func (f *Fold) Apply(rec Record) {
+	switch {
+	case len(rec.Terminal) > 0:
+		// A terminal marker kills everything recorded so far for those
+		// campaigns; records appended after it are live again.
+		for _, fp := range rec.Terminal {
+			delete(f.Partials, fp)
 		}
-		return nil, 0, fmt.Errorf("runstore: %v", err)
-	}
-	defer f.Close()
-	out := map[string]map[int]*shard.Partial{}
-	dec := json.NewDecoder(f)
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			// EOF, or the torn tail of a crashed append: keep what decoded.
-			break
+	case rec.Sweep != nil:
+		if f.sweeps == nil {
+			f.sweeps = map[string]SweepRecord{}
 		}
-		if len(rec.Terminal) > 0 {
-			// A terminal marker kills everything recorded so far for those
-			// campaigns; records appended after it are live again.
-			for _, fp := range rec.Terminal {
-				delete(out, fp)
-			}
-			continue
+		if _, seen := f.sweeps[rec.Sweep.Fingerprint]; !seen {
+			f.order = append(f.order, rec.Sweep.Fingerprint)
 		}
-		if rec.Partial == nil {
-			continue
-		}
+		f.sweeps[rec.Sweep.Fingerprint] = *rec.Sweep
+	case rec.Partial != nil:
 		if rec.Partial.Verify() != nil {
-			dropped++
-			continue
+			f.Dropped++
+			return
 		}
-		m := out[rec.Fingerprint]
-		if m == nil {
-			m = map[int]*shard.Partial{}
-			out[rec.Fingerprint] = m
+		if f.Partials == nil {
+			f.Partials = shard.MemPartials{}
 		}
-		m[rec.Partial.Index] = rec.Partial
+		f.Partials.PutPartial(rec.Fingerprint, rec.Partial)
 	}
-	return out, dropped, nil
 }
 
-// LoadSweeps reads a journal and returns the latest sweep-registration
-// record of every sweep it mentions, in first-submission order — the
-// order a restarted or failed-over coordinator resubmits them in, so
-// campaign routing priority survives the restart. Missing files and torn
-// tails behave as in Load.
-func LoadSweeps(path string) ([]SweepRecord, error) {
-	f, err := os.Open(path)
+// Sweeps returns the latest registration record of every sweep the
+// journal mentions, in first-submission order — the order a restarted or
+// failed-over coordinator resubmits them in, so campaign routing
+// priority survives the restart.
+func (f *Fold) Sweeps() []SweepRecord {
+	out := make([]SweepRecord, 0, len(f.order))
+	for _, fp := range f.order {
+		out = append(out, f.sweeps[fp])
+	}
+	return out
+}
+
+// Replay reads a journal into a Fold. One file holds the shards of every
+// campaign in a grid, each namespaced by its fingerprint, so a restarted
+// coordinator resumes all of them from a single pass. A missing file is
+// an empty journal. A record that fails to decode ends the replay
+// silently: it is the expected torn tail of a crashed append, and
+// everything before it is intact.
+func Replay(path string) (*Fold, error) {
+	f := &Fold{Partials: shard.MemPartials{}}
+	in, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return f, nil
 		}
 		return nil, fmt.Errorf("runstore: %v", err)
 	}
-	defer f.Close()
-	var order []string
-	latest := map[string]SweepRecord{}
-	dec := json.NewDecoder(f)
+	defer in.Close()
+	dec := json.NewDecoder(in)
 	for {
 		var rec Record
 		if err := dec.Decode(&rec); err != nil {
-			break // EOF or torn tail, same as Load
+			return f, nil
 		}
-		if rec.Sweep == nil {
-			continue
-		}
-		if _, ok := latest[rec.Sweep.Fingerprint]; !ok {
-			order = append(order, rec.Sweep.Fingerprint)
-		}
-		latest[rec.Sweep.Fingerprint] = *rec.Sweep
+		f.Apply(rec)
 	}
-	out := make([]SweepRecord, 0, len(order))
-	for _, fp := range order {
-		out = append(out, latest[fp])
+}
+
+// LoadAll replays a journal and returns just the shard results: every
+// restorable partial, grouped by campaign fingerprint, and the count of
+// records dropped for failing their integrity checksum.
+func LoadAll(path string) (all shard.MemPartials, dropped int, err error) {
+	f, err := Replay(path)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, nil
+	return f.Partials, f.Dropped, nil
 }
 
 // CountAny reports how many distinct restorable shards the journal
 // records for any of the given fingerprints — the existence probe a
 // sweep CLI uses to refuse silently double-running a journaled grid.
 // Terminal-marked and duplicate records are excluded, so the count
-// agrees with what Load would restore. Like Count it only decodes each
+// agrees with what Replay would restore. Like Count it only decodes each
 // record's identity, never the injections.
 func CountAny(path string, fingerprints map[string]bool) (int, error) {
 	f, err := os.Open(path)
@@ -492,22 +504,23 @@ func CountAny(path string, fingerprints map[string]bool) (int, error) {
 		return 0, fmt.Errorf("runstore: %v", err)
 	}
 	defer f.Close()
-	perFP := map[string]map[int]bool{}
+	perFP := map[string]map[[2]int]bool{}
 	dec := json.NewDecoder(f)
 	for {
 		var rec struct {
 			Fingerprint string `json:"fingerprint"`
 			Partial     *struct {
-				Index int `json:"index"`
+				Start int `json:"start"`
+				End   int `json:"end"`
 			} `json:"partial"`
 			Terminal []string `json:"terminal"`
 		}
 		if err := dec.Decode(&rec); err != nil {
-			break // EOF or torn tail, same as Load
+			break // EOF or torn tail, same as Replay
 		}
 		if len(rec.Terminal) > 0 {
 			// Marked-terminal records no longer resume anything; probing
-			// must agree with what Load would restore.
+			// must agree with what Replay would restore.
 			for _, fp := range rec.Terminal {
 				delete(perFP, fp)
 			}
@@ -516,15 +529,15 @@ func CountAny(path string, fingerprints map[string]bool) (int, error) {
 		if rec.Partial == nil || !fingerprints[rec.Fingerprint] {
 			continue
 		}
-		// Dedupe by shard index exactly as Load does (last record wins
-		// there; for counting, first seen is equivalent), so the probe
+		// Dedupe by plan range exactly as the replay fold does (last record
+		// wins there; for counting, first seen is equivalent), so the probe
 		// never reports more records than are restorable.
 		set := perFP[rec.Fingerprint]
 		if set == nil {
-			set = map[int]bool{}
+			set = map[[2]int]bool{}
 			perFP[rec.Fingerprint] = set
 		}
-		set[rec.Partial.Index] = true
+		set[[2]int{rec.Partial.Start, rec.Partial.End}] = true
 	}
 	n := 0
 	for _, set := range perFP {

@@ -17,6 +17,31 @@ func stubPartial(index, start, end int) *shard.Partial {
 	return p
 }
 
+// byIndex re-keys one campaign's replayed partials (held by plan range)
+// by shard index, the handle these tests name shards by.
+func byIndex[K comparable](held map[K]*shard.Partial) map[int]*shard.Partial {
+	out := make(map[int]*shard.Partial, len(held))
+	for _, p := range held {
+		out[p.Index] = p
+	}
+	return out
+}
+
+// Load replays a journal and returns one campaign's shards by index.
+func Load(path, fingerprint string) (map[int]*shard.Partial, error) {
+	all, _, err := LoadAll(path)
+	return byIndex(all[fingerprint]), err
+}
+
+// LoadSweeps replays a journal and returns its sweep registry.
+func LoadSweeps(path string) ([]SweepRecord, error) {
+	f, err := Replay(path)
+	if err != nil {
+		return nil, err
+	}
+	return f.Sweeps(), nil
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	st, err := Open(path)
@@ -104,7 +129,7 @@ func TestLoadAllDropsCorruptRecords(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("LoadAll dropped %d records, want 1", dropped)
 	}
-	got := all["fp-a"]
+	got := byIndex(all["fp-a"])
 	if len(got) != 1 || got[0] == nil {
 		t.Fatalf("loaded %v, want only the intact shard 0", got)
 	}
@@ -132,7 +157,7 @@ func TestLoadAllDropsCorruptRecords(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("re-load dropped %d records, want still 1", dropped)
 	}
-	if p := all["fp-a"][1]; p == nil || p.Verify() != nil {
+	if p := byIndex(all["fp-a"])[1]; p == nil || p.Verify() != nil {
 		t.Fatalf("re-simulated shard not loaded cleanly: %+v", p)
 	}
 }
@@ -173,11 +198,11 @@ func TestLoadAllNamespacesCampaigns(t *testing.T) {
 	if len(all["fp-a"]) != 2 || len(all["fp-b"]) != 1 {
 		t.Fatalf("LoadAll grouped %d/%d shards, want 2/1", len(all["fp-a"]), len(all["fp-b"]))
 	}
-	if p := all["fp-a"][1]; p == nil || p.Start != 3 || p.End != 6 {
-		t.Fatalf("fp-a shard 1 loaded as %+v", all["fp-a"][1])
+	if p := byIndex(all["fp-a"])[1]; p == nil || p.Start != 3 || p.End != 6 {
+		t.Fatalf("fp-a shard 1 loaded as %+v", p)
 	}
-	if p := all["fp-b"][0]; p == nil || p.End != 5 {
-		t.Fatalf("fp-b shard 0 loaded as %+v", all["fp-b"][0])
+	if p := byIndex(all["fp-b"])[0]; p == nil || p.End != 5 {
+		t.Fatalf("fp-b shard 0 loaded as %+v", p)
 	}
 	// LoadAll must agree with per-fingerprint Load.
 	only, err := Load(path, "fp-a")

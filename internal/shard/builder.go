@@ -33,17 +33,6 @@ func (LocalBuilder) Build(cs CampaignSpec, tune func(*inject.Options)) (*Built, 
 	return b, false, err
 }
 
-// PartialCache is the executor's optional fleet-wide result-cache
-// backend: finished shard partials promoted from the per-process result
-// map to durable cache objects any overlapping future sweep reuses.
-// Both methods are best-effort — implementations swallow transport and
-// store errors (a miss is always safe), and GetPartial must only return
-// a partial that was published for exactly (fp, start, end).
-type PartialCache interface {
-	GetPartial(fp string, start, end int) *Partial
-	PutPartial(fp string, p *Partial)
-}
-
 // EncodeBuilt serializes the campaign's golden-run artifact — the blob a
 // lake Builder publishes after a local build. The bytes are a pure
 // function of the campaign spec, so they are stable under content

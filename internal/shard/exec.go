@@ -11,15 +11,6 @@ import (
 	"repro/internal/socgen"
 )
 
-// short truncates a fingerprint to the 12-hex prefix used everywhere a
-// human reads one (logs, traces, metric labels).
-func short(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
-}
-
 // Built is a campaign readied on one process: the generated design, the
 // golden run with its checkpoint schedule, and the fully drawn injection
 // plan. Building is the expensive per-process step; every shard of the
@@ -148,16 +139,6 @@ func runJobsRecovering(b *Built, res *inject.Result, start, end int) (err error)
 	return b.Run.Campaign.RunJobs(res, start, end)
 }
 
-// cacheKey identifies one executed shard: the campaign it belongs to and
-// the plan range it covered. The shard index is deliberately absent — a
-// range re-planned under a different shard count is a different key, but
-// the same range under the same fingerprint always computes the same
-// partial.
-type cacheKey struct {
-	fp         string
-	start, end int
-}
-
 // maxCachedCampaigns bounds the executor's per-campaign memory: a
 // worker draining a long sweep would otherwise retain every campaign's
 // golden run and every computed partial for the whole process lifetime.
@@ -181,7 +162,7 @@ type Executor struct {
 	mu       sync.Mutex
 	built    map[string]*Built
 	building map[string]*buildState
-	results  map[cacheKey]*Partial
+	results  MemPartials
 	recent   []string       // campaign fingerprints, most recent first
 	pins     map[string]int // in-flight ExecuteFor calls per campaign
 	hits     uint64
@@ -215,7 +196,7 @@ func NewExecutor() *Executor {
 	return &Executor{
 		built:    map[string]*Built{},
 		building: map[string]*buildState{},
-		results:  map[cacheKey]*Partial{},
+		results:  MemPartials{},
 		pins:     map[string]int{},
 	}
 }
@@ -290,11 +271,7 @@ func (e *Executor) touch(fp string) {
 		}
 		e.recent = append(e.recent[:i], e.recent[i+1:]...)
 		delete(e.built, evict)
-		for key := range e.results {
-			if key.fp == evict {
-				delete(e.results, key)
-			}
-		}
+		delete(e.results, evict)
 		over--
 	}
 }
@@ -332,14 +309,14 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 	if sp.Fingerprint != "" && sp.Fingerprint != fp {
 		return nil, fmt.Errorf("shard: spec fingerprint %.12s does not match its campaign spec %.12s", sp.Fingerprint, fp)
 	}
-	key := cacheKey{fp: fp, start: sp.Start, end: sp.End}
+	sp.Fingerprint = fp
 
 	e.mu.Lock()
 	reg := e.m.Registry()
 	if reg == nil {
 		sweep = ""
 	}
-	if p, ok := e.results[key]; ok {
+	if p := Adopt(e.results, sp); p != nil {
 		e.hits++
 		e.met().CacheHits.Inc()
 		if sweep != "" {
@@ -371,23 +348,10 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 
 	// Fleet-wide partial cache: a finished result published by any process
 	// for this exact (fingerprint, range) is bit-identical to what this
-	// shard would compute, so adopt it instead of re-simulating. The shard
-	// index is plan-local and rewritten for this spec (the integrity
-	// checksum excludes it, so the stamp survives the rewrite). A partial
-	// that fails verification is a corrupt cache object: treat it as a
-	// miss and simulate — the lake accelerates, it never decides.
-	if pc != nil {
-		if p := pc.GetPartial(fp, sp.Start, sp.End); p != nil {
-			adopted := *p
-			adopted.Index = sp.Index
-			if adopted.Covers(sp) && adopted.Verify() == nil {
-				e.mu.Lock()
-				e.results[key] = &adopted
-				e.touch(fp)
-				e.mu.Unlock()
-				return &adopted, nil
-			}
-		}
+	// shard would compute, so adopt it instead of re-simulating.
+	if p := Adopt(pc, sp); p != nil {
+		e.remember(fp, p)
+		return p, nil
 	}
 
 	if hook != nil {
@@ -419,18 +383,23 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 			Add(uint64(time.Since(start).Nanoseconds()))
 	}
 	e.tracer.Span("execute", "shard", 0, int64(sp.Index), start, map[string]any{
-		"campaign": short(fp), "shard": sp.Index, "start": sp.Start, "end": sp.End,
+		"campaign": Short(fp), "shard": sp.Index, "start": sp.Start, "end": sp.End,
 	})
 	e.execMu.Unlock()
 
-	e.mu.Lock()
-	e.results[key] = p
-	e.touch(fp)
-	e.mu.Unlock()
+	e.remember(fp, p)
 	if pc != nil {
 		pc.PutPartial(fp, p)
 	}
 	return p, nil
+}
+
+// remember files a finished partial in the result cache.
+func (e *Executor) remember(fp string, p *Partial) {
+	e.mu.Lock()
+	e.results.PutPartial(fp, p)
+	e.touch(fp)
+	e.mu.Unlock()
 }
 
 // campaignFor returns the Built for fp, building it via the installed
@@ -472,7 +441,7 @@ func (e *Executor) campaignFor(fp string, sp Spec) (*Built, error) {
 			// Only a real local golden build earns the span — a fetch from
 			// the artifact lake is not a build, which is what lets traces
 			// prove a campaign's golden run happened once fleet-wide.
-			tracer.Span("golden", "shard", 0, 0, start, map[string]any{"campaign": short(fp)})
+			tracer.Span("golden", "shard", 0, 0, start, map[string]any{"campaign": Short(fp)})
 		}
 
 		e.mu.Lock()

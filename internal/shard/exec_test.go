@@ -142,18 +142,18 @@ func TestExecutorBuilderSeamGoldenSpan(t *testing.T) {
 
 // mapPartials is an in-memory PartialCache.
 type mapPartials struct {
-	store map[cacheKey]*Partial
+	store MemPartials
 	puts  int
 }
 
 func (m *mapPartials) GetPartial(fp string, start, end int) *Partial {
-	return m.store[cacheKey{fp: fp, start: start, end: end}]
+	return m.store.GetPartial(fp, start, end)
 }
 
 func (m *mapPartials) PutPartial(fp string, p *Partial) {
 	m.puts++
 	cp := *p
-	m.store[cacheKey{fp: fp, start: p.Start, end: p.End}] = &cp
+	m.store.PutPartial(fp, &cp)
 }
 
 // TestExecutorPartialCache covers the fleet-wide memoization seam: a
@@ -167,7 +167,7 @@ func TestExecutorPartialCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := &mapPartials{store: map[cacheKey]*Partial{}}
+	pc := &mapPartials{store: MemPartials{}}
 
 	producer := NewExecutor()
 	producer.SetPartialCache(pc)
@@ -181,7 +181,7 @@ func TestExecutorPartialCache(t *testing.T) {
 
 	// A different process replanned the same campaign so the range is the
 	// same but the shard index differs.
-	published := pc.store[cacheKey{fp: fp, start: specs[0].Start, end: specs[0].End}]
+	published := pc.store.GetPartial(fp, specs[0].Start, specs[0].End)
 	published.Index = 7
 
 	consumer := NewExecutor()

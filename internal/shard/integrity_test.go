@@ -153,8 +153,7 @@ func TestQueueIntegrityRejectRequeues(t *testing.T) {
 // sweep fails cleanly instead of hanging.
 func TestQueueQuarantineAfterAttemptBound(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs[:2], time.Minute)
-	q.SetMaxAttempts(2)
+	q := QueueConfig{MaxAttempts: 2}.NewQueue(specs[:2], time.Minute)
 	now := time.Unix(1000, 0)
 
 	// The healthy shard completes normally.
@@ -210,8 +209,7 @@ func TestQueueQuarantineAfterAttemptBound(t *testing.T) {
 // requeue/lease path withdraws a shard.
 func TestQueueSpeculationCountsAttemptsOncePerExecution(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs[:2], time.Hour)
-	q.SetMaxAttempts(3)
+	q := QueueConfig{MaxAttempts: 3, Speculate: 3}.NewQueue(specs[:2], time.Hour)
 	now := time.Unix(1000, 0)
 
 	slow, _ := q.Lease("slow", now) // attempt 1
@@ -220,7 +218,7 @@ func TestQueueSpeculationCountsAttemptsOncePerExecution(t *testing.T) {
 	if err := q.Complete(fast.ID, 0, fakePartial(fast.Spec), now.Add(10*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	backup, ok := q.SpeculativeLease("idle", now.Add(40*time.Second), 3) // attempt 2
+	backup, ok := q.LeaseFor("idle", now.Add(40*time.Second), Speculative) // attempt 2
 	if !ok {
 		t.Fatal("straggler not speculated")
 	}
@@ -256,8 +254,7 @@ func TestQueueSpeculationCountsAttemptsOncePerExecution(t *testing.T) {
 // requeue/lease path.
 func TestQueueSpeculativeGrantNeverQuarantines(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs[:2], time.Hour)
-	q.SetMaxAttempts(2)
+	q := QueueConfig{MaxAttempts: 2, Speculate: 3}.NewQueue(specs[:2], time.Hour)
 	now := time.Unix(1000, 0)
 
 	slow, _ := q.Lease("slow", now) // attempt 1
@@ -265,7 +262,7 @@ func TestQueueSpeculativeGrantNeverQuarantines(t *testing.T) {
 	if err := q.Complete(fast.ID, 0, fakePartial(fast.Spec), now.Add(10*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	backup, ok := q.SpeculativeLease("idle", now.Add(40*time.Second), 3) // attempt 2 = bound
+	backup, ok := q.LeaseFor("idle", now.Add(40*time.Second), Speculative) // attempt 2 = bound
 	if !ok {
 		t.Fatal("straggler not speculated")
 	}
@@ -290,9 +287,14 @@ type auditRecorder struct {
 	replaced []*Partial
 }
 
-func (r *auditRecorder) hooks() (func(string), func(*Partial)) {
-	return func(w string) { r.strikes = append(r.strikes, w) },
-		func(p *Partial) { r.replaced = append(r.replaced, p) }
+// config is full-rate auditing that records its outcomes on r.
+func (r *auditRecorder) config() QueueConfig {
+	return QueueConfig{
+		AuditFrac: 1.0,
+		AuditSeed: 42,
+		OnStrike:  func(w string) { r.strikes = append(r.strikes, w) },
+		OnReplace: func(_ string, p *Partial) { r.replaced = append(r.replaced, p) },
+	}
 }
 
 // TestQueueAuditOutvotesFaultyOriginal walks the full audit arc: a
@@ -301,10 +303,8 @@ func (r *auditRecorder) hooks() (func(string), func(*Partial)) {
 // (replace hook + merged partial swap) and strikes the outvoted worker.
 func TestQueueAuditOutvotesFaultyOriginal(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs[:1], time.Minute)
-	q.SetAudit(1.0, 42)
 	rec := &auditRecorder{}
-	q.SetAuditHooks(rec.hooks())
+	q := rec.config().NewQueue(specs[:1], time.Minute)
 	now := time.Unix(1000, 0)
 
 	// Worker "bad" completes with a wrong verdict: same coverage, flipped
@@ -327,11 +327,11 @@ func TestQueueAuditOutvotesFaultyOriginal(t *testing.T) {
 		t.Fatalf("progress %+v, want 1 open audit", pr)
 	}
 	// The faulty voter cannot immediately second its own verdict.
-	if _, ok := q.AuditLease("bad", now); ok {
+	if _, ok := q.LeaseFor("bad", now, Audit); ok {
 		t.Fatal("faulty worker handed its own audit back within the TTL")
 	}
 	// First independent re-execution disagrees: 1-1, no majority yet.
-	al, ok := q.AuditLease("w2", now)
+	al, ok := q.LeaseFor("w2", now, Audit)
 	if !ok {
 		t.Fatal("audit lease refused")
 	}
@@ -349,12 +349,12 @@ func TestQueueAuditOutvotesFaultyOriginal(t *testing.T) {
 	// original could second its own wrong verdict into a majority.
 	at := now.Add(2 * time.Second)
 	for _, w := range []string{"bad", "w2"} {
-		if _, ok := q.AuditLease(w, at); ok {
+		if _, ok := q.LeaseFor(w, at, Audit); ok {
 			t.Fatalf("prior voter %q handed the tie-break", w)
 		}
 	}
 	// A third, fresh worker casts the deciding vote.
-	al, ok = q.AuditLease("w3", at)
+	al, ok = q.LeaseFor("w3", at, Audit)
 	if !ok {
 		t.Fatal("tie-break audit lease refused")
 	}
@@ -390,10 +390,8 @@ func TestQueueAuditOutvotesFaultyOriginal(t *testing.T) {
 // replaced, and the original merges.
 func TestQueueAuditConfirmsCleanOriginal(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs[:1], time.Minute)
-	q.SetAudit(1.0, 42)
 	rec := &auditRecorder{}
-	q.SetAuditHooks(rec.hooks())
+	q := rec.config().NewQueue(specs[:1], time.Minute)
 	now := time.Unix(1000, 0)
 
 	l, _ := q.Lease("w1", now)
@@ -401,7 +399,7 @@ func TestQueueAuditConfirmsCleanOriginal(t *testing.T) {
 	if err := q.Complete(l.ID, 0, original, now); err != nil {
 		t.Fatal(err)
 	}
-	al, ok := q.AuditLease("w2", now)
+	al, ok := q.LeaseFor("w2", now, Audit)
 	if !ok {
 		t.Fatal("audit lease refused")
 	}

@@ -43,7 +43,7 @@ type Queue struct {
 	byShard   []string       // shard index -> primary lease ID, "" if none
 	backups   map[int]string // shard index -> speculative backup lease ID
 	ttl       time.Duration
-	epoch     uint64
+	cfg       QueueConfig
 	nextLease uint64
 	remaining int
 	doneCh    chan struct{}
@@ -52,39 +52,67 @@ type Queue struct {
 	durSum time.Duration
 	durN   int
 	// fenced counts completions refused under ErrStaleEpoch; speculated
-	// counts backup leases issued by SpeculativeLease.
+	// counts backup leases issued.
 	fenced     int
 	speculated int
 	// attempts counts distinct executions granted per shard — every
-	// primary and every speculative lease. When maxAttempts > 0, a shard
-	// whose attempts reach the bound is quarantined instead of re-issued
-	// (poison-work containment); the transition fires only on the primary
-	// requeue/lease path, never from SpeculativeLease itself.
-	attempts    []int
-	maxAttempts int
+	// primary and every speculative lease. When cfg.MaxAttempts > 0, a
+	// shard whose attempts reach the bound is quarantined instead of
+	// re-issued (poison-work containment); the transition fires only on
+	// the primary requeue/lease path, never from a speculative grant.
+	attempts []int
 	// quarantined maps quarantined shard indexes to the last failure
 	// reason; integrityRejects counts completions refused by Verify.
 	quarantined      map[int]string
 	integrityRejects int
 	doneClosed       bool
-	// Audit re-execution state: a sampled fraction (auditFrac) of
+	// Audit re-execution state: a sampled fraction (cfg.AuditFrac) of
 	// completions opens an audit — the shard is re-issued to other
 	// workers and verdict sums are compared. auditsOpen gates Done, so a
 	// wrong original can still be replaced before merge.
-	auditFrac        float64
 	auditRng         *rand.Rand
 	audits           map[int]*audit
 	auditsOpen       int
 	auditsDone       int
 	auditDivergences int
-	// onStrike fires (outside q.mu) once per outvoted audit vote with the
-	// losing worker's name; onReplace fires when an audit overturns the
-	// merged original, with the winning partial.
-	onStrike  func(worker string)
-	onReplace func(p *Partial)
-	// m mirrors lifecycle transitions into the obs registry; nil leaves
-	// the queue uninstrumented (met() substitutes all-no-op handles).
-	m *Metrics
+}
+
+// QueueConfig is everything a coordinator decides about its queues, once,
+// before the first lease: built from the flags, handed down by value, and
+// immutable from then on — a queue is born configured. The zero value is
+// a bare queue: no fencing, unbounded re-issue, no speculation, no
+// audits, no instrumentation.
+type QueueConfig struct {
+	// Epoch is the coordinator incarnation stamped on every lease — the
+	// fencing token. A standby takes over with a higher one, and
+	// completions echoing a lower epoch against an already-done shard are
+	// fenced with ErrStaleEpoch.
+	Epoch uint64
+	// MaxAttempts bounds distinct executions per shard; a shard reaching
+	// the bound without completing is quarantined instead of re-issued.
+	// 0 leaves re-issue unbounded.
+	MaxAttempts int
+	// Speculate is the straggler threshold: a leased shard is eligible for
+	// a speculative backup once its age exceeds this multiple of the
+	// observed mean shard duration. <= 0 disables speculation.
+	Speculate float64
+	// AuditFrac samples this fraction of completions for audit
+	// re-execution on an independent worker; AuditSeed seeds the sampling
+	// generator, so the decision sequence is deterministic for a given
+	// completion order.
+	AuditFrac float64
+	AuditSeed int64
+	// OnStrike fires once per outvoted audit vote with the losing worker's
+	// name — the coordinator's worker-health input. OnReplace fires when
+	// the merged original lost its audit, with the campaign fingerprint
+	// and the majority partial that replaced it, so the coordinator can
+	// re-journal the corrected result. Both run outside the queue's lock.
+	OnStrike  func(worker string)
+	OnReplace func(fingerprint string, p *Partial)
+	// Metrics mirrors lifecycle transitions into the obs registry; nil
+	// leaves the queue uninstrumented. Counters are fleet totals, shared
+	// by every queue built from this config.
+	Metrics *Metrics
 }
 
 // audit is the open cross-check of one completed shard: the original
@@ -116,17 +144,9 @@ func (a *audit) voted(worker string) bool {
 // noMetrics is the all-no-op sink substituted when no Metrics is set.
 var noMetrics = &Metrics{}
 
-// SetMetrics attaches obs instrumentation to the queue. Counters are
-// shared across queues (fleet totals); pass nil to detach.
-func (q *Queue) SetMetrics(m *Metrics) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.m = m
-}
-
 func (q *Queue) met() *Metrics {
-	if q.m != nil {
-		return q.m
+	if q.cfg.Metrics != nil {
+		return q.cfg.Metrics
 	}
 	return noMetrics
 }
@@ -159,13 +179,13 @@ type Lease struct {
 	// new coordinator's queues carry a higher epoch and fence any
 	// already-done shard completed under an older one (ErrStaleEpoch).
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Speculative marks a straggler backup lease issued by
-	// SpeculativeLease, so coordinators can trace and count re-issues
+	// Speculative marks a straggler backup lease (granted for the
+	// Speculative reason), so coordinators can trace and count re-issues
 	// distinctly from first-issue leases.
 	Speculative bool `json:"speculative,omitempty"`
-	// Audit marks a re-execution of an already-completed shard issued by
-	// AuditLease to cross-check the original result. The completion is
-	// recorded as an audit vote, never merged directly.
+	// Audit marks a re-execution of an already-completed shard (granted
+	// for the Audit reason) to cross-check the original result. The
+	// completion is recorded as an audit vote, never merged directly.
 	Audit bool `json:"audit,omitempty"`
 	// Sweep is the fp12 of the sweep the shard belongs to, stamped by
 	// sweep.Pool when it grants the lease. Workers thread it through
@@ -203,10 +223,17 @@ type Progress struct {
 	AuditDivergences int `json:"audit_divergences,omitempty"`
 }
 
-// NewQueue builds a queue over a planned shard set. ttl is how long a
-// lease lives without being completed before its shard is re-issued.
+// NewQueue builds a bare (zero-config) queue over a planned shard set.
+// ttl is how long a lease lives without being completed before its shard
+// is re-issued.
 func NewQueue(specs []Spec, ttl time.Duration) *Queue {
+	return QueueConfig{}.NewQueue(specs, ttl)
+}
+
+// NewQueue builds a queue configured by c.
+func (c QueueConfig) NewQueue(specs []Spec, ttl time.Duration) *Queue {
 	q := &Queue{
+		cfg:         c,
 		specs:       specs,
 		state:       make([]shardState, len(specs)),
 		partials:    make([]*Partial, len(specs)),
@@ -220,52 +247,14 @@ func NewQueue(specs []Spec, ttl time.Duration) *Queue {
 		remaining:   len(specs),
 		doneCh:      make(chan struct{}),
 	}
+	if c.AuditFrac > 0 {
+		q.auditRng = rand.New(rand.NewSource(c.AuditSeed))
+	}
 	if q.remaining == 0 {
 		q.doneClosed = true
 		close(q.doneCh)
 	}
 	return q
-}
-
-// SetMaxAttempts bounds distinct executions per shard; a shard reaching
-// the bound without completing is quarantined instead of re-issued.
-// 0 (the zero value) leaves re-issue unbounded.
-func (q *Queue) SetMaxAttempts(n int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.maxAttempts = n
-}
-
-// SetAudit samples the given fraction of completions for audit
-// re-execution on an independent worker. The seeded generator makes the
-// sampling decision sequence deterministic for a given completion order.
-func (q *Queue) SetAudit(frac float64, seed int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.auditFrac = frac
-	q.auditRng = rand.New(rand.NewSource(seed))
-}
-
-// SetAuditHooks installs the audit outcome callbacks. strike fires once
-// per outvoted vote with the losing worker's name — the coordinator's
-// worker-health input. replace fires when the merged original lost its
-// audit, with the majority partial that replaced it, so the coordinator
-// can re-journal the corrected result. Both run outside q.mu.
-func (q *Queue) SetAuditHooks(strike func(worker string), replace func(p *Partial)) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.onStrike = strike
-	q.onReplace = replace
-}
-
-// SetEpoch stamps the coordinator epoch onto every lease granted from now
-// on. A coordinator sets it once at startup (and a standby sets a higher
-// one at takeover); completions echoing a lower epoch against an
-// already-done shard are fenced with ErrStaleEpoch.
-func (q *Queue) SetEpoch(epoch uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.epoch = epoch
 }
 
 // MarkDone records a shard completed outside the lease cycle — a journal
@@ -287,59 +276,124 @@ func (q *Queue) MarkDone(p *Partial) error {
 	return nil
 }
 
+// Reason says why a lease is granted. A coordinator walks the reasons as
+// a ladder — Fresh work first, then the verification tax, then straggler
+// insurance — so neither audits nor speculation can starve first-issue
+// work. On the wire the reason travels as Lease.Audit / Lease.Speculative.
+type Reason uint8
+
+const (
+	// Fresh claims the lowest-indexed pending shard.
+	Fresh Reason = iota
+	// Audit re-issues an already-completed, audit-sampled shard so an
+	// independent execution can vote on its verdict sum.
+	Audit
+	// Speculative re-issues a still-leased straggler to a second worker —
+	// a MapReduce-style backup task.
+	Speculative
+)
+
 // Lease claims the lowest-indexed pending shard for a worker, first
 // expiring any stale leases. ok is false when nothing is pending — which
 // either means the campaign is done (Done reports true) or that every
 // remaining shard is leased out and the worker should poll again.
 func (q *Queue) Lease(worker string, now time.Time) (*Lease, bool) {
+	return q.LeaseFor(worker, now, Fresh)
+}
+
+// LeaseFor is the queue's one grant path: it expires stale leases, picks
+// the shard the reason calls for, and issues the lease. ok is false when
+// the reason has nothing to offer this worker right now.
+func (q *Queue) LeaseFor(worker string, now time.Time, why Reason) (*Lease, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expire(now)
+	idx := -1
+	switch why {
+	case Fresh:
+		idx = q.pickPending()
+	case Audit:
+		idx = q.pickAudit(worker, now)
+	case Speculative:
+		idx = q.pickStraggler(worker, now)
+	}
+	if idx == -1 {
+		return nil, false
+	}
+	return q.grant(worker, idx, why, now), true
+}
+
+// grant issues a lease on shard idx and files it where its reason says:
+// a fresh lease is the shard's primary, a speculative one its backup, an
+// audit one the open audit's. Callers hold q.mu.
+func (q *Queue) grant(worker string, idx int, why Reason, now time.Time) *Lease {
+	q.nextLease++
+	tag := "shard"
+	if why == Audit {
+		tag = "audit"
+	}
+	l := &Lease{
+		ID:          fmt.Sprintf("lease-%d-%s-%d", q.nextLease, tag, idx),
+		Worker:      worker,
+		Spec:        q.specs[idx],
+		ExpiresAt:   now.Add(q.ttl),
+		TTL:         q.ttl,
+		Epoch:       q.cfg.Epoch,
+		Speculative: why == Speculative,
+		Audit:       why == Audit,
+		granted:     now,
+	}
+	q.leases[l.ID] = l
+	q.met().Leases.Inc()
+	switch why {
+	case Fresh:
+		q.attempts[idx]++
+		q.state[idx] = stateLeased
+		q.byShard[idx] = l.ID
+	case Speculative:
+		// A backup is a distinct execution, so it counts toward the attempt
+		// bound — but quarantine itself never fires here: only the primary
+		// requeue/lease path withdraws a shard, so speculation alone can
+		// never quarantine work.
+		q.attempts[idx]++
+		q.backups[idx] = l.ID
+		q.speculated++
+		q.met().Speculated.Inc()
+	case Audit:
+		q.audits[idx].lease = l.ID
+	}
+	return l
+}
+
+// pickPending returns the lowest-indexed pending shard still under its
+// attempt bound, quarantining exhausted ones on the way; -1 when none.
+// Callers hold q.mu.
+func (q *Queue) pickPending() int {
 	for i, st := range q.state {
 		if st != statePending {
 			continue
 		}
-		if q.maxAttempts > 0 && q.attempts[i] >= q.maxAttempts {
+		if q.cfg.MaxAttempts > 0 && q.attempts[i] >= q.cfg.MaxAttempts {
 			q.quarantine(i, fmt.Sprintf("attempt bound reached (%d executions)", q.attempts[i]))
 			continue
 		}
-		q.attempts[i]++
-		q.nextLease++
-		l := &Lease{
-			ID:        fmt.Sprintf("lease-%d-shard-%d", q.nextLease, i),
-			Worker:    worker,
-			Spec:      q.specs[i],
-			ExpiresAt: now.Add(q.ttl),
-			TTL:       q.ttl,
-			Epoch:     q.epoch,
-			granted:   now,
-		}
-		q.state[i] = stateLeased
-		q.leases[l.ID] = l
-		q.byShard[i] = l.ID
-		q.met().Leases.Inc()
-		return l, true
+		return i
 	}
-	return nil, false
+	return -1
 }
 
-// SpeculativeLease re-issues a still-leased shard to a second worker — a
-// MapReduce-style backup task. It only fires for a shard whose primary
-// lease has run at least factor x the observed mean shard duration (so
-// nothing speculates until a baseline exists), never hands a worker a
-// backup of its own shard, and issues at most one backup per shard.
-// Deterministic execution makes the race safe: whichever copy completes
-// first wins, the other is refused as a duplicate. Callers invoke this
-// only when no pending shard exists — speculation must never starve
-// first-issue work.
-func (q *Queue) SpeculativeLease(worker string, now time.Time, factor float64) (*Lease, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.expire(now)
-	if factor <= 0 || q.durN == 0 {
-		return nil, false
+// pickStraggler returns the longest-running leased shard worth backing
+// up, -1 when none. It only fires for a shard whose primary lease has run
+// at least cfg.Speculate x the observed mean shard duration (so nothing
+// speculates until a baseline exists), never hands a worker a backup of
+// its own shard, and allows at most one backup per shard. Deterministic
+// execution makes the race safe: whichever copy completes first wins,
+// the other is refused as a duplicate. Callers hold q.mu.
+func (q *Queue) pickStraggler(worker string, now time.Time) int {
+	if q.cfg.Speculate <= 0 || q.durN == 0 {
+		return -1
 	}
-	threshold := time.Duration(float64(q.durSum/time.Duration(q.durN)) * factor)
+	threshold := time.Duration(float64(q.durSum/time.Duration(q.durN)) * q.cfg.Speculate)
 	best, bestAge := -1, time.Duration(0)
 	for i, st := range q.state {
 		if st != stateLeased {
@@ -356,31 +410,7 @@ func (q *Queue) SpeculativeLease(worker string, now time.Time, factor float64) (
 			best, bestAge = i, age
 		}
 	}
-	if best == -1 {
-		return nil, false
-	}
-	// A backup is a distinct execution, so it counts toward the attempt
-	// bound — but quarantine itself never fires here: only the primary
-	// requeue/lease path withdraws a shard, so speculation alone can
-	// never quarantine work.
-	q.attempts[best]++
-	q.nextLease++
-	l := &Lease{
-		ID:          fmt.Sprintf("lease-%d-shard-%d", q.nextLease, best),
-		Worker:      worker,
-		Spec:        q.specs[best],
-		ExpiresAt:   now.Add(q.ttl),
-		TTL:         q.ttl,
-		Epoch:       q.epoch,
-		Speculative: true,
-		granted:     now,
-	}
-	q.leases[l.ID] = l
-	q.backups[best] = l.ID
-	q.speculated++
-	q.met().Leases.Inc()
-	q.met().Speculated.Inc()
-	return l, true
+	return best
 }
 
 // Complete resolves a lease with its shard's partial result. A result
@@ -448,10 +478,10 @@ func (q *Queue) Complete(leaseID string, epoch uint64, p *Partial, now time.Time
 		return nil
 	}
 	if q.state[p.Index] == stateDone {
-		if epoch < q.epoch {
+		if epoch < q.cfg.Epoch {
 			q.fenced++
 			q.met().Fenced.Inc()
-			return fmt.Errorf("shard: shard %d already completed: %w (epoch %d < %d)", p.Index, ErrStaleEpoch, epoch, q.epoch)
+			return fmt.Errorf("shard: shard %d already completed: %w (epoch %d < %d)", p.Index, ErrStaleEpoch, epoch, q.cfg.Epoch)
 		}
 		return fmt.Errorf("shard: shard %d already completed elsewhere", p.Index)
 	}
@@ -468,10 +498,11 @@ func (q *Queue) Complete(leaseID string, epoch uint64, p *Partial, now time.Time
 	return nil
 }
 
-// dropLease removes a refused lease and returns its shard to play: a
+// dropLease removes a lease that ended without a result — expired,
+// failed, or its completion refused — and returns its shard to play: a
 // backup or audit lease just vanishes, a primary lease requeues the
-// shard (or hands it to a live backup, mirroring expiry). Callers hold
-// q.mu.
+// shard, or hands it to a still-live backup so the shard stays leased
+// and is never triple-issued. Callers hold q.mu.
 func (q *Queue) dropLease(leaseID string, l *Lease, now time.Time) {
 	idx := l.Spec.Index
 	delete(q.leases, leaseID)
@@ -505,13 +536,13 @@ func (q *Queue) dropLease(leaseID string, l *Lease, now time.Time) {
 // Only completions under a live lease are auditable — a late completion
 // has no attributable worker to vote for. Callers hold q.mu.
 func (q *Queue) maybeOpenAudit(l *Lease, p *Partial, now time.Time) {
-	if l == nil || l.Worker == "" || q.auditFrac <= 0 || q.auditRng == nil {
+	if l == nil || l.Worker == "" || q.cfg.AuditFrac <= 0 {
 		return
 	}
 	if q.audits[p.Index] != nil {
 		return
 	}
-	if q.auditRng.Float64() >= q.auditFrac {
+	if q.auditRng.Float64() >= q.cfg.AuditFrac {
 		return
 	}
 	sum, err := p.VerdictSum()
@@ -526,23 +557,15 @@ func (q *Queue) maybeOpenAudit(l *Lease, p *Partial, now time.Time) {
 	q.met().Audits.Inc()
 }
 
-// AuditLease re-issues an already-completed, audit-sampled shard so an
-// independent execution can vote on its verdict sum. A worker that has
-// already voted on an audit is excluded from it while other workers
-// could still claim it: executors cache computed partials, so a repeat
-// vote would just replay the first one — and letting the original
-// worker back in would let a faulty worker second its own wrong verdict
-// into a majority. Repeat voters are only allowed after a full lease
-// TTL of nobody else claiming the audit, so a lone surviving worker can
-// still settle. Callers invoke this only when no pending shard exists,
-// like SpeculativeLease.
-func (q *Queue) AuditLease(worker string, now time.Time) (*Lease, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.expire(now)
-	if q.auditsOpen == 0 {
-		return nil, false
-	}
+// pickAudit returns the lowest-indexed open audit this worker may vote
+// on, -1 when none. A worker that has already voted on an audit is
+// excluded from it while other workers could still claim it: executors
+// cache computed partials, so a repeat vote would just replay the first
+// one — and letting the original worker back in would let a faulty
+// worker second its own wrong verdict into a majority. Repeat voters are
+// only allowed after a full lease TTL of nobody else claiming the audit,
+// so a lone surviving worker can still settle. Callers hold q.mu.
+func (q *Queue) pickAudit(worker string, now time.Time) int {
 	idxs := make([]int, 0, len(q.audits))
 	for idx := range q.audits {
 		idxs = append(idxs, idx)
@@ -556,23 +579,9 @@ func (q *Queue) AuditLease(worker string, now time.Time) (*Lease, bool) {
 		if aud.voted(worker) && now.Sub(aud.lastVote) < q.ttl {
 			continue
 		}
-		q.nextLease++
-		l := &Lease{
-			ID:        fmt.Sprintf("lease-%d-audit-%d", q.nextLease, idx),
-			Worker:    worker,
-			Spec:      q.specs[idx],
-			ExpiresAt: now.Add(q.ttl),
-			TTL:       q.ttl,
-			Epoch:     q.epoch,
-			Audit:     true,
-			granted:   now,
-		}
-		q.leases[l.ID] = l
-		aud.lease = l.ID
-		q.met().Leases.Inc()
-		return l, true
+		return idx
 	}
-	return nil, false
+	return -1
 }
 
 // settleAudit decides an audit after a new vote: the first verdict sum
@@ -610,18 +619,18 @@ func (q *Queue) settleAudit(idx int, aud *audit) []func() {
 	}
 	var fired []func()
 	for _, v := range aud.votes {
-		if v.sum != winner && q.onStrike != nil {
+		if v.sum != winner && q.cfg.OnStrike != nil {
 			w := v.worker
-			fired = append(fired, func() { q.onStrike(w) })
+			fired = append(fired, func() { q.cfg.OnStrike(w) })
 		}
 	}
 	if aud.votes[0].sum != winner {
 		for _, v := range aud.votes {
 			if v.sum == winner {
 				q.partials[idx] = v.p
-				if q.onReplace != nil {
+				if q.cfg.OnReplace != nil {
 					wp := v.p
-					fired = append(fired, func() { q.onReplace(wp) })
+					fired = append(fired, func() { q.cfg.OnReplace(q.specs[idx].Fingerprint, wp) })
 				}
 				break
 			}
@@ -649,7 +658,7 @@ func (q *Queue) Fail(leaseID, reason string, now time.Time) error {
 	q.dropLease(leaseID, l, now)
 	idx := l.Spec.Index
 	q.met().Failures.Inc()
-	if !l.Audit && q.state[idx] == statePending && q.maxAttempts > 0 && q.attempts[idx] >= q.maxAttempts {
+	if !l.Audit && q.state[idx] == statePending && q.cfg.MaxAttempts > 0 && q.attempts[idx] >= q.cfg.MaxAttempts {
 		q.quarantine(idx, reason)
 	}
 	return nil
@@ -718,40 +727,14 @@ func (q *Queue) maybeFinish() {
 	}
 }
 
-// expire requeues every shard whose lease deadline has passed. An
-// expired primary with a still-live backup hands the shard to the backup
-// instead of requeueing — the shard stays leased, never triple-issued.
+// expire drops every lease whose deadline has passed, returning its
+// shard to play exactly as a refused lease would (see dropLease).
 // Callers hold q.mu.
 func (q *Queue) expire(now time.Time) {
 	for id, l := range q.leases {
-		if l.ExpiresAt.After(now) {
-			continue
-		}
-		idx := l.Spec.Index
-		delete(q.leases, id)
-		q.met().Expiries.Inc()
-		if l.Audit {
-			if aud := q.audits[idx]; aud != nil && aud.lease == id {
-				aud.lease = ""
-			}
-			continue
-		}
-		if q.backups[idx] == id {
-			delete(q.backups, idx)
-			continue
-		}
-		if q.byShard[idx] == id {
-			q.byShard[idx] = ""
-			if bid, ok := q.backups[idx]; ok {
-				if bl := q.leases[bid]; bl != nil && bl.ExpiresAt.After(now) {
-					q.byShard[idx] = bid
-					delete(q.backups, idx)
-					continue
-				}
-			}
-			if q.state[idx] == stateLeased {
-				q.state[idx] = statePending
-			}
+		if !l.ExpiresAt.After(now) {
+			q.met().Expiries.Inc()
+			q.dropLease(id, l, now)
 		}
 	}
 }

@@ -243,11 +243,9 @@ func TestQueueAllFromJournal(t *testing.T) {
 // can never double-merge a shard.
 func TestQueueStaleEpochFenced(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs, time.Minute)
-	q.SetEpoch(1)
 	now := time.Unix(1000, 0)
 
-	zombie, ok := q.Lease("zombie", now)
+	zombie, ok := QueueConfig{Epoch: 1}.NewQueue(specs, time.Minute).Lease("zombie", now)
 	if !ok {
 		t.Fatal("lease refused")
 	}
@@ -255,8 +253,8 @@ func TestQueueStaleEpochFenced(t *testing.T) {
 		t.Fatalf("lease carries epoch %d, want 1", zombie.Epoch)
 	}
 
-	// Failover: the queue (conceptually a rebuilt one) moves to epoch 2.
-	q.SetEpoch(2)
+	// Failover: the successor rebuilds the queue under epoch 2.
+	q := QueueConfig{Epoch: 2}.NewQueue(specs, time.Minute)
 
 	// The zombie's completion of a still-unfinished shard is accepted —
 	// first wins, regardless of epoch.
@@ -288,13 +286,13 @@ func TestQueueStaleEpochFenced(t *testing.T) {
 // one backup.
 func TestQueueSpeculativeLease(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs, time.Hour) // TTL far away: speculation must beat expiry
+	q := QueueConfig{Speculate: 3}.NewQueue(specs, time.Hour) // TTL far away: speculation must beat expiry
 	now := time.Unix(1000, 0)
 
 	slow, _ := q.Lease("slow", now)
 	fast, _ := q.Lease("fast", now)
 	// No baseline yet: nothing speculates no matter how old the leases.
-	if _, ok := q.SpeculativeLease("idle", now.Add(30*time.Minute), 3); ok {
+	if _, ok := q.LeaseFor("idle", now.Add(30*time.Minute), Speculative); ok {
 		t.Fatal("speculated without any observed shard duration")
 	}
 	// fast finishes in 10s — the baseline.
@@ -302,11 +300,11 @@ func TestQueueSpeculativeLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At 25s the slow lease is 2.5x the baseline: below factor 3.
-	if _, ok := q.SpeculativeLease("idle", now.Add(25*time.Second), 3); ok {
+	if _, ok := q.LeaseFor("idle", now.Add(25*time.Second), Speculative); ok {
 		t.Fatal("speculated below the age threshold")
 	}
 	// At 40s it crosses 3x: re-issued to a different worker...
-	backup, ok := q.SpeculativeLease("idle", now.Add(40*time.Second), 3)
+	backup, ok := q.LeaseFor("idle", now.Add(40*time.Second), Speculative)
 	if !ok {
 		t.Fatal("straggler not re-issued past the age threshold")
 	}
@@ -317,10 +315,10 @@ func TestQueueSpeculativeLease(t *testing.T) {
 		t.Fatalf("backup granted to %q", backup.Worker)
 	}
 	// ...but never to the straggler's own worker, and never twice.
-	if _, ok := q.SpeculativeLease("slow", now.Add(40*time.Second), 3); ok {
+	if _, ok := q.LeaseFor("slow", now.Add(40*time.Second), Speculative); ok {
 		t.Fatal("straggler's own worker handed its shard back")
 	}
-	if _, ok := q.SpeculativeLease("idle2", now.Add(40*time.Second), 3); ok {
+	if _, ok := q.LeaseFor("idle2", now.Add(40*time.Second), Speculative); ok {
 		t.Fatal("second backup issued for the same shard")
 	}
 	// First completion wins — here the backup — and the straggler's late
@@ -342,14 +340,14 @@ func TestQueueSpeculativeLease(t *testing.T) {
 // pending and being triple-issued.
 func TestQueueBackupPromotedOnPrimaryExpiry(t *testing.T) {
 	specs := queueSpecs(t)
-	q := NewQueue(specs[:2], 30*time.Second)
+	q := QueueConfig{Speculate: 3}.NewQueue(specs[:2], 30*time.Second)
 	now := time.Unix(1000, 0)
 	slow, _ := q.Lease("slow", now)
 	fast, _ := q.Lease("fast", now)
 	if err := q.Complete(fast.ID, 0, fakePartial(fast.Spec), now.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	backup, ok := q.SpeculativeLease("idle", now.Add(10*time.Second), 3)
+	backup, ok := q.LeaseFor("idle", now.Add(10*time.Second), Speculative)
 	if !ok {
 		t.Fatal("straggler not re-issued")
 	}

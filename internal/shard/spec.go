@@ -181,6 +181,15 @@ func (cs CampaignSpec) Fingerprint() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// Short truncates a fingerprint to the 12-hex prefix used everywhere a
+// human reads one (logs, traces, metric labels).
+func Short(fp string) string {
+	if len(fp) > 12 {
+		return fp[:12]
+	}
+	return fp
+}
+
 // Spec is one shard: a campaign identity plus a half-open injection index
 // range of its drawn plan.
 type Spec struct {

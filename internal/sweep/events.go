@@ -1,6 +1,10 @@
 package sweep
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/shard"
+)
 
 // Event is one entry in a sweep's ordered progress stream. Seq is a
 // per-sweep monotonic sequence number starting at 1 with no gaps: a
@@ -76,7 +80,7 @@ func (p *Pool) EventsSince(after uint64) ([]Event, <-chan struct{}) {
 func (p *Pool) emit(typ, campaignFP string, shardIdx int, worker string) {
 	p.events.append(Event{
 		Type:           typ,
-		Campaign:       shortFP(campaignFP),
+		Campaign:       shard.Short(campaignFP),
 		Shard:          shardIdx,
 		Worker:         worker,
 		CampaignsDone:  p.doneCount,

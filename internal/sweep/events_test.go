@@ -23,7 +23,7 @@ func eventTypes(evs []Event) []string {
 // final event, and sequence numbers are contiguous from any resume
 // point — the property SSE Last-Event-ID reconnects depend on.
 func TestPoolEventLog(t *testing.T) {
-	p, _ := poolOf(t, 1, 2, 8)
+	p, _ := poolWith(t, shard.QueueConfig{Epoch: 2}, 1, 2, 8)
 	now := time.Unix(1000, 0)
 
 	evs, _ := p.EventsSince(0)
@@ -54,8 +54,7 @@ func TestPoolEventLog(t *testing.T) {
 	}
 	// A zombie's duplicate completion under an older epoch is fenced and
 	// the fence is visible in the stream.
-	p.SetEpoch(l1.Epoch + 1)
-	err := p.Complete(l1.Spec.Fingerprint, l1.ID, l1.Epoch, fakePartial(l1.Spec), now)
+	err := p.Complete(l1.Spec.Fingerprint, l1.ID, l1.Epoch-1, fakePartial(l1.Spec), now)
 	if !errors.Is(err, shard.ErrStaleEpoch) {
 		t.Fatalf("stale duplicate completion: %v, want ErrStaleEpoch", err)
 	}

@@ -40,6 +40,24 @@ func pick(results map[string]*inject.Result, it Item) (*inject.Result, error) {
 	return r, nil
 }
 
+// CampaignGrid wraps one campaign as a degenerate (Single) sweep whose
+// rendered artifact is the classic campaign report — what lets a lone
+// campaign ride every sweep path, local or coordinated.
+func CampaignGrid(cs shard.CampaignSpec) Grid {
+	it := Item{Key: fmt.Sprintf("soc%d-%s", cs.SoC, cs.Workload), Campaign: cs}
+	return Grid{
+		Spec: SweepSpec{Name: "campaign", Items: []Item{it}, Single: true},
+		Render: func(w io.Writer, results map[string]*inject.Result) error {
+			r, err := pick(results, it)
+			if err != nil {
+				return err
+			}
+			_, err = fmt.Fprint(w, r.String())
+			return err
+		},
+	}
+}
+
 // TableIGrid enumerates the paper's Table I: the soft-error campaign on
 // all ten SoC benchmarks, each at its Table I cluster count. workload
 // names the RISC-V kernel; the constructor resolves it and overwrites

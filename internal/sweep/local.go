@@ -21,7 +21,8 @@ type LocalOptions struct {
 	Resume  bool
 	// Checkpoint overrides the golden checkpoint pitch (0 = default).
 	Checkpoint int
-	// Logf receives per-campaign progress lines; nil is silent.
+	// Logf receives per-campaign progress lines (a Single sweep's only
+	// line is its resume notice); nil is silent.
 	Logf func(format string, args ...any)
 }
 
@@ -45,24 +46,29 @@ func RunLocal(ss SweepSpec, o LocalOptions) (map[string]*inject.Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	journaled := map[string]map[int]*shard.Partial{}
+	held := shard.MemPartials{}
 	if o.Resume && o.Journal != "" {
 		var dropped int
 		var err error
-		if journaled, dropped, err = runstore.LoadAll(o.Journal); err != nil {
+		if held, dropped, err = runstore.LoadAll(o.Journal); err != nil {
 			return nil, err
 		}
 		if dropped > 0 {
 			logf("sweep: journal %s: skipped %d record(s) with integrity checksum mismatch; those shards re-simulate", o.Journal, dropped)
 		}
 	}
-	var store *runstore.Store
+	// Without -journal the tier list is empty and puts go nowhere. A run
+	// that asked for a journal must not outlive it: the first failed append
+	// aborts the sweep.
+	var journal shard.PartialCache = shard.Tiers{}
+	var journalErr error
 	if o.Journal != "" {
-		var err error
-		if store, err = runstore.Open(o.Journal); err != nil {
+		store, err := runstore.Open(o.Journal)
+		if err != nil {
 			return nil, err
 		}
 		defer store.Close()
+		journal = store.Tier(func(_ string, _ *shard.Partial, err error) { journalErr = err })
 	}
 
 	results := make(map[string]*inject.Result, len(ss.Items))
@@ -73,37 +79,37 @@ func RunLocal(ss SweepSpec, o LocalOptions) (map[string]*inject.Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: campaign %q: %v", it.Key, err)
 		}
-		specs, err := shard.PlanAtMost(it.Campaign, o.Shards, len(b.Jobs))
+		specs, err := ss.Plan(it.Campaign, o.Shards, len(b.Jobs))
 		if err != nil {
 			return nil, fmt.Errorf("sweep: campaign %q: %v", it.Key, err)
 		}
-		done := journaled[b.Fingerprint]
-		partials := make([]*shard.Partial, 0, len(specs))
+		partials := make([]*shard.Partial, len(specs))
 		resumed := 0
-		for _, sp := range specs {
-			if p, ok := done[sp.Index]; ok && p.Covers(sp) {
-				partials = append(partials, p)
+		for i, sp := range specs {
+			if partials[i] = shard.Adopt(held, sp); partials[i] != nil {
 				resumed++
 				continue
 			}
-			p, err := shard.ExecuteOn(b, sp)
-			if err != nil {
+			if partials[i], err = shard.ExecuteOn(b, sp); err != nil {
 				return nil, fmt.Errorf("sweep: campaign %q shard %d: %v", it.Key, sp.Index, err)
 			}
-			if store != nil {
-				if err := store.Append(b.Fingerprint, p); err != nil {
-					return nil, err
-				}
+			journal.PutPartial(b.Fingerprint, partials[i])
+			if journalErr != nil {
+				return nil, journalErr
 			}
-			partials = append(partials, p)
 		}
 		res, err := shard.Merge(b, partials)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: campaign %q: %v", it.Key, err)
 		}
 		results[b.Fingerprint] = res
-		logf("sweep: campaign %s (%.12s): %d injections in %d shards, %d resumed from journal",
-			it.Key, b.Fingerprint, len(res.Injections), len(specs), resumed)
+		switch {
+		case !ss.Single:
+			logf("sweep: campaign %s (%.12s): %d injections in %d shards, %d resumed from journal",
+				it.Key, b.Fingerprint, len(res.Injections), len(specs), resumed)
+		case resumed > 0:
+			logf("resumed %d of %d shards from %s", resumed, len(specs), o.Journal)
+		}
 	}
 	return results, nil
 }

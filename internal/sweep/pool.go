@@ -34,35 +34,24 @@ import (
 //     the pool signals it on Completed(), so the coordinator merges and
 //     releases that campaign without waiting for the rest of the grid.
 type Pool struct {
-	mu         sync.Mutex
-	name       string
-	sweepFP    string
-	items      []Item
-	fps        []string
-	byFP       map[string]int
-	ttl        time.Duration
-	epoch      uint64
-	specFactor float64
-	queues     []*shard.Queue // nil until opened
-	restored   []int          // per campaign: shards served from journal/lake at Open
-	completed  []bool
-	doneCount  int
-	affinity   map[string]int // worker -> campaign index of its last lease
-	compCh     chan int
-	doneCh     chan struct{}
-	cancelled  bool
-	metrics    *shard.Metrics // applied to every queue, current and future
-	obsReg     *obs.Registry  // holds this pool's per-sweep gauges
-	events     *eventLog      // ordered progress stream for watchers
-	// Integrity & quarantine knobs, applied to every queue current and
-	// future like SetMetrics. auditSeed derives each campaign's sampling
-	// stream (seed + campaign index) so the decision sequence is
-	// deterministic per queue.
-	maxAttempts  int
-	auditFrac    float64
-	auditSeed    int64
-	auditStrike  func(worker string)
-	auditReplace func(fingerprint string, p *shard.Partial)
+	mu        sync.Mutex
+	name      string
+	sweepFP   string
+	items     []Item
+	fps       []string
+	byFP      map[string]int
+	ttl       time.Duration
+	cfg       shard.QueueConfig // every campaign's queue is built from it
+	queues    []*shard.Queue    // nil until opened
+	restored  []int             // per campaign: shards served from journal/lake at Open
+	completed []bool
+	doneCount int
+	affinity  map[string]int // worker -> campaign index of its last lease
+	compCh    chan int
+	doneCh    chan struct{}
+	cancelled bool
+	obsReg    *obs.Registry // holds this pool's per-sweep gauges
+	events    *eventLog     // ordered progress stream for watchers
 }
 
 // DefaultSpeculateFactor is the straggler threshold: a leased shard is
@@ -72,9 +61,20 @@ type Pool struct {
 // are near-uniform) almost never triggers it.
 const DefaultSpeculateFactor = 3.0
 
-// NewPool builds an empty pool over a validated sweep; campaigns become
-// leasable as Open is called for each.
+// NewPool builds an empty pool over a validated sweep with the default
+// queue configuration: straggler speculation at DefaultSpeculateFactor
+// and nothing else. Campaigns become leasable as Open is called for each.
 func NewPool(ss SweepSpec, ttl time.Duration) (*Pool, error) {
+	return NewPoolWith(ss, ttl, shard.QueueConfig{Speculate: DefaultSpeculateFactor})
+}
+
+// NewPoolWith is NewPool under the coordinator's queue configuration,
+// fixed for the pool's lifetime: every campaign's queue is built from
+// cfg at Open. Only the audit seed varies per campaign (cfg.AuditSeed +
+// campaign index), so each queue's sampling stream is its own and
+// deterministic. The audit hooks run with the pool's lock held — they
+// must not call back into the pool.
+func NewPoolWith(ss SweepSpec, ttl time.Duration, cfg shard.QueueConfig) (*Pool, error) {
 	if err := ss.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,20 +83,20 @@ func NewPool(ss SweepSpec, ttl time.Duration) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{
-		name:       ss.Name,
-		sweepFP:    sweepFP,
-		items:      ss.Items,
-		fps:        make([]string, len(ss.Items)),
-		byFP:       make(map[string]int, len(ss.Items)),
-		ttl:        ttl,
-		specFactor: DefaultSpeculateFactor,
-		queues:     make([]*shard.Queue, len(ss.Items)),
-		restored:   make([]int, len(ss.Items)),
-		completed:  make([]bool, len(ss.Items)),
-		affinity:   map[string]int{},
-		compCh:     make(chan int, len(ss.Items)),
-		doneCh:     make(chan struct{}),
-		events:     newEventLog(),
+		name:      ss.Name,
+		sweepFP:   sweepFP,
+		items:     ss.Items,
+		fps:       make([]string, len(ss.Items)),
+		byFP:      make(map[string]int, len(ss.Items)),
+		ttl:       ttl,
+		cfg:       cfg,
+		queues:    make([]*shard.Queue, len(ss.Items)),
+		restored:  make([]int, len(ss.Items)),
+		completed: make([]bool, len(ss.Items)),
+		affinity:  map[string]int{},
+		compCh:    make(chan int, len(ss.Items)),
+		doneCh:    make(chan struct{}),
+		events:    newEventLog(),
 	}
 	for i, it := range ss.Items {
 		fp, err := it.Campaign.Fingerprint()
@@ -110,102 +110,33 @@ func NewPool(ss SweepSpec, ttl time.Duration) (*Pool, error) {
 	return p, nil
 }
 
-// SetEpoch stamps the coordinator epoch onto the pool: every queue
-// already open and every queue opened later grants leases carrying it.
-// A coordinator calls this once after construction; a standby calls it
-// with a strictly higher epoch at takeover, which is what fences the old
-// incarnation's zombie completions (shard.ErrStaleEpoch).
-func (p *Pool) SetEpoch(epoch uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.epoch = epoch
-	for _, q := range p.queues {
-		if q != nil {
-			q.SetEpoch(epoch)
+// obsGauges is the per-sweep gauge set RegisterObs installs and
+// UnregisterObs removes.
+var obsGauges = []struct {
+	name, help string
+	pick       func(SweepProgress) int
+}{
+	{"sweep_campaigns_total", "Campaigns in the sweep grid.", func(sp SweepProgress) int { return sp.CampaignsTotal }},
+	{"sweep_campaigns_done", "Campaigns fully merged.", func(sp SweepProgress) int { return sp.CampaignsDone }},
+	{"sweep_shards_pending", depthHelp, depth(func(s shard.Progress) int { return s.Pending })},
+	{"sweep_shards_leased", depthHelp, depth(func(s shard.Progress) int { return s.Leased })},
+	{"sweep_shards_done", depthHelp, depth(func(s shard.Progress) int { return s.Done })},
+	{"sweep_shards_quarantined", depthHelp, depth(func(s shard.Progress) int { return s.Quarantined })},
+}
+
+const depthHelp = "Shard queue depth summed over open campaigns."
+
+// depth sums one shard count over a sweep's open campaigns.
+func depth(pick func(shard.Progress) int) func(SweepProgress) int {
+	return func(sp SweepProgress) int {
+		n := 0
+		for _, cp := range sp.Campaigns {
+			if cp.Opened {
+				n += pick(cp.Shards)
+			}
 		}
+		return n
 	}
-}
-
-// SetSpeculateFactor overrides the straggler threshold; factor <= 0
-// disables speculative re-issue entirely.
-func (p *Pool) SetSpeculateFactor(factor float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.specFactor = factor
-}
-
-// SetMetrics attaches shard-level instrumentation: every queue already
-// open and every queue opened later mirrors lease lifecycle events into
-// m's counters. Counters are fleet totals shared across sweeps; the
-// per-sweep breakdown comes from RegisterObs gauges.
-func (p *Pool) SetMetrics(m *shard.Metrics) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.metrics = m
-	for _, q := range p.queues {
-		if q != nil {
-			q.SetMetrics(m)
-		}
-	}
-}
-
-// SetMaxAttempts bounds distinct executions per shard on every queue,
-// current and future; a shard reaching the bound is quarantined instead
-// of re-issued forever. 0 disables the bound.
-func (p *Pool) SetMaxAttempts(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.maxAttempts = n
-	for _, q := range p.queues {
-		if q != nil {
-			q.SetMaxAttempts(n)
-		}
-	}
-}
-
-// SetAudit samples frac of every campaign's completions for audit
-// re-execution on an independent worker. Each campaign's queue gets its
-// own deterministic sampling stream derived from seed.
-func (p *Pool) SetAudit(frac float64, seed int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.auditFrac = frac
-	p.auditSeed = seed
-	for i, q := range p.queues {
-		if q != nil {
-			q.SetAudit(frac, seed+int64(i))
-		}
-	}
-}
-
-// SetAuditSink installs the audit outcome callbacks on every queue,
-// current and future. strike fires once per outvoted vote with the
-// losing worker's name; replace fires with the campaign fingerprint and
-// the majority partial whenever an audit overturns a merged original.
-// Both run outside all pool and queue locks' critical callback state —
-// they must not call back into the pool.
-func (p *Pool) SetAuditSink(strike func(worker string), replace func(fingerprint string, partial *shard.Partial)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.auditStrike = strike
-	p.auditReplace = replace
-	for i, q := range p.queues {
-		if q != nil {
-			q.SetAuditHooks(strike, p.replaceHook(i))
-		}
-	}
-}
-
-// replaceHook binds a campaign index into the queue-level replace
-// callback, adding the fingerprint routing the coordinator needs.
-// Callers hold p.mu.
-func (p *Pool) replaceHook(idx int) func(*shard.Partial) {
-	if p.auditReplace == nil {
-		return nil
-	}
-	fp := p.fps[idx]
-	replace := p.auditReplace
-	return func(partial *shard.Partial) { replace(fp, partial) }
 }
 
 // RegisterObs exports this sweep's live progress as scrape-time gauges on
@@ -214,30 +145,10 @@ func (p *Pool) replaceHook(idx int) func(*shard.Partial) {
 // state Progress reports, so the two can never drift. UnregisterObs (on
 // purge) removes them.
 func (p *Pool) RegisterObs(r *obs.Registry) {
-	fp := shortFP(p.sweepFP)
-	count := func(pick func(SweepProgress) float64) func() float64 {
-		return func() float64 { return pick(p.Progress(time.Now())) }
-	}
-	r.NewGaugeFunc("sweep_campaigns_total", "Campaigns in the sweep grid.",
-		count(func(sp SweepProgress) float64 { return float64(sp.CampaignsTotal) }), "sweep", fp)
-	r.NewGaugeFunc("sweep_campaigns_done", "Campaigns fully merged.",
-		count(func(sp SweepProgress) float64 { return float64(sp.CampaignsDone) }), "sweep", fp)
-	for name, pick := range map[string]func(shard.Progress) int{
-		"sweep_shards_pending":     func(s shard.Progress) int { return s.Pending },
-		"sweep_shards_leased":      func(s shard.Progress) int { return s.Leased },
-		"sweep_shards_done":        func(s shard.Progress) int { return s.Done },
-		"sweep_shards_quarantined": func(s shard.Progress) int { return s.Quarantined },
-	} {
-		pick := pick
-		r.NewGaugeFunc(name, "Shard queue depth summed over open campaigns.", count(func(sp SweepProgress) float64 {
-			n := 0
-			for _, cp := range sp.Campaigns {
-				if cp.Opened {
-					n += pick(cp.Shards)
-				}
-			}
-			return float64(n)
-		}), "sweep", fp)
+	for _, g := range obsGauges {
+		pick := g.pick
+		r.NewGaugeFunc(g.name, g.help, func() float64 { return float64(pick(p.Progress(time.Now()))) },
+			"sweep", shard.Short(p.sweepFP))
 	}
 	p.mu.Lock()
 	p.obsReg = r
@@ -255,41 +166,23 @@ func (p *Pool) UnregisterObs() {
 	if r == nil {
 		return
 	}
-	fp := shortFP(p.sweepFP)
-	for _, name := range []string{
-		"sweep_campaigns_total", "sweep_campaigns_done",
-		"sweep_shards_pending", "sweep_shards_leased", "sweep_shards_done",
-		"sweep_shards_quarantined",
-	} {
-		r.Unregister(name, "sweep", fp)
+	for _, g := range obsGauges {
+		r.Unregister(g.name, "sweep", shard.Short(p.sweepFP))
 	}
-}
-
-// shortFP truncates a fingerprint to the 12-hex prefix used in labels.
-func shortFP(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
 }
 
 // Open makes campaign idx leasable under the given shard plan, first
-// restoring any journaled shards — atomically, so no worker can lease a
-// journaled shard in between (which would re-simulate work the journal
-// already holds). journaled may carry entries from any prior shard plan;
-// only those covering a planned shard exactly are restored (keyed by
-// shard index), the rest simply run again. It returns how many were
-// restored; a campaign fully covered by its journal completes here
-// without ever leasing. Every spec must belong to the item's campaign;
-// opening twice is an error.
-func (p *Pool) Open(idx int, specs []shard.Spec, journaled map[int]*shard.Partial) (restored int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// restoring every planned shard the cache already holds a result for
+// (shard.Adopt: exact range, checksum verified) — on a queue no worker can
+// see yet, so none can lease a restored shard in between and re-simulate
+// it. The cache may hold entries from any prior shard plan; ranges that
+// match no planned shard are simply not asked for. It returns how many
+// were restored; a campaign fully covered completes here without ever
+// leasing. Every spec must belong to the item's campaign; opening twice
+// is an error.
+func (p *Pool) Open(idx int, specs []shard.Spec, held shard.PartialCache) (restored int, err error) {
 	if idx < 0 || idx >= len(p.items) {
 		return 0, fmt.Errorf("sweep: no campaign with index %d", idx)
-	}
-	if p.queues[idx] != nil {
-		return 0, fmt.Errorf("sweep: campaign %q opened twice", p.items[idx].Key)
 	}
 	if len(specs) == 0 {
 		return 0, fmt.Errorf("sweep: campaign %q opened with no shards", p.items[idx].Key)
@@ -300,23 +193,21 @@ func (p *Pool) Open(idx int, specs []shard.Spec, journaled map[int]*shard.Partia
 				sp.Index, sp.Fingerprint, p.items[idx].Key, p.fps[idx])
 		}
 	}
-	q := shard.NewQueue(specs, p.ttl)
-	q.SetEpoch(p.epoch)
-	q.SetMetrics(p.metrics)
-	q.SetMaxAttempts(p.maxAttempts)
-	if p.auditFrac > 0 {
-		q.SetAudit(p.auditFrac, p.auditSeed+int64(idx))
-	}
-	if p.auditStrike != nil || p.auditReplace != nil {
-		q.SetAuditHooks(p.auditStrike, p.replaceHook(idx))
-	}
+	cfg := p.cfg
+	cfg.AuditSeed += int64(idx)
+	q := cfg.NewQueue(specs, p.ttl)
 	for _, sp := range specs {
-		if partial, ok := journaled[sp.Index]; ok && partial.Covers(sp) {
+		if partial := shard.Adopt(held, sp); partial != nil {
 			if err := q.MarkDone(partial); err != nil {
 				return restored, err
 			}
 			restored++
 		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.queues[idx] != nil {
+		return 0, fmt.Errorf("sweep: campaign %q opened twice", p.items[idx].Key)
 	}
 	p.queues[idx] = q
 	p.restored[idx] = restored
@@ -324,33 +215,75 @@ func (p *Pool) Open(idx int, specs []shard.Spec, journaled map[int]*shard.Partia
 	return restored, nil
 }
 
-// Lease claims a shard for a worker: first from the campaign the worker
-// last leased from (its golden run is warm there), then from the open
-// campaign with pending work and the fewest active leases — ties to
-// sweep order. When nothing is pending anywhere but shards are still
-// leased out, the otherwise-idle worker may receive a speculative backup
-// of a straggling shard (see SpeculativeLease on shard.Queue) — one slow
-// worker must not serialize a whole grid behind its tail shard. ok is
-// false when there is truly nothing to hand out: the sweep is done (Done
-// reports true), no shard has straggled, or the remaining campaigns have
-// not opened yet; the worker polls again.
+// Lease claims a shard for a worker by walking one ladder, each rung a
+// reason to grant and the campaigns to try it on, in order:
+//
+//  1. fresh work from the campaign the worker last leased from — its
+//     golden run is warm there;
+//  2. fresh work from the open campaign with pending shards and the
+//     fewest attached workers (ties to sweep order), so a fleet spreads
+//     over the grid instead of convoying;
+//  3. an audit re-execution, from any campaign — a verification tax paid
+//     only when no first-issue work is pending anywhere;
+//  4. a speculative backup of a straggling shard, affinity campaign
+//     first — one slow worker must not serialize a whole grid behind its
+//     tail shard, but speculation never starves first-issue work either.
+//
+// ok is false when there is truly nothing to hand out: the sweep is done
+// (Done reports true), no shard has straggled, or the remaining campaigns
+// have not opened yet; the worker polls again.
 func (p *Pool) Lease(worker string, now time.Time) (*shard.Lease, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.cancelled {
 		return nil, false
 	}
-	if idx, ok := p.affinity[worker]; ok && p.queues[idx] != nil && !p.completed[idx] {
-		if l, ok := p.queues[idx].Lease(worker, now); ok {
-			return p.granted(l, idx), true
-		}
-		// Leasing may have quarantined the campaign's last shards in play.
-		p.notifyIfDone(idx)
+	var warm []int
+	if idx, ok := p.affinity[worker]; ok {
+		warm = []int{idx}
 	}
-	// Load counts both active leases and workers whose last lease was on
-	// the campaign: a worker between leases is invisible to the lease
-	// count but — thanks to affinity — about to come back, and a fresh
-	// worker should spread to a campaign nobody is attached to.
+	all := func() []int {
+		out := append([]int(nil), warm...)
+		for i := range p.queues {
+			out = append(out, i)
+		}
+		return out
+	}
+	for _, rung := range []struct {
+		why  shard.Reason
+		from func() []int
+	}{
+		{shard.Fresh, func() []int { return warm }},
+		{shard.Fresh, func() []int { return p.leastLoaded(worker, now) }},
+		{shard.Audit, all},
+		{shard.Speculative, all},
+	} {
+		for _, i := range rung.from() {
+			if p.queues[i] == nil || p.completed[i] {
+				continue
+			}
+			l, ok := p.queues[i].LeaseFor(worker, now, rung.why)
+			if !ok {
+				// Leasing may have quarantined the campaign's last shards in play.
+				p.notifyIfDone(i)
+				continue
+			}
+			if rung.why != shard.Audit {
+				p.affinity[worker] = i
+			}
+			return p.granted(l, i), true
+		}
+	}
+	return nil, false
+}
+
+// leastLoaded returns the open campaign with pending shards and the
+// lightest load, if any. Load counts both active leases and workers whose
+// last lease was on the campaign: a worker between leases is invisible to
+// the lease count but — thanks to affinity — about to come back, and a
+// fresh worker should spread to a campaign nobody is attached to.
+// Callers hold p.mu.
+func (p *Pool) leastLoaded(worker string, now time.Time) []int {
 	attached := make(map[int]int, len(p.affinity))
 	for w, idx := range p.affinity {
 		if w != worker && !p.completed[idx] {
@@ -366,50 +299,21 @@ func (p *Pool) Lease(worker string, now time.Time) (*shard.Lease, bool) {
 		if pr.Pending == 0 {
 			continue
 		}
-		load := pr.Leased + attached[i]
-		if best == -1 || load < bestLoad {
+		if load := pr.Leased + attached[i]; best == -1 || load < bestLoad {
 			best, bestLoad = i, load
 		}
 	}
 	if best == -1 {
-		if l, ok := p.audit(worker, now); ok {
-			return l, true
-		}
-		return p.speculate(worker, now)
+		return nil
 	}
-	l, ok := p.queues[best].Lease(worker, now)
-	if !ok {
-		// No grant despite pending shards: either the one race we don't
-		// have (single lock), or leasing just quarantined the last shards
-		// in play — in which case the campaign may have finished.
-		p.notifyIfDone(best)
-		return nil, false
-	}
-	p.affinity[worker] = best
-	return p.granted(l, best), true
-}
-
-// audit hands an idle worker a re-execution of an audit-sampled shard.
-// Audits only run when no first-issue work is pending anywhere — they
-// are a verification tax, never allowed to starve real progress.
-// Callers hold p.mu.
-func (p *Pool) audit(worker string, now time.Time) (*shard.Lease, bool) {
-	for i := range p.queues {
-		if p.queues[i] == nil {
-			continue
-		}
-		if l, ok := p.queues[i].AuditLease(worker, now); ok {
-			return p.granted(l, i), true
-		}
-	}
-	return nil, false
+	return []int{best}
 }
 
 // granted stamps the sweep's identity onto a freshly issued lease — the
 // worker threads it through execution for per-sweep cost attribution —
 // and records the grant on the event stream. Callers hold p.mu.
 func (p *Pool) granted(l *shard.Lease, idx int) *shard.Lease {
-	l.Sweep = shortFP(p.sweepFP)
+	l.Sweep = shard.Short(p.sweepFP)
 	typ := "lease"
 	if l.Speculative {
 		typ = "speculate"
@@ -421,34 +325,6 @@ func (p *Pool) granted(l *shard.Lease, idx int) *shard.Lease {
 	return l
 }
 
-// speculate hands an idle worker a backup lease of a straggling shard,
-// preferring the worker's affinity campaign (its golden run is warm
-// there, so the backup executes from cache). Callers hold p.mu and have
-// established that no shard is pending anywhere.
-func (p *Pool) speculate(worker string, now time.Time) (*shard.Lease, bool) {
-	if p.specFactor <= 0 {
-		return nil, false
-	}
-	try := func(i int) (*shard.Lease, bool) {
-		if p.queues[i] == nil || p.completed[i] {
-			return nil, false
-		}
-		return p.queues[i].SpeculativeLease(worker, now, p.specFactor)
-	}
-	if idx, ok := p.affinity[worker]; ok {
-		if l, ok := try(idx); ok {
-			return p.granted(l, idx), true
-		}
-	}
-	for i := range p.queues {
-		if l, ok := try(i); ok {
-			p.affinity[worker] = i
-			return p.granted(l, i), true
-		}
-	}
-	return nil, false
-}
-
 // Complete resolves a lease with its shard's partial result, routed by
 // campaign fingerprint (lease IDs of expired leases are forgotten, so
 // the fingerprint — which the worker knows from the shard spec — is the
@@ -458,11 +334,7 @@ func (p *Pool) speculate(worker string, now time.Time) (*shard.Lease, bool) {
 func (p *Pool) Complete(fingerprint, leaseID string, epoch uint64, partial *shard.Partial, now time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idx, ok := p.byFP[fingerprint]
-	if !ok {
-		return fmt.Errorf("sweep: completion names unknown campaign %.12s", fingerprint)
-	}
-	q, err := p.openQueue(idx)
+	idx, q, err := p.route(fingerprint, "completion")
 	if err != nil {
 		return err
 	}
@@ -488,11 +360,7 @@ func (p *Pool) Complete(fingerprint, leaseID string, epoch uint64, partial *shar
 func (p *Pool) Fail(fingerprint, leaseID, reason string, now time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idx, ok := p.byFP[fingerprint]
-	if !ok {
-		return fmt.Errorf("sweep: failure report names unknown campaign %.12s", fingerprint)
-	}
-	q, err := p.openQueue(idx)
+	idx, q, err := p.route(fingerprint, "failure report")
 	if err != nil {
 		return err
 	}
@@ -521,11 +389,7 @@ func (p *Pool) Quarantined(idx int) map[int]string {
 func (p *Pool) Renew(fingerprint, leaseID string, now time.Time) (time.Time, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idx, ok := p.byFP[fingerprint]
-	if !ok {
-		return time.Time{}, fmt.Errorf("sweep: renewal names unknown campaign %.12s", fingerprint)
-	}
-	q, err := p.openQueue(idx)
+	_, q, err := p.route(fingerprint, "renewal")
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -578,15 +442,17 @@ func (p *Pool) Done() bool {
 // WaitDone returns a channel closed once the whole sweep has completed.
 func (p *Pool) WaitDone() <-chan struct{} { return p.doneCh }
 
-// openQueue resolves an opened campaign's queue. Callers hold p.mu.
-func (p *Pool) openQueue(idx int) (*shard.Queue, error) {
-	if idx < 0 || idx >= len(p.items) {
-		return nil, fmt.Errorf("sweep: no campaign with index %d", idx)
+// route resolves the opened campaign a worker's message (what, for the
+// error) names by fingerprint. Callers hold p.mu.
+func (p *Pool) route(fingerprint, what string) (int, *shard.Queue, error) {
+	idx, ok := p.byFP[fingerprint]
+	if !ok {
+		return 0, nil, fmt.Errorf("sweep: %s names unknown campaign %.12s", what, fingerprint)
 	}
 	if p.queues[idx] == nil {
-		return nil, fmt.Errorf("sweep: campaign %q not opened yet", p.items[idx].Key)
+		return 0, nil, fmt.Errorf("sweep: campaign %q not opened yet", p.items[idx].Key)
 	}
-	return p.queues[idx], nil
+	return idx, p.queues[idx], nil
 }
 
 // notifyIfDone signals a campaign's completion exactly once and closes

@@ -23,11 +23,17 @@ func poolSpec(seed uint64) shard.CampaignSpec {
 // shardsPer fake shards of jobsPer jobs.
 func poolOf(t *testing.T, n, shardsPer, jobsPer int) (*Pool, [][]shard.Spec) {
 	t.Helper()
+	return poolWith(t, shard.QueueConfig{Speculate: DefaultSpeculateFactor}, n, shardsPer, jobsPer)
+}
+
+// poolWith is poolOf under an explicit queue configuration.
+func poolWith(t *testing.T, cfg shard.QueueConfig, n, shardsPer, jobsPer int) (*Pool, [][]shard.Spec) {
+	t.Helper()
 	var items []Item
 	for i := 0; i < n; i++ {
 		items = append(items, Item{Key: string(rune('a' + i)), Campaign: poolSpec(uint64(i + 1))})
 	}
-	p, err := NewPool(SweepSpec{Name: "test", Items: items}, time.Minute)
+	p, err := NewPoolWith(SweepSpec{Name: "test", Items: items}, time.Minute, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +171,9 @@ func TestPoolIncrementalOpenAndCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journaled := map[int]*shard.Partial{}
+	journaled := shard.MemPartials{}
 	for _, sp := range specsB {
-		journaled[sp.Index] = fakePartial(sp)
+		journaled.PutPartial(sp.Fingerprint, fakePartial(sp))
 	}
 	restored, err := p.Open(1, specsB, journaled)
 	if err != nil {
@@ -215,7 +221,10 @@ func TestPoolOpenSkipsStaleJournal(t *testing.T) {
 	stale := fakePartial(specs[0])
 	stale.End++ // journaled under a different plan
 	good := fakePartial(specs[1])
-	restored, err := p.Open(0, specs, map[int]*shard.Partial{0: stale, 1: good})
+	held := shard.MemPartials{}
+	held.PutPartial(specs[0].Fingerprint, stale)
+	held.PutPartial(specs[1].Fingerprint, good)
+	restored, err := p.Open(0, specs, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +380,7 @@ func TestPoolSpeculativeReissue(t *testing.T) {
 // TestPoolSpeculationDisabled: factor <= 0 switches the backup-task path
 // off entirely.
 func TestPoolSpeculationDisabled(t *testing.T) {
-	p, _ := poolOf(t, 1, 2, 8)
-	p.SetSpeculateFactor(0)
+	p, _ := poolWith(t, shard.QueueConfig{}, 1, 2, 8)
 	now := time.Unix(1000, 0)
 	slow, _ := p.Lease("slow", now)
 	fast, _ := p.Lease("fast", now)
@@ -385,24 +393,25 @@ func TestPoolSpeculationDisabled(t *testing.T) {
 	_ = slow
 }
 
-// TestPoolEpochThreading pins the fence at the pool level: SetEpoch
-// reaches queues opened both before and after the call, leases carry it,
-// and a stale-epoch duplicate is fenced with shard.ErrStaleEpoch while a
-// pre-takeover completion of an unfinished shard is still accepted.
+// TestPoolEpochThreading pins the fence at the pool level: the epoch a
+// pool is built with reaches every queue it opens, leases carry it, and
+// after a takeover (a successor pool under a higher epoch — a pool's
+// configuration cannot change once built) a stale-epoch duplicate is
+// fenced with shard.ErrStaleEpoch while a pre-takeover completion of an
+// unfinished shard is still accepted.
 func TestPoolEpochThreading(t *testing.T) {
-	p, plans := poolOf(t, 2, 2, 8)
-	p.SetEpoch(3)
+	old, _ := poolWith(t, shard.QueueConfig{Epoch: 3}, 2, 2, 8)
 	now := time.Unix(1000, 0)
 
-	zombie, ok := p.Lease("zombie", now)
+	zombie, ok := old.Lease("zombie", now)
 	if !ok {
 		t.Fatal("lease refused")
 	}
 	if zombie.Epoch != 3 {
 		t.Fatalf("lease epoch %d, want 3", zombie.Epoch)
 	}
-	// Takeover: epoch bumps under live leases.
-	p.SetEpoch(4)
+	// Takeover: the successor serves the same grid under epoch 4.
+	p, plans := poolWith(t, shard.QueueConfig{Epoch: 4}, 2, 2, 8)
 	if err := p.Complete(zombie.Spec.Fingerprint, zombie.ID, zombie.Epoch, fakePartial(zombie.Spec), now); err != nil {
 		t.Fatalf("first-wins completion under an old epoch rejected: %v", err)
 	}
@@ -410,13 +419,21 @@ func TestPoolEpochThreading(t *testing.T) {
 	if !errors.Is(err, shard.ErrStaleEpoch) {
 		t.Fatalf("stale duplicate not fenced: %v", err)
 	}
-	// Queues already open when the epoch bumps grant the new one.
-	l, ok := p.Lease("w", now)
-	if !ok {
-		t.Fatal("lease refused")
+	// Every campaign's queue grants the pool's epoch.
+	seen := map[string]bool{}
+	for range plans[0] {
+		for range plans {
+			l, ok := p.Lease("w"+string(rune('0'+len(seen))), now)
+			if !ok {
+				break
+			}
+			if l.Epoch != 4 {
+				t.Fatalf("post-takeover lease epoch %d, want 4", l.Epoch)
+			}
+			seen[l.Spec.Fingerprint] = true
+		}
 	}
-	if l.Epoch != 4 {
-		t.Fatalf("post-bump lease epoch %d, want 4", l.Epoch)
+	if len(seen) != len(plans) {
+		t.Fatalf("leases drawn from %d campaigns, want all %d", len(seen), len(plans))
 	}
-	_ = plans
 }

@@ -39,6 +39,22 @@ type Item struct {
 type SweepSpec struct {
 	Name  string `json:"name"`
 	Items []Item `json:"items"`
+	// Single marks the degenerate sweep CampaignGrid builds: one campaign
+	// run for its own sake, not a grid. It plans strictly (see Plan) and a
+	// coordinator journals it by its campaign spec.
+	Single bool `json:"single,omitempty"`
+}
+
+// Plan splits a member campaign's totalJobs-long injection plan into
+// shards. A grid's one shard-count knob covers campaigns of very
+// different sizes, so a tiny campaign degrades to fewer (larger) shards
+// instead of failing the whole grid; a Single sweep has only itself to
+// accommodate and keeps shard.Plan's strict fail-fast validation.
+func (ss SweepSpec) Plan(cs shard.CampaignSpec, shards, totalJobs int) ([]shard.Spec, error) {
+	if ss.Single {
+		return shard.Plan(cs, shards, totalJobs)
+	}
+	return shard.PlanAtMost(cs, shards, totalJobs)
 }
 
 // Validate rejects sweeps that could not execute: empty grids, invalid

@@ -313,8 +313,8 @@ func TestSweepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := 0
-	for i, it := range ss.Items {
-		n, err := pool2.Open(i, plans[i], loaded[cfpOf(t, it.Campaign)])
+	for i := range ss.Items {
+		n, err := pool2.Open(i, plans[i], loaded)
 		if err != nil {
 			t.Fatal(err)
 		}
