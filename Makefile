@@ -1,8 +1,10 @@
-# Tier-1 verification and perf-smoke targets; CI runs `make ci bench-smoke`.
+# Tier-1 verification, fuzz and smoke-gate targets; CI runs `make ci`, then
+# `make fuzz-smoke` and each *-smoke gate. Performance is measured by the
+# repo benchmark (`bash benchmark/run.sh`, declared in BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: all vet build test race ci loc bench-smoke sweep-smoke chaos-smoke obs-smoke watch-smoke lake-smoke integrity-smoke bench clean
+.PHONY: all vet build test race ci loc fuzz-smoke sweep-smoke chaos-smoke obs-smoke watch-smoke lake-smoke integrity-smoke bench
 
 all: ci
 
@@ -40,27 +42,16 @@ loc:
 			{ n++ } END { printf "%6d  %s\n", n, d }'; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
-# bench-smoke runs the warm-start comparisons once — both engines plus
-# the compare_vcd detector variant — and leaves BENCH_warmstart.json
-# behind with golden/injection wall-clock, cell-evaluation, pruning and
-# delta-restore metrics, so the perf trajectory is tracked per commit (CI
-# archives the file). benchgate then fails the target when any entry's
-# evals_reduction_x regresses >20% below the baseline committed at HEAD
-# (not the working-tree file, which the benchmark itself overwrites — so
-# re-running never self-rebaselines), or when an entry stops warm-starting.
-bench-smoke:
-	@git show HEAD:BENCH_warmstart.json > BENCH_warmstart.baseline.json 2>/dev/null || rm -f BENCH_warmstart.baseline.json
-	$(GO) test -run '^$$' -bench '^BenchmarkWarmVsCold(LevelSim|VCD)?$$' -benchtime 1x .
-	@cat BENCH_warmstart.json
-	@if [ -s BENCH_warmstart.baseline.json ]; then \
-		$(GO) run ./cmd/benchgate -baseline BENCH_warmstart.baseline.json -new BENCH_warmstart.json -max-regress 0.20; \
-		gate=$$?; \
-		rm -f BENCH_warmstart.baseline.json; \
-		exit $$gate; \
-	else \
-		rm -f BENCH_warmstart.baseline.json; \
-		echo "benchgate: no committed baseline, skipping regression gate"; \
-	fi
+# fuzz-smoke gives each native fuzz target — one per artifact decoder that
+# reads bytes from the lake or the wire — ten seconds of coverage-guided
+# mutation from its in-code seeds (real encodes on both engines): no
+# panic, accepted input re-encodes byte-identically, accepted state
+# restores and resumes. -fuzzminimizetime 1x stops the fuzzer spending the
+# budget minimizing inputs that are merely interesting, not failing.
+fuzz-smoke:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzDecodeWriterState$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
 
 # sweep-smoke runs a tiny two-campaign sweep (SoC1 at two LETs) through
 # the campaignd coordinator with a live worker and asserts the rendered
@@ -124,6 +115,3 @@ integrity-smoke:
 # bench runs the full table/figure harness (minutes).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-clean:
-	rm -f BENCH_warmstart.json BENCH_warmstart.baseline.json

@@ -6,19 +6,16 @@
 package repro_bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/inject"
 	"repro/internal/netlist"
 	"repro/internal/riscv"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/socgen"
 	"repro/internal/ssresf"
@@ -202,49 +199,6 @@ func BenchmarkEngines(b *testing.B) {
 	}
 }
 
-// warmstartReport is the BENCH_warmstart.json schema: one entry per
-// engine (plus the compare_vcd detector variant) with the golden and
-// injection wall-clock and cell-evaluation metrics of a cold
-// (replay-from-zero) vs warm (checkpoint-restored) campaign, so CI tracks
-// the perf trajectory of the warm-start path.
-type warmstartReport struct {
-	Design           string  `json:"design"`
-	Engine           string  `json:"engine"`
-	Injections       int     `json:"injections"`
-	GoldenWallNS     int64   `json:"golden_wall_ns"`
-	GoldenEvals      uint64  `json:"golden_evals"`
-	ColdInjectWallNS int64   `json:"cold_inject_wall_ns"`
-	ColdInjectEvals  uint64  `json:"cold_inject_evals"`
-	WarmInjectWallNS int64   `json:"warm_inject_wall_ns"`
-	WarmInjectEvals  uint64  `json:"warm_inject_evals"`
-	WarmStarts       uint64  `json:"warm_starts"`
-	PrunedRuns       uint64  `json:"pruned_runs"`
-	DeltaRestores    uint64  `json:"delta_restores"`
-	RestoreWallNS    int64   `json:"restore_wall_ns"`
-	ChecksumWallNS   int64   `json:"checksum_wall_ns"`
-	EvalsReductionX  float64 `json:"evals_reduction_x"`
-	WallReductionX   float64 `json:"wall_reduction_x"`
-}
-
-var (
-	warmstartMu      sync.Mutex
-	warmstartEntries = map[string]warmstartReport{}
-)
-
-func writeWarmstartJSON(b *testing.B, key string, rep warmstartReport) {
-	b.Helper()
-	warmstartMu.Lock()
-	defer warmstartMu.Unlock()
-	warmstartEntries[key] = rep
-	buf, err := json.MarshalIndent(warmstartEntries, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_warmstart.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // runWarmColdPair executes the same SoC1 campaign twice — cold
 // (replay-from-zero) and warm (checkpoint-restored) — and fails the bench
 // if the two results are not bit-identical.
@@ -288,70 +242,18 @@ func runWarmColdPairOpts(b *testing.B, opts inject.Options) (cold, warm *inject.
 	return cold, warm
 }
 
-// stampWall measures the integrity-checksum cost an executor pays per
-// shard: canonically encoding and hashing the warm run's full result
-// payload as one shard.Partial (a real shard covers a slice of it, so
-// this is the conservative upper bound). Minimum of a few runs —
-// encode+hash is deterministic work, so min is the honest figure and
-// scheduler noise only inflates the others. cmd/benchgate gates this
-// wall against the warm-injection wall: with -audit-frac=0 checksums
-// are the integrity subsystem's entire steady-state overhead.
-func stampWall(b *testing.B, warm *inject.SoCRun) int64 {
-	b.Helper()
-	res := warm.Result
-	p := &shard.Partial{
-		Start:         0,
-		End:           len(res.Injections),
-		Injections:    res.Injections,
-		InjectWallNS:  res.InjectWall.Nanoseconds(),
-		InjectEvals:   res.InjectEvals,
-		WarmStarts:    res.WarmStarts,
-		PrunedRuns:    res.PrunedRuns,
-		DeltaRestores: res.DeltaRestores,
-		RestoreWallNS: res.RestoreWall.Nanoseconds(),
-	}
-	best := int64(-1)
-	for i := 0; i < 5; i++ {
-		p.Checksum = ""
-		t0 := time.Now()
-		if err := p.Stamp(); err != nil {
-			b.Fatal(err)
-		}
-		if d := time.Since(t0).Nanoseconds(); best < 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func reportWarmCold(b *testing.B, key string, cold, warm *inject.SoCRun) {
+// reportWarmCold reports the pair's deterministic work ratio and its
+// wall-clock ratio as benchmark metrics. (The per-commit numbers live in
+// BENCHMARK.json's per-layer metrics; these benchmarks are ablations.)
+func reportWarmCold(b *testing.B, cold, warm *inject.SoCRun) {
 	b.Helper()
 	cr, wr := cold.Result, warm.Result
-	rep := warmstartReport{
-		Design:           cr.Design,
-		Engine:           cr.Engine,
-		Injections:       len(cr.Injections),
-		GoldenWallNS:     wr.GoldenWall.Nanoseconds(),
-		GoldenEvals:      wr.GoldenEvals,
-		ColdInjectWallNS: cr.InjectWall.Nanoseconds(),
-		ColdInjectEvals:  cr.InjectEvals,
-		WarmInjectWallNS: wr.InjectWall.Nanoseconds(),
-		WarmInjectEvals:  wr.InjectEvals,
-		WarmStarts:       wr.WarmStarts,
-		PrunedRuns:       wr.PrunedRuns,
-		DeltaRestores:    wr.DeltaRestores,
-		RestoreWallNS:    wr.RestoreWall.Nanoseconds(),
-		ChecksumWallNS:   stampWall(b, warm),
-	}
 	if wr.InjectEvals > 0 {
-		rep.EvalsReductionX = float64(cr.InjectEvals) / float64(wr.InjectEvals)
+		b.ReportMetric(float64(cr.InjectEvals)/float64(wr.InjectEvals), "evals-reduction-x")
 	}
 	if wr.InjectWall > 0 {
-		rep.WallReductionX = float64(cr.InjectWall) / float64(wr.InjectWall)
+		b.ReportMetric(float64(cr.InjectWall)/float64(wr.InjectWall), "wall-reduction-x")
 	}
-	writeWarmstartJSON(b, key, rep)
-	b.ReportMetric(rep.EvalsReductionX, "evals-reduction-x")
-	b.ReportMetric(rep.WallReductionX, "wall-reduction-x")
 	b.ReportMetric(float64(cr.InjectEvals), "cold-inject-evals")
 	b.ReportMetric(float64(wr.InjectEvals), "warm-inject-evals")
 	b.ReportMetric(float64(wr.PrunedRuns), "pruned-runs")
@@ -364,7 +266,7 @@ func reportWarmCold(b *testing.B, key string, cold, warm *inject.SoCRun) {
 func BenchmarkWarmVsCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold, warm := runWarmColdPair(b, sim.KindEvent, inject.DefaultOptions().SampleFrac)
-		reportWarmCold(b, "eventsim", cold, warm)
+		reportWarmCold(b, cold, warm)
 	}
 }
 
@@ -374,7 +276,7 @@ func BenchmarkWarmVsCold(b *testing.B) {
 func BenchmarkWarmVsColdLevelSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold, warm := runWarmColdPair(b, sim.KindLevel, 0.04)
-		reportWarmCold(b, "levelsim", cold, warm)
+		reportWarmCold(b, cold, warm)
 	}
 }
 
@@ -395,7 +297,7 @@ func BenchmarkWarmVsColdVCD(b *testing.B) {
 		if warm.Result.WarmStarts == 0 {
 			b.Fatal("CompareVCD campaign never warm-started")
 		}
-		reportWarmCold(b, "compare_vcd", cold, warm)
+		reportWarmCold(b, cold, warm)
 	}
 }
 

@@ -122,7 +122,6 @@ func TestQuantilePlacementProperties(t *testing.T) {
 	mk := func(strikes []uint64) *Campaign {
 		c := &Campaign{
 			plan: &socgen.StimulusPlan{PeriodPS: period, DurationPS: cycles * period},
-			opts: Options{CheckpointPlacement: PlacementQuantile},
 		}
 		for _, s := range strikes {
 			c.jobs = append(c.jobs, Job{TimePS: s})
@@ -183,11 +182,6 @@ func TestQuantilePlacementProperties(t *testing.T) {
 	if q >= f {
 		t.Fatalf("clustered strikes: quantile tail sum %d does not beat fixed %d (schedule %v)", q, f, got)
 	}
-	// And the fixed policy must ignore the strikes entirely.
-	c.opts.CheckpointPlacement = PlacementFixed
-	if gotFixed := c.checkpointCycles(); len(gotFixed) != len(c.fixedCheckpointCycles()) {
-		t.Fatalf("fixed placement returned %v", gotFixed)
-	}
 }
 
 // TestCompareVCDWarmMatchesColdOracle is the warm VCD acceptance gate:
@@ -215,8 +209,9 @@ func TestCompareVCDWarmMatchesColdOracle(t *testing.T) {
 	if cold.Result.WarmStarts != 0 {
 		t.Fatalf("cold VCD oracle reported %d warm starts", cold.Result.WarmStarts)
 	}
-	if w, c := warm.Result.InjectEvals, cold.Result.InjectEvals; w == 0 || c == 0 || 2*w > c {
-		t.Errorf("warm VCD path saved too little work: warm %d evals vs cold %d", w, c)
+	const evalsFloor = 8.4 // 80% of the 10.54x measured; see TestWarmStartReducesWork
+	if w, c := warm.Result.InjectEvals, cold.Result.InjectEvals; w == 0 || float64(c) < evalsFloor*float64(w) {
+		t.Errorf("warm VCD path saved too little work: warm %d evals vs cold %d (want >= %.1fx reduction)", w, c, evalsFloor)
 	}
 }
 

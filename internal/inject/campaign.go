@@ -50,22 +50,6 @@ import (
 // other cycle, while a 30-odd-cycle workload still only keeps ~17 snapshots.
 const DefaultCheckpointEveryCycles = 2
 
-// Checkpoint placement policies (Options.CheckpointPlacement).
-const (
-	// PlacementFixed snapshots every CheckpointEveryCycles-th cycle,
-	// regardless of where the drawn plan actually strikes.
-	PlacementFixed = "fixed"
-	// PlacementQuantile spends the same checkpoint budget the fixed pitch
-	// would use, but places the snapshots at the strike-time quantiles of
-	// the drawn injection plan, concentrating restore points where strikes
-	// concentrate. The schedule is adaptive but never worse: when the
-	// quantile layout would lengthen the average restore→strike tail (e.g.
-	// strikes uniform enough that the fixed grid is already optimal), the
-	// fixed schedule is kept. Placement changes how much tail each
-	// injection re-simulates, never any verdict.
-	PlacementQuantile = "quantile"
-)
-
 // Options configures a campaign.
 type Options struct {
 	Engine sim.EngineKind
@@ -109,14 +93,10 @@ type Options struct {
 	// CheckpointEveryCycles is the clock-cycle pitch of the golden-run
 	// checkpoint schedule that injection runs warm-start from. 0 uses
 	// DefaultCheckpointEveryCycles; the verdicts are bit-identical for any
-	// pitch, only the amount of re-simulated prefix changes. Under quantile
-	// placement the pitch defines the checkpoint budget (how many snapshots
-	// the fixed grid would have held), not the snapshot positions.
+	// pitch, only the amount of re-simulated prefix changes. The pitch
+	// defines the checkpoint budget (how many snapshots the fixed grid would
+	// have held), not the snapshot positions: see checkpointCycles.
 	CheckpointEveryCycles int
-	// CheckpointPlacement chooses where the checkpoint budget is spent:
-	// PlacementFixed or PlacementQuantile. Empty means PlacementQuantile.
-	// Verdicts are bit-identical for any placement.
-	CheckpointPlacement string
 	// ColdStart disables checkpointing and warm starts entirely, restoring
 	// the replay-from-t=0 behaviour; campaign results are bit-identical
 	// either way (the warm-vs-cold regression tests rely on this switch).
@@ -301,8 +281,8 @@ func New(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options)
 }
 
 // prepare performs everything New does short of the golden run itself:
-// option validation, clustering, RNG seeding, and — under quantile
-// checkpoint placement — drawing the injection plan. It is shared by New
+// option validation, clustering, RNG seeding, and — when warm starts are
+// enabled — drawing the injection plan. It is shared by New
 // and NewFromGolden so a campaign adopting a serialized golden artifact
 // consumes exactly the same randomness, in the same order, as one that
 // simulates the golden run locally.
@@ -318,12 +298,6 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 	}
 	if opts.CheckpointEveryCycles < 0 {
 		return nil, nil, fmt.Errorf("inject: CheckpointEveryCycles %d must be >= 0", opts.CheckpointEveryCycles)
-	}
-	switch opts.CheckpointPlacement {
-	case "", PlacementFixed, PlacementQuantile:
-	default:
-		return nil, nil, fmt.Errorf("inject: unknown CheckpointPlacement %q (want %s or %s)",
-			opts.CheckpointPlacement, PlacementFixed, PlacementQuantile)
 	}
 	if opts.ModuleOf == nil {
 		opts.ModuleOf = socgen.ModuleOf
@@ -354,12 +328,12 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 		Modules:   map[string]*ModuleStats{},
 		ClusterOf: cl.Assign,
 	}
-	if c.warmStartEnabled() && c.placement() == PlacementQuantile {
-		// Quantile placement positions the golden checkpoints at the strike
-		// times of the plan, so the plan must exist before the golden run.
-		// Drawing order does not perturb the plan: the golden run consumes
-		// no campaign randomness, which is also why every placement and
-		// pitch yields the identical plan (and identical verdicts).
+	if c.warmStartEnabled() {
+		// The golden checkpoints are placed at the strike-time quantiles of
+		// the plan, so the plan must exist before the golden run. Drawing
+		// order does not perturb the plan: the golden run consumes no
+		// campaign randomness, which is also why every pitch yields the
+		// identical plan (and identical verdicts).
 		c.DrawJobs()
 	}
 	return c, res, nil
@@ -452,14 +426,6 @@ func (c *Campaign) checkpointInterval() int {
 	return c.opts.CheckpointEveryCycles
 }
 
-// placement resolves the configured checkpoint placement policy.
-func (c *Campaign) placement() string {
-	if c.opts.CheckpointPlacement == "" {
-		return PlacementQuantile
-	}
-	return c.opts.CheckpointPlacement
-}
-
 // warmStartEnabled reports whether injections run from golden checkpoints.
 // Only ColdStart forces the legacy replay-from-zero behaviour; the VCD
 // detector warm-starts too, diffing restored tails against the golden
@@ -470,8 +436,8 @@ func (c *Campaign) warmStartEnabled() bool {
 
 // fixedCheckpointCycles is the fixed-pitch checkpoint grid: every
 // interval-th cycle whose snapshot instant leaves at least one full cycle
-// of plan to resume into. Its length is the checkpoint budget quantile
-// placement is allowed to spend.
+// of plan to resume into. Its length is the checkpoint budget the quantile
+// layout is allowed to spend.
 func (c *Campaign) fixedCheckpointCycles() []int {
 	period := c.plan.PeriodPS
 	var fixed []int
@@ -500,11 +466,17 @@ func restoreTailSum(strikes []uint64, cycles []int, period uint64) uint64 {
 	return sum
 }
 
-// checkpointCycles lays out the golden-run checkpoint schedule according
-// to the placement policy, within the fixed pitch's checkpoint budget.
+// checkpointCycles lays out the golden-run checkpoint schedule: the fixed
+// pitch's checkpoint budget spent at the strike-time quantiles of the drawn
+// injection plan, concentrating restore points where strikes concentrate.
+// The schedule is adaptive but never worse: when the quantile layout would
+// not shorten the average restore→strike tail (e.g. strikes uniform enough
+// that the fixed grid is already optimal), the fixed grid is kept. The
+// layout changes how much tail each injection re-simulates, never any
+// verdict.
 func (c *Campaign) checkpointCycles() []int {
 	fixed := c.fixedCheckpointCycles()
-	if c.placement() != PlacementQuantile || len(fixed) == 0 || len(c.jobs) == 0 {
+	if len(fixed) == 0 || len(c.jobs) == 0 {
 		return fixed
 	}
 	period := c.plan.PeriodPS

@@ -2,17 +2,16 @@ package inject
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/socgen"
 	"repro/internal/vcd"
+	"repro/internal/wire"
 )
 
 // Golden-run artifact codec. EncodeGolden serializes everything the
@@ -33,9 +32,6 @@ import (
 const (
 	goldenMagic   uint32 = 0x474c4431 // "GLD1"
 	goldenVersion byte   = 1
-
-	// maxGoldenLen bounds decoded counts before allocation.
-	maxGoldenLen = 1 << 30
 )
 
 // EncodeGolden writes the campaign's golden-run artifact to w.
@@ -46,65 +42,42 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 	if c.golden == nil {
 		return fmt.Errorf("inject: campaign has no golden signature to encode")
 	}
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	uv := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		buf.Write(scratch[:8])
-	}
-	str := func(s string) {
-		uv(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	blob := func(b []byte) {
-		uv(uint64(len(b)))
-		buf.Write(b)
-	}
+	var e wire.Writer
+	e.U32(goldenMagic)
+	e.Byte(goldenVersion)
+	e.String(c.flat.Name)
+	e.String(string(c.opts.Engine))
+	e.Int(c.cycles())
+	e.Int(len(c.plan.Monitors))
+	e.U64(goldenEvals)
 
-	binary.LittleEndian.PutUint32(scratch[:4], goldenMagic)
-	buf.Write(scratch[:4])
-	buf.WriteByte(goldenVersion)
-	str(c.flat.Name)
-	str(string(c.opts.Engine))
-	uv(uint64(c.cycles()))
-	uv(uint64(len(c.plan.Monitors)))
-	u64(goldenEvals)
+	e.Int(c.golden.cols)
+	e.Int(len(c.golden.slab))
+	e.Values(c.golden.slab)
 
-	uv(uint64(c.golden.cols))
-	blobV := make([]byte, len(c.golden.slab))
-	for i, v := range c.golden.slab {
-		blobV[i] = byte(v)
-	}
-	blob(blobV)
-
-	uv(uint64(len(c.ckpts)))
+	e.Int(len(c.ckpts))
+	var nested bytes.Buffer
 	for i := range c.ckpts {
 		gc := &c.ckpts[i]
-		uv(uint64(gc.cycle))
-		u64(gc.time)
-		var ckBuf bytes.Buffer
-		if err := sim.EncodeCheckpoint(&ckBuf, gc.ck); err != nil {
+		e.Int(gc.cycle)
+		e.U64(gc.time)
+		nested.Reset()
+		if err := sim.EncodeCheckpoint(&nested, gc.ck); err != nil {
 			return fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
 		}
-		blob(ckBuf.Bytes())
+		e.Blob(nested.Bytes())
+		e.Bool(gc.vcdState != nil)
 		if gc.vcdState != nil {
-			buf.WriteByte(1)
-			var vsBuf bytes.Buffer
-			if err := gc.vcdState.Encode(&vsBuf); err != nil {
+			nested.Reset()
+			if err := gc.vcdState.Encode(&nested); err != nil {
 				return fmt.Errorf("inject: encode golden VCD state %d: %w", i, err)
 			}
-			blob(vsBuf.Bytes())
-			uv(uint64(gc.vcdPrefix))
-		} else {
-			buf.WriteByte(0)
+			e.Blob(nested.Bytes())
+			e.Int(gc.vcdPrefix)
 		}
 	}
-	blob(c.goldenVCDDump)
-	_, err := w.Write(buf.Bytes())
+	e.Blob(c.goldenVCDDump)
+	_, err := w.Write(e.Bytes())
 	return err
 }
 
@@ -139,20 +112,20 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("inject: read golden artifact: %w", err)
 	}
-	d := &goldenDecoder{raw: raw}
-	if m := d.u32(); d.err == nil && m != goldenMagic {
-		return 0, fmt.Errorf("inject: golden artifact has bad magic %#x", m)
+	d := wire.NewReader("inject: golden artifact", raw)
+	if m := d.U32(); d.Err() == nil && m != goldenMagic {
+		d.Fail("bad magic %#x", m)
 	}
-	if v := d.byte(); d.err == nil && v != goldenVersion {
-		return 0, fmt.Errorf("inject: unsupported golden artifact version %d", v)
+	if v := d.Byte(); d.Err() == nil && v != goldenVersion {
+		d.Fail("unsupported version %d", v)
 	}
-	design := d.str()
-	engine := d.str()
-	cycles := d.count("cycles")
-	monitors := d.count("monitors")
-	evals := d.u64()
-	if d.err != nil {
-		return 0, d.err
+	design := d.String()
+	engine := d.String()
+	cycles := d.Int()
+	monitors := d.Int()
+	evals := d.U64()
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
 	if design != c.flat.Name {
 		return 0, fmt.Errorf("inject: golden artifact is for design %q, want %q", design, c.flat.Name)
@@ -165,25 +138,18 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 			cycles, monitors, c.cycles(), len(c.plan.Monitors))
 	}
 
-	cols := d.count("signature cols")
-	slab := d.blob("signature slab")
-	if d.err != nil {
-		return 0, d.err
+	cols := d.Int()
+	sig := &signature{cols: cols, slab: d.Values(d.Count(1))}
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
-	if cols != len(c.plan.Monitors) || len(slab) != cols*(c.cycles()-1) {
-		return 0, fmt.Errorf("inject: golden signature shape %dx%d does not match plan", cols, len(slab))
-	}
-	sig := &signature{cols: cols, slab: make([]logic.V, len(slab))}
-	for i, b := range slab {
-		if logic.V(b) > logic.Z {
-			return 0, fmt.Errorf("inject: golden signature has invalid logic value %d", b)
-		}
-		sig.slab[i] = logic.V(b)
+	if cols != len(c.plan.Monitors) || len(sig.slab) != cols*(c.cycles()-1) {
+		return 0, fmt.Errorf("inject: golden signature shape %dx%d does not match plan", cols, len(sig.slab))
 	}
 
-	nCk := d.count("checkpoints")
-	if d.err != nil {
-		return 0, d.err
+	nCk := d.Count(1)
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
 	wantCycles := []int{}
 	if c.warmStartEnabled() {
@@ -196,11 +162,12 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 	ckpts := make([]goldenCheckpoint, nCk)
 	for i := range ckpts {
 		gc := &ckpts[i]
-		gc.cycle = d.count("checkpoint cycle")
-		gc.time = d.u64()
-		ckBlob := d.blob("checkpoint")
-		if d.err != nil {
-			return 0, d.err
+		gc.cycle = d.Int()
+		gc.time = d.U64()
+		ckBlob := d.Blob()
+		hasVCD := d.Bool()
+		if d.Err() != nil {
+			return 0, d.Err()
 		}
 		if gc.cycle != wantCycles[i] {
 			return 0, fmt.Errorf("inject: golden checkpoint %d is at cycle %d, schedule wants %d", i, gc.cycle, wantCycles[i])
@@ -219,42 +186,28 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 			return 0, fmt.Errorf("inject: golden checkpoint %d header does not match schedule", i)
 		}
 		gc.ck = ck
-		hasVCD := d.byte()
-		if d.err != nil {
-			return 0, d.err
+		if hasVCD != needVCD {
+			return 0, fmt.Errorf("inject: golden checkpoint %d has VCD state: %t, but the campaign's detector wants it: %t", i, hasVCD, needVCD)
 		}
-		switch hasVCD {
-		case 0:
-			if needVCD {
-				return 0, fmt.Errorf("inject: golden checkpoint %d lacks the VCD state CompareVCD needs", i)
+		if hasVCD {
+			vsBlob := d.Blob()
+			gc.vcdPrefix = d.Int()
+			if d.Err() != nil {
+				return 0, d.Err()
 			}
-		case 1:
-			vsBlob := d.blob("vcd state")
-			prefix := d.count("vcd prefix")
-			if d.err != nil {
-				return 0, d.err
-			}
-			st, err := vcd.DecodeWriterState(bytes.NewReader(vsBlob))
-			if err != nil {
+			if gc.vcdState, err = vcd.DecodeWriterState(bytes.NewReader(vsBlob)); err != nil {
 				return 0, fmt.Errorf("inject: golden checkpoint %d: %w", i, err)
 			}
-			gc.vcdState = st
-			gc.vcdPrefix = prefix
-		default:
-			return 0, fmt.Errorf("inject: golden checkpoint %d has invalid VCD flag %d", i, hasVCD)
 		}
 	}
-	dump := d.blob("vcd dump")
-	if d.err != nil {
-		return 0, d.err
+	dump := d.Blob()
+	if err := d.Done(); err != nil {
+		return 0, err
 	}
-	if d.off != len(d.raw) {
-		return 0, fmt.Errorf("inject: golden artifact has %d trailing bytes", len(d.raw)-d.off)
+	if (len(dump) > 0) != needVCD {
+		return 0, fmt.Errorf("inject: golden artifact has a %d-byte VCD dump, but the campaign's detector wants one: %t", len(dump), needVCD)
 	}
 	if needVCD {
-		if len(dump) == 0 {
-			return 0, fmt.Errorf("inject: golden artifact lacks the VCD dump CompareVCD needs")
-		}
 		for i := range ckpts {
 			if ckpts[i].vcdPrefix > len(dump) {
 				return 0, fmt.Errorf("inject: golden checkpoint %d VCD prefix %d exceeds dump length %d",
@@ -279,90 +232,4 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 	c.ckpts = ckpts
 	c.golden = sig
 	return evals, nil
-}
-
-// goldenDecoder walks the flat golden-artifact byte layout, latching the
-// first error.
-type goldenDecoder struct {
-	raw []byte
-	off int
-	err error
-}
-
-func (d *goldenDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *goldenDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.raw) {
-		d.fail(fmt.Errorf("inject: truncated golden artifact"))
-		return nil
-	}
-	b := d.raw[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *goldenDecoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *goldenDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *goldenDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *goldenDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.raw[d.off:])
-	if n <= 0 {
-		d.fail(fmt.Errorf("inject: truncated golden artifact"))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *goldenDecoder) count(what string) int {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if v > maxGoldenLen {
-		d.fail(fmt.Errorf("inject: golden artifact %s count %d exceeds limit", what, v))
-		return 0
-	}
-	return int(v)
-}
-
-func (d *goldenDecoder) str() string {
-	n := d.count("string")
-	return string(d.take(n))
-}
-
-func (d *goldenDecoder) blob(what string) []byte {
-	n := d.count(what)
-	return d.take(n)
 }

@@ -17,7 +17,7 @@ func testOptions() Options {
 	return o
 }
 
-func prep(t *testing.T, idx int, opts Options) *SoCRun {
+func prep(t testing.TB, idx int, opts Options) *SoCRun {
 	t.Helper()
 	cfg, err := socgen.ConfigByIndex(idx)
 	if err != nil {

@@ -24,7 +24,6 @@ type resultJSON struct {
 	SampleFrac    float64         `json:"sample_frac"`
 	Seed          uint64          `json:"seed"`
 	CkptCycles    int             `json:"checkpoint_every_cycles,omitempty"`
-	CkptPlacement string          `json:"checkpoint_placement,omitempty"`
 	ColdStart     bool            `json:"cold_start,omitempty"`
 	WarmStarts    uint64          `json:"warm_starts,omitempty"`
 	PrunedRuns    uint64          `json:"pruned_runs,omitempty"`
@@ -69,7 +68,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		SampleFrac:    r.Options.SampleFrac,
 		Seed:          r.Options.Seed,
 		CkptCycles:    r.Options.CheckpointEveryCycles,
-		CkptPlacement: r.Options.CheckpointPlacement,
 		ColdStart:     r.Options.ColdStart,
 		WarmStarts:    r.WarmStarts,
 		PrunedRuns:    r.PrunedRuns,
@@ -137,7 +135,6 @@ func ReadJSON(rd io.Reader) (*Result, error) {
 	res.Options.SampleFrac = in.SampleFrac
 	res.Options.Seed = in.Seed
 	res.Options.CheckpointEveryCycles = in.CkptCycles
-	res.Options.CheckpointPlacement = in.CkptPlacement
 	res.Options.ColdStart = in.ColdStart
 	res.WarmStarts = in.WarmStarts
 	res.PrunedRuns = in.PrunedRuns

@@ -65,14 +65,12 @@ func TestWarmColdWorkerDeterminism(t *testing.T) {
 	}
 	ref := runWith(func(o *Options) { o.Workers = 1; o.ColdStart = true })
 	variants := map[string]func(*Options){
-		"cold-8-workers":   func(o *Options) { o.Workers = 8; o.ColdStart = true },
-		"warm-1-worker":    func(o *Options) { o.Workers = 1 },
-		"warm-8-workers":   func(o *Options) { o.Workers = 8 },
-		"warm-pitch-1":     func(o *Options) { o.Workers = 4; o.CheckpointEveryCycles = 1 },
-		"warm-pitch-5":     func(o *Options) { o.Workers = 4; o.CheckpointEveryCycles = 5 },
-		"warm-pitch-huge":  func(o *Options) { o.Workers = 4; o.CheckpointEveryCycles = 1000 },
-		"warm-fixed-place": func(o *Options) { o.Workers = 4; o.CheckpointPlacement = PlacementFixed },
-		"warm-quantile":    func(o *Options) { o.Workers = 4; o.CheckpointPlacement = PlacementQuantile },
+		"cold-8-workers":  func(o *Options) { o.Workers = 8; o.ColdStart = true },
+		"warm-1-worker":   func(o *Options) { o.Workers = 1 },
+		"warm-8-workers":  func(o *Options) { o.Workers = 8 },
+		"warm-pitch-1":    func(o *Options) { o.Workers = 4; o.CheckpointEveryCycles = 1 },
+		"warm-pitch-5":    func(o *Options) { o.Workers = 4; o.CheckpointEveryCycles = 5 },
+		"warm-pitch-huge": func(o *Options) { o.Workers = 4; o.CheckpointEveryCycles = 1000 },
 	}
 	for label, mutate := range variants {
 		got := runWith(mutate)
@@ -82,8 +80,11 @@ func TestWarmColdWorkerDeterminism(t *testing.T) {
 
 // TestWarmStartReducesWork checks the perf contract behind Table III's
 // campaign-runtime reduction: warm starts must cut injection-phase cell
-// evaluations at least in half on the SoC workload, and the early-exit
-// pruning must actually fire.
+// evaluations by the floor below on the SoC workload, and the early-exit
+// pruning must actually fire. Eval counts are deterministic per seed, so
+// each evalsFloor in this package is set to 80% of the ratio its campaign
+// measures and cannot flake; a change that legitimately moves the ratio
+// moves the floor.
 func TestWarmStartReducesWork(t *testing.T) {
 	opts := testOptions()
 	opts.SampleFrac = 0.08
@@ -110,8 +111,9 @@ func TestWarmStartReducesWork(t *testing.T) {
 	if warmRun.Result.DeltaRestores == 0 {
 		t.Error("no strike-sorted batch shared a restore point — delta restores never fired")
 	}
-	if w, c := warmRun.Result.InjectEvals, coldRun.Result.InjectEvals; 2*w > c {
-		t.Errorf("warm starts saved too little work: warm %d evals vs cold %d (want >= 2x reduction)", w, c)
+	const evalsFloor = 8.9 // 80% of the 11.24x measured
+	if w, c := warmRun.Result.InjectEvals, coldRun.Result.InjectEvals; float64(c) < evalsFloor*float64(w) {
+		t.Errorf("warm starts saved too little work: warm %d evals vs cold %d (want >= %.1fx reduction)", w, c, evalsFloor)
 	}
 }
 
@@ -135,8 +137,9 @@ func TestWarmStartLevelSim(t *testing.T) {
 	if warmRun.Result.WarmStarts == 0 {
 		t.Fatal("LevelSim warm campaign never restored a checkpoint")
 	}
-	if w, c := warmRun.Result.InjectEvals, coldRun.Result.InjectEvals; w >= c {
-		t.Errorf("LevelSim warm path did not reduce work: warm %d vs cold %d", w, c)
+	const evalsFloor = 6.2 // 80% of the 7.78x measured
+	if w, c := warmRun.Result.InjectEvals, coldRun.Result.InjectEvals; float64(c) < evalsFloor*float64(w) {
+		t.Errorf("LevelSim warm path saved too little work: warm %d evals vs cold %d (want >= %.1fx reduction)", w, c, evalsFloor)
 	}
 }
 

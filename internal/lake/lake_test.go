@@ -439,6 +439,83 @@ func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	}
 }
 
+// TestBuilderHealsStaleCodecArtifact is reject-and-heal across a
+// checkpoint codec version bump: a lake still holding an artifact whose
+// nested checkpoints were written by codec version 1 (a fresh encode with
+// every nested version byte patched back) must not poison anyone.
+// BuildFromGolden refuses the blob; Builder.Build falls back to a local
+// golden run whose campaign is bit-identical to BuildLocal's, and leaves
+// the key re-linked to a current-codec blob the next builder adopts.
+func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
+	s := openStore(t, t.TempDir(), 0)
+	cs := lakeSpec()
+	local, err := shard.BuildLocal(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := shard.EncodeBuilt(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := append([]byte(nil), fresh...)
+	magic := []byte("1PKS") // the checkpoint magic "SKP1", little-endian
+	patched := 0
+	for at := 0; ; patched++ {
+		i := bytes.Index(stale[at:], magic)
+		if i < 0 {
+			break
+		}
+		at += i + len(magic)
+		if stale[at] != 2 {
+			t.Fatalf("nested checkpoint carries codec version %d, test expects 2", stale[at])
+		}
+		stale[at] = 1
+	}
+	if patched == 0 {
+		t.Fatal("golden artifact holds no nested checkpoint to patch")
+	}
+	if _, err := shard.BuildFromGolden(cs, nil, stale); err == nil {
+		t.Fatal("BuildFromGolden adopted an artifact with version-1 checkpoints")
+	}
+
+	key := GoldenKey(fpOf(t, cs))
+	staleHash, err := s.Put(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Link(key, staleHash); err != nil {
+		t.Fatal(err)
+	}
+	built, fetched, err := NewStoreBuilder(s, "builder-1").Build(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetched {
+		t.Fatal("stale-codec artifact adopted")
+	}
+	rebuilt, err := shard.EncodeBuilt(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rebuilt, fresh) {
+		t.Fatal("campaign built past a stale artifact differs from BuildLocal's")
+	}
+	healedHash, ok := s.Resolve(key)
+	if !ok || healedHash == staleHash {
+		t.Fatal("key not healed after local rebuild")
+	}
+	healed, err := s.Get(healedHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(healed, fresh) {
+		t.Fatal("healed key does not point at the current-codec artifact")
+	}
+	if _, fetched, err := NewStoreBuilder(s, "builder-2").Build(cs, nil); err != nil || !fetched {
+		t.Fatalf("second builder did not adopt the healed artifact: fetched=%v err=%v", fetched, err)
+	}
+}
+
 // TestBuilderHeldClaimWait: a held claim is polled until the holder
 // publishes, then fetched — the shared-build path two workers race on.
 func TestBuilderHeldClaimWait(t *testing.T) {

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"flag"
-
-	"repro/internal/inject"
-)
+import "flag"
 
 // CampaignFlagNames is the set of flag names CampaignFlags registers,
 // derived from a scratch registration so it can never drift from the
@@ -40,7 +36,6 @@ func CampaignFlags(fs *flag.FlagSet) func() (CampaignSpec, error) {
 	minPer := fs.Int("minper", 3, "minimum sampled cells per cluster")
 	seed := fs.Uint64("seed", 1, "campaign random seed")
 	cold := fs.Bool("cold", false, "disable checkpoint warm starts and replay every injection from t=0")
-	placement := fs.String("ckpt-placement", "quantile", "golden checkpoint placement: quantile (snapshots at the drawn plan's strike-time quantiles; never a worse average restore tail than fixed) or fixed (every -ckpt cycles); verdicts are identical either way")
 	return func() (CampaignSpec, error) {
 		cs := CampaignSpec{
 			SoC:        *soc,
@@ -55,11 +50,6 @@ func CampaignFlags(fs *flag.FlagSet) func() (CampaignSpec, error) {
 			MinPer:     *minPer,
 			Seed:       *seed,
 			ColdStart:  *cold,
-		}
-		if *placement != inject.PlacementQuantile {
-			// Quantile is the default; the spec records only deviations so
-			// pre-placement fingerprints and journals stay valid.
-			cs.CkptPlacement = *placement
 		}
 		if cs.KN == 0 {
 			cs.KN = PaperKN(cs.SoC)

@@ -61,12 +61,7 @@ func WorkloadProgram(name string) (riscv.Program, error) {
 // (InjectEvals, WarmStarts, PrunedRuns) reflect whatever pitch each
 // executing process actually used; they match the single-process run
 // exactly when every process runs the default pitch, which is what the
-// determinism gates pin. The checkpoint-placement policy IS carried:
-// placement moves the first checkpoint, which decides whether early
-// strikes warm-start or replay cold, so carrying it keeps the merged
-// counters (and the fingerprint) stable across a fleet. The default
-// (quantile) is normalized to the empty string so every pre-placement
-// fingerprint — and journal — stays valid.
+// determinism gates pin.
 type CampaignSpec struct {
 	SoC        int     `json:"soc"`
 	Workload   string  `json:"workload"`
@@ -84,34 +79,26 @@ type CampaignSpec struct {
 	ClusterSeed uint64 `json:"cluster_seed,omitempty"`
 	ColdStart   bool   `json:"cold_start,omitempty"`
 	CompareVCD  bool   `json:"compare_vcd,omitempty"`
-	// CkptPlacement is inject.Options.CheckpointPlacement, with the
-	// default (quantile) normalized to "" for fingerprint stability.
-	CkptPlacement string `json:"ckpt_placement,omitempty"`
 }
 
 // SpecFromOptions lifts campaign options into a spec for the given
 // benchmark and workload kernel.
 func SpecFromOptions(soc int, workload string, o inject.Options) CampaignSpec {
-	placement := o.CheckpointPlacement
-	if placement == inject.PlacementQuantile {
-		placement = "" // the default: normalized away, see CampaignSpec
-	}
 	return CampaignSpec{
-		SoC:           soc,
-		Workload:      workload,
-		Engine:        string(o.Engine),
-		LET:           o.LET,
-		Flux:          o.Flux,
-		ExposureS:     o.ExposureS,
-		KN:            o.KN,
-		LN:            o.LN,
-		SampleFrac:    o.SampleFrac,
-		MinPer:        o.MinPerCluster,
-		Seed:          o.Seed,
-		ClusterSeed:   o.ClusterSeed,
-		ColdStart:     o.ColdStart,
-		CompareVCD:    o.CompareVCD,
-		CkptPlacement: placement,
+		SoC:         soc,
+		Workload:    workload,
+		Engine:      string(o.Engine),
+		LET:         o.LET,
+		Flux:        o.Flux,
+		ExposureS:   o.ExposureS,
+		KN:          o.KN,
+		LN:          o.LN,
+		SampleFrac:  o.SampleFrac,
+		MinPer:      o.MinPerCluster,
+		Seed:        o.Seed,
+		ClusterSeed: o.ClusterSeed,
+		ColdStart:   o.ColdStart,
+		CompareVCD:  o.CompareVCD,
 	}
 }
 
@@ -120,19 +107,18 @@ func SpecFromOptions(soc int, workload string, o inject.Options) CampaignSpec {
 // defaults; inject.PrepareSoC fills the benchmark's weight model.
 func (cs CampaignSpec) Options() inject.Options {
 	return inject.Options{
-		Engine:              sim.EngineKind(cs.Engine),
-		LET:                 cs.LET,
-		Flux:                cs.Flux,
-		ExposureS:           cs.ExposureS,
-		KN:                  cs.KN,
-		LN:                  cs.LN,
-		SampleFrac:          cs.SampleFrac,
-		MinPerCluster:       cs.MinPer,
-		Seed:                cs.Seed,
-		ClusterSeed:         cs.ClusterSeed,
-		ColdStart:           cs.ColdStart,
-		CompareVCD:          cs.CompareVCD,
-		CheckpointPlacement: cs.CkptPlacement,
+		Engine:        sim.EngineKind(cs.Engine),
+		LET:           cs.LET,
+		Flux:          cs.Flux,
+		ExposureS:     cs.ExposureS,
+		KN:            cs.KN,
+		LN:            cs.LN,
+		SampleFrac:    cs.SampleFrac,
+		MinPerCluster: cs.MinPer,
+		Seed:          cs.Seed,
+		ClusterSeed:   cs.ClusterSeed,
+		ColdStart:     cs.ColdStart,
+		CompareVCD:    cs.CompareVCD,
 	}
 }
 
@@ -158,12 +144,6 @@ func (cs CampaignSpec) Validate() error {
 	}
 	if cs.Flux < 0 || cs.ExposureS < 0 {
 		return fmt.Errorf("shard: negative flux or exposure")
-	}
-	switch cs.CkptPlacement {
-	case "", inject.PlacementFixed, inject.PlacementQuantile:
-	default:
-		return fmt.Errorf("shard: unknown checkpoint placement %q (want %s or %s)",
-			cs.CkptPlacement, inject.PlacementFixed, inject.PlacementQuantile)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/logic"
@@ -11,14 +12,20 @@ import (
 
 // Checkpoint is an immutable snapshot of an engine's complete execution
 // state at one simulation instant: net values, force state, sequential
-// state, the eval counter, and every scheduled *data* event still in the
-// queue (input, force, release, flip, and pending inertial transitions).
+// state, the eval counter, and every scheduled *data* action still queued
+// (input, force, release, flip, and pending inertial transitions).
 //
 // Function callbacks (At / OnNetChange) are deliberately NOT captured: they
 // belong to the run's observer, not to the design state. A caller that
 // restores a checkpoint re-registers whatever callbacks the resumed run
 // needs — this is what lets the injection campaign restore a golden
 // checkpoint and attach a fresh fault action plus tail-only monitors.
+//
+// Both engines snapshot into this one body: value planes (per net, per
+// cell; see planeLayout for what each engine keeps where), the force
+// plane, and one time-ordered list of queued actions. Only rebuilding an
+// engine's own queue structure from that list — EventSim's heap, LevelSim's
+// agenda map — is per engine.
 //
 // A Checkpoint is engine-kind specific and safe for concurrent use by any
 // number of restoring engines: Restore copies, it never aliases.
@@ -34,8 +41,55 @@ type Checkpoint struct {
 	nets   int
 	cells  int
 
-	ev *eventCheckpoint
-	lv *levelCheckpoint
+	netPlanes  [][]logic.V
+	forced     []bool
+	cellPlanes [][]logic.V
+
+	// The queued data actions, in the order the engine would consume them,
+	// are queue ++ tail. Snapshot fills queue only; ShareTails may split
+	// off the suffix common with the preceding checkpoint of the same run
+	// into tail, aliased into that checkpoint's storage (copy-on-write:
+	// nothing mutates checkpoint slices after creation).
+	queue, tail []queued
+
+	// EventSim only: the sequence counter to resume from, and each net's
+	// in-flight inertial transition as an index into queue ++ tail (-1 for
+	// none).
+	seqBase    uint64
+	pendingIdx []int32
+}
+
+// queued is the value form of one queued data action. LevelSim orders by
+// t alone (actions of one step apply in list order) and leaves seq and
+// phase zero. For EventSim the list is sorted by (t, phase, seq), with
+// phase normalized at snapshot time: 0 for events scheduled before the
+// producing run began (the pre-scheduled stimulus), 1 for events the run
+// created dynamically (pending inertial transitions). On restore, events a
+// caller schedules before resuming Run take phase 0 with fresh sequence
+// numbers, which slots them after the restored stimulus but before the
+// restored in-flight transitions at equal times — exactly the order a cold
+// run would have used.
+type queued struct {
+	t      uint64
+	seq    uint64
+	phase  uint32
+	kind   actKind
+	net    int
+	cellID int
+	val    logic.V
+}
+
+// at indexes the combined queue ++ tail list.
+func (ck *Checkpoint) at(i int) queued {
+	if i < len(ck.queue) {
+		return ck.queue[i]
+	}
+	return ck.tail[i-len(ck.queue)]
+}
+
+// searchTime returns the index of the first queued action at or after t.
+func (ck *Checkpoint) searchTime(t uint64) int {
+	return sort.Search(ck.QueuedEvents(), func(i int) bool { return ck.at(i).t >= t })
 }
 
 // check validates that a checkpoint of the expected kind can be restored
@@ -54,173 +108,228 @@ func (ck *Checkpoint) check(kind EngineKind, f *netlist.Flat) error {
 	return nil
 }
 
-// ckptEvent is the value form of one queued data event. phase is normalized
-// at snapshot time: 0 for events scheduled before the producing run began
-// (the pre-scheduled stimulus), 1 for events the run created dynamically
-// (pending inertial transitions). On restore, events a caller schedules
-// before resuming Run take phase 0 with fresh sequence numbers, which slots
-// them after the restored stimulus but before the restored in-flight
-// transitions at equal times — exactly the order a cold run would have used.
-type ckptEvent struct {
-	t      uint64
-	seq    uint64
-	phase  uint32
-	kind   evKind
-	net    int
-	cellID int
-	val    logic.V
-}
-
-type eventCheckpoint struct {
-	seqBase uint64
-	cur     []logic.V
-	driven  []logic.V
-	forced  []bool
-	state   []logic.V
-	// The queued data events, sorted by (t, phase, seq), are stored as
-	// events ++ tail. Snapshot fills events only; ShareTails may split off
-	// the suffix common with the preceding checkpoint of the same run into
-	// tail, aliased into that checkpoint's storage (copy-on-write: nothing
-	// mutates checkpoint slices after creation). pendingIdx maps each net
-	// to its in-flight inertial transition's index in the combined list,
-	// or -1.
-	events     []ckptEvent
-	tail       []ckptEvent
-	pendingIdx []int32
-}
-
-// numEvents reports the length of the combined queued-event list.
-func (e *eventCheckpoint) numEvents() int { return len(e.events) + len(e.tail) }
-
-// eventAt indexes the combined events ++ tail list.
-func (e *eventCheckpoint) eventAt(i int) ckptEvent {
-	if i < len(e.events) {
-		return e.events[i]
+// CheckDesign validates that ck can restore an engine of its own kind
+// simulating design f — the eager form of the validation Restore performs,
+// for callers that adopt decoded checkpoints and want to refuse a
+// mismatched artifact before touching any engine. It additionally checks
+// what only the design can tell and only a foreign blob can get wrong:
+// every queued flip targets a sequential cell.
+func (ck *Checkpoint) CheckDesign(f *netlist.Flat) error {
+	if ck == nil {
+		return fmt.Errorf("sim: nil checkpoint")
 	}
-	return e.tail[i-len(e.events)]
-}
-
-type levelCheckpoint struct {
-	cur       []logic.V
-	inputVal  []logic.V
-	forced    []bool
-	forcedVal []logic.V
-	state     []logic.V
-	prevClk   []logic.V
-	// times lists agenda times that still hold at least one data action,
-	// ascending; actions is parallel, each slice in original append order
-	// with function actions dropped. As with eventCheckpoint, the logical
-	// sequences are times ++ tailTimes and actions ++ tailActions, with
-	// the tails aliased into the preceding checkpoint by ShareTails.
-	times       []uint64
-	actions     [][]lsAction
-	tailTimes   []uint64
-	tailActions [][]lsAction
-}
-
-// numTimes reports the length of the combined agenda-time list.
-func (l *levelCheckpoint) numTimes() int { return len(l.times) + len(l.tailTimes) }
-
-// timeAt indexes the combined times ++ tailTimes list.
-func (l *levelCheckpoint) timeAt(i int) uint64 {
-	if i < len(l.times) {
-		return l.times[i]
+	if err := ck.check(ck.Kind, f); err != nil {
+		return err
 	}
-	return l.tailTimes[i-len(l.times)]
-}
-
-// actionsAt indexes the combined actions ++ tailActions list.
-func (l *levelCheckpoint) actionsAt(i int) []lsAction {
-	if i < len(l.actions) {
-		return l.actions[i]
+	for i := 0; i < ck.QueuedEvents(); i++ {
+		if q := ck.at(i); q.kind == actFlip {
+			if err := validateSeqCell(f, q.cellID); err != nil {
+				return fmt.Errorf("sim: checkpoint queue entry %d: %w", i, err)
+			}
+		}
 	}
-	return l.tailActions[i-len(l.actions)]
+	return nil
 }
 
-func cloneV(v []logic.V) []logic.V { return append([]logic.V(nil), v...) }
-func cloneB(v []bool) []bool       { return append([]bool(nil), v...) }
+// OwnedEvents reports how many queued data actions the checkpoint stores
+// in memory it owns, i.e. excluding any suffix aliased into an earlier
+// checkpoint by ShareTails. It exists so callers and tests can observe
+// checkpoint memory without reaching into engine internals.
+func (ck *Checkpoint) OwnedEvents() int {
+	if ck == nil {
+		return 0
+	}
+	return len(ck.queue)
+}
 
-func equalV(a, b []logic.V) bool {
-	if len(a) != len(b) {
+// QueuedEvents reports the total logical queue length of the checkpoint,
+// shared suffix included.
+func (ck *Checkpoint) QueuedEvents() int {
+	if ck == nil {
+		return 0
+	}
+	return len(ck.queue) + len(ck.tail)
+}
+
+func clonePlanes(planes [][]logic.V) [][]logic.V {
+	out := make([][]logic.V, len(planes))
+	for i, p := range planes {
+		out[i] = slices.Clone(p)
+	}
+	return out
+}
+
+// snapshot captures everything but the queue: header, planes, force plane.
+func (c *core) snapshot() *Checkpoint {
+	return &Checkpoint{
+		Kind:       c.kind,
+		TimePS:     c.now,
+		Evals:      c.cellEvals,
+		design:     c.flat.Name,
+		nets:       len(c.flat.Nets),
+		cells:      len(c.flat.Cells),
+		netPlanes:  clonePlanes(c.netPlanes),
+		forced:     slices.Clone(c.forced),
+		cellPlanes: clonePlanes(c.cellPlanes),
+	}
+}
+
+// restore is the wholesale half of Engine.Restore every engine shares:
+// validate, copy every plane, reset clock and eval counter, drop all
+// callbacks, and make ck the baseline RestoreDelta rewrites against.
+func (c *core) restore(ck *Checkpoint) error {
+	if err := ck.check(c.kind, c.flat); err != nil {
+		return err
+	}
+	for i, p := range c.netPlanes {
+		copy(p, ck.netPlanes[i])
+	}
+	copy(c.forced, ck.forced)
+	for i, p := range c.cellPlanes {
+		copy(p, ck.cellPlanes[i])
+	}
+	for _, nid := range c.dirtyNets {
+		c.netDirty[nid] = false
+	}
+	for _, cid := range c.dirtyCells {
+		c.cellDirty[cid] = false
+	}
+	c.resume(ck)
+	return nil
+}
+
+// restoreDirty is the plane half of Engine.RestoreDelta: with ck the
+// checkpoint last restored, rewriting the entries recorded dirty since is
+// provably equal to restore's wholesale copy, because every mutation path
+// records its target in the dirty sets.
+func (c *core) restoreDirty(ck *Checkpoint) {
+	for i, p := range c.netPlanes {
+		from := ck.netPlanes[i]
+		for _, nid := range c.dirtyNets {
+			p[nid] = from[nid]
+		}
+	}
+	for _, nid := range c.dirtyNets {
+		c.forced[nid] = ck.forced[nid]
+		c.netDirty[nid] = false
+	}
+	for i, p := range c.cellPlanes {
+		from := ck.cellPlanes[i]
+		for _, cid := range c.dirtyCells {
+			p[cid] = from[cid]
+		}
+	}
+	for _, cid := range c.dirtyCells {
+		c.cellDirty[cid] = false
+	}
+	c.resume(ck)
+}
+
+// resume ends either restore flavour: empty dirty sets, ck's clock and
+// eval counter, no callbacks.
+func (c *core) resume(ck *Checkpoint) {
+	c.dirtyNets = c.dirtyNets[:0]
+	c.dirtyCells = c.dirtyCells[:0]
+	c.lastRestored = ck
+	c.now = ck.TimePS
+	c.cellEvals = ck.Evals
+	clear(c.cbs)
+}
+
+// matches is the plane half of Engine.MatchesCheckpoint: same kind, same
+// instant, same planes. Callbacks and the eval counter are observer state
+// and are ignored.
+func (c *core) matches(ck *Checkpoint) bool {
+	if ck == nil || ck.Kind != c.kind || c.now != ck.TimePS {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, p := range c.netPlanes {
+		if i == c.heldPlane {
+			// A held plane (LevelSim's forcedVal) is live state only while
+			// the net is forced: propagate reads it only under forced[nid],
+			// and any future force overwrites it before the next read.
+			// Comparing it on released nets would keep a run that has fully
+			// re-converged onto the golden trajectory unprunable forever
+			// after a SET pulse — the value the pulse parked there is
+			// unobservable.
+			for nid, f := range c.forced {
+				if f && p[nid] != ck.netPlanes[i][nid] {
+					return false
+				}
+			}
+		} else if !slices.Equal(p, ck.netPlanes[i]) {
+			return false
+		}
+	}
+	if !slices.Equal(c.forced, ck.forced) {
+		return false
+	}
+	for i, p := range c.cellPlanes {
+		if !slices.Equal(p, ck.cellPlanes[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-func equalB(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
+// snapPhase is the phase a snapshot taken now records for e (see queued).
+func (s *EventSim) snapPhase(e *event) uint32 {
+	if s.running && e.phase >= s.phase {
+		return 1
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return 0
+}
+
+// liveEvents returns the queued data events — cancelled entries and
+// callbacks dropped — in queue order: sorted by (t, phase, seq), the phase
+// being the one a snapshot would record when asSnapshot is set.
+func (s *EventSim) liveEvents(asSnapshot bool) []*event {
+	live := make([]*event, 0, len(s.evts))
+	for _, e := range s.evts {
+		if !e.cancelled && e.kind != actFunc {
+			live = append(live, e)
 		}
 	}
-	return true
+	sort.Slice(live, func(i, j int) bool {
+		a, b := live[i], live[j]
+		if a.t != b.t {
+			return a.t < b.t
+		}
+		pa, pb := a.phase, b.phase
+		if asSnapshot {
+			pa, pb = s.snapPhase(a), s.snapPhase(b)
+		}
+		if pa != pb {
+			return pa < pb
+		}
+		return a.seq < b.seq
+	})
+	return live
 }
 
 // Snapshot implements Engine.
 func (s *EventSim) Snapshot() *Checkpoint {
-	ev := &eventCheckpoint{
-		seqBase: s.seq,
-		cur:     cloneV(s.cur),
-		driven:  cloneV(s.driven),
-		forced:  cloneB(s.forced),
-		state:   cloneV(s.state),
+	ck := s.snapshot()
+	ck.seqBase = s.seq
+	live := s.liveEvents(true)
+	ck.queue = make([]queued, len(live))
+	ck.pendingIdx = make([]int32, len(s.pending))
+	for i := range ck.pendingIdx {
+		ck.pendingIdx[i] = -1
 	}
-	type pair struct {
-		ce  ckptEvent
-		src *event
-	}
-	var pairs []pair
-	for _, e := range s.evts {
-		if e.cancelled || e.kind == evFunc {
-			continue
-		}
-		ph := uint32(0)
-		if s.running && e.phase >= s.phase {
-			ph = 1
-		}
-		pairs = append(pairs, pair{
-			ce:  ckptEvent{t: e.t, seq: e.seq, phase: ph, kind: e.kind, net: e.net, cellID: e.cellID, val: e.val},
-			src: e,
-		})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i].ce, pairs[j].ce
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.phase != b.phase {
-			return a.phase < b.phase
-		}
-		return a.seq < b.seq
-	})
-	ev.events = make([]ckptEvent, len(pairs))
-	ev.pendingIdx = make([]int32, len(s.pending))
-	for i := range ev.pendingIdx {
-		ev.pendingIdx[i] = -1
-	}
-	for i, p := range pairs {
-		ev.events[i] = p.ce
-		if p.src.kind == evNet && s.pending[p.src.net] == p.src {
-			ev.pendingIdx[p.src.net] = int32(i)
+	for i, e := range live {
+		ck.queue[i] = queued{t: e.t, seq: e.seq, phase: s.snapPhase(e), kind: e.kind, net: e.net, cellID: e.cellID, val: e.val}
+		if e.kind == actNet && s.pending[e.net] == e {
+			ck.pendingIdx[e.net] = int32(i)
 		}
 	}
-	return &Checkpoint{
-		Kind:   KindEvent,
-		TimePS: s.now,
-		Evals:  s.cellEvals,
-		design: s.flat.Name,
-		nets:   len(s.flat.Nets),
-		cells:  len(s.flat.Cells),
-		ev:     ev,
-	}
+	return ck
+}
+
+// restoredEvent materializes entry i of ck's queue as a live event.
+func (ck *Checkpoint) restoredEvent(i int) *event {
+	q := ck.at(i)
+	return &event{t: q.t, seq: q.seq, phase: q.phase, kind: q.kind, net: q.net, cellID: q.cellID, val: q.val, ckIdx: int32(i)}
 }
 
 // Restore implements Engine. It resets the engine wholesale to the
@@ -229,60 +338,25 @@ func (s *EventSim) Snapshot() *Checkpoint {
 // caller re-registers the observers the resumed run needs before calling
 // Run again.
 func (s *EventSim) Restore(ck *Checkpoint) error {
-	if err := ck.check(KindEvent, s.flat); err != nil {
+	if err := s.restore(ck); err != nil {
 		return err
 	}
-	e := ck.ev
-	copy(s.cur, e.cur)
-	copy(s.driven, e.driven)
-	copy(s.forced, e.forced)
-	copy(s.state, e.state)
-	s.now = ck.TimePS
-	s.seq = e.seqBase
-	s.phase = 0
-	s.running = false
-	s.cellEvals = ck.Evals
-	s.cbs = map[int][]NetCallback{}
-	for i := range s.pending {
-		s.pending[i] = nil
-	}
-	s.evts = make(eventHeap, e.numEvents())
-	if cap(s.restoredEvts) < e.numEvents() {
-		s.restoredEvts = make([]*event, e.numEvents())
-	}
-	s.restoredEvts = s.restoredEvts[:e.numEvents()]
+	s.seq, s.phase, s.running = ck.seqBase, 0, false
+	n := ck.QueuedEvents()
+	s.evts = make(eventHeap, n)
+	s.restoredEvts = slices.Grow(s.restoredEvts[:0], n)[:n]
 	for i := range s.evts {
-		ce := e.eventAt(i)
-		ev := &event{t: ce.t, seq: ce.seq, phase: ce.phase, kind: ce.kind, net: ce.net, cellID: ce.cellID, val: ce.val, ckIdx: int32(i)}
-		s.evts[i] = ev
-		s.restoredEvts[i] = ev
+		s.evts[i] = ck.restoredEvent(i)
 	}
-	for nid, idx := range e.pendingIdx {
+	copy(s.restoredEvts, s.evts)
+	for nid, idx := range ck.pendingIdx {
+		s.pending[nid] = nil
 		if idx >= 0 {
 			s.pending[nid] = s.evts[idx]
 		}
 	}
 	heap.Init(&s.evts)
-	s.armDeltaTracking(ck)
 	return nil
-}
-
-// armDeltaTracking resets the dirty sets after a full restore, making ck
-// the baseline RestoreDelta rewrites against.
-func (s *EventSim) armDeltaTracking(ck *Checkpoint) {
-	if s.netDirty == nil {
-		s.netDirty = make([]bool, len(s.flat.Nets))
-		s.cellDirty = make([]bool, len(s.flat.Cells))
-	}
-	for _, nid := range s.dirtyNets {
-		s.netDirty[nid] = false
-	}
-	for _, cid := range s.dirtyCells {
-		s.cellDirty[cid] = false
-	}
-	s.dirtyNets = s.dirtyNets[:0]
-	s.dirtyCells = s.dirtyCells[:0]
-	s.lastRestored = ck
 }
 
 // RestoreDelta implements Engine. When ck is the checkpoint this engine
@@ -296,18 +370,12 @@ func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 	if s.lastRestored != ck {
 		return s.Restore(ck)
 	}
-	e := ck.ev
 	// Queue: retain live checkpoint events in place, drop post-restore
 	// additions and cancelled entries, and re-materialize the consumed or
 	// cancelled originals from the checkpoint.
-	n := e.numEvents()
-	if cap(s.present) < n {
-		s.present = make([]bool, n)
-	}
-	s.present = s.present[:n]
-	for i := range s.present {
-		s.present[i] = false
-	}
+	n := ck.QueuedEvents()
+	s.present = slices.Grow(s.present[:0], n)[:n]
+	clear(s.present)
 	live := s.evts[:0]
 	for _, ev := range s.evts {
 		if ev.ckIdx >= 0 && !ev.cancelled {
@@ -315,44 +383,25 @@ func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 			live = append(live, ev)
 		}
 	}
-	for i := len(live); i < len(s.evts); i++ {
-		s.evts[i] = nil
-	}
+	clear(s.evts[len(live):])
 	s.evts = live
 	for i := 0; i < n; i++ {
 		if !s.present[i] {
-			ce := e.eventAt(i)
-			ev := &event{t: ce.t, seq: ce.seq, phase: ce.phase, kind: ce.kind, net: ce.net, cellID: ce.cellID, val: ce.val, ckIdx: int32(i)}
-			s.restoredEvts[i] = ev
-			s.evts = append(s.evts, ev)
+			s.restoredEvts[i] = ck.restoredEvent(i)
+			s.evts = append(s.evts, s.restoredEvts[i])
 		}
 	}
 	heap.Init(&s.evts)
-	// State: rewrite only the dirty entries, relinking pending transitions
-	// through the refreshed event pointers.
+	// Pending transitions of dirty nets relink through the refreshed event
+	// pointers; the planes follow.
 	for _, nid := range s.dirtyNets {
-		s.cur[nid] = e.cur[nid]
-		s.driven[nid] = e.driven[nid]
-		s.forced[nid] = e.forced[nid]
-		if idx := e.pendingIdx[nid]; idx >= 0 {
+		s.pending[nid] = nil
+		if idx := ck.pendingIdx[nid]; idx >= 0 {
 			s.pending[nid] = s.restoredEvts[idx]
-		} else {
-			s.pending[nid] = nil
 		}
-		s.netDirty[nid] = false
 	}
-	s.dirtyNets = s.dirtyNets[:0]
-	for _, cid := range s.dirtyCells {
-		s.state[cid] = e.state[cid]
-		s.cellDirty[cid] = false
-	}
-	s.dirtyCells = s.dirtyCells[:0]
-	s.now = ck.TimePS
-	s.seq = e.seqBase
-	s.phase = 0
-	s.running = false
-	s.cellEvals = ck.Evals
-	clear(s.cbs)
+	s.restoreDirty(ck)
+	s.seq, s.phase, s.running = ck.seqBase, 0, false
 	return nil
 }
 
@@ -362,180 +411,92 @@ func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 // events in the same tie-break order. When true, the engine's future
 // evolution is bit-identical to that of any engine resumed from the
 // checkpoint, which is what lets the campaign prune a faulty run that has
-// re-converged to the golden trajectory. Callbacks and the eval counter are
-// observer state and are ignored.
+// re-converged to the golden trajectory.
 func (s *EventSim) MatchesCheckpoint(ck *Checkpoint) bool {
-	if ck == nil || ck.Kind != KindEvent || ck.ev == nil || s.now != ck.TimePS {
+	if !s.matches(ck) {
 		return false
 	}
-	e := ck.ev
-	if !equalV(s.cur, e.cur) || !equalV(s.driven, e.driven) ||
-		!equalB(s.forced, e.forced) || !equalV(s.state, e.state) {
+	live := s.liveEvents(false)
+	if len(live) != ck.QueuedEvents() {
 		return false
 	}
-	live := make([]*event, 0, e.numEvents())
-	for _, le := range s.evts {
-		if le.cancelled || le.kind == evFunc {
-			continue
-		}
-		live = append(live, le)
-	}
-	if len(live) != e.numEvents() {
-		return false
-	}
-	sort.Slice(live, func(i, j int) bool {
-		a, b := live[i], live[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.phase != b.phase {
-			return a.phase < b.phase
-		}
-		return a.seq < b.seq
-	})
-	for i, le := range live {
-		ce := e.eventAt(i)
-		if le.t != ce.t || le.kind != ce.kind || le.net != ce.net || le.cellID != ce.cellID || le.val != ce.val {
+	for i, e := range live {
+		q := ck.at(i)
+		if e.t != q.t || e.kind != q.kind || e.net != q.net || e.cellID != q.cellID || e.val != q.val {
 			return false
 		}
 	}
 	return true
 }
 
-// Snapshot implements Engine.
+// Snapshot implements Engine. The agenda flattens into the queue in
+// ascending time, each step's actions in their original append order; a
+// step holding only callbacks belongs to the producing run's observers and
+// leaves no trace.
 func (s *LevelSim) Snapshot() *Checkpoint {
-	lv := &levelCheckpoint{
-		cur:       cloneV(s.cur),
-		inputVal:  cloneV(s.inputVal),
-		forced:    cloneB(s.forced),
-		forcedVal: cloneV(s.forcedVal),
-		state:     cloneV(s.state),
-		prevClk:   cloneV(s.prevClk),
-	}
-	times := make([]uint64, 0, len(s.agenda))
-	for t := range s.agenda {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	ck := s.snapshot()
+	times := slices.Clone(s.times)
+	slices.Sort(times)
 	for _, t := range times {
-		var acts []lsAction
 		for _, a := range s.agenda[t] {
-			if a.kind == lsFunc {
-				continue
+			if a.kind != actFunc {
+				ck.queue = append(ck.queue, queued{t: t, kind: a.kind, net: a.net, cellID: a.cellID, val: a.val})
 			}
-			acts = append(acts, lsAction{kind: a.kind, net: a.net, cellID: a.cellID, val: a.val})
 		}
-		if len(acts) == 0 {
-			// A step holding only callbacks belongs to the producing run's
-			// observers; the restored run schedules its own.
-			continue
-		}
-		lv.times = append(lv.times, t)
-		lv.actions = append(lv.actions, acts)
 	}
-	return &Checkpoint{
-		Kind:   KindLevel,
-		TimePS: s.now,
-		Evals:  s.cellEvals,
-		design: s.flat.Name,
-		nets:   len(s.flat.Nets),
-		cells:  len(s.flat.Cells),
-		lv:     lv,
+	return ck
+}
+
+// step materializes the agenda step that starts at queue entry i — the run
+// of entries sharing its time — and returns it with the index past it.
+func (ck *Checkpoint) step(i int) ([]lsAction, int) {
+	t, end := ck.at(i).t, i+1
+	for end < ck.QueuedEvents() && ck.at(end).t == t {
+		end++
 	}
+	acts := make([]lsAction, 0, end-i)
+	for ; i < end; i++ {
+		q := ck.at(i)
+		acts = append(acts, lsAction{kind: q.kind, net: q.net, cellID: q.cellID, val: q.val})
+	}
+	return acts, end
 }
 
 // Restore implements Engine. See EventSim.Restore for the contract.
 func (s *LevelSim) Restore(ck *Checkpoint) error {
-	if err := ck.check(KindLevel, s.flat); err != nil {
+	if err := s.restore(ck); err != nil {
 		return err
 	}
-	lv := ck.lv
-	copy(s.cur, lv.cur)
-	copy(s.scratch, lv.cur)
-	copy(s.inputVal, lv.inputVal)
-	copy(s.forced, lv.forced)
-	copy(s.forcedVal, lv.forcedVal)
-	copy(s.state, lv.state)
-	copy(s.prevClk, lv.prevClk)
-	s.now = ck.TimePS
-	s.cellEvals = ck.Evals
-	s.cbs = map[int][]NetCallback{}
-	s.cbNets = nil
-	s.agenda = make(map[uint64][]lsAction, lv.numTimes())
+	s.cbNets = s.cbNets[:0]
+	clear(s.touchedTimes)
+	s.consumedTimes = s.consumedTimes[:0]
+	clear(s.agenda)
 	s.times = s.times[:0]
-	for i := 0; i < lv.numTimes(); i++ {
-		t := lv.timeAt(i)
-		s.agenda[t] = append([]lsAction(nil), lv.actionsAt(i)...)
+	for i := 0; i < ck.QueuedEvents(); {
+		t := ck.at(i).t
+		s.agenda[t], i = ck.step(i)
 		s.times = append(s.times, t)
 	}
 	heap.Init(&s.times)
-	s.armDeltaTracking(ck)
 	return nil
 }
 
-// armDeltaTracking resets the dirty sets after a full restore, making ck
-// the baseline RestoreDelta rewrites against.
-func (s *LevelSim) armDeltaTracking(ck *Checkpoint) {
-	if s.netDirty == nil {
-		s.netDirty = make([]bool, len(s.flat.Nets))
-		s.cellDirty = make([]bool, len(s.flat.Cells))
-		s.touchedTimes = map[uint64]struct{}{}
-	}
-	for _, nid := range s.dirtyNets {
-		s.netDirty[nid] = false
-	}
-	for _, cid := range s.dirtyCells {
-		s.cellDirty[cid] = false
-	}
-	s.dirtyNets = s.dirtyNets[:0]
-	s.dirtyCells = s.dirtyCells[:0]
-	clear(s.touchedTimes)
-	s.consumedTimes = s.consumedTimes[:0]
-	s.lastRestored = ck
-}
-
-// ckTimeIndex locates agenda time t in the checkpoint's combined time
-// list, or -1 when the checkpoint holds no data actions at t.
-func ckTimeIndex(lv *levelCheckpoint, t uint64) int {
-	idx := sort.Search(lv.numTimes(), func(i int) bool { return lv.timeAt(i) >= t })
-	if idx < lv.numTimes() && lv.timeAt(idx) == t {
-		return idx
-	}
-	return -1
-}
-
 // RestoreDelta implements Engine. See EventSim.RestoreDelta for the
-// contract; for the levelized engine the dirty sets cover the per-net and
-// per-cell arrays, and the agenda is repaired in place — only times the
-// run consumed or a caller appended to are re-cloned from the checkpoint,
-// leaving the untouched bulk of the restored schedule alone.
+// contract; for the levelized engine the agenda is repaired in place — only
+// times the run consumed or a caller appended to are re-cloned from the
+// checkpoint, leaving the untouched bulk of the restored schedule alone.
 func (s *LevelSim) RestoreDelta(ck *Checkpoint) error {
 	if s.lastRestored != ck {
 		return s.Restore(ck)
 	}
-	lv := ck.lv
-	for _, nid := range s.dirtyNets {
-		s.cur[nid] = lv.cur[nid]
-		s.scratch[nid] = lv.cur[nid]
-		s.inputVal[nid] = lv.inputVal[nid]
-		s.forced[nid] = lv.forced[nid]
-		s.forcedVal[nid] = lv.forcedVal[nid]
-		s.netDirty[nid] = false
-	}
-	s.dirtyNets = s.dirtyNets[:0]
-	for _, cid := range s.dirtyCells {
-		s.state[cid] = lv.state[cid]
-		s.prevClk[cid] = lv.prevClk[cid]
-		s.cellDirty[cid] = false
-	}
-	s.dirtyCells = s.dirtyCells[:0]
-	// Agenda repair: a time the caller appended to (or the run consumed)
-	// is reset to the checkpoint's action list, or removed when the
-	// checkpoint holds nothing there; all other entries are still the
-	// untouched clones the last full restore made.
+	s.restoreDirty(ck)
+	s.cbNets = s.cbNets[:0]
+	// A touched or consumed time is reset to the checkpoint's step there, or
+	// removed when the checkpoint holds nothing at it; all other entries are
+	// still the untouched clones the last full restore made.
 	restoreTime := func(t uint64) {
-		if i := ckTimeIndex(lv, t); i >= 0 {
-			s.agenda[t] = append([]lsAction(nil), lv.actionsAt(i)...)
+		if i := ck.searchTime(t); i < ck.QueuedEvents() && ck.at(i).t == t {
+			s.agenda[t], _ = ck.step(i)
 		} else {
 			delete(s.agenda, t)
 		}
@@ -553,60 +514,34 @@ func (s *LevelSim) RestoreDelta(ck *Checkpoint) error {
 		s.times = append(s.times, t)
 	}
 	heap.Init(&s.times)
-	s.now = ck.TimePS
-	s.cellEvals = ck.Evals
-	clear(s.cbs)
-	s.cbNets = s.cbNets[:0]
 	return nil
 }
 
 // MatchesCheckpoint implements Engine. See EventSim.MatchesCheckpoint.
 func (s *LevelSim) MatchesCheckpoint(ck *Checkpoint) bool {
-	if ck == nil || ck.Kind != KindLevel || ck.lv == nil || s.now != ck.TimePS {
+	if !s.matches(ck) {
 		return false
 	}
-	lv := ck.lv
-	if !equalV(s.cur, lv.cur) || !equalV(s.inputVal, lv.inputVal) ||
-		!equalB(s.forced, lv.forced) ||
-		!equalV(s.state, lv.state) || !equalV(s.prevClk, lv.prevClk) {
-		return false
-	}
-	// forcedVal is live state only while the net is forced: propagate reads
-	// it only under forced[nid], and any future lsForce overwrites it before
-	// the next read. Comparing it on released nets would keep a run that has
-	// fully re-converged onto the golden trajectory unprunable forever after
-	// a SET pulse — the value the pulse parked there is unobservable.
-	for nid, f := range s.forced {
-		if f && s.forcedVal[nid] != lv.forcedVal[nid] {
-			return false
-		}
-	}
-	seen := 0
+	// Every agenda step must equal the checkpoint's run of entries at its
+	// time, data action for data action; steps are disjoint runs, so
+	// matching as many entries as the checkpoint holds matches them all.
+	n, seen := ck.QueuedEvents(), 0
 	for t, acts := range s.agenda {
-		var data []lsAction
+		i := ck.searchTime(t)
 		for _, a := range acts {
-			if a.kind != lsFunc {
-				data = append(data, a)
+			if a.kind == actFunc {
+				continue
 			}
-		}
-		if len(data) == 0 {
-			continue
-		}
-		idx := sort.Search(lv.numTimes(), func(i int) bool { return lv.timeAt(i) >= t })
-		if idx >= lv.numTimes() || lv.timeAt(idx) != t {
-			return false
-		}
-		want := lv.actionsAt(idx)
-		if len(data) != len(want) {
-			return false
-		}
-		for i, a := range data {
-			w := want[i]
-			if a.kind != w.kind || a.net != w.net || a.cellID != w.cellID || a.val != w.val {
+			if i >= n {
 				return false
 			}
+			q := ck.at(i)
+			if q.t != t || q.kind != a.kind || q.net != a.net || q.cellID != a.cellID || q.val != a.val {
+				return false
+			}
+			i++
+			seen++
 		}
-		seen++
 	}
-	return seen == lv.numTimes()
+	return seen == n
 }

@@ -9,7 +9,7 @@ import (
 // snapshots it mid-flight, mid-cycle, so the checkpoint carries a live
 // schedule (remaining stimulus, clock edges, possibly in-flight inertial
 // transitions).
-func produceCheckpoint(t *testing.T, mk func() Engine) *Checkpoint {
+func produceCheckpoint(t testing.TB, mk func() Engine) *Checkpoint {
 	t.Helper()
 	const last = 12
 	prod := mk()
@@ -25,7 +25,7 @@ func produceCheckpoint(t *testing.T, mk func() Engine) *Checkpoint {
 	return ck
 }
 
-func encode(t *testing.T, ck *Checkpoint) []byte {
+func encode(t testing.TB, ck *Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeCheckpoint(&buf, ck); err != nil {

@@ -13,9 +13,8 @@ import (
 // inertial delay (glitches shorter than the delay are swallowed, which is
 // exactly the filtering SET pulses are subject to in real logic).
 type EventSim struct {
-	flat *netlist.Flat
-	now  uint64
-	seq  uint64 // tie-breaker for deterministic event order
+	core
+	seq uint64 // tie-breaker for deterministic event order
 	// phase is the coarse tie-breaker ahead of seq: it increments at every
 	// Run entry, so events scheduled before a run (stimulus, fault actions,
 	// monitors) order ahead of events the run creates dynamically at the
@@ -27,48 +26,21 @@ type EventSim struct {
 	running bool
 	evts    eventHeap
 
-	cur    []logic.V // present value of each net
 	driven []logic.V // value the driver wants (differs from cur under force)
-	forced []bool
-
-	state []logic.V // per-cell sequential state (X for comb cells)
 
 	pending []*event // per-net pending inertial transition (may be nil)
 
-	cbs       map[int][]NetCallback
-	cellEvals uint64
-
-	// Delta-restore tracking, active once the engine has restored a
-	// checkpoint: every net or cell mutated since the last restore is
-	// recorded exactly once, so RestoreDelta can rewrite only those
-	// entries. restoredEvts is parallel to lastRestored's combined event
-	// list (live pointer per checkpoint index); present is RestoreDelta's
-	// reusable scratch.
-	lastRestored *Checkpoint
-	netDirty     []bool
-	cellDirty    []bool
-	dirtyNets    []int32
-	dirtyCells   []int32
+	// restoredEvts is parallel to lastRestored's queue (the live event per
+	// checkpoint index); present is RestoreDelta's reusable scratch.
 	restoredEvts []*event
 	present      []bool
 }
-
-type evKind uint8
-
-const (
-	evNet   evKind = iota // driver-produced net transition (inertial)
-	evInput               // primary input change
-	evForce
-	evRelease
-	evFlip
-	evFunc
-)
 
 type event struct {
 	t         uint64
 	seq       uint64
 	phase     uint32
-	kind      evKind
+	kind      actKind
 	net       int
 	cellID    int
 	val       logic.V
@@ -106,22 +78,8 @@ func (h *eventHeap) Pop() interface{} {
 
 // NewEventSim returns an event-driven engine with all nets and states at X.
 func NewEventSim(f *netlist.Flat) *EventSim {
-	s := &EventSim{
-		flat:    f,
-		cur:     make([]logic.V, len(f.Nets)),
-		driven:  make([]logic.V, len(f.Nets)),
-		forced:  make([]bool, len(f.Nets)),
-		state:   make([]logic.V, len(f.Cells)),
-		pending: make([]*event, len(f.Nets)),
-		cbs:     map[int][]NetCallback{},
-	}
-	for i := range s.cur {
-		s.cur[i] = logic.X
-		s.driven[i] = logic.X
-	}
-	for i := range s.state {
-		s.state[i] = logic.X
-	}
+	s := &EventSim{core: newCore(KindEvent, f), pending: make([]*event, len(f.Nets))}
+	s.driven = s.netPlanes[1]
 	for _, c := range f.Cells {
 		switch {
 		case !c.Def.IsSequential() && len(c.Def.Inputs) == 0:
@@ -129,7 +87,7 @@ func NewEventSim(f *netlist.Flat) *EventSim {
 			// event; seed their constant outputs at time zero.
 			out := c.Def.Eval(nil)
 			for i, nid := range c.Out {
-				s.schedule(&event{t: 0, kind: evNet, net: nid, val: out[i]})
+				s.schedule(&event{t: 0, kind: actNet, net: nid, val: out[i]})
 			}
 		case initZeroState(c):
 			// Storage without an asynchronous control (memory bits,
@@ -141,7 +99,7 @@ func NewEventSim(f *netlist.Flat) *EventSim {
 			s.state[c.ID] = logic.L0
 			outs := c.Def.StateOutputs(logic.L0)
 			for i, nid := range c.Out {
-				s.schedule(&event{t: 0, kind: evNet, net: nid, val: outs[i]})
+				s.schedule(&event{t: 0, kind: actNet, net: nid, val: outs[i]})
 			}
 		}
 	}
@@ -155,29 +113,6 @@ func initZeroState(c *netlist.FlatCell) bool {
 		c.Def.Seq.AsyncResetN == "" && c.Def.Seq.AsyncSetN == ""
 }
 
-// Name implements Engine.
-func (s *EventSim) Name() string { return string(KindEvent) }
-
-// Flat implements Engine.
-func (s *EventSim) Flat() *netlist.Flat { return s.flat }
-
-// Now implements Engine.
-func (s *EventSim) Now() uint64 { return s.now }
-
-// Value implements Engine.
-func (s *EventSim) Value(net int) logic.V { return s.cur[net] }
-
-// State implements Engine.
-func (s *EventSim) State(cellID int) (logic.V, error) {
-	if err := validateSeqCell(s.flat, cellID); err != nil {
-		return logic.X, err
-	}
-	return s.state[cellID], nil
-}
-
-// CellEvals implements Engine.
-func (s *EventSim) CellEvals() uint64 { return s.cellEvals }
-
 func (s *EventSim) schedule(e *event) {
 	e.seq = s.seq
 	e.phase = s.phase
@@ -186,41 +121,23 @@ func (s *EventSim) schedule(e *event) {
 	heap.Push(&s.evts, e)
 }
 
-// touchNet records that a net's simulation state (value, driver, force or
-// pending transition) mutated since the last restore. A no-op until the
-// engine first restores a checkpoint.
-func (s *EventSim) touchNet(nid int) {
-	if s.lastRestored != nil && !s.netDirty[nid] {
-		s.netDirty[nid] = true
-		s.dirtyNets = append(s.dirtyNets, int32(nid))
-	}
-}
-
-// touchCell records a sequential-state mutation since the last restore.
-func (s *EventSim) touchCell(cid int) {
-	if s.lastRestored != nil && !s.cellDirty[cid] {
-		s.cellDirty[cid] = true
-		s.dirtyCells = append(s.dirtyCells, int32(cid))
-	}
-}
-
 // ScheduleInput implements Engine.
 func (s *EventSim) ScheduleInput(t uint64, net int, v logic.V) error {
 	if err := validateInput(s.flat, net); err != nil {
 		return err
 	}
-	s.schedule(&event{t: t, kind: evInput, net: net, val: v})
+	s.schedule(&event{t: t, kind: actInput, net: net, val: v})
 	return nil
 }
 
 // ScheduleForce implements Engine.
 func (s *EventSim) ScheduleForce(t uint64, net int, v logic.V) {
-	s.schedule(&event{t: t, kind: evForce, net: net, val: v})
+	s.schedule(&event{t: t, kind: actForce, net: net, val: v})
 }
 
 // ScheduleRelease implements Engine.
 func (s *EventSim) ScheduleRelease(t uint64, net int) {
-	s.schedule(&event{t: t, kind: evRelease, net: net})
+	s.schedule(&event{t: t, kind: actRelease, net: net})
 }
 
 // ScheduleFlip implements Engine.
@@ -228,13 +145,13 @@ func (s *EventSim) ScheduleFlip(t uint64, cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.schedule(&event{t: t, kind: evFlip, cellID: cellID})
+	s.schedule(&event{t: t, kind: actFlip, cellID: cellID})
 	return nil
 }
 
 // At implements Engine.
 func (s *EventSim) At(t uint64, fn func()) {
-	s.schedule(&event{t: t, kind: evFunc, fn: fn})
+	s.schedule(&event{t: t, kind: actFunc, fn: fn})
 }
 
 // OnNetChange implements Engine.
@@ -259,15 +176,8 @@ func (s *EventSim) applyFlip(cellID int) {
 	// An upset corrupts the storage node directly: outputs follow with the
 	// cell's propagation delay, as in the paper's SEU model (Fig. 2).
 	for i, nid := range c.Out {
-		s.scheduleNetTransition(nid, outs[i], c.Def.DelayPS)
+		s.scheduleCombOutput(nid, outs[i], c.Def.DelayPS)
 	}
-}
-
-// scheduleNetTransition applies the inertial-delay rule for a driver that
-// now wants value v on net nid after delay d; sequential outputs follow the
-// same rule as combinational ones.
-func (s *EventSim) scheduleNetTransition(nid int, v logic.V, d int64) {
-	s.scheduleCombOutput(nid, v, d)
 }
 
 // Run implements Engine.
@@ -289,32 +199,32 @@ func (s *EventSim) Run(until uint64) error {
 		}
 		s.now = e.t
 		switch e.kind {
-		case evNet:
+		case actNet:
 			s.touchNet(e.net)
 			s.pending[e.net] = nil
 			s.driven[e.net] = e.val
 			if !s.forced[e.net] {
 				s.setNet(e.net, e.val)
 			}
-		case evInput:
+		case actInput:
 			s.touchNet(e.net)
 			s.driven[e.net] = e.val
 			if !s.forced[e.net] {
 				s.setNet(e.net, e.val)
 			}
-		case evForce:
+		case actForce:
 			s.touchNet(e.net)
 			s.forced[e.net] = true
 			s.setNet(e.net, e.val)
-		case evRelease:
+		case actRelease:
 			if s.forced[e.net] {
 				s.touchNet(e.net)
 				s.forced[e.net] = false
 				s.setNet(e.net, s.driven[e.net])
 			}
-		case evFlip:
+		case actFlip:
 			s.applyFlip(e.cellID)
-		case evFunc:
+		case actFunc:
 			e.fn()
 		}
 	}
@@ -388,12 +298,14 @@ func (s *EventSim) evalCell(cid, pin int, old, new logic.V) {
 func (s *EventSim) pushSeqOutputs(c *netlist.FlatCell) {
 	outs := c.Def.StateOutputs(s.state[c.ID])
 	for i, nid := range c.Out {
-		s.scheduleNetTransition(nid, outs[i], c.Def.DelayPS)
+		s.scheduleCombOutput(nid, outs[i], c.Def.DelayPS)
 	}
 }
 
-// scheduleCombOutput implements the inertial rule for combinational outputs:
-// a newly computed value replaces any in-flight transition on the same net.
+// scheduleCombOutput applies the inertial-delay rule for a driver that now
+// wants value v on net nid after delay d: a newly computed value replaces
+// any in-flight transition on the same net. Sequential outputs follow the
+// same rule as combinational ones.
 func (s *EventSim) scheduleCombOutput(nid int, v logic.V, d int64) {
 	if p := s.pending[nid]; p != nil {
 		if p.val == v {
@@ -408,7 +320,7 @@ func (s *EventSim) scheduleCombOutput(nid int, v logic.V, d int64) {
 	} else if v == s.driven[nid] {
 		return
 	}
-	e := &event{t: s.now + uint64(d), kind: evNet, net: nid, val: v}
+	e := &event{t: s.now + uint64(d), kind: actNet, net: nid, val: v}
 	s.pending[nid] = e
 	s.touchNet(nid)
 	s.schedule(e)

@@ -16,54 +16,32 @@ import (
 // cost is that every step touches every gate, which is why this engine is
 // the slower baseline of the runtime comparison (the paper's OSS-CVC role).
 type LevelSim struct {
-	flat *netlist.Flat
-	now  uint64
+	core
 
 	agenda map[uint64][]lsAction
 	times  timeHeap
 
-	cur       []logic.V // committed net values (end of previous step)
 	scratch   []logic.V // working values during settle
 	inputVal  []logic.V // externally driven PI values
-	forced    []bool
 	forcedVal []logic.V
 
-	state   []logic.V
 	prevClk []logic.V // per sequential cell: clock net value at end of last step
 
 	combOrder []int // combinational cell IDs in ascending level order
 	seqCells  []int
 
-	cbs       map[int][]NetCallback
-	cbNets    []int // nets having callbacks, sorted, for deterministic firing
-	cellEvals uint64
+	cbNets []int // nets having callbacks, sorted, for deterministic firing
 
-	// Delta-restore tracking, active once the engine has restored a
-	// checkpoint: dirty nets/cells are the per-net and per-cell state
-	// mutated since the last restore; touchedTimes are agenda times
-	// appended to since (caller monitors, fault actions), consumedTimes
-	// the times Run popped. RestoreDelta rewrites exactly these.
-	lastRestored  *Checkpoint
-	netDirty      []bool
-	cellDirty     []bool
-	dirtyNets     []int32
-	dirtyCells    []int32
+	// Agenda half of delta-restore tracking: touchedTimes are agenda times
+	// appended to since the last restore (caller monitors, fault actions),
+	// consumedTimes the times Run popped. RestoreDelta re-clones exactly
+	// these from the checkpoint.
 	touchedTimes  map[uint64]struct{}
 	consumedTimes []uint64
 }
 
-type lsKind uint8
-
-const (
-	lsInput lsKind = iota
-	lsForce
-	lsRelease
-	lsFlip
-	lsFunc
-)
-
 type lsAction struct {
-	kind   lsKind
+	kind   actKind
 	net    int
 	cellID int
 	val    logic.V
@@ -87,25 +65,13 @@ func (h *timeHeap) Pop() interface{} {
 // NewLevelSim returns a levelized engine with all nets and states at X.
 func NewLevelSim(f *netlist.Flat) *LevelSim {
 	s := &LevelSim{
-		flat:      f,
-		agenda:    map[uint64][]lsAction{},
-		cur:       make([]logic.V, len(f.Nets)),
-		scratch:   make([]logic.V, len(f.Nets)),
-		inputVal:  make([]logic.V, len(f.Nets)),
-		forced:    make([]bool, len(f.Nets)),
-		forcedVal: make([]logic.V, len(f.Nets)),
-		state:     make([]logic.V, len(f.Cells)),
-		prevClk:   make([]logic.V, len(f.Cells)),
-		cbs:       map[int][]NetCallback{},
+		core:         newCore(KindLevel, f),
+		agenda:       map[uint64][]lsAction{},
+		scratch:      make([]logic.V, len(f.Nets)),
+		touchedTimes: map[uint64]struct{}{},
 	}
-	for i := range s.cur {
-		s.cur[i] = logic.X
-		s.inputVal[i] = logic.X
-	}
-	for i := range s.state {
-		s.state[i] = logic.X
-		s.prevClk[i] = logic.X
-	}
+	s.inputVal, s.forcedVal = s.netPlanes[1], s.netPlanes[2]
+	s.prevClk = s.cellPlanes[1]
 	// Same register-initialization policy as EventSim (see initZeroState):
 	// un-resettable storage powers up at 0.
 	for _, c := range f.Cells {
@@ -125,29 +91,6 @@ func NewLevelSim(f *netlist.Flat) *LevelSim {
 	return s
 }
 
-// Name implements Engine.
-func (s *LevelSim) Name() string { return string(KindLevel) }
-
-// Flat implements Engine.
-func (s *LevelSim) Flat() *netlist.Flat { return s.flat }
-
-// Now implements Engine.
-func (s *LevelSim) Now() uint64 { return s.now }
-
-// Value implements Engine.
-func (s *LevelSim) Value(net int) logic.V { return s.cur[net] }
-
-// State implements Engine.
-func (s *LevelSim) State(cellID int) (logic.V, error) {
-	if err := validateSeqCell(s.flat, cellID); err != nil {
-		return logic.X, err
-	}
-	return s.state[cellID], nil
-}
-
-// CellEvals implements Engine.
-func (s *LevelSim) CellEvals() uint64 { return s.cellEvals }
-
 func (s *LevelSim) at(t uint64, a lsAction) {
 	if _, ok := s.agenda[t]; !ok {
 		heap.Push(&s.times, t)
@@ -158,41 +101,23 @@ func (s *LevelSim) at(t uint64, a lsAction) {
 	}
 }
 
-// touchNet records a per-net state mutation since the last restore. A
-// no-op until the engine first restores a checkpoint.
-func (s *LevelSim) touchNet(nid int) {
-	if s.lastRestored != nil && !s.netDirty[nid] {
-		s.netDirty[nid] = true
-		s.dirtyNets = append(s.dirtyNets, int32(nid))
-	}
-}
-
-// touchCell records a per-cell (state or prevClk) mutation since the last
-// restore.
-func (s *LevelSim) touchCell(cid int) {
-	if s.lastRestored != nil && !s.cellDirty[cid] {
-		s.cellDirty[cid] = true
-		s.dirtyCells = append(s.dirtyCells, int32(cid))
-	}
-}
-
 // ScheduleInput implements Engine.
 func (s *LevelSim) ScheduleInput(t uint64, net int, v logic.V) error {
 	if err := validateInput(s.flat, net); err != nil {
 		return err
 	}
-	s.at(t, lsAction{kind: lsInput, net: net, val: v})
+	s.at(t, lsAction{kind: actInput, net: net, val: v})
 	return nil
 }
 
 // ScheduleForce implements Engine.
 func (s *LevelSim) ScheduleForce(t uint64, net int, v logic.V) {
-	s.at(t, lsAction{kind: lsForce, net: net, val: v})
+	s.at(t, lsAction{kind: actForce, net: net, val: v})
 }
 
 // ScheduleRelease implements Engine.
 func (s *LevelSim) ScheduleRelease(t uint64, net int) {
-	s.at(t, lsAction{kind: lsRelease, net: net})
+	s.at(t, lsAction{kind: actRelease, net: net})
 }
 
 // ScheduleFlip implements Engine.
@@ -200,14 +125,14 @@ func (s *LevelSim) ScheduleFlip(t uint64, cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.at(t, lsAction{kind: lsFlip, cellID: cellID})
+	s.at(t, lsAction{kind: actFlip, cellID: cellID})
 	return nil
 }
 
 // At implements Engine. The callback runs after the time step settles, so
 // values read inside fn are the stable values at t.
 func (s *LevelSim) At(t uint64, fn func()) {
-	s.at(t, lsAction{kind: lsFunc, fn: fn})
+	s.at(t, lsAction{kind: actFunc, fn: fn})
 }
 
 // OnNetChange implements Engine.
@@ -246,20 +171,20 @@ func (s *LevelSim) Run(until uint64) error {
 		var fns []func()
 		for _, a := range actions {
 			switch a.kind {
-			case lsInput:
+			case actInput:
 				s.touchNet(a.net)
 				s.inputVal[a.net] = a.val
-			case lsForce:
+			case actForce:
 				s.touchNet(a.net)
 				s.forced[a.net] = true
 				s.forcedVal[a.net] = a.val
-			case lsRelease:
+			case actRelease:
 				s.touchNet(a.net)
 				s.forced[a.net] = false
-			case lsFlip:
+			case actFlip:
 				s.touchCell(a.cellID)
 				s.state[a.cellID] = s.state[a.cellID].Not()
-			case lsFunc:
+			case actFunc:
 				fns = append(fns, a.fn)
 			}
 		}

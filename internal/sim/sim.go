@@ -107,6 +107,133 @@ func New(kind EngineKind, f *netlist.Flat) (Engine, error) {
 	return nil, fmt.Errorf("sim: unknown engine kind %q", kind)
 }
 
+// actKind classifies a scheduled action. Both engines schedule from this
+// one enum, and a checkpoint stores every kind but actFunc.
+type actKind uint8
+
+const (
+	actNet   actKind = iota // driver-produced net transition (inertial; EventSim only)
+	actInput                // primary input change
+	actForce
+	actRelease
+	actFlip
+	actFunc // callback: observer state, never checkpointed
+)
+
+// planeLayout is how many per-net and per-cell value planes each engine
+// kind keeps (and a checkpoint of that kind therefore stores), and which
+// net plane, if any, is held — live only while its net is forced:
+//
+//	EventSim: cur, driven            | state
+//	LevelSim: cur, inputVal, forcedVal | state, prevClk
+var planeLayout = map[EngineKind]struct{ net, cell, held int }{
+	KindEvent: {net: 2, cell: 1, held: -1},
+	KindLevel: {net: 3, cell: 2, held: 2},
+}
+
+// core is what both engines are built on: the design, the clock, the eval
+// counter, the value planes a checkpoint captures, the callbacks, and the
+// dirty sets RestoreDelta rewrites from — together with the part of the
+// Engine contract that reads nothing else.
+type core struct {
+	kind      EngineKind
+	flat      *netlist.Flat
+	now       uint64
+	cellEvals uint64
+
+	// netPlanes and cellPlanes are the engine's per-net and per-cell value
+	// arrays in checkpoint order (see planeLayout); cur and state alias
+	// plane 0 of each, and the engines alias the rest under their own
+	// names. The arrays are allocated once and only ever written in place.
+	netPlanes, cellPlanes [][]logic.V
+	heldPlane             int
+	cur                   []logic.V // present value of each net
+	forced                []bool
+	state                 []logic.V // per-cell sequential state (X for comb cells)
+
+	cbs map[int][]NetCallback
+
+	// Delta-restore tracking, active once the engine has restored a
+	// checkpoint: every net or cell whose planes mutated since the last
+	// restore is recorded exactly once, so RestoreDelta can rewrite only
+	// those entries.
+	lastRestored *Checkpoint
+	netDirty     []bool
+	cellDirty    []bool
+	dirtyNets    []int32
+	dirtyCells   []int32
+}
+
+// newCore allocates the planes of a kind-engine over f, every value at X.
+func newCore(kind EngineKind, f *netlist.Flat) core {
+	layout := planeLayout[kind]
+	c := core{
+		kind:       kind,
+		flat:       f,
+		netPlanes:  newPlanes(layout.net, len(f.Nets)),
+		cellPlanes: newPlanes(layout.cell, len(f.Cells)),
+		heldPlane:  layout.held,
+		forced:     make([]bool, len(f.Nets)),
+		cbs:        map[int][]NetCallback{},
+		netDirty:   make([]bool, len(f.Nets)),
+		cellDirty:  make([]bool, len(f.Cells)),
+	}
+	c.cur, c.state = c.netPlanes[0], c.cellPlanes[0]
+	return c
+}
+
+func newPlanes(n, size int) [][]logic.V {
+	planes := make([][]logic.V, n)
+	for i := range planes {
+		planes[i] = make([]logic.V, size)
+		for j := range planes[i] {
+			planes[i][j] = logic.X
+		}
+	}
+	return planes
+}
+
+// Name implements Engine.
+func (c *core) Name() string { return string(c.kind) }
+
+// Flat implements Engine.
+func (c *core) Flat() *netlist.Flat { return c.flat }
+
+// Now implements Engine.
+func (c *core) Now() uint64 { return c.now }
+
+// Value implements Engine.
+func (c *core) Value(net int) logic.V { return c.cur[net] }
+
+// State implements Engine.
+func (c *core) State(cellID int) (logic.V, error) {
+	if err := validateSeqCell(c.flat, cellID); err != nil {
+		return logic.X, err
+	}
+	return c.state[cellID], nil
+}
+
+// CellEvals implements Engine.
+func (c *core) CellEvals() uint64 { return c.cellEvals }
+
+// touchNet records that a net's simulation state (any net plane, its force
+// flag, or an engine-side pending transition) mutated since the last
+// restore. A no-op until the engine first restores a checkpoint.
+func (c *core) touchNet(nid int) {
+	if c.lastRestored != nil && !c.netDirty[nid] {
+		c.netDirty[nid] = true
+		c.dirtyNets = append(c.dirtyNets, int32(nid))
+	}
+}
+
+// touchCell records a per-cell plane mutation since the last restore.
+func (c *core) touchCell(cid int) {
+	if c.lastRestored != nil && !c.cellDirty[cid] {
+		c.cellDirty[cid] = true
+		c.dirtyCells = append(c.dirtyCells, int32(cid))
+	}
+}
+
 // validateInput checks that net is a primary input of f.
 func validateInput(f *netlist.Flat, net int) error {
 	if net < 0 || net >= len(f.Nets) {

@@ -12,7 +12,7 @@ import (
 
 // counterDesign builds a 2-bit synchronous counter with async reset:
 // q0 toggles every cycle, q1 = q0 XOR q1 at each edge.
-func counterDesign(t *testing.T) *netlist.Flat {
+func counterDesign(t testing.TB) *netlist.Flat {
 	t.Helper()
 	d := netlist.NewDesign("counter")
 	m := netlist.NewModule("counter")
@@ -37,7 +37,7 @@ func counterDesign(t *testing.T) *netlist.Flat {
 	return f
 }
 
-func netID(t *testing.T, f *netlist.Flat, name string) int {
+func netID(t testing.TB, f *netlist.Flat, name string) int {
 	t.Helper()
 	n, err := f.NetByName(name)
 	if err != nil {
@@ -50,7 +50,7 @@ const period = 1000
 
 // setupCounter drives clock and reset on the engine: reset released at
 // 1500ps, rising edges at 1000, 2000, 3000, ...
-func setupCounter(t *testing.T, e Engine, until uint64) {
+func setupCounter(t testing.TB, e Engine, until uint64) {
 	t.Helper()
 	f := e.Flat()
 	if err := DriveClock(e, netID(t, f, "clk"), period, period, until); err != nil {
@@ -83,7 +83,7 @@ func sampleCounter(t *testing.T, e Engine, from, to int) []string {
 	return got
 }
 
-func engines(t *testing.T) map[string]func() Engine {
+func engines(t testing.TB) map[string]func() Engine {
 	f1 := counterDesign(t)
 	f2 := counterDesign(t)
 	return map[string]func() Engine{

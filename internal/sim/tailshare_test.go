@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/logic"
 )
 
 // snapshotSchedule runs the counter workload once, snapshotting at 1ps
@@ -105,6 +107,72 @@ func TestShareTailsReducesOwnedMemory(t *testing.T) {
 			for i, ck := range cks[1:] {
 				if own := ck.OwnedEvents(); own*2 > full {
 					t.Fatalf("checkpoint %d still owns %d of ~%d events — tail not shared", i+1, own, full)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodedScheduleResharesAndRestores walks the path an adopting
+// process takes with a golden artifact: decode every checkpoint of the
+// schedule, re-run ShareTails over the decoded set, restore from it. The
+// sharing must come back, and both restore flavours from a decoded,
+// re-shared checkpoint — whose queue now straddles an owned head and an
+// aliased tail, from which LevelSim rebuilds its agenda map — must be
+// indistinguishable from restoring the producing run's in-memory snapshot.
+func TestDecodedScheduleResharesAndRestores(t *testing.T) {
+	const last = 24
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			plain := snapshotSchedule(t, mk(), last)
+			adopted := make([]*Checkpoint, len(plain))
+			before := 0
+			for i, ck := range plain {
+				adopted[i] = decode(t, encode(t, ck))
+				before += adopted[i].OwnedEvents()
+			}
+			ShareTails(adopted)
+			after := 0
+			for _, ck := range adopted {
+				after += ck.OwnedEvents()
+			}
+			if after*2 > before {
+				t.Fatalf("re-sharing a decoded schedule saved too little: owned %d -> %d", before, after)
+			}
+
+			eng := mk()
+			n1 := netID(t, eng.Flat(), "n1")
+			for i, ck := range adopted {
+				if i > 0 && ck.OwnedEvents() == ck.QueuedEvents() {
+					t.Fatalf("checkpoint %d shares no tail — the straddling restore is not exercised", i)
+				}
+				if err := eng.Restore(ck); err != nil {
+					t.Fatal(err)
+				}
+				if !eng.MatchesCheckpoint(plain[i]) {
+					t.Fatalf("checkpoint %d: restore from the decoded, re-shared form does not match the original", i)
+				}
+				// Pollute a tail that consumes queue entries on both sides of
+				// the head/tail boundary, then repair through the delta path.
+				eng.ScheduleForce(ck.TimePS+100, n1, logic.L1)
+				eng.ScheduleRelease(ck.TimePS+700, n1)
+				if err := eng.Run(last * period); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.RestoreDelta(ck); err != nil {
+					t.Fatal(err)
+				}
+				if !eng.MatchesCheckpoint(plain[i]) {
+					t.Fatalf("checkpoint %d: delta restore from the decoded, re-shared form does not match the original", i)
+				}
+				// A clean resume must land exactly on the next snapshot.
+				if i+1 < len(plain) {
+					if err := eng.Run(plain[i+1].TimePS); err != nil {
+						t.Fatal(err)
+					}
+					if !eng.MatchesCheckpoint(plain[i+1]) {
+						t.Fatalf("clean resume from decoded checkpoint %d does not reach checkpoint %d", i, i+1)
+					}
 				}
 			}
 		})

@@ -1,12 +1,11 @@
 package vcd
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // Versioned binary wire codec for WriterState, the warm-start detector's
@@ -14,14 +13,11 @@ import (
 // written in declaration order) so identical states always produce
 // identical bytes — the property the content-addressed artifact lake
 // keys on. Decoding is strict: truncated or malformed input is rejected
-// with an error.
+// with an error, and nothing is allocated ahead of the bytes that back it.
 
 const (
 	stateMagic   uint32 = 0x56535431 // "VST1"
 	stateVersion byte   = 1
-
-	// maxStateLen bounds decoded counts before allocation.
-	maxStateLen = 1 << 24
 )
 
 // Encode writes st to w in the versioned binary wire format.
@@ -29,171 +25,64 @@ func (st *WriterState) Encode(w io.Writer) error {
 	if st == nil {
 		return fmt.Errorf("vcd: encode nil writer state")
 	}
-	bw := bufio.NewWriter(w)
-	var scratch [binary.MaxVarintLen64]byte
-	u64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := bw.Write(scratch[:8])
-		return err
-	}
-	uv := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	str := func(s string) error {
-		if err := uv(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-
-	binary.LittleEndian.PutUint32(scratch[:4], stateMagic)
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(stateVersion); err != nil {
-		return err
-	}
-	if err := u64(st.Time); err != nil {
-		return err
-	}
-	set := byte(0)
-	if st.TimeSet {
-		set = 1
-	}
-	if err := bw.WriteByte(set); err != nil {
-		return err
-	}
-	if err := uv(uint64(len(st.order))); err != nil {
-		return err
-	}
+	var e wire.Writer
+	e.U32(stateMagic)
+	e.Byte(stateVersion)
+	e.U64(st.Time)
+	e.Bool(st.TimeSet)
+	e.Int(len(st.order))
 	for _, name := range st.order {
-		if err := str(name); err != nil {
-			return err
-		}
-		if err := str(st.ids[name]); err != nil {
-			return err
-		}
-		if err := uv(uint64(st.Widths[name])); err != nil {
-			return err
-		}
+		e.String(name)
+		e.String(st.ids[name])
+		e.Int(st.Widths[name])
 		last := st.Last[name]
-		if err := uv(uint64(len(last))); err != nil {
-			return err
-		}
-		for _, v := range last {
-			if err := bw.WriteByte(byte(v)); err != nil {
-				return err
-			}
-		}
+		e.Int(len(last))
+		e.Values(last)
 	}
-	return bw.Flush()
+	_, err := w.Write(e.Bytes())
+	return err
 }
 
 // DecodeWriterState reads one WriterState in the format Encode produces.
 func DecodeWriterState(r io.Reader) (*WriterState, error) {
-	br := bufio.NewReader(r)
-	fail := func(err error) (*WriterState, error) {
-		return nil, fmt.Errorf("vcd: bad writer-state blob: %w", err)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fail(err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[:]); m != stateMagic {
-		return nil, fmt.Errorf("vcd: writer-state blob has bad magic %#x", m)
-	}
-	ver, err := br.ReadByte()
+	raw, err := io.ReadAll(r)
 	if err != nil {
-		return fail(err)
+		return nil, fmt.Errorf("vcd: read writer-state blob: %w", err)
 	}
-	if ver != stateVersion {
-		return nil, fmt.Errorf("vcd: unsupported writer-state codec version %d", ver)
+	d := wire.NewReader("vcd: writer-state blob", raw)
+	if m := d.U32(); d.Err() == nil && m != stateMagic {
+		d.Fail("bad magic %#x", m)
 	}
-	count := func(what string) (int, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, err
-		}
-		if v > maxStateLen {
-			return 0, fmt.Errorf("%s count %d exceeds limit", what, v)
-		}
-		return int(v), nil
-	}
-	str := func(what string) (string, error) {
-		n, err := count(what)
-		if err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-
-	var t [8]byte
-	if _, err := io.ReadFull(br, t[:]); err != nil {
-		return fail(err)
-	}
-	set, err := br.ReadByte()
-	if err != nil {
-		return fail(err)
-	}
-	if set > 1 {
-		return nil, fmt.Errorf("vcd: writer-state blob has invalid TimeSet byte %d", set)
-	}
-	n, err := count("signal")
-	if err != nil {
-		return fail(err)
+	if v := d.Byte(); d.Err() == nil && v != stateVersion {
+		d.Fail("unsupported codec version %d", v)
 	}
 	st := &WriterState{
-		Time:    binary.LittleEndian.Uint64(t[:]),
-		TimeSet: set == 1,
-		Widths:  make(map[string]int, n),
-		Last:    make(map[string]logic.Vec, n),
-		order:   make([]string, 0, n),
-		ids:     make(map[string]string, n),
+		Time:    d.U64(),
+		TimeSet: d.Bool(),
+		Widths:  map[string]int{},
+		Last:    map[string]logic.Vec{},
+		ids:     map[string]string{},
 	}
-	for i := 0; i < n; i++ {
-		name, err := str("name")
-		if err != nil {
-			return fail(err)
+	for i, n := 0, d.Count(4); i < n; i++ {
+		name := d.String()
+		id := d.String()
+		width := d.Int()
+		last := logic.Vec(d.Values(d.Count(1)))
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if _, dup := st.ids[name]; dup {
 			return nil, fmt.Errorf("vcd: writer-state blob declares %q twice", name)
 		}
-		id, err := str("id")
-		if err != nil {
-			return fail(err)
-		}
-		width, err := count("width")
-		if err != nil {
-			return fail(err)
-		}
-		nl, err := count("last")
-		if err != nil {
-			return fail(err)
-		}
-		last := make(logic.Vec, nl)
-		for j := range last {
-			b, err := br.ReadByte()
-			if err != nil {
-				return fail(err)
-			}
-			if logic.V(b) > logic.Z {
-				return nil, fmt.Errorf("vcd: writer-state blob has invalid logic value %d", b)
-			}
-			last[j] = logic.V(b)
-		}
 		st.order = append(st.order, name)
 		st.ids[name] = id
 		st.Widths[name] = width
-		if nl > 0 {
+		if len(last) > 0 {
 			st.Last[name] = last
 		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -9,7 +9,7 @@ import (
 
 // midStreamState builds a writer, streams a prefix of changes, and
 // returns its mid-stream state snapshot.
-func midStreamState(t *testing.T) *WriterState {
+func midStreamState(t testing.TB) *WriterState {
 	t.Helper()
 	var buf bytes.Buffer
 	vw := NewWriter(&buf)
@@ -103,4 +103,36 @@ func TestWriterStateCodecRejectsTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeWriterState(bytes.NewReader(bad)); err == nil {
 		t.Error("decode accepted a blob with an unknown version")
 	}
+}
+
+// FuzzDecodeWriterState hardens the decoder golden artifacts' VCD states
+// pass through: it must never panic, and a blob it accepts must re-encode
+// to exactly the input and resume dumping without panicking.
+func FuzzDecodeWriterState(f *testing.F) {
+	var seed bytes.Buffer
+	if err := midStreamState(f).Encode(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		st, err := DecodeWriterState(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := st.Encode(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, again.Bytes())
+		}
+		var tail bytes.Buffer
+		vw := ResumeWriter(&tail, st)
+		for name, width := range st.Widths {
+			// A declared width may be anything; Change must refuse a
+			// mismatch rather than index past the vector.
+			_ = vw.Change(st.Time+1, name, logic.NewVec(width%64))
+		}
+		_ = vw.Close(st.Time + 2)
+	})
 }
