@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/socgen"
 	"repro/internal/vcd"
-	"repro/internal/vpi"
 	"repro/internal/xrand"
 )
 
@@ -255,10 +254,6 @@ func TestTailVCDMatchesColdDump(t *testing.T) {
 // and returns the raw dump.
 func coldDumpBytes(t *testing.T, c *Campaign, inj Injection) []byte {
 	t.Helper()
-	fa, err := c.rebuildAction(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := sim.New(c.opts.Engine, c.flat)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +266,7 @@ func coldDumpBytes(t *testing.T, c *Campaign, inj Injection) []byte {
 	if err := c.plan.Apply(eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := fa(vpi.New(eng)); err != nil {
+	if _, err := c.applyFault(eng, &inj); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(c.plan.DurationPS); err != nil {

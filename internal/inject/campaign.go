@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -40,7 +39,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/socgen"
 	"repro/internal/vcd"
-	"repro/internal/vpi"
 	"repro/internal/xrand"
 )
 
@@ -77,13 +75,15 @@ type Options struct {
 	CellWeight func(c *netlist.FlatCell) float64
 	// ModuleOf groups cells into report modules; nil uses socgen.ModuleOf.
 	ModuleOf func(c *netlist.FlatCell) string
-	// CompareVCD switches the soft-error detector from the fast cycle
-	// signature to a full VCD diff (the paper's method); both yield the
-	// same verdicts, which TestSignatureMatchesVCD verifies. The golden
-	// trace is dumped once during the golden run; warm-started injections
-	// diff their restored tail incrementally against the golden trace
-	// suffix, so the VCD detector warm-starts like the signature detector
-	// does. ColdStart restores the replay-and-diff-full-traces oracle.
+	// CompareVCD selects the paper's soft-error detector — dump the run to
+	// VCD, parse it and diff it against the golden trace — for every
+	// injection that replays from t=0 (all of them under ColdStart), and
+	// makes the golden run dump its trace and every checkpoint carry the
+	// writer state TailVCD resumes from. Injections that warm-start from a
+	// checkpoint keep the cycle signature, whose golden rows are the golden
+	// dump's samples by definition. Both detectors read one sampled value
+	// per cycle (see Campaign.sampled), so a verdict that differs between
+	// them is a bug, not noise.
 	CompareVCD bool
 	// Workers is the number of concurrent injection simulations. Fault
 	// runs are independent, and all random choices are drawn before the
@@ -218,25 +218,20 @@ type Campaign struct {
 
 	clusters *cluster.Result
 	golden   *signature
-	// goldenVCD is the parsed golden trace of the CompareVCD detector;
-	// goldenVCDRows is its value at every sampling instant (the golden
-	// trace suffix warm VCD runs diff against, row k-2 = cycle k), and
-	// goldenVCDDump holds the raw golden dump bytes whose per-checkpoint
-	// prefixes faulty tail dumps are stitched onto.
-	goldenVCD     *vcd.Trace
-	goldenVCDRows *signature
+	// goldenVCDDump holds the raw golden dump of a warm CompareVCD
+	// campaign, whose per-checkpoint prefixes faulty tail dumps are
+	// stitched onto; goldenVCD is the parsed golden trace the VCD detector
+	// diffs against, materialized once by goldenTrace under traceMu.
 	goldenVCDDump []byte
+	goldenVCD     *vcd.Trace
+	traceMu       sync.Mutex
 	rng           *xrand.RNG
 	jobs          []Job
 	jobsDrawn     bool
 
 	// ckpts is the golden-run checkpoint schedule, ascending in time;
 	// read-only after New, shared by all workers.
-	ckpts         []goldenCheckpoint
-	warmStarts    atomic.Uint64
-	prunedRuns    atomic.Uint64
-	deltaRestores atomic.Uint64
-	restoreWallNS atomic.Int64
+	ckpts []goldenCheckpoint
 }
 
 // SetMetrics swaps the campaign's metrics sink. Metrics never feed back
@@ -265,28 +260,18 @@ type goldenCheckpoint struct {
 // captures the golden signature plus the checkpoint schedule injections
 // warm-start from.
 func New(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options) (*Campaign, *Result, error) {
-	c, res, err := prepare(f, plan, db, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	golden, evals, err := c.runGolden()
-	if err != nil {
-		return nil, nil, fmt.Errorf("inject: golden run: %v", err)
-	}
-	res.GoldenWall = time.Since(start)
-	res.GoldenEvals = evals
-	c.golden = golden
-	return c, res, nil
+	return prepare(f, plan, db, opts, (*Campaign).runGolden)
 }
 
-// prepare performs everything New does short of the golden run itself:
-// option validation, clustering, RNG seeding, and — when warm starts are
-// enabled — drawing the injection plan. It is shared by New
-// and NewFromGolden so a campaign adopting a serialized golden artifact
-// consumes exactly the same randomness, in the same order, as one that
-// simulates the golden run locally.
-func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options) (*Campaign, *Result, error) {
+// prepare is New and NewFromGolden: option validation, clustering, RNG
+// seeding, and — when warm starts are enabled — drawing the injection
+// plan, then golden, which acquires the golden state (simulated, or
+// adopted from an artifact) and returns its eval count. Sharing it makes a
+// campaign adopting a serialized golden artifact consume exactly the same
+// randomness, in the same order, as one that simulates the golden run
+// locally. GoldenWall is the wall-clock this process spent in golden; an
+// adopted artifact carries the builder's GoldenEvals.
+func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options, golden func(*Campaign) (uint64, error)) (*Campaign, *Result, error) {
 	if opts.KN < 1 || opts.LN < 1 {
 		return nil, nil, fmt.Errorf("inject: KN/LN must be positive")
 	}
@@ -336,6 +321,13 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 		// identical plan (and identical verdicts).
 		c.DrawJobs()
 	}
+	start := time.Now()
+	evals, err := golden(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.GoldenWall = time.Since(start)
+	res.GoldenEvals = evals
 	return c, res, nil
 }
 
@@ -382,41 +374,11 @@ func (s *signature) row(i int) []logic.V {
 	return s.slab[i*s.cols : (i+1)*s.cols]
 }
 
-// equal reports whether two signatures match, bailing on the first
-// differing sample.
-func (s *signature) equal(o *signature) bool {
-	if s.cols != o.cols || len(s.slab) != len(o.slab) {
-		return false
-	}
-	for i := range s.slab {
-		if s.slab[i] != o.slab[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// faultAction schedules the fault during a run; nil means golden.
-type faultAction func(v *vpi.Interface) error
-
 // cycles is the number of clock cycles in the workload plan.
 func (c *Campaign) cycles() int { return int(c.plan.DurationPS / c.plan.PeriodPS) }
 
 // sampleTime is the pre-edge instant cycle k's outputs are captured at.
 func (c *Campaign) sampleTime(k int) uint64 { return uint64(k)*c.plan.PeriodPS - 20 }
-
-// scheduleSignature registers pre-edge output sampling for cycles
-// fromCycle..cycles into sig.
-func (c *Campaign) scheduleSignature(eng sim.Engine, sig *signature, fromCycle int) {
-	for k := fromCycle; k <= c.cycles(); k++ {
-		eng.At(c.sampleTime(k), func() {
-			row := sig.addRow()
-			for i, nid := range c.plan.Monitors {
-				row[i] = eng.Value(nid)
-			}
-		})
-	}
-}
 
 // checkpointInterval resolves the configured checkpoint pitch.
 func (c *Campaign) checkpointInterval() int {
@@ -427,9 +389,8 @@ func (c *Campaign) checkpointInterval() int {
 }
 
 // warmStartEnabled reports whether injections run from golden checkpoints.
-// Only ColdStart forces the legacy replay-from-zero behaviour; the VCD
-// detector warm-starts too, diffing restored tails against the golden
-// trace suffix.
+// Only ColdStart forces the legacy replay-from-zero behaviour; a CompareVCD
+// campaign warm-starts too (see Options.CompareVCD).
 func (c *Campaign) warmStartEnabled() bool {
 	return !c.opts.ColdStart
 }
@@ -519,13 +480,15 @@ func (c *Campaign) checkpointCycles() []int {
 // an instant that never coincides with stimulus, strikes or sampling.
 // Under CompareVCD the same run also dumps the golden VCD trace, and each
 // checkpoint captures the writer's dump state alongside the engine state.
-func (c *Campaign) runGolden() (*signature, uint64, error) {
-	eng, err := sim.New(c.opts.Engine, c.flat)
+func (c *Campaign) runGolden() (evals uint64, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("inject: golden run: %v", err)
+		}
+	}()
+	eng, err := c.coldEngine()
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := c.plan.Apply(eng); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var vw *vcd.Writer
 	var vcdBuf *bytes.Buffer
@@ -533,12 +496,12 @@ func (c *Campaign) runGolden() (*signature, uint64, error) {
 		vcdBuf = &bytes.Buffer{}
 		vw = vcd.NewWriter(vcdBuf)
 		if err := sim.AttachVCD(eng, vw, c.plan.Monitors); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
+	var ckpts []goldenCheckpoint
 	if c.warmStartEnabled() {
 		for _, k := range c.checkpointCycles() {
-			k := k
 			tm := uint64(k)*c.plan.PeriodPS + 1
 			eng.At(tm, func() {
 				gc := goldenCheckpoint{cycle: k, time: tm, ck: eng.Snapshot()}
@@ -549,84 +512,32 @@ func (c *Campaign) runGolden() (*signature, uint64, error) {
 					gc.vcdState = vw.State()
 					gc.vcdPrefix = vcdBuf.Len()
 				}
-				c.ckpts = append(c.ckpts, gc)
+				ckpts = append(ckpts, gc)
 			})
 		}
 	}
+	// Pre-edge output sampling, one row per cycle from cycle 2 on.
 	sig := newSignature(len(c.plan.Monitors), c.cycles()-1)
-	c.scheduleSignature(eng, sig, 2)
+	for k := 2; k <= c.cycles(); k++ {
+		eng.At(c.sampleTime(k), func() {
+			row := sig.addRow()
+			for i, nid := range c.plan.Monitors {
+				row[i] = eng.Value(nid)
+			}
+		})
+	}
 	if err := eng.Run(c.plan.DurationPS); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if vw != nil {
 		if err := vw.Close(c.plan.DurationPS); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		c.goldenVCDDump = vcdBuf.Bytes()
-		tr, err := vcd.Parse(bytes.NewReader(c.goldenVCDDump))
-		if err != nil {
-			return nil, 0, err
-		}
-		c.goldenVCD = tr
-		c.goldenVCDRows = c.traceRows(tr)
 	}
-	if len(c.ckpts) > 0 {
-		// Adjacent checkpoints hold mostly the same future stimulus; share
-		// the common suffix so checkpoint memory stops scaling with pitch.
-		shared := make([]*sim.Checkpoint, len(c.ckpts))
-		for i := range c.ckpts {
-			shared[i] = c.ckpts[i].ck
-		}
-		sim.ShareTails(shared)
-	}
-	return sig, eng.CellEvals(), nil
-}
-
-// traceRows samples a parsed trace at every monitored sampling instant,
-// producing the row matrix warm VCD runs diff against. Row k-2 holds the
-// golden trace's monitor values at cycle k's pre-edge sampling instant —
-// the same cycle-boundary semantics compareCaptured applies to full
-// traces.
-func (c *Campaign) traceRows(tr *vcd.Trace) *signature {
-	sig := newSignature(len(c.plan.Monitors), c.cycles()-1)
-	for k := 2; k <= c.cycles(); k++ {
-		row := sig.addRow()
-		tm := c.sampleTime(k)
-		for i, nid := range c.plan.Monitors {
-			s := tr.Signals[c.flat.Nets[nid].Name]
-			if s == nil {
-				row[i] = logic.X
-				continue
-			}
-			row[i] = s.At(tm)[0]
-		}
-	}
-	return sig
-}
-
-// runOnce simulates the full workload from t=0, applying the fault action,
-// and returns the output signature — the cold path, kept both as the
-// ColdStart fallback and as the oracle the warm path is verified against.
-func (c *Campaign) runOnce(fa faultAction) (*signature, uint64, error) {
-	eng, err := sim.New(c.opts.Engine, c.flat)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := c.plan.Apply(eng); err != nil {
-		return nil, 0, err
-	}
-	v := vpi.New(eng)
-	if fa != nil {
-		if err := fa(v); err != nil {
-			return nil, 0, err
-		}
-	}
-	sig := newSignature(len(c.plan.Monitors), c.cycles()-1)
-	c.scheduleSignature(eng, sig, 2)
-	if err := eng.Run(c.plan.DurationPS); err != nil {
-		return nil, 0, err
-	}
-	return sig, eng.CellEvals(), nil
+	c.setCheckpoints(ckpts)
+	c.golden = sig
+	return eng.CellEvals(), nil
 }
 
 // injectionWindow returns a random fault time away from reset and the
@@ -698,9 +609,9 @@ func (c *Campaign) Run(res *Result) error {
 
 // jobBatch is one worker work unit: a run of jobs that restore from the
 // same golden checkpoint (ckIdx < 0: strikes before the first checkpoint,
-// replayed cold), in ascending strike order. Each job's checkpoint is
-// resolved once, at batch-build time; the workers never search the
-// schedule again.
+// or a campaign without checkpoints, replayed cold), in ascending strike
+// order. Each job's checkpoint is resolved once, at batch-build time; the
+// workers never search the schedule again.
 type jobBatch struct {
 	ckIdx int
 	idxs  []int // indices into the RunJobs slice, ascending by strike time
@@ -735,9 +646,10 @@ func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 	// Re-chunk so scheduling granularity stays finer than the worker
 	// count even when strikes concentrate on few checkpoints; chunks of
 	// one batch keep the shared restore point (each chunk's first restore
-	// is wholesale, the rest delta).
+	// is wholesale, the rest delta). Without checkpoints there is no
+	// restore point to share, and one-job units balance best.
 	chunk := len(jobs) / (4 * workers)
-	if chunk < 1 {
+	if chunk < 1 || len(c.ckpts) == 0 {
 		chunk = 1
 	}
 	var out []jobBatch
@@ -766,17 +678,6 @@ func (c *Campaign) RunJobs(res *Result, start, end int) error {
 		return fmt.Errorf("inject: job range [%d,%d) outside plan of %d injections", start, end, len(all))
 	}
 	jobs := all[start:end]
-	if c.opts.CompareVCD && c.goldenVCD == nil && len(jobs) > 0 {
-		// Cold-start VCD oracle: materialize the golden trace with one
-		// replay before the fan-out so workers share it. (Warm campaigns
-		// dumped it during the golden run.)
-		g, _, err := c.runOnceVCD(nil)
-		if err != nil {
-			return err
-		}
-		c.goldenVCD = g
-	}
-
 	workers := c.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -787,54 +688,22 @@ func (c *Campaign) RunJobs(res *Result, start, end int) error {
 	if workers < 1 {
 		workers = 1
 	}
-	warm := c.warmStartEnabled() && len(c.ckpts) > 0
-	var batches []jobBatch
-	if warm {
-		batches = c.buildBatches(jobs, workers)
-	} else {
-		// Cold path: per-injection units, plan order.
-		for idx := range jobs {
-			batches = append(batches, jobBatch{ckIdx: -1, idxs: []int{idx}})
-		}
-	}
+	batches := c.buildBatches(jobs, workers)
 	began := time.Now()
-	warmStarts0, prunedRuns0 := c.warmStarts.Load(), c.prunedRuns.Load()
-	deltaRestores0, restoreWall0 := c.deltaRestores.Load(), c.restoreWallNS.Load()
 	injections := make([]Injection, len(jobs))
 	errs := make([]error, len(jobs))
-	var evals atomic.Uint64
+	ws := make([]worker, workers)
 	var wg sync.WaitGroup
 	next := make(chan jobBatch)
-	for w := 0; w < workers; w++ {
+	for i := range ws {
+		w := &ws[i]
+		w.c = c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var wk *warmWorker
-			var wkErr error
-			if warm {
-				wk, wkErr = c.newWarmWorker()
-			}
 			for b := range next {
 				for _, idx := range b.idxs {
-					if wkErr != nil {
-						errs[idx] = wkErr
-						continue
-					}
-					j := jobs[idx]
-					var inj *Injection
-					var n uint64
-					var err error
-					if wk != nil && b.ckIdx >= 0 {
-						inj, n, err = wk.injectOne(j, b.ckIdx)
-					} else {
-						inj, n, err = c.injectOne(j.CellID, j.Cluster, j.TimePS)
-					}
-					if err != nil {
-						errs[idx] = err
-						continue
-					}
-					evals.Add(n)
-					injections[idx] = *inj
+					injections[idx], errs[idx] = w.inject(jobs[idx], b.ckIdx)
 				}
 			}
 		}()
@@ -849,250 +718,20 @@ func (c *Campaign) RunJobs(res *Result, start, end int) error {
 			return err
 		}
 	}
+	var sum work
+	for i := range ws {
+		sum.add(ws[i].work)
+	}
 	res.Injections = append(res.Injections, injections...)
 	res.InjectWall += time.Since(began)
-	res.WarmStarts += c.warmStarts.Load() - warmStarts0
-	res.PrunedRuns += c.prunedRuns.Load() - prunedRuns0
-	res.DeltaRestores += c.deltaRestores.Load() - deltaRestores0
-	res.RestoreWall += time.Duration(c.restoreWallNS.Load() - restoreWall0)
-	res.InjectEvals += evals.Load()
-	c.opts.Metrics.record(began, start, end, evals.Load(),
-		c.warmStarts.Load()-warmStarts0, c.prunedRuns.Load()-prunedRuns0,
-		c.deltaRestores.Load()-deltaRestores0, c.restoreWallNS.Load()-restoreWall0)
+	res.InjectEvals += sum.evals
+	res.WarmStarts += sum.warmStarts
+	res.PrunedRuns += sum.prunedRuns
+	res.DeltaRestores += sum.deltaRestores
+	res.RestoreWall += sum.restoreWall
+	c.opts.Metrics.record(began, start, end, sum.evals, sum.warmStarts, sum.prunedRuns,
+		sum.deltaRestores, sum.restoreWall.Nanoseconds())
 	return nil
-}
-
-// buildFault prepares the injection record, the fault action, and the time
-// the last fault event has been consumed by (the earliest instant the run
-// may be compared against golden checkpoints for convergence).
-func (c *Campaign) buildFault(cellID int, t uint64) (*Injection, faultAction, uint64, error) {
-	fc := c.flat.Cells[cellID]
-	entry, err := c.db.Entry(fc.Def.Name)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	inj := &Injection{CellID: cellID, Path: fc.Path, TimePS: t}
-	if fc.Def.IsSequential() {
-		inj.Kind = fault.SEU
-		return inj, seuAction(cellID, t), t, nil
-	}
-	inj.Kind = fault.SET
-	width := entry.PulseWidthPS(c.opts.LET)
-	if width == 0 {
-		width = 40
-	}
-	inj.PulsePS = width
-	return inj, setAction(fc.Out[0], t, width), t + 1 + width, nil
-}
-
-// injectOne performs a single fault injection run on one cell at the given
-// strike time by replaying the whole workload, returning the outcome and
-// the simulator work performed. It is safe for concurrent use: each call
-// builds its own engine.
-func (c *Campaign) injectOne(cellID, clusterIdx int, t uint64) (*Injection, uint64, error) {
-	inj, fa, _, err := c.buildFault(cellID, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	inj.Cluster = clusterIdx
-	if c.opts.CompareVCD {
-		diverged, evals, err := c.compareVCDRun(fa)
-		if err != nil {
-			return nil, 0, fmt.Errorf("inject: cell %s: %v", inj.Path, err)
-		}
-		inj.SoftError = diverged
-		return inj, evals, nil
-	}
-	sig, evals, err := c.runOnce(fa)
-	if err != nil {
-		return nil, 0, fmt.Errorf("inject: cell %s: %v", inj.Path, err)
-	}
-	inj.SoftError = !sig.equal(c.golden)
-	return inj, evals, nil
-}
-
-// checkpointBefore returns the latest golden checkpoint at or before time
-// t, or nil when t precedes the whole schedule.
-func (c *Campaign) checkpointBefore(t uint64) (*goldenCheckpoint, int) {
-	idx := sort.Search(len(c.ckpts), func(i int) bool { return c.ckpts[i].time > t }) - 1
-	if idx < 0 {
-		return nil, -1
-	}
-	return &c.ckpts[idx], idx
-}
-
-// warmWorker is one worker's reusable simulation context: a single engine
-// plus its VPI session, reset for every injection instead of being
-// reconstructed. Within a batch the reset is a dirty-set delta restore —
-// the engine tracks what the previous injection touched and rewrites only
-// that — which is what strike-sorting the jobs buys.
-type warmWorker struct {
-	c      *Campaign
-	eng    sim.Engine
-	v      *vpi.Interface
-	rows   *signature // golden rows the tail is diffed against
-	lastCk *sim.Checkpoint
-}
-
-func (c *Campaign) newWarmWorker() (*warmWorker, error) {
-	eng, err := sim.New(c.opts.Engine, c.flat)
-	if err != nil {
-		return nil, err
-	}
-	rows := c.golden
-	if c.opts.CompareVCD {
-		// The VCD detector diffs against the golden trace suffix: the same
-		// values, but read out of the parsed golden dump rather than the
-		// signature capture (TestSignatureMatchesVCD pins their agreement).
-		rows = c.goldenVCDRows
-	}
-	return &warmWorker{c: c, eng: eng, v: vpi.New(eng), rows: rows}, nil
-}
-
-// restore resets the worker's engine to a golden checkpoint, taking the
-// delta path when the previous injection restored the same one, and
-// accounts the restore cost.
-func (w *warmWorker) restore(ck *sim.Checkpoint) error {
-	began := time.Now()
-	err := w.eng.RestoreDelta(ck)
-	w.c.restoreWallNS.Add(time.Since(began).Nanoseconds())
-	if err != nil {
-		return err
-	}
-	if w.lastCk == ck {
-		w.c.deltaRestores.Add(1)
-	}
-	w.lastCk = ck
-	return nil
-}
-
-// injectOne performs one injection by restoring the job's pre-resolved
-// golden checkpoint and simulating only the tail. Monitored rows are
-// compared against the golden rows as they are captured; the run stops at
-// the first diverging row (verdict: soft error) or as soon as the faulty
-// state re-converges onto a golden checkpoint with no divergence recorded
-// (verdict: guaranteed non-error). Verdicts are bit-identical to
-// Campaign.injectOne's replay-from-zero path.
-func (w *warmWorker) injectOne(j Job, recIdx int) (*Injection, uint64, error) {
-	c := w.c
-	rec := &c.ckpts[recIdx]
-	inj, fa, faultEnd, err := c.buildFault(j.CellID, j.TimePS)
-	if err != nil {
-		return nil, 0, err
-	}
-	inj.Cluster = j.Cluster
-	if err := w.restore(rec.ck); err != nil {
-		return nil, 0, err
-	}
-	c.warmStarts.Add(1)
-	evals0 := w.eng.CellEvals()
-	if err := fa(w.v); err != nil {
-		return nil, 0, fmt.Errorf("inject: cell %s: %v", inj.Path, err)
-	}
-	// Tail-only incremental comparison: the prefix up to the checkpoint is
-	// bit-identical to golden by construction (the strike lands at or after
-	// the restore point), so only cycles after the checkpoint are sampled.
-	// All tail monitors must be registered here, before the first Run after
-	// the restore, even though pruned runs never reach most of them:
-	// pre-run registration is what gives them setup-phase event ordering,
-	// and registering lazily between segments would flip their tie-break
-	// order against in-flight transitions, breaking cold/warm bit-identity.
-	diverged := false
-	for k := rec.cycle + 1; k <= c.cycles(); k++ {
-		goldenRow := w.rows.row(k - 2)
-		w.eng.At(c.sampleTime(k), func() {
-			if diverged {
-				return
-			}
-			for i, nid := range c.plan.Monitors {
-				if w.eng.Value(nid) != goldenRow[i] {
-					diverged = true
-					return
-				}
-			}
-		})
-	}
-	decided := false
-	for x := recIdx + 1; x < len(c.ckpts); x++ {
-		b := &c.ckpts[x]
-		if err := w.eng.Run(b.time); err != nil {
-			return nil, 0, fmt.Errorf("inject: cell %s: %v", inj.Path, err)
-		}
-		if diverged {
-			// First mismatching output row: the signatures can never be
-			// equal again, so the verdict is already decided.
-			inj.SoftError = true
-			decided = true
-			break
-		}
-		if b.time > faultEnd && w.eng.MatchesCheckpoint(b.ck) {
-			// All fault events are consumed and the full engine state is
-			// indistinguishable from the golden run's at this instant: the
-			// remaining tail is bit-identical to golden, so the run is a
-			// guaranteed non-error.
-			c.prunedRuns.Add(1)
-			decided = true
-			break
-		}
-	}
-	if !decided {
-		if err := w.eng.Run(c.plan.DurationPS); err != nil {
-			return nil, 0, fmt.Errorf("inject: cell %s: %v", inj.Path, err)
-		}
-		inj.SoftError = diverged
-	}
-	return inj, w.eng.CellEvals() - evals0, nil
-}
-
-// seuAction builds the SEU fault action of Fig. 2: invert the storage
-// node at the strike time.
-func seuAction(cellID int, t uint64) faultAction {
-	return func(v *vpi.Interface) error {
-		h, err := v.RegHandle(cellID)
-		if err != nil {
-			return err
-		}
-		return v.FlipReg(h, t)
-	}
-}
-
-// setAction builds the SET fault action of Fig. 2: an equivalent square
-// wave forced onto the struck cell's output net for the pulse width, with
-// the polarity opposing the value present at strike time.
-func setAction(outNet int, t, width uint64) faultAction {
-	return func(v *vpi.Interface) error {
-		h, err := v.NetHandle(outNet)
-		if err != nil {
-			return err
-		}
-		v.CbAtTime(t, func() {
-			cur, _ := v.GetValue(h)
-			pulse := cur.Not()
-			if !cur.IsKnown() {
-				pulse = logic.L1
-			}
-			_ = v.Force(h, t+1, pulse)
-			_ = v.Release(h, t+1+width)
-		})
-		return nil
-	}
-}
-
-// compareVCDRun runs the fault through the full-VCD path against a cached
-// golden VCD trace, reporting the faulty run's simulator work.
-func (c *Campaign) compareVCDRun(fa faultAction) (bool, uint64, error) {
-	if c.goldenVCD == nil {
-		g, _, err := c.runOnceVCD(nil)
-		if err != nil {
-			return false, 0, err
-		}
-		c.goldenVCD = g
-	}
-	faulty, evals, err := c.runOnceVCD(fa)
-	if err != nil {
-		return false, 0, err
-	}
-	return c.compareCaptured(c.goldenVCD, faulty), evals, nil
 }
 
 // Aggregate computes cluster, module and chip statistics from the raw

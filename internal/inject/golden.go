@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -88,21 +87,7 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 // validated and a mismatched or corrupt blob is rejected with an error,
 // leaving the caller to fall back to New.
 func NewFromGolden(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options, r io.Reader) (*Campaign, *Result, error) {
-	c, res, err := prepare(f, plan, db, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	evals, err := c.adoptGolden(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	// GoldenWall is the wall-clock this process spent acquiring the golden
-	// state — here the decode, not a simulation. GoldenEvals stays the
-	// builder's count: the artifact carries the simulation cost accounting.
-	res.GoldenWall = time.Since(start)
-	res.GoldenEvals = evals
-	return c, res, nil
+	return prepare(f, plan, db, opts, func(c *Campaign) (uint64, error) { return c.adoptGolden(r) })
 }
 
 // adoptGolden decodes and validates a golden artifact into c, returning
@@ -207,29 +192,31 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 	if (len(dump) > 0) != needVCD {
 		return 0, fmt.Errorf("inject: golden artifact has a %d-byte VCD dump, but the campaign's detector wants one: %t", len(dump), needVCD)
 	}
-	if needVCD {
-		for i := range ckpts {
-			if ckpts[i].vcdPrefix > len(dump) {
-				return 0, fmt.Errorf("inject: golden checkpoint %d VCD prefix %d exceeds dump length %d",
-					i, ckpts[i].vcdPrefix, len(dump))
-			}
+	for i := range ckpts {
+		if ckpts[i].vcdPrefix > len(dump) {
+			return 0, fmt.Errorf("inject: golden checkpoint %d VCD prefix %d exceeds dump length %d",
+				i, ckpts[i].vcdPrefix, len(dump))
 		}
-		tr, err := vcd.Parse(bytes.NewReader(dump))
-		if err != nil {
+	}
+	c.setCheckpoints(ckpts)
+	c.golden, c.goldenVCDDump, c.goldenVCD = sig, dump, nil
+	if needVCD {
+		// Parse the dump now, so a malformed one is refused at adoption.
+		if _, err := c.goldenTrace(); err != nil {
 			return 0, fmt.Errorf("inject: golden artifact VCD dump: %w", err)
 		}
-		c.goldenVCDDump = dump
-		c.goldenVCD = tr
-		c.goldenVCDRows = c.traceRows(tr)
 	}
-	if len(ckpts) > 0 {
-		shared := make([]*sim.Checkpoint, len(ckpts))
-		for i := range ckpts {
-			shared[i] = ckpts[i].ck
-		}
-		sim.ShareTails(shared)
-	}
-	c.ckpts = ckpts
-	c.golden = sig
 	return evals, nil
+}
+
+// setCheckpoints installs the golden checkpoint schedule. Adjacent
+// checkpoints hold mostly the same future stimulus; sharing the common
+// suffix stops checkpoint memory scaling with pitch.
+func (c *Campaign) setCheckpoints(ckpts []goldenCheckpoint) {
+	shared := make([]*sim.Checkpoint, len(ckpts))
+	for i := range ckpts {
+		shared[i] = ckpts[i].ck
+	}
+	sim.ShareTails(shared)
+	c.ckpts = ckpts
 }

@@ -42,19 +42,6 @@ func TestSignatureSlab(t *testing.T) {
 			}
 		}
 	}
-
-	same := fillSignature(cols, rows, func(r, c int) bool { return (r+c)%3 == 0 })
-	if !s.equal(same) {
-		t.Error("identical signatures compare unequal")
-	}
-	diff := fillSignature(cols, rows, func(r, c int) bool { return (r+c)%3 == 0 != (r == 20 && c == 3) })
-	if s.equal(diff) {
-		t.Error("differing signatures compare equal")
-	}
-	short := fillSignature(cols, rows-1, func(r, c int) bool { return (r+c)%3 == 0 })
-	if s.equal(short) {
-		t.Error("signatures of different lengths compare equal")
-	}
 }
 
 func TestSignatureGrowsPastCapacityHint(t *testing.T) {
@@ -73,30 +60,6 @@ func TestSignatureGrowsPastCapacityHint(t *testing.T) {
 			t.Fatalf("row %d corrupted after growth", r)
 		}
 	}
-}
-
-// BenchmarkSignatureEqual measures the flat-slab comparison: the all-equal
-// case is the hot path (most injections are masked), the early-mismatch
-// case shows the first-difference bail-out.
-func BenchmarkSignatureEqual(b *testing.B) {
-	const cols, rows = 64, 512
-	golden := fillSignature(cols, rows, func(r, c int) bool { return (r*c)%5 == 0 })
-	same := fillSignature(cols, rows, func(r, c int) bool { return (r*c)%5 == 0 })
-	early := fillSignature(cols, rows, func(r, c int) bool { return (r*c)%5 == 0 != (r == 0 && c == 1) })
-	b.Run("all-equal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !golden.equal(same) {
-				b.Fatal("signatures must match")
-			}
-		}
-	})
-	b.Run("early-mismatch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if golden.equal(early) {
-				b.Fatal("signatures must differ")
-			}
-		}
-	})
 }
 
 // BenchmarkSignatureCapture measures building a full run signature row by

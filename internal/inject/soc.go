@@ -26,30 +26,7 @@ const WorkloadCycles = 32
 // PrepareSoC generates the benchmark netlist, builds the workload stimulus
 // and readies a campaign with the benchmark's representation weights.
 func PrepareSoC(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Options) (*SoCRun, error) {
-	d, err := socgen.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f, err := netlist.Flatten(d)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := socgen.RunWorkload(prog, WorkloadCycles)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := socgen.BuildStimulus(f, wl)
-	if err != nil {
-		return nil, err
-	}
-	if opts.CellWeight == nil {
-		opts.CellWeight = socgen.Weights(cfg)
-	}
-	camp, res, err := New(f, plan, db, opts)
-	if err != nil {
-		return nil, fmt.Errorf("inject: SoC%d: %v", cfg.Index, err)
-	}
-	return &SoCRun{Config: cfg, Flat: f, Plan: plan, Campaign: camp, Result: res}, nil
+	return prepareSoC(cfg, prog, db, opts, (*Campaign).runGolden)
 }
 
 // PrepareSoCFromGolden is PrepareSoC with the golden run adopted from a
@@ -59,6 +36,14 @@ func PrepareSoC(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Option
 // A mismatched or corrupt blob is an error; callers fall back to
 // PrepareSoC, which is always correct.
 func PrepareSoCFromGolden(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Options, blob []byte) (*SoCRun, error) {
+	return prepareSoC(cfg, prog, db, opts, func(c *Campaign) (uint64, error) {
+		return c.adoptGolden(bytes.NewReader(blob))
+	})
+}
+
+// prepareSoC is both PrepareSoC variants; golden acquires the golden state
+// as in prepare.
+func prepareSoC(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Options, golden func(*Campaign) (uint64, error)) (*SoCRun, error) {
 	d, err := socgen.Generate(cfg)
 	if err != nil {
 		return nil, err
@@ -78,7 +63,7 @@ func PrepareSoCFromGolden(cfg socgen.Config, prog riscv.Program, db *fault.DB, o
 	if opts.CellWeight == nil {
 		opts.CellWeight = socgen.Weights(cfg)
 	}
-	camp, res, err := NewFromGolden(f, plan, db, opts, bytes.NewReader(blob))
+	camp, res, err := prepare(f, plan, db, opts, golden)
 	if err != nil {
 		return nil, fmt.Errorf("inject: SoC%d: %v", cfg.Index, err)
 	}
