@@ -42,16 +42,18 @@ loc:
 			{ n++ } END { printf "%6d  %s\n", n, d }'; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
-# fuzz-smoke gives each native fuzz target — one per artifact decoder that
-# reads bytes from the lake or the wire — ten seconds of coverage-guided
-# mutation from its in-code seeds (real encodes on both engines): no
-# panic, accepted input re-encodes byte-identically, accepted state
-# restores and resumes. -fuzzminimizetime 1x stops the fuzzer spending the
-# budget minimizing inputs that are merely interesting, not failing.
+# fuzz-smoke gives each native fuzz target — one per decoder that reads
+# bytes from disk, the lake or the wire — ten seconds of coverage-guided
+# mutation from its in-code seeds (real encodes on both engines, stamped
+# journal lines): no panic, accepted input re-encodes byte-identically,
+# accepted state restores and resumes. -fuzzminimizetime 1x stops the
+# fuzzer spending the budget minimizing inputs that are merely
+# interesting, not failing.
 fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzDecodeWriterState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/runstore -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1x
 
 # sweep-smoke runs a tiny two-campaign sweep (SoC1 at two LETs) through
 # the campaignd coordinator with a live worker and asserts the rendered

@@ -35,16 +35,24 @@ func e2eSpec() shard.CampaignSpec {
 }
 
 // startServe launches the coordinator on an ephemeral localhost port and
-// returns its base URL plus the channel its exit error lands on.
-func startServe(t *testing.T, opts serveOpts, stdout io.Writer) (string, chan error) {
+// returns its base URL, the channel its exit error lands on, and stop,
+// which drains it the way SIGTERM does: with no shard leased out, serve
+// exits at once instead of waiting out opts.linger. A test calls stop
+// once it has checked everything the coordinator serves; a test that
+// passes its own opts.signals drives that channel instead.
+func startServe(t *testing.T, opts serveOpts, stdout io.Writer) (string, chan error, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sig := make(chan os.Signal, 1)
+	if opts.signals == nil {
+		opts.signals = sig
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- serve(opts, ln, stdout) }()
-	return "http://" + ln.Addr().String(), errCh
+	return "http://" + ln.Addr().String(), errCh, func() { sig <- os.Interrupt }
 }
 
 // leaseRaw performs one raw lease request, retrying while the
@@ -128,7 +136,7 @@ func TestServeWorkEndToEnd(t *testing.T) {
 	journal := filepath.Join(dir, "journal.jsonl")
 	outPath := filepath.Join(dir, "result.json")
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, _ := startServe(t, serveOpts{
 		grid:     gridPtr(sweep.CampaignGrid(cs)),
 		shards:   5,
 		journal:  journal,
@@ -185,7 +193,7 @@ func TestServeWorkEndToEnd(t *testing.T) {
 	// recorded, so it must merge and exit without any worker.
 	outPath2 := filepath.Join(dir, "result2.json")
 	var serveOut2 bytes.Buffer
-	_, serveErr2 := startServe(t, serveOpts{
+	_, serveErr2, _ := startServe(t, serveOpts{
 		grid:     gridPtr(sweep.CampaignGrid(cs)),
 		shards:   5,
 		journal:  journal,
@@ -293,7 +301,7 @@ func TestServeSweepEndToEnd(t *testing.T) {
 	}
 
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,
@@ -366,7 +374,7 @@ func TestServeSweepEndToEnd(t *testing.T) {
 	// worker and render the identical bytes again.
 	outPath2 := filepath.Join(dir, "grid2.txt")
 	var serveOut2 bytes.Buffer
-	_, serveErr2 := startServe(t, serveOpts{
+	_, serveErr2, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,
@@ -402,7 +410,7 @@ func TestSweepSmokeByteIdentical(t *testing.T) {
 
 	outPath := filepath.Join(t.TempDir(), "grid.txt")
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		leaseTTL: time.Minute,
@@ -431,6 +439,7 @@ func TestSweepSmokeByteIdentical(t *testing.T) {
 	if err := work(ctx, workOpts{url: url, name: "w", poll: 25 * time.Millisecond, out: &wOut}); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("sweep serve: %v\n%s", err, serveOut.String())
 	}
@@ -451,7 +460,7 @@ func TestSweepStatusEndpoint(t *testing.T) {
 	cs := e2eSpec()
 	grid := sweep.CampaignGrid(cs)
 	var out bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		grid:     gridPtr(grid),
 		shards:   2,
 		leaseTTL: time.Minute,
@@ -500,6 +509,7 @@ func TestSweepStatusEndpoint(t *testing.T) {
 	if err := work(ctx, workOpts{url: url, name: "w", poll: 25 * time.Millisecond, out: &wOut}); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -535,7 +545,7 @@ func TestSubmitTwoSweepsEndToEnd(t *testing.T) {
 	wantB := inProcessLETReference(t, ec, []int{2})
 
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   20 * time.Second,
@@ -639,6 +649,7 @@ func TestSubmitTwoSweepsEndToEnd(t *testing.T) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -658,7 +669,7 @@ func TestCancelMidFlightDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "fleet.jsonl")
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		journal:  journal,
 		leaseTTL: time.Minute,
@@ -780,6 +791,7 @@ func TestCancelMidFlightDeterminism(t *testing.T) {
 	if bytes.Contains([]byte(w2Out.String()), []byte(journaledLine)) {
 		t.Fatalf("journaled shard re-simulated after resubmission:\n%s", w2Out.String())
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -807,7 +819,7 @@ func TestAPISubmitSmoke(t *testing.T) {
 	}
 
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   10 * time.Second,
@@ -842,6 +854,7 @@ func TestAPISubmitSmoke(t *testing.T) {
 	if err := <-workDone; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -857,7 +870,7 @@ func TestPurgeSweepDropsResourceAndJournal(t *testing.T) {
 	params := quickLETParams(1)
 	reg := obs.NewRegistry()
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		journal:  journal,
 		leaseTTL: time.Minute,
@@ -943,6 +956,7 @@ func TestPurgeSweepDropsResourceAndJournal(t *testing.T) {
 	if err := <-workDone; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}

@@ -861,22 +861,27 @@ func (g *registry) status(sr *sweepRun) capi.SweepStatus {
 // the work the sweep's results are actually built from. Nil until any
 // shard has landed. Callers hold g.mu.
 func (g *registry) costOf(sr *sweepRun) *capi.SweepCost {
-	var c capi.SweepCost
+	var w inject.Work
+	shards := 0
 	for _, cfp := range sr.cfps {
 		for _, p := range g.journaled[cfp] {
-			c.Shards++
-			c.InjectEvals += p.InjectEvals
-			c.InjectWallNS += p.InjectWallNS
-			c.RestoreWallNS += p.RestoreWallNS
-			c.WarmStarts += p.WarmStarts
-			c.PrunedRuns += p.PrunedRuns
-			c.DeltaRestores += p.DeltaRestores
+			shards++
+			w.Add(p.Work)
 		}
 	}
-	if c.Shards == 0 {
+	if shards == 0 {
 		return nil
 	}
-	return &c
+	// The one conversion onto the wire struct, whose field names are frozen.
+	return &capi.SweepCost{
+		Shards:        shards,
+		InjectEvals:   w.InjectEvals,
+		InjectWallNS:  w.InjectWall.Nanoseconds(),
+		RestoreWallNS: w.RestoreWall.Nanoseconds(),
+		WarmStarts:    w.WarmStarts,
+		PrunedRuns:    w.PrunedRuns,
+		DeltaRestores: w.DeltaRestores,
+	}
 }
 
 func (g *registry) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -1382,11 +1387,6 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	}
 	g.log.Info("serving", "addr", ln.Addr().String(), "lease", opts.leaseTTL, "shards", opts.shards)
 
-	srv := &http.Server{Handler: g.mux()}
-	defer srv.Close()
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Serve(ln) }()
-
 	if opts.grid != nil {
 		if _, _, err := g.submit(*opts.grid, opts.params, true); err != nil {
 			return err
@@ -1410,6 +1410,14 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 			g.log.Warn("journaled sweep not rebuilt", "fp", shard.Short(rec.Fingerprint), "err", err)
 		}
 	}
+
+	// Answer requests only once the startup sweeps are registered: a client
+	// that connects the moment the socket is bound must not be told the
+	// sweep this coordinator was started to run does not exist.
+	srv := &http.Server{Handler: g.mux()}
+	defer srv.Close()
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.Serve(ln) }()
 
 	// crashStop tears down as an abruptly dead process would: no drain, no
 	// journal writes, and — critically — no leader-lease release, so the

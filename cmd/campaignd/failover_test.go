@@ -111,7 +111,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	// forgets old lease IDs) can free it.
 	crash := make(chan struct{})
 	leaderOut := &safeBuf{}
-	url, leaderErr := startServe(t, serveOpts{
+	url, leaderErr, _ := startServe(t, serveOpts{
 		shards:    2,
 		journal:   journal,
 		leaseTTL:  time.Minute,
@@ -136,8 +136,11 @@ func TestCoordinatorFailover(t *testing.T) {
 	// The warm standby tails the journal, ready to take over. Same
 	// knobs as the leader; it inherits the leader's address from the
 	// leader-lease file, so workers keep their URL across the failover.
+	// The drain channel carries through the takeover, so the promoted
+	// standby stops on it like any serve.
 	standbyOut := &safeBuf{}
 	standbyErr := make(chan error, 1)
+	standbySig := make(chan os.Signal, 1)
 	go func() {
 		standbyErr <- standby(serveOpts{
 			shards:    2,
@@ -146,6 +149,7 @@ func TestCoordinatorFailover(t *testing.T) {
 			leaderTTL: 300 * time.Millisecond,
 			linger:    10 * time.Second,
 			obsReg:    reg,
+			signals:   standbySig,
 		}, standbyOut)
 	}()
 
@@ -250,6 +254,7 @@ func TestCoordinatorFailover(t *testing.T) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
+	standbySig <- os.Interrupt
 	if err := <-standbyErr; err != nil {
 		t.Fatalf("promoted standby: %v", err)
 	}
@@ -296,7 +301,7 @@ func TestSweepUnderChaos(t *testing.T) {
 	// surface an operator would use.
 	reg := obs.NewRegistry()
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: 2 * time.Second,
 		linger:   5 * time.Second,
@@ -393,6 +398,7 @@ func TestSweepUnderChaos(t *testing.T) {
 		t.Fatalf("capi_retries_total = %v, %v; want >= 1 under chaos", v, ok)
 	}
 
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -406,7 +412,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "drain.jsonl")
 	sig := make(chan os.Signal, 1)
 	out := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, _ := startServe(t, serveOpts{
 		grid:       gridPtr(sweep.CampaignGrid(cs)),
 		shards:     2,
 		journal:    journal,

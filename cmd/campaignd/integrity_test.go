@@ -45,7 +45,7 @@ func TestIntegritySmoke(t *testing.T) {
 	// Long shard leases keep the audit repeat-voter window closed for the
 	// whole run; speculation off keeps completions single-sourced so every
 	// corrupt fault maps to one refused POST.
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   15 * time.Second,
@@ -169,6 +169,7 @@ func TestIntegritySmoke(t *testing.T) {
 	if err := <-cleanErr; err != nil {
 		t.Fatalf("clean worker: %v\n%s", err, cleanOut.String())
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -186,7 +187,7 @@ func TestPoisonShardQuarantine(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   5 * time.Second,
@@ -263,6 +264,7 @@ func TestPoisonShardQuarantine(t *testing.T) {
 		t.Fatalf("shard_failures_total = %v, %v; want >= 2", v, ok)
 	}
 
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -288,7 +290,7 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 
 	// Phase 1: a clean journaled run establishes the reference journal.
 	serveOut1 := &safeBuf{}
-	url1, serveErr1 := startServe(t, serveOpts{
+	url1, serveErr1, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,
@@ -359,7 +361,7 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 	// Phase 2: replay must skip exactly the damaged record, re-simulate
 	// that one shard through the worker, and render identical bytes.
 	serveOut2 := &safeBuf{}
-	url2, serveErr2 := startServe(t, serveOpts{
+	url2, serveErr2, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,

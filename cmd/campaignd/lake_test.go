@@ -71,7 +71,7 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 	outPath := filepath.Join(dir, "grid.txt")
 	coordTr := obs.NewTracer()
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		lakeDir:  filepath.Join(dir, "lake"),
@@ -155,7 +155,7 @@ func TestLakeCrossSweepReuse(t *testing.T) {
 	// Leg 1: drain the sweep once, populating the lake.
 	out1 := filepath.Join(dir, "grid1.txt")
 	var serveOut1 bytes.Buffer
-	url, serveErr1 := startServe(t, serveOpts{
+	url, serveErr1, stop := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		lakeDir:  lakeDir,
@@ -169,6 +169,7 @@ func TestLakeCrossSweepReuse(t *testing.T) {
 	if err := work(ctx, workOpts{url: url, name: "w", poll: 25 * time.Millisecond, lake: true, out: &wOut}); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+	stop()
 	if err := <-serveErr1; err != nil {
 		t.Fatalf("first serve: %v\n%s", err, serveOut1.String())
 	}
@@ -181,7 +182,7 @@ func TestLakeCrossSweepReuse(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	tr2 := obs.NewTracer()
 	var serveOut2 bytes.Buffer
-	_, serveErr2 := startServe(t, serveOpts{
+	_, serveErr2, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		lakeDir:  lakeDir,
@@ -240,7 +241,7 @@ func TestLakeChaosMidSweep(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "grid.txt")
 	var serveOut bytes.Buffer
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, _ := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		lake:     st,

@@ -60,7 +60,7 @@ func TestObsSmoke(t *testing.T) {
 	tracer := obs.NewTracer()
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:    2,
 		leaseTTL:  2 * time.Second,
 		linger:    10 * time.Second,
@@ -150,6 +150,7 @@ func TestObsSmoke(t *testing.T) {
 	if err := <-workDone; err != nil {
 		t.Fatalf("worker: %v\n%s", err, wOut.String())
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -218,7 +219,7 @@ func TestSpeculationObserved(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	reg := obs.NewRegistry()
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, _ := startServe(t, serveOpts{
 		grid:   gridPtr(sweep.CampaignGrid(cs)),
 		shards: 5,
 		// Long shard leases: only speculation — never expiry — may free

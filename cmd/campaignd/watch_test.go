@@ -101,7 +101,7 @@ func TestWatchMatchesPoll(t *testing.T) {
 	defer cancel()
 
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   10 * time.Second,
@@ -192,6 +192,7 @@ func TestWatchMatchesPoll(t *testing.T) {
 	if err := <-workDone; err != nil {
 		t.Fatalf("worker: %v\n%s", err, wOut.String())
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -208,7 +209,7 @@ func TestFleetFederation(t *testing.T) {
 	defer cancel()
 
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   15 * time.Second,
@@ -279,6 +280,7 @@ func TestFleetFederation(t *testing.T) {
 		}
 	}
 
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
@@ -296,7 +298,7 @@ func TestWatchSweepUnderChaos(t *testing.T) {
 	defer cancel()
 
 	serveOut := &safeBuf{}
-	url, serveErr := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		shards:   2,
 		leaseTTL: time.Minute,
 		linger:   10 * time.Second,
@@ -354,6 +356,7 @@ func TestWatchSweepUnderChaos(t *testing.T) {
 	if err := <-workDone; err != nil {
 		t.Fatalf("worker: %v\n%s", err, wOut.String())
 	}
+	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}

@@ -282,7 +282,7 @@ func submitSweep(cfg *cliConfig) error {
 	}
 	if cfg.watch && st.Cost != nil {
 		c := st.Cost
-		fmt.Fprintf(os.Stderr, "socfault: cost: %d shards, %d injections, %v simulated, %d warm starts (%d delta-restored, %v restore), %d pruned runs\n",
+		fmt.Fprintf(os.Stderr, "socfault: cost: %d shards, %d evals, %v simulated, %d warm starts (%d delta-restored, %v restore), %d pruned runs\n",
 			c.Shards, c.InjectEvals, time.Duration(c.InjectWallNS).Round(time.Millisecond),
 			c.WarmStarts, c.DeltaRestores, time.Duration(c.RestoreWallNS).Round(time.Millisecond), c.PrunedRuns)
 	}

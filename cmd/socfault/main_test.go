@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/runstore"
 	"repro/internal/shard"
+	"repro/internal/socgen"
 	"repro/internal/ssresf"
 	"repro/internal/sweep"
 )
@@ -60,8 +61,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.spec.KN != shard.PaperKN(1) {
-		t.Errorf("default KN %d, want paper value %d", cfg.spec.KN, shard.PaperKN(1))
+	if paper := socgen.TableIConfigs()[0].KN; cfg.spec.KN != paper {
+		t.Errorf("default KN %d, want paper value %d", cfg.spec.KN, paper)
 	}
 	if cfg.shards != 1 || cfg.journal != "" || cfg.resume {
 		t.Errorf("sharding defaults wrong: %+v", cfg)

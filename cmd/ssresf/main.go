@@ -66,8 +66,7 @@ func main() {
 	opts := inject.DefaultOptions()
 	opts.SampleFrac = *sample
 	opts.Seed = *seed
-	paperKN := []int{5, 6, 8, 9, 14, 15, 18, 19, 21, 23}
-	opts.KN = paperKN[*socIdx-1]
+	opts.KN = cfg.KN
 
 	fmt.Printf("== dynamic simulation phase: %s ==\n", cfg.Name)
 	an, err := ssresf.AnalyzeSoC(cfg, riscv.MemcpyProgram(16), db, opts)

@@ -190,23 +190,13 @@ type Result struct {
 	SETXsect, SEUXsect float64
 	// ClusterOf maps every cell ID to its cluster.
 	ClusterOf []int
-	// GoldenWall and InjectWall are wall-clock durations (Table III).
-	GoldenWall, InjectWall time.Duration
-	// GoldenEvals and InjectEvals count simulator cell evaluations.
-	GoldenEvals, InjectEvals uint64
-	// WarmStarts counts injections that resumed from a golden checkpoint
-	// instead of replaying from t=0; PrunedRuns counts the subset that
-	// additionally terminated early because the faulty state re-converged
-	// onto the golden trajectory. Work metrics only — verdicts are
-	// bit-identical with or without warm starts.
-	WarmStarts, PrunedRuns uint64
-	// DeltaRestores counts warm starts that reset their engine through the
-	// dirty-set delta path (consecutive strike-sorted injections sharing a
-	// restore point) instead of a wholesale checkpoint copy; RestoreWall is
-	// the total wall-clock the workers spent inside restores. Work metrics
-	// only, like WarmStarts.
-	DeltaRestores uint64
-	RestoreWall   time.Duration
+	// GoldenWall is the golden run's wall-clock (Table III) and GoldenEvals
+	// its simulator cell evaluations.
+	GoldenWall  time.Duration
+	GoldenEvals uint64
+	// Work is the injection phase's simulator work (InjectWall,
+	// InjectEvals, WarmStarts, ...).
+	Work
 }
 
 // Campaign holds the prepared state for running injections on one design.
@@ -233,15 +223,6 @@ type Campaign struct {
 	// read-only after New, shared by all workers.
 	ckpts []goldenCheckpoint
 }
-
-// SetMetrics swaps the campaign's metrics sink. Metrics never feed back
-// into simulation, so swapping sinks between runs cannot change any
-// verdict; callers must not swap while a run is in flight
-// (shard.Executor serializes execution and swaps around each shard).
-func (c *Campaign) SetMetrics(m *Metrics) { c.opts.Metrics = m }
-
-// Metrics returns the campaign's current metrics sink (possibly nil).
-func (c *Campaign) Metrics() *Metrics { return c.opts.Metrics }
 
 // goldenCheckpoint is one snapshot of the golden run: the engine state at
 // the start of clock cycle `cycle` (just after its rising edge). Under
@@ -665,13 +646,11 @@ func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 
 // RunJobs executes the [start,end) slice of the drawn injection plan and
 // accumulates raw outcomes into res: injections are appended in plan
-// order and the work counters (InjectWall, InjectEvals, WarmStarts,
-// PrunedRuns, DeltaRestores, RestoreWall) are incremented by this slice's
-// contribution only. It is the shard-scoped campaign entry point — a
-// shard worker calls it for each leased index range, reusing this
-// campaign's golden run and checkpoints across shards — and it does not
-// aggregate: call Aggregate once after every planned injection has been
-// accumulated.
+// order and res.Work is incremented by this slice's contribution only. It
+// is the shard-scoped campaign entry point — a shard worker calls it for
+// each leased index range, reusing this campaign's golden run and
+// checkpoints across shards — and it does not aggregate: call Aggregate
+// once after every planned injection has been accumulated.
 func (c *Campaign) RunJobs(res *Result, start, end int) error {
 	all := c.DrawJobs()
 	if start < 0 || end > len(all) || start > end {
@@ -718,19 +697,13 @@ func (c *Campaign) RunJobs(res *Result, start, end int) error {
 			return err
 		}
 	}
-	var sum work
+	sum := Work{InjectWall: time.Since(began)}
 	for i := range ws {
-		sum.add(ws[i].work)
+		sum.Add(ws[i].Work)
 	}
 	res.Injections = append(res.Injections, injections...)
-	res.InjectWall += time.Since(began)
-	res.InjectEvals += sum.evals
-	res.WarmStarts += sum.warmStarts
-	res.PrunedRuns += sum.prunedRuns
-	res.DeltaRestores += sum.deltaRestores
-	res.RestoreWall += sum.restoreWall
-	c.opts.Metrics.record(began, start, end, sum.evals, sum.warmStarts, sum.prunedRuns,
-		sum.deltaRestores, sum.restoreWall.Nanoseconds())
+	res.Work.Add(sum)
+	c.opts.Metrics.record(began, start, end, sum)
 	return nil
 }
 

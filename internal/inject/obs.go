@@ -6,82 +6,89 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics mirrors the campaign's work counters into an obs registry as
-// they accumulate, so an operator can watch warm-start efficiency live
-// instead of waiting for the end-of-run Result. All handles are nil-safe;
-// a nil *Metrics disables instrumentation entirely. Metrics never feed
-// back into simulation — verdicts and Result counters are identical with
-// or without it (TestObsByteIdentical pins this).
+// workCounters is the one table of the Work counters an obs registry
+// carries: the series name suffix (inject_<suffix>_total for the
+// process-lifetime totals, sweep_cost_<suffix>_total per sweep), the help
+// text of each family, and the field the counter mirrors. InjectWall has
+// no counter; the per-sweep shard wall is counted by shard.Executor.
+var workCounters = [...]struct {
+	suffix, help, costHelp string
+	of                     func(Work) uint64
+}{
+	{"evals", "Simulator cell evaluations spent in injection runs.", "Simulator cell evaluations attributed to the sweep.",
+		func(w Work) uint64 { return w.InjectEvals }},
+	{"warm_starts", "Injections resumed from a golden checkpoint instead of t=0.", "Warm starts attributed to the sweep.",
+		func(w Work) uint64 { return w.WarmStarts }},
+	{"pruned_runs", "Warm starts terminated early on golden re-convergence.", "Pruned runs attributed to the sweep.",
+		func(w Work) uint64 { return w.PrunedRuns }},
+	{"delta_restores", "Warm starts reset via the dirty-set delta path.", "Delta restores attributed to the sweep.",
+		func(w Work) uint64 { return w.DeltaRestores }},
+	{"restore_wall_ns", "Wall nanoseconds workers spent inside engine restores.", "Restore wall nanoseconds attributed to the sweep.",
+		func(w Work) uint64 { return uint64(w.RestoreWall) }},
+}
+
+// Metrics mirrors Work into an obs registry as it accumulates, so an
+// operator can watch warm-start efficiency live instead of waiting for the
+// end-of-run Result. All handles are nil-safe; a nil *Metrics disables
+// instrumentation entirely. Metrics never feed back into simulation —
+// verdicts and Result counters are identical with or without it
+// (cmd/campaignd's TestObsSmoke pins the rendered bytes).
 type Metrics struct {
-	// Evals counts simulator cell evaluations spent in injection runs;
-	// WarmStarts, PrunedRuns, DeltaRestores, and RestoreWallNS mirror the
-	// Result counters of the same names.
-	Evals         *obs.Counter
-	WarmStarts    *obs.Counter
-	PrunedRuns    *obs.Counter
-	DeltaRestores *obs.Counter
-	RestoreWallNS *obs.Counter
+	counters [len(workCounters)]*obs.Counter
 	// Tracer receives one "inject" span per RunJobs range, plus a
 	// synthetic "restore" span whose duration is the range's cumulative
 	// restore wall.
 	Tracer *obs.Tracer
-	// Chain, when non-nil, receives every record call too. It lets a
-	// per-sweep cost sink stack on top of the process-lifetime fleet
-	// counters without the call site knowing about either: the executor
-	// swaps in a cost Metrics chained to the worker's original one for
-	// the duration of a shard.
-	Chain *Metrics
 }
 
-// NewMetrics registers the inject metric family on r (eagerly, so series
+// NewMetrics registers the inject_*_total family on r (eagerly, so series
 // exist at zero from the first scrape) and returns the handles. A nil
 // registry yields a usable all-no-op Metrics.
 func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
-		Evals:         r.NewCounter("inject_evals_total", "Simulator cell evaluations spent in injection runs."),
-		WarmStarts:    r.NewCounter("inject_warm_starts_total", "Injections resumed from a golden checkpoint instead of t=0."),
-		PrunedRuns:    r.NewCounter("inject_pruned_runs_total", "Warm starts terminated early on golden re-convergence."),
-		DeltaRestores: r.NewCounter("inject_delta_restores_total", "Warm starts reset via the dirty-set delta path."),
-		RestoreWallNS: r.NewCounter("inject_restore_wall_ns_total", "Wall nanoseconds workers spent inside engine restores."),
+	m := &Metrics{}
+	for i, wc := range workCounters {
+		m.counters[i] = r.NewCounter("inject_"+wc.suffix+"_total", wc.help)
 	}
+	return m
 }
 
 // NewCostMetrics registers the per-sweep cost attribution family on r —
-// the same counters NewMetrics mirrors, renamed sweep_cost_* and labeled
-// with the sweep's fp12 — and returns the handles. Unlike the fleet
-// totals these series exist only while their sweep is being executed on
-// this process; they are how a worker's spend is broken down by sweep on
-// the federated scrape. A nil registry yields an all-no-op Metrics.
+// the same counters, named sweep_cost_*_total and labeled with the
+// sweep's fp12 — and returns the handles. These series exist only once
+// this process has executed a shard of the sweep; they are how a worker's
+// spend is broken down by sweep on the federated scrape. A nil registry
+// yields an all-no-op Metrics.
 func NewCostMetrics(r *obs.Registry, sweep string) *Metrics {
-	return &Metrics{
-		Evals:         r.NewCounter("sweep_cost_evals_total", "Simulator cell evaluations attributed to the sweep.", "sweep", sweep),
-		WarmStarts:    r.NewCounter("sweep_cost_warm_starts_total", "Warm starts attributed to the sweep.", "sweep", sweep),
-		PrunedRuns:    r.NewCounter("sweep_cost_pruned_runs_total", "Pruned runs attributed to the sweep.", "sweep", sweep),
-		DeltaRestores: r.NewCounter("sweep_cost_delta_restores_total", "Delta restores attributed to the sweep.", "sweep", sweep),
-		RestoreWallNS: r.NewCounter("sweep_cost_restore_wall_ns_total", "Restore wall nanoseconds attributed to the sweep.", "sweep", sweep),
+	m := &Metrics{}
+	for i, wc := range workCounters {
+		m.counters[i] = r.NewCounter("sweep_cost_"+wc.suffix+"_total", wc.costHelp, "sweep", sweep)
 	}
+	return m
 }
 
-// record publishes one RunJobs range's work deltas and spans.
-func (m *Metrics) record(began time.Time, start, end int, evals, warm, pruned, deltas uint64, restoreNS int64) {
+// Record adds w to the counters.
+func (m *Metrics) Record(w Work) {
 	if m == nil {
 		return
 	}
-	m.Chain.record(began, start, end, evals, warm, pruned, deltas, restoreNS)
-	m.Evals.Add(evals)
-	m.WarmStarts.Add(warm)
-	m.PrunedRuns.Add(pruned)
-	m.DeltaRestores.Add(deltas)
-	if restoreNS > 0 {
-		m.RestoreWallNS.Add(uint64(restoreNS))
+	for i, wc := range workCounters {
+		m.counters[i].Add(wc.of(w))
 	}
-	args := map[string]any{"start": start, "end": end, "evals": evals, "warm_starts": warm}
+}
+
+// record publishes one RunJobs range's work and spans.
+func (m *Metrics) record(began time.Time, start, end int, w Work) {
+	if m == nil {
+		return
+	}
+	m.Record(w)
+	args := map[string]any{"start": start, "end": end, "evals": w.InjectEvals, "warm_starts": w.WarmStarts}
 	m.Tracer.Span("inject", "inject", 0, int64(start), began, args)
-	if restoreNS > 0 {
+	if restoreNS := w.RestoreWall.Nanoseconds(); restoreNS > 0 {
 		// Synthetic span: restores are scattered inside the range, so the
 		// journal carries one back-dated span whose duration is the range's
 		// cumulative restore wall.
-		m.Tracer.Span("restore", "inject", 0, int64(start), time.Now().Add(-time.Duration(restoreNS)),
-			map[string]any{"restore_wall_ns": restoreNS, "delta_restores": deltas})
+		m.Tracer.Span("restore", "inject", 0, int64(start), time.Now().Add(-w.RestoreWall),
+			map[string]any{"restore_wall_ns": restoreNS, "delta_restores": w.DeltaRestores})
 	}
 }

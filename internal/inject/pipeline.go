@@ -20,28 +20,52 @@ import (
 // from a golden checkpoint) and which detector judges it (the cycle
 // signature, or the paper's VCD diff).
 
-// work is the simulator work one worker accounts; RunJobs sums its
-// workers' into the Result's counters of the same names.
-type work struct {
-	evals, warmStarts, prunedRuns, deltaRestores uint64
-	restoreWall                                  time.Duration
+// Work is the simulator work of injection runs: the one counter vector a
+// worker accounts, RunJobs sums into Result, a shard carries in its
+// Partial, Merge and the coordinator's per-sweep cost add up, and Metrics
+// mirrors into a registry. Work metrics only — verdicts are bit-identical
+// however much work reached them.
+//
+// The JSON shape is shard.Partial's, which is under an integrity checksum
+// in every journal and lake blob: a field may be appended (omitempty, so
+// older stamps still verify) but never renamed, re-tagged or reordered.
+type Work struct {
+	// InjectWall is the wall-clock of the injection phase (Table III).
+	InjectWall time.Duration `json:"inject_wall_ns"`
+	// InjectEvals counts simulator cell evaluations.
+	InjectEvals uint64 `json:"inject_evals"`
+	// WarmStarts counts injections that resumed from a golden checkpoint
+	// instead of replaying from t=0; PrunedRuns counts the subset that
+	// additionally terminated early because the faulty state re-converged
+	// onto the golden trajectory.
+	WarmStarts uint64 `json:"warm_starts"`
+	PrunedRuns uint64 `json:"pruned_runs"`
+	// DeltaRestores counts warm starts that reset their engine through the
+	// dirty-set delta path (consecutive strike-sorted injections sharing a
+	// restore point) instead of a wholesale checkpoint copy; RestoreWall is
+	// the total wall-clock the workers spent inside restores.
+	DeltaRestores uint64        `json:"delta_restores,omitempty"`
+	RestoreWall   time.Duration `json:"restore_wall_ns,omitempty"`
 }
 
-func (w *work) add(o work) {
-	w.evals += o.evals
-	w.warmStarts += o.warmStarts
-	w.prunedRuns += o.prunedRuns
-	w.deltaRestores += o.deltaRestores
-	w.restoreWall += o.restoreWall
+// Add accumulates o into w.
+func (w *Work) Add(o Work) {
+	w.InjectWall += o.InjectWall
+	w.InjectEvals += o.InjectEvals
+	w.WarmStarts += o.WarmStarts
+	w.PrunedRuns += o.PrunedRuns
+	w.DeltaRestores += o.DeltaRestores
+	w.RestoreWall += o.RestoreWall
 }
 
 // worker is one injection worker's reusable simulation context: checkpoint
 // starts restore a single engine instead of reconstructing one. Within a
 // batch the reset is a dirty-set delta restore — the engine tracks what the
 // previous injection touched and rewrites only that — which is what
-// strike-sorting the jobs buys.
+// strike-sorting the jobs buys. Its Work is everything but InjectWall,
+// which RunJobs times around the whole fan-out.
 type worker struct {
-	work
+	Work
 	c      *Campaign
 	eng    sim.Engine // built on the first checkpoint start
 	lastCk *sim.Checkpoint
@@ -82,7 +106,7 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 		return false, err
 	}
 	evals0 := eng.CellEvals()
-	defer func() { w.evals += eng.CellEvals() - evals0 }()
+	defer func() { w.InjectEvals += eng.CellEvals() - evals0 }()
 	var faultEnd uint64
 	if inj != nil {
 		if faultEnd, err = c.applyFault(eng, inj); err != nil {
@@ -101,7 +125,7 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 				return true, nil
 			}
 			if b.time > faultEnd && eng.MatchesCheckpoint(b.ck) {
-				w.prunedRuns++
+				w.PrunedRuns++
 				return false, nil
 			}
 		}
@@ -132,15 +156,15 @@ func (w *worker) start(ckIdx int) (sim.Engine, *goldenCheckpoint, error) {
 	rec := &c.ckpts[ckIdx]
 	began := time.Now()
 	err := w.eng.RestoreDelta(rec.ck)
-	w.restoreWall += time.Since(began)
+	w.RestoreWall += time.Since(began)
 	if err != nil {
 		return nil, nil, err
 	}
 	if w.lastCk == rec.ck {
-		w.deltaRestores++
+		w.DeltaRestores++
 	}
 	w.lastCk = rec.ck
-	w.warmStarts++
+	w.WarmStarts++
 	return w.eng, rec, nil
 }
 

@@ -13,33 +13,28 @@ import (
 // fields of Options are not persisted; everything needed to audit or
 // re-label a campaign is.
 type resultJSON struct {
-	SchemaVersion int             `json:"schema_version"`
-	Design        string          `json:"design"`
-	Engine        string          `json:"engine"`
-	LET           float64         `json:"let"`
-	Flux          float64         `json:"flux"`
-	ExposureS     float64         `json:"exposure_s"`
-	KN            int             `json:"kn"`
-	LN            int             `json:"ln"`
-	SampleFrac    float64         `json:"sample_frac"`
-	Seed          uint64          `json:"seed"`
-	CkptCycles    int             `json:"checkpoint_every_cycles,omitempty"`
-	ColdStart     bool            `json:"cold_start,omitempty"`
-	WarmStarts    uint64          `json:"warm_starts,omitempty"`
-	PrunedRuns    uint64          `json:"pruned_runs,omitempty"`
-	DeltaRestores uint64          `json:"delta_restores,omitempty"`
-	RestoreWallNS int64           `json:"restore_wall_ns,omitempty"`
-	ChipSER       float64         `json:"chip_ser"`
-	SETXsect      float64         `json:"set_xsect_cm2"`
-	SEUXsect      float64         `json:"seu_xsect_cm2"`
-	GoldenWallNS  int64           `json:"golden_wall_ns"`
-	InjectWallNS  int64           `json:"inject_wall_ns"`
-	GoldenEvals   uint64          `json:"golden_evals"`
-	InjectEvals   uint64          `json:"inject_evals"`
-	Clusters      []ClusterStats  `json:"clusters"`
-	Modules       []ModuleStats   `json:"modules"`
-	Injections    []injectionJSON `json:"injections"`
-	ClusterOf     []int           `json:"cluster_of"`
+	SchemaVersion int     `json:"schema_version"`
+	Design        string  `json:"design"`
+	Engine        string  `json:"engine"`
+	LET           float64 `json:"let"`
+	Flux          float64 `json:"flux"`
+	ExposureS     float64 `json:"exposure_s"`
+	KN            int     `json:"kn"`
+	LN            int     `json:"ln"`
+	SampleFrac    float64 `json:"sample_frac"`
+	Seed          uint64  `json:"seed"`
+	CkptCycles    int     `json:"checkpoint_every_cycles,omitempty"`
+	ColdStart     bool    `json:"cold_start,omitempty"`
+	Work
+	ChipSER      float64         `json:"chip_ser"`
+	SETXsect     float64         `json:"set_xsect_cm2"`
+	SEUXsect     float64         `json:"seu_xsect_cm2"`
+	GoldenWallNS int64           `json:"golden_wall_ns"`
+	GoldenEvals  uint64          `json:"golden_evals"`
+	Clusters     []ClusterStats  `json:"clusters"`
+	Modules      []ModuleStats   `json:"modules"`
+	Injections   []injectionJSON `json:"injections"`
+	ClusterOf    []int           `json:"cluster_of"`
 }
 
 type injectionJSON struct {
@@ -69,17 +64,12 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		Seed:          r.Options.Seed,
 		CkptCycles:    r.Options.CheckpointEveryCycles,
 		ColdStart:     r.Options.ColdStart,
-		WarmStarts:    r.WarmStarts,
-		PrunedRuns:    r.PrunedRuns,
-		DeltaRestores: r.DeltaRestores,
-		RestoreWallNS: r.RestoreWall.Nanoseconds(),
+		Work:          r.Work,
 		ChipSER:       r.ChipSER,
 		SETXsect:      r.SETXsect,
 		SEUXsect:      r.SEUXsect,
 		GoldenWallNS:  r.GoldenWall.Nanoseconds(),
-		InjectWallNS:  r.InjectWall.Nanoseconds(),
 		GoldenEvals:   r.GoldenEvals,
-		InjectEvals:   r.InjectEvals,
 		Clusters:      r.Clusters,
 		ClusterOf:     r.ClusterOf,
 	}
@@ -120,9 +110,8 @@ func ReadJSON(rd io.Reader) (*Result, error) {
 		SETXsect:    in.SETXsect,
 		SEUXsect:    in.SEUXsect,
 		GoldenWall:  time.Duration(in.GoldenWallNS),
-		InjectWall:  time.Duration(in.InjectWallNS),
 		GoldenEvals: in.GoldenEvals,
-		InjectEvals: in.InjectEvals,
+		Work:        in.Work,
 		Clusters:    in.Clusters,
 		ClusterOf:   in.ClusterOf,
 		Modules:     map[string]*ModuleStats{},
@@ -136,10 +125,6 @@ func ReadJSON(rd io.Reader) (*Result, error) {
 	res.Options.Seed = in.Seed
 	res.Options.CheckpointEveryCycles = in.CkptCycles
 	res.Options.ColdStart = in.ColdStart
-	res.WarmStarts = in.WarmStarts
-	res.PrunedRuns = in.PrunedRuns
-	res.DeltaRestores = in.DeltaRestores
-	res.RestoreWall = time.Duration(in.RestoreWallNS)
 	for i := range in.Modules {
 		m := in.Modules[i]
 		res.Modules[m.Name] = &m

@@ -563,8 +563,8 @@ func TestPartialsRoundTripAndValidation(t *testing.T) {
 	p := NewStorePartials(s)
 	orig := &shard.Partial{
 		Index: 2, Start: 8, End: 12,
-		Injections:  nil,
-		InjectEvals: 77,
+		Injections: nil,
+		Work:       inject.Work{InjectEvals: 77},
 	}
 	orig.Injections = make([]inject.Injection, 4)
 	p.PutPartial("fpP", orig)

@@ -68,16 +68,11 @@ func BuildLocal(cs CampaignSpec, tune func(*inject.Options)) (*Built, error) {
 // unit the runstore journals and the coordinator merges; verdict-relevant
 // state only, so a Partial computed by any process merges bit-identically.
 type Partial struct {
-	Index         int                `json:"index"`
-	Start         int                `json:"start"`
-	End           int                `json:"end"`
-	Injections    []inject.Injection `json:"injections"`
-	InjectWallNS  int64              `json:"inject_wall_ns"`
-	InjectEvals   uint64             `json:"inject_evals"`
-	WarmStarts    uint64             `json:"warm_starts"`
-	PrunedRuns    uint64             `json:"pruned_runs"`
-	DeltaRestores uint64             `json:"delta_restores,omitempty"`
-	RestoreWallNS int64              `json:"restore_wall_ns,omitempty"`
+	Index      int                `json:"index"`
+	Start      int                `json:"start"`
+	End        int                `json:"end"`
+	Injections []inject.Injection `json:"injections"`
+	inject.Work
 	// Checksum is the integrity stamp over the canonical encoding of the
 	// fields above (Index excluded — see Sum). The executor stamps it at
 	// execution time; Queue.Complete, journal replay and lake promotion
@@ -111,18 +106,7 @@ func ExecuteOn(b *Built, sp Spec) (*Partial, error) {
 	if err := runJobsRecovering(b, &res, sp.Start, sp.End); err != nil {
 		return nil, err
 	}
-	p := &Partial{
-		Index:         sp.Index,
-		Start:         sp.Start,
-		End:           sp.End,
-		Injections:    res.Injections,
-		InjectWallNS:  res.InjectWall.Nanoseconds(),
-		InjectEvals:   res.InjectEvals,
-		WarmStarts:    res.WarmStarts,
-		PrunedRuns:    res.PrunedRuns,
-		DeltaRestores: res.DeltaRestores,
-		RestoreWallNS: res.RestoreWall.Nanoseconds(),
-	}
+	p := &Partial{Index: sp.Index, Start: sp.Start, End: sp.End, Injections: res.Injections, Work: res.Work}
 	if err := p.Stamp(); err != nil {
 		return nil, err
 	}
@@ -294,13 +278,11 @@ func (e *Executor) Execute(sp Spec) (*Partial, error) {
 	return e.ExecuteFor(sp, "")
 }
 
-// ExecuteFor is Execute with the shard's spend attributed to a sweep:
-// for the duration of the shard the campaign's metrics sink is swapped
-// for a sweep-labeled cost sink chained to the original (fleet totals
-// keep accumulating), and shard wall / cache hits are counted under the
-// same label. sweep is the fp12 from Lease.Sweep; empty disables
-// attribution. Attribution is pure accounting — the computed Partial is
-// bit-identical either way.
+// ExecuteFor is Execute with the shard's spend attributed to a sweep: the
+// executed partial's Work, the shard wall and cache hits are counted into
+// sweep_cost_* series labeled with sweep, the fp12 from Lease.Sweep; empty
+// disables attribution. Attribution is pure accounting — the computed
+// Partial is bit-identical either way.
 func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 	fp, err := sp.Campaign.Fingerprint()
 	if err != nil {
@@ -359,25 +341,14 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 	}
 
 	e.execMu.Lock()
-	var restoreMetrics func()
-	if sweep != "" {
-		// The metrics swap is scoped to the execMu critical section:
-		// SetMetrics must not race with another shard of the same campaign.
-		cm := inject.NewCostMetrics(reg, sweep)
-		cm.Chain = b.Run.Campaign.Metrics()
-		b.Run.Campaign.SetMetrics(cm)
-		restoreMetrics = func() { b.Run.Campaign.SetMetrics(cm.Chain) }
-	}
 	start := time.Now()
 	p, err := ExecuteOn(b, sp)
-	if restoreMetrics != nil {
-		restoreMetrics()
-	}
 	if err != nil {
 		e.execMu.Unlock()
 		return nil, err
 	}
 	if sweep != "" {
+		inject.NewCostMetrics(reg, sweep).Record(p.Work)
 		reg.NewCounter("sweep_cost_shards_total", "Shards executed for the sweep on this worker.", "sweep", sweep).Inc()
 		reg.NewCounter("sweep_cost_shard_wall_ns_total", "Shard execution wall nanoseconds attributed to the sweep.", "sweep", sweep).
 			Add(uint64(time.Since(start).Nanoseconds()))

@@ -1,6 +1,10 @@
 package shard
 
-import "flag"
+import (
+	"flag"
+
+	"repro/internal/socgen"
+)
 
 // CampaignFlagNames is the set of flag names CampaignFlags registers,
 // derived from a scratch registration so it can never drift from the
@@ -51,8 +55,8 @@ func CampaignFlags(fs *flag.FlagSet) func() (CampaignSpec, error) {
 			Seed:       *seed,
 			ColdStart:  *cold,
 		}
-		if cs.KN == 0 {
-			cs.KN = PaperKN(cs.SoC)
+		if cfg, err := socgen.ConfigByIndex(cs.SoC); err == nil && cs.KN == 0 {
+			cs.KN = cfg.KN
 		}
 		return cs, cs.Validate()
 	}

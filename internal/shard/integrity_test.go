@@ -72,7 +72,7 @@ func TestVerdictSumStableAcrossWorkCounters(t *testing.T) {
 	specs := queueSpecs(t)
 	a := fakePartial(specs[0])
 	b := fakePartial(specs[0])
-	b.InjectWallNS = 12345
+	b.InjectWall = 12345
 	b.WarmStarts = 99
 	sa, err := a.VerdictSum()
 	if err != nil {

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/inject"
 )
@@ -49,12 +48,7 @@ func Merge(b *Built, partials []*Partial) (*inject.Result, error) {
 			return nil, fmt.Errorf("shard: partial [%d,%d) carries %d injections", p.Start, p.End, len(p.Injections))
 		}
 		res.Injections = append(res.Injections, p.Injections...)
-		res.InjectWall += time.Duration(p.InjectWallNS)
-		res.InjectEvals += p.InjectEvals
-		res.WarmStarts += p.WarmStarts
-		res.PrunedRuns += p.PrunedRuns
-		res.DeltaRestores += p.DeltaRestores
-		res.RestoreWall += time.Duration(p.RestoreWallNS)
+		res.Work.Add(p.Work)
 		next = p.End
 	}
 	if next != len(b.Jobs) {

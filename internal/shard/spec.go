@@ -22,16 +22,6 @@ import (
 	"repro/internal/socgen"
 )
 
-// PaperKN reproduces Table I's "Number of clusters" column: the cluster
-// count the paper uses for benchmark idx (1-based).
-func PaperKN(idx int) int {
-	kn := []int{5, 6, 8, 9, 14, 15, 18, 19, 21, 23}
-	if idx < 1 || idx > len(kn) {
-		return 0
-	}
-	return kn[idx-1]
-}
-
 // WorkloadProgram maps a workload kernel name to the RISC-V program every
 // campaign component (coordinator, workers, local sharded runs) must
 // agree on; the sizes are the ones cmd/socfault has always used.

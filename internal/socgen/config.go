@@ -24,6 +24,10 @@ type Config struct {
 	BusBits int    // real bus width in bits
 	ISA     string // "RV32I".."RV64I"
 	Cores   int    // 1 or 2
+	// KN is Table I's "Number of clusters": the paper's Algorithm 1
+	// cluster count K_N for this benchmark. Campaign fingerprints, and so
+	// journals and lake keys, depend on it.
+	KN int
 
 	// Scaled-model knobs derived from the real parameters.
 	MemRows     int // simulated memory rows
@@ -85,16 +89,16 @@ func (c Config) MemCellName() (string, error) {
 // their scaled-model parameters.
 func TableIConfigs() []Config {
 	base := []Config{
-		{Index: 1, MemType: "SRAM", MemKB: 64, BusType: "APB", BusBits: 8, ISA: "RV32I", Cores: 1},
-		{Index: 2, MemType: "DRAM", MemKB: 64, BusType: "APB", BusBits: 16, ISA: "RV32I", Cores: 2},
-		{Index: 3, MemType: "SRAM", MemKB: 256, BusType: "AHB", BusBits: 32, ISA: "RV32IM", Cores: 1},
-		{Index: 4, MemType: "DRAM", MemKB: 256, BusType: "AHB", BusBits: 64, ISA: "RV32IM", Cores: 2},
-		{Index: 5, MemType: "SRAM", MemKB: 1024, BusType: "AXI", BusBits: 128, ISA: "RV32IMF", Cores: 1},
-		{Index: 6, MemType: "DRAM", MemKB: 1024, BusType: "AXI", BusBits: 256, ISA: "RV32IMF", Cores: 2},
-		{Index: 7, MemType: "SRAM", MemKB: 2048, BusType: "APB", BusBits: 512, ISA: "RV32IMAFD", Cores: 1},
-		{Index: 8, MemType: "DRAM", MemKB: 2048, BusType: "APB", BusBits: 1024, ISA: "RV32IMAFD", Cores: 2},
-		{Index: 9, MemType: "SRAM", MemKB: 4096, BusType: "AHB", BusBits: 2048, ISA: "RV64I", Cores: 1},
-		{Index: 10, MemType: "RadHardSRAM", MemKB: 4096, BusType: "AHB", BusBits: 4096, ISA: "RV64I", Cores: 2},
+		{Index: 1, MemType: "SRAM", MemKB: 64, BusType: "APB", BusBits: 8, ISA: "RV32I", Cores: 1, KN: 5},
+		{Index: 2, MemType: "DRAM", MemKB: 64, BusType: "APB", BusBits: 16, ISA: "RV32I", Cores: 2, KN: 6},
+		{Index: 3, MemType: "SRAM", MemKB: 256, BusType: "AHB", BusBits: 32, ISA: "RV32IM", Cores: 1, KN: 8},
+		{Index: 4, MemType: "DRAM", MemKB: 256, BusType: "AHB", BusBits: 64, ISA: "RV32IM", Cores: 2, KN: 9},
+		{Index: 5, MemType: "SRAM", MemKB: 1024, BusType: "AXI", BusBits: 128, ISA: "RV32IMF", Cores: 1, KN: 14},
+		{Index: 6, MemType: "DRAM", MemKB: 1024, BusType: "AXI", BusBits: 256, ISA: "RV32IMF", Cores: 2, KN: 15},
+		{Index: 7, MemType: "SRAM", MemKB: 2048, BusType: "APB", BusBits: 512, ISA: "RV32IMAFD", Cores: 1, KN: 18},
+		{Index: 8, MemType: "DRAM", MemKB: 2048, BusType: "APB", BusBits: 1024, ISA: "RV32IMAFD", Cores: 2, KN: 19},
+		{Index: 9, MemType: "SRAM", MemKB: 4096, BusType: "AHB", BusBits: 2048, ISA: "RV64I", Cores: 1, KN: 21},
+		{Index: 10, MemType: "RadHardSRAM", MemKB: 4096, BusType: "AHB", BusBits: 4096, ISA: "RV64I", Cores: 2, KN: 23},
 	}
 	memScale := map[int][2]int{ // MemKB -> rows, cols
 		64:   {8, 8},

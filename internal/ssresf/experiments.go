@@ -13,10 +13,6 @@ import (
 	"repro/internal/socgen"
 )
 
-// paperKN reproduces Table I's "Number of clusters" column: the cluster
-// count the paper used per benchmark.
-var paperKN = []int{5, 6, 8, 9, 14, 15, 18, 19, 21, 23}
-
 // ExperimentConfig bundles the knobs shared by all experiment drivers.
 type ExperimentConfig struct {
 	DB       *fault.DB
@@ -45,10 +41,10 @@ func DefaultExperimentConfig(quick bool) ExperimentConfig {
 }
 
 // OptionsFor specializes the campaign options for one benchmark, using the
-// paper's per-benchmark cluster counts.
+// paper's per-benchmark cluster count (socgen.Config.KN).
 func (ec ExperimentConfig) OptionsFor(idx int) inject.Options {
 	o := ec.Inject
-	o.KN = paperKN[idx-1]
+	o.KN = socgen.TableIConfigs()[idx-1].KN
 	if o.LN == 0 {
 		o.LN = 4
 	}

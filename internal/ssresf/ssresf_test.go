@@ -156,9 +156,9 @@ func TestTableISubsetTrends(t *testing.T) {
 		t.Errorf("SET xsect must grow: SoC1 %.3e vs SoC9 %.3e", byIdx[1].SETXsect, byIdx[9].SETXsect)
 	}
 	// Cluster counts match the paper's column.
-	for i, want := range paperKN {
-		if byIdx[i+1].Clusters != want {
-			t.Errorf("SoC%d clusters = %d, want %d", i+1, byIdx[i+1].Clusters, want)
+	for _, cfg := range socgen.TableIConfigs() {
+		if byIdx[cfg.Index].Clusters != cfg.KN {
+			t.Errorf("SoC%d clusters = %d, want %d", cfg.Index, byIdx[cfg.Index].Clusters, cfg.KN)
 		}
 	}
 	var buf bytes.Buffer

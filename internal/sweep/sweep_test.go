@@ -527,3 +527,47 @@ func TestPoolCancel(t *testing.T) {
 		t.Fatal("renew of a completed shard's lease accepted")
 	}
 }
+
+// TestTableIGridFingerprints pins the ten campaign fingerprints of the
+// Table I grid (`-sweep table1`, with and without -quick), which each
+// read their cluster count from socgen's Table I rows: journals and lake
+// keys of every Table I sweep are filed under them.
+func TestTableIGridFingerprints(t *testing.T) {
+	want := map[bool][]string{
+		false: {
+			"e73533c02c765553fa024db324e80705e18ba9c55cf5cd2897841f8521b32958",
+			"3e6d6d68be87da2950b03acb77cbc6e844f4c78df2dd79fc9bf1c7c981fbb974",
+			"3823d8dbd58802ae7cc72cb2ec68f60bcc5d83486ba9a8796439d70c7dae0de0",
+			"cf67a237d704ec5caeabe5b49a8669bc8723d060b53fad9a28fd0a52ae0228f4",
+			"b8cc1e6691d6d7ba8893bf31491952dfb6729da9c904d74bffcf2e54d6b27022",
+			"45663072e777a9d9a5826a2615689256248e6d1faa907052fe3724ed3fc74c93",
+			"6aec48e2ccab94f94e8884e074615692748eb399d287cb46ef0854254148ce9d",
+			"e083e9b7d975d07ef2ea739a1616d1e3eebdab98e47822798e8d54b80d69b894",
+			"40e835c7705444d7547bcb4cd02d66bba7c263684146b2baf4118f1130f0d8f0",
+			"3a58e7f0f02125901993e6a2efac95df7c59a15c3f55db1b0dab9c8bf028d061",
+		},
+		true: {
+			"170c6eeef05cef0230a7b6bea69d534407ae4c6ff4fc1832ce39464cf8d32849",
+			"1f36beb32091a53cf8f5220d3040eb0662892df0317ff7e33744567de4d800f9",
+			"270f08dace1e4005540e8a205442f3a790483ac055c3cfc0af4344c60f746d04",
+			"afc26278ccb01c4c3d3ebe34bd1dc5c1a49251c3913265d22d7ea3b50c4f6d0f",
+			"2521d9e3d04f1430faeba8dc91b37540f55ab64aea2eeeb281c829e156c8da96",
+			"ef5f96a69ad50c282cac9d0043a88633265606d65ab522def605e1fb8818e9e0",
+			"b683bb283b1fcb67188422c8b29df23fbc88cea26d6021bc43043e724785cda9",
+			"6e5c629d8e925371ac899a01f00321b7a400a33f79e391195155fdae6974a54d",
+			"31554f894b6c65978ef8ba4b51a17cc1293b7d2d6361ce3c5df4ca85853076a1",
+			"8e7c0ac65541821f210f86d2e1366b46e6f2f390ca4f0424fbe8e2ef9bbe55e0",
+		},
+	}
+	for quick, fps := range want {
+		g := mustGrid(t)(TableIGrid(ssresf.DefaultExperimentConfig(quick), "memcpy"))
+		if len(g.Spec.Items) != len(fps) {
+			t.Fatalf("quick=%v: %d campaigns, want %d", quick, len(g.Spec.Items), len(fps))
+		}
+		for i, it := range g.Spec.Items {
+			if got := cfpOf(t, it.Campaign); got != fps[i] {
+				t.Errorf("quick=%v SoC%d spec %+v fingerprints %s, want %s", quick, it.Campaign.SoC, it.Campaign, got, fps[i])
+			}
+		}
+	}
+}
