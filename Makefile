@@ -18,13 +18,14 @@ test:
 	$(GO) test ./...
 
 # race re-runs the concurrency-heavy packages — the shard queue, sweep
-# pool, wire client, journal tailer, metrics registry and the
-# coordinator itself — under the race detector. This list also covers
-# every package the integrity & quarantine subsystem touches (shard
-# checksums/audits, capi typed errors, chaos corrupt faults, runstore
-# replay verification, campaignd wiring).
+# pool, wire client, journal tailer, metrics registry, the SVM's parallel
+# cross-validation folds and the coordinator itself — under the race
+# detector. This list also covers every package the integrity &
+# quarantine subsystem touches (shard checksums/audits, capi typed
+# errors, chaos corrupt faults, runstore replay verification, campaignd
+# wiring).
 race:
-	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./cmd/campaignd
+	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./internal/svm ./cmd/campaignd
 
 ci: vet build test race
 

@@ -131,13 +131,22 @@ func Train(ds *Dataset, opts TrainOptions) (*Classifier, error) {
 			cfg = tuned
 		}
 	}
+	// The final fit shares nothing with the folds, so it trains alongside
+	// them; errors are still reported cross-validation first.
+	var model *svm.Model
+	var fitErr error
+	fitted := make(chan struct{})
+	go func() {
+		defer close(fitted)
+		model, fitErr = svm.Train(norm.Rows, ds.Y, cfg)
+	}()
 	cv, err := svm.CrossValidate(norm.Rows, ds.Y, opts.Folds, cfg)
+	<-fitted
 	if err != nil {
 		return nil, fmt.Errorf("ssresf: cross-validation: %v", err)
 	}
-	model, err := svm.Train(norm.Rows, ds.Y, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("ssresf: final fit: %v", err)
+	if fitErr != nil {
+		return nil, fmt.Errorf("ssresf: final fit: %v", fitErr)
 	}
 	names := make([]string, len(cols))
 	for i, c := range cols {
@@ -156,18 +165,18 @@ func Train(ds *Dataset, opts TrainOptions) (*Classifier, error) {
 
 // Predict classifies every cell of a flattened design, returning the
 // per-cell sensitivity predictions and the wall-clock prediction time —
-// the quantity Table III compares against full simulation.
+// the quantity Table III compares against full simulation. A cell is
+// predicted sensitive when its decision value is positive, as in
+// svm.Model.Predict.
 func (c *Classifier) Predict(f *netlist.Flat) ([]bool, time.Duration, error) {
 	start := time.Now()
-	raw := features.Extract(f)
-	sel, err := raw.Select(c.Columns)
+	dv, err := c.DecisionValues(f)
 	if err != nil {
 		return nil, 0, err
 	}
-	norm := c.Scaler.Transform(sel)
-	out := make([]bool, len(norm.Rows))
-	for i, row := range norm.Rows {
-		out[i] = c.Model.Predict(row)
+	out := make([]bool, len(dv))
+	for i, d := range dv {
+		out[i] = d > 0
 	}
 	return out, time.Since(start), nil
 }
@@ -175,8 +184,7 @@ func (c *Classifier) Predict(f *netlist.Flat) ([]bool, time.Duration, error) {
 // DecisionValues returns the SVM decision value for every cell — the score
 // input for ROC analysis (Fig. 6).
 func (c *Classifier) DecisionValues(f *netlist.Flat) ([]float64, error) {
-	raw := features.Extract(f)
-	sel, err := raw.Select(c.Columns)
+	sel, err := features.Extract(f).Select(c.Columns)
 	if err != nil {
 		return nil, err
 	}

@@ -80,6 +80,18 @@ func TestTrainPinned(t *testing.T) {
 	}
 }
 
+// TestTrainUncachedMatchesCached: above the cache cap, Train evaluates
+// every kernel entry on demand and must land on the same model bit for bit.
+func TestTrainUncachedMatchesCached(t *testing.T) {
+	X, y := overlapping(200, 9)
+	cached := trainPin(t, X, y, 1)
+	defer func(old int) { kernelCacheMax = old }(kernelCacheMax)
+	kernelCacheMax = 0
+	if got := trainPin(t, X, y, 1); got != cached {
+		t.Errorf("uncached:\n got %s\nwant %s", got, cached)
+	}
+}
+
 // TestCrossValidateGOMAXPROCS: the pooled confusion does not depend on how
 // many folds train at once.
 func TestCrossValidateGOMAXPROCS(t *testing.T) {

@@ -9,11 +9,13 @@ package svm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/xrand"
 )
 
-// Kernel computes inner products in feature space.
+// Kernel computes inner products in feature space. Implementations must
+// be safe for concurrent use: CrossValidate trains its folds in parallel.
 type Kernel interface {
 	Eval(a, b []float64) float64
 	Name() string
@@ -83,6 +85,11 @@ func (m *Model) NumSV() int { return len(m.svX) }
 // Iters returns the SMO iteration count of training.
 func (m *Model) Iters() int { return m.iters }
 
+// kernelCacheMax is the largest training set whose kernel matrix Train
+// caches (32 MiB of float64 at 2048 rows). A variable so tests can drive
+// the on-demand path on small data.
+var kernelCacheMax = 2048
+
 // Train fits the SVM on X (rows are examples) with binary labels y.
 func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 	n := len(X)
@@ -101,16 +108,17 @@ func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 	if cfg.Kernel == nil {
 		return nil, fmt.Errorf("svm: nil kernel")
 	}
-	pos, neg := 0, 0
-	for _, l := range y {
+	ys := make([]float64, n)
+	pos := 0
+	for i, l := range y {
+		ys[i] = -1
 		if l {
+			ys[i] = 1
 			pos++
-		} else {
-			neg++
 		}
 	}
-	if pos == 0 || neg == 0 {
-		return nil, fmt.Errorf("svm: training set needs both classes (pos=%d neg=%d)", pos, neg)
+	if pos == 0 || pos == n {
+		return nil, fmt.Errorf("svm: training set needs both classes (pos=%d neg=%d)", pos, n-pos)
 	}
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-3
@@ -122,45 +130,61 @@ func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 		cfg.MaxIter = 200
 	}
 
-	ys := make([]float64, n)
-	for i, l := range y {
-		if l {
-			ys[i] = 1
-		} else {
-			ys[i] = -1
-		}
-	}
-
-	// Kernel cache for modest n; above the cap, evaluate on demand.
-	var kcache [][]float64
-	if n <= 2048 {
-		kcache = make([][]float64, n)
+	// Kernel cache for modest n, one flat row-major n×n block; above the
+	// cap, entries are evaluated on demand. Each cached entry comes from one
+	// Eval and is mirrored, so K[i*n+j] and K[j*n+i] are bit-equal.
+	var kc []float64
+	if n <= kernelCacheMax {
+		kc = make([]float64, n*n)
 		for i := 0; i < n; i++ {
-			kcache[i] = make([]float64, n)
 			for j := 0; j <= i; j++ {
 				v := cfg.Kernel.Eval(X[i], X[j])
-				kcache[i][j] = v
-				kcache[j][i] = v
+				kc[i*n+j] = v
+				kc[j*n+i] = v
 			}
 		}
 	}
 	kval := func(i, j int) float64 {
-		if kcache != nil {
-			return kcache[i][j]
+		if kc != nil {
+			return kc[i*n+j]
 		}
 		return cfg.Kernel.Eval(X[i], X[j])
 	}
 
+	// f(i) = b + Σ α_j y_j K(j, i) walks only sv, the ascending j with
+	// α_j ≠ 0, and coef, their α_j y_j (exact: y is ±1). Those are the same
+	// products, added in the same order, as a walk over every j that skips
+	// zero α, so the model is bit-identical to that walk's.
 	alpha := make([]float64, n)
+	var sv []int
+	var coef []float64
 	b := 0.0
 	f := func(i int) float64 {
 		var s float64
-		for j := 0; j < n; j++ {
-			if alpha[j] != 0 {
-				s += alpha[j] * ys[j] * kval(j, i)
+		cs := coef[:len(sv)]
+		if kc != nil {
+			row := kc[i*n : i*n+n]
+			for k, j := range sv {
+				s += cs[k] * row[j]
+			}
+		} else {
+			for k, j := range sv {
+				s += cs[k] * cfg.Kernel.Eval(X[j], X[i])
 			}
 		}
 		return s + b
+	}
+	set := func(k int, a float64) {
+		alpha[k] = a
+		p, in := slices.BinarySearch(sv, k)
+		switch {
+		case in && a != 0:
+			coef[p] = a * ys[k]
+		case in:
+			sv, coef = slices.Delete(sv, p, p+1), slices.Delete(coef, p, p+1)
+		case a != 0:
+			sv, coef = slices.Insert(sv, p, k), slices.Insert(coef, p, a*ys[k])
+		}
 	}
 
 	rng := xrand.New(cfg.Seed)
@@ -187,7 +211,8 @@ func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 				if lo == hi {
 					continue
 				}
-				eta := 2*kval(i, j) - kval(i, i) - kval(j, j)
+				kij, kii, kjj := kval(i, j), kval(i, i), kval(j, j)
+				eta := 2*kij - kii - kjj
 				if eta >= 0 {
 					continue
 				}
@@ -201,8 +226,8 @@ func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 					continue
 				}
 				aiNew := ai + ys[i]*ys[j]*(aj-ajNew)
-				b1 := b - ei - ys[i]*(aiNew-ai)*kval(i, i) - ys[j]*(ajNew-aj)*kval(i, j)
-				b2 := b - ej - ys[i]*(aiNew-ai)*kval(i, j) - ys[j]*(ajNew-aj)*kval(j, j)
+				b1 := b - ei - ys[i]*(aiNew-ai)*kii - ys[j]*(ajNew-aj)*kij
+				b2 := b - ej - ys[i]*(aiNew-ai)*kij - ys[j]*(ajNew-aj)*kjj
 				switch {
 				case aiNew > 0 && aiNew < cfg.C:
 					b = b1
@@ -211,7 +236,8 @@ func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 				default:
 					b = (b1 + b2) / 2
 				}
-				alpha[i], alpha[j] = aiNew, ajNew
+				set(i, aiNew)
+				set(j, ajNew)
 				changed++
 			}
 		}
@@ -233,7 +259,8 @@ func Train(X [][]float64, y []bool, cfg Config) (*Model, error) {
 	}
 	if len(m.svX) == 0 {
 		// Degenerate but possible on trivially separable data with large
-		// tolerance: fall back to a single nearest support per class.
+		// tolerance: keep the first example with a negligible α, so the
+		// decision value is b to within 1e-8.
 		m.svX = X[:1]
 		m.svY = ys[:1]
 		m.alpha = []float64{1e-8}

@@ -2,6 +2,9 @@ package svm
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mlmetrics"
 	"repro/internal/xrand"
@@ -40,44 +43,65 @@ func StratifiedKFold(y []bool, k int, seed uint64) ([][]int, error) {
 
 // CrossValidate trains on k−1 folds and evaluates on the held-out fold,
 // returning the pooled confusion matrix over all folds. Folds whose
-// training partition collapses to one class are skipped.
+// training partition collapses to one class are skipped. The folds train
+// concurrently on up to GOMAXPROCS goroutines; each seeds its own RNG from
+// cfg.Seed and is pooled in fold order, so the result does not depend on
+// the schedule.
 func CrossValidate(X [][]float64, y []bool, k int, cfg Config) (mlmetrics.Confusion, error) {
 	var cm mlmetrics.Confusion
 	folds, err := StratifiedKFold(y, k, cfg.Seed)
 	if err != nil {
 		return cm, err
 	}
-	evaluated := 0
-	for fi, test := range folds {
-		if len(test) == 0 {
-			continue
-		}
-		inTest := map[int]bool{}
-		for _, idx := range test {
-			inTest[idx] = true
-		}
-		var trX [][]float64
-		var trY []bool
-		for i := range X {
-			if !inTest[i] {
-				trX = append(trX, X[i])
-				trY = append(trY, y[i])
+	cms := make([]mlmetrics.Confusion, len(folds))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(folds)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for fi := int(next.Add(1) - 1); fi < len(folds); fi = int(next.Add(1) - 1) {
+				cms[fi] = evalFold(X, y, folds[fi], cfg)
 			}
-		}
-		model, err := Train(trX, trY, cfg)
-		if err != nil {
-			continue // single-class fold: skip, as sklearn's CV does
-		}
-		for _, idx := range test {
-			cm.Count(model.Predict(X[idx]), y[idx])
-		}
-		evaluated++
-		_ = fi
+		}()
 	}
-	if evaluated == 0 {
+	wg.Wait()
+	for _, c := range cms {
+		cm.TP, cm.TN, cm.FP, cm.FN = cm.TP+c.TP, cm.TN+c.TN, cm.FP+c.FP, cm.FN+c.FN
+	}
+	if cm.Total() == 0 {
 		return cm, fmt.Errorf("svm: no fold could be evaluated")
 	}
 	return cm, nil
+}
+
+// evalFold trains on every example outside test and counts its predictions
+// on test. An empty fold, or one whose training partition collapses to one
+// class, counts nothing and is skipped, as sklearn's CV does.
+func evalFold(X [][]float64, y []bool, test []int, cfg Config) (cm mlmetrics.Confusion) {
+	if len(test) == 0 {
+		return cm
+	}
+	inTest := make([]bool, len(X))
+	for _, idx := range test {
+		inTest[idx] = true
+	}
+	trX := make([][]float64, 0, len(X)-len(test))
+	trY := make([]bool, 0, len(X)-len(test))
+	for i := range X {
+		if !inTest[i] {
+			trX = append(trX, X[i])
+			trY = append(trY, y[i])
+		}
+	}
+	model, err := Train(trX, trY, cfg)
+	if err != nil {
+		return cm
+	}
+	for _, idx := range test {
+		cm.Count(model.Predict(X[idx]), y[idx])
+	}
+	return cm
 }
 
 // GridPoint is one (C, γ) candidate of the hyper-parameter search.
