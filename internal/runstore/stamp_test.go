@@ -106,3 +106,40 @@ func FuzzReplay(f *testing.F) {
 		}
 	})
 }
+
+// sweepSingle is a journaled single-campaign sweep registration whose
+// spec sets every campaign parameter, omitempty tail included. A
+// restarted coordinator resubmits the spec it decodes from this line, so
+// its bytes must survive a decode and re-append unchanged.
+const sweepSingle = `{"sweep":{"fingerprint":"5ca1ab1e","name":"single","state":"running","single":{"soc":4,"workload":"crc","engine":"LevelSim","let":60.5,"flux":2500000000,"exposure_s":8e-10,"kn":9,"ln":5,"sample_frac":0.35,"min_per_cluster":4,"seed":17,"cluster_seed":29,"cold_start":true,"compare_vcd":true}}}`
+
+// TestSweepRecordSingleShape replays a sweep record carrying Single and
+// appends it again: the journal line must come back byte for byte.
+func TestSweepRecordSingleShape(t *testing.T) {
+	fold, err := Replay(writeJournal(t, []byte(sweepSingle+"\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps := fold.Sweeps()
+	if len(sweeps) != 1 || sweeps[0].Single == nil {
+		t.Fatalf("replay gave sweeps %+v, want one carrying Single", sweeps)
+	}
+	out := filepath.Join(t.TempDir(), "again.jsonl")
+	s, err := Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendSweep(sweeps[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sweepSingle + "\n"; string(got) != want {
+		t.Fatalf("re-appended sweep record differs:\n got %s\nwant %s", got, want)
+	}
+}

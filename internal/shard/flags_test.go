@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"testing"
+
+	"repro/internal/inject"
+	"repro/internal/sim"
 )
 
 // TestDefaultSpecFingerprints pins the fingerprint of the default
@@ -38,5 +42,46 @@ func TestDefaultSpecFingerprints(t *testing.T) {
 		if got := fpOf(t, cs); got != fp {
 			t.Errorf("SoC%d default spec %+v fingerprints %s, want %s", soc, cs, got, fp)
 		}
+	}
+}
+
+// fullSpecJSON is a campaign spec with every field non-zero — LevelSim,
+// an explicit cluster seed, cold start and the VCD detector — as
+// Fingerprint hashes it. The default-flag pins above leave the omitempty
+// tail absent; this one fixes its order and tags.
+const fullSpecJSON = `{"soc":4,"workload":"crc","engine":"LevelSim","let":60.5,"flux":2500000000,"exposure_s":8e-10,"kn":9,"ln":5,"sample_frac":0.35,"min_per_cluster":4,"seed":17,"cluster_seed":29,"cold_start":true,"compare_vcd":true}`
+
+// TestFullSpecWireShape pins the JSON bytes and fingerprint of a spec
+// lifted from options with every campaign parameter set, and checks that
+// the bytes decode and re-encode unchanged and that Options lowers the
+// spec back to the same parameters.
+func TestFullSpecWireShape(t *testing.T) {
+	o := inject.DefaultOptions()
+	o.Engine = sim.KindLevel
+	o.LET, o.Flux, o.ExposureS = 60.5, 2.5e9, 8e-10
+	o.KN, o.LN = 9, 5
+	o.SampleFrac, o.MinPerCluster = 0.35, 4
+	o.Seed, o.ClusterSeed = 17, 29
+	o.ColdStart, o.CompareVCD = true, true
+	cs := SpecFromOptions(4, "crc", o)
+	b, err := json.Marshal(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != fullSpecJSON {
+		t.Fatalf("spec encodes as\n%s\nwant\n%s", b, fullSpecJSON)
+	}
+	if got, want := fpOf(t, cs), "720378ed35b4fa74b58209e215e82c5ef77fbcb44536e8243200b0757f560b16"; got != want {
+		t.Errorf("full spec fingerprints %s, want %s", got, want)
+	}
+	var back CampaignSpec
+	if err := json.Unmarshal([]byte(fullSpecJSON), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != cs {
+		t.Errorf("decoded spec %+v, want %+v", back, cs)
+	}
+	if again := SpecFromOptions(cs.SoC, cs.Workload, cs.Options()); again != cs {
+		t.Errorf("Options round trip gives %+v, want %+v", again, cs)
 	}
 }
