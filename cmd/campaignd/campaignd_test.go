@@ -29,7 +29,7 @@ func gridPtr(g sweep.Grid) *sweep.Grid { return &g }
 func e2eSpec() shard.CampaignSpec {
 	cs := shard.SpecFromOptions(1, "memcpy", inject.DefaultOptions())
 	cs.SampleFrac = 0.05
-	cs.MinPer = 2
+	cs.MinPerCluster = 2
 	cs.Seed = 7
 	return cs
 }
@@ -124,7 +124,7 @@ func TestServeWorkEndToEnd(t *testing.T) {
 	cs := e2eSpec()
 
 	// Reference: the same campaign, single process.
-	ref, err := shard.Build(cs)
+	ref, err := shard.BuildLocal(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestServeSweepEndToEnd(t *testing.T) {
 	// A previous coordinator incarnation journaled one shard of the first
 	// campaign before crashing.
 	firstCS := grid.Spec.Items[0].Campaign
-	preBuilt, err := shard.Build(firstCS)
+	preBuilt, err := shard.BuildLocal(firstCS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +718,7 @@ func TestCancelMidFlightDeterminism(t *testing.T) {
 
 	// The slow worker finishes its cancelled shard mid-flight: the
 	// completion is still accepted and journaled.
-	b, err := shard.Build(held.Spec.Campaign)
+	b, err := shard.BuildLocal(held.Spec.Campaign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	// The zombie wakes up and delivers its shard under the old epoch.
 	// The shard is long done (the sweep is), so the new coordinator must
 	// fence the stale completion rather than double-merge it.
-	built, err := shard.Build(zombie.Spec.Campaign)
+	built, err := shard.BuildLocal(zombie.Spec.Campaign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	// In-flight work still lands: complete both held shards, which
 	// drains the lease count to zero and lets the coordinator exit.
 	client := capi.NewClient(url)
-	built, err := shard.Build(cs)
+	built, err := shard.BuildLocal(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func keysOf(m map[string]bool) []string {
 // shard_speculated_total >= 1.
 func TestSpeculationObserved(t *testing.T) {
 	cs := e2eSpec()
-	ref, err := shard.Build(cs)
+	ref, err := shard.BuildLocal(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

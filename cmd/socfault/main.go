@@ -43,11 +43,8 @@ import (
 	"time"
 
 	"repro/internal/capi"
-	"repro/internal/fault"
-	"repro/internal/inject"
 	"repro/internal/runstore"
 	"repro/internal/shard"
-	"repro/internal/socgen"
 	"repro/internal/sweep"
 )
 
@@ -176,39 +173,19 @@ func run(cfg *cliConfig) error {
 	if cfg.submit != "" {
 		return submitSweep(cfg)
 	}
-	if cfg.grid != nil {
-		return runSweep(cfg)
+	if cfg.grid == nil {
+		// A lone campaign rides the sweep path as a one-cell grid, keeping
+		// strict shard-count validation.
+		grid := sweep.CampaignGrid(cfg.spec)
+		cfg.grid = &grid
 	}
-	if cfg.shards == 1 && cfg.journal == "" {
-		// Classic single-process path.
-		socCfg, err := socgen.ConfigByIndex(cfg.spec.SoC)
-		if err != nil {
-			return err
-		}
-		prog, err := shard.WorkloadProgram(cfg.spec.Workload)
-		if err != nil {
-			return err
-		}
-		opts := cfg.spec.Options()
-		opts.CheckpointEveryCycles = cfg.ckpt
-		run, err := inject.RunSoC(socCfg, prog, fault.DefaultDB(), opts)
-		if err != nil {
-			return err
-		}
-		fmt.Print(run.Result.String())
-		return nil
-	}
-	// Sharded or journaled: the lone campaign rides the sweep path as a
-	// one-cell grid, keeping strict shard-count validation.
-	grid := sweep.CampaignGrid(cfg.spec)
-	cfg.grid = &grid
 	return runSweep(cfg)
 }
 
 // runSweep executes a whole experiment grid in this process — every
 // campaign sharded, journaled and resumable — and renders the
 // experiment's table from the merged results, byte-identical to both the
-// classic in-process ssresf drivers and a campaignd sweep coordinator
+// in-process ssresf drivers and a campaignd sweep coordinator
 // serving the same grid.
 func runSweep(cfg *cliConfig) error {
 	results, err := sweep.RunLocal(cfg.grid.Spec, sweep.LocalOptions{

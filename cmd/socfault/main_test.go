@@ -110,7 +110,7 @@ func TestParseFlagsRefusesStaleJournalWithoutResume(t *testing.T) {
 
 // TestParseFlagsSweepGrid pins the sweep mode's flag surface: a grid
 // parsed here enumerates exactly the fingerprints a campaignd sweep
-// coordinator serves for the same flags (sweep.GridFlags is the shared
+// coordinator serves for the same flags (sweep.GridParamsFlags is the shared
 // registration point), which is what lets one journal resume under
 // either tool.
 func TestParseFlagsSweepGrid(t *testing.T) {

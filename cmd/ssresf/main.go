@@ -1,10 +1,14 @@
 // Command ssresf drives the full framework pipeline end to end on one
 // benchmark: netlist generation, clustering, fault injection, soft-error
-// analysis, SVM training and fast sensitivity prediction.
+// analysis, SVM training and fast sensitivity prediction. It is the one
+// paper driver: -v also emits the benchmark netlist as structural
+// Verilog, -stats prints its design statistics, and -features / -folds
+// set the classifier's feature count and cross-validation folds.
 //
 // Usage:
 //
-//	ssresf [-soc 1] [-sample 0.2] [-seed 1] [-grid] [-v out.v] [-db out.sedb]
+//	ssresf [-soc 1] [-sample 0.2] [-seed 1] [-features 6] [-folds 10]
+//	       [-grid] [-stats] [-v out.v] [-db out.sedb]
 package main
 
 import (
@@ -13,6 +17,7 @@ import (
 	"os"
 
 	"repro/internal/fault"
+	"repro/internal/features"
 	"repro/internal/inject"
 	"repro/internal/mlmetrics"
 	"repro/internal/netlist"
@@ -25,7 +30,10 @@ func main() {
 	socIdx := flag.Int("soc", 1, "Table I benchmark index (1-10)")
 	sample := flag.Float64("sample", 0.2, "per-cluster sampling fraction")
 	seed := flag.Uint64("seed", 1, "random seed")
+	nFeatures := flag.Int("features", features.PaperFeatureCount, "number of ranked features to keep")
+	folds := flag.Int("folds", 10, "cross-validation folds")
 	grid := flag.Bool("grid", false, "grid-search SVM hyper-parameters")
+	stats := flag.Bool("stats", false, "print the benchmark's design statistics to stderr")
 	verilogOut := flag.String("v", "", "also write the benchmark netlist as Verilog to this file")
 	dbOut := flag.String("db", "", "also write the soft-error database to this file")
 	flag.Parse()
@@ -74,11 +82,16 @@ func main() {
 		fatal(err)
 	}
 	fmt.Print(an.Run.Result.String())
+	if *stats {
+		fmt.Fprintf(os.Stderr, "%s: %s", cfg.Name, netlist.ComputeStats(an.Run.Flat))
+	}
 
 	fmt.Printf("\n== machine learning phase ==\n")
 	cls, err := ssresf.Train(an.Dataset, ssresf.TrainOptions{
-		GridSearch: *grid,
-		Seed:       *seed,
+		FeatureCount: *nFeatures,
+		Folds:        *folds,
+		GridSearch:   *grid,
+		Seed:         *seed,
 	})
 	if err != nil {
 		fatal(err)

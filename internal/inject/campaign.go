@@ -48,33 +48,39 @@ import (
 // other cycle, while a 30-odd-cycle workload still only keeps ~17 snapshots.
 const DefaultCheckpointEveryCycles = 2
 
-// Options configures a campaign.
-type Options struct {
-	Engine sim.EngineKind
+// Params are the parameters that name a campaign: Algorithm 1's K_N/L_N,
+// the heavy-ion environment, the equal-proportion sample and the seeds,
+// plus the two switches (cold start, VCD detector) a campaign is audited
+// under. They are declared once: Options embeds them beside the
+// per-process knobs, and shard.CampaignSpec embeds them beside the
+// design and workload, so the JSON tags here are the wire shape every
+// campaign fingerprint hashes — field order and tags must not change.
+type Params struct {
+	Engine sim.EngineKind `json:"engine"`
 	// LET of the simulated heavy-ion environment (MeV·cm²/mg).
-	LET float64
+	LET float64 `json:"let"`
 	// Flux in particles/cm²/s.
-	Flux float64
+	Flux float64 `json:"flux"`
 	// ExposureS is the real exposure window the simulated run stands for,
 	// in seconds. It calibrates upset-per-cell probabilities.
-	ExposureS float64
+	ExposureS float64 `json:"exposure_s"`
 	// KN and LN are Algorithm 1's cluster count and layer depth.
-	KN, LN int
+	KN int `json:"kn"`
+	LN int `json:"ln"`
 	// SampleFrac and MinPerCluster control equal-proportion sampling.
-	SampleFrac    float64
-	MinPerCluster int
+	SampleFrac    float64 `json:"sample_frac"`
+	MinPerCluster int     `json:"min_per_cluster"`
 	// Seed drives the campaign's sampling and strike-time choices.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// ClusterSeed drives Algorithm 1's initial center selection. Zero
 	// derives it from the design name, so the clustering of a given
 	// netlist is identical across campaigns — the paper clusters the
 	// netlist once and then runs fault injection under varying conditions.
-	ClusterSeed uint64
-	// CellWeight returns the representation weight of a cell (physical
-	// elements per simulated cell); nil means weight 1.
-	CellWeight func(c *netlist.FlatCell) float64
-	// ModuleOf groups cells into report modules; nil uses socgen.ModuleOf.
-	ModuleOf func(c *netlist.FlatCell) string
+	ClusterSeed uint64 `json:"cluster_seed,omitempty"`
+	// ColdStart disables checkpointing and warm starts entirely, restoring
+	// the replay-from-t=0 behaviour; campaign results are bit-identical
+	// either way (the warm-vs-cold regression tests rely on this switch).
+	ColdStart bool `json:"cold_start,omitempty"`
 	// CompareVCD selects the paper's soft-error detector — dump the run to
 	// VCD, parse it and diff it against the golden trace — for every
 	// injection that replays from t=0 (all of them under ColdStart), and
@@ -84,7 +90,20 @@ type Options struct {
 	// dump's samples by definition. Both detectors read one sampled value
 	// per cycle (see Campaign.sampled), so a verdict that differs between
 	// them is a bug, not noise.
-	CompareVCD bool
+	CompareVCD bool `json:"compare_vcd,omitempty"`
+}
+
+// Options configures a campaign: the Params that name it, plus what no
+// fingerprint carries — the weight and module hooks PrepareSoC derives
+// from the benchmark, and the knobs that change how this process runs
+// the campaign but never what it computes.
+type Options struct {
+	Params
+	// CellWeight returns the representation weight of a cell (physical
+	// elements per simulated cell); nil means weight 1.
+	CellWeight func(c *netlist.FlatCell) float64
+	// ModuleOf groups cells into report modules; nil uses socgen.ModuleOf.
+	ModuleOf func(c *netlist.FlatCell) string
 	// Workers is the number of concurrent injection simulations. Fault
 	// runs are independent, and all random choices are drawn before the
 	// fan-out, so any worker count produces identical results. 0 uses
@@ -97,10 +116,6 @@ type Options struct {
 	// defines the checkpoint budget (how many snapshots the fixed grid would
 	// have held), not the snapshot positions: see checkpointCycles.
 	CheckpointEveryCycles int
-	// ColdStart disables checkpointing and warm starts entirely, restoring
-	// the replay-from-t=0 behaviour; campaign results are bit-identical
-	// either way (the warm-vs-cold regression tests rely on this switch).
-	ColdStart bool
 	// Metrics, when non-nil, mirrors the campaign's work counters into an
 	// obs registry as RunJobs ranges finish. Pure observation: excluded
 	// from fingerprints and serialization, never consulted by simulation.
@@ -108,19 +123,20 @@ type Options struct {
 }
 
 // DefaultOptions returns the options used throughout the paper
-// reproduction: LET 37, flux 5e8, EventSim, 25% sampling.
+// reproduction: LET 37, flux 5e8, EventSim, 25% sampling, and SoC1's
+// Table I cluster count.
 func DefaultOptions() Options {
-	return Options{
+	return Options{Params: Params{
 		Engine:        sim.KindEvent,
 		LET:           37.0,
 		Flux:          5e8,
 		ExposureS:     4e-10,
-		KN:            5,
+		KN:            socgen.TableIConfigs()[0].KN,
 		LN:            4,
 		SampleFrac:    0.25,
 		MinPerCluster: 3,
 		Seed:          1,
-	}
+	}}
 }
 
 // Injection records one fault injection and its outcome. The JSON tags

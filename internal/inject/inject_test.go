@@ -33,15 +33,15 @@ func prep(t testing.TB, idx int, opts Options) *SoCRun {
 func TestOptionValidation(t *testing.T) {
 	cfg, _ := socgen.ConfigByIndex(1)
 	db := fault.DefaultDB()
-	bad := []Options{
+	bad := []Params{
 		{Engine: sim.KindEvent, KN: 0, LN: 3, SampleFrac: 0.1},
 		{Engine: sim.KindEvent, KN: 3, LN: 0, SampleFrac: 0.1},
 		{Engine: sim.KindEvent, KN: 3, LN: 3, SampleFrac: 0},
 		{Engine: sim.KindEvent, KN: 3, LN: 3, SampleFrac: 1.5},
 		{Engine: sim.KindEvent, KN: 3, LN: 3, SampleFrac: 0.1, Flux: -1},
 	}
-	for i, o := range bad {
-		if _, err := PrepareSoC(cfg, riscv.FibProgram(5), db, o); err == nil {
+	for i, p := range bad {
+		if _, err := PrepareSoC(cfg, riscv.FibProgram(5), db, Options{Params: p}); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
 	}

@@ -327,7 +327,7 @@ func lakeSpec() shard.CampaignSpec {
 	o := inject.DefaultOptions()
 	cs := shard.SpecFromOptions(1, "memcpy", o)
 	cs.SampleFrac = 0.05
-	cs.MinPer = 2
+	cs.MinPerCluster = 2
 	cs.Seed = 7
 	return cs
 }
@@ -527,7 +527,7 @@ func TestBuilderHeldClaimWait(t *testing.T) {
 	}
 
 	// The holder publishes a real artifact shortly after.
-	ref, err := shard.Build(cs)
+	ref, err := shard.BuildLocal(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

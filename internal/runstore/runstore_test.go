@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/inject"
 	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 func stubPartial(index, start, end int) *shard.Partial {
@@ -334,9 +335,9 @@ func TestKillResumeDeterminism(t *testing.T) {
 		t.Run(tc.engine, func(t *testing.T) {
 			o := inject.DefaultOptions()
 			cs := shard.SpecFromOptions(1, "memcpy", o)
-			cs.Engine = tc.engine
+			cs.Engine = sim.EngineKind(tc.engine)
 			cs.SampleFrac = tc.frac
-			cs.MinPer = 2
+			cs.MinPerCluster = 2
 			cs.Seed = 7
 			fp, err := cs.Fingerprint()
 			if err != nil {
@@ -344,7 +345,7 @@ func TestKillResumeDeterminism(t *testing.T) {
 			}
 
 			// Reference: the single-process campaign.
-			ref, err := shard.Build(cs)
+			ref, err := shard.BuildLocal(cs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,7 +355,7 @@ func TestKillResumeDeterminism(t *testing.T) {
 
 			// First life: run 2 of 4 shards, journaling each, then "die".
 			path := filepath.Join(t.TempDir(), "journal.jsonl")
-			b1, err := shard.Build(cs)
+			b1, err := shard.BuildLocal(cs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +382,7 @@ func TestKillResumeDeterminism(t *testing.T) {
 
 			// Second life: a fresh process loads the journal, skips the
 			// finished shards and executes only the remainder.
-			b2, err := shard.Build(cs)
+			b2, err := shard.BuildLocal(cs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

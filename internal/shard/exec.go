@@ -22,14 +22,10 @@ type Built struct {
 	Jobs        []inject.Job
 }
 
-// Build validates the spec and constructs the campaign it describes.
-func Build(cs CampaignSpec) (*Built, error) {
-	return BuildLocal(cs, nil)
-}
-
-// BuildLocal is Build with process-local tuning applied on top of the
-// spec's options — worker count, checkpoint pitch: knobs that change how
-// fast this process executes its shards but never what they compute, and
+// BuildLocal validates the spec and constructs the campaign it describes,
+// with process-local tuning (nil for none) applied on top of the spec's
+// options — worker count, checkpoint pitch: knobs that change how fast
+// this process executes its shards but never what they compute, and
 // therefore deliberately absent from the spec and the fingerprint.
 func BuildLocal(cs CampaignSpec, tune func(*inject.Options)) (*Built, error) {
 	if err := cs.Validate(); err != nil {
@@ -270,19 +266,15 @@ func (e *Executor) Adopt(b *Built) {
 	e.touch(b.Fingerprint)
 }
 
-// Execute runs one shard, building its campaign on first use and serving
-// an already-computed (fingerprint, range) from the result cache.
+// ExecuteFor runs one shard, building its campaign on first use and
+// serving an already-computed (fingerprint, range) from the result cache.
 // Execution is serialized: a shard already fans out over all cores
-// internally, so concurrent Execute calls would only thrash.
-func (e *Executor) Execute(sp Spec) (*Partial, error) {
-	return e.ExecuteFor(sp, "")
-}
-
-// ExecuteFor is Execute with the shard's spend attributed to a sweep: the
-// executed partial's Work, the shard wall and cache hits are counted into
-// sweep_cost_* series labeled with sweep, the fp12 from Lease.Sweep; empty
-// disables attribution. Attribution is pure accounting — the computed
-// Partial is bit-identical either way.
+// internally, so concurrent calls would only thrash. The shard's spend
+// is attributed to sweep, the fp12 from Lease.Sweep: the executed
+// partial's Work, the shard wall and cache hits are counted into
+// sweep_cost_* series labeled with it; empty disables attribution.
+// Attribution is pure accounting — the computed Partial is bit-identical
+// either way.
 func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 	fp, err := sp.Campaign.Fingerprint()
 	if err != nil {
@@ -310,7 +302,7 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 	}
 	// Pin the campaign for the rest of the call: eviction skips pinned
 	// fingerprints, so the Built (and its golden checkpoints) cannot be
-	// dropped out from under this shard by concurrent Adopt/Execute
+	// dropped out from under this shard by concurrent Adopt/ExecuteFor
 	// traffic on other campaigns.
 	e.pins[fp]++
 	defer func() {
@@ -427,7 +419,7 @@ func (e *Executor) campaignFor(fp string, sp Spec) (*Built, error) {
 	}
 }
 
-// CacheHits reports how many Execute calls were served from the result
+// CacheHits reports how many ExecuteFor calls were served from the result
 // cache instead of re-simulating.
 func (e *Executor) CacheHits() uint64 {
 	e.mu.Lock()

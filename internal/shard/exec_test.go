@@ -45,7 +45,7 @@ func TestExecutorEvictionPinsInFlight(t *testing.T) {
 			e.Adopt(&Built{Fingerprint: fmt.Sprintf("dummy-%02d", i)})
 		}
 	}
-	if _, err := e.Execute(specs[0]); err != nil {
+	if _, err := e.ExecuteFor(specs[0], ""); err != nil {
 		t.Fatal(err)
 	}
 	e.execHook = nil
@@ -60,7 +60,7 @@ func TestExecutorEvictionPinsInFlight(t *testing.T) {
 	if pins != 0 {
 		t.Fatalf("%d pins leaked after ExecuteFor returned", pins)
 	}
-	if _, err := e.Execute(specs[1]); err != nil {
+	if _, err := e.ExecuteFor(specs[1], ""); err != nil {
 		t.Fatal(err)
 	}
 	if cb.builds != 0 {
@@ -106,7 +106,7 @@ func TestExecutorBuilderSeamGoldenSpan(t *testing.T) {
 	local := NewExecutor()
 	tr := obs.NewTracer()
 	local.SetMetrics(nil, tr)
-	pLocal, err := local.Execute(specs[0])
+	pLocal, err := local.ExecuteFor(specs[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestExecutorBuilderSeamGoldenSpan(t *testing.T) {
 	tr2 := obs.NewTracer()
 	fetched.SetMetrics(nil, tr2)
 	fetched.SetBuilder(fetchingBuilder{b: prebuilt})
-	pFetched, err := fetched.Execute(specs[0])
+	pFetched, err := fetched.ExecuteFor(specs[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestExecutorPartialCache(t *testing.T) {
 
 	producer := NewExecutor()
 	producer.SetPartialCache(pc)
-	p0, err := producer.Execute(specs[0])
+	p0, err := producer.ExecuteFor(specs[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestExecutorPartialCache(t *testing.T) {
 	consumer.SetPartialCache(pc)
 	cb := &countingBuilder{inner: LocalBuilder{}}
 	consumer.SetBuilder(cb)
-	got, err := consumer.Execute(specs[0])
+	got, err := consumer.ExecuteFor(specs[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package shard
 import (
 	"flag"
 
+	"repro/internal/inject"
+	"repro/internal/sim"
 	"repro/internal/socgen"
 )
 
@@ -41,20 +43,18 @@ func CampaignFlags(fs *flag.FlagSet) func() (CampaignSpec, error) {
 	seed := fs.Uint64("seed", 1, "campaign random seed")
 	cold := fs.Bool("cold", false, "disable checkpoint warm starts and replay every injection from t=0")
 	return func() (CampaignSpec, error) {
-		cs := CampaignSpec{
-			SoC:        *soc,
-			Workload:   *workload,
-			Engine:     *engine,
-			LET:        *let,
-			Flux:       *flux,
-			ExposureS:  *exposure,
-			KN:         *kn,
-			LN:         *ln,
-			SampleFrac: *sample,
-			MinPer:     *minPer,
-			Seed:       *seed,
-			ColdStart:  *cold,
-		}
+		cs := CampaignSpec{SoC: *soc, Workload: *workload, Params: inject.Params{
+			Engine:        sim.EngineKind(*engine),
+			LET:           *let,
+			Flux:          *flux,
+			ExposureS:     *exposure,
+			KN:            *kn,
+			LN:            *ln,
+			SampleFrac:    *sample,
+			MinPerCluster: *minPer,
+			Seed:          *seed,
+			ColdStart:     *cold,
+		}}
 		if cfg, err := socgen.ConfigByIndex(cs.SoC); err == nil && cs.KN == 0 {
 			cs.KN = cfg.KN
 		}

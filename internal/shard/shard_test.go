@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/inject"
+	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -12,16 +13,16 @@ import (
 func testSpec(engine string, sampleFrac float64) CampaignSpec {
 	o := inject.DefaultOptions()
 	cs := SpecFromOptions(1, "memcpy", o)
-	cs.Engine = engine
+	cs.Engine = sim.EngineKind(engine)
 	cs.SampleFrac = sampleFrac
-	cs.MinPer = 2
+	cs.MinPerCluster = 2
 	cs.Seed = 7
 	return cs
 }
 
 func mustBuild(t *testing.T, cs CampaignSpec) *Built {
 	t.Helper()
-	b, err := Build(cs)
+	b, err := BuildLocal(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestExecutorReusesBuiltCampaign(t *testing.T) {
 	ex.Adopt(b)
 	var partials []*Partial
 	for _, sp := range specs {
-		p, err := ex.Execute(sp)
+		p, err := ex.ExecuteFor(sp, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,14 +144,14 @@ func TestExecutorResultCache(t *testing.T) {
 	}
 	ex := NewExecutor()
 	ex.Adopt(b)
-	first, err := ex.Execute(specs[0])
+	first, err := ex.ExecuteFor(specs[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.CacheHits() != 0 {
 		t.Fatalf("cache hit before any repeat: %d", ex.CacheHits())
 	}
-	again, err := ex.Execute(specs[0])
+	again, err := ex.ExecuteFor(specs[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestExecutorResultCache(t *testing.T) {
 		t.Fatal("repeat execution did not return the cached partial")
 	}
 	// A different range of the same campaign is a miss.
-	if _, err := ex.Execute(specs[1]); err != nil {
+	if _, err := ex.ExecuteFor(specs[1], ""); err != nil {
 		t.Fatal(err)
 	}
 	if ex.CacheHits() != 1 {

@@ -42,74 +42,35 @@ func WorkloadProgram(name string) (riscv.Program, error) {
 }
 
 // CampaignSpec is the self-contained, wire-format description of one
-// campaign: which Table I benchmark, which workload kernel, and every
-// option that influences the drawn plan or the verdicts. Two processes
-// holding equal specs build bit-identical campaigns. Worker-count and
-// checkpoint-pitch knobs are deliberately absent: they change how much
-// work execution performs, never any verdict or statistic, and each
-// process picks its own. Consequently the merged work counters
-// (InjectEvals, WarmStarts, PrunedRuns) reflect whatever pitch each
-// executing process actually used; they match the single-process run
-// exactly when every process runs the default pitch, which is what the
-// determinism gates pin.
+// campaign: which Table I benchmark, which workload kernel, and the
+// inject.Params that name everything else — every option that influences
+// the drawn plan or the verdicts. The embedded Params encode inline, so
+// the JSON (and the fingerprint over it) is SoC, workload, then the
+// parameters in their declared order. Two processes holding equal specs
+// build bit-identical campaigns. Worker-count and checkpoint-pitch knobs
+// are deliberately absent: they change how much work execution performs,
+// never any verdict or statistic, and each process picks its own.
+// Consequently the merged work counters (InjectEvals, WarmStarts,
+// PrunedRuns) reflect whatever pitch each executing process actually
+// used; they match the single-process run exactly when every process
+// runs the default pitch, which is what the determinism gates pin.
 type CampaignSpec struct {
-	SoC        int     `json:"soc"`
-	Workload   string  `json:"workload"`
-	Engine     string  `json:"engine"`
-	LET        float64 `json:"let"`
-	Flux       float64 `json:"flux"`
-	ExposureS  float64 `json:"exposure_s"`
-	KN         int     `json:"kn"`
-	LN         int     `json:"ln"`
-	SampleFrac float64 `json:"sample_frac"`
-	MinPer     int     `json:"min_per_cluster"`
-	Seed       uint64  `json:"seed"`
-	// ClusterSeed is the Algorithm 1 seed; 0 derives it from the design
-	// name exactly as inject.New does.
-	ClusterSeed uint64 `json:"cluster_seed,omitempty"`
-	ColdStart   bool   `json:"cold_start,omitempty"`
-	CompareVCD  bool   `json:"compare_vcd,omitempty"`
+	SoC      int    `json:"soc"`
+	Workload string `json:"workload"`
+	inject.Params
 }
 
 // SpecFromOptions lifts campaign options into a spec for the given
 // benchmark and workload kernel.
 func SpecFromOptions(soc int, workload string, o inject.Options) CampaignSpec {
-	return CampaignSpec{
-		SoC:         soc,
-		Workload:    workload,
-		Engine:      string(o.Engine),
-		LET:         o.LET,
-		Flux:        o.Flux,
-		ExposureS:   o.ExposureS,
-		KN:          o.KN,
-		LN:          o.LN,
-		SampleFrac:  o.SampleFrac,
-		MinPer:      o.MinPerCluster,
-		Seed:        o.Seed,
-		ClusterSeed: o.ClusterSeed,
-		ColdStart:   o.ColdStart,
-		CompareVCD:  o.CompareVCD,
-	}
+	return CampaignSpec{SoC: soc, Workload: workload, Params: o.Params}
 }
 
 // Options lowers the spec back into campaign options. Function hooks and
 // per-process knobs (Workers, CheckpointEveryCycles) stay at their
 // defaults; inject.PrepareSoC fills the benchmark's weight model.
 func (cs CampaignSpec) Options() inject.Options {
-	return inject.Options{
-		Engine:        sim.EngineKind(cs.Engine),
-		LET:           cs.LET,
-		Flux:          cs.Flux,
-		ExposureS:     cs.ExposureS,
-		KN:            cs.KN,
-		LN:            cs.LN,
-		SampleFrac:    cs.SampleFrac,
-		MinPerCluster: cs.MinPer,
-		Seed:          cs.Seed,
-		ClusterSeed:   cs.ClusterSeed,
-		ColdStart:     cs.ColdStart,
-		CompareVCD:    cs.CompareVCD,
-	}
+	return inject.Options{Params: cs.Params}
 }
 
 // Validate rejects specs that could not build a campaign, with errors a
@@ -121,7 +82,7 @@ func (cs CampaignSpec) Validate() error {
 	if _, err := WorkloadProgram(cs.Workload); err != nil {
 		return err
 	}
-	switch sim.EngineKind(cs.Engine) {
+	switch cs.Engine {
 	case sim.KindEvent, sim.KindLevel:
 	default:
 		return fmt.Errorf("shard: unknown engine %q (want %s or %s)", cs.Engine, sim.KindEvent, sim.KindLevel)

@@ -222,7 +222,7 @@ func Concat(name string, grids ...Grid) Grid {
 }
 
 // GridParams is the declarative, wire-format description of a grid: the
-// kind plus the handful of parameters the GridFlags surface exposes. It
+// kind plus the handful of parameters the GridParamsFlags surface exposes. It
 // is what a client POSTs to a coordinator to submit a sweep, and Grid()
 // funnels it through the exact constructors the CLIs use — so a grid
 // submitted over the wire, named on a socfault command line, or served
@@ -322,24 +322,6 @@ func GridParamsFlags(fs *flag.FlagSet) func() (GridParams, bool, error) {
 			Workload: *workload,
 			Quick:    *quick,
 		}, true, nil
-	}
-}
-
-// GridFlags is GridParamsFlags with the grid already materialized — the
-// entry point for CLIs that run the grid in-process rather than submit
-// its description to a coordinator.
-func GridFlags(fs *flag.FlagSet) func() (Grid, bool, error) {
-	paramsOf := GridParamsFlags(fs)
-	return func() (Grid, bool, error) {
-		p, ok, err := paramsOf()
-		if err != nil || !ok {
-			return Grid{}, ok, err
-		}
-		g, err := p.Grid()
-		if err != nil {
-			return Grid{}, false, err
-		}
-		return g, true, nil
 	}
 }
 

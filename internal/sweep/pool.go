@@ -521,7 +521,7 @@ func (p *Pool) Progress(now time.Time) SweepProgress {
 			Key:         it.Key,
 			Fingerprint: p.fps[i],
 			SoC:         it.Campaign.SoC,
-			Engine:      it.Campaign.Engine,
+			Engine:      string(it.Campaign.Engine),
 			LET:         it.Campaign.LET,
 			Opened:      p.queues[i] != nil,
 			Done:        p.completed[i],

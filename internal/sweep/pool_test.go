@@ -14,7 +14,7 @@ import (
 func poolSpec(seed uint64) shard.CampaignSpec {
 	cs := shard.SpecFromOptions(1, "memcpy", inject.DefaultOptions())
 	cs.SampleFrac = 0.05
-	cs.MinPer = 2
+	cs.MinPerCluster = 2
 	cs.Seed = seed
 	return cs
 }

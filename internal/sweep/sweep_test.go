@@ -110,19 +110,29 @@ func TestSweepFingerprintIdentity(t *testing.T) {
 	}
 }
 
+// gridFromFlags parses args through GridParamsFlags and materializes
+// the grid, as a CLI that runs it in-process does.
+func gridFromFlags(t *testing.T, args ...string) (Grid, bool, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	paramsOf := GridParamsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	p, ok, err := paramsOf()
+	if err != nil || !ok {
+		return Grid{}, ok, err
+	}
+	g, err := p.Grid()
+	return g, err == nil, err
+}
+
 // TestGridFlagsMatchConstructors pins the CLI contract: a grid named on
-// a command line (socfault or campaignd, both register GridFlags)
+// a command line (socfault or campaignd, both register GridParamsFlags)
 // enumerates exactly the campaigns the programmatic constructors do —
 // equal fingerprints are what let one journal resume under either tool.
 func TestGridFlagsMatchConstructors(t *testing.T) {
-	parse := func(args ...string) (Grid, bool, error) {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		gridOf := GridFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return gridOf()
-	}
+	parse := func(args ...string) (Grid, bool, error) { return gridFromFlags(t, args...) }
 	if _, ok, err := parse(); err != nil || ok {
 		t.Fatalf("no -sweep: got ok=%v err=%v", ok, err)
 	}
@@ -170,7 +180,7 @@ func referenceResults(t *testing.T, ss SweepSpec) map[string]*inject.Result {
 	t.Helper()
 	out := map[string]*inject.Result{}
 	for _, it := range ss.Items {
-		b, err := shard.Build(it.Campaign)
+		b, err := shard.BuildLocal(it.Campaign, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +210,7 @@ func TestSweepDeterminism(t *testing.T) {
 	coord := make([]*shard.Built, len(ss.Items))
 	plans := make([][]shard.Spec, len(ss.Items))
 	for i, it := range ss.Items {
-		b, err := shard.Build(it.Campaign)
+		b, err := shard.BuildLocal(it.Campaign, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +272,7 @@ func TestSweepDeterminism(t *testing.T) {
 	if !ok {
 		t.Fatal("doomed lease refused")
 	}
-	doomedPartial, err := workers[2].Execute(doomed.Spec)
+	doomedPartial, err := workers[2].ExecuteFor(doomed.Spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +286,7 @@ func TestSweepDeterminism(t *testing.T) {
 		if !ok {
 			break
 		}
-		p, err := workers[w].Execute(l.Spec)
+		p, err := workers[w].ExecuteFor(l.Spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +344,7 @@ func TestSweepDeterminism(t *testing.T) {
 		if journaled[fmt.Sprintf("%s/%d", l.Spec.Fingerprint, l.Spec.Index)] {
 			t.Fatalf("journaled shard %d of %.12s re-leased after resume", l.Spec.Index, l.Spec.Fingerprint)
 		}
-		p, err := fresh[w].Execute(l.Spec)
+		p, err := fresh[w].ExecuteFor(l.Spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,12 +465,7 @@ func TestGridParamsMatchFlagsAndConstructors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			gridOf := GridFlags(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
-			}
-			fromFlags, ok, err := gridOf()
+			fromFlags, ok, err := gridFromFlags(t, tc.args...)
 			if err != nil || !ok {
 				t.Fatalf("flags: ok=%v err=%v", ok, err)
 			}
