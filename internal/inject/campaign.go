@@ -17,10 +17,16 @@
 // latest checkpoint at or before its strike time and simulates only the
 // post-strike tail, with early exit as soon as the verdict is decided
 // (first diverging output row, or full state re-convergence onto the
-// golden trajectory). Each worker's injections are strike-sorted so
-// consecutive runs share a restore point and reset their engine through
-// sim.Engine.RestoreDelta — a dirty-set rewrite instead of a wholesale
-// copy. See DESIGN.md.
+// golden trajectory). The earliest exit needs no simulation at all: an
+// SET on a cell that drives no clock or async set/reset pin, whose pulse
+// window (widened by the path delay to the next flop or monitor) holds
+// no capture edge and no sampling instant, is decided masked before any
+// restore — the latching-window prefilter of latch.go. Cold starts and
+// the VCD detector still simulate every run: they are the oracle the
+// early exits are checked against. Each worker's injections are
+// strike-sorted so consecutive runs share a restore point and reset their
+// engine through sim.Engine.RestoreDelta — a dirty-set rewrite instead of
+// a wholesale copy. See DESIGN.md.
 package inject
 
 import (
@@ -223,7 +229,11 @@ type Campaign struct {
 	db   *fault.DB
 
 	clusters *cluster.Result
-	golden   *signature
+	// latch is the latching-window prefilter's static table; nil, deciding
+	// nothing, under ColdStart (no run starts from a checkpoint) and when
+	// the clock is not a plain buffer tree.
+	latch  *latchTable
+	golden *signature
 	// goldenVCDDump holds the raw golden dump of a warm CompareVCD
 	// campaign, whose per-checkpoint prefixes faulty tail dumps are
 	// stitched onto; goldenVCD is the parsed golden trace the VCD detector
@@ -317,6 +327,7 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 		// campaign randomness, which is also why every pitch yields the
 		// identical plan (and identical verdicts).
 		c.DrawJobs()
+		c.latch = newLatchTable(f, plan, opts.Engine, c.sampleTime(1))
 	}
 	start := time.Now()
 	evals, err := golden(c)

@@ -36,7 +36,8 @@ type Work struct {
 	InjectEvals uint64 `json:"inject_evals"`
 	// WarmStarts counts injections that resumed from a golden checkpoint
 	// instead of replaying from t=0; PrunedRuns counts the subset that
-	// additionally terminated early because the faulty state re-converged
+	// ended early as masked: either the latching-window prefilter decided
+	// it before any restore (0 evals), or the faulty state re-converged
 	// onto the golden trajectory.
 	WarmStarts uint64 `json:"warm_starts"`
 	PrunedRuns uint64 `json:"pruned_runs"`
@@ -74,15 +75,21 @@ type worker struct {
 // inject performs planned injection j, starting from golden checkpoint
 // ckIdx (cold when negative), and judges it with the campaign's detector:
 // the VCD diff for a cold start under CompareVCD, the cycle signature
-// otherwise.
+// otherwise. A checkpoint start the latching-window prefilter decides is
+// masked without a restore or a single eval; it counts as a warm start
+// pruned at once. Cold starts always simulate: they are the oracle.
 func (w *worker) inject(j Job, ckIdx int) (Injection, error) {
 	inj, err := w.c.injection(j)
 	if err == nil {
-		var det detector = &sigDetector{c: w.c}
-		if w.c.opts.CompareVCD && ckIdx < 0 {
-			det = &vcdDetector{c: w.c}
+		switch {
+		case ckIdx < 0 && w.c.opts.CompareVCD:
+			inj.SoftError, err = w.run(&inj, ckIdx, &vcdDetector{c: w.c})
+		case ckIdx >= 0 && w.c.latch.decides(&inj):
+			w.WarmStarts++
+			w.PrunedRuns++
+		default:
+			inj.SoftError, err = w.run(&inj, ckIdx, &sigDetector{c: w.c})
 		}
-		inj.SoftError, err = w.run(&inj, ckIdx, det)
 	}
 	if err != nil {
 		return inj, fmt.Errorf("inject: cell %s: %v", inj.Path, err)

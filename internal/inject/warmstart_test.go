@@ -105,7 +105,19 @@ func TestWarmStartReducesWork(t *testing.T) {
 	if warmRun.Result.WarmStarts == 0 {
 		t.Fatal("warm campaign never restored a checkpoint")
 	}
-	if warmRun.Result.PrunedRuns == 0 {
+	// PrunedRuns also counts the runs the latching-window prefilter
+	// decides before any restore; convergence must prune beyond those.
+	c, decided := warmRun.Campaign, uint64(0)
+	for _, j := range c.DrawJobs() {
+		inj, err := c.injection(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, idx := c.checkpointBefore(j.TimePS); idx >= 0 && c.latch.decides(&inj) {
+			decided++
+		}
+	}
+	if warmRun.Result.PrunedRuns <= decided {
 		t.Error("no run was pruned by convergence detection — masked faults should converge")
 	}
 	if warmRun.Result.DeltaRestores == 0 {
