@@ -23,9 +23,13 @@ test:
 # detector. This list also covers every package the integrity &
 # quarantine subsystem touches (shard checksums/audits, capi typed
 # errors, chaos corrupt faults, runstore replay verification, campaignd
-# wiring).
+# wiring). The simulation kernel and the 4- and 8-worker campaigns cover
+# the compiled program every worker's engine reads (netlist.Flat.Program,
+# built once per design); the whole inject package is left out, it takes
+# about 45 s under the detector.
 race:
-	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./internal/svm ./cmd/campaignd
+	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./internal/svm ./internal/sim ./cmd/campaignd
+	$(GO) test -race -count=1 -run 'TestWarmColdWorkerDeterminism|TestBatchOrderIndependence' ./internal/inject
 
 ci: vet build test race
 

@@ -60,10 +60,15 @@ type SeqSpec struct {
 	AsyncResetN string // empty when absent
 	AsyncSetN   string // empty when absent
 	HasQN       bool   // cell drives both Q and QN
+
+	// ClockPin is Clock's position in the cell's Inputs; the other pins
+	// likewise, -1 when absent. register fills them in.
+	ClockPin                             int
+	dataPin, enablePin, resetPin, setPin int
 }
 
 // Def is one library cell. Inputs and Outputs list port names in the order
-// Eval consumes and produces values. For sequential cells Eval is nil and
+// Eval consumes and produces values. For sequential cells LUT is nil and
 // Seq describes the state behaviour instead.
 type Def struct {
 	Name    string
@@ -73,8 +78,31 @@ type Def struct {
 	Outputs []string
 	DelayPS int64   // intrinsic propagation delay, picoseconds
 	AreaUM2 float64 // layout area, square microns
-	Eval    func(in []logic.V) []logic.V
-	Seq     *SeqSpec
+	// LUT is a combinational cell's 4-state truth table: entry pack(in)
+	// holds output j in bits 2j..2j+1. register generates it from the
+	// cell's formula.
+	LUT []uint8
+	Seq *SeqSpec
+}
+
+// pack is the LUT index of the input values in: value i in bits 2i..2i+1.
+func pack(in []logic.V) int {
+	idx := 0
+	for i, v := range in {
+		idx |= int(v) << (2 * i)
+	}
+	return idx
+}
+
+// Eval returns a combinational cell's outputs for the input values in,
+// indexed as in Inputs and Outputs.
+func (d *Def) Eval(in []logic.V) []logic.V {
+	e := d.LUT[pack(in)]
+	out := make([]logic.V, len(d.Outputs))
+	for j := range out {
+		out[j] = logic.V(e >> (2 * j) & 3)
+	}
+	return out
 }
 
 // IsSequential reports whether the cell stores state.
@@ -118,12 +146,37 @@ func (d *Def) OutputIndex(port string) int {
 
 var library = map[string]*Def{}
 
-func register(d *Def) *Def {
+// formula computes a combinational cell's outputs from its inputs.
+type formula func(in []logic.V) []logic.V
+
+// formulas holds the formula each combinational cell's LUT was generated
+// from.
+var formulas = map[string]formula{}
+
+// register adds d to the library: a combinational cell with its LUT
+// generated from f over every 4-state input vector, a storage cell (f nil)
+// with its Seq pin positions resolved.
+func register(d *Def, f formula) {
 	if _, dup := library[d.Name]; dup {
 		panic("cell: duplicate cell name " + d.Name)
 	}
 	library[d.Name] = d
-	return d
+	if s := d.Seq; s != nil {
+		s.ClockPin, s.dataPin = d.InputIndex(s.Clock), d.InputIndex(s.DataPort)
+		s.enablePin, s.resetPin, s.setPin = d.InputIndex(s.Enable), d.InputIndex(s.AsyncResetN), d.InputIndex(s.AsyncSetN)
+		return
+	}
+	formulas[d.Name] = f
+	d.LUT = make([]uint8, 1<<(2*len(d.Inputs)))
+	in := make([]logic.V, len(d.Inputs))
+	for idx := range d.LUT {
+		for i := range in {
+			in[i] = logic.V(idx >> (2 * i) & 3)
+		}
+		for j, v := range f(in) {
+			d.LUT[idx] |= uint8(v) << (2 * j)
+		}
+	}
 }
 
 // Lookup returns the library cell with the given name.
@@ -154,15 +207,15 @@ func Names() []string {
 	return names
 }
 
-func comb1(f func(a logic.V) logic.V) func([]logic.V) []logic.V {
+func comb1(f func(a logic.V) logic.V) formula {
 	return func(in []logic.V) []logic.V { return []logic.V{f(in[0])} }
 }
 
-func comb2(f func(a, b logic.V) logic.V) func([]logic.V) []logic.V {
+func comb2(f func(a, b logic.V) logic.V) formula {
 	return func(in []logic.V) []logic.V { return []logic.V{f(in[0], in[1])} }
 }
 
-func reduceN(f func(a, b logic.V) logic.V, invert bool) func([]logic.V) []logic.V {
+func reduceN(f func(a, b logic.V) logic.V, invert bool) formula {
 	return func(in []logic.V) []logic.V {
 		acc := in[0]
 		for _, v := range in[1:] {
@@ -184,19 +237,17 @@ func init() {
 		Name: "INVX1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A"), Outputs: ports("Y"),
 		DelayPS: 12, AreaUM2: 1.1,
-		Eval: comb1(logic.V.Not),
-	})
+	}, comb1(logic.V.Not))
 	register(&Def{
 		Name: "BUFX2", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A"), Outputs: ports("Y"),
 		DelayPS: 18, AreaUM2: 1.6,
-		Eval: comb1(func(a logic.V) logic.V {
-			if a == logic.Z {
-				return logic.X
-			}
-			return a
-		}),
-	})
+	}, comb1(func(a logic.V) logic.V {
+		if a == logic.Z {
+			return logic.X
+		}
+		return a
+	}))
 	for n := 2; n <= 4; n++ {
 		in := make([]string, n)
 		for i := range in {
@@ -206,14 +257,12 @@ func init() {
 			Name: fmt.Sprintf("NAND%dX1", n), Class: Combinational, Rad: RadComb,
 			Inputs: in, Outputs: ports("Y"),
 			DelayPS: int64(14 + 4*n), AreaUM2: 1.2 + 0.5*float64(n),
-			Eval: reduceN(logic.And, true),
-		})
+		}, reduceN(logic.And, true))
 		register(&Def{
 			Name: fmt.Sprintf("NOR%dX1", n), Class: Combinational, Rad: RadComb,
 			Inputs: append([]string(nil), in...), Outputs: ports("Y"),
 			DelayPS: int64(16 + 5*n), AreaUM2: 1.2 + 0.5*float64(n),
-			Eval: reduceN(logic.Or, true),
-		})
+		}, reduceN(logic.Or, true))
 	}
 	for n := 2; n <= 3; n++ {
 		in := make([]string, n)
@@ -224,98 +273,85 @@ func init() {
 			Name: fmt.Sprintf("AND%dX1", n), Class: Combinational, Rad: RadComb,
 			Inputs: in, Outputs: ports("Y"),
 			DelayPS: int64(20 + 4*n), AreaUM2: 1.5 + 0.5*float64(n),
-			Eval: reduceN(logic.And, false),
-		})
+		}, reduceN(logic.And, false))
 		register(&Def{
 			Name: fmt.Sprintf("OR%dX1", n), Class: Combinational, Rad: RadComb,
 			Inputs: append([]string(nil), in...), Outputs: ports("Y"),
 			DelayPS: int64(22 + 4*n), AreaUM2: 1.5 + 0.5*float64(n),
-			Eval: reduceN(logic.Or, false),
-		})
+		}, reduceN(logic.Or, false))
 	}
 	register(&Def{
 		Name: "XOR2X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B"), Outputs: ports("Y"),
 		DelayPS: 34, AreaUM2: 3.0,
-		Eval: comb2(logic.Xor),
-	})
+	}, comb2(logic.Xor))
 	register(&Def{
 		Name: "XNOR2X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B"), Outputs: ports("Y"),
 		DelayPS: 36, AreaUM2: 3.0,
-		Eval: comb2(func(a, b logic.V) logic.V { return logic.Xor(a, b).Not() }),
-	})
+	}, comb2(func(a, b logic.V) logic.V { return logic.Xor(a, b).Not() }))
 	register(&Def{
 		Name: "MUX2X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "S"), Outputs: ports("Y"),
 		DelayPS: 30, AreaUM2: 3.2,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Mux(in[2], in[0], in[1])}
-		},
+	}, func(in []logic.V) []logic.V {
+		return []logic.V{logic.Mux(in[2], in[0], in[1])}
 	})
 	register(&Def{
 		Name: "AOI21X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C"), Outputs: ports("Y"),
 		DelayPS: 26, AreaUM2: 2.4,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Or(logic.And(in[0], in[1]), in[2]).Not()}
-		},
+	}, func(in []logic.V) []logic.V {
+		return []logic.V{logic.Or(logic.And(in[0], in[1]), in[2]).Not()}
 	})
 	register(&Def{
 		Name: "OAI21X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C"), Outputs: ports("Y"),
 		DelayPS: 26, AreaUM2: 2.4,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.And(logic.Or(in[0], in[1]), in[2]).Not()}
-		},
+	}, func(in []logic.V) []logic.V {
+		return []logic.V{logic.And(logic.Or(in[0], in[1]), in[2]).Not()}
 	})
 	register(&Def{
 		Name: "AOI22X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C", "D"), Outputs: ports("Y"),
 		DelayPS: 30, AreaUM2: 3.0,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Or(logic.And(in[0], in[1]), logic.And(in[2], in[3])).Not()}
-		},
+	}, func(in []logic.V) []logic.V {
+		return []logic.V{logic.Or(logic.And(in[0], in[1]), logic.And(in[2], in[3])).Not()}
 	})
 	register(&Def{
 		Name: "OAI22X1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "C", "D"), Outputs: ports("Y"),
 		DelayPS: 30, AreaUM2: 3.0,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.And(logic.Or(in[0], in[1]), logic.Or(in[2], in[3])).Not()}
-		},
+	}, func(in []logic.V) []logic.V {
+		return []logic.V{logic.And(logic.Or(in[0], in[1]), logic.Or(in[2], in[3])).Not()}
 	})
 	register(&Def{
 		Name: "HAX1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B"), Outputs: ports("S", "CO"),
 		DelayPS: 40, AreaUM2: 4.5,
-		Eval: func(in []logic.V) []logic.V {
-			return []logic.V{logic.Xor(in[0], in[1]), logic.And(in[0], in[1])}
-		},
+	}, func(in []logic.V) []logic.V {
+		return []logic.V{logic.Xor(in[0], in[1]), logic.And(in[0], in[1])}
 	})
 	register(&Def{
 		Name: "FAX1", Class: Combinational, Rad: RadComb,
 		Inputs: ports("A", "B", "CI"), Outputs: ports("S", "CO"),
 		DelayPS: 52, AreaUM2: 6.2,
-		Eval: func(in []logic.V) []logic.V {
-			a, b, ci := in[0], in[1], in[2]
-			s := logic.Xor(logic.Xor(a, b), ci)
-			co := logic.Or(logic.And(a, b), logic.And(ci, logic.Xor(a, b)))
-			return []logic.V{s, co}
-		},
+	}, func(in []logic.V) []logic.V {
+		a, b, ci := in[0], in[1], in[2]
+		s := logic.Xor(logic.Xor(a, b), ci)
+		co := logic.Or(logic.And(a, b), logic.And(ci, logic.Xor(a, b)))
+		return []logic.V{s, co}
 	})
 	register(&Def{
 		Name: "TIELO", Class: Combinational, Rad: RadComb,
 		Inputs: nil, Outputs: ports("Y"),
 		DelayPS: 0, AreaUM2: 0.6,
-		Eval: func([]logic.V) []logic.V { return []logic.V{logic.L0} },
-	})
+	}, func([]logic.V) []logic.V { return []logic.V{logic.L0} })
 	register(&Def{
 		Name: "TIEHI", Class: Combinational, Rad: RadComb,
 		Inputs: nil, Outputs: ports("Y"),
 		DelayPS: 0, AreaUM2: 0.6,
-		Eval: func([]logic.V) []logic.V { return []logic.V{logic.L1} },
-	})
+	}, func([]logic.V) []logic.V { return []logic.V{logic.L1} })
 
 	// D flip-flop family. The name DFFDEGLX2 matches the database example
 	// in Fig. 3 of the paper.
@@ -324,31 +360,31 @@ func init() {
 		Inputs: ports("D", "CK"), Outputs: ports("Q", "QN"),
 		DelayPS: 80, AreaUM2: 7.5,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", HasQN: true},
-	})
+	}, nil)
 	register(&Def{
 		Name: "DFFDEGLX2", Class: Sequential, Rad: RadFF,
 		Inputs: ports("D", "CK"), Outputs: ports("Q", "QN"),
 		DelayPS: 72, AreaUM2: 9.0,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", HasQN: true},
-	})
+	}, nil)
 	register(&Def{
 		Name: "DFFRX1", Class: Sequential, Rad: RadFF,
 		Inputs: ports("D", "CK", "RN"), Outputs: ports("Q", "QN"),
 		DelayPS: 86, AreaUM2: 8.6,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", AsyncResetN: "RN", HasQN: true},
-	})
+	}, nil)
 	register(&Def{
 		Name: "DFFSX1", Class: Sequential, Rad: RadFF,
 		Inputs: ports("D", "CK", "SN"), Outputs: ports("Q", "QN"),
 		DelayPS: 86, AreaUM2: 8.6,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", AsyncSetN: "SN", HasQN: true},
-	})
+	}, nil)
 	register(&Def{
 		Name: "DFFEX1", Class: Sequential, Rad: RadFF,
 		Inputs: ports("D", "CK", "E"), Outputs: ports("Q", "QN"),
 		DelayPS: 92, AreaUM2: 9.4,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", Enable: "E", HasQN: true},
-	})
+	}, nil)
 
 	// Memory bit macros: write-enabled storage bits with distinct radiation
 	// classes; Table I's SRAM/DRAM/Rad-hard SRAM sweep rests on these.
@@ -357,19 +393,19 @@ func init() {
 		Inputs: ports("D", "WE", "CK"), Outputs: ports("Q"),
 		DelayPS: 60, AreaUM2: 1.9,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", Enable: "WE"},
-	})
+	}, nil)
 	register(&Def{
 		Name: "DRAMBITX1", Class: Memory, Rad: RadDRAM,
 		Inputs: ports("D", "WE", "CK"), Outputs: ports("Q"),
 		DelayPS: 110, AreaUM2: 0.9,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", Enable: "WE"},
-	})
+	}, nil)
 	register(&Def{
 		Name: "RHSRAMBITX1", Class: Memory, Rad: RadRHSRAM,
 		Inputs: ports("D", "WE", "CK"), Outputs: ports("Q"),
 		DelayPS: 75, AreaUM2: 3.8,
 		Seq: &SeqSpec{Clock: "CK", DataPort: "D", Enable: "WE"},
-	})
+	}, nil)
 }
 
 // NextState computes a sequential cell's next stored value given the
@@ -379,19 +415,11 @@ func (d *Def) NextState(state logic.V, in []logic.V) logic.V {
 	if d.Seq == nil {
 		panic("cell: NextState on combinational cell " + d.Name)
 	}
-	s := d.Seq
-	if s.AsyncResetN != "" {
-		if rn := in[d.InputIndex(s.AsyncResetN)]; rn == logic.L0 {
-			return logic.L0
-		}
+	if v, active := d.AsyncState(in); active {
+		return v
 	}
-	if s.AsyncSetN != "" {
-		if sn := in[d.InputIndex(s.AsyncSetN)]; sn == logic.L0 {
-			return logic.L1
-		}
-	}
-	if s.Enable != "" {
-		switch in[d.InputIndex(s.Enable)] {
+	if p := d.Seq.enablePin; p >= 0 {
+		switch in[p] {
 		case logic.L0:
 			return state
 		case logic.L1:
@@ -400,7 +428,7 @@ func (d *Def) NextState(state logic.V, in []logic.V) logic.V {
 			return logic.X
 		}
 	}
-	return in[d.InputIndex(s.DataPort)]
+	return in[d.Seq.dataPin]
 }
 
 // AsyncState returns the value forced by asynchronous controls regardless of
@@ -409,10 +437,10 @@ func (d *Def) AsyncState(in []logic.V) (logic.V, bool) {
 	if d.Seq == nil {
 		return logic.X, false
 	}
-	if d.Seq.AsyncResetN != "" && in[d.InputIndex(d.Seq.AsyncResetN)] == logic.L0 {
+	if p := d.Seq.resetPin; p >= 0 && in[p] == logic.L0 {
 		return logic.L0, true
 	}
-	if d.Seq.AsyncSetN != "" && in[d.InputIndex(d.Seq.AsyncSetN)] == logic.L0 {
+	if p := d.Seq.setPin; p >= 0 && in[p] == logic.L0 {
 		return logic.L1, true
 	}
 	return logic.X, false

@@ -242,8 +242,8 @@ func TestEveryCellConsistent(t *testing.T) {
 	for _, name := range Names() {
 		d := MustLookup(name)
 		if d.IsSequential() {
-			if d.Eval != nil {
-				t.Errorf("%s: sequential cell must not define Eval", name)
+			if d.LUT != nil {
+				t.Errorf("%s: sequential cell must not define a LUT", name)
 			}
 			if d.InputIndex(d.Seq.Clock) < 0 {
 				t.Errorf("%s: clock %q not an input", name, d.Seq.Clock)
@@ -258,8 +258,8 @@ func TestEveryCellConsistent(t *testing.T) {
 				t.Errorf("%s: HasQN but no QN output", name)
 			}
 		} else {
-			if d.Eval == nil {
-				t.Errorf("%s: combinational cell missing Eval", name)
+			if d.LUT == nil {
+				t.Errorf("%s: combinational cell missing its LUT", name)
 			} else {
 				in := make([]logic.V, len(d.Inputs))
 				for i := range in {
@@ -300,5 +300,51 @@ func TestCombXPropagationSafety(t *testing.T) {
 				t.Errorf("%s produced Z from X inputs", name)
 			}
 		}
+	}
+}
+
+// TestLUTMatchesFormula checks every combinational cell's table against
+// the formula it was generated from over all 4^k vectors of {0, 1, X, Z}:
+// each entry read raw, decoded output by output, and through Eval.
+func TestLUTMatchesFormula(t *testing.T) {
+	checked := 0
+	for _, name := range Names() {
+		d := MustLookup(name)
+		if d.IsSequential() {
+			continue
+		}
+		f := formulas[name]
+		if f == nil {
+			t.Fatalf("%s: no formula recorded", name)
+		}
+		k := len(d.Inputs)
+		if len(d.LUT) != 1<<(2*k) {
+			t.Fatalf("%s: LUT has %d entries, want 4^%d", name, len(d.LUT), k)
+		}
+		in := make([]logic.V, k)
+		for vec := 0; vec < 1<<(2*k); vec++ {
+			rest := vec
+			for i := range in {
+				in[i] = []logic.V{logic.L0, logic.L1, logic.X, logic.Z}[rest%4]
+				rest /= 4
+			}
+			want := f(in)
+			if len(want) != len(d.Outputs) {
+				t.Fatalf("%s: formula gives %d outputs, cell declares %d", name, len(want), len(d.Outputs))
+			}
+			entry, got := d.LUT[pack(in)], d.Eval(in)
+			for j, w := range want {
+				if raw := logic.V(entry >> (2 * j) & 3); raw != w || got[j] != w {
+					t.Errorf("%s%v output %s: LUT %v, Eval %v, formula %v", name, in, d.Outputs[j], raw, got[j], w)
+				}
+			}
+			if entry>>(2*len(want)) != 0 {
+				t.Errorf("%s%v: LUT entry %#x has bits above its outputs", name, in, entry)
+			}
+		}
+		checked++
+	}
+	if checked != len(formulas) {
+		t.Errorf("checked %d combinational cells, %d formulas recorded", checked, len(formulas))
 	}
 }

@@ -118,12 +118,12 @@ func newLatchTable(f *netlist.Flat, plan *socgen.StimulusPlan, kind sim.EngineKi
 
 // isBuffer reports whether c is a single-input combinational cell that
 // passes both known levels through unchanged, so a rising clock edge
-// stays rising.
+// stays rising. With one input and one output, a LUT entry's index is the
+// input value and the entry is the output value.
 func isBuffer(c *netlist.FlatCell) bool {
-	if c.Def.IsSequential() || len(c.In) != 1 || len(c.Out) != 1 {
-		return false
-	}
-	return c.Def.Eval([]logic.V{logic.L0})[0] == logic.L0 && c.Def.Eval([]logic.V{logic.L1})[0] == logic.L1
+	lut := c.Def.LUT
+	return lut != nil && len(c.In) == 1 && len(c.Out) == 1 &&
+		lut[logic.L0] == uint8(logic.L0) && lut[logic.L1] == uint8(logic.L1)
 }
 
 // pathDelays computes D(c) for every combinational cell in one pass by

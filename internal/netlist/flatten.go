@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/cell"
 )
@@ -52,6 +53,9 @@ type Flat struct {
 	PIs       []int          // net IDs of top-level inputs
 	POs       []int          // net IDs of top-level outputs
 	MaxLevel  int
+
+	progOnce sync.Once
+	prog     *Program
 }
 
 // NetByName resolves a hierarchical net name, following aliases created by

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -23,9 +21,8 @@ import (
 //
 // Both engines snapshot into this one body: value planes (per net, per
 // cell; see planeLayout for what each engine keeps where), the force
-// plane, and one time-ordered list of queued actions. Only rebuilding an
-// engine's own queue structure from that list — EventSim's heap, LevelSim's
-// agenda map — is per engine.
+// plane, and one time-ordered list of queued actions, which both engines
+// load into the same arena queue.
 //
 // A Checkpoint is engine-kind specific and safe for concurrent use by any
 // number of restoring engines: Restore copies, it never aliases.
@@ -61,8 +58,9 @@ type Checkpoint struct {
 
 // queued is the value form of one queued data action. LevelSim orders by
 // t alone (actions of one step apply in list order) and leaves seq and
-// phase zero. For EventSim the list is sorted by (t, phase, seq), with
-// phase normalized at snapshot time: 0 for events scheduled before the
+// phase zero; a restore keys each action by its list position instead.
+// For EventSim the list is sorted by (t, phase, seq), with phase
+// normalized at snapshot time: 0 for events scheduled before the
 // producing run began (the pre-scheduled stimulus), 1 for events the run
 // created dynamically (pending inertial transitions). On restore, events a
 // caller schedules before resuming Run take phase 0 with fresh sequence
@@ -87,9 +85,13 @@ func (ck *Checkpoint) at(i int) queued {
 	return ck.tail[i-len(ck.queue)]
 }
 
-// searchTime returns the index of the first queued action at or after t.
-func (ck *Checkpoint) searchTime(t uint64) int {
-	return sort.Search(ck.QueuedEvents(), func(i int) bool { return ck.at(i).t >= t })
+// event materializes entry i as the event restored into arena slot i.
+func (ck *Checkpoint) event(i int) event {
+	q := ck.at(i)
+	if ck.Kind == KindLevel {
+		q.seq, q.phase = uint64(i), 0
+	}
+	return event{t: q.t, seq: q.seq, phase: q.phase, kind: q.kind, net: int32(q.net), cellID: int32(q.cellID), val: q.val, ckIdx: int32(i)}
 }
 
 // check validates that a checkpoint of the expected kind can be restored
@@ -175,8 +177,9 @@ func (c *core) snapshot() *Checkpoint {
 }
 
 // restore is the wholesale half of Engine.Restore every engine shares:
-// validate, copy every plane, reset clock and eval counter, drop all
-// callbacks, and make ck the baseline RestoreDelta rewrites against.
+// validate, copy every plane, load the queue, reset clock and eval
+// counter, drop all callbacks, and make ck the baseline RestoreDelta
+// rewrites against.
 func (c *core) restore(ck *Checkpoint) error {
 	if err := ck.check(c.kind, c.flat); err != nil {
 		return err
@@ -194,14 +197,16 @@ func (c *core) restore(ck *Checkpoint) error {
 	for _, cid := range c.dirtyCells {
 		c.cellDirty[cid] = false
 	}
+	c.q.load(ck)
 	c.resume(ck)
 	return nil
 }
 
-// restoreDirty is the plane half of Engine.RestoreDelta: with ck the
+// restoreDirty is the shared half of Engine.RestoreDelta: with ck the
 // checkpoint last restored, rewriting the entries recorded dirty since is
 // provably equal to restore's wholesale copy, because every mutation path
-// records its target in the dirty sets.
+// records its target in the dirty sets; the queue rewrites only the slots
+// consumed, cancelled or reused since (queue.reload).
 func (c *core) restoreDirty(ck *Checkpoint) {
 	for i, p := range c.netPlanes {
 		from := ck.netPlanes[i]
@@ -222,18 +227,23 @@ func (c *core) restoreDirty(ck *Checkpoint) {
 	for _, cid := range c.dirtyCells {
 		c.cellDirty[cid] = false
 	}
+	c.q.reload(ck)
 	c.resume(ck)
 }
 
-// resume ends either restore flavour: empty dirty sets, ck's clock and
-// eval counter, no callbacks.
+// resume ends either restore flavour: empty dirty sets, ck's clock, eval
+// counter and next sequence number, no callbacks.
 func (c *core) resume(ck *Checkpoint) {
 	c.dirtyNets = c.dirtyNets[:0]
 	c.dirtyCells = c.dirtyCells[:0]
 	c.lastRestored = ck
 	c.now = ck.TimePS
 	c.cellEvals = ck.Evals
-	clear(c.cbs)
+	c.q.seq = ck.seqBase
+	if c.kind == KindLevel {
+		c.q.seq = uint64(ck.QueuedEvents())
+	}
+	c.dropCallbacks()
 }
 
 // matches is the plane half of Engine.MatchesCheckpoint: same kind, same
@@ -272,6 +282,23 @@ func (c *core) matches(ck *Checkpoint) bool {
 	return true
 }
 
+// MatchesCheckpoint implements Engine: it reports whether the engine's
+// present state is indistinguishable from the checkpoint — same time, same
+// net and sequential values, same force state, and the same queued data
+// events in the same tie-break order. When true, the engine's future
+// evolution is bit-identical to that of any engine resumed from the
+// checkpoint, which is what lets the campaign prune a faulty run that has
+// re-converged to the golden trajectory.
+func (c *core) MatchesCheckpoint(ck *Checkpoint) bool {
+	return c.matches(ck) && c.q.matches(ck)
+}
+
+// queued is the checkpoint form of the event in e's slot, with e's phase.
+func (c *core) queued(e entry) queued {
+	ev := &c.q.evs[e.idx]
+	return queued{t: ev.t, seq: e.seq, phase: e.phase, kind: ev.kind, net: int(ev.net), cellID: int(ev.cellID), val: ev.val}
+}
+
 // snapPhase is the phase a snapshot taken now records for e (see queued).
 func (s *EventSim) snapPhase(e *event) uint32 {
 	if s.running && e.phase >= s.phase {
@@ -280,56 +307,23 @@ func (s *EventSim) snapPhase(e *event) uint32 {
 	return 0
 }
 
-// liveEvents returns the queued data events — cancelled entries and
-// callbacks dropped — in queue order: sorted by (t, phase, seq), the phase
-// being the one a snapshot would record when asSnapshot is set.
-func (s *EventSim) liveEvents(asSnapshot bool) []*event {
-	live := make([]*event, 0, len(s.evts))
-	for _, e := range s.evts {
-		if !e.cancelled && e.kind != actFunc {
-			live = append(live, e)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool {
-		a, b := live[i], live[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		pa, pb := a.phase, b.phase
-		if asSnapshot {
-			pa, pb = s.snapPhase(a), s.snapPhase(b)
-		}
-		if pa != pb {
-			return pa < pb
-		}
-		return a.seq < b.seq
-	})
-	return live
-}
-
 // Snapshot implements Engine.
 func (s *EventSim) Snapshot() *Checkpoint {
 	ck := s.snapshot()
-	ck.seqBase = s.seq
-	live := s.liveEvents(true)
+	ck.seqBase = s.q.seq
+	live := s.q.sorted(s.snapPhase)
 	ck.queue = make([]queued, len(live))
 	ck.pendingIdx = make([]int32, len(s.pending))
 	for i := range ck.pendingIdx {
 		ck.pendingIdx[i] = -1
 	}
 	for i, e := range live {
-		ck.queue[i] = queued{t: e.t, seq: e.seq, phase: s.snapPhase(e), kind: e.kind, net: e.net, cellID: e.cellID, val: e.val}
-		if e.kind == actNet && s.pending[e.net] == e {
-			ck.pendingIdx[e.net] = int32(i)
+		ck.queue[i] = s.queued(e)
+		if q := ck.queue[i]; q.kind == actNet && s.pending[q.net] == e.idx {
+			ck.pendingIdx[q.net] = int32(i)
 		}
 	}
 	return ck
-}
-
-// restoredEvent materializes entry i of ck's queue as a live event.
-func (ck *Checkpoint) restoredEvent(i int) *event {
-	q := ck.at(i)
-	return &event{t: q.t, seq: q.seq, phase: q.phase, kind: q.kind, net: q.net, cellID: q.cellID, val: q.val, ckIdx: int32(i)}
 }
 
 // Restore implements Engine. It resets the engine wholesale to the
@@ -341,207 +335,53 @@ func (s *EventSim) Restore(ck *Checkpoint) error {
 	if err := s.restore(ck); err != nil {
 		return err
 	}
-	s.seq, s.phase, s.running = ck.seqBase, 0, false
-	n := ck.QueuedEvents()
-	s.evts = make(eventHeap, n)
-	s.restoredEvts = slices.Grow(s.restoredEvts[:0], n)[:n]
-	for i := range s.evts {
-		s.evts[i] = ck.restoredEvent(i)
-	}
-	copy(s.restoredEvts, s.evts)
-	for nid, idx := range ck.pendingIdx {
-		s.pending[nid] = nil
-		if idx >= 0 {
-			s.pending[nid] = s.evts[idx]
-		}
-	}
-	heap.Init(&s.evts)
+	copy(s.pending, ck.pendingIdx)
+	s.phase, s.running = 0, false
 	return nil
 }
 
 // RestoreDelta implements Engine. When ck is the checkpoint this engine
-// most recently restored, only the nets, cells and queue entries touched
+// most recently restored, only the nets, cells and queue slots touched
 // since that restore are rewritten: untouched state and still-queued
 // checkpoint events are provably already equal to a full Restore's output
-// (every mutation path records its target in the dirty sets, and queue
-// entries only leave by being consumed or cancelled — both tracked via
-// their checkpoint index). Any other checkpoint falls back to Restore.
+// (every mutation path records its target in the dirty sets, and a
+// checkpoint event leaves its slot only by being consumed or cancelled).
+// Any other checkpoint falls back to Restore.
 func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 	if s.lastRestored != ck {
 		return s.Restore(ck)
 	}
-	// Queue: retain live checkpoint events in place, drop post-restore
-	// additions and cancelled entries, and re-materialize the consumed or
-	// cancelled originals from the checkpoint.
-	n := ck.QueuedEvents()
-	s.present = slices.Grow(s.present[:0], n)[:n]
-	clear(s.present)
-	live := s.evts[:0]
-	for _, ev := range s.evts {
-		if ev.ckIdx >= 0 && !ev.cancelled {
-			s.present[ev.ckIdx] = true
-			live = append(live, ev)
-		}
-	}
-	clear(s.evts[len(live):])
-	s.evts = live
-	for i := 0; i < n; i++ {
-		if !s.present[i] {
-			s.restoredEvts[i] = ck.restoredEvent(i)
-			s.evts = append(s.evts, s.restoredEvts[i])
-		}
-	}
-	heap.Init(&s.evts)
-	// Pending transitions of dirty nets relink through the refreshed event
-	// pointers; the planes follow.
+	// A pending transition changes only with its net dirty; checkpoint
+	// event i is restored into slot i.
 	for _, nid := range s.dirtyNets {
-		s.pending[nid] = nil
-		if idx := ck.pendingIdx[nid]; idx >= 0 {
-			s.pending[nid] = s.restoredEvts[idx]
-		}
+		s.pending[nid] = ck.pendingIdx[nid]
 	}
 	s.restoreDirty(ck)
-	s.seq, s.phase, s.running = ck.seqBase, 0, false
+	s.phase, s.running = 0, false
 	return nil
 }
 
-// MatchesCheckpoint implements Engine: it reports whether the engine's
-// present state is indistinguishable from the checkpoint — same time, same
-// net and sequential values, same force state, and the same queued data
-// events in the same tie-break order. When true, the engine's future
-// evolution is bit-identical to that of any engine resumed from the
-// checkpoint, which is what lets the campaign prune a faulty run that has
-// re-converged to the golden trajectory.
-func (s *EventSim) MatchesCheckpoint(ck *Checkpoint) bool {
-	if !s.matches(ck) {
-		return false
-	}
-	live := s.liveEvents(false)
-	if len(live) != ck.QueuedEvents() {
-		return false
-	}
-	for i, e := range live {
-		q := ck.at(i)
-		if e.t != q.t || e.kind != q.kind || e.net != q.net || e.cellID != q.cellID || e.val != q.val {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot implements Engine. The agenda flattens into the queue in
-// ascending time, each step's actions in their original append order; a
-// step holding only callbacks belongs to the producing run's observers and
-// leaves no trace.
+// Snapshot implements Engine. The queue flattens in ascending time, each
+// step's actions in their original order; callbacks belong to the
+// producing run's observers and leave no trace.
 func (s *LevelSim) Snapshot() *Checkpoint {
 	ck := s.snapshot()
-	times := slices.Clone(s.times)
-	slices.Sort(times)
-	for _, t := range times {
-		for _, a := range s.agenda[t] {
-			if a.kind != actFunc {
-				ck.queue = append(ck.queue, queued{t: t, kind: a.kind, net: a.net, cellID: a.cellID, val: a.val})
-			}
-		}
+	for _, e := range s.q.sorted(nil) {
+		e.seq = 0
+		ck.queue = append(ck.queue, s.queued(e))
 	}
 	return ck
 }
 
-// step materializes the agenda step that starts at queue entry i — the run
-// of entries sharing its time — and returns it with the index past it.
-func (ck *Checkpoint) step(i int) ([]lsAction, int) {
-	t, end := ck.at(i).t, i+1
-	for end < ck.QueuedEvents() && ck.at(end).t == t {
-		end++
-	}
-	acts := make([]lsAction, 0, end-i)
-	for ; i < end; i++ {
-		q := ck.at(i)
-		acts = append(acts, lsAction{kind: q.kind, net: q.net, cellID: q.cellID, val: q.val})
-	}
-	return acts, end
-}
-
 // Restore implements Engine. See EventSim.Restore for the contract.
-func (s *LevelSim) Restore(ck *Checkpoint) error {
-	if err := s.restore(ck); err != nil {
-		return err
-	}
-	s.cbNets = s.cbNets[:0]
-	clear(s.touchedTimes)
-	s.consumedTimes = s.consumedTimes[:0]
-	clear(s.agenda)
-	s.times = s.times[:0]
-	for i := 0; i < ck.QueuedEvents(); {
-		t := ck.at(i).t
-		s.agenda[t], i = ck.step(i)
-		s.times = append(s.times, t)
-	}
-	heap.Init(&s.times)
-	return nil
-}
+func (s *LevelSim) Restore(ck *Checkpoint) error { return s.restore(ck) }
 
 // RestoreDelta implements Engine. See EventSim.RestoreDelta for the
-// contract; for the levelized engine the agenda is repaired in place — only
-// times the run consumed or a caller appended to are re-cloned from the
-// checkpoint, leaving the untouched bulk of the restored schedule alone.
+// contract.
 func (s *LevelSim) RestoreDelta(ck *Checkpoint) error {
 	if s.lastRestored != ck {
 		return s.Restore(ck)
 	}
 	s.restoreDirty(ck)
-	s.cbNets = s.cbNets[:0]
-	// A touched or consumed time is reset to the checkpoint's step there, or
-	// removed when the checkpoint holds nothing at it; all other entries are
-	// still the untouched clones the last full restore made.
-	restoreTime := func(t uint64) {
-		if i := ck.searchTime(t); i < ck.QueuedEvents() && ck.at(i).t == t {
-			s.agenda[t], _ = ck.step(i)
-		} else {
-			delete(s.agenda, t)
-		}
-	}
-	for t := range s.touchedTimes {
-		restoreTime(t)
-	}
-	clear(s.touchedTimes)
-	for _, t := range s.consumedTimes {
-		restoreTime(t)
-	}
-	s.consumedTimes = s.consumedTimes[:0]
-	s.times = s.times[:0]
-	for t := range s.agenda {
-		s.times = append(s.times, t)
-	}
-	heap.Init(&s.times)
 	return nil
-}
-
-// MatchesCheckpoint implements Engine. See EventSim.MatchesCheckpoint.
-func (s *LevelSim) MatchesCheckpoint(ck *Checkpoint) bool {
-	if !s.matches(ck) {
-		return false
-	}
-	// Every agenda step must equal the checkpoint's run of entries at its
-	// time, data action for data action; steps are disjoint runs, so
-	// matching as many entries as the checkpoint holds matches them all.
-	n, seen := ck.QueuedEvents(), 0
-	for t, acts := range s.agenda {
-		i := ck.searchTime(t)
-		for _, a := range acts {
-			if a.kind == actFunc {
-				continue
-			}
-			if i >= n {
-				return false
-			}
-			q := ck.at(i)
-			if q.t != t || q.kind != a.kind || q.net != a.net || q.cellID != a.cellID || q.val != a.val {
-				return false
-			}
-			i++
-			seen++
-		}
-	}
-	return seen == n
 }

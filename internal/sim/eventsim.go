@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
+	"repro/internal/cell"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -14,111 +14,68 @@ import (
 // exactly the filtering SET pulses are subject to in real logic).
 type EventSim struct {
 	core
-	seq uint64 // tie-breaker for deterministic event order
-	// phase is the coarse tie-breaker ahead of seq: it increments at every
-	// Run entry, so events scheduled before a run (stimulus, fault actions,
-	// monitors) order ahead of events the run creates dynamically at the
-	// same timestamp. For an engine driven the ordinary way phase order
-	// coincides with seq order and changes nothing; after Restore it is
-	// what lets freshly registered pre-run events slot in ahead of restored
-	// in-flight transitions, reproducing a cold run's tie-breaking exactly.
+	// phase is the coarse tie-breaker ahead of the queue's sequence number:
+	// it increments at every Run entry, so events scheduled before a run
+	// (stimulus, fault actions, monitors) order ahead of events the run
+	// creates dynamically at the same timestamp. For an engine driven the
+	// ordinary way phase order coincides with seq order and changes
+	// nothing; after Restore it is what lets freshly registered pre-run
+	// events slot in ahead of restored in-flight transitions, reproducing a
+	// cold run's tie-breaking exactly.
 	phase   uint32
 	running bool
-	evts    eventHeap
 
 	driven []logic.V // value the driver wants (differs from cur under force)
 
-	pending []*event // per-net pending inertial transition (may be nil)
-
-	// restoredEvts is parallel to lastRestored's queue (the live event per
-	// checkpoint index); present is RestoreDelta's reusable scratch.
-	restoredEvts []*event
-	present      []bool
-}
-
-type event struct {
-	t         uint64
-	seq       uint64
-	phase     uint32
-	kind      actKind
-	net       int
-	cellID    int
-	val       logic.V
-	fn        func()
-	cancelled bool
-	// ckIdx is the event's index in the last-restored checkpoint's event
-	// list, or -1 for events scheduled since (dynamically or by a caller).
-	// RestoreDelta uses it to tell retained checkpoint events apart from
-	// post-restore additions without a lookup structure.
-	ckIdx int32
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	if h[i].phase != h[j].phase {
-		return h[i].phase < h[j].phase
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	pending []int32 // per-net pending inertial transition's arena slot, -1 for none
 }
 
 // NewEventSim returns an event-driven engine with all nets and states at X.
 func NewEventSim(f *netlist.Flat) *EventSim {
-	s := &EventSim{core: newCore(KindEvent, f), pending: make([]*event, len(f.Nets))}
+	s := &EventSim{core: newCore(KindEvent, f), pending: make([]int32, len(f.Nets))}
 	s.driven = s.netPlanes[1]
-	for _, c := range f.Cells {
+	for i := range s.pending {
+		s.pending[i] = -1
+	}
+	p := s.prog
+	for i := range f.Cells {
+		cid := int32(i)
+		def := p.Def(cid)
 		switch {
-		case !c.Def.IsSequential() && len(c.Def.Inputs) == 0:
+		case def.LUT != nil && len(def.Inputs) == 0:
 			// Tie cells have no inputs and never receive a triggering
 			// event; seed their constant outputs at time zero.
-			out := c.Def.Eval(nil)
-			for i, nid := range c.Out {
-				s.schedule(&event{t: 0, kind: actNet, net: nid, val: out[i]})
+			for j, nid := range p.Outs(cid) {
+				s.schedule(event{kind: actNet, net: nid, val: logic.V(def.LUT[0] >> (2 * j) & 3)})
 			}
-		case initZeroState(c):
+		case initZeroState(def):
 			// Storage without an asynchronous control (memory bits,
 			// enable flops) initializes to 0, mirroring the standard
 			// register-initialization practice of fault-injection flows
 			// (VCS +vcs+initreg+0): campaigns need a fully defined golden
 			// reference, and X-circulating feedback loops would otherwise
 			// mask most upsets.
-			s.state[c.ID] = logic.L0
-			outs := c.Def.StateOutputs(logic.L0)
-			for i, nid := range c.Out {
-				s.schedule(&event{t: 0, kind: actNet, net: nid, val: outs[i]})
+			s.state[cid] = logic.L0
+			v := logic.L0
+			for _, nid := range p.Outs(cid) {
+				s.schedule(event{kind: actNet, net: nid, val: v})
+				v = v.Not() // Q, then QN
 			}
 		}
 	}
 	return s
 }
 
-// initZeroState reports whether the cell's power-on state is initialized
+// initZeroState reports whether a cell's power-on state is initialized
 // to zero rather than X: storage with no asynchronous reset/set path.
-func initZeroState(c *netlist.FlatCell) bool {
-	return c.Def.IsSequential() &&
-		c.Def.Seq.AsyncResetN == "" && c.Def.Seq.AsyncSetN == ""
+func initZeroState(d *cell.Def) bool {
+	return d.IsSequential() && d.Seq.AsyncResetN == "" && d.Seq.AsyncSetN == ""
 }
 
-func (s *EventSim) schedule(e *event) {
-	e.seq = s.seq
+// schedule queues e in the current phase and returns its arena slot.
+func (s *EventSim) schedule(e event) int32 {
 	e.phase = s.phase
-	e.ckIdx = -1
-	s.seq++
-	heap.Push(&s.evts, e)
+	return s.q.push(e)
 }
 
 // ScheduleInput implements Engine.
@@ -126,18 +83,18 @@ func (s *EventSim) ScheduleInput(t uint64, net int, v logic.V) error {
 	if err := validateInput(s.flat, net); err != nil {
 		return err
 	}
-	s.schedule(&event{t: t, kind: actInput, net: net, val: v})
+	s.schedule(event{t: t, kind: actInput, net: int32(net), val: v})
 	return nil
 }
 
 // ScheduleForce implements Engine.
 func (s *EventSim) ScheduleForce(t uint64, net int, v logic.V) {
-	s.schedule(&event{t: t, kind: actForce, net: net, val: v})
+	s.schedule(event{t: t, kind: actForce, net: int32(net), val: v})
 }
 
 // ScheduleRelease implements Engine.
 func (s *EventSim) ScheduleRelease(t uint64, net int) {
-	s.schedule(&event{t: t, kind: actRelease, net: net})
+	s.schedule(event{t: t, kind: actRelease, net: int32(net)})
 }
 
 // ScheduleFlip implements Engine.
@@ -145,18 +102,13 @@ func (s *EventSim) ScheduleFlip(t uint64, cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.schedule(&event{t: t, kind: actFlip, cellID: cellID})
+	s.schedule(event{t: t, kind: actFlip, cellID: int32(cellID)})
 	return nil
 }
 
 // At implements Engine.
 func (s *EventSim) At(t uint64, fn func()) {
-	s.schedule(&event{t: t, kind: actFunc, fn: fn})
-}
-
-// OnNetChange implements Engine.
-func (s *EventSim) OnNetChange(net int, fn NetCallback) {
-	s.cbs[net] = append(s.cbs[net], fn)
+	s.schedule(event{t: t, kind: actFunc, fn: fn})
 }
 
 // FlipState implements Engine.
@@ -164,33 +116,22 @@ func (s *EventSim) FlipState(cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.applyFlip(cellID)
+	s.applyFlip(int32(cellID))
 	return nil
 }
 
-func (s *EventSim) applyFlip(cellID int) {
-	c := s.flat.Cells[cellID]
-	s.touchCell(cellID)
-	s.state[cellID] = s.state[cellID].Not()
-	outs := c.Def.StateOutputs(s.state[cellID])
-	// An upset corrupts the storage node directly: outputs follow with the
-	// cell's propagation delay, as in the paper's SEU model (Fig. 2).
-	for i, nid := range c.Out {
-		s.scheduleCombOutput(nid, outs[i], c.Def.DelayPS)
-	}
-}
+// applyFlip inverts a storage cell's state. An upset corrupts the storage
+// node directly: outputs follow with the cell's propagation delay, as in
+// the paper's SEU model (Fig. 2).
+func (s *EventSim) applyFlip(cid int32) { s.setState(cid, s.state[cid].Not()) }
 
 // Run implements Engine.
 func (s *EventSim) Run(until uint64) error {
 	s.phase++
 	s.running = true
 	defer func() { s.running = false }()
-	for s.evts.Len() > 0 {
-		e := s.evts[0]
-		if e.t > until {
-			break
-		}
-		heap.Pop(&s.evts)
+	for t, ok := s.q.next(); ok && t <= until; t, ok = s.q.next() {
+		e := s.q.pop()
 		if e.cancelled {
 			continue
 		}
@@ -201,7 +142,7 @@ func (s *EventSim) Run(until uint64) error {
 		switch e.kind {
 		case actNet:
 			s.touchNet(e.net)
-			s.pending[e.net] = nil
+			s.pending[e.net] = -1
 			s.driven[e.net] = e.val
 			if !s.forced[e.net] {
 				s.setNet(e.net, e.val)
@@ -235,70 +176,67 @@ func (s *EventSim) Run(until uint64) error {
 }
 
 // setNet commits a value change and triggers fanout evaluation.
-func (s *EventSim) setNet(nid int, v logic.V) {
+func (s *EventSim) setNet(nid int32, v logic.V) {
 	old := s.cur[nid]
 	if old == v {
 		return
 	}
 	s.cur[nid] = v
-	for _, fn := range s.cbs[nid] {
+	for _, fn := range s.callbacks(nid) {
 		fn(s.now, v)
 	}
-	for _, fo := range s.flat.Nets[nid].Fanout {
-		s.evalCell(fo.Cell, fo.Pin, old, v)
+	p := s.prog
+	for i := p.FanOff[nid]; i < p.FanOff[nid+1]; i++ {
+		s.evalCell(p.FanCell[i], p.FanPin[i], old, v)
 	}
 }
 
 // evalCell reacts to a change on input pin `pin` of cell `cid`.
-func (s *EventSim) evalCell(cid, pin int, old, new logic.V) {
+func (s *EventSim) evalCell(cid, pin int32, old, new logic.V) {
 	s.cellEvals++
-	c := s.flat.Cells[cid]
-	def := c.Def
-	if !def.IsSequential() {
-		in := s.gatherInputs(c)
-		out := def.Eval(in)
-		for i, nid := range c.Out {
-			s.scheduleCombOutput(nid, out[i], def.DelayPS)
+	p := s.prog
+	def := p.Def(cid)
+	if def.LUT != nil {
+		out := p.Eval(cid, s.cur)
+		for j, nid := range p.Outs(cid) {
+			s.scheduleCombOutput(nid, logic.V(out>>(2*j)&3), def.DelayPS)
 		}
 		return
 	}
-	in := s.gatherInputs(c)
+	var buf [4]logic.V
+	in := p.Inputs(cid, s.cur, buf[:0])
 	// Asynchronous controls dominate and act on any input change.
 	if v, active := def.AsyncState(in); active {
 		if s.state[cid] != v {
-			s.touchCell(cid)
-			s.state[cid] = v
-			s.pushSeqOutputs(c)
+			s.setState(cid, v)
 		}
 		return
 	}
-	// A rising edge on the clock pin captures.
-	clkPin := def.InputIndex(def.Seq.Clock)
-	if pin == clkPin && old == logic.L0 && new == logic.L1 {
-		next := def.NextState(s.state[cid], in)
-		if next != s.state[cid] {
-			s.touchCell(cid)
-			s.state[cid] = next
-			s.pushSeqOutputs(c)
-		}
+	if int(pin) != def.Seq.ClockPin || old != logic.L0 {
 		return
 	}
-	// An unknown clock transition poisons the state, mirroring Verilog
-	// pessimism for x-edges, but only when the data would change the state.
-	if pin == clkPin && old == logic.L0 && !new.IsKnown() {
-		next := def.NextState(s.state[cid], in)
-		if next != s.state[cid] {
-			s.touchCell(cid)
-			s.state[cid] = logic.X
-			s.pushSeqOutputs(c)
-		}
+	next := def.NextState(s.state[cid], in)
+	switch {
+	case next == s.state[cid]:
+	case new == logic.L1:
+		// A rising edge on the clock pin captures.
+		s.setState(cid, next)
+	case !new.IsKnown():
+		// An unknown clock transition poisons the state, mirroring Verilog
+		// pessimism for x-edges, but only when the data would change the
+		// state.
+		s.setState(cid, logic.X)
 	}
 }
 
-func (s *EventSim) pushSeqOutputs(c *netlist.FlatCell) {
-	outs := c.Def.StateOutputs(s.state[c.ID])
-	for i, nid := range c.Out {
-		s.scheduleCombOutput(nid, outs[i], c.Def.DelayPS)
+// setState stores v as a storage cell's state and schedules its outputs.
+func (s *EventSim) setState(cid int32, v logic.V) {
+	s.touchCell(cid)
+	s.state[cid] = v
+	d := s.prog.Def(cid).DelayPS
+	for _, nid := range s.prog.Outs(cid) {
+		s.scheduleCombOutput(nid, v, d)
+		v = v.Not() // Q, then QN
 	}
 }
 
@@ -306,13 +244,14 @@ func (s *EventSim) pushSeqOutputs(c *netlist.FlatCell) {
 // wants value v on net nid after delay d: a newly computed value replaces
 // any in-flight transition on the same net. Sequential outputs follow the
 // same rule as combinational ones.
-func (s *EventSim) scheduleCombOutput(nid int, v logic.V, d int64) {
-	if p := s.pending[nid]; p != nil {
-		if p.val == v {
+func (s *EventSim) scheduleCombOutput(nid int32, v logic.V, d int64) {
+	if p := s.pending[nid]; p >= 0 {
+		e := &s.q.evs[p]
+		if e.val == v {
 			return // in-flight transition already produces v
 		}
-		p.cancelled = true
-		s.pending[nid] = nil
+		e.cancelled = true
+		s.pending[nid] = -1
 		s.touchNet(nid)
 		if v == s.driven[nid] {
 			return // cancellation restored the present driven value
@@ -320,16 +259,6 @@ func (s *EventSim) scheduleCombOutput(nid int, v logic.V, d int64) {
 	} else if v == s.driven[nid] {
 		return
 	}
-	e := &event{t: s.now + uint64(d), kind: actNet, net: nid, val: v}
-	s.pending[nid] = e
+	s.pending[nid] = s.schedule(event{t: s.now + uint64(d), kind: actNet, net: nid, val: v})
 	s.touchNet(nid)
-	s.schedule(e)
-}
-
-func (s *EventSim) gatherInputs(c *netlist.FlatCell) []logic.V {
-	in := make([]logic.V, len(c.In))
-	for i, nid := range c.In {
-		in[i] = s.cur[nid]
-	}
-	return in
 }

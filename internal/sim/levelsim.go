@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -18,87 +16,41 @@ import (
 type LevelSim struct {
 	core
 
-	agenda map[uint64][]lsAction
-	times  timeHeap
-
 	scratch   []logic.V // working values during settle
 	inputVal  []logic.V // externally driven PI values
 	forcedVal []logic.V
 
 	prevClk []logic.V // per sequential cell: clock net value at end of last step
 
-	combOrder []int // combinational cell IDs in ascending level order
-	seqCells  []int
-
-	cbNets []int // nets having callbacks, sorted, for deterministic firing
-
-	// Agenda half of delta-restore tracking: touchedTimes are agenda times
-	// appended to since the last restore (caller monitors, fault actions),
-	// consumedTimes the times Run popped. RestoreDelta re-clones exactly
-	// these from the checkpoint.
-	touchedTimes  map[uint64]struct{}
-	consumedTimes []uint64
+	// Reused per-step buffers: the step's callbacks, the settle's captures,
+	// and the committed nets that have callbacks.
+	fns     []func()
+	caps    []capture
+	changed []int32
 }
 
-type lsAction struct {
-	kind   actKind
-	net    int
-	cellID int
-	val    logic.V
-	fn     func()
-}
-
-type timeHeap []uint64
-
-func (h timeHeap) Len() int            { return len(h) }
-func (h timeHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *timeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	*h = old[:n-1]
-	return t
+// capture is a storage cell's next state, committed at the end of a pass.
+type capture struct {
+	cell int32
+	next logic.V
 }
 
 // NewLevelSim returns a levelized engine with all nets and states at X.
 func NewLevelSim(f *netlist.Flat) *LevelSim {
 	s := &LevelSim{
-		core:         newCore(KindLevel, f),
-		agenda:       map[uint64][]lsAction{},
-		scratch:      make([]logic.V, len(f.Nets)),
-		touchedTimes: map[uint64]struct{}{},
+		core:    newCore(KindLevel, f),
+		scratch: make([]logic.V, len(f.Nets)),
 	}
 	s.inputVal, s.forcedVal = s.netPlanes[1], s.netPlanes[2]
 	s.prevClk = s.cellPlanes[1]
 	// Same register-initialization policy as EventSim (see initZeroState):
 	// un-resettable storage powers up at 0.
 	for _, c := range f.Cells {
-		if initZeroState(c) {
+		if initZeroState(c.Def) {
 			s.state[c.ID] = logic.L0
 		}
 	}
-	s.combOrder = append(s.combOrder, f.CombinationalCells()...)
-	sort.SliceStable(s.combOrder, func(i, j int) bool {
-		a, b := f.Cells[s.combOrder[i]], f.Cells[s.combOrder[j]]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		return a.ID < b.ID
-	})
-	s.seqCells = f.SequentialCells()
 	return s
-}
-
-func (s *LevelSim) at(t uint64, a lsAction) {
-	if _, ok := s.agenda[t]; !ok {
-		heap.Push(&s.times, t)
-	}
-	s.agenda[t] = append(s.agenda[t], a)
-	if s.lastRestored != nil {
-		s.touchedTimes[t] = struct{}{}
-	}
 }
 
 // ScheduleInput implements Engine.
@@ -106,18 +58,18 @@ func (s *LevelSim) ScheduleInput(t uint64, net int, v logic.V) error {
 	if err := validateInput(s.flat, net); err != nil {
 		return err
 	}
-	s.at(t, lsAction{kind: actInput, net: net, val: v})
+	s.q.push(event{t: t, kind: actInput, net: int32(net), val: v})
 	return nil
 }
 
 // ScheduleForce implements Engine.
 func (s *LevelSim) ScheduleForce(t uint64, net int, v logic.V) {
-	s.at(t, lsAction{kind: actForce, net: net, val: v})
+	s.q.push(event{t: t, kind: actForce, net: int32(net), val: v})
 }
 
 // ScheduleRelease implements Engine.
 func (s *LevelSim) ScheduleRelease(t uint64, net int) {
-	s.at(t, lsAction{kind: actRelease, net: net})
+	s.q.push(event{t: t, kind: actRelease, net: int32(net)})
 }
 
 // ScheduleFlip implements Engine.
@@ -125,23 +77,14 @@ func (s *LevelSim) ScheduleFlip(t uint64, cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.at(t, lsAction{kind: actFlip, cellID: cellID})
+	s.q.push(event{t: t, kind: actFlip, cellID: int32(cellID)})
 	return nil
 }
 
 // At implements Engine. The callback runs after the time step settles, so
 // values read inside fn are the stable values at t.
 func (s *LevelSim) At(t uint64, fn func()) {
-	s.at(t, lsAction{kind: actFunc, fn: fn})
-}
-
-// OnNetChange implements Engine.
-func (s *LevelSim) OnNetChange(net int, fn NetCallback) {
-	if _, ok := s.cbs[net]; !ok {
-		s.cbNets = append(s.cbNets, net)
-		sort.Ints(s.cbNets)
-	}
-	s.cbs[net] = append(s.cbs[net], fn)
+	s.q.push(event{t: t, kind: actFunc, fn: fn})
 }
 
 // FlipState implements Engine.
@@ -149,28 +92,22 @@ func (s *LevelSim) FlipState(cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.touchCell(cellID)
+	s.touchCell(int32(cellID))
 	s.state[cellID] = s.state[cellID].Not()
 	s.settleAndCommit()
 	return nil
 }
 
-// Run implements Engine.
+// Run implements Engine. A step takes every action queued at its time,
+// in the order queued, then settles and runs the step's callbacks.
 func (s *LevelSim) Run(until uint64) error {
-	for s.times.Len() > 0 && s.times[0] <= until {
-		t := heap.Pop(&s.times).(uint64)
-		actions := s.agenda[t]
-		delete(s.agenda, t)
+	for t, ok := s.q.next(); ok && t <= until; t, ok = s.q.next() {
 		if t < s.now {
 			return fmt.Errorf("sim: step time %d before now %d", t, s.now)
 		}
-		if s.lastRestored != nil {
-			s.consumedTimes = append(s.consumedTimes, t)
-		}
 		s.now = t
-		var fns []func()
-		for _, a := range actions {
-			switch a.kind {
+		for next, ok := t, true; ok && next == t; next, ok = s.q.next() {
+			switch a := s.q.pop(); a.kind {
 			case actInput:
 				s.touchNet(a.net)
 				s.inputVal[a.net] = a.val
@@ -185,15 +122,17 @@ func (s *LevelSim) Run(until uint64) error {
 				s.touchCell(a.cellID)
 				s.state[a.cellID] = s.state[a.cellID].Not()
 			case actFunc:
-				fns = append(fns, a.fn)
+				s.fns = append(s.fns, a.fn)
 			}
 		}
 		if err := s.settleAndCommit(); err != nil {
 			return err
 		}
-		for _, fn := range fns {
+		for _, fn := range s.fns {
 			fn()
 		}
+		clear(s.fns)
+		s.fns = s.fns[:0]
 	}
 	if until > s.now {
 		s.now = until
@@ -206,6 +145,7 @@ func (s *LevelSim) Run(until uint64) error {
 // and fires change callbacks.
 func (s *LevelSim) settleAndCommit() error {
 	const maxPasses = 8
+	p := s.prog
 	copy(s.scratch, s.cur)
 	for pass := 0; ; pass++ {
 		if pass >= maxPasses {
@@ -214,27 +154,19 @@ func (s *LevelSim) settleAndCommit() error {
 		s.propagate()
 		// Phase 1: detect rising edges and compute next states from the
 		// settled pre-update values.
-		type capture struct {
-			cell int
-			next logic.V
-		}
-		var caps []capture
-		for _, cid := range s.seqCells {
-			c := s.flat.Cells[cid]
-			clkNet := c.In[c.Def.InputIndex(c.Def.Seq.Clock)]
-			clkNow := s.scratch[clkNet]
-			in := make([]logic.V, len(c.In))
-			for i, nid := range c.In {
-				in[i] = s.scratch[nid]
-			}
-			if v, active := c.Def.AsyncState(in); active {
+		s.caps = s.caps[:0]
+		for _, cid := range p.SeqCells {
+			def := p.Def(cid)
+			var buf [4]logic.V
+			in := p.Inputs(cid, s.scratch, buf[:0])
+			clkNow := in[def.Seq.ClockPin]
+			if v, active := def.AsyncState(in); active {
 				if s.state[cid] != v {
-					caps = append(caps, capture{cell: cid, next: v})
+					s.caps = append(s.caps, capture{cell: cid, next: v})
 				}
 			} else if s.prevClk[cid] == logic.L0 && clkNow == logic.L1 {
-				next := c.Def.NextState(s.state[cid], in)
-				if next != s.state[cid] {
-					caps = append(caps, capture{cell: cid, next: next})
+				if next := def.NextState(s.state[cid], in); next != s.state[cid] {
+					s.caps = append(s.caps, capture{cell: cid, next: next})
 				}
 			}
 			if s.prevClk[cid] != clkNow {
@@ -242,33 +174,43 @@ func (s *LevelSim) settleAndCommit() error {
 				s.prevClk[cid] = clkNow
 			}
 		}
-		if len(caps) == 0 {
+		if len(s.caps) == 0 {
 			break
 		}
 		// Phase 2: commit all captures simultaneously, then re-propagate.
-		for _, cp := range caps {
+		for _, cp := range s.caps {
 			s.touchCell(cp.cell)
 			s.state[cp.cell] = cp.next
 		}
 	}
-	// Commit and fire callbacks deterministically.
-	changed := make([]int, 0, 16)
+	// Commit, then fire callbacks in net order.
+	s.changed = s.changed[:0]
 	for nid := range s.cur {
 		if s.cur[nid] != s.scratch[nid] {
-			s.touchNet(nid)
+			s.touchNet(int32(nid))
 			s.cur[nid] = s.scratch[nid]
-			if _, ok := s.cbs[nid]; ok {
-				changed = append(changed, nid)
+			if s.cbAt[nid] != 0 {
+				s.changed = append(s.changed, int32(nid))
 			}
 		}
 	}
-	sort.Ints(changed)
-	for _, nid := range changed {
-		for _, fn := range s.cbs[nid] {
+	for _, nid := range s.changed {
+		for _, fn := range s.callbacks(nid) {
 			fn(s.now, s.cur[nid])
 		}
 	}
 	return nil
+}
+
+// set writes v, or the force value while nid is forced, to nid's scratch
+// value and reports whether that changed it.
+func (s *LevelSim) set(nid int32, v logic.V) bool {
+	if s.forced[nid] {
+		v = s.forcedVal[nid]
+	}
+	changed := s.scratch[nid] != v
+	s.scratch[nid] = v
+	return changed
 }
 
 // propagate evaluates sources and the full combinational network into
@@ -279,40 +221,28 @@ func (s *LevelSim) settleAndCommit() error {
 // sufficient in general, so every step pays at least one confirmation
 // sweep — the structural reason this engine is the slower baseline.
 func (s *LevelSim) propagate() {
-	set := func(nid int, v logic.V) bool {
-		if s.forced[nid] {
-			v = s.forcedVal[nid]
-		}
-		changed := s.scratch[nid] != v
-		s.scratch[nid] = v
-		return changed
-	}
+	p := s.prog
 	for _, nid := range s.flat.PIs {
-		set(nid, s.inputVal[nid])
+		s.set(int32(nid), s.inputVal[nid])
 	}
-	for _, cid := range s.seqCells {
-		c := s.flat.Cells[cid]
-		outs := c.Def.StateOutputs(s.state[cid])
-		for i, nid := range c.Out {
-			set(nid, outs[i])
+	for _, cid := range p.SeqCells {
+		v := s.state[cid]
+		for _, nid := range p.Outs(cid) {
+			s.set(nid, v)
+			v = v.Not() // Q, then QN
 		}
 	}
-	in := make([]logic.V, 8)
 	const maxSweeps = 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
-		for _, cid := range s.combOrder {
+		for _, cid := range p.CombOrder {
 			s.cellEvals++
-			c := s.flat.Cells[cid]
-			in = in[:len(c.In)]
-			for i, nid := range c.In {
-				in[i] = s.scratch[nid]
-			}
-			outs := c.Def.Eval(in)
-			for i, nid := range c.Out {
-				if set(nid, outs[i]) {
+			out := p.Eval(cid, s.scratch)
+			for _, nid := range p.Outs(cid) {
+				if s.set(nid, logic.V(out&3)) {
 					changed = true
 				}
+				out >>= 2
 			}
 		}
 		if !changed {

@@ -131,13 +131,15 @@ var planeLayout = map[EngineKind]struct{ net, cell, held int }{
 	KindLevel: {net: 3, cell: 2, held: 2},
 }
 
-// core is what both engines are built on: the design, the clock, the eval
-// counter, the value planes a checkpoint captures, the callbacks, and the
-// dirty sets RestoreDelta rewrites from — together with the part of the
-// Engine contract that reads nothing else.
+// core is what both engines are built on: the design and its compiled
+// program, the clock, the eval counter, the value planes a checkpoint
+// captures, the event queue, the callbacks, and the dirty sets
+// RestoreDelta rewrites from — together with the part of the Engine
+// contract that reads nothing else.
 type core struct {
 	kind      EngineKind
 	flat      *netlist.Flat
+	prog      *netlist.Program
 	now       uint64
 	cellEvals uint64
 
@@ -151,7 +153,11 @@ type core struct {
 	forced                []bool
 	state                 []logic.V // per-cell sequential state (X for comb cells)
 
-	cbs map[int][]NetCallback
+	q queue
+
+	// cbAt is 1 + the index in cbs of each net's callbacks, 0 for none.
+	cbAt []int32
+	cbs  []netCallbacks
 
 	// Delta-restore tracking, active once the engine has restored a
 	// checkpoint: every net or cell whose planes mutated since the last
@@ -164,17 +170,24 @@ type core struct {
 	dirtyCells   []int32
 }
 
+// netCallbacks are one net's value-change callbacks in registration order.
+type netCallbacks struct {
+	net int32
+	fns []NetCallback
+}
+
 // newCore allocates the planes of a kind-engine over f, every value at X.
 func newCore(kind EngineKind, f *netlist.Flat) core {
 	layout := planeLayout[kind]
 	c := core{
 		kind:       kind,
 		flat:       f,
+		prog:       f.Program(),
 		netPlanes:  newPlanes(layout.net, len(f.Nets)),
 		cellPlanes: newPlanes(layout.cell, len(f.Cells)),
 		heldPlane:  layout.held,
 		forced:     make([]bool, len(f.Nets)),
-		cbs:        map[int][]NetCallback{},
+		cbAt:       make([]int32, len(f.Nets)),
 		netDirty:   make([]bool, len(f.Nets)),
 		cellDirty:  make([]bool, len(f.Cells)),
 	}
@@ -191,6 +204,33 @@ func newPlanes(n, size int) [][]logic.V {
 		}
 	}
 	return planes
+}
+
+// OnNetChange implements Engine.
+func (c *core) OnNetChange(net int, fn NetCallback) {
+	if c.cbAt[net] == 0 {
+		c.cbs = append(c.cbs, netCallbacks{net: int32(net)})
+		c.cbAt[net] = int32(len(c.cbs))
+	}
+	cb := &c.cbs[c.cbAt[net]-1]
+	cb.fns = append(cb.fns, fn)
+}
+
+// callbacks returns the callbacks registered on net nid.
+func (c *core) callbacks(nid int32) []NetCallback {
+	if k := c.cbAt[nid]; k != 0 {
+		return c.cbs[k-1].fns
+	}
+	return nil
+}
+
+// dropCallbacks unregisters every callback.
+func (c *core) dropCallbacks() {
+	for _, cb := range c.cbs {
+		c.cbAt[cb.net] = 0
+	}
+	clear(c.cbs)
+	c.cbs = c.cbs[:0]
 }
 
 // Name implements Engine.
@@ -219,18 +259,18 @@ func (c *core) CellEvals() uint64 { return c.cellEvals }
 // touchNet records that a net's simulation state (any net plane, its force
 // flag, or an engine-side pending transition) mutated since the last
 // restore. A no-op until the engine first restores a checkpoint.
-func (c *core) touchNet(nid int) {
+func (c *core) touchNet(nid int32) {
 	if c.lastRestored != nil && !c.netDirty[nid] {
 		c.netDirty[nid] = true
-		c.dirtyNets = append(c.dirtyNets, int32(nid))
+		c.dirtyNets = append(c.dirtyNets, nid)
 	}
 }
 
 // touchCell records a per-cell plane mutation since the last restore.
-func (c *core) touchCell(cid int) {
+func (c *core) touchCell(cid int32) {
 	if c.lastRestored != nil && !c.cellDirty[cid] {
 		c.cellDirty[cid] = true
-		c.dirtyCells = append(c.dirtyCells, int32(cid))
+		c.dirtyCells = append(c.dirtyCells, cid)
 	}
 }
 
