@@ -47,15 +47,19 @@ loc:
 			{ n++ } END { printf "%6d  %s\n", n, d }'; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
-# fuzz-smoke gives each native fuzz target — one per decoder that reads
-# bytes from disk, the lake or the wire — ten seconds of coverage-guided
-# mutation from its in-code seeds (real encodes on both engines, stamped
-# journal lines): no panic, accepted input re-encodes byte-identically,
-# accepted state restores and resumes. -fuzzminimizetime 1x stops the
-# fuzzer spending the budget minimizing inputs that are merely
-# interesting, not failing.
+# fuzz-smoke gives each native fuzz target ten seconds of coverage-guided
+# mutation from its in-code seeds. There is one target per decoder that
+# reads bytes from disk, the lake or the wire, seeded with real encodes on
+# both engines and stamped journal lines: no panic, accepted input
+# re-encodes byte-identically, accepted state restores and resumes. One
+# more, FuzzQueueOrder, is the event scheduler's order oracle: every pop
+# of an interleaving of pushes, pops, cancels, snapshots and restores must
+# be the minimum (t, phase, seq) of a sorted reference. -fuzzminimizetime
+# 1x stops the fuzzer spending the budget minimizing inputs that are
+# merely interesting, not failing.
 fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzDecodeWriterState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/runstore -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1x

@@ -77,6 +77,9 @@ type queued struct {
 	val    logic.V
 }
 
+// key is q's order key as stored, with idx unset.
+func (q *queued) key() entry { return entry{t: q.t, seq: q.seq, phase: q.phase} }
+
 // at indexes the combined queue ++ tail list.
 func (ck *Checkpoint) at(i int) queued {
 	if i < len(ck.queue) {
@@ -85,13 +88,13 @@ func (ck *Checkpoint) at(i int) queued {
 	return ck.tail[i-len(ck.queue)]
 }
 
-// event materializes entry i as the event restored into arena slot i.
+// event materializes entry i as the event restored into run slot i.
 func (ck *Checkpoint) event(i int) event {
 	q := ck.at(i)
 	if ck.Kind == KindLevel {
 		q.seq, q.phase = uint64(i), 0
 	}
-	return event{t: q.t, seq: q.seq, phase: q.phase, kind: q.kind, net: int32(q.net), cellID: int32(q.cellID), val: q.val, ckIdx: int32(i)}
+	return event{t: q.t, seq: q.seq, phase: q.phase, kind: q.kind, net: int32(q.net), cellID: int32(q.cellID), val: q.val}
 }
 
 // check validates that a checkpoint of the expected kind can be restored
@@ -205,8 +208,9 @@ func (c *core) restore(ck *Checkpoint) error {
 // restoreDirty is the shared half of Engine.RestoreDelta: with ck the
 // checkpoint last restored, rewriting the entries recorded dirty since is
 // provably equal to restore's wholesale copy, because every mutation path
-// records its target in the dirty sets; the queue rewrites only the slots
-// consumed, cancelled or reused since (queue.reload).
+// records its target in the dirty sets; the queue rewinds its cursor,
+// revives the run slots cancelled since and drops every pushed event
+// (queue.reload).
 func (c *core) restoreDirty(ck *Checkpoint) {
 	for i, p := range c.netPlanes {
 		from := ck.netPlanes[i]
@@ -227,7 +231,7 @@ func (c *core) restoreDirty(ck *Checkpoint) {
 	for _, cid := range c.dirtyCells {
 		c.cellDirty[cid] = false
 	}
-	c.q.reload(ck)
+	c.q.reload()
 	c.resume(ck)
 }
 
@@ -341,18 +345,18 @@ func (s *EventSim) Restore(ck *Checkpoint) error {
 }
 
 // RestoreDelta implements Engine. When ck is the checkpoint this engine
-// most recently restored, only the nets, cells and queue slots touched
-// since that restore are rewritten: untouched state and still-queued
-// checkpoint events are provably already equal to a full Restore's output
-// (every mutation path records its target in the dirty sets, and a
-// checkpoint event leaves its slot only by being consumed or cancelled).
-// Any other checkpoint falls back to Restore.
+// most recently restored, only the nets and cells touched since that
+// restore are rewritten, and the queue rewinds to ck's entries: untouched
+// state is provably already equal to a full Restore's output (every
+// mutation path records its target in the dirty sets), and a restored
+// queue slot never changes but for its cancelled flag. Any other
+// checkpoint falls back to Restore.
 func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 	if s.lastRestored != ck {
 		return s.Restore(ck)
 	}
 	// A pending transition changes only with its net dirty; checkpoint
-	// event i is restored into slot i.
+	// event i sits in run slot i.
 	for _, nid := range s.dirtyNets {
 		s.pending[nid] = ck.pendingIdx[nid]
 	}

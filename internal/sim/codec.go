@@ -155,6 +155,10 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			d.Fail("queue entry %d targets out-of-range net/cell", i)
 		case i > 0 && q.t < ck.queue[i-1].t:
 			d.Fail("queue entry %d is out of time order", i)
+		case ck.Kind == KindEvent && (q.seq >= ck.seqBase || i > 0 && !less(ck.queue[i-1].key(), q.key())):
+			// A restore replays EventSim's list in place, so it must be
+			// strictly ascending in (t, phase, seq) and below seqBase.
+			d.Fail("queue entry %d is out of (t, phase, seq) order", i)
 		}
 		if d.Err() != nil {
 			return nil, d.Err()

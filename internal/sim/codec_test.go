@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -188,5 +189,39 @@ func TestCodecRejectsMismatchedDesign(t *testing.T) {
 	other.Name = "not-the-counter"
 	if err := dec.CheckDesign(other); err == nil {
 		t.Fatal("decoded checkpoint accepted a mismatched design")
+	}
+}
+
+// TestCodecRejectsUnorderedQueue pins the decoder to what a restore
+// assumes of an EventSim queue: the list is replayed in place, so it must
+// be strictly ascending in (t, phase, seq), every seq below seqBase.
+func TestCodecRejectsUnorderedQueue(t *testing.T) {
+	ck := produceCheckpoint(t, engines(t)["EventSim"])
+	if len(ck.queue) < 2 || len(ck.tail) != 0 {
+		t.Fatalf("want an owned queue of at least two entries, have %d + %d", len(ck.queue), len(ck.tail))
+	}
+	for _, c := range []struct {
+		name  string
+		craft func(q []queued, seqBase uint64)
+	}{
+		{"same time, seq inverted", func(q []queued, _ uint64) {
+			q[1].t, q[1].phase = q[0].t, q[0].phase
+			q[0].seq, q[1].seq = max(q[0].seq, q[1].seq), min(q[0].seq, q[1].seq)
+		}},
+		{"same time, phase inverted", func(q []queued, _ uint64) {
+			q[1].t, q[0].phase, q[1].phase = q[0].t, 1, 0
+		}},
+		{"seq at seqBase", func(q []queued, seqBase uint64) {
+			q[len(q)-1].seq = seqBase
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := decode(t, encode(t, ck))
+			c.craft(bad.queue, bad.seqBase)
+			_, err := DecodeCheckpoint(bytes.NewReader(encode(t, bad)))
+			if err == nil || !strings.Contains(err.Error(), "(t, phase, seq) order") {
+				t.Fatalf("decode of an EventSim queue out of (t, phase, seq) order: err %v", err)
+			}
+		})
 	}
 }

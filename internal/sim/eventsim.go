@@ -27,7 +27,10 @@ type EventSim struct {
 
 	driven []logic.V // value the driver wants (differs from cur under force)
 
-	pending []int32 // per-net pending inertial transition's arena slot, -1 for none
+	// pending is each net's in-flight inertial transition as a queue
+	// slot, -1 for none: a restored run slot (from the checkpoint's
+	// pendingIdx) or a slot pushed since.
+	pending []int32
 }
 
 // NewEventSim returns an event-driven engine with all nets and states at X.
@@ -246,11 +249,10 @@ func (s *EventSim) setState(cid int32, v logic.V) {
 // same rule as combinational ones.
 func (s *EventSim) scheduleCombOutput(nid int32, v logic.V, d int64) {
 	if p := s.pending[nid]; p >= 0 {
-		e := &s.q.evs[p]
-		if e.val == v {
+		if s.q.evs[p].val == v {
 			return // in-flight transition already produces v
 		}
-		e.cancelled = true
+		s.q.cancel(p)
 		s.pending[nid] = -1
 		s.touchNet(nid)
 		if v == s.driven[nid] {

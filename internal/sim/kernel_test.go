@@ -55,36 +55,46 @@ func TestRestoreRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// checkQueue checks EventSim's arena invariants: the heap is a 4-ary
-// heap, the heap and the free list partition the slots, and every pending
-// transition is a live, uncancelled transition of its own net — never a
-// freed slot.
+// checkQueue checks EventSim's scheduler invariants: the unconsumed run
+// is sorted; every bucket chain holds one time in strictly ascending key
+// order and ends at its tail; the bucket heap is ordered on its chains'
+// head keys; bucket members and the free list partition the slots past
+// the run; and every pending transition is a live, uncancelled
+// transition of its own net — an unconsumed run slot or a bucket member,
+// never a consumed or freed slot.
 func checkQueue(t *testing.T, s *EventSim) {
 	t.Helper()
 	q := &s.q
-	live := make([]bool, len(q.evs))
-	for j, en := range q.heap {
-		if j > 0 && less(en, q.heap[(j-1)/4]) {
-			t.Fatalf("heap entry %d sorts before its parent", j)
+	for i := q.cursor + 1; i < q.run; i++ {
+		if !less(q.evs[i-1].key(), q.evs[i].key()) {
+			t.Fatalf("run slots %d and %d are out of key order", i-1, i)
 		}
-		if live[en.idx] {
-			t.Fatalf("slot %d is queued twice", en.idx)
-		}
-		live[en.idx] = true
 	}
-	for _, i := range q.free {
-		if live[i] {
-			t.Fatalf("slot %d is both queued and free", i)
-		}
+	live := make([]bool, len(q.evs))
+	for i := q.cursor; i < q.run; i++ {
 		live[i] = true
 	}
-	for i, l := range live {
-		if !l {
-			t.Fatalf("slot %d is neither queued nor free", i)
+	for j, h := range q.heap {
+		if j > 0 && less(h, q.heap[(j-1)/2]) {
+			t.Fatalf("bucket heap entry %d sorts before its parent", j)
 		}
-	}
-	for _, i := range q.free {
-		live[i] = false
+		b := q.bks[h.idx]
+		if b.head < 0 || q.evs[b.head].key() != (entry{t: h.t, seq: h.seq, phase: h.phase}) {
+			t.Fatalf("bucket %d's heap key %+v is not its head's", h.idx, h)
+		}
+		last := int32(-1)
+		for i := b.head; i >= 0; last, i = i, q.evs[i].next {
+			if i < q.run || live[i] {
+				t.Fatalf("bucket %d chains slot %d, a run slot or already chained", h.idx, i)
+			}
+			live[i] = true
+			if e := q.evs[i]; e.t != b.t || last >= 0 && !less(q.evs[last].key(), e.key()) {
+				t.Fatalf("bucket %d (t=%d) chains slot %d out of order (%+v)", h.idx, b.t, i, e)
+			}
+		}
+		if last != b.tail {
+			t.Fatalf("bucket %d's tail is slot %d, its chain ends at %d", h.idx, b.tail, last)
+		}
 	}
 	for nid, p := range s.pending {
 		if p < 0 {
@@ -92,6 +102,17 @@ func checkQueue(t *testing.T, s *EventSim) {
 		}
 		if e := q.evs[p]; !live[p] || e.cancelled || e.kind != actNet || int(e.net) != nid {
 			t.Fatalf("net %d's pending slot %d is not its live transition (live %v, %+v)", nid, p, live[p], e)
+		}
+	}
+	for _, i := range q.free {
+		if i < q.run || live[i] {
+			t.Fatalf("slot %d is free but a run slot or queued", i)
+		}
+		live[i] = true
+	}
+	for i := q.run; i < int32(len(q.evs)); i++ {
+		if !live[i] {
+			t.Fatalf("slot %d is neither queued nor free", i)
 		}
 	}
 }

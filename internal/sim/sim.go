@@ -71,9 +71,10 @@ type Engine interface {
 	Restore(*Checkpoint) error
 	// RestoreDelta is Restore with the wholesale copy replaced by a
 	// dirty-set rewrite when ck is the checkpoint this engine most
-	// recently restored: only the state touched since that restore — and
-	// only the queue entries consumed, cancelled or added since — is
-	// rewritten. The resulting engine state is bit-identical to a full
+	// recently restored: only the state touched since that restore is
+	// rewritten, and the queue rewinds its cursor over ck's entries,
+	// revives those cancelled since and drops every event added since.
+	// The resulting engine state is bit-identical to a full
 	// Restore(ck); the saving is proportional to how little of the tail
 	// the previous injection actually simulated, which is what lets a
 	// batch of strike-sorted injections sharing one restore point amortize
