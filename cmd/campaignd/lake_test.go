@@ -55,17 +55,29 @@ func counterValue(t *testing.T, reg *obs.Registry, series string) float64 {
 
 // TestLakeGoldenSharedOnce is the fleet-wide golden-build sharing gate:
 // one coordinator with an artifact lake, two lake-enabled workers, a
-// 2-campaign LET grid. The coordinator builds each campaign's golden
-// artifact exactly once (publishing it before any shard is leased), so
-// across the whole fleet exactly len(campaigns) "golden" spans exist —
-// the workers fetch instead of simulating, their lake hit counters
-// prove it, and the rendered grid is byte-identical to the in-process
-// reference the no-lake path also matches.
+// 2-campaign LET grid. The golden run reads no LET, so both campaigns
+// share one golden spec. The coordinator builds that golden artifact
+// exactly once (publishing it before any shard is leased) and adopts it
+// for the second LET point, so across the whole fleet exactly one
+// "golden" span exists — the workers fetch instead of simulating, their
+// lake hit counters prove it, and the rendered grid is byte-identical to
+// the in-process reference the no-lake path also matches.
 func TestLakeGoldenSharedOnce(t *testing.T) {
 	socs := []int{1}
 	grid, ec := sweepTestGrid(t, socs)
 	want := inProcessLETReference(t, ec, socs)
 	campaigns := len(grid.Spec.Items)
+	goldenSpecs := map[string]bool{}
+	for _, it := range grid.Spec.Items {
+		gfp, err := it.Campaign.GoldenFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenSpecs[gfp] = true
+	}
+	if campaigns != 2 || len(goldenSpecs) != 1 {
+		t.Fatalf("grid holds %d campaigns over %d golden specs, want 2 over 1", campaigns, len(goldenSpecs))
+	}
 
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "grid.txt")
@@ -111,10 +123,11 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 		}
 	}
 
-	// Built exactly once fleet-wide: the coordinator's builds are the
-	// only golden spans anywhere; every worker adoption was a lake fetch.
-	if n := goldenSpanCount(t, coordTr); n != campaigns {
-		t.Fatalf("coordinator emitted %d golden spans, want %d (one per campaign)", n, campaigns)
+	// Built exactly once fleet-wide: the coordinator's one build is the
+	// only golden span anywhere; its second campaign and every worker
+	// adoption were lake fetches.
+	if n := goldenSpanCount(t, coordTr); n != len(goldenSpecs) {
+		t.Fatalf("coordinator emitted %d golden spans, want %d (one per golden spec)", n, len(goldenSpecs))
 	}
 	for i, tr := range trs {
 		if n := goldenSpanCount(t, tr); n != 0 {

@@ -11,16 +11,17 @@
 // The campaign exploits a structural property of the workload: every fault
 // strikes after cycle 3, so the prefix of every faulty run is bit-identical
 // to the golden run. During the golden run the campaign snapshots engine
-// checkpoints — by default at the strike-time quantiles of the already
-// drawn injection plan, so the average restore→strike tail is as short as
-// the checkpoint budget allows; each injection then warm-starts from the
-// latest checkpoint at or before its strike time and simulates only the
-// post-strike tail, with early exit as soon as the verdict is decided
-// (first diverging output row, or full state re-convergence onto the
-// golden trajectory). The earliest exit needs no simulation at all: an
-// SET on a cell that drives no clock or async set/reset pin, whose pulse
-// window (widened by the path delay to the next flop or monitor) holds
-// no capture edge and no sampling instant, is decided masked before any
+// checkpoints on a fixed grid, every CheckpointEveryCycles-th cycle; each
+// injection then warm-starts from the latest checkpoint at or before its
+// strike time and simulates only the post-strike tail, with early exit as
+// soon as the verdict is decided (first diverging output row, or full
+// state re-convergence onto the golden trajectory). The golden run reads
+// neither the injection plan nor the campaign's seeds, so one golden
+// artifact serves every campaign on the same design, workload, engine and
+// detector. The earliest exit needs no simulation at all: an SET on a
+// cell that drives no clock or async set/reset pin, whose pulse window
+// (widened by the path delay to the next flop or monitor) holds no
+// capture edge and no sampling instant, is decided masked before any
 // restore — the latching-window prefilter of latch.go. Cold starts and
 // the VCD detector still simulate every run: they are the oracle the
 // early exits are checked against. Each worker's injections are
@@ -118,9 +119,9 @@ type Options struct {
 	// CheckpointEveryCycles is the clock-cycle pitch of the golden-run
 	// checkpoint schedule that injection runs warm-start from. 0 uses
 	// DefaultCheckpointEveryCycles; the verdicts are bit-identical for any
-	// pitch, only the amount of re-simulated prefix changes. The pitch
-	// defines the checkpoint budget (how many snapshots the fixed grid would
-	// have held), not the snapshot positions: see checkpointCycles.
+	// pitch, only the amount of re-simulated prefix changes. A golden
+	// artifact is adopted only by a campaign running the pitch it was built
+	// with: see checkpointCycles.
 	CheckpointEveryCycles int
 	// Metrics, when non-nil, mirrors the campaign's work counters into an
 	// obs registry as RunJobs ranges finish. Pure observation: excluded
@@ -241,9 +242,8 @@ type Campaign struct {
 	goldenVCDDump []byte
 	goldenVCD     *vcd.Trace
 	traceMu       sync.Mutex
-	rng           *xrand.RNG
-	jobs          []Job
-	jobsDrawn     bool
+	// jobs is the injection plan, drawn once in prepare.
+	jobs []Job
 
 	// ckpts is the golden-run checkpoint schedule, ascending in time;
 	// read-only after New, shared by all workers.
@@ -270,14 +270,13 @@ func New(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options)
 	return prepare(f, plan, db, opts, (*Campaign).runGolden)
 }
 
-// prepare is New and NewFromGolden: option validation, clustering, RNG
-// seeding, and — when warm starts are enabled — drawing the injection
-// plan, then golden, which acquires the golden state (simulated, or
-// adopted from an artifact) and returns its eval count. Sharing it makes a
-// campaign adopting a serialized golden artifact consume exactly the same
-// randomness, in the same order, as one that simulates the golden run
-// locally. GoldenWall is the wall-clock this process spent in golden; an
-// adopted artifact carries the builder's GoldenEvals.
+// prepare is New and NewFromGolden: option validation, clustering,
+// drawing the injection plan, then golden, which acquires the golden state
+// (simulated, or adopted from an artifact) and returns its eval count. The
+// golden run reads no campaign randomness and no part of the plan, so an
+// artifact built under any seed, environment or sample adopts into this
+// campaign unchanged. GoldenWall is the wall-clock this process spent in
+// golden; an adopted artifact carries the builder's GoldenEvals.
 func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options, golden func(*Campaign) (uint64, error)) (*Campaign, *Result, error) {
 	if opts.KN < 1 || opts.LN < 1 {
 		return nil, nil, fmt.Errorf("inject: KN/LN must be positive")
@@ -297,7 +296,6 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 	if opts.CellWeight == nil {
 		opts.CellWeight = func(*netlist.FlatCell) float64 { return 1 }
 	}
-	rng := xrand.New(opts.Seed)
 	clusterSeed := opts.ClusterSeed
 	if clusterSeed == 0 {
 		// Stable per-design default: clustering reflects the netlist's
@@ -311,7 +309,8 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &Campaign{flat: f, plan: plan, opts: opts, db: db, clusters: cl, rng: rng}
+	c := &Campaign{flat: f, plan: plan, opts: opts, db: db, clusters: cl}
+	c.drawJobs(xrand.New(opts.Seed))
 
 	res := &Result{
 		Design:    f.Name,
@@ -321,12 +320,6 @@ func prepare(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Opti
 		ClusterOf: cl.Assign,
 	}
 	if c.warmStartEnabled() {
-		// The golden checkpoints are placed at the strike-time quantiles of
-		// the plan, so the plan must exist before the golden run. Drawing
-		// order does not perturb the plan: the golden run consumes no
-		// campaign randomness, which is also why every pitch yields the
-		// identical plan (and identical verdicts).
-		c.DrawJobs()
 		c.latch = newLatchTable(f, plan, opts.Engine, c.sampleTime(1))
 	}
 	start := time.Now()
@@ -388,14 +381,6 @@ func (c *Campaign) cycles() int { return int(c.plan.DurationPS / c.plan.PeriodPS
 // sampleTime is the pre-edge instant cycle k's outputs are captured at.
 func (c *Campaign) sampleTime(k int) uint64 { return uint64(k)*c.plan.PeriodPS - 20 }
 
-// checkpointInterval resolves the configured checkpoint pitch.
-func (c *Campaign) checkpointInterval() int {
-	if c.opts.CheckpointEveryCycles == 0 {
-		return DefaultCheckpointEveryCycles
-	}
-	return c.opts.CheckpointEveryCycles
-}
-
 // warmStartEnabled reports whether injections run from golden checkpoints.
 // Only ColdStart forces the legacy replay-from-zero behaviour; a CompareVCD
 // campaign warm-starts too (see Options.CompareVCD).
@@ -403,83 +388,25 @@ func (c *Campaign) warmStartEnabled() bool {
 	return !c.opts.ColdStart
 }
 
-// fixedCheckpointCycles is the fixed-pitch checkpoint grid: every
-// interval-th cycle whose snapshot instant leaves at least one full cycle
-// of plan to resume into. Its length is the checkpoint budget the quantile
-// layout is allowed to spend.
-func (c *Campaign) fixedCheckpointCycles() []int {
-	period := c.plan.PeriodPS
-	var fixed []int
-	for k := c.checkpointInterval(); uint64(k+1)*period <= c.plan.DurationPS; k += c.checkpointInterval() {
-		fixed = append(fixed, k)
-	}
-	return fixed
-}
-
-// restoreTailSum is the total restore→strike distance the schedule leaves:
-// for every strike, the picoseconds separating it from the latest
-// checkpoint instant at or before it (or from t=0 when it precedes the
-// whole schedule). The quantile placer minimizes this; the property test
-// pins that it never exceeds the fixed grid's.
-func restoreTailSum(strikes []uint64, cycles []int, period uint64) uint64 {
-	var sum uint64
-	i := 0
-	var restoreAt uint64 // 0 = replay from t=0
-	for _, s := range strikes {
-		for i < len(cycles) && uint64(cycles[i])*period+1 <= s {
-			restoreAt = uint64(cycles[i])*period + 1
-			i++
-		}
-		sum += s - restoreAt
-	}
-	return sum
-}
-
-// checkpointCycles lays out the golden-run checkpoint schedule: the fixed
-// pitch's checkpoint budget spent at the strike-time quantiles of the drawn
-// injection plan, concentrating restore points where strikes concentrate.
-// The schedule is adaptive but never worse: when the quantile layout would
-// not shorten the average restore→strike tail (e.g. strikes uniform enough
-// that the fixed grid is already optimal), the fixed grid is kept. The
-// layout changes how much tail each injection re-simulates, never any
-// verdict.
+// checkpointCycles is the golden-run checkpoint schedule: every
+// pitch-th cycle whose snapshot instant leaves at least one full cycle
+// of plan to resume into, and none under ColdStart. It depends on the
+// stimulus clock and the pitch alone, never on the injection plan, which
+// is what lets campaigns of different seeds share one golden artifact.
 func (c *Campaign) checkpointCycles() []int {
-	fixed := c.fixedCheckpointCycles()
-	if len(fixed) == 0 || len(c.jobs) == 0 {
-		return fixed
+	if !c.warmStartEnabled() {
+		return nil
+	}
+	pitch := c.opts.CheckpointEveryCycles
+	if pitch == 0 {
+		pitch = DefaultCheckpointEveryCycles
 	}
 	period := c.plan.PeriodPS
-	strikes := make([]uint64, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		strikes = append(strikes, j.TimePS)
+	var cycles []int
+	for k := pitch; uint64(k+1)*period <= c.plan.DurationPS; k += pitch {
+		cycles = append(cycles, k)
 	}
-	sort.Slice(strikes, func(i, j int) bool { return strikes[i] < strikes[j] })
-	// One candidate per budget slot, at the midpoint quantiles of the
-	// strike distribution, snapped to the strike's own cycle so the
-	// restore point lands just before it. Snapping dedupes when strikes
-	// cluster — the schedule may use less than the budget, never more.
-	budget := len(fixed)
-	seen := map[int]bool{}
-	var quant []int
-	for i := 0; i < budget; i++ {
-		s := strikes[(2*i+1)*len(strikes)/(2*budget)]
-		k := int(s / period)
-		if k < 1 || uint64(k+1)*period > c.plan.DurationPS || uint64(k)*period+1 > s {
-			continue
-		}
-		if !seen[k] {
-			seen[k] = true
-			quant = append(quant, k)
-		}
-	}
-	sort.Ints(quant)
-	// Keep the fixed grid on a tie or loss: equal restore tails mean the
-	// adaptive layout buys nothing, and the fixed grid's evenly spaced
-	// snapshots double as better-distributed convergence probes.
-	if len(quant) == 0 || restoreTailSum(strikes, quant, period) >= restoreTailSum(strikes, fixed, period) {
-		return fixed
-	}
-	return quant
+	return cycles
 }
 
 // runGolden simulates the fault-free workload, capturing the golden
@@ -508,21 +435,19 @@ func (c *Campaign) runGolden() (evals uint64, err error) {
 		}
 	}
 	var ckpts []goldenCheckpoint
-	if c.warmStartEnabled() {
-		for _, k := range c.checkpointCycles() {
-			tm := uint64(k)*c.plan.PeriodPS + 1
-			eng.At(tm, func() {
-				gc := goldenCheckpoint{cycle: k, time: tm, ck: eng.Snapshot()}
-				if vw != nil {
-					// The dump state and the byte offset let a faulty run
-					// resume the trace mid-dump (see TailVCD).
-					_ = vw.Flush()
-					gc.vcdState = vw.State()
-					gc.vcdPrefix = vcdBuf.Len()
-				}
-				ckpts = append(ckpts, gc)
-			})
-		}
+	for _, k := range c.checkpointCycles() {
+		tm := uint64(k)*c.plan.PeriodPS + 1
+		eng.At(tm, func() {
+			gc := goldenCheckpoint{cycle: k, time: tm, ck: eng.Snapshot()}
+			if vw != nil {
+				// The dump state and the byte offset let a faulty run
+				// resume the trace mid-dump (see TailVCD).
+				_ = vw.Flush()
+				gc.vcdState = vw.State()
+				gc.vcdPrefix = vcdBuf.Len()
+			}
+			ckpts = append(ckpts, gc)
+		})
 	}
 	// Pre-edge output sampling, one row per cycle from cycle 2 on.
 	sig := newSignature(len(c.plan.Monitors), c.cycles()-1)
@@ -552,7 +477,7 @@ func (c *Campaign) runGolden() (evals uint64, err error) {
 // final cycles, avoiding ±80ps around clock edges so both engines see the
 // same capture behaviour. Degenerately short stimulus plans fall back to
 // the widest window that still clears reset and the final edge.
-func (c *Campaign) injectionWindow() uint64 {
+func (c *Campaign) injectionWindow(rng *xrand.RNG) uint64 {
 	period := c.plan.PeriodPS
 	lo := 3 * period
 	var hi uint64
@@ -572,7 +497,7 @@ func (c *Campaign) injectionWindow() uint64 {
 			return c.plan.DurationPS / 2
 		}
 	}
-	t := lo + uint64(c.rng.Intn(int(hi-lo)))
+	t := lo + uint64(rng.Intn(int(hi-lo)))
 	if m := t % period; m < 80 {
 		t += 80 - m
 	} else if m > period-80 {
@@ -581,24 +506,23 @@ func (c *Campaign) injectionWindow() uint64 {
 	return t
 }
 
-// DrawJobs draws the campaign's full injection plan — the equal-proportion
-// cluster sample and one strike time per sampled cell — and memoizes it.
-// All randomness is consumed on the first call, so every process that
-// builds a campaign from the same design, options and seed obtains the
-// identical plan; this is the property shard distribution rests on. The
-// returned slice is shared and must not be mutated.
-func (c *Campaign) DrawJobs() []Job {
-	if !c.jobsDrawn {
-		samples := cluster.SampleProportional(c.clusters, c.opts.SampleFrac, c.opts.MinPerCluster, c.rng.Split())
-		for ci, cells := range samples {
-			for _, cellID := range cells {
-				c.jobs = append(c.jobs, Job{CellID: cellID, Cluster: ci, TimePS: c.injectionWindow()})
-			}
+// drawJobs draws the campaign's full injection plan from rng — the
+// equal-proportion cluster sample and one strike time per sampled cell.
+// Every process that builds a campaign from the same design, options and
+// seed obtains the identical plan; this is the property shard distribution
+// rests on.
+func (c *Campaign) drawJobs(rng *xrand.RNG) {
+	samples := cluster.SampleProportional(c.clusters, c.opts.SampleFrac, c.opts.MinPerCluster, rng.Split())
+	for ci, cells := range samples {
+		for _, cellID := range cells {
+			c.jobs = append(c.jobs, Job{CellID: cellID, Cluster: ci, TimePS: c.injectionWindow(rng)})
 		}
-		c.jobsDrawn = true
 	}
-	return c.jobs
 }
+
+// DrawJobs returns the campaign's injection plan, drawn when the campaign
+// was prepared. The returned slice is shared and must not be mutated.
+func (c *Campaign) DrawJobs() []Job { return c.jobs }
 
 // Run executes the full campaign and fills the result. Injection runs are
 // independent simulations; they fan out over Options.Workers goroutines,

@@ -18,15 +18,18 @@ import (
 // checkpoint schedule (engine snapshots plus, under CompareVCD, the VCD
 // writer states and dump prefix offsets) and the raw golden VCD dump —
 // into one versioned blob. NewFromGolden rebuilds a campaign from that
-// blob without simulating the golden run, consuming exactly the
-// randomness New would, so the resulting campaign's injection plan,
-// verdicts and rendered output are bit-identical to a locally built one.
+// blob without simulating the golden run; the resulting campaign's
+// injection plan, verdicts and rendered output are bit-identical to a
+// locally built one.
 //
-// Artifacts are exchanged keyed by campaign fingerprint (a hash over the
-// design, plan and options), so a well-behaved peer can never hand us a
-// blob for different options; every structural property is nevertheless
-// re-validated on decode, and any mismatch is an error the caller turns
-// into a local golden build.
+// The golden run reads the design, the workload, the engine, the
+// checkpoint pitch and the two switches (ColdStart, CompareVCD) — never the
+// seeds, the environment or the sample — so one artifact serves every
+// campaign that agrees on those. The lake keys artifacts by a hash over
+// exactly that golden spec (shard.CampaignSpec.GoldenFingerprint); the
+// pitch, a per-process knob, is checked on decode like every other
+// structural property, and any mismatch is an error the caller turns into
+// a local golden build.
 
 const (
 	goldenMagic   uint32 = 0x474c4431 // "GLD1"
@@ -83,9 +86,10 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 // NewFromGolden prepares a campaign exactly as New does but adopts the
 // serialized golden artifact in r instead of simulating the golden run.
 // The artifact must have been produced by EncodeGolden on a campaign with
-// the same design, plan and options; every structural property is
-// validated and a mismatched or corrupt blob is rejected with an error,
-// leaving the caller to fall back to New.
+// the same golden spec (design, workload, engine, ColdStart, CompareVCD)
+// and checkpoint pitch; the seeds, environment and sample may differ.
+// Every structural property is validated and a mismatched or corrupt
+// blob is rejected with an error, leaving the caller to fall back to New.
 func NewFromGolden(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options, r io.Reader) (*Campaign, *Result, error) {
 	return prepare(f, plan, db, opts, func(c *Campaign) (uint64, error) { return c.adoptGolden(r) })
 }
@@ -136,10 +140,7 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 	if d.Err() != nil {
 		return 0, d.Err()
 	}
-	wantCycles := []int{}
-	if c.warmStartEnabled() {
-		wantCycles = c.checkpointCycles()
-	}
+	wantCycles := c.checkpointCycles()
 	if nCk != len(wantCycles) {
 		return 0, fmt.Errorf("inject: golden artifact has %d checkpoints, schedule wants %d", nCk, len(wantCycles))
 	}

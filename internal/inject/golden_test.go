@@ -206,18 +206,21 @@ func TestDecodersBoundCountsByInput(t *testing.T) {
 
 // FuzzAdoptGolden hardens the outermost artifact decoder — the one a
 // worker runs on bytes fetched from the lake — seeded with real artifacts
-// from both engines and the CompareVCD detector. For every campaign the
-// blob could be meant for: adoption must never panic; an adopted artifact
-// must re-encode to exactly the input; and the adopted golden state must
-// carry injections without panicking (a mutated-but-well-formed state may
-// make a run fail or flip verdicts — integrity is the lake hash's job —
-// but it may not take the worker down).
+// from both engines and the CompareVCD detector. The blobs are adopted by
+// those campaigns plus a cross-plan sibling of the first (another seed and
+// LET, so another injection plan over the same golden run). For every
+// campaign the blob could be meant for: adoption must never panic; an
+// adopted artifact must re-encode to exactly the input; and the adopted
+// golden state must carry injections without panicking (a
+// mutated-but-well-formed state may make a run fail or flip verdicts —
+// integrity is the lake hash's job — but it may not take the worker down).
 func FuzzAdoptGolden(f *testing.F) {
 	var camps []*Campaign
-	for _, mutate := range []func(*Options){
+	for i, mutate := range []func(*Options){
 		func(o *Options) {},
 		func(o *Options) { o.Engine = "LevelSim" },
 		func(o *Options) { o.CompareVCD = true },
+		func(o *Options) { o.Seed++; o.LET = 100 },
 	} {
 		opts := testOptions()
 		opts.SampleFrac = 0.02
@@ -227,7 +230,9 @@ func FuzzAdoptGolden(f *testing.F) {
 		opts.CheckpointEveryCycles = 12
 		mutate(&opts)
 		run, blob := encodeGoldenFor(f, opts)
-		f.Add(blob)
+		if i < 3 { // the sibling's artifact is the first's, byte for byte
+			f.Add(blob)
+		}
 		camps = append(camps, run.Campaign)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {

@@ -162,10 +162,10 @@ func TestInjectionWindowShortPlans(t *testing.T) {
 		period := uint64(socgen.ClockPeriodPS)
 		c := &Campaign{
 			plan: &socgen.StimulusPlan{PeriodPS: period, DurationPS: durCycles * period},
-			rng:  xrand.New(1),
 		}
+		rng := xrand.New(1)
 		for i := 0; i < 50; i++ {
-			tm := c.injectionWindow()
+			tm := c.injectionWindow(rng)
 			if tm >= c.plan.DurationPS {
 				t.Fatalf("duration %d cycles: strike %dps beyond plan end %dps", durCycles, tm, c.plan.DurationPS)
 			}

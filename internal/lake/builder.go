@@ -122,11 +122,11 @@ func (b *Builder) waitBudget() time.Duration {
 // Build implements shard.Builder.
 func (b *Builder) Build(cs shard.CampaignSpec, tune func(*inject.Options)) (*shard.Built, bool, error) {
 	ctx := context.Background()
-	fp, err := cs.Fingerprint()
+	gfp, err := cs.GoldenFingerprint()
 	if err != nil {
 		return nil, false, err
 	}
-	key := GoldenKey(fp)
+	key := GoldenKey(gfp)
 	deadline := time.Now().Add(b.waitBudget())
 	for {
 		reply, err := b.lake.claim(ctx, key, b.owner)
@@ -139,12 +139,14 @@ func (b *Builder) Build(cs shard.CampaignSpec, tune func(*inject.Options)) (*sha
 			blob, err := b.lake.fetch(ctx, reply.Hash)
 			if err != nil {
 				// Fetch raced an eviction or the lake died; locally is fine.
+				b.m.Miss("golden")
 				return b.buildAndPublish(ctx, cs, tune, key)
 			}
 			built, err := shard.BuildFromGolden(cs, tune, blob)
 			if err != nil {
 				// A corrupt or mismatched artifact must never install wrong
 				// golden state — rebuild locally and republish to heal the key.
+				b.m.Miss("golden")
 				return b.buildAndPublish(ctx, cs, tune, key)
 			}
 			b.m.Hit("golden")

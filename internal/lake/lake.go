@@ -2,7 +2,7 @@
 // campaign builds (serialized checkpoints + signature + VCD) and
 // finished shard partials, shared across worker processes and across
 // sweeps. Blobs are keyed by their sha256 and written atomically
-// (temp file + rename); human-meaningful keys ("golden/<fp>",
+// (temp file + rename); human-meaningful keys ("golden/<golden fp>",
 // "partial/<fp>/<start>-<end>") map onto blob hashes through a durable
 // index that survives restarts, which is what makes cross-sweep
 // memoization work on a fresh coordinator. The store is size-bounded:
@@ -520,8 +520,10 @@ func (s *Store) dropBlob(hash string) {
 	s.removeBlobLocked(hash)
 }
 
-// GoldenKey is the lake key of a campaign's golden-build artifact.
-func GoldenKey(fp string) string { return "golden/" + fp }
+// GoldenKey is the lake key of a golden-build artifact, given the golden
+// fingerprint (shard.CampaignSpec.GoldenFingerprint) every campaign it
+// serves shares.
+func GoldenKey(gfp string) string { return "golden/" + gfp }
 
 // PartialKey is the lake key of a finished shard partial for one plan
 // range of a campaign.

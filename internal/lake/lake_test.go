@@ -26,14 +26,15 @@ func openStore(t *testing.T, dir string, maxBytes int64) *Store {
 	return s
 }
 
-// fpOf computes a campaign fingerprint, failing the test on error.
-func fpOf(t *testing.T, cs shard.CampaignSpec) string {
+// goldenKeyOf is the lake key of a campaign's golden artifact, failing
+// the test on error.
+func goldenKeyOf(t *testing.T, cs shard.CampaignSpec) string {
 	t.Helper()
-	fp, err := cs.Fingerprint()
+	gfp, err := cs.GoldenFingerprint()
 	if err != nil {
-		t.Fatalf("fingerprint: %v", err)
+		t.Fatalf("golden fingerprint: %v", err)
 	}
-	return fp
+	return GoldenKey(gfp)
 }
 
 func TestStorePutGetRoundTrip(t *testing.T) {
@@ -349,7 +350,7 @@ func TestBuilderShareAndFallback(t *testing.T) {
 	if fetched {
 		t.Fatal("first builder claims it fetched from an empty lake")
 	}
-	if _, ok := s.Resolve(GoldenKey(fpOf(t, cs))); !ok {
+	if _, ok := s.Resolve(goldenKeyOf(t, cs)); !ok {
 		t.Fatal("first build did not publish its golden artifact")
 	}
 
@@ -409,12 +410,13 @@ func TestBuilderShareAndFallback(t *testing.T) {
 }
 
 // TestBuilderRejectsPoisonedArtifact: a key pointing at bytes that are
-// not a valid golden artifact must fall back to a local build, then heal
-// the key by republishing.
+// not a valid golden artifact must fall back to a local build, count that
+// build as the builder's golden miss (the store already counted the claim
+// as a hit), then heal the key by republishing.
 func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	cs := lakeSpec()
-	key := GoldenKey(fpOf(t, cs))
+	key := goldenKeyOf(t, cs)
 	hash, err := s.Put([]byte("not a golden artifact"))
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +424,8 @@ func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	if err := s.Link(key, hash); err != nil {
 		t.Fatal(err)
 	}
-	b := NewStoreBuilder(s, "builder-1")
+	m := NewMetrics(obs.NewRegistry())
+	b := NewClientBuilder(lakeServer(t, s), "builder-1", m)
 	built, fetched, err := b.Build(cs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -432,6 +435,9 @@ func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	}
 	if built == nil {
 		t.Fatal("no campaign built")
+	}
+	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
+		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
 	}
 	healed, ok := s.Resolve(key)
 	if !ok || healed == hash {
@@ -478,7 +484,7 @@ func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
 		t.Fatal("BuildFromGolden adopted an artifact with version-1 checkpoints")
 	}
 
-	key := GoldenKey(fpOf(t, cs))
+	key := goldenKeyOf(t, cs)
 	staleHash, err := s.Put(stale)
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +527,7 @@ func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
 func TestBuilderHeldClaimWait(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	cs := lakeSpec()
-	key := GoldenKey(fpOf(t, cs))
+	key := goldenKeyOf(t, cs)
 	if _, err := s.Claim(key, "other-builder"); err != nil {
 		t.Fatal(err)
 	}

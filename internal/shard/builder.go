@@ -18,8 +18,9 @@ import (
 //
 // fetched reports whether the golden run was adopted from an artifact
 // rather than simulated here; the executor emits a "golden" trace span
-// only for real builds, which is what lets a fleet assert that a
-// campaign's golden run happened exactly once anywhere.
+// only for real builds, which is what lets a fleet assert that each golden
+// run (one per golden spec, see GoldenFingerprint) happened exactly once
+// anywhere.
 type Builder interface {
 	Build(cs CampaignSpec, tune func(*inject.Options)) (b *Built, fetched bool, err error)
 }
@@ -35,8 +36,9 @@ func (LocalBuilder) Build(cs CampaignSpec, tune func(*inject.Options)) (*Built, 
 
 // EncodeBuilt serializes the campaign's golden-run artifact — the blob a
 // lake Builder publishes after a local build. The bytes are a pure
-// function of the campaign spec, so they are stable under content
-// addressing.
+// function of the golden spec and the checkpoint pitch, so they are
+// stable under content addressing and equal across every campaign sharing
+// a GoldenFingerprint.
 func EncodeBuilt(b *Built) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := b.Run.Campaign.EncodeGolden(&buf, b.Run.Result.GoldenEvals); err != nil {

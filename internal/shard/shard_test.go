@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/inject"
@@ -317,5 +320,95 @@ func TestMergeRejectsBadCoverage(t *testing.T) {
 	mangled.Injections = mangled.Injections[:len(mangled.Injections)-1]
 	if _, err := Merge(b, []*Partial{partials[0], &mangled, partials[2]}); err == nil {
 		t.Error("merge accepted a short partial")
+	}
+}
+
+// TestGoldenArtifactIndependentOfPlan pins what the lake's golden key rests
+// on. Specs that differ only in Seed, LET, KN, Flux or SampleFrac — on
+// either engine, with or without the VCD detector — must encode the same
+// golden artifact bytes, share a GoldenFingerprint, and run identically
+// (injections and work counters) whether a campaign simulates its golden
+// run or adopts the base spec's artifact. The golden fingerprint must
+// still separate specs whose golden runs differ.
+func TestGoldenArtifactIndependentOfPlan(t *testing.T) {
+	gfpOf := func(cs CampaignSpec) string {
+		t.Helper()
+		gfp, err := cs.GoldenFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gfp
+	}
+	encode := func(b *Built) []byte {
+		t.Helper()
+		blob, err := EncodeBuilt(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	runAll := func(b *Built) *Partial {
+		t.Helper()
+		p, err := ExecuteOn(b, Spec{Start: 0, End: len(b.Jobs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, engine := range []string{"EventSim", "LevelSim"} {
+		for _, compareVCD := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/CompareVCD=%t", engine, compareVCD), func(t *testing.T) {
+				base := testSpec(engine, 0.02)
+				base.CompareVCD = compareVCD
+				artifact := encode(mustBuild(t, base))
+				for name, mutate := range map[string]func(*CampaignSpec){
+					"Seed":       func(cs *CampaignSpec) { cs.Seed++ },
+					"LET":        func(cs *CampaignSpec) { cs.LET = 100 },
+					"KN":         func(cs *CampaignSpec) { cs.KN++ },
+					"Flux":       func(cs *CampaignSpec) { cs.Flux *= 10 },
+					"SampleFrac": func(cs *CampaignSpec) { cs.SampleFrac = 0.03 },
+				} {
+					sib := base
+					mutate(&sib)
+					if gfpOf(sib) != gfpOf(base) {
+						t.Fatalf("%s: golden fingerprint moved with a parameter the golden run never reads", name)
+					}
+					local := mustBuild(t, sib)
+					if !bytes.Equal(encode(local), artifact) {
+						t.Fatalf("%s: golden artifact bytes differ from the base spec's", name)
+					}
+					adopted, err := BuildFromGolden(sib, nil, artifact)
+					if err != nil {
+						t.Fatalf("%s: base spec's artifact refused: %v", name, err)
+					}
+					want, got := runAll(local), runAll(adopted)
+					if want.WarmStarts == 0 {
+						t.Fatalf("%s: campaign never warm-started; the adopted checkpoints went unused", name)
+					}
+					if !slices.Equal(got.Injections, want.Injections) {
+						t.Fatalf("%s: injections differ between the adopted and the local golden run", name)
+					}
+					if got.InjectEvals != want.InjectEvals || got.WarmStarts != want.WarmStarts || got.PrunedRuns != want.PrunedRuns {
+						t.Fatalf("%s: adopted work %d evals/%d warm/%d pruned, local %d/%d/%d", name,
+							got.InjectEvals, got.WarmStarts, got.PrunedRuns, want.InjectEvals, want.WarmStarts, want.PrunedRuns)
+					}
+				}
+			})
+		}
+	}
+
+	base := testSpec("EventSim", 0.02)
+	for name, mutate := range map[string]func(*CampaignSpec){
+		"SoC":        func(cs *CampaignSpec) { cs.SoC = 2 },
+		"Workload":   func(cs *CampaignSpec) { cs.Workload = "crc" },
+		"Engine":     func(cs *CampaignSpec) { cs.Engine = sim.KindLevel },
+		"ColdStart":  func(cs *CampaignSpec) { cs.ColdStart = true },
+		"CompareVCD": func(cs *CampaignSpec) { cs.CompareVCD = true },
+	} {
+		other := base
+		mutate(&other)
+		if gfpOf(other) == gfpOf(base) {
+			t.Errorf("%s: specs whose golden runs differ share a golden fingerprint", name)
+		}
 	}
 }

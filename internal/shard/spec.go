@@ -47,9 +47,12 @@ func WorkloadProgram(name string) (riscv.Program, error) {
 // the drawn plan or the verdicts. The embedded Params encode inline, so
 // the JSON (and the fingerprint over it) is SoC, workload, then the
 // parameters in their declared order. Two processes holding equal specs
-// build bit-identical campaigns. Worker-count and checkpoint-pitch knobs
-// are deliberately absent: they change how much work execution performs,
-// never any verdict or statistic, and each process picks its own.
+// build bit-identical campaigns. The golden run reads only part of the
+// spec, the golden spec hashed by GoldenFingerprint, so campaigns that
+// differ in seeds, environment or sample share one golden artifact.
+// Worker-count and checkpoint-pitch knobs are deliberately absent: they
+// change how much work execution performs, never any verdict or
+// statistic, and each process picks its own.
 // Consequently the merged work counters (InjectEvals, WarmStarts,
 // PrunedRuns) reflect whatever pitch each executing process actually
 // used; they match the single-process run exactly when every process
@@ -104,7 +107,28 @@ func (cs CampaignSpec) Validate() error {
 // journal and the coordinator/worker protocol key everything on it, so a
 // journal or a worker can never mix shards of different campaigns.
 func (cs CampaignSpec) Fingerprint() (string, error) {
-	b, err := json.Marshal(cs)
+	return hashJSON(cs)
+}
+
+// GoldenFingerprint is the identity of the campaign's golden run: a hash
+// over everything that run reads — the benchmark, the workload, the engine
+// and the two switches deciding whether it snapshots checkpoints and dumps
+// VCD. Campaigns that differ only in seeds, environment, clustering or
+// sample share it; the artifact lake keys golden artifacts on it, so one
+// golden build serves every point of an LET or flux sweep.
+func (cs CampaignSpec) GoldenFingerprint() (string, error) {
+	return hashJSON(struct {
+		SoC        int            `json:"soc"`
+		Workload   string         `json:"workload"`
+		Engine     sim.EngineKind `json:"engine"`
+		ColdStart  bool           `json:"cold_start"`
+		CompareVCD bool           `json:"compare_vcd"`
+	}{cs.SoC, cs.Workload, cs.Engine, cs.ColdStart, cs.CompareVCD})
+}
+
+// hashJSON is the hex sha256 of v's JSON encoding.
+func hashJSON(v any) (string, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return "", fmt.Errorf("shard: marshaling spec: %v", err)
 	}
