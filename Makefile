@@ -25,11 +25,12 @@ test:
 # errors, chaos corrupt faults, runstore replay verification, campaignd
 # wiring). The simulation kernel and the 4- and 8-worker campaigns cover
 # the compiled program every worker's engine reads (netlist.Flat.Program,
-# built once per design); the whole inject package is left out, it takes
-# about 45 s under the detector.
+# built once per design), and the lane start's 4-worker campaigns cover
+# lane groups fanned out over RunJobs workers; the whole inject package is
+# left out, it takes about 45 s under the detector.
 race:
 	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./internal/svm ./internal/sim ./cmd/campaignd
-	$(GO) test -race -count=1 -run 'TestWarmColdWorkerDeterminism|TestBatchOrderIndependence' ./internal/inject
+	$(GO) test -race -count=1 -run 'TestWarmColdWorkerDeterminism|TestBatchOrderIndependence|TestLaneStartMatchesScalar' ./internal/inject
 
 ci: vet build test race
 
@@ -54,12 +55,16 @@ loc:
 # re-encodes byte-identically, accepted state restores and resumes. One
 # more, FuzzQueueOrder, is the event scheduler's order oracle: every pop
 # of an interleaving of pushes, pops, cancels, snapshots and restores must
-# be the minimum (t, phase, seq) of a sorted reference. -fuzzminimizetime
-# 1x stops the fuzzer spending the budget minimizing inputs that are
-# merely interesting, not failing.
+# be the minimum (t, phase, seq) of a sorted reference. FuzzLaneVsScalar
+# is the lane engine's oracle: on random circuits, every lane of a LaneSim
+# pass must equal a LevelSim running that lane's flip alone, value for
+# value and eval for eval, after every step. -fuzzminimizetime 1x stops
+# the fuzzer spending the budget minimizing inputs that are merely
+# interesting, not failing.
 fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLaneVsScalar$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzDecodeWriterState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/runstore -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1x

@@ -547,13 +547,19 @@ func (c *Campaign) Run(res *Result) error {
 type jobBatch struct {
 	ckIdx int
 	idxs  []int // indices into the RunJobs slice, ascending by strike time
+	// laneCks marks a lane group (lanes.go): job idxs[i] restores from
+	// checkpoint laneCks[i], and the group's one pass starts at ckIdx,
+	// its first job's.
+	laneCks []int
 }
 
 // buildBatches strike-sorts the slice's jobs and groups them by restore
 // checkpoint, then splits oversized groups so the batch count keeps every
-// worker busy. Batch order and shape are pure scheduling: verdicts are
-// per-injection and every random choice is pre-drawn, so any grouping
-// produces identical results (pinned by TestBatchOrderIndependence).
+// worker busy. On a warm LevelSim campaign the checkpoint-start SEUs go
+// to lane groups instead, ahead of every other batch (laneGroups). Batch
+// order and shape are pure scheduling: verdicts are per-injection and
+// every random choice is pre-drawn, so any grouping produces identical
+// results (pinned by TestBatchOrderIndependence).
 func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -563,12 +569,18 @@ func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 	// Two-pointer resolution: strikes ascend, so the schedule is walked
 	// once for the whole slice instead of binary-searched per injection.
 	var batches []jobBatch
+	var seus jobBatch
 	ck := 0
 	for _, idx := range order {
 		for ck < len(c.ckpts) && c.ckpts[ck].time <= jobs[idx].TimePS {
 			ck++
 		}
 		recIdx := ck - 1
+		if recIdx >= 0 && c.opts.Engine == sim.KindLevel && c.flat.Cells[jobs[idx].CellID].Def.IsSequential() {
+			seus.idxs = append(seus.idxs, idx)
+			seus.laneCks = append(seus.laneCks, recIdx)
+			continue
+		}
 		if len(batches) == 0 || batches[len(batches)-1].ckIdx != recIdx {
 			batches = append(batches, jobBatch{ckIdx: recIdx})
 		}
@@ -584,7 +596,7 @@ func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 	if chunk < 1 || len(c.ckpts) == 0 {
 		chunk = 1
 	}
-	var out []jobBatch
+	out := laneGroups(seus, workers)
 	for _, b := range batches {
 		for len(b.idxs) > chunk {
 			out = append(out, jobBatch{ckIdx: b.ckIdx, idxs: b.idxs[:chunk]})
@@ -632,6 +644,10 @@ func (c *Campaign) RunJobs(res *Result, start, end int) error {
 		go func() {
 			defer wg.Done()
 			for b := range next {
+				if b.laneCks != nil {
+					w.injectLanes(jobs, b, injections, errs)
+					continue
+				}
 				for _, idx := range b.idxs {
 					injections[idx], errs[idx] = w.inject(jobs[idx], b.ckIdx)
 				}

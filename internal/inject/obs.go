@@ -25,6 +25,8 @@ var workCounters = [...]struct {
 		func(w Work) uint64 { return w.DeltaRestores }},
 	{"restore_wall_ns", "Wall nanoseconds workers spent inside engine restores.", "Restore wall nanoseconds attributed to the sweep.",
 		func(w Work) uint64 { return uint64(w.RestoreWall) }},
+	{"word_evals", "Cell evaluations lane passes performed, one per cell per sweep for all lanes.", "Lane-pass cell evaluations attributed to the sweep.",
+		func(w Work) uint64 { return w.WordEvals }},
 }
 
 // Metrics mirrors Work into an obs registry as it accumulates, so an
@@ -82,7 +84,7 @@ func (m *Metrics) record(began time.Time, start, end int, w Work) {
 		return
 	}
 	m.Record(w)
-	args := map[string]any{"start": start, "end": end, "evals": w.InjectEvals, "warm_starts": w.WarmStarts}
+	args := map[string]any{"start": start, "end": end, "evals": w.InjectEvals, "warm_starts": w.WarmStarts, "word_evals": w.WordEvals}
 	m.Tracer.Span("inject", "inject", 0, int64(start), began, args)
 	if restoreNS := w.RestoreWall.Nanoseconds(); restoreNS > 0 {
 		// Synthetic span: restores are scattered inside the range, so the

@@ -32,7 +32,9 @@ import (
 type Work struct {
 	// InjectWall is the wall-clock of the injection phase (Table III).
 	InjectWall time.Duration `json:"inject_wall_ns"`
-	// InjectEvals counts simulator cell evaluations.
+	// InjectEvals counts simulator cell evaluations, scalar-equivalent:
+	// a run in a lane pass (see lanes.go) counts what the same run on its
+	// own checkpoint start would have counted.
 	InjectEvals uint64 `json:"inject_evals"`
 	// WarmStarts counts injections that resumed from a golden checkpoint
 	// instead of replaying from t=0; PrunedRuns counts the subset that
@@ -47,6 +49,10 @@ type Work struct {
 	// the total wall-clock the workers spent inside restores.
 	DeltaRestores uint64        `json:"delta_restores,omitempty"`
 	RestoreWall   time.Duration `json:"restore_wall_ns,omitempty"`
+	// WordEvals counts the cell evaluations lane passes performed: one per
+	// cell per sweep, for every lane of the pass at once. Zero on
+	// EventSim, which runs no lanes.
+	WordEvals uint64 `json:"word_evals,omitempty"`
 }
 
 // Add accumulates o into w.
@@ -57,6 +63,7 @@ func (w *Work) Add(o Work) {
 	w.PrunedRuns += o.PrunedRuns
 	w.DeltaRestores += o.DeltaRestores
 	w.RestoreWall += o.RestoreWall
+	w.WordEvals += o.WordEvals
 }
 
 // worker is one injection worker's reusable simulation context: checkpoint
@@ -70,6 +77,7 @@ type worker struct {
 	c      *Campaign
 	eng    sim.Engine // built on the first checkpoint start
 	lastCk *sim.Checkpoint
+	lanes  *sim.LaneSim // built on the first lane group
 }
 
 // inject performs planned injection j, starting from golden checkpoint
@@ -128,10 +136,14 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 			if err := eng.Run(b.time); err != nil {
 				return false, err
 			}
-			if diverged, _ := det.early(); diverged {
+			diverged, _ := det.early()
+			soft, masked := retire(1, bit(diverged), bit(b.time > faultEnd), func() uint64 {
+				return bit(!eng.MatchesCheckpoint(b.ck))
+			})
+			if soft != 0 {
 				return true, nil
 			}
-			if b.time > faultEnd && eng.MatchesCheckpoint(b.ck) {
+			if masked != 0 {
 				w.PrunedRuns++
 				return false, nil
 			}
@@ -141,6 +153,28 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 		return false, err
 	}
 	return det.verdict()
+}
+
+// retire is a checkpoint start's rule at a golden checkpoint boundary,
+// applied to every run of the runs mask at once (the lanes of a lane
+// pass; a lone run is bit 0): a run that has sampled a divergence ends as
+// a soft error, and one whose fault is consumed and whose whole state
+// differs from golden nowhere ends masked. differs, the costly test, is
+// called only when some run could end masked.
+func retire(runs, diverged, consumed uint64, differs func() uint64) (soft, masked uint64) {
+	soft = runs & diverged
+	if rest := runs &^ diverged & consumed; rest != 0 {
+		masked = rest &^ differs()
+	}
+	return soft, masked
+}
+
+// bit is 1 for true, 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // start readies the engine a run begins on: a fresh one with the stimulus

@@ -2,6 +2,7 @@ package inject
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -113,14 +114,17 @@ func TestSameInstantTransitionVerdict(t *testing.T) {
 }
 
 // TestStartDetectorAgree runs every injection of a fixed plan window —
-// the same-instant reproducer among them — through all four start ×
-// detector combinations of the one pipeline, on both engines, and requires
-// one verdict per injection. A crafted SET whose release lands exactly on
-// a sampling instant, on a net that is itself a monitored output, pins the
+// the same-instant reproducer among them — and the plan's first six
+// checkpoint-start SEUs through all four start × detector combinations of
+// the one pipeline, on both engines, and requires one verdict per
+// injection. A crafted SET whose release lands exactly on a sampling
+// instant, on a net that is itself a monitored output, pins the
 // engine-specific half of the sampling rule: EventSim samples ahead of the
 // release (soft error), LevelSim after its step settles (masked). It also
 // pins what lets warm VCD campaigns diff against c.golden: the golden
-// dump, read by the sampling rule, is the golden signature.
+// dump, read by the sampling rule, is the golden signature. On LevelSim
+// the SEUs also run together as one lane group, and each lane's verdict
+// must be the one the four combinations agree on.
 func TestStartDetectorAgree(t *testing.T) {
 	for _, engine := range []sim.EngineKind{sim.KindEvent, sim.KindLevel} {
 		t.Run(string(engine), func(t *testing.T) {
@@ -140,17 +144,29 @@ func TestStartDetectorAgree(t *testing.T) {
 				}
 			}
 
+			// The window around the reproducer, then the plan's first six
+			// checkpoint-start SEUs.
 			var injs []Injection
-			for _, j := range c.DrawJobs()[sameInstantJob-6 : sameInstantJob+6] {
+			seuCount := 0
+			for i, j := range c.DrawJobs() {
 				inj, err := c.injection(j)
 				if err != nil {
 					t.Fatal(err)
 				}
-				injs = append(injs, inj)
+				_, ckIdx := c.checkpointBefore(j.TimePS)
+				if i >= sameInstantJob-6 && i < sameInstantJob+6 {
+					injs = append(injs, inj)
+				} else if inj.Kind == fault.SEU && ckIdx >= 0 && seuCount < 6 {
+					injs = append(injs, inj)
+					seuCount++
+				}
 			}
 			crafted := craftedReleaseAtSample(t, c)
 			injs = append(injs, crafted)
 
+			var seus []Injection
+			var seuCks []int
+			var seuSoft []bool
 			for _, inj := range injs {
 				_, ckIdx := c.checkpointBefore(inj.TimePS)
 				if ckIdx < 0 {
@@ -173,6 +189,24 @@ func TestStartDetectorAgree(t *testing.T) {
 				}
 				if inj == crafted && got[0] != (engine == sim.KindEvent) {
 					t.Errorf("release at a sampling instant on a monitored net: soft error %v on %s", got[0], engine)
+				}
+				if inj.Kind == fault.SEU {
+					seus, seuCks, seuSoft = append(seus, inj), append(seuCks, ckIdx), append(seuSoft, got[0])
+				}
+			}
+			if engine != sim.KindLevel {
+				return
+			}
+			if len(seus) < 2 {
+				t.Fatalf("%d SEUs in the window: the lane start goes unpinned", len(seus))
+			}
+			soft, ok := (&worker{c: c}).runLanes(seus, slices.Min(seuCks), seuCks)
+			if !ok {
+				t.Fatal("the lanes refused the window's SEUs")
+			}
+			for i, inj := range seus {
+				if got := soft>>(i+1)&1 != 0; got != seuSoft[i] {
+					t.Errorf("%s at %dps: lane start soft error %v, the other starts %v", inj.Path, inj.TimePS, got, seuSoft[i])
 				}
 			}
 		})

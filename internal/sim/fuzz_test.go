@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/xrand"
 )
 
 // randomSyncDesign builds a random synchronous circuit: data inputs, an
-// acyclic combinational cloud, and DFFR state registers fed back into the
-// cloud — the general shape of any clocked netlist.
-func randomSyncDesign(rng *xrand.RNG) *netlist.Flat {
+// acyclic combinational cloud of the named library cells (a default
+// handful when none are named), and DFFR state registers fed back into
+// the cloud — the general shape of any clocked netlist.
+func randomSyncDesign(rng *xrand.RNG, combCells ...string) *netlist.Flat {
 	d := netlist.NewDesign("fuzzsync")
 	m := netlist.NewModule("fuzzsync")
 	m.AddPort("clk", netlist.Input)
@@ -29,19 +31,24 @@ func randomSyncDesign(rng *xrand.RNG) *netlist.Flat {
 		qs[i] = m.AddWire(fmt.Sprintf("q%d", i))
 		avail = append(avail, qs[i])
 	}
-	combCells := []string{"INVX1", "NAND2X1", "NOR2X1", "XOR2X1", "AOI21X1", "MUX2X1", "AND3X1"}
+	if len(combCells) == 0 {
+		combCells = []string{"INVX1", "NAND2X1", "NOR2X1", "XOR2X1", "AOI21X1", "MUX2X1", "AND3X1"}
+	}
 	nGates := 3 + rng.Intn(10)
 	for g := 0; g < nGates; g++ {
 		name := combCells[rng.Intn(len(combCells))]
-		def, _ := netlistLookup(name)
+		def := cell.MustLookup(name)
 		conns := map[string]string{}
-		for _, p := range def.in {
+		for _, p := range def.Inputs {
 			conns[p] = avail[rng.Intn(len(avail))]
 		}
-		out := m.AddWire(fmt.Sprintf("g%d", g))
-		conns[def.out] = out
+		for j, p := range def.Outputs {
+			conns[p] = m.AddWire(fmt.Sprintf("g%d_%d", g, j))
+		}
 		m.AddInstance(fmt.Sprintf("u_g%d", g), name, conns)
-		avail = append(avail, out)
+		for _, p := range def.Outputs {
+			avail = append(avail, conns[p])
+		}
 	}
 	// Close the loop: each FF samples a random comb net. Note qs entries
 	// are in avail, so a flop may sample another flop directly.
@@ -68,29 +75,6 @@ func randomSyncDesign(rng *xrand.RNG) *netlist.Flat {
 		panic(err)
 	}
 	return f
-}
-
-// netlistLookup adapts cell metadata for the generator without importing
-// the cell package's full API shape.
-type cellMeta struct {
-	in  []string
-	out string
-}
-
-func netlistLookup(name string) (cellMeta, bool) {
-	switch name {
-	case "INVX1":
-		return cellMeta{in: []string{"A"}, out: "Y"}, true
-	case "NAND2X1", "NOR2X1", "XOR2X1":
-		return cellMeta{in: []string{"A", "B"}, out: "Y"}, true
-	case "AOI21X1":
-		return cellMeta{in: []string{"A", "B", "C"}, out: "Y"}, true
-	case "MUX2X1":
-		return cellMeta{in: []string{"A", "B", "S"}, out: "Y"}, true
-	case "AND3X1":
-		return cellMeta{in: []string{"A", "B", "C"}, out: "Y"}, true
-	}
-	return cellMeta{}, false
 }
 
 // TestEnginesEquivalentFuzz drives random synchronous circuits with random

@@ -94,8 +94,7 @@ func (s *LevelSim) FlipState(cellID int) error {
 	}
 	s.touchCell(int32(cellID))
 	s.state[cellID] = s.state[cellID].Not()
-	s.settleAndCommit()
-	return nil
+	return s.settleAndCommit()
 }
 
 // Run implements Engine. A step takes every action queued at its time,
@@ -140,16 +139,26 @@ func (s *LevelSim) Run(until uint64) error {
 	return nil
 }
 
+// A LevelSim step settles in at most maxPasses capture passes, each
+// propagating in at most maxSweeps rank-order sweeps; a step still
+// capturing after the last pass fails with errUnsettled. LaneSim keeps the
+// same bounds and returns the same error.
+const (
+	maxPasses = 8
+	maxSweeps = 16
+)
+
+var errUnsettled = fmt.Errorf("sim: LevelSim did not settle after %d passes (oscillating gated clock?)", maxPasses)
+
 // settleAndCommit propagates the network to a fixed point, performing
 // two-phase flip-flop captures on rising clock edges, then commits values
 // and fires change callbacks.
 func (s *LevelSim) settleAndCommit() error {
-	const maxPasses = 8
 	p := s.prog
 	copy(s.scratch, s.cur)
 	for pass := 0; ; pass++ {
 		if pass >= maxPasses {
-			return fmt.Errorf("sim: LevelSim did not settle after %d passes (oscillating gated clock?)", maxPasses)
+			return errUnsettled
 		}
 		s.propagate()
 		// Phase 1: detect rising edges and compute next states from the
@@ -232,7 +241,6 @@ func (s *LevelSim) propagate() {
 			v = v.Not() // Q, then QN
 		}
 	}
-	const maxSweeps = 16
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
 		for _, cid := range p.CombOrder {
