@@ -468,7 +468,7 @@ func (c *Campaign) runGolden() (evals uint64, err error) {
 		}
 		c.goldenVCDDump = vcdBuf.Bytes()
 	}
-	c.setCheckpoints(ckpts)
+	c.ckpts = ckpts
 	c.golden = sig
 	return eng.CellEvals(), nil
 }

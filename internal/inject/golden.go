@@ -199,7 +199,7 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 				i, ckpts[i].vcdPrefix, len(dump))
 		}
 	}
-	c.setCheckpoints(ckpts)
+	c.ckpts = ckpts
 	c.golden, c.goldenVCDDump, c.goldenVCD = sig, dump, nil
 	if needVCD {
 		// Parse the dump now, so a malformed one is refused at adoption.
@@ -208,16 +208,4 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 		}
 	}
 	return evals, nil
-}
-
-// setCheckpoints installs the golden checkpoint schedule. Adjacent
-// checkpoints hold mostly the same future stimulus; sharing the common
-// suffix stops checkpoint memory scaling with pitch.
-func (c *Campaign) setCheckpoints(ckpts []goldenCheckpoint) {
-	shared := make([]*sim.Checkpoint, len(ckpts))
-	for i := range ckpts {
-		shared[i] = ckpts[i].ck
-	}
-	sim.ShareTails(shared)
-	c.ckpts = ckpts
 }

@@ -42,59 +42,24 @@ type Checkpoint struct {
 	forced     []bool
 	cellPlanes [][]logic.V
 
-	// The queued data actions, in the order the engine would consume them,
-	// are queue ++ tail. Snapshot fills queue only; ShareTails may split
-	// off the suffix common with the preceding checkpoint of the same run
-	// into tail, aliased into that checkpoint's storage (copy-on-write:
-	// nothing mutates checkpoint slices after creation).
-	queue, tail []queued
+	// evs holds the queued data actions in the order the engine consumes
+	// them, entry i already in the form a restore loads into run slot i.
+	// EventSim's list is sorted by (t, phase, seq), with phase normalized
+	// at snapshot time: 0 for events scheduled before the producing run
+	// began (the pre-scheduled stimulus), 1 for events the run created
+	// dynamically (pending inertial transitions). On restore, events a
+	// caller schedules before resuming Run take phase 0 with fresh
+	// sequence numbers, which slots them after the restored stimulus but
+	// before the restored in-flight transitions at equal times — exactly
+	// the order a cold run would have used. LevelSim's list is in
+	// ascending time, each step's actions in their original order (a step
+	// applies them in list order), with seq = i and phase 0.
+	evs []event
 
 	// EventSim only: the sequence counter to resume from, and each net's
-	// in-flight inertial transition as an index into queue ++ tail (-1 for
-	// none).
+	// in-flight inertial transition as an index into evs (-1 for none).
 	seqBase    uint64
 	pendingIdx []int32
-}
-
-// queued is the value form of one queued data action. LevelSim orders by
-// t alone (actions of one step apply in list order) and leaves seq and
-// phase zero; a restore keys each action by its list position instead.
-// For EventSim the list is sorted by (t, phase, seq), with phase
-// normalized at snapshot time: 0 for events scheduled before the
-// producing run began (the pre-scheduled stimulus), 1 for events the run
-// created dynamically (pending inertial transitions). On restore, events a
-// caller schedules before resuming Run take phase 0 with fresh sequence
-// numbers, which slots them after the restored stimulus but before the
-// restored in-flight transitions at equal times — exactly the order a cold
-// run would have used.
-type queued struct {
-	t      uint64
-	seq    uint64
-	phase  uint32
-	kind   actKind
-	net    int
-	cellID int
-	val    logic.V
-}
-
-// key is q's order key as stored, with idx unset.
-func (q *queued) key() entry { return entry{t: q.t, seq: q.seq, phase: q.phase} }
-
-// at indexes the combined queue ++ tail list.
-func (ck *Checkpoint) at(i int) queued {
-	if i < len(ck.queue) {
-		return ck.queue[i]
-	}
-	return ck.tail[i-len(ck.queue)]
-}
-
-// event materializes entry i as the event restored into run slot i.
-func (ck *Checkpoint) event(i int) event {
-	q := ck.at(i)
-	if ck.Kind == KindLevel {
-		q.seq, q.phase = uint64(i), 0
-	}
-	return event{t: q.t, seq: q.seq, phase: q.phase, kind: q.kind, net: int32(q.net), cellID: int32(q.cellID), val: q.val}
 }
 
 // check validates that a checkpoint of the expected kind can be restored
@@ -126,34 +91,14 @@ func (ck *Checkpoint) CheckDesign(f *netlist.Flat) error {
 	if err := ck.check(ck.Kind, f); err != nil {
 		return err
 	}
-	for i := 0; i < ck.QueuedEvents(); i++ {
-		if q := ck.at(i); q.kind == actFlip {
-			if err := validateSeqCell(f, q.cellID); err != nil {
+	for i := range ck.evs {
+		if e := &ck.evs[i]; e.kind == actFlip {
+			if err := validateSeqCell(f, int(e.cellID)); err != nil {
 				return fmt.Errorf("sim: checkpoint queue entry %d: %w", i, err)
 			}
 		}
 	}
 	return nil
-}
-
-// OwnedEvents reports how many queued data actions the checkpoint stores
-// in memory it owns, i.e. excluding any suffix aliased into an earlier
-// checkpoint by ShareTails. It exists so callers and tests can observe
-// checkpoint memory without reaching into engine internals.
-func (ck *Checkpoint) OwnedEvents() int {
-	if ck == nil {
-		return 0
-	}
-	return len(ck.queue)
-}
-
-// QueuedEvents reports the total logical queue length of the checkpoint,
-// shared suffix included.
-func (ck *Checkpoint) QueuedEvents() int {
-	if ck == nil {
-		return 0
-	}
-	return len(ck.queue) + len(ck.tail)
 }
 
 func clonePlanes(planes [][]logic.V) [][]logic.V {
@@ -245,7 +190,7 @@ func (c *core) resume(ck *Checkpoint) {
 	c.cellEvals = ck.Evals
 	c.q.seq = ck.seqBase
 	if c.kind == KindLevel {
-		c.q.seq = uint64(ck.QueuedEvents())
+		c.q.seq = uint64(len(ck.evs))
 	}
 	c.dropCallbacks()
 }
@@ -297,13 +242,8 @@ func (c *core) MatchesCheckpoint(ck *Checkpoint) bool {
 	return c.matches(ck) && c.q.matches(ck)
 }
 
-// queued is the checkpoint form of the event in e's slot, with e's phase.
-func (c *core) queued(e entry) queued {
-	ev := &c.q.evs[e.idx]
-	return queued{t: ev.t, seq: e.seq, phase: e.phase, kind: ev.kind, net: int(ev.net), cellID: int(ev.cellID), val: ev.val}
-}
-
-// snapPhase is the phase a snapshot taken now records for e (see queued).
+// snapPhase is the phase a snapshot taken now records for e (see
+// Checkpoint.evs).
 func (s *EventSim) snapPhase(e *event) uint32 {
 	if s.running && e.phase >= s.phase {
 		return 1
@@ -316,15 +256,17 @@ func (s *EventSim) Snapshot() *Checkpoint {
 	ck := s.snapshot()
 	ck.seqBase = s.q.seq
 	live := s.q.sorted(s.snapPhase)
-	ck.queue = make([]queued, len(live))
+	ck.evs = make([]event, len(live))
 	ck.pendingIdx = make([]int32, len(s.pending))
 	for i := range ck.pendingIdx {
 		ck.pendingIdx[i] = -1
 	}
-	for i, e := range live {
-		ck.queue[i] = s.queued(e)
-		if q := ck.queue[i]; q.kind == actNet && s.pending[q.net] == e.idx {
-			ck.pendingIdx[q.net] = int32(i)
+	for i, en := range live {
+		e := s.q.evs[en.idx]
+		e.phase, e.next = en.phase, 0
+		ck.evs[i] = e
+		if e.kind == actNet && s.pending[e.net] == en.idx {
+			ck.pendingIdx[e.net] = int32(i)
 		}
 	}
 	return ck
@@ -370,9 +312,12 @@ func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
 // producing run's observers and leave no trace.
 func (s *LevelSim) Snapshot() *Checkpoint {
 	ck := s.snapshot()
-	for _, e := range s.q.sorted(nil) {
-		e.seq = 0
-		ck.queue = append(ck.queue, s.queued(e))
+	live := s.q.sorted(nil)
+	ck.evs = make([]event, len(live))
+	for i, en := range live {
+		e := s.q.evs[en.idx]
+		e.seq, e.next = uint64(i), 0
+		ck.evs[i] = e
 	}
 	return ck
 }

@@ -20,16 +20,12 @@ import (
 // Layout (version 2, one body for both engines): header — magic, version,
 // kind tag, time, evals, design, nets, cells, seqBase; the kind's net
 // planes, the force plane, the kind's cell planes (planeLayout), each a
-// run of nets or cells bytes; the queue as count + entries; and, for
-// EventSim, one pending index (+1, 0 for none) per net. Version 1 blobs —
-// two per-engine bodies — are refused, which callers holding a golden
+// run of nets or cells bytes; the queue as count + entries (t, seq,
+// phase, kind, net, cell, val), LevelSim's with seq and phase written as
+// 0 because a restore keys them by position; and, for EventSim, one
+// pending index (+1, 0 for none) per net. Version 1 blobs — two
+// per-engine bodies — are refused, which callers holding a golden
 // artifact turn into a local build and republish.
-//
-// Tail aliasing (ShareTails) is flattened on encode: the combined
-// queue ++ tail list is written as one sequence, and a decoded checkpoint
-// owns all of its storage. Callers that decode a whole checkpoint
-// schedule may re-run ShareTails over it to recover the memory sharing;
-// semantics are unchanged either way.
 
 const (
 	ckptMagic   uint32 = 0x534b5031 // "SKP1"
@@ -69,16 +65,19 @@ func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
 	for _, p := range ck.cellPlanes {
 		e.Values(p)
 	}
-	n := ck.QueuedEvents()
-	e.Int(n)
-	for i := 0; i < n; i++ {
-		q := ck.at(i)
+	e.Int(len(ck.evs))
+	for i := range ck.evs {
+		q := &ck.evs[i]
+		seq := q.seq
+		if ck.Kind == KindLevel {
+			seq = 0
+		}
 		e.Uvarint(q.t)
-		e.Uvarint(q.seq)
+		e.Uvarint(seq)
 		e.Byte(byte(q.phase))
 		e.Byte(byte(q.kind))
-		e.Int(q.net)
-		e.Int(q.cellID)
+		e.Int(int(q.net))
+		e.Int(int(q.cellID))
 		e.Byte(byte(q.val))
 	}
 	for _, idx := range ck.pendingIdx {
@@ -135,27 +134,32 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	ck.queue = make([]queued, n)
-	for i := range ck.queue {
-		q := &ck.queue[i]
+	ck.evs = make([]event, n)
+	for i := range ck.evs {
+		q := &ck.evs[i]
 		q.t = d.Uvarint()
 		q.seq = d.Uvarint()
 		q.phase = uint32(d.Byte())
 		q.kind = actKind(d.Byte())
-		q.net = d.Int()
-		q.cellID = d.Int()
+		// Int refuses anything above MaxInt32, so both fit an int32.
+		net, cell := d.Int(), d.Int()
+		q.net, q.cellID = int32(net), int32(cell)
 		q.val = d.Value()
 		switch {
 		case d.Err() != nil:
 		case q.phase > 1:
 			d.Fail("queue entry %d has invalid phase %d", i, q.phase)
+		case ck.Kind == KindLevel && (q.seq != 0 || q.phase != 0):
+			// LevelSim snapshots write both as zero; anything else would
+			// not re-encode to the same bytes.
+			d.Fail("LevelSim queue entry %d has seq %d, phase %d (want 0, 0)", i, q.seq, q.phase)
 		case q.kind >= actFunc || q.kind == actNet && ck.Kind != KindEvent:
 			d.Fail("queue entry %d has invalid kind %d", i, q.kind)
-		case q.net >= ck.nets || q.cellID >= ck.cells && q.cellID != 0:
+		case net >= ck.nets || cell >= ck.cells && cell != 0:
 			d.Fail("queue entry %d targets out-of-range net/cell", i)
-		case i > 0 && q.t < ck.queue[i-1].t:
+		case i > 0 && q.t < ck.evs[i-1].t:
 			d.Fail("queue entry %d is out of time order", i)
-		case ck.Kind == KindEvent && (q.seq >= ck.seqBase || i > 0 && !less(ck.queue[i-1].key(), q.key())):
+		case ck.Kind == KindEvent && (q.seq >= ck.seqBase || i > 0 && !less(ck.evs[i-1].key(), q.key())):
 			// A restore replays EventSim's list in place, so it must be
 			// strictly ascending in (t, phase, seq) and below seqBase.
 			d.Fail("queue entry %d is out of (t, phase, seq) order", i)
@@ -163,13 +167,16 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
+		if ck.Kind == KindLevel {
+			q.seq = uint64(i)
+		}
 	}
 	if ck.Kind == KindEvent {
 		ck.pendingIdx = make([]int32, ck.nets)
 		for nid := range ck.pendingIdx {
 			idx := d.Int() - 1
 			if d.Err() == nil && idx >= 0 &&
-				(idx >= n || ck.queue[idx].kind != actNet || ck.queue[idx].net != nid) {
+				(idx >= n || ck.evs[idx].kind != actNet || int(ck.evs[idx].net) != nid) {
 				d.Fail("net %d's pending index %d is not a transition of that net", nid, idx)
 			}
 			ck.pendingIdx[nid] = int32(idx)

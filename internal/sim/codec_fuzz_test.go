@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzDecodeCheckpoint hardens the one decoder every golden artifact's
-// checkpoints pass through, seeded with real encodes from both engines.
+// checkpoints pass through, seeded with real encodes from both engines,
+// mid-cycle and 1 ps past a rising edge (in-flight transitions).
 // Whatever the fuzzer finds, the decoder must never panic; a blob it
 // accepts must re-encode to exactly the input (the codec is canonical,
 // which content addressing relies on); and a decoded checkpoint that
@@ -15,6 +16,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	mks := engines(f)
 	for _, mk := range mks {
 		f.Add(encode(f, produceCheckpoint(f, mk)))
+		f.Add(encode(f, snapshotAt(f, mk, pastEdge)))
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ck, err := DecodeCheckpoint(bytes.NewReader(blob))

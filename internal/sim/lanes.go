@@ -298,15 +298,15 @@ func (s *LaneSim) Restore(ck *Checkpoint) error {
 		load(&s.state[sc.cell], state[sc.cell])
 		load(&s.prevClk[sc.cell], prevClk[sc.cell])
 	}
-	for i := 0; i < ck.QueuedEvents(); i++ {
-		a := ck.at(i)
+	for i := range ck.evs {
+		a := &ck.evs[i]
 		known = known && a.kind == actInput && a.val.IsKnown()
 	}
 	if !known {
 		return errNotTwoValued
 	}
 	s.q.load(ck)
-	s.q.seq = uint64(ck.QueuedEvents())
+	s.q.seq = uint64(len(ck.evs))
 	clear(s.fns) // a step a settle error cut short left its callbacks
 	s.fns = s.fns[:0]
 	s.now = ck.TimePS

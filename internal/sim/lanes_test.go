@@ -167,12 +167,12 @@ func TestLaneRestoreRefusesUnknown(t *testing.T) {
 	q0 := netID(t, f, "q0")
 	for name, mutate := range map[string]func(*Checkpoint){
 		"X net":   func(c *Checkpoint) { c.netPlanes[0][q0] = logic.X },
-		"Z input": func(c *Checkpoint) { c.queue[0].val = logic.Z },
-		"flip":    func(c *Checkpoint) { c.queue[0].kind, c.queue[0].cellID = actFlip, f.CellIndex["u_ff0"] },
+		"Z input": func(c *Checkpoint) { c.evs[0].val = logic.Z },
+		"flip":    func(c *Checkpoint) { c.evs[0].kind, c.evs[0].cellID = actFlip, int32(f.CellIndex["u_ff0"]) },
 	} {
 		bad := *ck
 		bad.netPlanes = clonePlanes(ck.netPlanes)
-		bad.queue = slices.Clone(ck.queue)
+		bad.evs = slices.Clone(ck.evs)
 		mutate(&bad)
 		if err := ls.Restore(&bad); !errors.Is(err, errNotTwoValued) {
 			t.Errorf("%s: Restore = %v, want errNotTwoValued", name, err)
@@ -271,8 +271,8 @@ func FuzzLaneVsScalar(f *testing.F) {
 		}
 
 		var times []uint64
-		for i := 0; i < ck.QueuedEvents(); i++ {
-			times = append(times, ck.at(i).t)
+		for _, e := range ck.evs {
+			times = append(times, e.t)
 		}
 		seqs := fl.SequentialCells()
 		scalars := make([]*LevelSim, 1+rng.Intn(Lanes))

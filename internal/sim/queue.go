@@ -207,9 +207,7 @@ func (q *queue) down(j int) {
 func (q *queue) load(ck *Checkpoint) {
 	q.run = 0 // reload then drops every slot
 	q.reload()
-	for i := 0; i < ck.QueuedEvents(); i++ {
-		q.evs = append(q.evs, ck.event(i))
-	}
+	q.evs = append(q.evs, ck.evs...)
 	q.run = int32(len(q.evs))
 }
 
@@ -266,12 +264,12 @@ func (q *queue) sorted(phaseOf func(*event) uint32) []entry {
 // entry in queue order; sequence numbers and phases only order them.
 func (q *queue) matches(ck *Checkpoint) bool {
 	live := q.sorted(nil)
-	if len(live) != ck.QueuedEvents() {
+	if len(live) != len(ck.evs) {
 		return false
 	}
 	for i, en := range live {
-		e, c := &q.evs[en.idx], ck.at(i)
-		if e.t != c.t || e.kind != c.kind || int(e.net) != c.net || int(e.cellID) != c.cellID || e.val != c.val {
+		e, c := &q.evs[en.idx], &ck.evs[i]
+		if e.t != c.t || e.kind != c.kind || e.net != c.net || e.cellID != c.cellID || e.val != c.val {
 			return false
 		}
 	}

@@ -55,7 +55,7 @@ func FuzzQueueOrder(f *testing.F) {
 				t.Fatal(err)
 			}
 			ref = ref[:0]
-			for i, q := range ck.queue {
+			for i, q := range ck.evs {
 				ref = append(ref, refEvent{key: entry{t: q.t, seq: q.seq, phase: q.phase, idx: int32(i)}})
 			}
 		}

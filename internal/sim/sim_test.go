@@ -437,22 +437,6 @@ func TestVCDGoldenVsFaulty(t *testing.T) {
 	}
 }
 
-func TestSampleOutputs(t *testing.T) {
-	f := counterDesign(t)
-	e := NewEventSim(f)
-	setupCounter(t, e, 4*period)
-	if err := e.Run(2500); err != nil {
-		t.Fatal(err)
-	}
-	out := SampleOutputs(e)
-	if len(out) != 2 {
-		t.Fatalf("outputs = %v", out)
-	}
-	if out["q0"] != logic.L1 {
-		t.Errorf("q0 = %v, want 1", out["q0"])
-	}
-}
-
 func TestDriveClockValidation(t *testing.T) {
 	f := counterDesign(t)
 	e := NewEventSim(f)

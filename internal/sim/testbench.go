@@ -48,11 +48,6 @@ func DriveClock(e Engine, net int, periodPS, phasePS, until uint64) error {
 	return nil
 }
 
-// HoldInput schedules a constant value on a primary input from time 0.
-func HoldInput(e Engine, net int, v logic.V) error {
-	return e.ScheduleInput(0, net, v)
-}
-
 // AttachVCD declares the named nets in the writer, hooks value-change
 // callbacks so every change is dumped, and writes the header. Call before
 // Run. The caller closes the writer after the run.
@@ -78,15 +73,4 @@ func AttachVCD(e Engine, w *vcd.Writer, nets []int) error {
 		})
 	}
 	return nil
-}
-
-// SampleOutputs returns the current values of the design's primary outputs
-// keyed by port name.
-func SampleOutputs(e Engine) map[string]logic.V {
-	f := e.Flat()
-	out := make(map[string]logic.V, len(f.POs))
-	for _, nid := range f.POs {
-		out[f.Nets[nid].POName] = e.Value(nid)
-	}
-	return out
 }
