@@ -124,9 +124,10 @@ lake-smoke:
 # (fleet_workers{state="quarantined"} nonzero), a poison shard that
 # crashes every executor landing in quarantined state instead of
 # hanging its sweep, and a journal record damaged at rest skipped on
-# replay and re-simulated — all under the race detector.
+# replay and re-simulated — all under the race detector, three times
+# over, so a scenario that passes only by luck of lease order fails here.
 integrity-smoke:
-	$(GO) test ./cmd/campaignd -race -run '^(TestIntegritySmoke|TestPoisonShardQuarantine|TestJournalCorruptRecordReplay)$$' -count=1 -v
+	$(GO) test ./cmd/campaignd -race -run '^(TestIntegritySmoke|TestPoisonShardQuarantine|TestJournalCorruptRecordReplay)$$' -count=3 -v
 
 # bench runs the full table/figure harness (minutes).
 bench:

@@ -28,7 +28,10 @@ import (
 // most of its completion payloads in flight (every one must be refused
 // with integrity_mismatch and re-issued), one worker computes wrong
 // results with self-consistent checksums (the audit vote must outvote
-// and quarantine it), one worker is honest. The merged grid must come
+// and quarantine it), one worker is honest. The faulty worker runs alone
+// until it has completed workerStrikeThreshold shards, so the audits of
+// its own results alone are enough votes to quarantine it, whichever
+// shards the others lease afterwards. The merged grid must come
 // out byte-identical to the clean in-process reference, and the
 // observability surface must show the whole story: integrity rejects,
 // audit divergences, and fleet_workers{state="quarantined"}.
@@ -85,12 +88,21 @@ func TestIntegritySmoke(t *testing.T) {
 	faultyErr := make(chan error, 1)
 	cleanErr := make(chan error, 1)
 	go func() {
-		wireErr <- work(ctx, workOpts{url: url, name: "int-wire", poll: 25 * time.Millisecond,
-			out: wireOut, client: corruptClient, obsReg: reg})
-	}()
-	go func() {
 		faultyErr <- work(ctx, workOpts{url: url, name: "int-faulty", poll: 25 * time.Millisecond,
 			out: faultyOut, tamper: tamper, obsReg: reg})
+	}()
+	for strings.Count(faultyOut.String(), "shard done") < workerStrikeThreshold {
+		select {
+		case err := <-faultyErr:
+			t.Fatalf("faulty worker exited before completing %d shards: %v\n%s", workerStrikeThreshold, err, faultyOut.String())
+		case <-ctx.Done():
+			t.Fatalf("faulty worker did not complete %d shards: %v\nserve:\n%s", workerStrikeThreshold, ctx.Err(), serveOut.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	go func() {
+		wireErr <- work(ctx, workOpts{url: url, name: "int-wire", poll: 25 * time.Millisecond,
+			out: wireOut, client: corruptClient, obsReg: reg})
 	}()
 	go func() {
 		cleanErr <- work(ctx, workOpts{url: url, name: "int-clean", poll: 25 * time.Millisecond,

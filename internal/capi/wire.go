@@ -135,6 +135,8 @@ type SweepCost struct {
 	RestoreWallNS int64  `json:"restore_wall_ns"`
 	WarmStarts    uint64 `json:"warm_starts"`
 	PrunedRuns    uint64 `json:"pruned_runs"`
+	// DeltaRestores sums inject.Work.DeltaRestores, which new work leaves
+	// at zero; only results journaled by older workers add to it.
 	DeltaRestores uint64 `json:"delta_restores"`
 }
 

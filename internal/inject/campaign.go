@@ -24,10 +24,8 @@
 // capture edge and no sampling instant, is decided masked before any
 // restore — the latching-window prefilter of latch.go. Cold starts and
 // the VCD detector still simulate every run: they are the oracle the
-// early exits are checked against. Each worker's injections are
-// strike-sorted so consecutive runs share a restore point and reset their
-// engine through sim.Engine.RestoreDelta — a dirty-set rewrite instead of
-// a wholesale copy. See DESIGN.md.
+// early exits are checked against. Each warm start resets its worker's one
+// reusable engine with sim.Engine.Restore. See DESIGN.md.
 package inject
 
 import (
@@ -588,10 +586,9 @@ func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 		last.idxs = append(last.idxs, idx)
 	}
 	// Re-chunk so scheduling granularity stays finer than the worker
-	// count even when strikes concentrate on few checkpoints; chunks of
-	// one batch keep the shared restore point (each chunk's first restore
-	// is wholesale, the rest delta). Without checkpoints there is no
-	// restore point to share, and one-job units balance best.
+	// count even when strikes concentrate on few checkpoints; a chunk
+	// never spans two restore points. Without checkpoints there are no
+	// batches to keep whole, and one-job units balance best.
 	chunk := len(jobs) / (4 * workers)
 	if chunk < 1 || len(c.ckpts) == 0 {
 		chunk = 1

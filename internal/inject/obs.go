@@ -21,7 +21,7 @@ var workCounters = [...]struct {
 		func(w Work) uint64 { return w.WarmStarts }},
 	{"pruned_runs", "Warm starts terminated early on golden re-convergence.", "Pruned runs attributed to the sweep.",
 		func(w Work) uint64 { return w.PrunedRuns }},
-	{"delta_restores", "Warm starts reset via the dirty-set delta path.", "Delta restores attributed to the sweep.",
+	{"delta_restores", "Always zero: every warm start is one wholesale restore.", "Always zero: every warm start is one wholesale restore.",
 		func(w Work) uint64 { return w.DeltaRestores }},
 	{"restore_wall_ns", "Wall nanoseconds workers spent inside engine restores.", "Restore wall nanoseconds attributed to the sweep.",
 		func(w Work) uint64 { return uint64(w.RestoreWall) }},
@@ -91,6 +91,6 @@ func (m *Metrics) record(began time.Time, start, end int, w Work) {
 		// journal carries one back-dated span whose duration is the range's
 		// cumulative restore wall.
 		m.Tracer.Span("restore", "inject", 0, int64(start), time.Now().Add(-w.RestoreWall),
-			map[string]any{"restore_wall_ns": restoreNS, "delta_restores": w.DeltaRestores})
+			map[string]any{"restore_wall_ns": restoreNS})
 	}
 }

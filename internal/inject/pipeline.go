@@ -43,10 +43,11 @@ type Work struct {
 	// onto the golden trajectory.
 	WarmStarts uint64 `json:"warm_starts"`
 	PrunedRuns uint64 `json:"pruned_runs"`
-	// DeltaRestores counts warm starts that reset their engine through the
-	// dirty-set delta path (consecutive strike-sorted injections sharing a
-	// restore point) instead of a wholesale checkpoint copy; RestoreWall is
-	// the total wall-clock the workers spent inside restores.
+	// DeltaRestores is always zero: every warm start resets its engine
+	// with one wholesale restore. The field stays because journal and lake
+	// stamps written before that carry it under their checksum.
+	// RestoreWall is the total wall-clock the workers spent inside
+	// restores.
 	DeltaRestores uint64        `json:"delta_restores,omitempty"`
 	RestoreWall   time.Duration `json:"restore_wall_ns,omitempty"`
 	// WordEvals counts the cell evaluations lane passes performed: one per
@@ -67,17 +68,14 @@ func (w *Work) Add(o Work) {
 }
 
 // worker is one injection worker's reusable simulation context: checkpoint
-// starts restore a single engine instead of reconstructing one. Within a
-// batch the reset is a dirty-set delta restore — the engine tracks what the
-// previous injection touched and rewrites only that — which is what
-// strike-sorting the jobs buys. Its Work is everything but InjectWall,
-// which RunJobs times around the whole fan-out.
+// starts restore a single engine instead of reconstructing one. Its Work
+// is everything but InjectWall, which RunJobs times around the whole
+// fan-out.
 type worker struct {
 	Work
-	c      *Campaign
-	eng    sim.Engine // built on the first checkpoint start
-	lastCk *sim.Checkpoint
-	lanes  *sim.LaneSim // built on the first lane group
+	c     *Campaign
+	eng   sim.Engine   // built on the first checkpoint start
+	lanes *sim.LaneSim // built on the first lane group
 }
 
 // inject performs planned injection j, starting from golden checkpoint
@@ -179,8 +177,7 @@ func bit(b bool) uint64 {
 
 // start readies the engine a run begins on: a fresh one with the stimulus
 // applied when ckIdx < 0, else the worker's engine restored to golden
-// checkpoint ckIdx — through the delta path when the previous run restored
-// the same one.
+// checkpoint ckIdx.
 func (w *worker) start(ckIdx int) (sim.Engine, *goldenCheckpoint, error) {
 	c := w.c
 	if ckIdx < 0 {
@@ -196,15 +193,11 @@ func (w *worker) start(ckIdx int) (sim.Engine, *goldenCheckpoint, error) {
 	}
 	rec := &c.ckpts[ckIdx]
 	began := time.Now()
-	err := w.eng.RestoreDelta(rec.ck)
+	err := w.eng.Restore(rec.ck)
 	w.RestoreWall += time.Since(began)
 	if err != nil {
 		return nil, nil, err
 	}
-	if w.lastCk == rec.ck {
-		w.DeltaRestores++
-	}
-	w.lastCk = rec.ck
 	w.WarmStarts++
 	return w.eng, rec, nil
 }

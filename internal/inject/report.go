@@ -83,8 +83,8 @@ func (r *Result) String() string {
 	fmt.Fprintf(&sb, "  golden %v (%d evals), injections %v (%d evals)\n",
 		r.GoldenWall, r.GoldenEvals, r.InjectWall, r.InjectEvals)
 	if r.WarmStarts > 0 {
-		fmt.Fprintf(&sb, "  warm starts %d/%d, %d runs pruned (latching window or re-convergence), %d delta restores (%v restore wall)\n",
-			r.WarmStarts, len(r.Injections), r.PrunedRuns, r.DeltaRestores, r.RestoreWall)
+		fmt.Fprintf(&sb, "  warm starts %d/%d, %d runs pruned (latching window or re-convergence), %v restore wall\n",
+			r.WarmStarts, len(r.Injections), r.PrunedRuns, r.RestoreWall)
 	}
 	fmt.Fprintf(&sb, "  SET xsect %.3e cm²  SEU xsect %.3e cm²\n", r.SETXsect, r.SEUXsect)
 	for _, name := range r.ModuleNames() {

@@ -120,9 +120,6 @@ func TestWarmStartReducesWork(t *testing.T) {
 	if warmRun.Result.PrunedRuns <= decided {
 		t.Error("no run was pruned by convergence detection — masked faults should converge")
 	}
-	if warmRun.Result.DeltaRestores == 0 {
-		t.Error("no strike-sorted batch shared a restore point — delta restores never fired")
-	}
 	const evalsFloor = 8.9 // 80% of the 11.24x measured
 	if w, c := warmRun.Result.InjectEvals, coldRun.Result.InjectEvals; float64(c) < evalsFloor*float64(w) {
 		t.Errorf("warm starts saved too little work: warm %d evals vs cold %d (want >= %.1fx reduction)", w, c, evalsFloor)

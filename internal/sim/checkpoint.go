@@ -124,10 +124,9 @@ func (c *core) snapshot() *Checkpoint {
 	}
 }
 
-// restore is the wholesale half of Engine.Restore every engine shares:
-// validate, copy every plane, load the queue, reset clock and eval
-// counter, drop all callbacks, and make ck the baseline RestoreDelta
-// rewrites against.
+// restore is the half of Engine.Restore every engine shares: validate,
+// copy every plane, load the queue, take ck's clock, eval counter and
+// next sequence number, and drop all callbacks.
 func (c *core) restore(ck *Checkpoint) error {
 	if err := ck.check(c.kind, c.flat); err != nil {
 		return err
@@ -139,53 +138,7 @@ func (c *core) restore(ck *Checkpoint) error {
 	for i, p := range c.cellPlanes {
 		copy(p, ck.cellPlanes[i])
 	}
-	for _, nid := range c.dirtyNets {
-		c.netDirty[nid] = false
-	}
-	for _, cid := range c.dirtyCells {
-		c.cellDirty[cid] = false
-	}
 	c.q.load(ck)
-	c.resume(ck)
-	return nil
-}
-
-// restoreDirty is the shared half of Engine.RestoreDelta: with ck the
-// checkpoint last restored, rewriting the entries recorded dirty since is
-// provably equal to restore's wholesale copy, because every mutation path
-// records its target in the dirty sets; the queue rewinds its cursor,
-// revives the run slots cancelled since and drops every pushed event
-// (queue.reload).
-func (c *core) restoreDirty(ck *Checkpoint) {
-	for i, p := range c.netPlanes {
-		from := ck.netPlanes[i]
-		for _, nid := range c.dirtyNets {
-			p[nid] = from[nid]
-		}
-	}
-	for _, nid := range c.dirtyNets {
-		c.forced[nid] = ck.forced[nid]
-		c.netDirty[nid] = false
-	}
-	for i, p := range c.cellPlanes {
-		from := ck.cellPlanes[i]
-		for _, cid := range c.dirtyCells {
-			p[cid] = from[cid]
-		}
-	}
-	for _, cid := range c.dirtyCells {
-		c.cellDirty[cid] = false
-	}
-	c.q.reload()
-	c.resume(ck)
-}
-
-// resume ends either restore flavour: empty dirty sets, ck's clock, eval
-// counter and next sequence number, no callbacks.
-func (c *core) resume(ck *Checkpoint) {
-	c.dirtyNets = c.dirtyNets[:0]
-	c.dirtyCells = c.dirtyCells[:0]
-	c.lastRestored = ck
 	c.now = ck.TimePS
 	c.cellEvals = ck.Evals
 	c.q.seq = ck.seqBase
@@ -193,6 +146,7 @@ func (c *core) resume(ck *Checkpoint) {
 		c.q.seq = uint64(len(ck.evs))
 	}
 	c.dropCallbacks()
+	return nil
 }
 
 // matches is the plane half of Engine.MatchesCheckpoint: same kind, same
@@ -286,26 +240,8 @@ func (s *EventSim) Restore(ck *Checkpoint) error {
 	return nil
 }
 
-// RestoreDelta implements Engine. When ck is the checkpoint this engine
-// most recently restored, only the nets and cells touched since that
-// restore are rewritten, and the queue rewinds to ck's entries: untouched
-// state is provably already equal to a full Restore's output (every
-// mutation path records its target in the dirty sets), and a restored
-// queue slot never changes but for its cancelled flag. Any other
-// checkpoint falls back to Restore.
-func (s *EventSim) RestoreDelta(ck *Checkpoint) error {
-	if s.lastRestored != ck {
-		return s.Restore(ck)
-	}
-	// A pending transition changes only with its net dirty; checkpoint
-	// event i sits in run slot i.
-	for _, nid := range s.dirtyNets {
-		s.pending[nid] = ck.pendingIdx[nid]
-	}
-	s.restoreDirty(ck)
-	s.phase, s.running = 0, false
-	return nil
-}
+// RestoreDelta implements Engine as a synonym for Restore.
+func (s *EventSim) RestoreDelta(ck *Checkpoint) error { return s.Restore(ck) }
 
 // Snapshot implements Engine. The queue flattens in ascending time, each
 // step's actions in their original order; callbacks belong to the
@@ -325,12 +261,5 @@ func (s *LevelSim) Snapshot() *Checkpoint {
 // Restore implements Engine. See EventSim.Restore for the contract.
 func (s *LevelSim) Restore(ck *Checkpoint) error { return s.restore(ck) }
 
-// RestoreDelta implements Engine. See EventSim.RestoreDelta for the
-// contract.
-func (s *LevelSim) RestoreDelta(ck *Checkpoint) error {
-	if s.lastRestored != ck {
-		return s.Restore(ck)
-	}
-	s.restoreDirty(ck)
-	return nil
-}
+// RestoreDelta implements Engine as a synonym for Restore.
+func (s *LevelSim) RestoreDelta(ck *Checkpoint) error { return s.Restore(ck) }

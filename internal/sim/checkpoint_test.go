@@ -238,3 +238,123 @@ func TestRestoreKindAndDesignMismatch(t *testing.T) {
 		t.Error("nil checkpoint accepted")
 	}
 }
+
+// polluteTail runs a short faulty tail from the engine's current
+// (restored) state: a forced pulse, a state flip and the tail's own
+// activity change nets, cells and the event queue.
+func polluteTail(t *testing.T, e Engine, until uint64) {
+	t.Helper()
+	n1 := netID(t, e.Flat(), "n1")
+	e.ScheduleForce(5100, n1, logic.L1)
+	e.ScheduleRelease(5700, n1)
+	if err := e.ScheduleFlip(5300, cellIDByPath(t, e, "u_ff0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(until); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreDeltaMatchesFullRestore is the engine-reuse contract: an
+// engine restored from a checkpoint after an arbitrary polluted tail must
+// be indistinguishable from a fresh engine restored from it — pinned by
+// MatchesCheckpoint and by running the identical faulty tail afterwards
+// and comparing every sampled output and the eval count. Both the
+// in-memory checkpoint and its decoded form are restored.
+func TestRestoreDeltaMatchesFullRestore(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			const last = 12
+			prod := mk()
+			setupCounter(t, prod, last*period)
+			var ck *Checkpoint
+			prod.At(4500, func() { ck = prod.Snapshot() })
+			if err := prod.Run(last * period); err != nil {
+				t.Fatal(err)
+			}
+
+			// Reference: a fresh engine, restored once, faulty tail.
+			ref := mk()
+			if err := ref.Restore(ck); err != nil {
+				t.Fatal(err)
+			}
+			refGot := sampleInto(t, ref, 5, last)
+			polluteTail(t, ref, last*period)
+
+			for src, from := range map[string]*Checkpoint{"in-memory": ck, "decoded": decode(t, encode(t, ck))} {
+				// Reuse: restore, pollute with varying tail lengths, restore
+				// again, and require convergence back onto the checkpoint
+				// plus a bit-identical replay of the reference tail.
+				eng := mk()
+				if err := eng.Restore(from); err != nil {
+					t.Fatal(err)
+				}
+				// 5400ps stops mid-pulse, with n1 still forced.
+				for trial, until := range []uint64{6 * period, last * period, 5 * period, 5*period + 400, ck.TimePS} {
+					polluteTail(t, eng, until)
+					if err := eng.Restore(from); err != nil {
+						t.Fatal(err)
+					}
+					if !eng.MatchesCheckpoint(ck) {
+						t.Fatalf("%s trial %d (tail to %dps): reused engine does not match the checkpoint", src, trial, until)
+					}
+					got := sampleInto(t, eng, 5, last)
+					polluteTail(t, eng, last*period)
+					if len(*got) != len(*refGot) {
+						t.Fatalf("%s trial %d: %d samples, want %d", src, trial, len(*got), len(*refGot))
+					}
+					for i := range *refGot {
+						if (*got)[i] != (*refGot)[i] {
+							t.Fatalf("%s trial %d sample %d = %s, want %s", src, trial, i, (*got)[i], (*refGot)[i])
+						}
+					}
+					if eng.CellEvals() != ref.CellEvals() {
+						t.Fatalf("%s trial %d: %d evals after the tail, fresh engine %d", src, trial, eng.CellEvals(), ref.CellEvals())
+					}
+					if err := eng.Restore(from); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMatchesCheckpointIgnoresReleasedForceValue pins the LevelSim pruning
+// fix: a force/release pulse that fully decays must not keep the engine
+// permanently mismatched against golden checkpoints just because the
+// released net still remembers the pulse value in its (unobservable)
+// forcedVal slot.
+func TestMatchesCheckpointIgnoresReleasedForceValue(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			const last = 12
+			prod := mk()
+			setupCounter(t, prod, last*period)
+			var ck1, ck2 *Checkpoint
+			prod.At(4500, func() { ck1 = prod.Snapshot() })
+			prod.At(8500, func() { ck2 = prod.Snapshot() })
+			if err := prod.Run(last * period); err != nil {
+				t.Fatal(err)
+			}
+
+			warm := mk()
+			if err := warm.Restore(ck1); err != nil {
+				t.Fatal(err)
+			}
+			// Pulse a net whose value is glitch-masked: force it to the value
+			// it already carries, so nothing downstream changes and the run
+			// re-converges the moment the force is released.
+			n1 := netID(t, warm.Flat(), "n1")
+			v := warm.Value(n1)
+			warm.ScheduleForce(4600, n1, v)
+			warm.ScheduleRelease(4700, n1)
+			if err := warm.Run(8500); err != nil {
+				t.Fatal(err)
+			}
+			if !warm.MatchesCheckpoint(ck2) {
+				t.Fatal("released no-op force pulse keeps the run unprunable against later golden checkpoints")
+			}
+		})
+	}
+}

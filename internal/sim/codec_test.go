@@ -131,10 +131,10 @@ func TestCodecRoundTripBitIdentity(t *testing.T) {
 }
 
 func TestCodecRestoreDeltaBitIdentity(t *testing.T) {
-	// The dirty-set RestoreDelta rewrite must work against a decoded
-	// checkpoint exactly as it does against the producing snapshot: restore
-	// the decoded blob, pollute the engine with a full faulty run, delta-
-	// restore, and the engine must again match the in-memory original.
+	// Restoring a reused engine must work against a decoded checkpoint
+	// exactly as it does against the producing snapshot: restore the
+	// decoded blob, pollute the engine with a full faulty run, restore
+	// again, and the engine must again match the in-memory original.
 	for name, mk := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			const last = 12
@@ -150,11 +150,11 @@ func TestCodecRestoreDeltaBitIdentity(t *testing.T) {
 			if err := eng.Run(last * period); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.RestoreDelta(dec); err != nil {
+			if err := eng.Restore(dec); err != nil {
 				t.Fatal(err)
 			}
 			if !eng.MatchesCheckpoint(ck) {
-				t.Fatal("delta-restored engine does not match the in-memory checkpoint")
+				t.Fatal("re-restored engine does not match the in-memory checkpoint")
 			}
 		})
 	}
@@ -346,9 +346,10 @@ func TestCheckpointWireDigests(t *testing.T) {
 
 // TestDecodedScheduleRestores walks the path an adopting process takes
 // with a golden artifact: decode every checkpoint of the schedule and
-// restore from it. Both restore flavours from a decoded checkpoint must
-// be indistinguishable from restoring the producing run's in-memory
-// snapshot, and a clean resume must land on the next snapshot.
+// restore from it. A restore from a decoded checkpoint, into a fresh or a
+// polluted engine, must be indistinguishable from restoring the producing
+// run's in-memory snapshot, and a clean resume must land on the next
+// snapshot.
 func TestDecodedScheduleRestores(t *testing.T) {
 	const last = 24
 	for name, mk := range engines(t) {
@@ -365,17 +366,17 @@ func TestDecodedScheduleRestores(t *testing.T) {
 					t.Fatalf("checkpoint %d: restore from the decoded form does not match the original", i)
 				}
 				// Pollute the engine with a faulty tail, then repair it
-				// through the delta path.
+				// with a second restore.
 				eng.ScheduleForce(ck.TimePS+100, n1, logic.L1)
 				eng.ScheduleRelease(ck.TimePS+700, n1)
 				if err := eng.Run(last * period); err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.RestoreDelta(dec); err != nil {
+				if err := eng.Restore(dec); err != nil {
 					t.Fatal(err)
 				}
 				if !eng.MatchesCheckpoint(ck) {
-					t.Fatalf("checkpoint %d: delta restore from the decoded form does not match the original", i)
+					t.Fatalf("checkpoint %d: re-restore from the decoded form does not match the original", i)
 				}
 				// A clean resume must land exactly on the next snapshot.
 				if i+1 < len(plain) {

@@ -144,25 +144,21 @@ func (s *EventSim) Run(until uint64) error {
 		s.now = e.t
 		switch e.kind {
 		case actNet:
-			s.touchNet(e.net)
 			s.pending[e.net] = -1
 			s.driven[e.net] = e.val
 			if !s.forced[e.net] {
 				s.setNet(e.net, e.val)
 			}
 		case actInput:
-			s.touchNet(e.net)
 			s.driven[e.net] = e.val
 			if !s.forced[e.net] {
 				s.setNet(e.net, e.val)
 			}
 		case actForce:
-			s.touchNet(e.net)
 			s.forced[e.net] = true
 			s.setNet(e.net, e.val)
 		case actRelease:
 			if s.forced[e.net] {
-				s.touchNet(e.net)
 				s.forced[e.net] = false
 				s.setNet(e.net, s.driven[e.net])
 			}
@@ -234,7 +230,6 @@ func (s *EventSim) evalCell(cid, pin int32, old, new logic.V) {
 
 // setState stores v as a storage cell's state and schedules its outputs.
 func (s *EventSim) setState(cid int32, v logic.V) {
-	s.touchCell(cid)
 	s.state[cid] = v
 	d := s.prog.Def(cid).DelayPS
 	for _, nid := range s.prog.Outs(cid) {
@@ -254,7 +249,6 @@ func (s *EventSim) scheduleCombOutput(nid int32, v logic.V, d int64) {
 		}
 		s.q.cancel(p)
 		s.pending[nid] = -1
-		s.touchNet(nid)
 		if v == s.driven[nid] {
 			return // cancellation restored the present driven value
 		}
@@ -262,5 +256,4 @@ func (s *EventSim) scheduleCombOutput(nid int32, v logic.V, d int64) {
 		return
 	}
 	s.pending[nid] = s.schedule(event{t: s.now + uint64(d), kind: actNet, net: nid, val: v})
-	s.touchNet(nid)
 }

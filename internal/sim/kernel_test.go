@@ -9,8 +9,8 @@ import (
 )
 
 // TestRestoreRunZeroAllocs pins the kernel's steady state: once an engine
-// has run one faulty tail from a checkpoint, restoring the checkpoint
-// (either flavour) and running the tail again allocates nothing.
+// has run one faulty tail from a checkpoint, restoring the checkpoint and
+// running the tail again allocates nothing.
 func TestRestoreRunZeroAllocs(t *testing.T) {
 	for name, mk := range engines(t) {
 		t.Run(name, func(t *testing.T) {
@@ -25,8 +25,8 @@ func TestRestoreRunZeroAllocs(t *testing.T) {
 			eng := mk()
 			n1, ff0 := netID(t, eng.Flat(), "n1"), cellIDByPath(t, eng, "u_ff0")
 			var err error
-			tail := func(restore func(*Checkpoint) error) {
-				if err = restore(ck); err != nil {
+			tail := func() {
+				if err = eng.Restore(ck); err != nil {
 					return
 				}
 				eng.ScheduleForce(5100, n1, logic.L1)
@@ -35,21 +35,16 @@ func TestRestoreRunZeroAllocs(t *testing.T) {
 					err = eng.Run(last * period)
 				}
 			}
-			for _, r := range []struct {
-				name    string
-				restore func(*Checkpoint) error
-			}{{"Restore", eng.Restore}, {"RestoreDelta", eng.RestoreDelta}} {
-				tail(r.restore) // warm: the arena and buffers reach their size
-				allocs := testing.AllocsPerRun(20, func() { tail(r.restore) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if eng.CellEvals() <= ck.Evals {
-					t.Fatalf("%s: the tail evaluated no cells", r.name)
-				}
-				if allocs != 0 {
-					t.Errorf("%s + tail Run: %v allocations per run, want 0", r.name, allocs)
-				}
+			tail() // warm: the arena and buffers reach their size
+			allocs := testing.AllocsPerRun(20, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.CellEvals() <= ck.Evals {
+				t.Fatal("the tail evaluated no cells")
+			}
+			if allocs != 0 {
+				t.Errorf("Restore + tail Run: %v allocations per run, want 0", allocs)
 			}
 		})
 	}
@@ -118,8 +113,9 @@ func checkQueue(t *testing.T, s *EventSim) {
 }
 
 // TestEventQueueInvariants runs random circuits through glitching inputs,
-// short forced pulses (whose cancellations free slots mid-run) and both
-// restore flavours, checking the arena invariants at every cycle.
+// short forced pulses (whose cancellations free slots mid-run) and
+// repeated restores of one engine, checking the arena invariants at every
+// cycle.
 func TestEventQueueInvariants(t *testing.T) {
 	rng := xrand.New(7)
 	const period, cycles = 4000, 10
@@ -147,8 +143,8 @@ func TestEventQueueInvariants(t *testing.T) {
 		if err := s.Run(cycles * period); err != nil {
 			t.Fatal(err)
 		}
-		for i, restore := range []func(*Checkpoint) error{s.Restore, s.RestoreDelta, s.RestoreDelta} {
-			if err := restore(ck); err != nil {
+		for i := 0; i < 3; i++ {
+			if err := s.Restore(ck); err != nil {
 				t.Fatal(err)
 			}
 			checkQueue(t, s)
@@ -171,8 +167,9 @@ func TestEventQueueInvariants(t *testing.T) {
 
 // TestRestoreDeltaRevivesCancelledTransition takes a checkpoint while the
 // flops' outputs are in flight, cancels one of those transitions with an
-// upset, and requires RestoreDelta to bring it back: the engine matches
-// the checkpoint again and replays the full restore's samples.
+// upset, and requires restoring the same engine to bring it back: the
+// engine matches the checkpoint again and replays a fresh restore's
+// samples.
 func TestRestoreDeltaRevivesCancelledTransition(t *testing.T) {
 	const last = 12
 	f := counterDesign(t)
@@ -208,11 +205,11 @@ func TestRestoreDeltaRevivesCancelledTransition(t *testing.T) {
 	if p := eng.pending[netID(t, f, "q0")]; p >= 0 {
 		t.Fatalf("the upset left q0's transition in flight (slot %d)", p)
 	}
-	if err := eng.RestoreDelta(ck); err != nil {
+	if err := eng.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
 	if !eng.MatchesCheckpoint(ck) {
-		t.Fatal("delta-restored engine does not match the checkpoint")
+		t.Fatal("re-restored engine does not match the checkpoint")
 	}
 	checkQueue(t, eng)
 	got := sampleInto(t, eng, 6, last)
@@ -220,6 +217,6 @@ func TestRestoreDeltaRevivesCancelledTransition(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(*got) != fmt.Sprint(*want) {
-		t.Fatalf("samples after RestoreDelta %v, after Restore %v", *got, *want)
+		t.Fatalf("samples after re-restoring %v, after a fresh restore %v", *got, *want)
 	}
 }

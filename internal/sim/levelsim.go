@@ -92,7 +92,6 @@ func (s *LevelSim) FlipState(cellID int) error {
 	if err := validateSeqCell(s.flat, cellID); err != nil {
 		return err
 	}
-	s.touchCell(int32(cellID))
 	s.state[cellID] = s.state[cellID].Not()
 	return s.settleAndCommit()
 }
@@ -108,17 +107,13 @@ func (s *LevelSim) Run(until uint64) error {
 		for next, ok := t, true; ok && next == t; next, ok = s.q.next() {
 			switch a := s.q.pop(); a.kind {
 			case actInput:
-				s.touchNet(a.net)
 				s.inputVal[a.net] = a.val
 			case actForce:
-				s.touchNet(a.net)
 				s.forced[a.net] = true
 				s.forcedVal[a.net] = a.val
 			case actRelease:
-				s.touchNet(a.net)
 				s.forced[a.net] = false
 			case actFlip:
-				s.touchCell(a.cellID)
 				s.state[a.cellID] = s.state[a.cellID].Not()
 			case actFunc:
 				s.fns = append(s.fns, a.fn)
@@ -178,17 +173,13 @@ func (s *LevelSim) settleAndCommit() error {
 					s.caps = append(s.caps, capture{cell: cid, next: next})
 				}
 			}
-			if s.prevClk[cid] != clkNow {
-				s.touchCell(cid)
-				s.prevClk[cid] = clkNow
-			}
+			s.prevClk[cid] = clkNow
 		}
 		if len(s.caps) == 0 {
 			break
 		}
 		// Phase 2: commit all captures simultaneously, then re-propagate.
 		for _, cp := range s.caps {
-			s.touchCell(cp.cell)
 			s.state[cp.cell] = cp.next
 		}
 	}
@@ -196,7 +187,6 @@ func (s *LevelSim) settleAndCommit() error {
 	s.changed = s.changed[:0]
 	for nid := range s.cur {
 		if s.cur[nid] != s.scratch[nid] {
-			s.touchNet(int32(nid))
 			s.cur[nid] = s.scratch[nid]
 			if s.cbAt[nid] != 0 {
 				s.changed = append(s.changed, int32(nid))

@@ -56,9 +56,8 @@ type bucket struct {
 // them, merged at every pop:
 //
 //   - the run: slots [0, run), the last-loaded checkpoint's entries in list
-//     order, which is key order. A cursor reads it in place; a run slot
-//     never changes after load except for its cancelled flag, and a
-//     consumed one is neither freed nor reused.
+//     order, which is key order. A cursor reads it in place; a consumed
+//     run slot is neither freed nor reused.
 //   - the buckets: every event pushed since the load, in slots past the
 //     run recycled through a free list. Each push takes a larger key than
 //     every earlier one (seq strictly increases, EventSim's phase never
@@ -79,8 +78,7 @@ type queue struct {
 	heap  []entry // the live buckets, keyed by their head event
 	cache [256]int32
 
-	revive []int32 // run slots cancelled since the load
-	live   []entry // sorted's reusable result
+	live []entry // sorted's reusable result
 }
 
 // push schedules e with the next sequence number and returns its slot.
@@ -119,12 +117,7 @@ func (q *queue) push(e event) int32 {
 
 // cancel marks the event in slot i cancelled: it stays queued and pops
 // as a no-op.
-func (q *queue) cancel(i int32) {
-	q.evs[i].cancelled = true
-	if i < q.run {
-		q.revive = append(q.revive, i)
-	}
-}
+func (q *queue) cancel(i int32) { q.evs[i].cancelled = true }
 
 // runFirst reports whether the run's head is the earliest queued event.
 func (q *queue) runFirst() bool {
@@ -203,24 +196,13 @@ func (q *queue) down(j int) {
 }
 
 // load replaces the queue's contents with ck's entries, entry i in run
-// slot i.
+// slot i, and drops every pushed event and bucket. Slots past the old run
+// held pushed events and are cleared, so no callback outlives its run.
 func (q *queue) load(ck *Checkpoint) {
-	q.run = 0 // reload then drops every slot
-	q.reload()
-	q.evs = append(q.evs, ck.evs...)
-	q.run = int32(len(q.evs))
-}
-
-// reload rewinds the queue to the checkpoint it was last loaded from: the
-// cursor returns to the run's start, cancelled run slots revive, and
-// every pushed event and bucket is dropped.
-func (q *queue) reload() {
-	for _, i := range q.revive {
-		q.evs[i].cancelled = false
-	}
 	clear(q.evs[q.run:])
-	q.evs, q.free, q.cursor = q.evs[:q.run], q.free[:0], 0
-	q.bks, q.bfree, q.heap, q.revive = q.bks[:0], q.bfree[:0], q.heap[:0], q.revive[:0]
+	q.evs = append(q.evs[:0], ck.evs...)
+	q.run, q.cursor = int32(len(q.evs)), 0
+	q.free, q.bks, q.bfree, q.heap = q.free[:0], q.bks[:0], q.bfree[:0], q.heap[:0]
 }
 
 // sorted returns the queued data events — cancelled entries and callbacks

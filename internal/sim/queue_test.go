@@ -16,7 +16,7 @@ type refEvent struct {
 // FuzzQueueOrder is the scheduler's order oracle. It decodes the input
 // into interleaved operations on an EventSim's queue — pushes at now+d
 // (d = 0 and times colliding modulo the bucket cache's size included),
-// pops, cancels, run entries, snapshots, full and delta restores, and
+// pops, cancels, run entries, snapshots, restores, and
 // pre-run pushes at the exact time of a queued (restored phase-1) event —
 // and requires every pop to be the minimum (t, phase, seq) of a sorted
 // reference over the same queued set, with the queue's invariants intact
@@ -26,8 +26,8 @@ func FuzzQueueOrder(f *testing.F) {
 	// then a push at the time of the bucket just drained.
 	f.Add([]byte{0, 5, 0, 5, 0, 0, 0, 0x81, 0, 0x85, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1})
 	// Two runs, a mid-run snapshot with events of both phases, a cancel,
-	// a full restore with a pre-run push at a restored phase-1 time, a
-	// delta restore over it, and the same again.
+	// a restore with a pre-run push at a restored phase-1 time, a second
+	// restore over it, and the same again.
 	f.Add([]byte{
 		5, 0, 10, 0, 10, 1, 0, 0, 0, 5, 5, 0, 0, 0, 3, 0, 0x81, 3,
 		1, 1, 2, 0, 6, 8, 0, 0, 5, 0, 0, 2, 2, 1, 1, 1, 1, 1, 1, 1,
@@ -44,14 +44,8 @@ func FuzzQueueOrder(f *testing.F) {
 			i := s.schedule(event{t: at, kind: actInput})
 			ref = append(ref, refEvent{key: entry{t: at, seq: s.q.seq - 1, phase: s.phase, idx: i}})
 		}
-		restore := func(delta bool) {
-			var err error
-			if delta {
-				err = s.RestoreDelta(ck)
-			} else {
-				err = s.Restore(ck)
-			}
-			if err != nil {
+		restore := func() {
+			if err := s.Restore(ck); err != nil {
 				t.Fatal(err)
 			}
 			ref = ref[:0]
@@ -112,9 +106,9 @@ func FuzzQueueOrder(f *testing.F) {
 			case 5: // enter a run: later pushes take the next phase
 				s.phase++
 				s.running = true
-			case 6, 7: // full or delta restore
+			case 6, 7: // restore: load the last snapshot
 				if ck != nil {
-					restore(op%9 == 7)
+					restore()
 				}
 			case 8: // pre-run push at the time of a queued phase-1 event
 				for _, r := range ref {

@@ -69,16 +69,8 @@ type Engine interface {
 	// Restoring is the warm-start primitive: a run resumed from a
 	// checkpoint is bit-identical to one simulated from time zero.
 	Restore(*Checkpoint) error
-	// RestoreDelta is Restore with the wholesale copy replaced by a
-	// dirty-set rewrite when ck is the checkpoint this engine most
-	// recently restored: only the state touched since that restore is
-	// rewritten, and the queue rewinds its cursor over ck's entries,
-	// revives those cancelled since and drops every event added since.
-	// The resulting engine state is bit-identical to a full
-	// Restore(ck); the saving is proportional to how little of the tail
-	// the previous injection actually simulated, which is what lets a
-	// batch of strike-sorted injections sharing one restore point amortize
-	// the restore cost. Any other checkpoint falls back to Restore.
+	// RestoreDelta is a synonym for Restore, kept for callers that still
+	// use the name (the benchmark harness's restore probe).
 	RestoreDelta(*Checkpoint) error
 	// MatchesCheckpoint reports whether the engine's present state is
 	// indistinguishable from the checkpoint (ignoring callbacks and the
@@ -134,9 +126,8 @@ var planeLayout = map[EngineKind]struct{ net, cell, held int }{
 
 // core is what both engines are built on: the design and its compiled
 // program, the clock, the eval counter, the value planes a checkpoint
-// captures, the event queue, the callbacks, and the dirty sets
-// RestoreDelta rewrites from — together with the part of the Engine
-// contract that reads nothing else.
+// captures, the event queue and the callbacks — together with the part of
+// the Engine contract that reads nothing else.
 type core struct {
 	kind      EngineKind
 	flat      *netlist.Flat
@@ -159,16 +150,6 @@ type core struct {
 	// cbAt is 1 + the index in cbs of each net's callbacks, 0 for none.
 	cbAt []int32
 	cbs  []netCallbacks
-
-	// Delta-restore tracking, active once the engine has restored a
-	// checkpoint: every net or cell whose planes mutated since the last
-	// restore is recorded exactly once, so RestoreDelta can rewrite only
-	// those entries.
-	lastRestored *Checkpoint
-	netDirty     []bool
-	cellDirty    []bool
-	dirtyNets    []int32
-	dirtyCells   []int32
 }
 
 // netCallbacks are one net's value-change callbacks in registration order.
@@ -189,8 +170,6 @@ func newCore(kind EngineKind, f *netlist.Flat) core {
 		heldPlane:  layout.held,
 		forced:     make([]bool, len(f.Nets)),
 		cbAt:       make([]int32, len(f.Nets)),
-		netDirty:   make([]bool, len(f.Nets)),
-		cellDirty:  make([]bool, len(f.Cells)),
 	}
 	c.cur, c.state = c.netPlanes[0], c.cellPlanes[0]
 	return c
@@ -256,24 +235,6 @@ func (c *core) State(cellID int) (logic.V, error) {
 
 // CellEvals implements Engine.
 func (c *core) CellEvals() uint64 { return c.cellEvals }
-
-// touchNet records that a net's simulation state (any net plane, its force
-// flag, or an engine-side pending transition) mutated since the last
-// restore. A no-op until the engine first restores a checkpoint.
-func (c *core) touchNet(nid int32) {
-	if c.lastRestored != nil && !c.netDirty[nid] {
-		c.netDirty[nid] = true
-		c.dirtyNets = append(c.dirtyNets, nid)
-	}
-}
-
-// touchCell records a per-cell plane mutation since the last restore.
-func (c *core) touchCell(cid int32) {
-	if c.lastRestored != nil && !c.cellDirty[cid] {
-		c.cellDirty[cid] = true
-		c.dirtyCells = append(c.dirtyCells, cid)
-	}
-}
 
 // validateInput checks that net is a primary input of f.
 func validateInput(f *netlist.Flat, net int) error {
