@@ -660,9 +660,9 @@ func (g *registry) purge(sr *sweepRun) {
 // this coordinator still leads — the journal and the lake, where any
 // future sweep whose plan covers the same range adopts it instead of
 // re-simulating. First wins: once a (fingerprint, range) has landed,
-// later copies — a speculative backup's duplicate, or a stale-epoch
-// completion arriving after a failover — are dropped without touching
-// the journal, so the bytes that merged are the bytes that persist. Only
+// later copies — a speculative backup's duplicate — are dropped without
+// touching the journal, so the bytes that merged are the bytes that
+// persist. A fenced (stale-epoch) completion never gets here. Only
 // an audit correction overwrites: memory explicitly, and the journal by
 // appending, since replay is last-record-wins.
 func (g *registry) record(fp string, p *shard.Partial, overwrite bool) {
@@ -999,14 +999,13 @@ func (g *registry) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if err := sr.pool.Complete(fp, req.LeaseID, req.Epoch, req.Partial, g.now()); err != nil {
 		if errors.Is(err, shard.ErrStaleEpoch) {
 			// A completion leased by a deposed coordinator for a shard this
-			// one already has. The journal offer is harmless — first-wins
-			// dedupe drops it when (as always here) the live copy landed
-			// first — but the worker learns its lease died with the old
-			// epoch, distinctly from an ordinary duplicate.
+			// one already has. It is not recorded — the shard is done, and
+			// only accepted results are stored — but the worker learns its
+			// lease died with the old epoch, distinctly from an ordinary
+			// duplicate.
 			g.tracer.Instant("fenced", "coord", 0, int64(req.Partial.Index), map[string]any{
 				"campaign": shard.Short(fp), "shard": req.Partial.Index, "epoch": req.Epoch,
 			})
-			g.record(fp, req.Partial, false)
 			capi.WriteError(w, http.StatusConflict, capi.CodeStaleEpoch, "%v", err)
 			return
 		}

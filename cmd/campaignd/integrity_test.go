@@ -35,7 +35,27 @@ import (
 // out byte-identical to the clean in-process reference, and the
 // observability surface must show the whole story: integrity rejects,
 // audit divergences, and fleet_workers{state="quarantined"}.
+//
+// The scenario runs with and without the artifact lake. With it, every
+// audit must still re-simulate (a stored result must never stand in for
+// a vote), and the lake must end up holding the audited majority: a
+// fresh coordinator on the same lake, with no workers, completes the
+// grid from it byte-identically.
 func TestIntegritySmoke(t *testing.T) {
+	for _, lakeOn := range []bool{false, true} {
+		name := "lake=off"
+		if lakeOn {
+			name = "lake=on"
+		}
+		t.Run(name, func(t *testing.T) { integritySmoke(t, lakeOn) })
+	}
+}
+
+func integritySmoke(t *testing.T, lakeOn bool) {
+	var lakeDir string
+	if lakeOn {
+		lakeDir = filepath.Join(t.TempDir(), "lake")
+	}
 	ec := ssresf.DefaultExperimentConfig(true)
 	want := inProcessLETReference(t, ec, []int{1})
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
@@ -54,6 +74,7 @@ func TestIntegritySmoke(t *testing.T) {
 		linger:   15 * time.Second,
 		queue:    shard.QueueConfig{AuditFrac: 1},
 		obsReg:   reg,
+		lakeDir:  lakeDir,
 	}, serveOut)
 
 	client := capi.NewClient(url)
@@ -89,7 +110,7 @@ func TestIntegritySmoke(t *testing.T) {
 	cleanErr := make(chan error, 1)
 	go func() {
 		faultyErr <- work(ctx, workOpts{url: url, name: "int-faulty", poll: 25 * time.Millisecond,
-			out: faultyOut, tamper: tamper, obsReg: reg})
+			out: faultyOut, tamper: tamper, obsReg: reg, lake: lakeOn})
 	}()
 	for strings.Count(faultyOut.String(), "shard done") < workerStrikeThreshold {
 		select {
@@ -102,11 +123,11 @@ func TestIntegritySmoke(t *testing.T) {
 	}
 	go func() {
 		wireErr <- work(ctx, workOpts{url: url, name: "int-wire", poll: 25 * time.Millisecond,
-			out: wireOut, client: corruptClient, obsReg: reg})
+			out: wireOut, client: corruptClient, obsReg: reg, lake: lakeOn})
 	}()
 	go func() {
 		cleanErr <- work(ctx, workOpts{url: url, name: "int-clean", poll: 25 * time.Millisecond,
-			out: cleanOut, obsReg: reg})
+			out: cleanOut, obsReg: reg, lake: lakeOn})
 	}()
 
 	st, err := client.WaitSweep(ctx, reply.Fingerprint, nil)
@@ -184,6 +205,46 @@ func TestIntegritySmoke(t *testing.T) {
 	stop()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v\n%s", err, serveOut.String())
+	}
+	if !lakeOn {
+		return
+	}
+
+	// The lake holds what the coordinator accepted after the audits: a
+	// fresh coordinator with no workers must complete a resubmission from
+	// it alone — any shard the lake lacks would wait forever — and render
+	// the clean reference bytes, not a tampered verdict.
+	freshOut := &safeBuf{}
+	freshURL, freshErr, stopFresh := startServe(t, serveOpts{
+		shards:   2,
+		leaseTTL: time.Minute,
+		linger:   15 * time.Second,
+		lakeDir:  lakeDir,
+	}, freshOut)
+	fresh := capi.NewClient(freshURL)
+	reply, err = fresh.Submit(ctx, quickLETParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, cancelWait := context.WithTimeout(ctx, 2*time.Minute)
+	defer cancelWait()
+	st, err = fresh.WaitSweep(waitCtx, reply.Fingerprint, nil)
+	if err != nil {
+		t.Fatalf("lake-resumed sweep never completed without workers: %v\nserve:\n%s", err, freshOut.String())
+	}
+	if st.State != capi.StateDone {
+		t.Fatalf("lake-resumed sweep ended %q (%s), want done\nserve:\n%s", st.State, st.Error, freshOut.String())
+	}
+	got, err = fresh.Results(ctx, reply.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("lake-resumed output diverges from clean reference:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	stopFresh()
+	if err := <-freshErr; err != nil {
+		t.Fatalf("lake-resumed serve: %v\n%s", err, freshOut.String())
 	}
 }
 

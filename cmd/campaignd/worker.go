@@ -23,7 +23,7 @@ type workOpts struct {
 	poll       time.Duration
 	maxOffline time.Duration // 0: fall back to the attempt-count budget
 	push       time.Duration // metrics-push cadence to the coordinator; 0 = no pushing
-	lake       bool          // use the coordinator's artifact lake (fetch golden builds, share partials)
+	lake       bool          // use the coordinator's artifact lake (fetch and publish golden builds)
 	client     *capi.Client  // nil: a default client for url (tests inject chaos transports)
 	out        io.Writer
 
@@ -50,7 +50,7 @@ func runWork(args []string) error {
 	poll := fs.Duration("poll", 2*time.Second, "base idle polling interval; idle polls back off exponentially (jittered, capped at 20x) and reset on the next lease")
 	maxOffline := fs.Duration("max-offline", 0, "give up (non-zero exit) once the coordinator has been continuously unreachable this long; 0 bounds by attempt count instead")
 	push := fs.Duration("push", 5*time.Second, "push this worker's metrics to the coordinator's federation endpoint (GET /metrics/fleet) at this interval; 0 disables")
-	useLake := fs.Bool("lake", true, "use the coordinator's artifact lake when it serves one: fetch golden builds other processes already ran, publish this worker's, and share finished shard partials; any lake error falls back to local computation")
+	useLake := fs.Bool("lake", true, "use the coordinator's artifact lake when it serves one: fetch golden builds other processes already ran and publish this worker's; any lake error falls back to a local build")
 	debugAddr := fs.String("debug-addr", "", "serve GET /metrics and net/http/pprof on this address (workers serve no API, so this is their only scrape target)")
 	tracePath := fs.String("trace", "", "write the shard-lifecycle span journal as Chrome trace_event JSON to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -88,14 +88,15 @@ const idleBackoffFactor = 20
 // serves. It builds each distinct campaign once (golden run +
 // checkpoints + plan) and reuses it across all of that campaign's
 // shards — the coordinator's affinity scheduling keeps handing this
-// worker the campaign it has already built — and memoizes finished
-// partials, so a requeued shard it already computed is answered from
-// cache. While a shard executes, a heartbeat goroutine renews the lease
-// at a third of its TTL, so a shard outrunning the lease is never
-// re-issued. The loop exits cleanly when the coordinator reports itself
-// drained (every sweep terminal) or the context is cancelled, and with
-// an error when the coordinator stays unreachable past the -max-offline
-// window (or, without one, for maxConsecutiveFailures rounds).
+// worker the campaign it has already built. Every leased shard is
+// simulated: finished results are stored only by the coordinator, once
+// accepted, so an audit lease is a real re-execution. While a shard
+// executes, a heartbeat goroutine renews the lease at a third of its
+// TTL, so a shard outrunning the lease is never re-issued. The loop
+// exits cleanly when the coordinator reports itself drained (every
+// sweep terminal) or the context is cancelled, and with an error when
+// the coordinator stays unreachable past the -max-offline window (or,
+// without one, for maxConsecutiveFailures rounds).
 func work(ctx context.Context, opts workOpts) error {
 	logger := newLogger(opts.out).With("worker", opts.name)
 	reg := opts.obsReg
@@ -139,15 +140,13 @@ func work(ctx context.Context, opts workOpts) error {
 		client.Obs = reg
 	}
 	if opts.lake {
-		// Lake-backed backends: claim-or-fetch golden builds instead of
-		// always simulating them, and share finished partials fleet-wide.
-		// The worker's own lake_* counters land on reg, so -push federates
-		// them into the coordinator's /metrics/fleet view. A coordinator
-		// without a lake answers 404, which the backends treat as a miss —
-		// the executor then behaves exactly as without a lake.
-		lm := lake.NewMetrics(reg)
-		exec.SetBuilder(lake.NewClientBuilder(client, opts.name, lm))
-		exec.SetPartialCache(lake.NewClientPartials(client, lm))
+		// Lake-backed builder: claim-or-fetch golden builds instead of
+		// always simulating them. The worker's own lake_* counters land on
+		// reg, so -push federates them into the coordinator's
+		// /metrics/fleet view. A coordinator without a lake answers 404,
+		// which the builder treats as a miss — the executor then behaves
+		// exactly as without a lake.
+		exec.SetBuilder(lake.NewClientBuilder(client, opts.name, lake.NewMetrics(reg)))
 	}
 	// Metrics federation: push the registry's exposition to the
 	// coordinator on a fixed cadence (the coordinator derives the
@@ -241,7 +240,6 @@ func work(ctx context.Context, opts workOpts) error {
 			continue
 		}
 		idle.Reset()
-		hitsBefore := exec.CacheHits()
 		stopRenew := startRenewal(ctx, client, opts, lease)
 		var p *shard.Partial
 		if opts.failShard != nil {
@@ -276,7 +274,6 @@ func work(ctx context.Context, opts workOpts) error {
 		if opts.tamper != nil {
 			opts.tamper(p)
 		}
-		cached := exec.CacheHits() > hitsBefore
 		if err := client.Complete(ctx, lease.Spec.Fingerprint, lease.ID, lease.Epoch, p); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -286,15 +283,15 @@ func work(ctx context.Context, opts workOpts) error {
 			// identical, so dropping ours is harmless), or it stayed
 			// unreachable through the client's retries. Both drop and poll
 			// on: an outage is ridden out by the lease loop's failure
-			// budget, the executor's result cache answers a re-issued copy
-			// of this shard instantly, and dying here would throw away the
+			// budget, a re-issued copy of this shard re-simulates on the
+			// still-built campaign, and dying here would throw away the
 			// worker's warm golden runs over a transient blip.
 			logger.Warn("shard dropped", "campaign", shard.Short(lease.Spec.Fingerprint), "shard", lease.Spec.Index, "err", err)
 			continue
 		}
 		logger.Info("shard done", "campaign", shard.Short(lease.Spec.Fingerprint), "shard", lease.Spec.Index,
 			"range", fmt.Sprintf("[%d,%d)", lease.Spec.Start, lease.Spec.End),
-			"injections", len(p.Injections), "cached", cached)
+			"injections", len(p.Injections))
 	}
 }
 

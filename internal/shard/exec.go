@@ -121,36 +121,32 @@ func runJobsRecovering(b *Built, res *inject.Result, start, end int) (err error)
 
 // maxCachedCampaigns bounds the executor's per-campaign memory: a
 // worker draining a long sweep would otherwise retain every campaign's
-// golden run and every computed partial for the whole process lifetime.
-// Eviction is least-recently-used by campaign; an evicted campaign that
-// comes back is rebuilt and re-simulated — always correct, just slower,
-// and the coordinator's affinity scheduling makes it rare.
+// golden run for the whole process lifetime. Eviction is
+// least-recently-used by campaign; an evicted campaign that comes back
+// is rebuilt — always correct, just slower, and the coordinator's
+// affinity scheduling makes it rare.
 const maxCachedCampaigns = 4
 
 // Executor executes shards on the local process, building each distinct
 // campaign (golden run, checkpoints, plan) at most once and reusing it
 // across all of that campaign's shards — the worker-process analogue of
-// the per-goroutine engine reuse inside a campaign. It also memoizes
-// every computed partial by (fingerprint, range): a shard whose lease
-// expired while this worker was still computing it gets re-issued, and
-// if it comes back to the same worker (common under golden-run-affinity
-// scheduling) the finished result is served from cache instead of
-// re-simulated. Execution is deterministic, so a cached partial is
-// bit-identical to a fresh one. Both caches hold at most
-// maxCachedCampaigns campaigns, least-recently-used first out.
+// the per-goroutine engine reuse inside a campaign. The cache holds at
+// most maxCachedCampaigns campaigns, least-recently-used first out.
+//
+// The executor keeps no finished partials: every ExecuteFor simulates.
+// Results are stored only by the coordinator, after it has accepted
+// them, so an audit lease always re-executes its shard instead of
+// replaying an earlier vote.
 type Executor struct {
 	mu       sync.Mutex
 	built    map[string]*Built
 	building map[string]*buildState
-	results  MemPartials
 	recent   []string       // campaign fingerprints, most recent first
 	pins     map[string]int // in-flight ExecuteFor calls per campaign
-	hits     uint64
 	m        *Metrics
 	tracer   *obs.Tracer
 	tune     func(*inject.Options)
 	builder  Builder
-	partials PartialCache
 
 	// execMu serializes actual shard simulation: a shard already fans out
 	// over all cores internally, so concurrent simulations would only
@@ -176,7 +172,6 @@ func NewExecutor() *Executor {
 	return &Executor{
 		built:    map[string]*Built{},
 		building: map[string]*buildState{},
-		results:  MemPartials{},
 		pins:     map[string]int{},
 	}
 }
@@ -189,17 +184,14 @@ func (e *Executor) SetBuilder(b Builder) {
 	e.builder = b
 }
 
-// SetPartialCache installs the fleet-wide result-cache backend; nil
-// disables it.
-func (e *Executor) SetPartialCache(pc PartialCache) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.partials = pc
-}
+// SetPartialCache does nothing: the executor stores no finished partials.
+//
+// Deprecated: results are stored only by the coordinator once accepted.
+func (e *Executor) SetPartialCache(PartialCache) {}
 
-// SetMetrics attaches obs instrumentation: cache-hit counting on m, and
-// "golden" (campaign build) / "execute" (per shard, tid = shard index)
-// spans on tr. Pass nils to detach.
+// SetMetrics attaches obs instrumentation: the registry behind m carries
+// the per-sweep cost series, and tr gets "golden" (campaign build) /
+// "execute" (per shard, tid = shard index) spans. Pass nils to detach.
 func (e *Executor) SetMetrics(m *Metrics, tr *obs.Tracer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -217,18 +209,11 @@ func (e *Executor) SetTune(tune func(*inject.Options)) {
 	e.tune = tune
 }
 
-func (e *Executor) met() *Metrics {
-	if e.m != nil {
-		return e.m
-	}
-	return noMetrics
-}
-
 // touch marks a campaign most-recently-used and evicts the stalest
-// campaigns (their build and cached partials) beyond the cache bound.
-// Campaigns pinned by an in-flight ExecuteFor are never evicted — a
-// batch mid-simulation must keep its golden checkpoints — so the cache
-// may transiently exceed the bound while everything in it is in use.
+// campaigns' builds beyond the cache bound. Campaigns pinned by an
+// in-flight ExecuteFor are never evicted — a batch mid-simulation must
+// keep its golden checkpoints — so the cache may transiently exceed the
+// bound while everything in it is in use.
 // Callers hold e.mu.
 func (e *Executor) touch(fp string) {
 	found := false
@@ -251,7 +236,6 @@ func (e *Executor) touch(fp string) {
 		}
 		e.recent = append(e.recent[:i], e.recent[i+1:]...)
 		delete(e.built, evict)
-		delete(e.results, evict)
 		over--
 	}
 }
@@ -266,12 +250,11 @@ func (e *Executor) Adopt(b *Built) {
 	e.touch(b.Fingerprint)
 }
 
-// ExecuteFor runs one shard, building its campaign on first use and
-// serving an already-computed (fingerprint, range) from the result cache.
-// Execution is serialized: a shard already fans out over all cores
-// internally, so concurrent calls would only thrash. The shard's spend
-// is attributed to sweep, the fp12 from Lease.Sweep: the executed
-// partial's Work, the shard wall and cache hits are counted into
+// ExecuteFor runs one shard, building its campaign on first use, and
+// always simulates it. Execution is serialized: a shard already fans out
+// over all cores internally, so concurrent calls would only thrash. The
+// shard's spend is attributed to sweep, the fp12 from Lease.Sweep: the
+// executed partial's Work and the shard wall are counted into
 // sweep_cost_* series labeled with it; empty disables attribution.
 // Attribution is pure accounting — the computed Partial is bit-identical
 // either way.
@@ -290,16 +273,6 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 	if reg == nil {
 		sweep = ""
 	}
-	if p := Adopt(e.results, sp); p != nil {
-		e.hits++
-		e.met().CacheHits.Inc()
-		if sweep != "" {
-			reg.NewCounter("sweep_cost_cache_hits_total", "Executor cache hits attributed to the sweep.", "sweep", sweep).Inc()
-		}
-		e.touch(fp)
-		e.mu.Unlock()
-		return p, nil
-	}
 	// Pin the campaign for the rest of the call: eviction skips pinned
 	// fingerprints, so the Built (and its golden checkpoints) cannot be
 	// dropped out from under this shard by concurrent Adopt/ExecuteFor
@@ -313,19 +286,10 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 		e.mu.Unlock()
 	}()
 	b, err := e.campaignFor(fp, sp)
-	pc := e.partials
 	hook := e.execHook
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-
-	// Fleet-wide partial cache: a finished result published by any process
-	// for this exact (fingerprint, range) is bit-identical to what this
-	// shard would compute, so adopt it instead of re-simulating.
-	if p := Adopt(pc, sp); p != nil {
-		e.remember(fp, p)
-		return p, nil
 	}
 
 	if hook != nil {
@@ -349,20 +313,7 @@ func (e *Executor) ExecuteFor(sp Spec, sweep string) (*Partial, error) {
 		"campaign": Short(fp), "shard": sp.Index, "start": sp.Start, "end": sp.End,
 	})
 	e.execMu.Unlock()
-
-	e.remember(fp, p)
-	if pc != nil {
-		pc.PutPartial(fp, p)
-	}
 	return p, nil
-}
-
-// remember files a finished partial in the result cache.
-func (e *Executor) remember(fp string, p *Partial) {
-	e.mu.Lock()
-	e.results.PutPartial(fp, p)
-	e.touch(fp)
-	e.mu.Unlock()
 }
 
 // campaignFor returns the Built for fp, building it via the installed
@@ -417,12 +368,4 @@ func (e *Executor) campaignFor(fp string, sp Spec) (*Built, error) {
 		close(st.done)
 		return b, err
 	}
-}
-
-// CacheHits reports how many ExecuteFor calls were served from the result
-// cache instead of re-simulating.
-func (e *Executor) CacheHits() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits
 }

@@ -139,77 +139,3 @@ func TestExecutorBuilderSeamGoldenSpan(t *testing.T) {
 		}
 	}
 }
-
-// mapPartials is an in-memory PartialCache.
-type mapPartials struct {
-	store MemPartials
-	puts  int
-}
-
-func (m *mapPartials) GetPartial(fp string, start, end int) *Partial {
-	return m.store.GetPartial(fp, start, end)
-}
-
-func (m *mapPartials) PutPartial(fp string, p *Partial) {
-	m.puts++
-	cp := *p
-	m.store.PutPartial(fp, &cp)
-}
-
-// TestExecutorPartialCache covers the fleet-wide memoization seam: a
-// partial published for (fp, range) is adopted without re-simulation
-// (with the shard index rewritten for the adopting plan), and computed
-// partials are published back.
-func TestExecutorPartialCache(t *testing.T) {
-	cs := testSpec("EventSim", 0.05)
-	fp := fpOf(t, cs)
-	specs, err := Plan(cs, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := &mapPartials{store: MemPartials{}}
-
-	producer := NewExecutor()
-	producer.SetPartialCache(pc)
-	p0, err := producer.ExecuteFor(specs[0], "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc.puts != 1 {
-		t.Fatalf("producer published %d partials, want 1", pc.puts)
-	}
-
-	// A different process replanned the same campaign so the range is the
-	// same but the shard index differs.
-	published := pc.store.GetPartial(fp, specs[0].Start, specs[0].End)
-	published.Index = 7
-
-	consumer := NewExecutor()
-	consumer.SetPartialCache(pc)
-	cb := &countingBuilder{inner: LocalBuilder{}}
-	consumer.SetBuilder(cb)
-	got, err := consumer.ExecuteFor(specs[0], "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Index != specs[0].Index {
-		t.Fatalf("adopted partial kept foreign shard index %d, want %d", got.Index, specs[0].Index)
-	}
-	if len(got.Injections) != len(p0.Injections) {
-		t.Fatal("adopted partial does not match the produced one")
-	}
-	for i := range got.Injections {
-		if got.Injections[i] != p0.Injections[i] {
-			t.Fatalf("injection %d differs between produced and adopted partial", i)
-		}
-	}
-	// The campaign still had to be built (the golden run is a separate
-	// artifact), but the shard itself must not have been re-simulated —
-	// puts stays at 1 because an adopted partial is not re-published.
-	if pc.puts != 1 {
-		t.Fatalf("consumer re-published an adopted partial (puts=%d)", pc.puts)
-	}
-	if cb.builds != 1 {
-		t.Fatalf("consumer built %d times, want 1", cb.builds)
-	}
-}

@@ -17,7 +17,6 @@ type Metrics struct {
 	Expiries   *obs.Counter
 	Fenced     *obs.Counter
 	Speculated *obs.Counter
-	CacheHits  *obs.Counter
 	// Integrity & quarantine family: completions refused on checksum
 	// mismatch, audits opened, audits that diverged, shards quarantined
 	// after exhausting their attempt bound, and worker-reported execution
@@ -47,7 +46,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Expiries:   r.NewCounter("shard_lease_expiries_total", "Leases expired and requeued (or handed to a backup)."),
 		Fenced:     r.NewCounter("shard_fenced_total", "Completions refused with a stale coordinator epoch."),
 		Speculated: r.NewCounter("shard_speculated_total", "Straggler shards re-issued as speculative backup leases."),
-		CacheHits:  r.NewCounter("shard_cache_hits_total", "Executor golden-run/result cache hits."),
 		IntegrityRejects: r.NewCounter("shard_integrity_rejects_total",
 			"Completions refused because the partial's integrity checksum did not match its bytes."),
 		Audits: r.NewCounter("shard_audits_total", "Completed shards sampled for audit re-execution."),

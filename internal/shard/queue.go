@@ -559,9 +559,9 @@ func (q *Queue) maybeOpenAudit(l *Lease, p *Partial, now time.Time) {
 
 // pickAudit returns the lowest-indexed open audit this worker may vote
 // on, -1 when none. A worker that has already voted on an audit is
-// excluded from it while other workers could still claim it: executors
-// cache computed partials, so a repeat vote would just replay the first
-// one — and letting the original worker back in would let a faulty
+// excluded from it while other workers could still claim it: a repeat
+// vote re-simulates on the same machine, so it checks nothing about that
+// machine — and letting the original worker back in would let a faulty
 // worker second its own wrong verdict into a majority. Repeat voters are
 // only allowed after a full lease TTL of nobody else claiming the audit,
 // so a lone surviving worker can still settle. Callers hold q.mu.

@@ -134,45 +134,6 @@ func TestExecutorReusesBuiltCampaign(t *testing.T) {
 	}
 }
 
-// TestExecutorResultCache pins the requeued-shard satellite: a shard the
-// worker already finished is served from the (fingerprint, range) cache
-// instead of re-simulated, and the cached partial is the same object the
-// first execution produced.
-func TestExecutorResultCache(t *testing.T) {
-	cs := testSpec("EventSim", 0.05)
-	b := mustBuild(t, cs)
-	specs, err := Plan(cs, 2, len(b.Jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := NewExecutor()
-	ex.Adopt(b)
-	first, err := ex.ExecuteFor(specs[0], "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.CacheHits() != 0 {
-		t.Fatalf("cache hit before any repeat: %d", ex.CacheHits())
-	}
-	again, err := ex.ExecuteFor(specs[0], "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.CacheHits() != 1 {
-		t.Fatalf("repeat execution recorded %d cache hits, want 1", ex.CacheHits())
-	}
-	if again != first {
-		t.Fatal("repeat execution did not return the cached partial")
-	}
-	// A different range of the same campaign is a miss.
-	if _, err := ex.ExecuteFor(specs[1], ""); err != nil {
-		t.Fatal(err)
-	}
-	if ex.CacheHits() != 1 {
-		t.Fatalf("distinct range counted as a cache hit: %d", ex.CacheHits())
-	}
-}
-
 // TestExecutorEvictsStaleCampaigns pins the cache bound: an executor
 // draining a long sweep keeps at most maxCachedCampaigns campaigns'
 // builds and partials, evicting least-recently-used first.
