@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 # race re-runs the concurrency-heavy packages — the shard queue, sweep
-# pool, wire client, journal tailer, metrics registry, the SVM's parallel
+# pool, wire client, journal store, metrics registry, the SVM's parallel
 # cross-validation folds and the coordinator itself — under the race
 # detector. This list also covers every package the integrity &
 # quarantine subsystem touches (shard checksums/audits, capi typed
@@ -80,15 +80,19 @@ sweep-smoke:
 	$(GO) test ./cmd/campaignd -run '^(TestSweepSmokeByteIdentical|TestAPISubmitSmoke)$$' -count=1 -v
 
 # chaos-smoke is the robustness gate: a leader crash-stopped mid-grid
-# with a warm standby taking over from the journal (byte-identical
-# output, zero re-simulation, stale-epoch completions fenced), a sweep
-# drained through fault-injecting HTTP transports (drops, resets, 503s,
-# duplicated POSTs, delays — every class asserted to have actually fired
-# via the chaos_injected_total scrape), and a straggler shard re-issued
+# with a warm standby that watched its leader lease taking over and
+# replaying the journal (byte-identical output, zero re-simulation,
+# stale-epoch completions fenced), a sweep drained through
+# fault-injecting HTTP transports (drops, resets, 503s, duplicated POSTs,
+# delays — every class asserted to have actually fired via the
+# chaos_injected_total scrape), and a straggler shard re-issued
 # speculatively — all under the race detector. Together the three runs
 # leave the fenced, speculated and client-retry series provably nonzero.
+# The failover runs three more times on its own, so a takeover that
+# passes only by luck of timing fails here.
 chaos-smoke:
 	$(GO) test ./cmd/campaignd -race -run '^(TestCoordinatorFailover|TestSweepUnderChaos|TestSpeculationObserved)$$' -count=1 -v
+	$(GO) test ./cmd/campaignd -race -run '^TestCoordinatorFailover$$' -count=3 -v
 
 # obs-smoke is the observability gate: a quick sweep drained end to end
 # with metrics, tracing and the pprof debug server enabled; /metrics is

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/capi"
 	"repro/internal/inject"
+	"repro/internal/lake"
 	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/shard"
@@ -1015,6 +1016,116 @@ func TestTerminalMarkerProtectsSharedCampaigns(t *testing.T) {
 	if len(loaded[cfpOf(t, csC)]) != 0 {
 		t.Fatal("the API-only campaign's records survived its terminal marker")
 	}
+}
+
+// TestDeadRegistryLeavesJournal: once a coordinator has crash-stopped,
+// its journal belongs to the successor, so neither a terminal marker nor
+// a purge — whose compaction rewrites the file — may touch it.
+func TestDeadRegistryLeavesJournal(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	store, err := runstore.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	g := newRegistry(serveOpts{shards: 1, leaseTTL: time.Minute}, 0, store, nil, &syncWriter{w: io.Discard})
+	cs := e2eSpec()
+	spec := sweep.SweepSpec{Name: "api", Items: []sweep.Item{{Key: "c", Campaign: cs}}}
+	pool, err := sweep.NewPoolWith(spec, time.Minute, shard.QueueConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := &sweepRun{fp: sfpOf(t, spec), grid: sweep.Grid{Spec: spec}, pool: pool, cfps: []string{cfpOf(t, cs)}, state: capi.StateDone, stop: make(chan struct{})}
+	g.sweeps[sr.fp], g.order, g.byCamp[sr.cfps[0]] = sr, []*sweepRun{sr}, sr
+	if err := store.Append(sr.cfps[0], stubSpecPartial()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g.markDead()
+	g.markJournalTerminal(sr)
+	g.purge(sr)
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("a crash-stopped registry rewrote the journal:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+}
+
+// TestRecordWritesEachPlaceOnce drives registry.record, the one writer of
+// finished partials, against a journal and a lake with no HTTP: a first
+// completion lands once in memory, the journal and the lake; a duplicate
+// writes nothing; an audit correction overwrites memory and the lake and
+// appends a second journal record; a dead registry writes memory only.
+func TestRecordWritesEachPlaceOnce(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "j.jsonl")
+	store, err := runstore.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	lk, err := lake.Open(filepath.Join(dir, "lake"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newRegistry(serveOpts{shards: 1, leaseTTL: time.Minute}, 0, store, nil, &syncWriter{w: io.Discard})
+	g.lake = lk
+
+	const fp = "fp-record"
+	partial := func(path string, start int) *shard.Partial {
+		return &shard.Partial{Start: start, End: start + 1, Injections: []inject.Injection{{CellID: start, Path: path}}}
+	}
+	// expect checks where a range stands: the partial memory holds, the
+	// path the journal's replay and the lake answer ("" = absent), and
+	// how many records the journal has in all.
+	expect := func(step string, want *shard.Partial, journaled, inLake string, records int) {
+		t.Helper()
+		if got := g.journaled.GetPartial(fp, want.Start, want.End); got != want {
+			t.Fatalf("%s: memory holds %+v, want %+v", step, got, want)
+		}
+		loaded, _, err := runstore.LoadAll(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pathOf := func(p *shard.Partial) string {
+			if p == nil {
+				return ""
+			}
+			return p.Injections[0].Path
+		}
+		if got := pathOf(loaded.GetPartial(fp, want.Start, want.End)); got != journaled {
+			t.Fatalf("%s: journal replays %q, want %q", step, got, journaled)
+		}
+		if got := pathOf(lake.NewStorePartials(lk).GetPartial(fp, want.Start, want.End)); got != inLake {
+			t.Fatalf("%s: lake answers %q, want %q", step, got, inLake)
+		}
+		raw, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Count(raw, []byte("\n")); got != records {
+			t.Fatalf("%s: journal has %d records, want %d", step, got, records)
+		}
+	}
+
+	first, dup := partial("first", 0), partial("dup", 0)
+	g.record(fp, first, false)
+	expect("first completion", first, "first", "first", 1)
+	g.record(fp, dup, false)
+	expect("duplicate", first, "first", "first", 1)
+	g.record(fp, dup, true)
+	expect("audit correction", dup, "dup", "dup", 2)
+
+	g.markDead()
+	late := partial("late", 1)
+	g.record(fp, late, false)
+	expect("dead registry", late, "", "", 2)
 }
 
 // cfpOf computes a campaign fingerprint, failing the test on error.

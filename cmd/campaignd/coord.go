@@ -69,13 +69,10 @@ type registry struct {
 	sweeps map[string]*sweepRun // by sweep fingerprint
 	order  []*sweepRun          // submission order
 	byCamp map[string]*sweepRun // campaign fingerprint -> owning sweep
-	// Finished partials live in one ordered tier list. tiers[0] is
-	// journaled, the in-memory map (behind mu): authoritative, first
-	// completion wins. Behind it, in write-through order, the journal
-	// (write-only at runtime — it was replayed into memory at startup)
-	// and the artifact lake, each present only when configured.
+	// journaled holds every accepted partial (behind mu): authoritative,
+	// first completion wins. record alone writes it, and behind it the
+	// journal (read once, by serve's Replay at startup) and the lake.
 	journaled shard.MemPartials
-	tiers     shard.Tiers
 	store     *runstore.Store // nil = no journal
 	shards    int
 	ttl       time.Duration
@@ -143,31 +140,20 @@ func newRegistry(opts serveOpts, epoch uint64, store *runstore.Store, journaled 
 		g.log.Warn("audit majority replaced shard result", "campaign", shard.Short(fp), "shard", p.Index)
 		g.record(fp, p, true)
 	}
-	g.tiers = shard.Tiers{memTier{g}}
-	if store != nil {
-		g.tiers = append(g.tiers, store.Tier(func(fp string, p *shard.Partial, err error) {
-			// The result is already accepted and merging will proceed; a
-			// journal write failure only weakens crash recovery.
-			g.log.Warn("journal append failed", "campaign", shard.Short(fp), "shard", p.Index, "err", err)
-		}))
-	}
 	return g
 }
 
-// memTier is the registry's in-memory partials as a cache tier: the same
-// map, taken behind g.mu.
-type memTier struct{ g *registry }
-
-func (t memTier) GetPartial(fp string, start, end int) *shard.Partial {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.g.journaled.GetPartial(fp, start, end)
-}
-
-func (t memTier) PutPartial(fp string, p *shard.Partial) {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	t.g.journaled.PutPartial(fp, p)
+// GetPartial is the lookup Pool.Open restores shards through: memory
+// first, then the lake, where another sweep's plan may have published the
+// range.
+func (g *registry) GetPartial(fp string, start, end int) *shard.Partial {
+	g.mu.Lock()
+	p := g.journaled.GetPartial(fp, start, end)
+	g.mu.Unlock()
+	if p == nil && g.lake != nil {
+		p = lake.NewStorePartials(g.lake).GetPartial(fp, start, end)
+	}
+	return p
 }
 
 // ping nudges the serve loop after any submission or terminal
@@ -291,7 +277,9 @@ func (g *registry) submit(grid sweep.Grid, params json.RawMessage, initial bool)
 // keeps only the latest record per sweep and drops terminal ones, so
 // the journal carries exactly the registry a standby must rebuild.
 func (g *registry) journalSweep(sr *sweepRun, state string) {
-	store := g.journalStore()
+	g.mu.Lock()
+	store, _ := g.durable()
+	g.mu.Unlock()
 	if store == nil {
 		return
 	}
@@ -310,16 +298,20 @@ func (g *registry) journalSweep(sr *sweepRun, state string) {
 	}
 }
 
-// journalStore returns the journal to append to, or nil when there is
-// none — or when this coordinator has crash-stopped: a deposed leader
-// must never write behind its successor's back.
-func (g *registry) journalStore() *runstore.Store {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// durable returns the journal and the lake's partials to write to, each
+// nil when not configured, and both nil once this coordinator has
+// crash-stopped: a deposed leader must never write behind its successor's
+// back. Every journal and lake write the registry makes goes through it.
+// Callers hold g.mu.
+func (g *registry) durable() (*runstore.Store, *lake.Partials) {
 	if g.dead {
-		return nil
+		return nil, nil
 	}
-	return g.store
+	var lp *lake.Partials
+	if g.lake != nil {
+		lp = lake.NewStorePartials(g.lake)
+	}
+	return g.store, lp
 }
 
 // setDraining flips the registry into graceful shutdown: lease and
@@ -483,11 +475,11 @@ func (g *registry) drive(sr *sweepRun) error {
 				return
 			default:
 			}
-			// Every planned shard some tier already holds — this journal's, or
-			// one another sweep's plan published to the lake — restores here:
-			// a resubmitted overlapping sweep completes without re-simulating
-			// what the fleet already ran.
-			nJournaled, err := sr.pool.Open(i, specs, g.tiers)
+			// Every planned shard the registry already holds — in memory from
+			// this journal, or published to the lake by another sweep's plan —
+			// restores here: a resubmitted overlapping sweep completes without
+			// re-simulating what the fleet already ran.
+			nJournaled, err := sr.pool.Open(i, specs, g)
 			if err != nil {
 				buildErr <- err
 				return
@@ -605,7 +597,7 @@ func (g *registry) droppableFingerprints(sr *sweepRun) []string {
 // droppable campaigns.
 func (g *registry) markJournalTerminal(sr *sweepRun) {
 	g.mu.Lock()
-	store := g.store
+	store, _ := g.durable()
 	fps := g.droppableFingerprints(sr)
 	g.mu.Unlock()
 	if store == nil || len(fps) == 0 {
@@ -643,7 +635,7 @@ func (g *registry) purge(sr *sweepRun) {
 			delete(g.byCamp, cfp)
 		}
 	}
-	store := g.store
+	store, _ := g.durable()
 	g.mu.Unlock()
 	// The purged sweep's per-sweep gauges leave the exposition with it.
 	sr.pool.UnregisterObs()
@@ -656,7 +648,7 @@ func (g *registry) purge(sr *sweepRun) {
 	g.log.Info("sweep purged", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp))
 }
 
-// record files an accepted completion in every tier: memory, then — while
+// record is the one writer of finished partials: memory, then — while
 // this coordinator still leads — the journal and the lake, where any
 // future sweep whose plan covers the same range adopts it instead of
 // re-simulating. First wins: once a (fingerprint, range) has landed,
@@ -664,7 +656,8 @@ func (g *registry) purge(sr *sweepRun) {
 // touching the journal, so the bytes that merged are the bytes that
 // persist. A fenced (stale-epoch) completion never gets here. Only
 // an audit correction overwrites: memory explicitly, and the journal by
-// appending, since replay is last-record-wins.
+// appending, since replay is last-record-wins. No lock is held across
+// the journal's fsync or the lake's I/O.
 func (g *registry) record(fp string, p *shard.Partial, overwrite bool) {
 	g.mu.Lock()
 	if !overwrite && g.journaled.GetPartial(fp, p.Start, p.End) != nil {
@@ -672,12 +665,18 @@ func (g *registry) record(fp string, p *shard.Partial, overwrite bool) {
 		return
 	}
 	g.journaled.PutPartial(fp, p)
-	durable := g.tiers[1:]
-	if g.dead {
-		durable = nil
-	}
+	store, lp := g.durable()
 	g.mu.Unlock()
-	durable.PutPartial(fp, p)
+	if store != nil {
+		if err := store.Append(fp, p); err != nil {
+			// The result is already accepted and merging will proceed; a
+			// journal write failure only weakens crash recovery.
+			g.log.Warn("journal append failed", "campaign", shard.Short(fp), "shard", p.Index, "err", err)
+		}
+	}
+	if lp != nil {
+		lp.PutPartial(fp, p)
+	}
 }
 
 // strikeWorker records one lost audit vote against a worker; at
@@ -1108,10 +1107,9 @@ type serveOpts struct {
 	debugAddr string        // pprof + /metrics side server; "" = off
 	tracePath string        // Chrome trace_event JSON written on exit; "" = off
 
-	// Warm-standby preloads: a promoted standby hands serve the state it
-	// tailed out of the journal instead of having serve re-read the file.
-	epoch    uint64         // pre-acquired leader epoch; 0 = acquire at startup
-	replayed *runstore.Fold // replaces runstore.Replay
+	// epoch is a promoted standby's leader epoch, already written to the
+	// lease file; 0 = claim one at startup.
+	epoch uint64
 
 	// Control channels; nil channels never fire.
 	signals <-chan os.Signal // graceful drain trigger (SIGINT/SIGTERM)
@@ -1140,8 +1138,8 @@ func runServe(args []string) error {
 	speculate := fs.Float64("speculate", sweep.DefaultSpeculateFactor, "straggler re-issue: speculatively back up a leased shard once its age exceeds this multiple of the observed average shard duration and the pool is otherwise idle; 0 disables")
 	auditFrac := fs.Float64("audit-frac", 0, "result auditing: re-execute this fraction of completed shards on a different worker and cross-check verdict checksums; divergence is settled by majority vote and outvoted workers are quarantined (0 disables)")
 	maxAttempts := fs.Int("max-attempts", shard.DefaultMaxAttempts, "poison-work bound: executions (primary and speculative) a shard may consume before it is quarantined and its sweep failed instead of hung (0 = unbounded)")
-	standbyFlag := fs.Bool("standby", false, "warm standby: tail -follow's journal, take over serving when the leader lease expires")
-	follow := fs.String("follow", "", "standby: the leader's journal to tail (implies -journal for the takeover)")
+	standbyFlag := fs.Bool("standby", false, "warm standby: watch -follow's leader lease; when it expires, take over serving and replay the journal")
+	follow := fs.String("follow", "", "standby: the leader's journal, whose .leader lease it watches (implies -journal for the takeover)")
 	out := fs.String("out", "", "single campaign: write the merged result JSON here; sweep: write the rendered tables here")
 	outDir := fs.String("outdir", "", "sweep: write each campaign's merged result JSON into this directory, named by campaign key")
 	debugAddr := fs.String("debug-addr", "", "also serve GET /metrics and net/http/pprof on this side address (the API mux serves /metrics regardless)")
@@ -1288,46 +1286,41 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	}
 	rm := runstore.NewMetrics(reg)
 
+	// Leadership: with a journal, serve runs under a fenced epoch recorded
+	// in the journal's .leader file and stamped on every lease. A promoted
+	// standby arrives with its epoch already written (opts.epoch); a fresh
+	// leader claims the file's epoch + 1, and refuses a journal another
+	// leader still holds before it reads or compacts the file.
+	epoch := opts.epoch
+	leaderPath := opts.journal + leaderSuffix
+	if opts.journal != "" && epoch == 0 {
+		prev, err := runstore.ReadLeaderLease(leaderPath)
+		if err != nil {
+			return err
+		}
+		if prev.Epoch > 0 && !prev.Expired(time.Now()) {
+			return fmt.Errorf("journal %s is led by %s (epoch %d) until %s; use -standby to take over on expiry",
+				opts.journal, prev.Owner, prev.Epoch, prev.ExpiresAt.Format(time.RFC3339))
+		}
+		epoch = prev.Epoch + 1
+	}
+
+	// The journal's one read: the fold every restart and every takeover
+	// resumes from.
 	var store *runstore.Store
-	replayed := opts.replayed
-	var err error
+	replayed := &runstore.Fold{}
+	deposed := make(chan struct{})
+	stopLeader := func() {}
 	if opts.journal != "" {
-		if replayed == nil {
-			if replayed, err = runstore.Replay(opts.journal); err != nil {
-				return err
-			}
+		var err error
+		if replayed, err = runstore.Replay(opts.journal); err != nil {
+			return err
 		}
 		if store, err = runstore.Open(opts.journal); err != nil {
 			return err
 		}
 		store.SetMetrics(rm)
 		defer store.Close()
-	}
-	if replayed == nil {
-		replayed = &runstore.Fold{}
-	}
-
-	// Leadership: with a journal, serve runs under a fenced epoch recorded
-	// in the journal's .leader file and stamped on every lease. A promoted
-	// standby arrives with its epoch pre-acquired (opts.epoch); a fresh
-	// leader claims the file's epoch + 1.
-	epoch := opts.epoch
-	var leaderPath string
-	deposed := make(chan struct{})
-	stopLeader := func() {}
-	if opts.journal != "" {
-		leaderPath = opts.journal + leaderSuffix
-		if epoch == 0 {
-			prev, err := runstore.ReadLeaderLease(leaderPath)
-			if err != nil {
-				return err
-			}
-			if prev.Epoch > 0 && !prev.Expired(time.Now()) {
-				return fmt.Errorf("journal %s is led by %s (epoch %d) until %s; use -standby to take over on expiry",
-					opts.journal, prev.Owner, prev.Epoch, prev.ExpiresAt.Format(time.RFC3339))
-			}
-			epoch = prev.Epoch + 1
-		}
 		me := runstore.LeaderLease{
 			Epoch:     epoch,
 			Owner:     defaultWorkerName(),
@@ -1358,6 +1351,7 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	// on, off, or failing mid-sweep.
 	lakeStore := opts.lake
 	if lakeStore == nil && opts.lakeDir != "" {
+		var err error
 		if lakeStore, err = lake.Open(opts.lakeDir, opts.lakeMax); err != nil {
 			return err
 		}
@@ -1366,7 +1360,6 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		lakeStore.SetMetrics(lake.NewMetrics(reg))
 		g.lake = lakeStore
 		g.builder = lake.NewStoreBuilder(lakeStore, defaultWorkerName())
-		g.tiers = append(g.tiers, lake.NewStorePartials(lakeStore))
 		g.log.Info("artifact lake attached", "dir", lakeStore.Dir(), "bytes", lakeStore.Bytes())
 	}
 	if opts.tracePath != "" {
@@ -1479,7 +1472,7 @@ loop:
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		g.log.Warn("shutdown", "err", err)
 	}
-	if leaderPath != "" {
+	if opts.journal != "" {
 		// A clean exit hands leadership over immediately: rewrite the lease
 		// already expired so a standby needn't wait out the TTL. Addr stays:
 		// the promoted standby inherits it, so workers keep their URL across
@@ -1569,34 +1562,23 @@ func gridFromRecord(rec runstore.SweepRecord) (sweep.Grid, error) {
 	return params.Grid()
 }
 
-// standby tails a leader's journal, mirroring the shard results and
-// sweep registry as they land, and takes over the moment the leader
-// lease expires: it bumps the epoch (fencing the old leader's leases),
-// rebinds the leader's address, and serves the journal's sweeps exactly
-// where the dead leader left them — journaled shards restore, only the
-// remainder is ever simulated again.
+// standby watches a leader's lease file and takes over the moment the
+// lease expires: it claims the next epoch (fencing the old leader's
+// leases), rebinds the leader's address, and serves the journal exactly
+// as a restart would — serve replays it, so journaled shards restore and
+// only the remainder is ever simulated again.
 func standby(opts serveOpts, rawStdout io.Writer) error {
-	stdout := &syncWriter{w: rawStdout}
-	logger := newLogger(stdout)
+	logger := newLogger(&syncWriter{w: rawStdout})
 	if opts.leaderTTL <= 0 {
 		opts.leaderTTL = defaultLeaderTTL
 	}
 	leaderPath := opts.journal + leaderSuffix
-	tail := runstore.NewTail(opts.journal)
-	defer tail.Close()
-
-	// The standby shares one registry with the serve it may become, so a
-	// scraper watching the promoted coordinator sees the follower history
-	// too. While following, its replication lag is the metric that matters.
-	if opts.obsReg == nil {
-		opts.obsReg = obs.NewRegistry()
-	}
-	opts.obsReg.NewGaugeFunc("runstore_tail_lag_bytes",
-		"Bytes of leader journal the standby's tail has not applied yet.",
-		func() float64 { return float64(tail.Lag()) })
 	if opts.debugAddr != "" {
-		// The debug server outlives the takeover: serve is handed
-		// debugAddr="" so it does not fight for the same port.
+		// The debug server outlives the takeover: serve gets its registry and
+		// debugAddr="", so it does not fight for the same port.
+		if opts.obsReg == nil {
+			opts.obsReg = obs.NewRegistry()
+		}
 		dbgAddr, stopDebug, err := startDebugServer(opts.debugAddr, opts.obsReg)
 		if err != nil {
 			return err
@@ -1604,28 +1586,6 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 		defer stopDebug()
 		opts.debugAddr = ""
 		logger.Info("debug server listening", "addr", dbgAddr)
-	}
-
-	// drainTail folds everything currently readable into the replayed
-	// state. A journal replacement (the leader compacting) resets it and
-	// replays — idempotent, because the fold is deterministic in record
-	// order.
-	replayed := &runstore.Fold{}
-	drainTail := func() error {
-		for {
-			rec, ev, err := tail.Next()
-			if err != nil {
-				return err
-			}
-			switch ev {
-			case runstore.TailRecord:
-				replayed.Apply(rec)
-			case runstore.TailReset:
-				replayed = &runstore.Fold{}
-			case runstore.TailCaughtUp:
-				return nil
-			}
-		}
 	}
 
 	poll := opts.leaderTTL / 4
@@ -1636,9 +1596,6 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 	announced := uint64(0)
 	var lease runstore.LeaderLease
 	for {
-		if err := drainTail(); err != nil {
-			return err
-		}
 		var err error
 		if lease, err = runstore.ReadLeaderLease(leaderPath); err != nil {
 			return err
@@ -1661,8 +1618,7 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 	}
 
 	// Take over. Claim the fenced epoch first — a zombie leader's next
-	// renewal tick reads it and crash-stops — then drain the last records
-	// it flushed, then fight it for the socket.
+	// renewal tick reads it and crash-stops — then fight it for the socket.
 	epoch := lease.Epoch + 1
 	addr := opts.addr
 	if lease.Addr != "" {
@@ -1677,10 +1633,6 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 	if err := runstore.WriteLeaderLease(leaderPath, me); err != nil {
 		return err
 	}
-	if err := drainTail(); err != nil {
-		return err
-	}
-	tail.Close()
 
 	// The dead leader's socket may linger (its process dying slowly, or a
 	// zombie that has not yet noticed the fence); keep trying the bind.
@@ -1696,23 +1648,12 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-
-	nShards := 0
-	for _, m := range replayed.Partials {
-		nShards += len(m)
-	}
-	logger.Info("standby taking over", "expiredEpoch", lease.Epoch, "epoch", epoch, "addr", addr,
-		"sweeps", len(replayed.Sweeps()), "journaledShards", nShards)
-
-	// The follower's lag gauge dies with the tail; the promoted serve
-	// re-registers the runstore family over the shared registry.
-	opts.obsReg.Unregister("runstore_tail_lag_bytes")
+	logger.Info("standby taking over", "expiredEpoch", lease.Epoch, "epoch", epoch, "addr", addr)
 
 	takeover := opts
 	takeover.grid = nil
 	takeover.params = nil
 	takeover.epoch = epoch
-	takeover.replayed = replayed
 	return serve(takeover, ln, rawStdout)
 }
 

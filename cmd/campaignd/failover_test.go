@@ -86,10 +86,10 @@ func countShards(m shard.MemPartials) int {
 // TestCoordinatorFailover is the availability acceptance gate: a leader
 // serving a submitted grid is crash-stopped mid-sweep while workers are
 // live and one shard is held by a zombie worker under the old epoch. A
-// warm standby tailing the journal must take over — rebuilding the sweep
-// from its journaled params and the finished shards from their journaled
-// partials — and the fleet must drain the rest of the grid to a
-// byte-identical result. No shard journaled before the crash may be
+// warm standby watching the leader lease must take over — replaying the
+// journal to rebuild the sweep from its journaled params and the finished
+// shards from their journaled partials — and the fleet must drain the
+// rest of the grid to a byte-identical result. No shard journaled before the crash may be
 // re-simulated, and the zombie's completion, fenced by its stale epoch,
 // must be refused with CodeStaleEpoch.
 func TestCoordinatorFailover(t *testing.T) {
@@ -133,7 +133,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Fatalf("first leader granted epoch %d, want 1", zombie.Epoch)
 	}
 
-	// The warm standby tails the journal, ready to take over. Same
+	// The warm standby watches the leader lease, ready to take over. Same
 	// knobs as the leader; it inherits the leader's address from the
 	// leader-lease file, so workers keep their URL across the failover.
 	// The drain channel carries through the takeover, so the promoted
@@ -545,5 +545,50 @@ func TestLeaderReleaseStaysExpired(t *testing.T) {
 		if !got.Expired(time.Now()) {
 			t.Fatalf("round %d: released lease is live again until %v: a renewal outran stop", round, got.ExpiresAt)
 		}
+	}
+}
+
+// TestServeRefusesLedJournalUntouched: a second coordinator started on a
+// journal whose leader lease is live must refuse before it reads the
+// journal — Open's compaction would rename a new file under the live
+// leader, whose later appends would then land in the unlinked old one.
+func TestServeRefusesLedJournalUntouched(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "grid.jsonl")
+	store, err := runstore.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A terminal marker makes the journal compactable.
+	if err := store.Append("fp-done", stubSpecPartial()); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MarkTerminal([]string{"fp-done"}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	live := runstore.LeaderLease{Epoch: 1, Owner: "leader", ExpiresAt: time.Now().Add(time.Minute)}
+	if err := runstore.WriteLeaderLease(journal+leaderSuffix, live); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = serve(serveOpts{shards: 1, journal: journal, leaseTTL: time.Minute}, ln, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "use -standby") {
+		t.Fatalf("serve on a led journal returned %v, want the live-lease refusal", err)
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("refused serve rewrote the led journal:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
 }

@@ -37,8 +37,8 @@ func reassemble(c *Campaign, parts []*Result, order []int) *Result {
 // batched whole-plan execution, a per-job execution in shuffled order,
 // and a two-half execution in reverse order must all produce bit-identical
 // verdicts and identical warm_starts/pruned_runs counters on both engines.
-// (DeltaRestores legitimately differs — it counts restore-point sharing,
-// which is exactly what execution order changes.)
+// DeltaRestores is not compared: every warm start is one wholesale
+// Restore, so it is zero in every order.
 func TestBatchOrderIndependence(t *testing.T) {
 	for _, tc := range []struct {
 		engine sim.EngineKind

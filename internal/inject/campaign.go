@@ -268,7 +268,7 @@ func New(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options)
 	return prepare(f, plan, db, opts, (*Campaign).runGolden)
 }
 
-// prepare is New and NewFromGolden: option validation, clustering,
+// prepare is shared by New and prepareSoC: option validation, clustering,
 // drawing the injection plan, then golden, which acquires the golden state
 // (simulated, or adopted from an artifact) and returns its eval count. The
 // golden run reads no campaign randomness and no part of the plan, so an

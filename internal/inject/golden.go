@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/fault"
-	"repro/internal/netlist"
 	"repro/internal/sim"
-	"repro/internal/socgen"
 	"repro/internal/vcd"
 	"repro/internal/wire"
 )
@@ -17,8 +14,8 @@ import (
 // golden run produced — the golden signature, the eval count, the
 // checkpoint schedule (engine snapshots plus, under CompareVCD, the VCD
 // writer states and dump prefix offsets) and the raw golden VCD dump —
-// into one versioned blob. NewFromGolden rebuilds a campaign from that
-// blob without simulating the golden run; the resulting campaign's
+// into one versioned blob. PrepareSoCFromGolden rebuilds a campaign from
+// that blob without simulating the golden run; the resulting campaign's
 // injection plan, verdicts and rendered output are bit-identical to a
 // locally built one.
 //
@@ -81,17 +78,6 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 	e.Blob(c.goldenVCDDump)
 	_, err := w.Write(e.Bytes())
 	return err
-}
-
-// NewFromGolden prepares a campaign exactly as New does but adopts the
-// serialized golden artifact in r instead of simulating the golden run.
-// The artifact must have been produced by EncodeGolden on a campaign with
-// the same golden spec (design, workload, engine, ColdStart, CompareVCD)
-// and checkpoint pitch; the seeds, environment and sample may differ.
-// Every structural property is validated and a mismatched or corrupt
-// blob is rejected with an error, leaving the caller to fall back to New.
-func NewFromGolden(f *netlist.Flat, plan *socgen.StimulusPlan, db *fault.DB, opts Options, r io.Reader) (*Campaign, *Result, error) {
-	return prepare(f, plan, db, opts, func(c *Campaign) (uint64, error) { return c.adoptGolden(r) })
 }
 
 // adoptGolden decodes and validates a golden artifact into c, returning

@@ -191,7 +191,7 @@ func (b *Builder) buildAndPublish(ctx context.Context, cs shard.CampaignSpec, tu
 // Partials is the lake-backed shard.PartialCache: finished shard
 // results promoted to durable fleet-wide cache objects, reused by
 // overlapping future sweeps without re-simulation. Both methods are
-// best-effort by contract — every lake error reads as a miss.
+// best-effort — every lake error reads as a miss or a skipped publish.
 type Partials struct {
 	lake backend
 	m    *Metrics
@@ -240,7 +240,8 @@ func (p *Partials) GetPartial(fp string, start, end int) *shard.Partial {
 	return &partial
 }
 
-// PutPartial implements shard.PartialCache.
+// PutPartial publishes partial under (fp, its plan range); a failed
+// publish is swallowed.
 func (p *Partials) PutPartial(fp string, partial *shard.Partial) {
 	blob, err := json.Marshal(partial)
 	if err != nil {

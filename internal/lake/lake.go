@@ -212,13 +212,6 @@ func (s *Store) SetClaimTTL(d time.Duration) {
 // Dir reports the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ClaimTTL reports the configured claim TTL.
-func (s *Store) ClaimTTL() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.claimTTL
-}
-
 // Fail switches the chaos kill toggle: while set, every operation
 // returns ErrUnavailable (HTTP handlers answer 503). Consumers must
 // degrade to local computation — the lake-never-changes-output

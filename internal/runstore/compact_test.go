@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,5 +223,73 @@ func TestCountAnyDedupesAndHonorsMarkers(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("CountAny = %d, want 2 (fp-a's two distinct shards; duplicate and marked records excluded)", n)
+	}
+}
+
+// TestSweepRecordsRoundTripAndCompact pins the registry-in-the-journal
+// contract: LoadSweeps returns the latest state per sweep in submission
+// order, LoadAll ignores sweep records entirely, and Open compacts away
+// sweeps whose latest state is terminal.
+func TestSweepRecordsRoundTripAndCompact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := json.RawMessage(`{"kind":"let","soc":1}`)
+	if err := st.AppendSweep(SweepRecord{Fingerprint: "sw-a", Name: "grid-a", State: SweepStateRunning, Params: params}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append("fp-1", stubPartial(0, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSweep(SweepRecord{Fingerprint: "sw-b", State: SweepStateRunning}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSweep(SweepRecord{Fingerprint: "sw-b", State: "done"}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	recs, err := LoadSweeps(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Fingerprint != "sw-a" || recs[1].Fingerprint != "sw-b" {
+		t.Fatalf("LoadSweeps returned %+v", recs)
+	}
+	if recs[0].State != SweepStateRunning || string(recs[0].Params) != string(params) {
+		t.Fatalf("sw-a record mangled: %+v", recs[0])
+	}
+	if recs[1].State != "done" {
+		t.Fatalf("sw-b latest state %q, want done", recs[1].State)
+	}
+	all, _, err := LoadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 1 || len(all["fp-1"]) != 1 {
+		t.Fatalf("LoadAll confused by sweep records: %+v", all)
+	}
+
+	// Reopen: the done sweep compacts away, the running one survives.
+	st2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+	recs, err = LoadSweeps(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Fingerprint != "sw-a" {
+		t.Fatalf("post-compaction sweeps %+v, want only running sw-a", recs)
+	}
+	all, _, err = LoadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all["fp-1"]) != 1 {
+		t.Fatal("compaction dropped a live shard record")
 	}
 }

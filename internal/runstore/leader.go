@@ -18,8 +18,9 @@ import (
 //
 // The file coordinates processes sharing a filesystem, matching the
 // journal's own model (the journal is the source of truth a standby
-// tails). It is advisory against clock skew the way all lease schemes
-// are; the epoch fence is what protects results when timing goes wrong.
+// replays when it takes over). It is advisory against clock skew the way
+// all lease schemes are; the epoch fence is what protects results when
+// timing goes wrong.
 type LeaderLease struct {
 	Epoch     uint64    `json:"epoch"`
 	Owner     string    `json:"owner"`

@@ -3,10 +3,9 @@ package runstore
 import "repro/internal/obs"
 
 // Metrics is the journal's instrumentation surface: appends and
-// compactions on the Store, leader-lease state from the coordinator's
-// renewal loop, and tail lag from a standby's follower. All handles are
-// nil-safe, so a nil *Metrics (or one built over a nil registry)
-// disables instrumentation with no call-site guards.
+// compactions on the Store, and leader-lease state from the coordinator's
+// renewal loop. All handles are nil-safe, so a nil *Metrics (or one built
+// over a nil registry) disables instrumentation with no call-site guards.
 type Metrics struct {
 	Appends     *obs.Counter
 	Compactions *obs.Counter

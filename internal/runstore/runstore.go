@@ -296,29 +296,6 @@ func (s *Store) Append(fingerprint string, p *shard.Partial) error {
 	return s.append(Record{Fingerprint: fingerprint, Partial: p})
 }
 
-// Tier adapts the journal as a write-only shard.PartialCache, the tier
-// behind a process's in-memory partials: a put appends (and fsyncs) the
-// record, a get always misses — the journal is read once, by Replay at
-// startup, into the memory tier in front of it. The cache contract has no
-// error path, so a failed append goes to onErr and the caller decides
-// whether a journal that stopped recording is fatal.
-func (s *Store) Tier(onErr func(fp string, p *shard.Partial, err error)) shard.PartialCache {
-	return journalTier{s, onErr}
-}
-
-type journalTier struct {
-	s     *Store
-	onErr func(fp string, p *shard.Partial, err error)
-}
-
-func (journalTier) GetPartial(string, int, int) *shard.Partial { return nil }
-
-func (t journalTier) PutPartial(fp string, p *shard.Partial) {
-	if err := t.s.Append(fp, p); err != nil {
-		t.onErr(fp, p, err)
-	}
-}
-
 func (s *Store) append(rec Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -393,9 +370,8 @@ func (s *Store) Close() error {
 }
 
 // Fold is the journal's one replay: records applied in file order yield
-// the state a coordinator resumes from. Replay folds a whole file; a warm
-// standby folds the leader's journal record by record as it tails it.
-// The zero value is an empty journal.
+// the state a coordinator resumes from — at a restart and at a standby's
+// takeover alike. The zero value is an empty journal.
 type Fold struct {
 	// Partials holds every restorable shard result, by campaign and plan
 	// range. Last record wins — deterministic execution makes duplicates
@@ -411,8 +387,8 @@ type Fold struct {
 	order  []string
 }
 
-// Apply folds one record in.
-func (f *Fold) Apply(rec Record) {
+// apply folds one record in.
+func (f *Fold) apply(rec Record) {
 	switch {
 	case len(rec.Terminal) > 0:
 		// A terminal marker kills everything recorded so far for those
@@ -474,7 +450,7 @@ func Replay(path string) (*Fold, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return f, nil
 		}
-		f.Apply(rec)
+		f.apply(rec)
 	}
 }
 

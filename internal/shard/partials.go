@@ -1,16 +1,14 @@
 package shard
 
-// PartialCache is the one way finished shard partials are held and
-// looked up, keyed by campaign fingerprint and plan range — never by
-// shard index, which is plan-local. Every holder implements it: the
-// in-memory MemPartials, the runstore journal (write-only; replayed into
-// a MemPartials at startup), the artifact lake. Both methods are
-// best-effort — implementations swallow transport and store errors (a
-// miss is always safe), and GetPartial must only return a partial that
-// was published for exactly (fp, start, end).
+// PartialCache is the read side every holder of finished shard partials
+// answers, keyed by campaign fingerprint and plan range — never by shard
+// index, which is plan-local: the in-memory MemPartials, the
+// coordinator's registry (memory, then the artifact lake), the lake
+// itself. A lookup is best-effort — implementations swallow transport and
+// store errors (a miss is always safe) — and must only return a partial
+// that was published for exactly (fp, start, end).
 type PartialCache interface {
 	GetPartial(fp string, start, end int) *Partial
-	PutPartial(fp string, p *Partial)
 }
 
 // span is a plan range [start,end).
@@ -18,9 +16,8 @@ type span struct{ start, end int }
 
 // MemPartials is the in-memory PartialCache: campaign fingerprint ->
 // plan range -> partial, last put wins. It is a plain map — len counts
-// campaigns, delete drops one — and not synchronized: each owner (the
-// executor, the coordinator's registry) guards it with the lock it
-// already holds.
+// campaigns, delete drops one — and not synchronized: an owner (the
+// coordinator's registry) guards it with the lock it already holds.
 type MemPartials map[string]map[span]*Partial
 
 // GetPartial implements PartialCache.
@@ -28,7 +25,7 @@ func (m MemPartials) GetPartial(fp string, start, end int) *Partial {
 	return m[fp][span{start, end}]
 }
 
-// PutPartial implements PartialCache.
+// PutPartial files p under its campaign and plan range.
 func (m MemPartials) PutPartial(fp string, p *Partial) {
 	c := m[fp]
 	if c == nil {
@@ -36,34 +33,6 @@ func (m MemPartials) PutPartial(fp string, p *Partial) {
 		m[fp] = c
 	}
 	c[span{p.Start, p.End}] = p
-}
-
-// Tiers stacks caches in lookup order, fastest and most authoritative
-// first: a get is the first hit in order, a put writes through to every
-// tier. Tiers cannot fail by contract, so one that is down reads as a
-// miss and never costs the others their put. Nil tiers are skipped.
-type Tiers []PartialCache
-
-// GetPartial implements PartialCache.
-func (t Tiers) GetPartial(fp string, start, end int) *Partial {
-	for _, c := range t {
-		if c == nil {
-			continue
-		}
-		if p := c.GetPartial(fp, start, end); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
-// PutPartial implements PartialCache.
-func (t Tiers) PutPartial(fp string, p *Partial) {
-	for _, c := range t {
-		if c != nil {
-			c.PutPartial(fp, p)
-		}
-	}
 }
 
 // Adopt looks a planned shard up in a cache and returns the held result

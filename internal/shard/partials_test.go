@@ -69,66 +69,6 @@ func TestAdopt(t *testing.T) {
 type staticCache struct{ p *Partial }
 
 func (c staticCache) GetPartial(string, int, int) *Partial { return c.p }
-func (staticCache) PutPartial(string, *Partial)            {}
-
-// downTier is a tier whose backing store is gone: by the PartialCache
-// contract that reads as a miss and swallows puts.
-type downTier struct{ gets, puts int }
-
-func (d *downTier) GetPartial(string, int, int) *Partial { d.gets++; return nil }
-func (d *downTier) PutPartial(string, *Partial)          { d.puts++ }
-
-// TestTiersOrder pins the tier list: a get is the first hit in order, a
-// put writes through to every tier, and a tier that is down costs the
-// others nothing.
-func TestTiersOrder(t *testing.T) {
-	specs := queueSpecs(t)
-	fp := specs[0].Fingerprint
-	front, back := MemPartials{}, MemPartials{}
-	down := &downTier{}
-	tiers := Tiers{front, nil, down, back}
-
-	// Only the last tier holds shard 0: the get walks past the miss, the
-	// nil and the dead tier to it, and promotes nothing.
-	deep := stamped(t, specs[0])
-	back.PutPartial(fp, deep)
-	if got := tiers.GetPartial(fp, specs[0].Start, specs[0].End); got != deep {
-		t.Fatalf("get = %+v, want the last tier's partial", got)
-	}
-	if down.gets != 1 {
-		t.Fatalf("dead tier asked %d times, want 1", down.gets)
-	}
-	if len(front) != 0 {
-		t.Fatal("a get wrote into an earlier tier")
-	}
-
-	// Both hold shard 0 now: the earlier tier answers, the later ones are
-	// not consulted.
-	shallow := stamped(t, specs[0])
-	front.PutPartial(fp, shallow)
-	if got := tiers.GetPartial(fp, specs[0].Start, specs[0].End); got != shallow {
-		t.Fatal("get did not return the first hit in tier order")
-	}
-	if down.gets != 1 {
-		t.Fatal("get consulted tiers behind the first hit")
-	}
-
-	// A put lands in every tier, dead one included, and the live ones
-	// keep it regardless.
-	p1 := stamped(t, specs[1])
-	tiers.PutPartial(fp, p1)
-	if down.puts != 1 {
-		t.Fatalf("dead tier saw %d puts, want 1", down.puts)
-	}
-	for name, tier := range map[string]MemPartials{"front": front, "back": back} {
-		if tier.GetPartial(fp, specs[1].Start, specs[1].End) != p1 {
-			t.Fatalf("%s tier missed the write-through", name)
-		}
-	}
-	if got := tiers.GetPartial(fp, specs[2].Start, specs[2].End); got != nil {
-		t.Fatalf("range no tier holds answered %+v", got)
-	}
-}
 
 // queueShape is the lease bookkeeping of a queue, with everything that
 // legitimately differs between two ways of ending a lease (clocks,

@@ -57,18 +57,15 @@ func RunLocal(ss SweepSpec, o LocalOptions) (map[string]*inject.Result, error) {
 			logf("sweep: journal %s: skipped %d record(s) with integrity checksum mismatch; those shards re-simulate", o.Journal, dropped)
 		}
 	}
-	// Without -journal the tier list is empty and puts go nowhere. A run
-	// that asked for a journal must not outlive it: the first failed append
-	// aborts the sweep.
-	var journal shard.PartialCache = shard.Tiers{}
-	var journalErr error
+	// A run that asked for a journal must not outlive it: the first failed
+	// append aborts the sweep.
+	var store *runstore.Store
 	if o.Journal != "" {
-		store, err := runstore.Open(o.Journal)
-		if err != nil {
+		var err error
+		if store, err = runstore.Open(o.Journal); err != nil {
 			return nil, err
 		}
 		defer store.Close()
-		journal = store.Tier(func(_ string, _ *shard.Partial, err error) { journalErr = err })
 	}
 
 	results := make(map[string]*inject.Result, len(ss.Items))
@@ -93,9 +90,10 @@ func RunLocal(ss SweepSpec, o LocalOptions) (map[string]*inject.Result, error) {
 			if partials[i], err = shard.ExecuteOn(b, sp); err != nil {
 				return nil, fmt.Errorf("sweep: campaign %q shard %d: %v", it.Key, sp.Index, err)
 			}
-			journal.PutPartial(b.Fingerprint, partials[i])
-			if journalErr != nil {
-				return nil, journalErr
+			if store != nil {
+				if err := store.Append(b.Fingerprint, partials[i]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		res, err := shard.Merge(b, partials)

@@ -79,9 +79,6 @@ func mul128(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
