@@ -74,7 +74,7 @@ func warmVsCold() {
 	fmt.Printf("checkpoint warm-start on %s (%d injections, verdicts bit-identical):\n",
 		cr.Design, len(cr.Injections))
 	fmt.Printf("  cold: %12d cell evals  %v\n", cr.InjectEvals, cr.InjectWall)
-	fmt.Printf("  warm: %12d cell evals  %v  (%d warm starts, %d pruned by latching window or re-convergence)\n",
+	fmt.Printf("  warm: %12d cell evals  %v  (%d warm starts, %d pruned by latching window, re-convergence or quiet proof)\n",
 		wr.InjectEvals, wr.InjectWall, wr.WarmStarts, wr.PrunedRuns)
 	fmt.Printf("  reduction: %.1fx cell evals, %.1fx wall clock\n",
 		float64(cr.InjectEvals)/float64(wr.InjectEvals),

@@ -24,8 +24,11 @@
 // capture edge and no sampling instant, is decided masked before any
 // restore — the latching-window prefilter of latch.go. Cold starts and
 // the VCD detector still simulate every run: they are the oracle the
-// early exits are checked against. Each warm start resets its worker's one
-// reusable engine with sim.Engine.Restore. See DESIGN.md.
+// early exits are checked against. On EventSim a run whose consumed fault
+// leaves only a storage difference from golden is decided, or jumped
+// ahead, by a proof over the golden run's change log (quiet.go). Each
+// warm start resets its worker's one reusable engine with
+// sim.Engine.Restore. See DESIGN.md.
 package inject
 
 import (
@@ -246,6 +249,16 @@ type Campaign struct {
 	// ckpts is the golden-run checkpoint schedule, ascending in time;
 	// read-only after New, shared by all workers.
 	ckpts []goldenCheckpoint
+
+	// glog is the golden run's change log, which the quiet-divergence
+	// proof walks (quiet.go): recorded by an EventSim golden run, rebuilt
+	// by one fault-free replay for an adopted golden, and indexed on first
+	// use. Read it through changeLog.
+	glog     *goldenLog
+	glogOnce sync.Once
+	glogErr  error
+	// tally counts the proof's outcomes, for tests and measurements.
+	tally proofTally
 }
 
 // goldenCheckpoint is one snapshot of the golden run: the engine state at
@@ -413,6 +426,7 @@ func (c *Campaign) checkpointCycles() []int {
 // an instant that never coincides with stimulus, strikes or sampling.
 // Under CompareVCD the same run also dumps the golden VCD trace, and each
 // checkpoint captures the writer's dump state alongside the engine state.
+// On EventSim it also records the change log the quiet rule walks.
 func (c *Campaign) runGolden() (evals uint64, err error) {
 	defer func() {
 		if err != nil {
@@ -423,6 +437,7 @@ func (c *Campaign) runGolden() (evals uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
+	glog := c.recordLog(eng)
 	var vw *vcd.Writer
 	var vcdBuf *bytes.Buffer
 	if c.opts.CompareVCD && c.warmStartEnabled() {
@@ -466,8 +481,7 @@ func (c *Campaign) runGolden() (evals uint64, err error) {
 		}
 		c.goldenVCDDump = vcdBuf.Bytes()
 	}
-	c.ckpts = ckpts
-	c.golden = sig
+	c.ckpts, c.golden, c.glog = ckpts, sig, glog
 	return eng.CellEvals(), nil
 }
 

@@ -34,13 +34,16 @@ type Work struct {
 	InjectWall time.Duration `json:"inject_wall_ns"`
 	// InjectEvals counts simulator cell evaluations, scalar-equivalent:
 	// a run in a lane pass (see lanes.go) counts what the same run on its
-	// own checkpoint start would have counted.
+	// own checkpoint start would have counted. A stretch of an EventSim
+	// run the quiet-divergence proof covers (quiet.go) is not simulated
+	// and costs no evals.
 	InjectEvals uint64 `json:"inject_evals"`
 	// WarmStarts counts injections that resumed from a golden checkpoint
 	// instead of replaying from t=0; PrunedRuns counts the subset that
-	// ended early as masked: either the latching-window prefilter decided
-	// it before any restore (0 evals), or the faulty state re-converged
-	// onto the golden trajectory.
+	// ended early as masked: the latching-window prefilter decided it
+	// before any restore (0 evals), the faulty state re-converged onto the
+	// golden trajectory, or, on EventSim, the quiet-divergence proof
+	// showed its remaining difference from golden masked to plan end.
 	WarmStarts uint64 `json:"warm_starts"`
 	PrunedRuns uint64 `json:"pruned_runs"`
 	// DeltaRestores is always zero: every warm start resets its engine
@@ -109,9 +112,12 @@ func (w *worker) inject(j Job, ckIdx int) (Injection, error) {
 // checkpoints after the start. A detector that can judge early stops the
 // run at the first divergence it samples (soft error) or once the fault is
 // consumed and the full engine state re-converges onto a golden checkpoint
-// (masked: the remaining tail is bit-identical to golden). Otherwise — and
-// always on a cold start, which has no checkpoints to stop at — the run
-// reaches plan end and the detector judges it.
+// (masked: the remaining tail is bit-identical to golden). On EventSim a
+// consumed fault whose state still differs gets the quiet rule (quiet.go):
+// a proof to plan end retires the run masked, and a failed one may jump it
+// to a later checkpoint. Otherwise — and always on a cold start, which has
+// no checkpoints to stop at — the run reaches plan end and the detector
+// judges it.
 func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 	c := w.c
 	eng, rec, err := w.start(ckIdx)
@@ -130,12 +136,14 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 		return false, err
 	}
 	if _, able := det.early(); able && rec != nil {
-		for _, b := range c.ckpts[ckIdx+1:] {
+		for i := ckIdx + 1; i < len(c.ckpts); i++ {
+			b := &c.ckpts[i]
 			if err := eng.Run(b.time); err != nil {
 				return false, err
 			}
 			diverged, _ := det.early()
-			soft, masked := retire(1, bit(diverged), bit(b.time > faultEnd), func() uint64 {
+			consumed := b.time > faultEnd
+			soft, masked := retire(1, bit(diverged), bit(consumed), func() uint64 {
 				return bit(!eng.MatchesCheckpoint(b.ck))
 			})
 			if soft != 0 {
@@ -144,6 +152,32 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 			if masked != 0 {
 				w.PrunedRuns++
 				return false, nil
+			}
+			es, ok := eng.(*sim.EventSim)
+			if !consumed || !ok {
+				continue
+			}
+			d, k, proved, err := w.quiet(es, i)
+			if err != nil {
+				return false, err
+			}
+			if proved {
+				w.PrunedRuns++
+				return false, nil
+			}
+			if k > i {
+				// Jump: the run is proved to reach checkpoint k as k plus d.
+				w.InjectEvals += eng.CellEvals() - evals0
+				if err := w.restore(c.ckpts[k].ck); err != nil {
+					return false, err
+				}
+				es.Patch(d)
+				evals0 = eng.CellEvals()
+				if err := det.arm(eng, &c.ckpts[k]); err != nil {
+					return false, err
+				}
+				c.tally.jumps.Add(1)
+				i = k
 			}
 		}
 	}
@@ -192,14 +226,19 @@ func (w *worker) start(ckIdx int) (sim.Engine, *goldenCheckpoint, error) {
 		w.eng = eng
 	}
 	rec := &c.ckpts[ckIdx]
-	began := time.Now()
-	err := w.eng.Restore(rec.ck)
-	w.RestoreWall += time.Since(began)
-	if err != nil {
+	if err := w.restore(rec.ck); err != nil {
 		return nil, nil, err
 	}
 	w.WarmStarts++
 	return w.eng, rec, nil
+}
+
+// restore resets the worker's engine to ck, timed into RestoreWall.
+func (w *worker) restore(ck *sim.Checkpoint) error {
+	began := time.Now()
+	err := w.eng.Restore(ck)
+	w.RestoreWall += time.Since(began)
+	return err
 }
 
 // coldEngine builds a fresh engine at t=0 with the workload stimulus

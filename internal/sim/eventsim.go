@@ -31,6 +31,9 @@ type EventSim struct {
 	// slot, -1 for none: a restored run slot (from the checkpoint's
 	// pendingIdx) or a slot pushed since.
 	pending []int32
+
+	// log, when set, receives every committed net change (RecordChanges).
+	log *ChangeLog
 }
 
 // NewEventSim returns an event-driven engine with all nets and states at X.
@@ -181,6 +184,9 @@ func (s *EventSim) setNet(nid int32, v logic.V) {
 		return
 	}
 	s.cur[nid] = v
+	if s.log != nil {
+		s.log.add(nid, v)
+	}
 	for _, fn := range s.callbacks(nid) {
 		fn(s.now, v)
 	}
@@ -203,29 +209,36 @@ func (s *EventSim) evalCell(cid, pin int32, old, new logic.V) {
 		return
 	}
 	var buf [4]logic.V
-	in := p.Inputs(cid, s.cur, buf[:0])
+	if v, ok := seqReact(def, s.state[cid], p.Inputs(cid, s.cur, buf[:0]), pin, old, new); ok {
+		s.setState(cid, v)
+	}
+}
+
+// seqReact is a storage cell's rule for a change old → new on its input
+// pin, the cell's inputs now being in: the state it stores, and whether it
+// stores one at all. evalCell applies it, and the quiet-divergence proof
+// (Prove) compares it between two machines, so the two cannot drift.
+func seqReact(def *cell.Def, state logic.V, in []logic.V, pin int32, old, new logic.V) (logic.V, bool) {
 	// Asynchronous controls dominate and act on any input change.
 	if v, active := def.AsyncState(in); active {
-		if s.state[cid] != v {
-			s.setState(cid, v)
-		}
-		return
+		return v, state != v
 	}
 	if int(pin) != def.Seq.ClockPin || old != logic.L0 {
-		return
+		return state, false
 	}
-	next := def.NextState(s.state[cid], in)
+	next := def.NextState(state, in)
 	switch {
-	case next == s.state[cid]:
+	case next == state:
 	case new == logic.L1:
 		// A rising edge on the clock pin captures.
-		s.setState(cid, next)
+		return next, true
 	case !new.IsKnown():
 		// An unknown clock transition poisons the state, mirroring Verilog
 		// pessimism for x-edges, but only when the data would change the
 		// state.
-		s.setState(cid, logic.X)
+		return logic.X, true
 	}
+	return state, false
 }
 
 // setState stores v as a storage cell's state and schedules its outputs.

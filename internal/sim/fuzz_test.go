@@ -15,6 +15,14 @@ import (
 // handful when none are named), and DFFR state registers fed back into
 // the cloud — the general shape of any clocked netlist.
 func randomSyncDesign(rng *xrand.RNG, combCells ...string) *netlist.Flat {
+	return randomSyncDesignOf(rng, []string{"DFFRX1"}, combCells...)
+}
+
+// randomSyncDesignOf is randomSyncDesign with each state register drawn
+// from the named storage cells: its clock on clk, an asynchronous
+// reset or set on rstn, and every other input (data, enable, write
+// enable) on a random net of the cloud.
+func randomSyncDesignOf(rng *xrand.RNG, flops []string, combCells ...string) *netlist.Flat {
 	d := netlist.NewDesign("fuzzsync")
 	m := netlist.NewModule("fuzzsync")
 	m.AddPort("clk", netlist.Input)
@@ -53,11 +61,26 @@ func randomSyncDesign(rng *xrand.RNG, combCells ...string) *netlist.Flat {
 	// Close the loop: each FF samples a random comb net. Note qs entries
 	// are in avail, so a flop may sample another flop directly.
 	for i := 0; i < nFF; i++ {
-		dNet := avail[rng.Intn(len(avail))]
-		m.AddInstance(fmt.Sprintf("u_ff%d", i), "DFFRX1", map[string]string{
-			"D": dNet, "CK": "clk", "RN": "rstn",
-			"Q": qs[i], "QN": m.AddWire(fmt.Sprintf("qn%d", i)),
-		})
+		name := flops[0]
+		if len(flops) > 1 {
+			name = flops[rng.Intn(len(flops))]
+		}
+		def := cell.MustLookup(name)
+		conns := map[string]string{"Q": qs[i]}
+		for _, p := range def.Inputs {
+			switch p {
+			case def.Seq.Clock:
+				conns[p] = "clk"
+			case def.Seq.AsyncResetN, def.Seq.AsyncSetN:
+				conns[p] = "rstn"
+			default:
+				conns[p] = avail[rng.Intn(len(avail))]
+			}
+		}
+		if def.Seq.HasQN {
+			conns["QN"] = m.AddWire(fmt.Sprintf("qn%d", i))
+		}
+		m.AddInstance(fmt.Sprintf("u_ff%d", i), name, conns)
 	}
 	// Observable outputs.
 	for i := 0; i < 2; i++ {
