@@ -28,11 +28,13 @@ test:
 # built once per design), and the lane start's 4-worker campaigns cover
 # lane groups fanned out over RunJobs workers, and the quiet-proof campaigns
 # cover the golden change log every worker's proof reads, including the
-# once-per-campaign replay an adopted golden rebuilds it with; the whole
-# inject package is left out, it takes about 45 s under the detector.
+# once-per-campaign replay an adopted golden rebuilds it with, and the fork
+# campaigns cover the per-worker golden cursors 4-worker RunJobs fork
+# from; the whole inject package is left out, it takes about 45 s under
+# the detector.
 race:
 	$(GO) test -race -count=1 ./internal/shard ./internal/sweep ./internal/capi ./internal/runstore ./internal/chaos ./internal/obs ./internal/lake ./internal/svm ./internal/sim ./cmd/campaignd
-	$(GO) test -race -count=1 -run 'TestWarmColdWorkerDeterminism|TestBatchOrderIndependence|TestLaneStartMatchesScalar|TestQuietProofAgrees' ./internal/inject
+	$(GO) test -race -count=1 -run 'TestWarmColdWorkerDeterminism|TestBatchOrderIndependence|TestLaneStartMatchesScalar|TestQuietProofAgrees|TestForkAgreesWithRestore' ./internal/inject
 
 ci: vet build test race
 
@@ -65,7 +67,12 @@ loc:
 # storage cell, a proof that reaches the end of the golden change log must
 # see the same storage diff at every later checkpoint and golden outputs
 # throughout, and a failed proof's jump target must equal the simulated
-# faulty run. -fuzzminimizetime 1x stops
+# faulty run. FuzzForkAgrees is the golden-cursor fork's oracle: on random
+# circuits, an engine copied (CopyFrom) from a cursor advanced to t−1 and
+# an engine restored from the cursor's checkpoint take the same fault at
+# t, some of them on a transition in flight at t, and must stay equal
+# value for value, queue for queue and eval for eval after every step.
+# -fuzzminimizetime 1x stops
 # the fuzzer spending the budget minimizing inputs that are merely
 # interesting, not failing.
 fuzz-smoke:
@@ -73,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLaneVsScalar$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQuietProof$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzForkAgrees$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzDecodeWriterState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/runstore -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1x

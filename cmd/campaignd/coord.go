@@ -439,7 +439,9 @@ func (g *registry) drive(sr *sweepRun) error {
 	var mu sync.Mutex
 	builts := make([]*shard.Built, len(items))
 	buildErr := make(chan error, 1)
+	built := make(chan struct{}) // closed when the build loop returns
 	go func() {
+		defer close(built)
 		for i, it := range items {
 			select {
 			case <-sr.stop:
@@ -530,6 +532,9 @@ func (g *registry) drive(sr *sweepRun) error {
 			return errCancelled
 		}
 	}
+	// Every campaign merged, so the build loop is past its last Open; let
+	// its last log line land before the sweep reports completion.
+	<-built
 
 	// Sweep-level aggregation: the merged results feed the grid's ssresf
 	// renderer, bit-identical to the in-process experiment drivers.

@@ -259,6 +259,11 @@ type Campaign struct {
 	glogErr  error
 	// tally counts the proof's outcomes, for tests and measurements.
 	tally proofTally
+
+	// forks holds the plan's forking strike times (fork.go); read them
+	// through forkStrikes.
+	forks    []uint64
+	forkOnce sync.Once
 }
 
 // goldenCheckpoint is one snapshot of the golden run: the engine state at
@@ -651,6 +656,9 @@ func (c *Campaign) RunJobs(res *Result, start, end int) error {
 	for i := range ws {
 		w := &ws[i]
 		w.c = c
+		if c.opts.Engine == sim.KindEvent {
+			w.cursor = &goldenCursor{ck: -1}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -36,7 +36,10 @@ type Work struct {
 	// a run in a lane pass (see lanes.go) counts what the same run on its
 	// own checkpoint start would have counted. A stretch of an EventSim
 	// run the quiet-divergence proof covers (quiet.go) is not simulated
-	// and costs no evals.
+	// and costs no evals. A fork from a golden cursor (fork.go) is
+	// charged its share of one cursor pass over its checkpoint interval,
+	// a function of the plan alone, so the count does not depend on how
+	// the plan is split into shards, batches or workers.
 	InjectEvals uint64 `json:"inject_evals"`
 	// WarmStarts counts injections that resumed from a golden checkpoint
 	// instead of replaying from t=0; PrunedRuns counts the subset that
@@ -50,7 +53,7 @@ type Work struct {
 	// with one wholesale restore. The field stays because journal and lake
 	// stamps written before that carry it under their checksum.
 	// RestoreWall is the total wall-clock the workers spent inside
-	// restores.
+	// restores, the golden cursors' restores and copies included.
 	DeltaRestores uint64        `json:"delta_restores,omitempty"`
 	RestoreWall   time.Duration `json:"restore_wall_ns,omitempty"`
 	// WordEvals counts the cell evaluations lane passes performed: one per
@@ -79,6 +82,10 @@ type worker struct {
 	c     *Campaign
 	eng   sim.Engine   // built on the first checkpoint start
 	lanes *sim.LaneSim // built on the first lane group
+	// cursor is the golden cursor signature-detector checkpoint starts
+	// fork from (fork.go). RunJobs sets it on an EventSim campaign; a
+	// worker without one restores and replays.
+	cursor *goldenCursor
 }
 
 // inject performs planned injection j, starting from golden checkpoint
@@ -120,7 +127,7 @@ func (w *worker) inject(j Job, ckIdx int) (Injection, error) {
 // judges it.
 func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 	c := w.c
-	eng, rec, err := w.start(ckIdx)
+	eng, rec, err := w.start(inj, ckIdx, det)
 	if err != nil {
 		return false, err
 	}
@@ -135,10 +142,15 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 	if err := det.arm(eng, rec); err != nil {
 		return false, err
 	}
-	if _, able := det.early(); able && rec != nil {
+	_, early := det.early()
+	early = early && rec != nil
+	// An EventSim run stops at its first divergent sample. A LevelSim one
+	// runs on to the boundary: the span a lane pass (lanes.go) counts.
+	step := early && c.opts.Engine == sim.KindEvent
+	if early {
 		for i := ckIdx + 1; i < len(c.ckpts); i++ {
 			b := &c.ckpts[i]
-			if err := eng.Run(b.time); err != nil {
+			if err := c.runTo(eng, det, b.time, step); err != nil {
 				return false, err
 			}
 			diverged, _ := det.early()
@@ -181,10 +193,34 @@ func (w *worker) run(inj *Injection, ckIdx int, det detector) (bool, error) {
 			}
 		}
 	}
-	if err := eng.Run(c.plan.DurationPS); err != nil {
+	if err := c.runTo(eng, det, c.plan.DurationPS, step); err != nil {
 		return false, err
 	}
 	return det.verdict()
+}
+
+// runTo advances eng to until. With step set it runs there sampling
+// instant by sampling instant and stops at the first one its detector has
+// seen diverge: from there the run is a soft error whatever follows.
+// Splitting a Run at an instant changes no event's order (DESIGN.md
+// "Golden cursor fork").
+func (c *Campaign) runTo(eng sim.Engine, det detector, until uint64, step bool) error {
+	if step {
+		for k := c.firstSampleAfter(eng.Now()); k <= c.cycles() && c.sampleTime(k) < until; k++ {
+			if err := eng.Run(c.sampleTime(k)); err != nil {
+				return err
+			}
+			if diverged, _ := det.early(); diverged {
+				return nil
+			}
+		}
+	}
+	return eng.Run(until)
+}
+
+// firstSampleAfter is the first cycle sampled strictly after time t.
+func (c *Campaign) firstSampleAfter(t uint64) int {
+	return max(2, int((t+20)/c.plan.PeriodPS)+1)
 }
 
 // retire is a checkpoint start's rule at a golden checkpoint boundary,
@@ -210,9 +246,11 @@ func bit(b bool) uint64 {
 }
 
 // start readies the engine a run begins on: a fresh one with the stimulus
-// applied when ckIdx < 0, else the worker's engine restored to golden
-// checkpoint ckIdx.
-func (w *worker) start(ckIdx int) (sim.Engine, *goldenCheckpoint, error) {
+// applied when ckIdx < 0; else the worker's engine forked from its golden
+// cursor at inj's strike when the worker has a cursor and det is the
+// signature detector (fork.go), and restored to golden checkpoint ckIdx
+// otherwise.
+func (w *worker) start(inj *Injection, ckIdx int, det detector) (sim.Engine, *goldenCheckpoint, error) {
 	c := w.c
 	if ckIdx < 0 {
 		eng, err := c.coldEngine()
@@ -226,7 +264,13 @@ func (w *worker) start(ckIdx int) (sim.Engine, *goldenCheckpoint, error) {
 		w.eng = eng
 	}
 	rec := &c.ckpts[ckIdx]
-	if err := w.restore(rec.ck); err != nil {
+	var err error
+	if _, sig := det.(*sigDetector); sig && inj != nil && w.cursor != nil {
+		err = w.fork(ckIdx, inj.TimePS)
+	} else {
+		err = w.restore(rec.ck)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	w.WarmStarts++
@@ -326,20 +370,16 @@ type sigDetector struct {
 	diverged bool
 }
 
-func (d *sigDetector) arm(eng sim.Engine, rec *goldenCheckpoint) error {
+func (d *sigDetector) arm(eng sim.Engine, _ *goldenCheckpoint) error {
 	c := d.c
-	// After a checkpoint the prefix is golden by construction (the strike
-	// lands at or after the restore point), so only later cycles are
-	// sampled. Every sampler is registered here, before the first Run, even
+	// Up to the start — a checkpoint, or a fork at strike − 1 ps — the run
+	// is golden by construction, so only the cycles sampled after it are
+	// armed. Every sampler is registered here, before the first Run, even
 	// though an early exit never reaches most of them: pre-run registration
 	// orders a sampler ahead of the transitions the run creates at its
 	// instant (see sampled), and registering lazily between segments would
 	// flip that order against in-flight transitions.
-	from := 2
-	if rec != nil {
-		from = rec.cycle + 1
-	}
-	for k := from; k <= c.cycles(); k++ {
+	for k := c.firstSampleAfter(eng.Now()); k <= c.cycles(); k++ {
 		golden := c.golden.row(k - 2)
 		eng.At(c.sampleTime(k), func() {
 			if d.diverged {

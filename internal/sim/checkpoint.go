@@ -197,7 +197,10 @@ func (c *core) MatchesCheckpoint(ck *Checkpoint) bool {
 }
 
 // snapPhase is the phase a snapshot taken now records for e (see
-// Checkpoint.evs).
+// Checkpoint.evs). Inside a Run, events the run created record 1. Between
+// Runs every event records 0, so events scheduled after a restore order
+// behind all of them at equal instants: the restored engine continues
+// this one, as if they had been scheduled on it now.
 func (s *EventSim) snapPhase(e *event) uint32 {
 	if s.running && e.phase >= s.phase {
 		return 1
@@ -205,25 +208,90 @@ func (s *EventSim) snapPhase(e *event) uint32 {
 	return 0
 }
 
-// Snapshot implements Engine.
-func (s *EventSim) Snapshot() *Checkpoint {
-	ck := s.snapshot()
-	ck.seqBase = s.q.seq
-	live := s.q.sorted(s.snapPhase)
-	ck.evs = make([]event, len(live))
-	ck.pendingIdx = make([]int32, len(s.pending))
-	for i := range ck.pendingIdx {
-		ck.pendingIdx[i] = -1
+// forkPhase is the phase CopyFrom records for e: 0 for an event scheduled
+// before the source's first Run since it was built or restored (the
+// stimulus, a restored checkpoint's phase-0 entries), 1 for every other.
+// It is what a snapshot taken inside one Run from that point records, so
+// a copy resumes as a golden checkpoint does, wherever the source's Runs
+// stopped. Pushed events order by seq at equal (t, phase>0), and the
+// restored phase-1 entries precede every push in seq, so folding all
+// later phases into 1 keeps the source's own pop order.
+func forkPhase(e *event) uint32 { return min(e.phase, 1) }
+
+// flatten appends the queued data events live (s.q.ordered's result,
+// phases mapped) to evs in order, each with its mapped phase, and writes
+// each net's in-flight transition, as an index into evs, into pendingIdx
+// (-1 for none). It returns evs, grown only when its capacity falls short.
+func (s *EventSim) flatten(live []entry, evs []event, pendingIdx []int32) []event {
+	for i := range pendingIdx {
+		pendingIdx[i] = -1
 	}
 	for i, en := range live {
 		e := s.q.evs[en.idx]
 		e.phase, e.next = en.phase, 0
-		ck.evs[i] = e
+		evs = append(evs, e)
 		if e.kind == actNet && s.pending[e.net] == en.idx {
-			ck.pendingIdx[e.net] = int32(i)
+			pendingIdx[e.net] = int32(i)
 		}
 	}
+	return evs
+}
+
+// Snapshot implements Engine. Taken between Runs it records every queued
+// event at phase 0 (see snapPhase): right for continuing this engine, not
+// for resuming as a golden checkpoint, which CopyFrom gives.
+func (s *EventSim) Snapshot() *Checkpoint {
+	ck := s.snapshot()
+	ck.seqBase = s.q.seq
+	live := s.q.ordered()
+	for i := range live {
+		live[i].phase = s.snapPhase(&s.q.evs[live[i].idx])
+	}
+	// snapPhase can reorder events: after a restore and two Runs, a
+	// restored phase-1 transition and a phase-0 event pushed before the
+	// first Run both record 0 and fall back on seq.
+	slices.SortFunc(live, compare)
+	ck.pendingIdx = make([]int32, len(s.pending))
+	ck.evs = s.flatten(live, make([]event, 0, len(live)), ck.pendingIdx)
 	return ck
+}
+
+// CopyFrom resets s to src's present state without allocating once s's
+// arena has grown: values, forces, sequential state, the clock, the eval
+// counter and the queued data events, in the phases forkPhase gives them.
+// It is Restore of the snapshot src would take of itself inside one Run
+// begun at its last restore, so events scheduled on s before its next Run
+// order after src's phase-0 events and ahead of every in-flight
+// transition at equal instants — the order a golden checkpoint, and a cold
+// run, give them. Callbacks are dropped, s's as on Restore and src's as
+// on Snapshot. src, another EventSim on the same design, must not be
+// inside Run.
+func (s *EventSim) CopyFrom(src *EventSim) error {
+	switch {
+	case src == s:
+		return fmt.Errorf("sim: CopyFrom of an engine onto itself")
+	case src.flat != s.flat:
+		return fmt.Errorf("sim: CopyFrom of a %s engine onto a %s engine", src.flat.Name, s.flat.Name)
+	case src.running:
+		return fmt.Errorf("sim: CopyFrom of an engine inside Run")
+	}
+	for i, p := range s.netPlanes {
+		copy(p, src.netPlanes[i])
+	}
+	copy(s.forced, src.forced)
+	for i, p := range s.cellPlanes {
+		copy(p, src.cellPlanes[i])
+	}
+	live := src.q.ordered()
+	for i := range live {
+		live[i].phase = forkPhase(&src.q.evs[live[i].idx]) // keeps the order
+	}
+	s.q.setRun(src.flatten(live, s.q.drop(), s.pending))
+	s.q.seq = src.q.seq
+	s.now, s.cellEvals = src.now, src.cellEvals
+	s.phase, s.running = 0, false
+	s.dropCallbacks()
+	return nil
 }
 
 // Restore implements Engine. It resets the engine wholesale to the
@@ -248,7 +316,7 @@ func (s *EventSim) RestoreDelta(ck *Checkpoint) error { return s.Restore(ck) }
 // producing run's observers and leave no trace.
 func (s *LevelSim) Snapshot() *Checkpoint {
 	ck := s.snapshot()
-	live := s.q.sorted(nil)
+	live := s.q.ordered()
 	ck.evs = make([]event, len(live))
 	for i, en := range live {
 		e := s.q.evs[en.idx]

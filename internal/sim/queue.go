@@ -78,7 +78,8 @@ type queue struct {
 	heap  []entry // the live buckets, keyed by their head event
 	cache [256]int32
 
-	live []entry // sorted's reusable result
+	live  []entry // ordered's reusable result
+	heads []entry // ordered's buckets, sorted
 }
 
 // push schedules e with the next sequence number and returns its slot.
@@ -196,19 +197,33 @@ func (q *queue) down(j int) {
 }
 
 // load replaces the queue's contents with ck's entries, entry i in run
-// slot i, and drops every pushed event and bucket. Slots past the old run
-// held pushed events and are cleared, so no callback outlives its run.
-func (q *queue) load(ck *Checkpoint) {
+// slot i.
+func (q *queue) load(ck *Checkpoint) { q.setRun(append(q.drop(), ck.evs...)) }
+
+// drop empties the queue of every event and bucket and returns the
+// arena, emptied, for the caller to refill with a new run. Slots past the
+// old run held pushed events and are cleared, so no callback outlives its
+// run.
+func (q *queue) drop() []event {
 	clear(q.evs[q.run:])
-	q.evs = append(q.evs[:0], ck.evs...)
-	q.run, q.cursor = int32(len(q.evs)), 0
 	q.free, q.bks, q.bfree, q.heap = q.free[:0], q.bks[:0], q.bfree[:0], q.heap[:0]
+	return q.evs[:0]
 }
 
-// sorted returns the queued data events — cancelled entries and callbacks
-// dropped — in queue order, each with its phase mapped through phaseOf
-// when set. The result is reused by the next call.
-func (q *queue) sorted(phaseOf func(*event) uint32) []entry {
+// setRun makes evs, which must be in key order, the queue's run: entry i
+// in run slot i. evs becomes the arena.
+func (q *queue) setRun(evs []event) {
+	q.evs, q.run, q.cursor = evs, int32(len(evs)), 0
+}
+
+// ordered returns the queued data events — cancelled entries and
+// callbacks dropped — in pop order, without sorting them: the run's
+// unconsumed slots merged with the buckets' chains, the buckets taken in
+// the key order of their heads (two buckets of one time never
+// interleave, see queue). The result is reused by the next call.
+func (q *queue) ordered() []entry {
+	q.heads = append(q.heads[:0], q.heap...)
+	slices.SortFunc(q.heads, compare)
 	q.live = q.live[:0]
 	add := func(i int32) {
 		e := &q.evs[i]
@@ -217,35 +232,38 @@ func (q *queue) sorted(phaseOf func(*event) uint32) []entry {
 		}
 		en := e.key()
 		en.idx = i
-		if phaseOf != nil {
-			en.phase = phaseOf(e)
-		}
 		q.live = append(q.live, en)
 	}
-	for i := q.cursor; i < q.run; i++ {
-		add(i)
-	}
-	for _, h := range q.heap {
+	r := q.cursor
+	for _, h := range q.heads {
 		for i := q.bks[h.idx].head; i >= 0; i = q.evs[i].next {
+			for k := q.evs[i].key(); r < q.run && less(q.evs[r].key(), k); r++ {
+				add(r)
+			}
 			add(i)
 		}
 	}
-	slices.SortFunc(q.live, func(a, b entry) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return 0
-	})
+	for ; r < q.run; r++ {
+		add(r)
+	}
 	return q.live
+}
+
+// compare is less as a three-way comparison.
+func compare(a, b entry) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
 }
 
 // matches reports whether the queued data events equal ck's, entry for
 // entry in queue order; sequence numbers and phases only order them.
 func (q *queue) matches(ck *Checkpoint) bool {
-	live := q.sorted(nil)
+	live := q.ordered()
 	if len(live) != len(ck.evs) {
 		return false
 	}

@@ -62,6 +62,13 @@ type Engine interface {
 	// Snapshot captures the engine's complete execution state — values,
 	// forces, sequential state, eval counter and all queued data events —
 	// as an immutable checkpoint. Registered callbacks are not captured.
+	// On EventSim the phase rule matters: a snapshot taken inside a Run
+	// keeps the run's in-flight transitions behind events scheduled after
+	// restoring it at equal instants, which is what resuming as a golden
+	// checkpoint needs; one taken between Runs normalises them to phase 0,
+	// so events scheduled after restoring it order behind them. That is
+	// right for continuing this engine, not for resuming as a golden
+	// checkpoint (EventSim.CopyFrom gives that).
 	Snapshot() *Checkpoint
 	// Restore resets the engine wholesale to a checkpoint previously taken
 	// on the same design and engine kind, discarding all registered

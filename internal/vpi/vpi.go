@@ -155,7 +155,12 @@ func (v *Interface) CbAtTime(t uint64, fn func()) {
 // SaveState captures the bound engine's complete execution state, playing
 // the role of the $save PLI system task. The returned checkpoint is
 // immutable and may be restored by any session over the same design and
-// engine kind.
+// engine kind. On EventSim a state saved between runs normalises its
+// in-flight transitions to phase 0: events scheduled after restoring it
+// order behind those transitions at equal instants, as they would on the
+// saving engine itself. That continues the saving engine; it does not
+// resume as a golden checkpoint taken inside a run, where those events
+// order ahead (sim.Engine.Snapshot).
 func (v *Interface) SaveState() *sim.Checkpoint {
 	return v.eng.Snapshot()
 }
