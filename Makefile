@@ -127,13 +127,18 @@ obs-smoke:
 watch-smoke:
 	$(GO) test ./cmd/campaignd -race -run '^(TestWatchMatchesPoll|TestFleetFederation)$$' -count=1 -v
 
-# lake-smoke is the artifact-lake gate: two workers share one golden
-# build through the coordinator's lake (exactly one "golden" span
-# fleet-wide, worker lake hits nonzero), a resubmitted sweep on the same
-# lake completes with zero re-simulated shards and no workers at all,
-# and a lake chaos-failed mid-sweep still drains to output byte-identical
-# to the in-process reference — all under the race detector.
+# lake-smoke is the artifact-lake gate: the lake's builder tests (a
+# worker's builder is fetch-only — a miss builds locally and uploads
+# nothing — while the coordinator's builder publishes, and heals a key
+# bound to a poisoned or stale-codec artifact), then two workers share
+# one golden build through the coordinator's lake (exactly one "golden"
+# span fleet-wide, worker lake hits nonzero, worker golden misses zero),
+# a resubmitted sweep on the same lake completes with zero re-simulated
+# shards and no workers at all, and a lake chaos-failed mid-sweep still
+# drains to output byte-identical to the in-process reference — all
+# under the race detector.
 lake-smoke:
+	$(GO) test -race ./internal/lake -run '^TestBuilder' -count=1 -v
 	$(GO) test ./cmd/campaignd -race -run '^(TestLakeGoldenSharedOnce|TestLakeCrossSweepReuse|TestLakeChaosMidSweep)$$' -count=1 -v
 
 # integrity-smoke is the end-to-end result-integrity gate: a sweep

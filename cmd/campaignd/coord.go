@@ -298,20 +298,16 @@ func (g *registry) journalSweep(sr *sweepRun, state string) {
 	}
 }
 
-// durable returns the journal and the lake's partials to write to, each
+// durable returns the journal and the lake to write partials to, each
 // nil when not configured, and both nil once this coordinator has
 // crash-stopped: a deposed leader must never write behind its successor's
-// back. Every journal and lake write the registry makes goes through it.
+// back. Every journal and lake write record makes goes through it.
 // Callers hold g.mu.
-func (g *registry) durable() (*runstore.Store, *lake.Partials) {
+func (g *registry) durable() (*runstore.Store, *lake.Store) {
 	if g.dead {
 		return nil, nil
 	}
-	var lp *lake.Partials
-	if g.lake != nil {
-		lp = lake.NewStorePartials(g.lake)
-	}
-	return g.store, lp
+	return g.store, g.lake
 }
 
 // setDraining flips the registry into graceful shutdown: lease and
@@ -449,9 +445,10 @@ func (g *registry) drive(sr *sweepRun) error {
 			default:
 			}
 			buildStart := time.Now()
-			// The artifact lake's claim-or-fetch builder when a lake is attached
-			// (publishing after a real build, falling back to local on any lake
-			// error), a plain local build otherwise.
+			// The artifact lake's fetch-or-build builder when a lake is attached
+			// (publishing after a real build, so the artifact is in the lake
+			// before any of this campaign's shards can be leased), a plain
+			// local build otherwise.
 			b, fetched, err := g.builder.Build(it.Campaign, nil)
 			if err != nil {
 				buildErr <- fmt.Errorf("building campaign %q: %v", it.Key, err)
@@ -670,7 +667,7 @@ func (g *registry) record(fp string, p *shard.Partial, overwrite bool) {
 		return
 	}
 	g.journaled.PutPartial(fp, p)
-	store, lp := g.durable()
+	store, lk := g.durable()
 	g.mu.Unlock()
 	if store != nil {
 		if err := store.Append(fp, p); err != nil {
@@ -679,8 +676,8 @@ func (g *registry) record(fp string, p *shard.Partial, overwrite bool) {
 			g.log.Warn("journal append failed", "campaign", shard.Short(fp), "shard", p.Index, "err", err)
 		}
 	}
-	if lp != nil {
-		lp.PutPartial(fp, p)
+	if lk != nil {
+		lk.PutPartial(fp, p)
 	}
 }
 
@@ -1364,7 +1361,7 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	if lakeStore != nil {
 		lakeStore.SetMetrics(lake.NewMetrics(reg))
 		g.lake = lakeStore
-		g.builder = lake.NewStoreBuilder(lakeStore, defaultWorkerName())
+		g.builder = lake.NewStoreBuilder(lakeStore)
 		g.log.Info("artifact lake attached", "dir", lakeStore.Dir(), "bytes", lakeStore.Bytes())
 	}
 	if opts.tracePath != "" {
@@ -1622,7 +1619,7 @@ func standby(opts serveOpts, rawStdout io.Writer) error {
 		}
 	}
 
-	// Take over. Claim the fenced epoch first — a zombie leader's next
+	// Take over. Write the fenced epoch first — a zombie leader's next
 	// renewal tick reads it and crash-stops — then fight it for the socket.
 	epoch := lease.Epoch + 1
 	addr := opts.addr

@@ -139,6 +139,14 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 	if hits < float64(campaigns) {
 		t.Fatalf("workers recorded %v golden lake hits, want >= %d", hits, campaigns)
 	}
+	// The invariant that lets workers be fetch-only: the coordinator
+	// published every golden before leasing its shards, so no worker
+	// ever misses one.
+	for i, reg := range regs {
+		if n := counterValue(t, reg, `lake_misses_total{kind="golden"}`); n != 0 {
+			t.Fatalf("worker %d recorded %v golden lake misses, want 0", i+1, n)
+		}
+	}
 
 	got, err := os.ReadFile(outPath)
 	if err != nil {

@@ -23,7 +23,7 @@ type workOpts struct {
 	poll       time.Duration
 	maxOffline time.Duration // 0: fall back to the attempt-count budget
 	push       time.Duration // metrics-push cadence to the coordinator; 0 = no pushing
-	lake       bool          // use the coordinator's artifact lake (fetch and publish golden builds)
+	lake       bool          // fetch golden builds from the coordinator's artifact lake
 	client     *capi.Client  // nil: a default client for url (tests inject chaos transports)
 	out        io.Writer
 
@@ -50,7 +50,7 @@ func runWork(args []string) error {
 	poll := fs.Duration("poll", 2*time.Second, "base idle polling interval; idle polls back off exponentially (jittered, capped at 20x) and reset on the next lease")
 	maxOffline := fs.Duration("max-offline", 0, "give up (non-zero exit) once the coordinator has been continuously unreachable this long; 0 bounds by attempt count instead")
 	push := fs.Duration("push", 5*time.Second, "push this worker's metrics to the coordinator's federation endpoint (GET /metrics/fleet) at this interval; 0 disables")
-	useLake := fs.Bool("lake", true, "use the coordinator's artifact lake when it serves one: fetch golden builds other processes already ran and publish this worker's; any lake error falls back to a local build")
+	useLake := fs.Bool("lake", true, "use the coordinator's artifact lake when it serves one: fetch golden builds the coordinator already ran instead of simulating them; any miss or lake error falls back to a local build")
 	debugAddr := fs.String("debug-addr", "", "serve GET /metrics and net/http/pprof on this address (workers serve no API, so this is their only scrape target)")
 	tracePath := fs.String("trace", "", "write the shard-lifecycle span journal as Chrome trace_event JSON to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -140,12 +140,12 @@ func work(ctx context.Context, opts workOpts) error {
 		client.Obs = reg
 	}
 	if opts.lake {
-		// Lake-backed builder: claim-or-fetch golden builds instead of
-		// always simulating them. The worker's own lake_* counters land on
-		// reg, so -push federates them into the coordinator's
-		// /metrics/fleet view. A coordinator without a lake answers 404,
-		// which the builder treats as a miss — the executor then behaves
-		// exactly as without a lake.
+		// Lake-backed builder: fetch golden builds instead of always
+		// simulating them; workers never write to the lake. The worker's
+		// own lake_* counters land on reg, so -push federates them into
+		// the coordinator's /metrics/fleet view. A coordinator without a
+		// lake answers 404, which the builder treats as a miss — the
+		// executor then behaves exactly as without a lake.
 		exec.SetBuilder(lake.NewClientBuilder(client, opts.name, lake.NewMetrics(reg)))
 	}
 	// Metrics federation: push the registry's exposition to the

@@ -51,7 +51,7 @@ func normPath(path string) string {
 	}
 	// Lake keys are multi-segment ("golden/<fp>"), so the whole remainder
 	// collapses to one placeholder.
-	for _, pfx := range []string{"/v1/lake/keys/", "/v1/lake/claims/", "/v1/artifacts/"} {
+	for _, pfx := range []string{"/v1/lake/keys/", "/v1/artifacts/"} {
 		if rest, ok := strings.CutPrefix(path, pfx); ok && rest != "" {
 			return pfx + "{id}"
 		}
@@ -438,30 +438,6 @@ func (c *Client) PushMetrics(ctx context.Context, worker, text string, interval 
 	return nil
 }
 
-// PutArtifact uploads a blob to the coordinator's artifact lake under
-// its content address (single attempt — lake traffic is best-effort;
-// a failed publish just means some other worker builds too).
-func (c *Client) PutArtifact(ctx context.Context, hash string, data []byte) error {
-	path := "/v1/artifacts/" + hash
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url(path), bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("capi: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	start := time.Now()
-	resp, err := c.httpClient().Do(req)
-	c.observe(http.MethodPut, path, start)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return decodeError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
 // GetArtifact downloads a blob from the artifact lake by content address
 // (single attempt — a miss or failure means "build locally", so retrying
 // only delays the fallback).
@@ -484,33 +460,6 @@ func (c *Client) GetArtifact(ctx context.Context, hash string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// HeadArtifact reports whether the lake holds the blob, and its size.
-func (c *Client) HeadArtifact(ctx context.Context, hash string) (int64, bool, error) {
-	path := "/v1/artifacts/" + hash
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.url(path), nil)
-	if err != nil {
-		return 0, false, fmt.Errorf("capi: %v", err)
-	}
-	start := time.Now()
-	resp, err := c.httpClient().Do(req)
-	c.observe(http.MethodHead, path, start)
-	if err != nil {
-		return 0, false, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return resp.ContentLength, true, nil
-	case resp.StatusCode == http.StatusNotFound:
-		return 0, false, nil
-	default:
-		// HEAD replies carry no envelope body; synthesize the error.
-		return 0, false, &Error{Status: resp.StatusCode, Code: CodeInternal, Message: resp.Status,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
-	}
-}
-
 // LakeResolve maps a lake key ("golden/<fp>", "partial/<fp>/<a>-<b>") to
 // the blob hash it names; ok is false on a clean miss (404).
 func (c *Client) LakeResolve(ctx context.Context, key string) (string, bool, error) {
@@ -523,20 +472,6 @@ func (c *Client) LakeResolve(ctx context.Context, key string) (string, bool, err
 		return "", false, err
 	}
 	return reply.Hash, true, nil
-}
-
-// LakeLink durably binds a lake key to an uploaded blob and releases any
-// build claim on the key.
-func (c *Client) LakeLink(ctx context.Context, key, hash string) error {
-	_, err := c.do(ctx, http.MethodPut, "/v1/lake/keys/"+key, LakeLinkRequest{Hash: hash}, nil)
-	return err
-}
-
-// LakeClaim runs one round of the golden-build claim protocol for key.
-func (c *Client) LakeClaim(ctx context.Context, key, owner string) (LakeClaimReply, error) {
-	var reply LakeClaimReply
-	_, err := c.do(ctx, http.MethodPost, "/v1/lake/claims/"+key, LakeClaimRequest{Owner: owner}, &reply)
-	return reply, err
 }
 
 // WaitSweep polls the sweep until it reaches a terminal state (done,

@@ -33,19 +33,16 @@
 //	                                push; merged view at GET /metrics/fleet)
 //
 // Coordinators serving an artifact lake (-lake-dir) additionally expose
-// the content-addressed artifact surface — blobs are raw bytes keyed by
-// their sha256, keys are durable names resolved to blob hashes, and
-// claims implement the golden-build claim protocol (lease-style with a
-// TTL, so a dead builder's claim expires). Every lake endpoint answers
-// 503 + Retry-After while the store is unavailable; lake clients treat
-// any error as a cache miss and compute locally.
+// its read-only surface: blobs are raw bytes keyed by their sha256, and
+// keys are durable names resolved to blob hashes. The coordinator is the
+// lake's only writer (it publishes every golden before the campaign's
+// shards can be leased, and every accepted partial), so any other method
+// on these paths answers 405. Every lake endpoint answers 503 +
+// Retry-After while the store is unavailable; lake clients treat any
+// error as a cache miss and compute locally.
 //
-//	PUT    /v1/artifacts/{hash}     raw blob -> 201 (400 on hash mismatch)
-//	GET    /v1/artifacts/{hash}     -> 200 raw blob
-//	HEAD   /v1/artifacts/{hash}     -> 200 with Content-Length, or 404
+//	GET    /v1/artifacts/{hash}     -> 200 raw blob, or 404
 //	GET    /v1/lake/keys/{key...}   -> 200 LakeKeyReply, or 404
-//	PUT    /v1/lake/keys/{key...}   LakeLinkRequest -> 200
-//	POST   /v1/lake/claims/{key...} LakeClaimRequest -> 200 LakeClaimReply
 //
 // Every error reply is the JSON envelope {"error":{"code","message"}}
 // with Content-Type application/json and a meaningful status code.
@@ -189,34 +186,6 @@ type RenewReply struct {
 type LakeKeyReply struct {
 	Hash string `json:"hash"`
 }
-
-// LakeLinkRequest durably binds a lake key to an already-uploaded blob,
-// clearing any build claim on the key (publishing releases the claim).
-type LakeLinkRequest struct {
-	Hash string `json:"hash"`
-}
-
-// LakeClaimRequest asks to build the artifact a key names.
-type LakeClaimRequest struct {
-	Owner string `json:"owner"`
-}
-
-// LakeClaimReply is the claim outcome: "artifact" (already published —
-// Hash is set, fetch it), "granted" (caller owns the build for TTLMS),
-// or "held" (Holder is building; poll again within TTLMS).
-type LakeClaimReply struct {
-	State  string `json:"state"`
-	Hash   string `json:"hash,omitempty"`
-	Holder string `json:"holder,omitempty"`
-	TTLMS  int64  `json:"ttl_ms,omitempty"`
-}
-
-// Claim states, as reported by LakeClaimReply.State.
-const (
-	ClaimArtifact = "artifact"
-	ClaimGranted  = "granted"
-	ClaimHeld     = "held"
-)
 
 // Error is the uniform error envelope, and doubles as the typed error
 // the Client returns for any coordinator refusal: Status is the HTTP

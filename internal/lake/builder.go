@@ -10,26 +10,17 @@ import (
 	"repro/internal/shard"
 )
 
-// backend abstracts where the lake lives: in-process (the coordinator
-// owns the Store) or across the wire (workers speak capi to the
-// coordinator's lake endpoints). Builder and Partials implement the
-// shard seams identically over either.
+// backend abstracts where the lake is read from: in-process (the
+// coordinator owns the Store) or across the wire (workers speak capi to
+// the coordinator's lake endpoints). Builder and Partials read through
+// either identically; only the coordinator writes, straight to its Store.
 type backend interface {
-	claim(ctx context.Context, key, owner string) (capi.LakeClaimReply, error)
 	resolve(ctx context.Context, key string) (hash string, ok bool, err error)
 	fetch(ctx context.Context, hash string) ([]byte, error)
-	// publish uploads data and durably binds key to it (releasing any
-	// claim on key).
-	publish(ctx context.Context, key string, data []byte) error
 }
 
 // storeBackend serves a coordinator-local Store.
 type storeBackend struct{ s *Store }
-
-func (b storeBackend) claim(_ context.Context, key, owner string) (capi.LakeClaimReply, error) {
-	cs, err := b.s.Claim(key, owner)
-	return capi.LakeClaimReply{State: cs.State, Hash: cs.Hash, Holder: cs.Holder, TTLMS: cs.TTLMS}, err
-}
 
 func (b storeBackend) resolve(_ context.Context, key string) (string, bool, error) {
 	hash, ok := b.s.Resolve(key)
@@ -40,20 +31,8 @@ func (b storeBackend) fetch(_ context.Context, hash string) ([]byte, error) {
 	return b.s.Get(hash)
 }
 
-func (b storeBackend) publish(_ context.Context, key string, data []byte) error {
-	hash, err := b.s.Put(data)
-	if err != nil {
-		return err
-	}
-	return b.s.Link(key, hash)
-}
-
 // clientBackend speaks the lake endpoints through a capi.Client.
 type clientBackend struct{ c *capi.Client }
-
-func (b clientBackend) claim(ctx context.Context, key, owner string) (capi.LakeClaimReply, error) {
-	return b.c.LakeClaim(ctx, key, owner)
-}
 
 func (b clientBackend) resolve(ctx context.Context, key string) (string, bool, error) {
 	return b.c.LakeResolve(ctx, key)
@@ -63,135 +42,91 @@ func (b clientBackend) fetch(ctx context.Context, hash string) ([]byte, error) {
 	return b.c.GetArtifact(ctx, hash)
 }
 
-func (b clientBackend) publish(ctx context.Context, key string, data []byte) error {
-	hash := HashOf(data)
-	if err := b.c.PutArtifact(ctx, hash, data); err != nil {
-		return err
-	}
-	return b.c.LakeLink(ctx, key, hash)
-}
-
-// Builder is the lake-backed shard.Builder: claim-or-fetch a campaign's
-// golden artifact before building, publish after a real build, and fall
-// back to a plain local build on ANY lake error — the lake accelerates
-// the fleet, it never gates correctness, so a Builder result is always
-// bit-identical to shard.BuildLocal's.
+// Builder is the lake-backed shard.Builder: fetch a campaign's golden
+// artifact, and build locally on any miss or lake error — the lake
+// accelerates the fleet, it never gates correctness, so a Builder result
+// is always bit-identical to shard.BuildLocal's.
+//
+// The coordinator is the lake's one writer. It builds and publishes every
+// golden before any of the campaign's shards can be leased, so a worker
+// that misses (an evicted or never-published key) just builds for itself,
+// as a worker without a lake does. Only the coordinator's store builder
+// publishes after a local build, which is also how a key bound to a
+// corrupt or stale-codec artifact heals.
 type Builder struct {
-	lake  backend
-	owner string
+	lake backend
+	// store is the coordinator's Store, which receives the artifact of
+	// every local build; nil on workers.
+	store *Store
 	// m, when non-nil, counts golden hits/misses on the caller's registry
 	// (workers; a coordinator-local Store counts its own).
 	m *Metrics
-	// poll and maxWait pace the held-claim loop: how often to re-ask
-	// whether the claiming builder published, and how long before giving
-	// up and building locally anyway.
-	poll    time.Duration
-	maxWait time.Duration
 }
 
-// NewStoreBuilder returns a Builder over a coordinator-local Store.
-func NewStoreBuilder(s *Store, owner string) *Builder {
-	return &Builder{lake: storeBackend{s: s}, owner: owner}
+// NewStoreBuilder returns the coordinator's Builder over its Store.
+func NewStoreBuilder(s *Store) *Builder {
+	return &Builder{lake: storeBackend{s: s}, store: s}
 }
 
-// NewClientBuilder returns a Builder speaking to a remote lake through
-// c. m (may be nil) receives this process's hit/miss/fetch counts.
-func NewClientBuilder(c *capi.Client, owner string, m *Metrics) *Builder {
-	return &Builder{lake: clientBackend{c: c}, owner: owner, m: m}
-}
-
-// SetWait overrides the held-claim pacing (tests use short values).
-func (b *Builder) SetWait(poll, maxWait time.Duration) {
-	b.poll, b.maxWait = poll, maxWait
-}
-
-func (b *Builder) pollEvery() time.Duration {
-	if b.poll > 0 {
-		return b.poll
-	}
-	return 250 * time.Millisecond
-}
-
-func (b *Builder) waitBudget() time.Duration {
-	if b.maxWait > 0 {
-		return b.maxWait
-	}
-	return DefaultClaimTTL
+// NewClientBuilder returns a worker's fetch-only Builder speaking to a
+// remote lake through c. m (may be nil) receives this process's
+// hit/miss/fetch counts. The worker name is unused: workers never write.
+func NewClientBuilder(c *capi.Client, _ string, m *Metrics) *Builder {
+	return &Builder{lake: clientBackend{c: c}, m: m}
 }
 
 // Build implements shard.Builder.
 func (b *Builder) Build(cs shard.CampaignSpec, tune func(*inject.Options)) (*shard.Built, bool, error) {
-	ctx := context.Background()
 	gfp, err := cs.GoldenFingerprint()
 	if err != nil {
 		return nil, false, err
 	}
 	key := GoldenKey(gfp)
-	deadline := time.Now().Add(b.waitBudget())
-	for {
-		reply, err := b.lake.claim(ctx, key, b.owner)
-		if err != nil {
-			break // lake down: build locally, skip publishing
-		}
-		switch reply.State {
-		case capi.ClaimArtifact:
-			start := time.Now()
-			blob, err := b.lake.fetch(ctx, reply.Hash)
-			if err != nil {
-				// Fetch raced an eviction or the lake died; locally is fine.
-				b.m.Miss("golden")
-				return b.buildAndPublish(ctx, cs, tune, key)
-			}
-			built, err := shard.BuildFromGolden(cs, tune, blob)
-			if err != nil {
-				// A corrupt or mismatched artifact must never install wrong
-				// golden state — rebuild locally and republish to heal the key.
-				b.m.Miss("golden")
-				return b.buildAndPublish(ctx, cs, tune, key)
-			}
-			b.m.Hit("golden")
-			b.m.ObserveFetch(time.Since(start))
-			return built, true, nil
-		case capi.ClaimGranted:
-			b.m.Miss("golden")
-			return b.buildAndPublish(ctx, cs, tune, key)
-		case capi.ClaimHeld:
-			// Someone else is building. Waiting costs less than a duplicate
-			// golden run — but only up to the budget: if the holder died, its
-			// claim expires and a re-claim is granted; if the lake lies, we
-			// build locally rather than stall the shard.
-			if time.Now().After(deadline) {
-				b.m.Miss("golden")
-				return b.buildAndPublish(ctx, cs, tune, key)
-			}
-			time.Sleep(b.pollEvery())
-		default:
-			return b.buildAndPublish(ctx, cs, tune, key)
-		}
+	if built := b.fetch(cs, tune, key); built != nil {
+		return built, true, nil
 	}
-	built, err := shard.BuildLocal(cs, tune)
-	return built, false, err
-}
-
-// buildAndPublish is the real-build leg: simulate the golden run locally
-// and best-effort publish the artifact for the rest of the fleet.
-func (b *Builder) buildAndPublish(ctx context.Context, cs shard.CampaignSpec, tune func(*inject.Options), key string) (*shard.Built, bool, error) {
 	built, err := shard.BuildLocal(cs, tune)
 	if err != nil {
 		return nil, false, err
 	}
-	if blob, err := shard.EncodeBuilt(built); err == nil {
-		// Publish failures are swallowed: at worst another process also
-		// builds, which is exactly the no-lake behavior.
-		_ = b.lake.publish(ctx, key, blob)
+	if b.store != nil {
+		if blob, err := shard.EncodeBuilt(built); err == nil {
+			// A failed publish is swallowed: the next build of this golden
+			// simulates again, which is exactly the no-lake behavior.
+			_ = b.store.publish(key, blob)
+		}
 	}
 	return built, false, nil
 }
 
+// fetch adopts the artifact published under key, or returns nil. A lake
+// error counts nothing; a missing, unreadable, corrupt or mismatched
+// artifact counts one golden miss and must never install wrong golden
+// state.
+func (b *Builder) fetch(cs shard.CampaignSpec, tune func(*inject.Options), key string) *shard.Built {
+	ctx := context.Background()
+	start := time.Now()
+	hash, ok, err := b.lake.resolve(ctx, key)
+	if err != nil {
+		return nil
+	}
+	if ok {
+		if blob, err := b.lake.fetch(ctx, hash); err == nil {
+			if built, err := shard.BuildFromGolden(cs, tune, blob); err == nil {
+				b.m.Hit("golden")
+				b.m.ObserveFetch(time.Since(start))
+				return built
+			}
+		}
+	}
+	b.m.Miss("golden")
+	return nil
+}
+
 // Partials is the lake-backed shard.PartialCache: finished shard
-// results promoted to durable fleet-wide cache objects, reused by
-// overlapping future sweeps without re-simulation. Both methods are
-// best-effort — every lake error reads as a miss or a skipped publish.
+// results the coordinator published (Store.PutPartial), reused by
+// overlapping future sweeps without re-simulation. Every lake error
+// reads as a miss.
 type Partials struct {
 	lake backend
 	m    *Metrics
@@ -242,10 +177,10 @@ func (p *Partials) GetPartial(fp string, start, end int) *shard.Partial {
 
 // PutPartial publishes partial under (fp, its plan range); a failed
 // publish is swallowed.
-func (p *Partials) PutPartial(fp string, partial *shard.Partial) {
+func (s *Store) PutPartial(fp string, partial *shard.Partial) {
 	blob, err := json.Marshal(partial)
 	if err != nil {
 		return
 	}
-	_ = p.lake.publish(context.Background(), PartialKey(fp, partial.Start, partial.End), blob)
+	_ = s.publish(PartialKey(fp, partial.Start, partial.End), blob)
 }

@@ -1,10 +1,7 @@
 package lake
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,31 +10,33 @@ import (
 	"repro/internal/capi"
 )
 
-// maxArtifactBytes bounds one uploaded blob; golden artifacts of the
-// paper's SoCs are a few MB, so 1 GiB is pure abuse protection.
-const maxArtifactBytes = 1 << 30
-
-// Register mounts the lake's HTTP surface on mux (see the endpoint table
-// in package capi's doc). Handlers answer 503 + Retry-After while the
-// store is unavailable (Fail), which clients treat as a miss.
+// Register mounts the lake's read-only HTTP surface on mux: a blob by
+// hash and a key's hash, both GET only (see the endpoint table in
+// package capi's doc). Handlers answer 503 + Retry-After while the store
+// is unavailable (Fail), which clients treat as a miss.
 func (s *Store) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/artifacts/", s.handleArtifact)
 	mux.HandleFunc("/v1/lake/keys/", s.handleKey)
-	mux.HandleFunc("/v1/lake/claims/", s.handleClaim)
 }
 
-// guard writes the unavailable reply and reports whether the request
-// must stop.
-func (s *Store) guard(w http.ResponseWriter) bool {
-	if s.unavailable() {
+// refuse writes the reply for a request the read-only surface does not
+// serve — any method but GET, or the store unavailable — and reports
+// whether the request must stop. A method pattern would not do: the
+// mux lets a GET route answer HEAD.
+func (s *Store) refuse(w http.ResponseWriter, r *http.Request) bool {
+	switch {
+	case r.Method != http.MethodGet:
+		capi.WriteError(w, http.StatusMethodNotAllowed, capi.CodeBadRequest, "method %s not allowed", r.Method)
+	case s.unavailable():
 		capi.WriteUnavailable(w, time.Second, "artifact lake unavailable")
-		return true
+	default:
+		return false
 	}
-	return false
+	return true
 }
 
 func (s *Store) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	if s.guard(w) {
+	if s.refuse(w, r) {
 		return
 	}
 	hash := strings.TrimPrefix(r.URL.Path, "/v1/artifacts/")
@@ -45,55 +44,20 @@ func (s *Store) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "malformed blob hash %q", hash)
 		return
 	}
-	switch r.Method {
-	case http.MethodPut:
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBytes+1))
-		if err != nil {
-			capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "reading blob: %v", err)
-			return
-		}
-		if len(data) > maxArtifactBytes {
-			capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "blob exceeds %d bytes", maxArtifactBytes)
-			return
-		}
-		// The URL names the content; bytes that do not hash to it are
-		// rejected, never stored — a corrupt upload cannot poison the lake.
-		if HashOf(data) != hash {
-			capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest,
-				"blob does not match its content address")
-			return
-		}
-		if _, err := s.Put(data); err != nil {
-			writeStoreError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	case http.MethodGet:
-		start := time.Now()
-		data, err := s.Get(hash)
-		if err != nil {
-			writeStoreError(w, err)
-			return
-		}
-		s.met().ObserveFetch(time.Since(start))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.Write(data)
-	case http.MethodHead:
-		size, ok := s.Head(hash)
-		if !ok {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		w.WriteHeader(http.StatusOK)
-	default:
-		capi.WriteError(w, http.StatusMethodNotAllowed, capi.CodeBadRequest, "method %s not allowed", r.Method)
+	start := time.Now()
+	data, err := s.Get(hash)
+	if err != nil {
+		writeStoreError(w, err)
+		return
 	}
+	s.met().ObserveFetch(time.Since(start))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data)
 }
 
 func (s *Store) handleKey(w http.ResponseWriter, r *http.Request) {
-	if s.guard(w) {
+	if s.refuse(w, r) {
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, "/v1/lake/keys/")
@@ -101,61 +65,12 @@ func (s *Store) handleKey(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "empty lake key")
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		hash, ok := s.Resolve(key)
-		if !ok {
-			capi.WriteError(w, http.StatusNotFound, capi.CodeNotFound, "no artifact for key %q", key)
-			return
-		}
-		capi.WriteJSON(w, capi.LakeKeyReply{Hash: hash})
-	case http.MethodPut:
-		var req capi.LakeLinkRequest
-		if err := decodeJSON(r, &req); err != nil {
-			capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "%v", err)
-			return
-		}
-		if err := s.Link(key, req.Hash); err != nil {
-			writeStoreError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	default:
-		capi.WriteError(w, http.StatusMethodNotAllowed, capi.CodeBadRequest, "method %s not allowed", r.Method)
-	}
-}
-
-func (s *Store) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if s.guard(w) {
+	hash, ok := s.Resolve(key)
+	if !ok {
+		capi.WriteError(w, http.StatusNotFound, capi.CodeNotFound, "no artifact for key %q", key)
 		return
 	}
-	if r.Method != http.MethodPost {
-		capi.WriteError(w, http.StatusMethodNotAllowed, capi.CodeBadRequest, "method %s not allowed", r.Method)
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/v1/lake/claims/")
-	var req capi.LakeClaimRequest
-	if err := decodeJSON(r, &req); err != nil {
-		capi.WriteError(w, http.StatusBadRequest, capi.CodeBadRequest, "%v", err)
-		return
-	}
-	cs, err := s.Claim(key, req.Owner)
-	if err != nil {
-		writeStoreError(w, err)
-		return
-	}
-	capi.WriteJSON(w, capi.LakeClaimReply{State: cs.State, Hash: cs.Hash, Holder: cs.Holder, TTLMS: cs.TTLMS})
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return fmt.Errorf("reading body: %v", err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("decoding body: %v", err)
-	}
-	return nil
+	capi.WriteJSON(w, capi.LakeKeyReply{Hash: hash})
 }
 
 func writeStoreError(w http.ResponseWriter, err error) {

@@ -7,7 +7,9 @@
 // index that survives restarts, which is what makes cross-sweep
 // memoization work on a fresh coordinator. The store is size-bounded:
 // least-recently-used blobs are evicted — together with every key that
-// references them — except while pinned by an in-flight read.
+// references them — except while pinned by an in-flight read. The
+// coordinator that owns the store is its only writer; workers read it
+// over two GET endpoints (see Register).
 //
 // The lake is an accelerator, never a correctness dependency. Every
 // consumer treats any lake error (including a deliberately failed store,
@@ -26,18 +28,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultMaxBytes bounds the store when the caller does not: large
 // enough for dozens of golden artifacts of the paper's SoCs, small
 // enough not to surprise a developer laptop.
 const DefaultMaxBytes = 4 << 30
-
-// DefaultClaimTTL is how long a golden-build claim shields its holder
-// before another builder may take over — generous enough for a real
-// golden run, short enough that a dead builder does not stall a sweep.
-const DefaultClaimTTL = 2 * time.Minute
 
 // ErrUnavailable is returned by every operation after Fail(true) — the
 // chaos hook lake smoke tests use to kill the lake mid-sweep.
@@ -50,19 +46,6 @@ var ErrNotFound = fmt.Errorf("not found")
 // ErrBadRequest marks a malformed key or hash.
 var ErrBadRequest = fmt.Errorf("bad request")
 
-// ClaimState is the outcome of a Claim call.
-type ClaimState struct {
-	// State is "artifact" (the key already resolves — fetch, don't
-	// build), "granted" (caller owns the build), or "held" (someone else
-	// is building; wait or poll).
-	State string `json:"state"`
-	// Hash is set when State == "artifact".
-	Hash string `json:"hash,omitempty"`
-	// Holder and TTLMS describe the live claim when State == "held".
-	Holder string `json:"holder,omitempty"`
-	TTLMS  int64  `json:"ttl_ms,omitempty"`
-}
-
 type blobMeta struct {
 	size    int64
 	lastUse int64 // monotonic use counter, higher = more recent
@@ -70,25 +53,17 @@ type blobMeta struct {
 	pins    int
 }
 
-type claim struct {
-	owner   string
-	expires time.Time
-}
-
 // Store is a content-addressed artifact store rooted at one directory.
 // All methods are safe for concurrent use.
 type Store struct {
 	dir      string
 	maxBytes int64
-	claimTTL time.Duration
-	now      func() time.Time
 	m        *Metrics
 	failed   atomic.Bool
 
 	mu        sync.Mutex
 	blobs     map[string]*blobMeta
 	keys      map[string]string // key -> blob hash
-	claims    map[string]claim
 	useClock  int64
 	bytes     int64
 	evictions uint64
@@ -104,11 +79,8 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
-		claimTTL: DefaultClaimTTL,
-		now:      time.Now,
 		blobs:    map[string]*blobMeta{},
 		keys:     map[string]string{},
-		claims:   map[string]claim{},
 	}
 	for _, sub := range []string{s.blobDir(), s.keyDir(), s.tmpDir()} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -198,15 +170,6 @@ func (s *Store) met() *Metrics {
 		return s.m
 	}
 	return noMetrics
-}
-
-// SetClaimTTL overrides the golden-build claim TTL (tests use short ones).
-func (s *Store) SetClaimTTL(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d > 0 {
-		s.claimTTL = d
-	}
 }
 
 // Dir reports the store's root directory.
@@ -315,22 +278,8 @@ func (s *Store) Get(hash string) ([]byte, error) {
 	return data, nil
 }
 
-// Head reports whether the blob exists and its size.
-func (s *Store) Head(hash string) (int64, bool) {
-	if s.unavailable() || !validHash(hash) {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[hash]
-	if !ok {
-		return 0, false
-	}
-	return b.size, true
-}
-
-// Link durably binds key to an existing blob and clears any claim on the
-// key — publishing an artifact releases the build claim in one step.
+// Link durably binds key to an existing blob, replacing any earlier
+// binding.
 func (s *Store) Link(key, hash string) error {
 	if s.unavailable() {
 		return ErrUnavailable
@@ -356,7 +305,6 @@ func (s *Store) Link(key, hash string) error {
 	}
 	s.keys[key] = hash
 	b.refs[key] = true
-	delete(s.claims, key)
 	path := s.keyPath(key)
 	s.mu.Unlock()
 
@@ -413,42 +361,15 @@ func kindOf(key string) string {
 	return "other"
 }
 
-// Claim implements the golden-build claim protocol for key:
-//   - the key already resolves -> {State: "artifact", Hash}: fetch it;
-//   - no live claim             -> {State: "granted"}: caller builds and
-//     publishes (Put + Link, which clears the claim);
-//   - another owner's claim is live -> {State: "held", Holder, TTLMS}.
-//
-// Claims expire after the store's TTL so a dead builder's claim frees
-// itself; re-claiming by the same owner refreshes the expiry.
-func (s *Store) Claim(key, owner string) (ClaimState, error) {
-	if s.unavailable() {
-		return ClaimState{}, ErrUnavailable
+// publish stores data and durably binds key to it: the one write path,
+// taken only by the coordinator (Builder after a local golden build,
+// PutPartial for a finished shard).
+func (s *Store) publish(key string, data []byte) error {
+	hash, err := s.Put(data)
+	if err != nil {
+		return err
 	}
-	if key == "" || owner == "" {
-		return ClaimState{}, fmt.Errorf("lake: claim needs a key and an owner: %w", ErrBadRequest)
-	}
-	now := s.now()
-	s.mu.Lock()
-	if hash, ok := s.keys[key]; ok {
-		if b := s.blobs[hash]; b != nil {
-			s.useClock++
-			b.lastUse = s.useClock
-		}
-		s.mu.Unlock()
-		s.met().hit(kindOf(key))
-		return ClaimState{State: "artifact", Hash: hash}, nil
-	}
-	if c, ok := s.claims[key]; ok && now.Before(c.expires) && c.owner != owner {
-		held := ClaimState{State: "held", Holder: c.owner, TTLMS: c.expires.Sub(now).Milliseconds()}
-		s.mu.Unlock()
-		return held, nil
-	}
-	s.claims[key] = claim{owner: owner, expires: now.Add(s.claimTTL)}
-	ttl := s.claimTTL
-	s.mu.Unlock()
-	s.met().miss(kindOf(key))
-	return ClaimState{State: "granted", TTLMS: ttl.Milliseconds()}, nil
+	return s.Link(key, hash)
 }
 
 // Bytes reports the store's current blob footprint.

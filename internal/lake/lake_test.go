@@ -2,14 +2,12 @@ package lake
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/capi"
 	"repro/internal/inject"
@@ -24,6 +22,20 @@ func openStore(t *testing.T, dir string, maxBytes int64) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// Head reports whether the blob exists and its size.
+func (s *Store) Head(hash string) (int64, bool) {
+	if s.unavailable() || !validHash(hash) {
+		return 0, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.blobs[hash]
+	if !ok {
+		return 0, false
+	}
+	return b.size, true
 }
 
 // goldenKeyOf is the lake key of a campaign's golden artifact, failing
@@ -166,47 +178,6 @@ func TestStoreEvictionLRUAndPinning(t *testing.T) {
 	}
 }
 
-// TestStoreClaimProtocol: grant, hold, expiry, and release-on-publish.
-func TestStoreClaimProtocol(t *testing.T) {
-	s := openStore(t, t.TempDir(), 0)
-	now := time.Unix(1000, 0)
-	s.now = func() time.Time { return now }
-	s.SetClaimTTL(10 * time.Second)
-	key := GoldenKey("fpA")
-
-	cs, err := s.Claim(key, "worker-1")
-	if err != nil || cs.State != "granted" {
-		t.Fatalf("first claim: %+v, %v", cs, err)
-	}
-	cs, err = s.Claim(key, "worker-2")
-	if err != nil || cs.State != "held" || cs.Holder != "worker-1" {
-		t.Fatalf("second claim: %+v, %v", cs, err)
-	}
-	// The same owner re-claiming refreshes rather than waits on itself.
-	cs, err = s.Claim(key, "worker-1")
-	if err != nil || cs.State != "granted" {
-		t.Fatalf("re-claim by holder: %+v, %v", cs, err)
-	}
-	// A dead builder's claim expires.
-	now = now.Add(11 * time.Second)
-	cs, err = s.Claim(key, "worker-2")
-	if err != nil || cs.State != "granted" {
-		t.Fatalf("claim after expiry: %+v, %v", cs, err)
-	}
-	// Publishing releases the claim and flips the outcome to "artifact".
-	hash, err := s.Put([]byte("the golden build"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Link(key, hash); err != nil {
-		t.Fatal(err)
-	}
-	cs, err = s.Claim(key, "worker-3")
-	if err != nil || cs.State != "artifact" || cs.Hash != hash {
-		t.Fatalf("claim after publish: %+v, %v", cs, err)
-	}
-}
-
 // TestStoreFailChaosHook: a failed store refuses everything with
 // ErrUnavailable and recovers when revived.
 func TestStoreFailChaosHook(t *testing.T) {
@@ -227,9 +198,6 @@ func TestStoreFailChaosHook(t *testing.T) {
 	}
 	if _, ok := s.Resolve("golden/fp"); ok {
 		t.Fatal("Resolve on failed store reported a hit")
-	}
-	if _, err := s.Claim("golden/fp", "w"); err != ErrUnavailable {
-		t.Fatalf("Claim on failed store: %v", err)
 	}
 	s.Fail(false)
 	if _, err := s.Get(hash); err != nil {
@@ -274,44 +242,25 @@ func TestHTTPArtifactSurface(t *testing.T) {
 	c := lakeServer(t, s)
 	ctx := t.Context()
 	data := []byte("over the wire")
-	hash := HashOf(data)
-
-	if _, ok, err := c.HeadArtifact(ctx, hash); err != nil || ok {
-		t.Fatalf("HEAD before upload: %v, %v", ok, err)
-	}
-	if err := c.PutArtifact(ctx, hash, data); err != nil {
+	hash, err := s.Put(data)
+	if err != nil {
 		t.Fatal(err)
-	}
-	// A body that does not hash to the URL must be rejected, not stored.
-	if err := c.PutArtifact(ctx, hash, []byte("different")); err == nil {
-		t.Fatal("mismatched upload accepted")
 	}
 	got, err := c.GetArtifact(ctx, hash)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("GET: %v", err)
-	}
-	if size, ok, err := c.HeadArtifact(ctx, hash); err != nil || !ok || size != int64(len(data)) {
-		t.Fatalf("HEAD after upload: %d, %v, %v", size, ok, err)
 	}
 
 	key := GoldenKey("fpHTTP")
 	if _, ok, err := c.LakeResolve(ctx, key); err != nil || ok {
 		t.Fatalf("resolve before link: %v, %v", ok, err)
 	}
-	reply, err := c.LakeClaim(ctx, key, "worker-1")
-	if err != nil || reply.State != capi.ClaimGranted {
-		t.Fatalf("claim: %+v, %v", reply, err)
-	}
-	if err := c.LakeLink(ctx, key, hash); err != nil {
+	if err := s.Link(key, hash); err != nil {
 		t.Fatal(err)
 	}
 	gotHash, ok, err := c.LakeResolve(ctx, key)
 	if err != nil || !ok || gotHash != hash {
 		t.Fatalf("resolve after link: %s, %v, %v", gotHash, ok, err)
-	}
-	reply, err = c.LakeClaim(ctx, key, "worker-2")
-	if err != nil || reply.State != capi.ClaimArtifact || reply.Hash != hash {
-		t.Fatalf("claim after publish: %+v, %v", reply, err)
 	}
 
 	// A failed store answers 503 on every route.
@@ -342,7 +291,7 @@ func TestBuilderShareAndFallback(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	cs := lakeSpec()
 
-	b1 := NewStoreBuilder(s, "builder-1")
+	b1 := NewStoreBuilder(s)
 	built1, fetched, err := b1.Build(cs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -409,10 +358,37 @@ func TestBuilderShareAndFallback(t *testing.T) {
 	}
 }
 
+// TestBuilderWorkerNeverPublishes is the one-writer rule: a worker's
+// client builder that misses a golden builds it locally, counts one miss
+// and leaves the lake as it found it — no blob, no key. Only the
+// coordinator publishes.
+func TestBuilderWorkerNeverPublishes(t *testing.T) {
+	s := openStore(t, t.TempDir(), 0)
+	cs := lakeSpec()
+	m := NewMetrics(obs.NewRegistry())
+	built, fetched, err := NewClientBuilder(lakeServer(t, s), "worker-1", m).Build(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetched || built == nil {
+		t.Fatalf("Build on an empty lake: fetched=%v, built=%v", fetched, built != nil)
+	}
+	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
+		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
+	}
+	if _, ok := s.Resolve(goldenKeyOf(t, cs)); ok {
+		t.Fatal("worker published its golden key")
+	}
+	if n := s.Bytes(); n != 0 {
+		t.Fatalf("worker uploaded %d bytes to the lake", n)
+	}
+}
+
 // TestBuilderRejectsPoisonedArtifact: a key pointing at bytes that are
-// not a valid golden artifact must fall back to a local build, count that
-// build as the builder's golden miss (the store already counted the claim
-// as a hit), then heal the key by republishing.
+// not a valid golden artifact must fall back to a local build and count
+// that build as the builder's golden miss (the store already counted the
+// resolve as a hit). A worker's builder leaves the key alone; the
+// coordinator's store builder heals it by republishing.
 func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	cs := lakeSpec()
@@ -438,6 +414,13 @@ func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	}
 	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
 		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
+	}
+	if got, ok := s.Resolve(key); !ok || got != hash {
+		t.Fatal("worker's builder rewrote the poisoned key")
+	}
+
+	if _, fetched, err := NewStoreBuilder(s).Build(cs, nil); err != nil || fetched {
+		t.Fatalf("store builder on a poisoned key: fetched=%v err=%v", fetched, err)
 	}
 	healed, ok := s.Resolve(key)
 	if !ok || healed == hash {
@@ -492,7 +475,7 @@ func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
 	if err := s.Link(key, staleHash); err != nil {
 		t.Fatal(err)
 	}
-	built, fetched, err := NewStoreBuilder(s, "builder-1").Build(cs, nil)
+	built, fetched, err := NewStoreBuilder(s).Build(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,50 +500,8 @@ func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
 	if !bytes.Equal(healed, fresh) {
 		t.Fatal("healed key does not point at the current-codec artifact")
 	}
-	if _, fetched, err := NewStoreBuilder(s, "builder-2").Build(cs, nil); err != nil || !fetched {
+	if _, fetched, err := NewStoreBuilder(s).Build(cs, nil); err != nil || !fetched {
 		t.Fatalf("second builder did not adopt the healed artifact: fetched=%v err=%v", fetched, err)
-	}
-}
-
-// TestBuilderHeldClaimWait: a held claim is polled until the holder
-// publishes, then fetched — the shared-build path two workers race on.
-func TestBuilderHeldClaimWait(t *testing.T) {
-	s := openStore(t, t.TempDir(), 0)
-	cs := lakeSpec()
-	key := goldenKeyOf(t, cs)
-	if _, err := s.Claim(key, "other-builder"); err != nil {
-		t.Fatal(err)
-	}
-
-	// The holder publishes a real artifact shortly after.
-	ref, err := shard.BuildLocal(cs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := shard.EncodeBuilt(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		hash, err := s.Put(blob)
-		if err != nil {
-			return
-		}
-		_ = s.Link(key, hash)
-	}()
-
-	b := NewStoreBuilder(s, "waiting-builder")
-	b.SetWait(10*time.Millisecond, 5*time.Second)
-	built, fetched, err := b.Build(cs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fetched {
-		t.Fatal("waiting builder rebuilt instead of adopting the published artifact")
-	}
-	if built == nil {
-		t.Fatal("no campaign")
 	}
 }
 
@@ -573,7 +514,7 @@ func TestPartialsRoundTripAndValidation(t *testing.T) {
 		Work:       inject.Work{InjectEvals: 77},
 	}
 	orig.Injections = make([]inject.Injection, 4)
-	p.PutPartial("fpP", orig)
+	s.PutPartial("fpP", orig)
 
 	got := p.GetPartial("fpP", 8, 12)
 	if got == nil {
@@ -602,10 +543,10 @@ func TestPartialsRoundTripAndValidation(t *testing.T) {
 	if p.GetPartial("fpP", 8, 12) != nil {
 		t.Fatal("dead lake returned a partial")
 	}
-	p.PutPartial("fpP", orig) // must not panic or error
+	s.PutPartial("fpP", orig) // must not panic or error
 }
 
-// TestHTTPRejectsBadInput covers the surface's refusal paths.
+// TestHTTPRejectsBadInput covers the read-only surface's refusal paths.
 func TestHTTPRejectsBadInput(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	mux := http.NewServeMux()
@@ -629,13 +570,23 @@ func TestHTTPRejectsBadInput(t *testing.T) {
 			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
 		}
 	}
-	check(http.MethodPut, "/v1/artifacts/nothex", "x", http.StatusBadRequest)
-	check(http.MethodGet, "/v1/artifacts/"+HashOf([]byte("absent")), "", http.StatusNotFound)
-	check(http.MethodPost, "/v1/artifacts/"+HashOf([]byte("x")), "x", http.StatusMethodNotAllowed)
+	blob := "/v1/artifacts/" + HashOf([]byte("absent"))
+	check(http.MethodGet, "/v1/artifacts/nothex", "", http.StatusBadRequest)
+	check(http.MethodGet, blob, "", http.StatusNotFound)
 	check(http.MethodGet, "/v1/lake/keys/absent/key", "", http.StatusNotFound)
-	claimBody, _ := json.Marshal(capi.LakeClaimRequest{Owner: ""})
-	check(http.MethodPost, "/v1/lake/claims/some/key", string(claimBody), http.StatusBadRequest)
-	linkBody, _ := json.Marshal(capi.LakeLinkRequest{Hash: HashOf([]byte("absent"))})
-	check(http.MethodPut, "/v1/lake/keys/some/key", string(linkBody), http.StatusNotFound)
-	check(http.MethodPut, "/v1/lake/keys/other/key", "{bad json", http.StatusBadRequest)
+	// The coordinator is the lake's only writer: every other method on
+	// either path is refused, even carrying a well-formed upload, and
+	// nothing lands in the store.
+	bodies := map[string]string{
+		blob:                     "absent",
+		"/v1/lake/keys/some/key": `{"hash":"` + HashOf([]byte("absent")) + `"}`,
+	}
+	for path, body := range bodies {
+		for _, method := range []string{http.MethodPut, http.MethodPost, http.MethodHead} {
+			check(method, path, body, http.StatusMethodNotAllowed)
+		}
+	}
+	if n := s.Bytes(); n != 0 {
+		t.Fatalf("refused requests stored %d bytes", n)
+	}
 }

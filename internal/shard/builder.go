@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/inject"
+	"repro/internal/riscv"
 	"repro/internal/socgen"
 )
 
 // Builder is the executor's campaign-construction backend seam. The
 // default backend simulates the golden run locally; an artifact-lake
-// backend may instead claim-or-fetch the campaign's serialized golden
-// artifact from a fleet-wide store, falling back to a local build on any
+// backend may instead fetch the campaign's serialized golden artifact
+// from a fleet-wide store, falling back to a local build on any miss or
 // lake error — the lake is an accelerator, never a correctness
 // dependency, so a Builder implementation must always return a campaign
 // whose results are bit-identical to BuildLocal's.
@@ -34,8 +35,8 @@ func (LocalBuilder) Build(cs CampaignSpec, tune func(*inject.Options)) (*Built, 
 	return b, false, err
 }
 
-// EncodeBuilt serializes the campaign's golden-run artifact — the blob a
-// lake Builder publishes after a local build. The bytes are a pure
+// EncodeBuilt serializes the campaign's golden-run artifact — the blob
+// the coordinator's lake Builder publishes after a local build. The bytes are a pure
 // function of the golden spec and the checkpoint pitch, so they are
 // stable under content addressing and equal across every campaign sharing
 // a GoldenFingerprint.
@@ -51,33 +52,7 @@ func EncodeBuilt(b *Built) ([]byte, error) {
 // serialized artifact instead of simulated. A corrupt or mismatched
 // artifact is an error; callers fall back to BuildLocal.
 func BuildFromGolden(cs CampaignSpec, tune func(*inject.Options), artifact []byte) (*Built, error) {
-	if err := cs.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, err := socgen.ConfigByIndex(cs.SoC)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := WorkloadProgram(cs.Workload)
-	if err != nil {
-		return nil, err
-	}
-	opts := cs.Options()
-	if tune != nil {
-		tune(&opts)
-	}
-	run, err := inject.PrepareSoCFromGolden(cfg, prog, fault.DefaultDB(), opts, artifact)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := cs.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	return &Built{
-		Spec:        cs,
-		Fingerprint: fp,
-		Run:         run,
-		Jobs:        run.Campaign.DrawJobs(),
-	}, nil
+	return build(cs, tune, func(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts inject.Options) (*inject.SoCRun, error) {
+		return inject.PrepareSoCFromGolden(cfg, prog, db, opts, artifact)
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/inject"
 	"repro/internal/obs"
+	"repro/internal/riscv"
 	"repro/internal/socgen"
 )
 
@@ -28,6 +29,14 @@ type Built struct {
 // this process executes its shards but never what they compute, and
 // therefore deliberately absent from the spec and the fingerprint.
 func BuildLocal(cs CampaignSpec, tune func(*inject.Options)) (*Built, error) {
+	return build(cs, tune, inject.PrepareSoC)
+}
+
+// build is the set-up BuildLocal and BuildFromGolden share: validate the
+// spec, resolve its design and workload, apply tune, and draw the plan of
+// the run prepare readies — prepare decides whether the golden run is
+// simulated or adopted.
+func build(cs CampaignSpec, tune func(*inject.Options), prepare func(socgen.Config, riscv.Program, *fault.DB, inject.Options) (*inject.SoCRun, error)) (*Built, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,7 +56,7 @@ func BuildLocal(cs CampaignSpec, tune func(*inject.Options)) (*Built, error) {
 	if tune != nil {
 		tune(&opts)
 	}
-	run, err := inject.PrepareSoC(cfg, prog, fault.DefaultDB(), opts)
+	run, err := prepare(cfg, prog, fault.DefaultDB(), opts)
 	if err != nil {
 		return nil, err
 	}
