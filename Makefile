@@ -136,10 +136,14 @@ watch-smoke:
 # a resubmitted sweep on the same lake completes with zero re-simulated
 # shards and no workers at all, and a lake chaos-failed mid-sweep still
 # drains to output byte-identical to the in-process reference — all
-# under the race detector.
+# under the race detector. The coordinator builds a sweep's campaigns
+# concurrently, one build per golden spec, so the one-golden-span run is
+# the single-flight gate: it runs three times, so a second build of a
+# shared golden that slips through only by luck of timing fails here.
 lake-smoke:
 	$(GO) test -race ./internal/lake -run '^TestBuilder' -count=1 -v
-	$(GO) test ./cmd/campaignd -race -run '^(TestLakeGoldenSharedOnce|TestLakeCrossSweepReuse|TestLakeChaosMidSweep)$$' -count=1 -v
+	$(GO) test ./cmd/campaignd -race -run '^(TestLakeCrossSweepReuse|TestLakeChaosMidSweep)$$' -count=1 -v
+	$(GO) test ./cmd/campaignd -race -run '^TestLakeGoldenSharedOnce$$' -count=3 -v
 
 # integrity-smoke is the end-to-end result-integrity gate: a sweep
 # drained with a wire that corrupts most completion payloads (every one

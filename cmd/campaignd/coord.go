@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"syscall"
@@ -428,65 +429,30 @@ func (g *registry) run(sr *sweepRun) {
 // drain earlier campaigns while later ones build), merges each campaign
 // the moment its last shard lands, and renders the grid once every
 // campaign is merged. It returns errCancelled when the sweep is
-// cancelled mid-flight.
+// cancelled mid-flight, and never before every build it started has
+// returned.
 func (g *registry) drive(sr *sweepRun) error {
 	items := sr.grid.Spec.Items
 
 	var mu sync.Mutex
 	builts := make([]*shard.Built, len(items))
 	buildErr := make(chan error, 1)
-	built := make(chan struct{}) // closed when the build loop returns
+	quit := make(chan struct{})  // closed when drive returns: start no more builds
+	built := make(chan struct{}) // closed once the open loop and all its builds have returned
 	go func() {
 		defer close(built)
-		for i, it := range items {
-			select {
-			case <-sr.stop:
-				return
-			default:
-			}
-			buildStart := time.Now()
-			// The artifact lake's fetch-or-build builder when a lake is attached
-			// (publishing after a real build, so the artifact is in the lake
-			// before any of this campaign's shards can be leased), a plain
-			// local build otherwise.
-			b, fetched, err := g.builder.Build(it.Campaign, nil)
-			if err != nil {
-				buildErr <- fmt.Errorf("building campaign %q: %v", it.Key, err)
-				return
-			}
-			// The "golden" span marks a real golden simulation; a campaign
-			// adopted from the artifact lake emits none, which is what lets a
-			// fleet trace assert each golden run happened exactly once anywhere.
-			if !fetched {
-				g.tracer.Span("golden", "coord", 0, int64(i), buildStart,
-					map[string]any{"campaign": shard.Short(b.Fingerprint)})
-			}
-			specs, err := sr.grid.Spec.Plan(it.Campaign, g.shards, len(b.Jobs))
-			if err != nil {
-				buildErr <- fmt.Errorf("planning campaign %q: %v", it.Key, err)
-				return
-			}
+		err := g.openCampaigns(sr, quit, func(i int, b *shard.Built) {
 			mu.Lock()
 			builts[i] = b
 			mu.Unlock()
-			select {
-			case <-sr.stop:
-				return
-			default:
-			}
-			// Every planned shard the registry already holds — in memory from
-			// this journal, or published to the lake by another sweep's plan —
-			// restores here: a resubmitted overlapping sweep completes without
-			// re-simulating what the fleet already ran.
-			nJournaled, err := sr.pool.Open(i, specs, g)
-			if err != nil {
-				buildErr <- err
-				return
-			}
-			g.log.Info("campaign opened", "campaign", it.Key, "fp", shard.Short(b.Fingerprint),
-				"soc", it.Campaign.SoC, "workload", it.Campaign.Workload, "engine", it.Campaign.Engine,
-				"injections", len(b.Jobs), "shards", len(specs), "journaled", nJournaled)
+		})
+		if err != nil {
+			buildErr <- err
 		}
+	}()
+	defer func() {
+		close(quit)
+		<-built
 	}()
 
 	results := make(map[string]*inject.Result, len(items))
@@ -529,7 +495,7 @@ func (g *registry) drive(sr *sweepRun) error {
 			return errCancelled
 		}
 	}
-	// Every campaign merged, so the build loop is past its last Open; let
+	// Every campaign merged, so the open loop is past its last Open; let
 	// its last log line land before the sweep reports completion.
 	<-built
 
@@ -558,6 +524,115 @@ func (g *registry) drive(sr *sweepRun) error {
 		g.log.Info("sweep done", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp),
 			"results", "/v1/sweeps/"+sr.fp+"/results")
 	}
+	return nil
+}
+
+// openCampaigns readies the sweep's campaigns. It builds them
+// concurrently, at most GOMAXPROCS at once and at most one per golden
+// spec (shard.CampaignSpec.GoldenFingerprint): campaigns sharing a golden
+// run are built one after another in sweep order, so with a lake attached
+// the first one simulates and publishes the golden and the later ones
+// adopt it. It plans and opens the built campaigns strictly in sweep
+// order, so lease order, journal and rendered bytes are those of a
+// one-at-a-time loop whatever order the builds finish in. keep receives
+// each campaign just before it opens. After a stop, a quit or the first
+// error it starts no new build and opens nothing more, and it returns
+// only once every build it started has returned.
+func (g *registry) openCampaigns(sr *sweepRun, quit <-chan struct{}, keep func(int, *shard.Built)) error {
+	items := sr.grid.Spec.Items
+	golden := make([]string, len(items))
+	for i, it := range items {
+		gfp, err := it.Campaign.GoldenFingerprint()
+		if err != nil {
+			return fmt.Errorf("building campaign %q: %v", it.Key, err)
+		}
+		golden[i] = gfp
+	}
+	type result struct {
+		i   int
+		b   *shard.Built
+		err error
+	}
+	var (
+		err      error
+		done     = make(chan result)
+		res      = make([]*result, len(items)) // set when item i's build returns
+		begun    = make([]bool, len(items))
+		busy     = map[string]bool{} // golden specs with a build in flight
+		limit    = runtime.GOMAXPROCS(0)
+		inflight int
+		next     int // the first campaign not yet opened
+	)
+	halted := func() bool {
+		select {
+		case <-sr.stop:
+			return true
+		case <-quit:
+			return true
+		default:
+			return err != nil
+		}
+	}
+	for {
+		for i := next; i < len(items) && inflight < limit && !halted(); i++ {
+			if begun[i] || busy[golden[i]] {
+				continue
+			}
+			begun[i], busy[golden[i]] = true, true
+			inflight++
+			go func() {
+				start := time.Now()
+				// The artifact lake's fetch-or-build builder when a lake is
+				// attached (publishing after a real build, so the artifact is
+				// in the lake before any of this campaign's shards can be
+				// leased), a plain local build otherwise.
+				b, fetched, err := g.builder.Build(items[i].Campaign, nil)
+				// The "golden" span marks a real golden simulation; a campaign
+				// adopted from the artifact lake emits none, which is what lets
+				// a fleet trace assert each golden run happened exactly once
+				// anywhere.
+				if err == nil && !fetched {
+					g.tracer.Span("golden", "coord", 0, int64(i), start,
+						map[string]any{"campaign": shard.Short(b.Fingerprint)})
+				}
+				done <- result{i: i, b: b, err: err}
+			}()
+		}
+		if inflight == 0 {
+			return err
+		}
+		r := <-done
+		inflight--
+		busy[golden[r.i]] = false
+		res[r.i] = &r
+		if r.err != nil && err == nil {
+			err = fmt.Errorf("building campaign %q: %v", items[r.i].Key, r.err)
+		}
+		for ; next < len(items) && res[next] != nil && !halted(); next++ {
+			err = g.openCampaign(sr, next, res[next].b, keep)
+		}
+	}
+}
+
+// openCampaign plans one built campaign and opens it on the sweep's pool.
+func (g *registry) openCampaign(sr *sweepRun, i int, b *shard.Built, keep func(int, *shard.Built)) error {
+	it := sr.grid.Spec.Items[i]
+	specs, err := sr.grid.Spec.Plan(it.Campaign, g.shards, len(b.Jobs))
+	if err != nil {
+		return fmt.Errorf("planning campaign %q: %v", it.Key, err)
+	}
+	keep(i, b)
+	// Every planned shard the registry already holds — in memory from
+	// this journal, or published to the lake by another sweep's plan —
+	// restores here: a resubmitted overlapping sweep completes without
+	// re-simulating what the fleet already ran.
+	nJournaled, err := sr.pool.Open(i, specs, g)
+	if err != nil {
+		return err
+	}
+	g.log.Info("campaign opened", "campaign", it.Key, "fp", shard.Short(b.Fingerprint),
+		"soc", it.Campaign.SoC, "workload", it.Campaign.Workload, "engine", it.Campaign.Engine,
+		"injections", len(b.Jobs), "shards", len(specs), "journaled", nJournaled)
 	return nil
 }
 

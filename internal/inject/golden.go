@@ -81,12 +81,10 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 }
 
 // adoptGolden decodes and validates a golden artifact into c, returning
-// the builder's golden eval count.
-func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return 0, fmt.Errorf("inject: read golden artifact: %w", err)
-	}
+// the builder's golden eval count. raw is read in place, nested blobs
+// included, and the adopted state keeps no reference to it: the caller
+// owns raw, and may reuse or overwrite it once adoptGolden returns.
+func (c *Campaign) adoptGolden(raw []byte) (uint64, error) {
 	d := wire.NewReader("inject: golden artifact", raw)
 	if m := d.U32(); d.Err() == nil && m != goldenMagic {
 		d.Fail("bad magic %#x", m)
@@ -147,7 +145,7 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 		if want := uint64(gc.cycle)*c.plan.PeriodPS + 1; gc.time != want {
 			return 0, fmt.Errorf("inject: golden checkpoint %d time %d, want %d", i, gc.time, want)
 		}
-		ck, err := sim.DecodeCheckpoint(bytes.NewReader(ckBlob))
+		ck, err := sim.DecodeCheckpointBytes(ckBlob)
 		if err != nil {
 			return 0, fmt.Errorf("inject: golden checkpoint %d: %w", i, err)
 		}
@@ -167,12 +165,12 @@ func (c *Campaign) adoptGolden(r io.Reader) (uint64, error) {
 			if d.Err() != nil {
 				return 0, d.Err()
 			}
-			if gc.vcdState, err = vcd.DecodeWriterState(bytes.NewReader(vsBlob)); err != nil {
+			if gc.vcdState, err = vcd.DecodeWriterStateBytes(vsBlob); err != nil {
 				return 0, fmt.Errorf("inject: golden checkpoint %d: %w", i, err)
 			}
 		}
 	}
-	dump := d.Blob()
+	dump := bytes.Clone(d.Blob()) // d.Blob aliases raw
 	if err := d.Done(); err != nil {
 		return 0, err
 	}

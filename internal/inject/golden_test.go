@@ -185,7 +185,7 @@ func TestDecodersBoundCountsByInput(t *testing.T) {
 			return err
 		}},
 		{"golden", golden.Bytes(), func(b []byte) error {
-			_, err := c.adoptGolden(bytes.NewReader(b))
+			_, err := c.adoptGolden(b)
 			return err
 		}},
 	} {
@@ -214,6 +214,8 @@ func TestDecodersBoundCountsByInput(t *testing.T) {
 // golden state must carry injections without panicking (a
 // mutated-but-well-formed state may make a run fail or flip verdicts —
 // integrity is the lake hash's job — but it may not take the worker down).
+// The adopted state must not alias the input: overwriting the adopted
+// bytes afterwards must leave the re-encode unchanged.
 func FuzzAdoptGolden(f *testing.F) {
 	var camps []*Campaign
 	for i, mutate := range []func(*Options){
@@ -237,9 +239,13 @@ func FuzzAdoptGolden(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		for _, c := range camps {
-			evals, err := c.adoptGolden(bytes.NewReader(blob))
+			in := bytes.Clone(blob)
+			evals, err := c.adoptGolden(in)
 			if err != nil {
 				continue
+			}
+			for i := range in {
+				in[i] = ^in[i]
 			}
 			var again bytes.Buffer
 			if err := c.EncodeGolden(&again, evals); err != nil {

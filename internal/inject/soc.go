@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/fault"
@@ -34,10 +33,11 @@ func PrepareSoC(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Option
 // netlist generation, stimulus and validation, but the campaign decodes
 // the golden signature, eval count and checkpoint schedule from blob.
 // A mismatched or corrupt blob is an error; callers fall back to
-// PrepareSoC, which is always correct.
+// PrepareSoC, which is always correct. blob is read in place and not
+// retained: the campaign owns copies of everything it keeps.
 func PrepareSoCFromGolden(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Options, blob []byte) (*SoCRun, error) {
 	return prepareSoC(cfg, prog, db, opts, func(c *Campaign) (uint64, error) {
-		return c.adoptGolden(bytes.NewReader(blob))
+		return c.adoptGolden(blob)
 	})
 }
 

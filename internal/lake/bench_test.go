@@ -1,0 +1,38 @@
+package lake
+
+import (
+	"testing"
+
+	"repro/internal/sweep"
+)
+
+// BenchmarkAdoptTableI is the coordinator's set-up over a filled lake,
+// in process: the ten Table I campaigns of the default grid built through
+// the store builder in sweep order, each one adopting its golden artifact
+// (resolve, get, netlist generation and flattening, stimulus, clusters,
+// artifact decode). The lake is filled once, outside the timer. Run it
+// against two commits, alternating, to A/B a set-up change without the
+// process start-up and HTTP traffic of the fleet workloads:
+//
+//	go test ./internal/lake -run '^$' -bench AdoptTableI -count 5
+func BenchmarkAdoptTableI(b *testing.B) {
+	grid, err := sweep.GridParams{Kind: "table1"}.Grid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bl := NewStoreBuilder(openStore(b, b.TempDir(), 0))
+	for _, it := range grid.Spec.Items {
+		if _, _, err := bl.Build(it.Campaign, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, it := range grid.Spec.Items {
+			if _, fetched, err := bl.Build(it.Campaign, nil); err != nil || !fetched {
+				b.Fatalf("%s: fetched=%t err=%v", it.Key, fetched, err)
+			}
+		}
+	}
+}

@@ -7,15 +7,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/capi"
 	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
-func openStore(t *testing.T, dir string, maxBytes int64) *Store {
+func openStore(t testing.TB, dir string, maxBytes int64) *Store {
 	t.Helper()
 	s, err := Open(dir, maxBytes)
 	if err != nil {
@@ -588,5 +590,57 @@ func TestHTTPRejectsBadInput(t *testing.T) {
 	}
 	if n := s.Bytes(); n != 0 {
 		t.Fatalf("refused requests stored %d bytes", n)
+	}
+}
+
+// TestBuilderConcurrentBuilds drives one store builder from several
+// goroutines at once, as the coordinator's concurrent set-up does: three
+// golden specs built side by side into an empty lake, then adopted side
+// by side from it, every artifact byte-identical to a serial local
+// build's. Under -race it covers everything concurrent builds share.
+func TestBuilderConcurrentBuilds(t *testing.T) {
+	level, soc2 := lakeSpec(), lakeSpec()
+	level.Engine = sim.KindLevel
+	soc2.SoC = 2
+	specs := []shard.CampaignSpec{lakeSpec(), level, soc2}
+	want := make([][]byte, len(specs))
+	for i, cs := range specs {
+		b, err := shard.BuildLocal(cs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = shard.EncodeBuilt(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bl := NewStoreBuilder(openStore(t, t.TempDir(), 0))
+	for _, wantFetched := range []bool{false, true} {
+		got := make([][]byte, len(specs))
+		fetched := make([]bool, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, cs := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var b *shard.Built
+				b, fetched[i], errs[i] = bl.Build(cs, nil)
+				if errs[i] == nil {
+					got[i], errs[i] = shard.EncodeBuilt(b)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range specs {
+			if errs[i] != nil {
+				t.Fatalf("spec %d: %v", i, errs[i])
+			}
+			if fetched[i] != wantFetched {
+				t.Errorf("spec %d: fetched=%t, want %t", i, fetched[i], wantFetched)
+			}
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("spec %d (fetched=%t): artifact differs from a serial local build's", i, wantFetched)
+			}
+		}
 	}
 }

@@ -110,20 +110,28 @@ func Flatten(d *Design) (*Flat, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := d.presize()
 	f := &Flat{
 		Name:      d.Name,
-		NetIndex:  map[string]int{},
-		CellIndex: map[string]int{},
+		Nets:      make([]*FlatNet, 0, size.nets),
+		Cells:     make([]*FlatCell, 0, size.cells),
+		NetIndex:  make(map[string]int, size.netNames),
+		CellIndex: make(map[string]int, size.cells),
 	}
+	// The count is exact, so every net and cell is carved from one slab.
+	netSlab := make([]FlatNet, size.nets)
+	cellSlab := make([]FlatCell, size.cells)
 	newNet := func(name string) int {
 		id := len(f.Nets)
-		f.Nets = append(f.Nets, &FlatNet{ID: id, Name: name, Driver: -1})
+		n := &netSlab[id]
+		*n = FlatNet{ID: id, Name: name, Driver: -1}
+		f.Nets = append(f.Nets, n)
 		f.NetIndex[name] = id
 		return id
 	}
 
 	// Top-level ports become primary inputs/outputs.
-	topEnv := map[string]int{}
+	topEnv := make(map[string]int, len(top.Ports)+len(top.Wires))
 	for _, p := range top.Ports {
 		id := newNet(p.Name)
 		topEnv[p.Name] = id
@@ -144,18 +152,19 @@ func Flatten(d *Design) (*Flat, error) {
 		}
 		for _, inst := range m.Instances {
 			if sub, ok := d.Modules[inst.Of]; ok {
-				subEnv := make(map[string]int, len(sub.Ports))
+				subEnv := make(map[string]int, len(sub.Ports)+len(sub.Wires))
+				subPrefix := prefix + inst.Name + "."
 				for port, net := range inst.Conns {
 					gid, ok := env[net]
 					if !ok {
 						return fmt.Errorf("netlist: %s%s: net %q unresolved", prefix, inst.Name, net)
 					}
 					subEnv[port] = gid
-					alias := prefix + inst.Name + "." + port
+					alias := subPrefix + port
 					f.NetIndex[alias] = gid
 					f.Nets[gid].Aliases = append(f.Nets[gid].Aliases, alias)
 				}
-				err := elaborate(sub, prefix+inst.Name+".",
+				err := elaborate(sub, subPrefix,
 					subEnv,
 					append(append([]string(nil), trail...), inst.Name),
 					append(append([]string(nil), modTypes...), sub.Name))
@@ -168,7 +177,8 @@ func Flatten(d *Design) (*Flat, error) {
 			if err != nil {
 				return fmt.Errorf("netlist: %s%s: %v", prefix, inst.Name, err)
 			}
-			fc := &FlatCell{
+			fc := &cellSlab[len(f.Cells)]
+			*fc = FlatCell{
 				ID:       len(f.Cells),
 				Path:     prefix + inst.Name,
 				Def:      def,
@@ -213,6 +223,44 @@ func Flatten(d *Design) (*Flat, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// flatSize is the exact size of a design's flattened view: one net per
+// top-level port and per wire of every module instance, one cell per
+// library-cell instance, and one NetIndex name per net plus one per port
+// connection of every submodule instance (its hierarchical alias).
+type flatSize struct{ nets, cells, netNames int }
+
+// presize counts the flattened view Flatten builds by walking the
+// hierarchy once, each module's subtree counted once however often it is
+// instantiated, so the tables are allocated at their final size.
+func (d *Design) presize() flatSize {
+	memo := map[string]flatSize{}
+	var count func(name string) flatSize
+	count = func(name string) flatSize {
+		if c, ok := memo[name]; ok {
+			return c
+		}
+		m := d.Modules[name]
+		c := flatSize{nets: len(m.Wires), netNames: len(m.Wires)}
+		for _, inst := range m.Instances {
+			if _, ok := d.Modules[inst.Of]; !ok {
+				c.cells++
+				continue
+			}
+			sc := count(inst.Of)
+			c.nets += sc.nets
+			c.cells += sc.cells
+			c.netNames += sc.netNames + len(inst.Conns)
+		}
+		memo[name] = c
+		return c
+	}
+	c := count(d.Top)
+	n := len(d.Modules[d.Top].Ports)
+	c.nets += n
+	c.netNames += n
+	return c
 }
 
 // levelize assigns a topological level to every combinational cell: a cell's

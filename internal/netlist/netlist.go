@@ -168,28 +168,48 @@ func (d *Design) Validate() error {
 	if err := d.checkHierarchyAcyclic(); err != nil {
 		return err
 	}
+	// Each entity's port-direction table is built once per design, not
+	// once per instance of it.
+	type portTable struct {
+		dirs map[string]Dir
+		err  error
+	}
+	tables := map[string]portTable{}
 	for _, mname := range d.ModuleNames() {
 		m := d.Modules[mname]
-		nets := map[string]bool{}
+		nets := make(map[string]bool, len(m.Ports)+len(m.Wires))
 		for _, n := range m.NetNames() {
 			if nets[n] {
 				return fmt.Errorf("netlist: module %s: duplicate net %q", m.Name, n)
 			}
 			nets[n] = true
 		}
-		drivers := map[string]string{}
+		// A net's driver: an input port (inst empty) or an instance pin.
+		type driver struct{ inst, port string }
+		driverName := func(dv driver) string {
+			if dv.inst == "" {
+				return "port " + dv.port
+			}
+			return dv.inst + "." + dv.port
+		}
+		drivers := make(map[string]driver, len(nets))
 		for _, p := range m.Ports {
 			if p.Dir == Input {
-				drivers[p.Name] = "port " + p.Name
+				drivers[p.Name] = driver{port: p.Name}
 			}
 		}
-		instNames := map[string]bool{}
+		instNames := make(map[string]bool, len(m.Instances))
 		for _, inst := range m.Instances {
 			if instNames[inst.Name] {
 				return fmt.Errorf("netlist: module %s: duplicate instance %q", m.Name, inst.Name)
 			}
 			instNames[inst.Name] = true
-			dirOf, err := d.portDirs(inst.Of)
+			pt, ok := tables[inst.Of]
+			if !ok {
+				pt.dirs, pt.err = d.portDirs(inst.Of)
+				tables[inst.Of] = pt
+			}
+			dirOf, err := pt.dirs, pt.err
 			if err != nil {
 				return fmt.Errorf("netlist: module %s instance %s: %v", m.Name, inst.Name, err)
 			}
@@ -204,9 +224,9 @@ func (d *Design) Validate() error {
 				if dir == Output {
 					if prev, dup := drivers[net]; dup {
 						return fmt.Errorf("netlist: module %s: net %q driven by both %s and %s.%s",
-							m.Name, net, prev, inst.Name, port)
+							m.Name, net, driverName(prev), inst.Name, port)
 					}
-					drivers[net] = inst.Name + "." + port
+					drivers[net] = driver{inst.Name, port}
 				}
 			}
 			// All ports of the instantiated entity must be connected: a
@@ -265,8 +285,9 @@ func (d *Design) checkHierarchyAcyclic() error {
 			return nil
 		}
 		state[name] = gray
+		trail = append(trail, name)
 		for _, inst := range m.Instances {
-			if err := visit(inst.Of, append(trail, name)); err != nil {
+			if err := visit(inst.Of, trail); err != nil {
 				return err
 			}
 		}

@@ -95,6 +95,13 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: read checkpoint blob: %w", err)
 	}
+	return DecodeCheckpointBytes(raw)
+}
+
+// DecodeCheckpointBytes is DecodeCheckpoint over a blob already in
+// memory, read in place. The returned checkpoint still owns all of its
+// storage: it keeps no reference to raw.
+func DecodeCheckpointBytes(raw []byte) (*Checkpoint, error) {
 	d := wire.NewReader("sim: checkpoint blob", raw)
 	if m := d.U32(); d.Err() == nil && m != ckptMagic {
 		d.Fail("bad magic %#x", m)

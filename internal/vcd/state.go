@@ -49,6 +49,12 @@ func DecodeWriterState(r io.Reader) (*WriterState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vcd: read writer-state blob: %w", err)
 	}
+	return DecodeWriterStateBytes(raw)
+}
+
+// DecodeWriterStateBytes is DecodeWriterState over a blob already in
+// memory, read in place; the returned state keeps no reference to raw.
+func DecodeWriterStateBytes(raw []byte) (*WriterState, error) {
 	d := wire.NewReader("vcd: writer-state blob", raw)
 	if m := d.U32(); d.Err() == nil && m != stateMagic {
 		d.Fail("bad magic %#x", m)
