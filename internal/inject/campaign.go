@@ -51,10 +51,14 @@ import (
 )
 
 // DefaultCheckpointEveryCycles is the golden-run checkpoint pitch used when
-// Options.CheckpointEveryCycles is zero: dense enough that the average
-// re-simulated prefix is under one cycle and convergence is probed every
-// other cycle, while a 30-odd-cycle workload still only keeps ~17 snapshots.
-const DefaultCheckpointEveryCycles = 2
+// Options.CheckpointEveryCycles is zero: a snapshot at every cycle, so a
+// faulty run restores within one cycle of its strike and meets a golden
+// boundary — where re-convergence is probed and the quiet-divergence proof
+// can retire it or jump it ahead — at every cycle after. SoC5's
+// 36-cycle memcpy stimulus keeps 35 snapshots (17 at pitch 2); a
+// coarser pitch saves golden-artifact bytes but costs simulation
+// (DESIGN.md, "Fixed placement").
+const DefaultCheckpointEveryCycles = 1
 
 // Params are the parameters that name a campaign: Algorithm 1's K_N/L_N,
 // the heavy-ion environment, the equal-proportion sample and the seeds,
@@ -264,6 +268,11 @@ type Campaign struct {
 	// through forkStrikes.
 	forks    []uint64
 	forkOnce sync.Once
+
+	// planArtifact, when set, is the golden artifact the campaign adopted
+	// for planning only (adoptGoldenPlan): it plans, merges and
+	// aggregates, and RunJobs refuses to run.
+	planArtifact []byte
 }
 
 // goldenCheckpoint is one snapshot of the golden run: the engine state at
@@ -631,6 +640,9 @@ func (c *Campaign) buildBatches(jobs []Job, workers int) []jobBatch {
 // checkpoints across shards — and it does not aggregate: call Aggregate
 // once after every planned injection has been accumulated.
 func (c *Campaign) RunJobs(res *Result, start, end int) error {
+	if c.planArtifact != nil {
+		return fmt.Errorf("inject: campaign adopted its golden artifact for planning only and cannot run injections")
+	}
 	all := c.DrawJobs()
 	if start < 0 || end > len(all) || start > end {
 		return fmt.Errorf("inject: job range [%d,%d) outside plan of %d injections", start, end, len(all))

@@ -36,12 +36,30 @@ const (
 // EncodeGolden writes the campaign's golden-run artifact to w.
 // goldenEvals is the Result.GoldenEvals the golden run reported; it
 // travels with the artifact so an adopting process can report the same
-// simulation cost accounting.
+// simulation cost accounting. A campaign adopted for planning writes the
+// artifact it adopted, which carries its own eval count.
 func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
+	if c.planArtifact != nil {
+		_, err := w.Write(c.planArtifact)
+		return err
+	}
 	if c.golden == nil {
 		return fmt.Errorf("inject: campaign has no golden signature to encode")
 	}
+	// Size every checkpoint first: the writer is allocated once, and each
+	// checkpoint is appended in place behind its length prefix.
+	lens := make([]int, len(c.ckpts))
+	size := 64 + len(c.flat.Name) + len(c.golden.slab) + len(c.goldenVCDDump)
+	for i := range c.ckpts {
+		n, err := sim.EncodedLen(c.ckpts[i].ck)
+		if err != nil {
+			return fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
+		}
+		lens[i] = n
+		size += n + 32
+	}
 	var e wire.Writer
+	e.Grow(size)
 	e.U32(goldenMagic)
 	e.Byte(goldenVersion)
 	e.String(c.flat.Name)
@@ -60,11 +78,10 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 		gc := &c.ckpts[i]
 		e.Int(gc.cycle)
 		e.U64(gc.time)
-		nested.Reset()
-		if err := sim.EncodeCheckpoint(&nested, gc.ck); err != nil {
+		e.Int(lens[i])
+		if err := sim.AppendCheckpoint(&e, gc.ck); err != nil {
 			return fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
 		}
-		e.Blob(nested.Bytes())
 		e.Bool(gc.vcdState != nil)
 		if gc.vcdState != nil {
 			nested.Reset()
@@ -84,7 +101,23 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 // the builder's golden eval count. raw is read in place, nested blobs
 // included, and the adopted state keeps no reference to it: the caller
 // owns raw, and may reuse or overwrite it once adoptGolden returns.
-func (c *Campaign) adoptGolden(raw []byte) (uint64, error) {
+func (c *Campaign) adoptGolden(raw []byte) (uint64, error) { return c.adopt(raw, false) }
+
+// adoptGoldenPlan adopts a golden artifact for planning only, for a
+// process that draws, merges and aggregates a campaign's plan but never
+// runs an injection. It reads and checks what adoptGolden does up to the
+// checkpoint schedule — header, signature, eval count, each checkpoint's
+// cycle and time, and the head of each nested checkpoint (magic, version,
+// kind, time) — but decodes no checkpoint's planes or queue, no VCD writer
+// state, and does not parse the dump. Its checks are a subset of
+// adoptGolden's: whatever adoptGolden accepts, it accepts too, and a
+// stale-pitch or stale-codec artifact is still refused. The campaign keeps
+// raw as its golden encoding (EncodeGolden writes it back), so the caller
+// must not modify raw afterwards; RunJobs refuses to run.
+func (c *Campaign) adoptGoldenPlan(raw []byte) (uint64, error) { return c.adopt(raw, true) }
+
+// adopt is adoptGolden, or adoptGoldenPlan when planOnly is set.
+func (c *Campaign) adopt(raw []byte, planOnly bool) (uint64, error) {
 	d := wire.NewReader("inject: golden artifact", raw)
 	if m := d.U32(); d.Err() == nil && m != goldenMagic {
 		d.Fail("bad magic %#x", m)
@@ -145,17 +178,21 @@ func (c *Campaign) adoptGolden(raw []byte) (uint64, error) {
 		if want := uint64(gc.cycle)*c.plan.PeriodPS + 1; gc.time != want {
 			return 0, fmt.Errorf("inject: golden checkpoint %d time %d, want %d", i, gc.time, want)
 		}
-		ck, err := sim.DecodeCheckpointBytes(ckBlob)
+		var kind sim.EngineKind
+		var at uint64
+		var err error
+		if planOnly {
+			kind, at, err = sim.DecodeCheckpointHeader(ckBlob)
+		} else if gc.ck, err = sim.DecodeCheckpointBytes(ckBlob); err == nil {
+			err = gc.ck.CheckDesign(c.flat)
+			kind, at = gc.ck.Kind, gc.ck.TimePS
+		}
 		if err != nil {
 			return 0, fmt.Errorf("inject: golden checkpoint %d: %w", i, err)
 		}
-		if err := ck.CheckDesign(c.flat); err != nil {
-			return 0, fmt.Errorf("inject: golden checkpoint %d: %w", i, err)
-		}
-		if ck.Kind != c.opts.Engine || ck.TimePS != gc.time {
+		if kind != c.opts.Engine || at != gc.time {
 			return 0, fmt.Errorf("inject: golden checkpoint %d header does not match schedule", i)
 		}
-		gc.ck = ck
 		if hasVCD != needVCD {
 			return 0, fmt.Errorf("inject: golden checkpoint %d has VCD state: %t, but the campaign's detector wants it: %t", i, hasVCD, needVCD)
 		}
@@ -165,12 +202,15 @@ func (c *Campaign) adoptGolden(raw []byte) (uint64, error) {
 			if d.Err() != nil {
 				return 0, d.Err()
 			}
+			if planOnly {
+				continue
+			}
 			if gc.vcdState, err = vcd.DecodeWriterStateBytes(vsBlob); err != nil {
 				return 0, fmt.Errorf("inject: golden checkpoint %d: %w", i, err)
 			}
 		}
 	}
-	dump := bytes.Clone(d.Blob()) // d.Blob aliases raw
+	dump := d.Blob() // aliases raw
 	if err := d.Done(); err != nil {
 		return 0, err
 	}
@@ -183,8 +223,12 @@ func (c *Campaign) adoptGolden(raw []byte) (uint64, error) {
 				i, ckpts[i].vcdPrefix, len(dump))
 		}
 	}
-	c.ckpts = ckpts
-	c.golden, c.goldenVCDDump, c.goldenVCD = sig, dump, nil
+	c.golden, c.goldenVCD = sig, nil
+	if planOnly {
+		c.ckpts, c.goldenVCDDump, c.planArtifact = nil, nil, raw
+		return evals, nil
+	}
+	c.ckpts, c.goldenVCDDump, c.planArtifact = ckpts, bytes.Clone(dump), nil
 	if needVCD {
 		// Parse the dump now, so a malformed one is refused at adoption.
 		if _, err := c.goldenTrace(); err != nil {

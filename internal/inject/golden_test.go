@@ -3,10 +3,12 @@ package inject
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/logic"
 	"repro/internal/riscv"
 	"repro/internal/sim"
 	"repro/internal/socgen"
@@ -215,7 +217,11 @@ func TestDecodersBoundCountsByInput(t *testing.T) {
 // mutated-but-well-formed state may make a run fail or flip verdicts —
 // integrity is the lake hash's job — but it may not take the worker down).
 // The adopted state must not alias the input: overwriting the adopted
-// bytes afterwards must leave the re-encode unchanged.
+// bytes afterwards must leave the re-encode unchanged. Planning adoption
+// (adoptGoldenPlan) checks a subset of the same: it accepts whatever full
+// adoption accepts, with the same plan, signature and eval count, and full
+// adoption refuses whatever it refuses; an artifact adopted for planning
+// re-encodes to the input and refuses to run.
 func FuzzAdoptGolden(f *testing.F) {
 	var camps []*Campaign
 	for i, mutate := range []func(*Options){
@@ -239,10 +245,29 @@ func FuzzAdoptGolden(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		for _, c := range camps {
+			planEvals, planErr := c.adoptGoldenPlan(bytes.Clone(blob))
+			var planSig []logic.V
+			planJobs := slices.Clone(c.DrawJobs())
+			if planErr == nil {
+				planSig = c.golden.slab
+				var again bytes.Buffer
+				if err := c.EncodeGolden(&again, planEvals); err != nil || !bytes.Equal(again.Bytes(), blob) {
+					t.Fatalf("artifact adopted for planning re-encodes differently (err %v)", err)
+				}
+				if c.RunJobs(&Result{}, 0, min(1, len(c.DrawJobs()))) == nil {
+					t.Fatal("campaign adopted for planning ran injections")
+				}
+			}
 			in := bytes.Clone(blob)
 			evals, err := c.adoptGolden(in)
 			if err != nil {
 				continue
+			}
+			if planErr != nil {
+				t.Fatalf("planning adoption refused an artifact full adoption accepts: %v", planErr)
+			}
+			if planEvals != evals || !slices.Equal(planSig, c.golden.slab) || !slices.Equal(planJobs, c.DrawJobs()) {
+				t.Fatal("planning and full adoption of one artifact disagree on eval count, signature or plan")
 			}
 			for i := range in {
 				in[i] = ^in[i]

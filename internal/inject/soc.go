@@ -41,8 +41,20 @@ func PrepareSoCFromGolden(cfg socgen.Config, prog riscv.Program, db *fault.DB, o
 	})
 }
 
-// prepareSoC is both PrepareSoC variants; golden acquires the golden state
-// as in prepare.
+// PrepareSoCForPlanning is PrepareSoCFromGolden for a process that plans,
+// merges and aggregates the campaign but never runs an injection: the
+// artifact is checked down to each nested checkpoint's header, but no
+// checkpoint is decoded (see adoptGoldenPlan). The campaign keeps blob as
+// its golden encoding, so the caller must not modify it afterwards; its
+// RunJobs returns an error.
+func PrepareSoCForPlanning(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Options, blob []byte) (*SoCRun, error) {
+	return prepareSoC(cfg, prog, db, opts, func(c *Campaign) (uint64, error) {
+		return c.adoptGoldenPlan(blob)
+	})
+}
+
+// prepareSoC is the body the PrepareSoC variants share; golden acquires
+// the golden state as in prepare.
 func prepareSoC(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts Options, golden func(*Campaign) (uint64, error)) (*SoCRun, error) {
 	d, err := socgen.Generate(cfg)
 	if err != nil {

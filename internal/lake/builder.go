@@ -53,6 +53,12 @@ func (b clientBackend) fetch(ctx context.Context, hash string) ([]byte, error) {
 // as a worker without a lake does. Only the coordinator's store builder
 // publishes after a local build, which is also how a key bound to a
 // corrupt or stale-codec artifact heals.
+//
+// The coordinator plans and merges but never executes a shard, so its
+// store builder adopts an artifact for planning only
+// (shard.BuildForPlanning): it checks the artifact down to each nested
+// checkpoint's header, which still refuses a stale pitch or codec, but
+// decodes no checkpoint. Workers adopt in full.
 type Builder struct {
 	lake backend
 	// store is the coordinator's Store, which receives the artifact of
@@ -112,7 +118,11 @@ func (b *Builder) fetch(cs shard.CampaignSpec, tune func(*inject.Options), key s
 	}
 	if ok {
 		if blob, err := b.lake.fetch(ctx, hash); err == nil {
-			if built, err := shard.BuildFromGolden(cs, tune, blob); err == nil {
+			adopt := shard.BuildFromGolden
+			if b.store != nil {
+				adopt = shard.BuildForPlanning
+			}
+			if built, err := adopt(cs, tune, blob); err == nil {
 				b.m.Hit("golden")
 				b.m.ObserveFetch(time.Since(start))
 				return built

@@ -507,6 +507,130 @@ func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
 	}
 }
 
+// TestBuilderPlanningAdoption covers the coordinator's planning-only
+// adoption. The store builder checks an artifact down to each nested
+// checkpoint's header and decodes no checkpoint, so it adopts an artifact
+// whose checkpoint bodies are corrupt while a worker's client builder
+// refuses it; its Built merges a full set of partials to the Result a full
+// adoption merges, and refuses to execute a shard; and an artifact built
+// at another checkpoint pitch is still refused and healed.
+func TestBuilderPlanningAdoption(t *testing.T) {
+	cs := lakeSpec()
+	key := goldenKeyOf(t, cs)
+	local, err := shard.BuildLocal(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := shard.EncodeBuilt(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := func(s *Store, blob []byte) string {
+		t.Helper()
+		hash, err := s.Put(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Link(key, hash); err != nil {
+			t.Fatal(err)
+		}
+		return hash
+	}
+
+	// Corrupt every nested checkpoint just past its header (magic,
+	// version, kind tag, time): the body no longer decodes.
+	corrupt := bytes.Clone(fresh)
+	magic := []byte("1PKS") // the checkpoint magic "SKP1", little-endian
+	patched := 0
+	for at := 0; ; patched++ {
+		i := bytes.Index(corrupt[at:], magic)
+		if i < 0 {
+			break
+		}
+		at += i + 4 + 1 + 1 + 8 + 8 // magic, version, tag, time, evals
+		for j := 0; j < 10; j++ {
+			corrupt[at+j] = 0xff // the design name's length: an overlong varint
+		}
+	}
+	if patched == 0 {
+		t.Fatal("golden artifact holds no nested checkpoint to corrupt")
+	}
+	s := openStore(t, t.TempDir(), 0)
+	link(s, corrupt)
+	if _, fetched, err := NewStoreBuilder(s).Build(cs, nil); err != nil || !fetched {
+		t.Fatalf("store builder on corrupt checkpoint bodies: fetched=%v err=%v, want a planning adoption", fetched, err)
+	}
+	if _, fetched, err := NewClientBuilder(lakeServer(t, s), "worker-1", nil).Build(cs, nil); err != nil || fetched {
+		t.Fatalf("client builder on corrupt checkpoint bodies: fetched=%v err=%v, want a local build", fetched, err)
+	}
+
+	// A planning Built merges like a full one and executes nothing.
+	s = openStore(t, t.TempDir(), 0)
+	link(s, fresh)
+	planned, fetched, err := NewStoreBuilder(s).Build(cs, nil)
+	if err != nil || !fetched {
+		t.Fatalf("store builder on a current artifact: fetched=%v err=%v", fetched, err)
+	}
+	adopted, err := shard.BuildFromGolden(cs, nil, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := shard.Plan(cs, 3, len(local.Jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(planned.Jobs) != len(local.Jobs) {
+		t.Fatalf("planning Built drew %d jobs, the local build %d", len(planned.Jobs), len(local.Jobs))
+	}
+	var partials []*shard.Partial
+	for _, sp := range specs {
+		p, err := shard.ExecuteOn(local, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	var merged [2]bytes.Buffer
+	for i, b := range []*shard.Built{planned, adopted} {
+		res, err := shard.Merge(b, partials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.GoldenWall = 0 // this process's adoption time
+		if err := res.WriteJSON(&merged[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(merged[0].Bytes(), merged[1].Bytes()) {
+		t.Fatal("planning Built merged a different Result than a full adoption")
+	}
+	if _, err := shard.ExecuteOn(planned, specs[0]); err == nil {
+		t.Fatal("planning Built executed a shard")
+	}
+
+	// An artifact built at pitch 2 is refused and the key healed.
+	pitch2, err := shard.BuildLocal(cs, func(o *inject.Options) { o.CheckpointEveryCycles = 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := shard.EncodeBuilt(pitch2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, t.TempDir(), 0)
+	staleHash := link(s, stale)
+	if _, fetched, err := NewStoreBuilder(s).Build(cs, nil); err != nil || fetched {
+		t.Fatalf("store builder on a pitch-2 artifact: fetched=%v err=%v, want a local build", fetched, err)
+	}
+	healedHash, ok := s.Resolve(key)
+	if !ok || healedHash == staleHash {
+		t.Fatal("key not healed after local rebuild")
+	}
+	if healed, err := s.Get(healedHash); err != nil || !bytes.Equal(healed, fresh) {
+		t.Fatalf("healed key does not point at the default-pitch artifact (err %v)", err)
+	}
+}
+
 func TestPartialsRoundTripAndValidation(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	p := NewStorePartials(s)

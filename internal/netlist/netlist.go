@@ -168,11 +168,11 @@ func (d *Design) Validate() error {
 	if err := d.checkHierarchyAcyclic(); err != nil {
 		return err
 	}
-	// Each entity's port-direction table is built once per design, not
-	// once per instance of it.
+	// Each entity's port list is built once per design, not once per
+	// instance of it.
 	type portTable struct {
-		dirs map[string]Dir
-		err  error
+		ports []Port
+		err   error
 	}
 	tables := map[string]portTable{}
 	for _, mname := range d.ModuleNames() {
@@ -206,63 +206,85 @@ func (d *Design) Validate() error {
 			instNames[inst.Name] = true
 			pt, ok := tables[inst.Of]
 			if !ok {
-				pt.dirs, pt.err = d.portDirs(inst.Of)
+				pt.ports, pt.err = d.entityPorts(inst.Of)
 				tables[inst.Of] = pt
 			}
-			dirOf, err := pt.dirs, pt.err
-			if err != nil {
-				return fmt.Errorf("netlist: module %s instance %s: %v", m.Name, inst.Name, err)
+			if pt.err != nil {
+				return fmt.Errorf("netlist: module %s instance %s: %v", m.Name, inst.Name, pt.err)
 			}
-			for port, net := range inst.Conns {
-				dir, ok := dirOf[port]
+			// The ports are walked in declaration order, never the Conns
+			// map, so a bad design always reports the same error.
+			matched, unconnected := 0, ""
+			for _, p := range pt.ports {
+				net, ok := inst.Conns[p.Name]
 				if !ok {
-					return fmt.Errorf("netlist: module %s instance %s: %q has no port %q", m.Name, inst.Name, inst.Of, port)
+					if unconnected == "" {
+						unconnected = p.Name
+					}
+					continue
 				}
+				matched++
 				if !nets[net] {
 					return fmt.Errorf("netlist: module %s instance %s: net %q not declared", m.Name, inst.Name, net)
 				}
-				if dir == Output {
+				if p.Dir == Output {
 					if prev, dup := drivers[net]; dup {
 						return fmt.Errorf("netlist: module %s: net %q driven by both %s and %s.%s",
-							m.Name, net, driverName(prev), inst.Name, port)
+							m.Name, net, driverName(prev), inst.Name, p.Name)
 					}
-					drivers[net] = driver{inst.Name, port}
+					drivers[net] = driver{inst.Name, p.Name}
 				}
+			}
+			if matched < len(inst.Conns) {
+				return fmt.Errorf("netlist: module %s instance %s: %q has no port %q", m.Name, inst.Name, inst.Of, unknownPort(inst.Conns, pt.ports))
 			}
 			// All ports of the instantiated entity must be connected: a
 			// floating input would simulate as X forever and a floating
 			// output is almost always a generator bug.
-			for port := range dirOf {
-				if _, ok := inst.Conns[port]; !ok {
-					return fmt.Errorf("netlist: module %s instance %s: port %q unconnected", m.Name, inst.Name, port)
-				}
+			if unconnected != "" {
+				return fmt.Errorf("netlist: module %s instance %s: port %q unconnected", m.Name, inst.Name, unconnected)
 			}
 		}
 	}
 	return nil
 }
 
-// portDirs returns the port-name→direction map of a library cell or module.
-func (d *Design) portDirs(of string) (map[string]Dir, error) {
-	if sub, ok := d.Modules[of]; ok {
-		dirs := make(map[string]Dir, len(sub.Ports))
-		for _, p := range sub.Ports {
-			dirs[p.Name] = p.Dir
+// unknownPort returns the first connection, in name order, that names
+// none of ports.
+func unknownPort(conns map[string]string, ports []Port) string {
+	known := make(map[string]bool, len(ports))
+	for _, p := range ports {
+		known[p.Name] = true
+	}
+	var unknown []string
+	for port := range conns {
+		if !known[port] {
+			unknown = append(unknown, port)
 		}
-		return dirs, nil
+	}
+	sort.Strings(unknown)
+	return unknown[0]
+}
+
+// entityPorts returns the ports of a module or library cell in
+// declaration order: the module's Ports, or the cell's inputs then
+// outputs.
+func (d *Design) entityPorts(of string) ([]Port, error) {
+	if sub, ok := d.Modules[of]; ok {
+		return sub.Ports, nil
 	}
 	def, err := cell.Lookup(of)
 	if err != nil {
 		return nil, fmt.Errorf("%q is neither a module nor a library cell", of)
 	}
-	dirs := make(map[string]Dir, len(def.Inputs)+len(def.Outputs))
+	ports := make([]Port, 0, len(def.Inputs)+len(def.Outputs))
 	for _, p := range def.Inputs {
-		dirs[p] = Input
+		ports = append(ports, Port{Name: p, Dir: Input})
 	}
 	for _, p := range def.Outputs {
-		dirs[p] = Output
+		ports = append(ports, Port{Name: p, Dir: Output})
 	}
-	return dirs, nil
+	return ports, nil
 }
 
 func (d *Design) checkHierarchyAcyclic() error {

@@ -113,6 +113,51 @@ func TestValidateUnconnectedPort(t *testing.T) {
 	}
 }
 
+// TestValidateErrorsDeterministic: a design with two faults of one kind
+// reports the same one on every run, whatever order the Conns map walks
+// in — the first unconnected port in declaration order, the first unknown
+// port in name order.
+func TestValidateErrorsDeterministic(t *testing.T) {
+	design := func(conns map[string]string) *Design {
+		d := NewDesign("x")
+		m := NewModule("top")
+		m.AddPort("a", Input)
+		m.AddPort("b", Input)
+		m.AddPort("ck", Input)
+		m.AddWire("q")
+		m.AddWire("qn")
+		m.AddInstance("u1", "DFFX1", conns)
+		d.AddModule(m)
+		d.Top = "top"
+		return d
+	}
+	for _, tc := range []struct {
+		conns map[string]string
+		want  string
+	}{
+		// D and Q unconnected: D is declared first.
+		{map[string]string{"CK": "ck", "QN": "qn"}, `port "D" unconnected`},
+		// E and F name no port of DFFX1: E sorts first.
+		{map[string]string{"D": "a", "CK": "ck", "Q": "q", "QN": "qn", "F": "b", "E": "a"}, `has no port "E"`},
+	} {
+		d := design(tc.conns)
+		msgs := map[string]bool{}
+		for range 50 {
+			if err := d.Validate(); err != nil {
+				msgs[err.Error()] = true
+			}
+		}
+		if len(msgs) != 1 {
+			t.Fatalf("50 validations reported %d distinct messages, want 1: %v", len(msgs), msgs)
+		}
+		for msg := range msgs {
+			if !strings.Contains(msg, tc.want) {
+				t.Errorf("validation reported %q, want %s", msg, tc.want)
+			}
+		}
+	}
+}
+
 func TestValidateUndeclaredNet(t *testing.T) {
 	d := NewDesign("x")
 	m := NewModule("top")

@@ -56,3 +56,15 @@ func BuildFromGolden(cs CampaignSpec, tune func(*inject.Options), artifact []byt
 		return inject.PrepareSoCFromGolden(cfg, prog, db, opts, artifact)
 	})
 }
+
+// BuildForPlanning is BuildFromGolden for a process that plans and merges
+// the campaign's shards but never executes one — the coordinator. The
+// artifact is checked down to each nested checkpoint's header and no
+// checkpoint is decoded; the Built merges and encodes like any other, and
+// executing a shard on it is an error. artifact is retained: the caller
+// must not modify it afterwards.
+func BuildForPlanning(cs CampaignSpec, tune func(*inject.Options), artifact []byte) (*Built, error) {
+	return build(cs, tune, func(cfg socgen.Config, prog riscv.Program, db *fault.DB, opts inject.Options) (*inject.SoCRun, error) {
+		return inject.PrepareSoCForPlanning(cfg, prog, db, opts, artifact)
+	})
+}

@@ -250,8 +250,8 @@ func (e *Executor) touch(fp string) {
 }
 
 // Adopt seeds the cache with an externally built campaign, so a process
-// that already built one (e.g. a coordinator planning shards) does not
-// build it twice.
+// that already built one does not build it twice. A Built from
+// BuildForPlanning cannot execute, so it is never adopted.
 func (e *Executor) Adopt(b *Built) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

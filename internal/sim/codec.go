@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/wire"
 )
@@ -41,14 +42,57 @@ var kindTags = map[EngineKind]byte{KindEvent: 1, KindLevel: 2}
 
 // EncodeCheckpoint writes ck to w in the versioned binary wire format.
 func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
-	if ck == nil {
-		return fmt.Errorf("sim: encode nil checkpoint")
-	}
-	tag, ok := kindTags[ck.Kind]
-	if !ok {
-		return fmt.Errorf("sim: encode checkpoint of unknown kind %q", ck.Kind)
+	n, err := EncodedLen(ck)
+	if err != nil {
+		return err
 	}
 	var e wire.Writer
+	e.Grow(n)
+	if err := AppendCheckpoint(&e, ck); err != nil {
+		return err
+	}
+	_, err = w.Write(e.Bytes())
+	return err
+}
+
+// EncodedLen returns the length of ck's wire encoding, so an encoder that
+// nests checkpoints can size its buffer and write their length prefixes
+// without encoding each one into a buffer of its own first.
+func EncodedLen(ck *Checkpoint) (int, error) {
+	if _, err := tagOf(ck); err != nil {
+		return 0, err
+	}
+	uv := func(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+	n := 4 + 1 + 1 + 8 + 8 + uv(uint64(len(ck.design))) + len(ck.design) +
+		uv(uint64(ck.nets)) + uv(uint64(ck.cells)) + 8 + len(ck.forced)
+	for _, p := range ck.netPlanes {
+		n += len(p)
+	}
+	for _, p := range ck.cellPlanes {
+		n += len(p)
+	}
+	n += uv(uint64(len(ck.evs)))
+	for i := range ck.evs {
+		q := &ck.evs[i]
+		seq := q.seq
+		if ck.Kind == KindLevel {
+			seq = 0
+		}
+		n += uv(q.t) + uv(seq) + 2 + uv(uint64(q.net)) + uv(uint64(q.cellID)) + 1
+	}
+	for _, idx := range ck.pendingIdx {
+		n += uv(uint64(idx + 1))
+	}
+	return n, nil
+}
+
+// AppendCheckpoint appends ck's wire encoding — the bytes EncodeCheckpoint
+// writes — to e.
+func AppendCheckpoint(e *wire.Writer, ck *Checkpoint) error {
+	tag, err := tagOf(ck)
+	if err != nil {
+		return err
+	}
 	e.U32(ckptMagic)
 	e.Byte(ckptVersion)
 	e.Byte(tag)
@@ -83,8 +127,19 @@ func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
 	for _, idx := range ck.pendingIdx {
 		e.Int(int(idx) + 1)
 	}
-	_, err := w.Write(e.Bytes())
-	return err
+	return nil
+}
+
+// tagOf returns the wire tag of ck's engine kind.
+func tagOf(ck *Checkpoint) (byte, error) {
+	if ck == nil {
+		return 0, fmt.Errorf("sim: encode nil checkpoint")
+	}
+	tag, ok := kindTags[ck.Kind]
+	if !ok {
+		return 0, fmt.Errorf("sim: encode checkpoint of unknown kind %q", ck.Kind)
+	}
+	return tag, nil
 }
 
 // DecodeCheckpoint reads one checkpoint in the wire format produced by
@@ -103,27 +158,14 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // storage: it keeps no reference to raw.
 func DecodeCheckpointBytes(raw []byte) (*Checkpoint, error) {
 	d := wire.NewReader("sim: checkpoint blob", raw)
-	if m := d.U32(); d.Err() == nil && m != ckptMagic {
-		d.Fail("bad magic %#x", m)
-	}
-	if v := d.Byte(); d.Err() == nil && v != ckptVersion {
-		d.Fail("unsupported codec version %d (want %d)", v, ckptVersion)
-	}
-	tag := d.Byte()
+	kind, timePS := readHeader(d)
 	ck := &Checkpoint{
-		TimePS: d.U64(),
+		Kind:   kind,
+		TimePS: timePS,
 		Evals:  d.U64(),
 		design: d.String(),
 		nets:   d.Count(1),
 		cells:  d.Count(1),
-	}
-	for kind, t := range kindTags {
-		if t == tag {
-			ck.Kind = kind
-		}
-	}
-	if d.Err() == nil && ck.Kind == "" {
-		d.Fail("unknown kind tag %d", tag)
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -193,4 +235,39 @@ func DecodeCheckpointBytes(raw []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	return ck, nil
+}
+
+// DecodeCheckpointHeader reads the head of a checkpoint blob — magic,
+// version, kind tag and time — and nothing after it: not the planes, not
+// the queue. It is for a process that plans from a golden artifact but
+// never restores one, which must still refuse a stale codec, a foreign
+// engine or a shifted schedule. Whatever DecodeCheckpointBytes accepts, it
+// accepts with the same kind and time; it accepts more, since a corrupt
+// body goes unread.
+func DecodeCheckpointHeader(raw []byte) (EngineKind, uint64, error) {
+	d := wire.NewReader("sim: checkpoint blob", raw)
+	kind, timePS := readHeader(d)
+	return kind, timePS, d.Err()
+}
+
+// readHeader reads a blob's magic, version, kind tag and time.
+func readHeader(d *wire.Reader) (EngineKind, uint64) {
+	if m := d.U32(); d.Err() == nil && m != ckptMagic {
+		d.Fail("bad magic %#x", m)
+	}
+	if v := d.Byte(); d.Err() == nil && v != ckptVersion {
+		d.Fail("unsupported codec version %d (want %d)", v, ckptVersion)
+	}
+	tag := d.Byte()
+	timePS := d.U64()
+	var kind EngineKind
+	for k, t := range kindTags {
+		if t == tag {
+			kind = k
+		}
+	}
+	if d.Err() == nil && kind == "" {
+		d.Fail("unknown kind tag %d", tag)
+	}
+	return kind, timePS
 }

@@ -344,6 +344,40 @@ func TestCheckpointWireDigests(t *testing.T) {
 	}
 }
 
+// TestEncodedLenAndHeader: EncodedLen is the length EncodeCheckpoint
+// writes, and DecodeCheckpointHeader reads the kind and time
+// DecodeCheckpointBytes reads — also from a blob whose body past the
+// header is garbage, which only the full decode refuses — while a stale
+// codec version is refused by both.
+func TestEncodedLenAndHeader(t *testing.T) {
+	const headLen = 4 + 1 + 1 + 8 // magic, version, kind tag, time
+	for name, mk := range engines(t) {
+		for _, at := range []uint64{4500, pastEdge, 7*period + 1} {
+			ck := snapshotAt(t, mk, at)
+			blob := encode(t, ck)
+			if n, err := EncodedLen(ck); err != nil || n != len(blob) {
+				t.Fatalf("%s at %d ps: EncodedLen = %d, %v; encoding is %d bytes", name, at, n, err, len(blob))
+			}
+			bad := bytes.Clone(blob)
+			for i := headLen; i < len(bad); i++ {
+				bad[i] = 0xff
+			}
+			kind, tm, err := DecodeCheckpointHeader(bad)
+			if err != nil || kind != ck.Kind || tm != ck.TimePS {
+				t.Fatalf("%s at %d ps: header of a corrupt-body blob read as %s at %d, %v; want %s at %d",
+					name, at, kind, tm, err, ck.Kind, ck.TimePS)
+			}
+			if _, err := DecodeCheckpointBytes(bad); err == nil {
+				t.Fatalf("%s at %d ps: full decode accepted a corrupt body", name, at)
+			}
+			bad[4] = ckptVersion - 1
+			if _, _, err := DecodeCheckpointHeader(bad); err == nil {
+				t.Fatalf("%s at %d ps: header decode accepted a stale codec version", name, at)
+			}
+		}
+	}
+}
+
 // TestDecodedScheduleRestores walks the path an adopting process takes
 // with a golden artifact: decode every checkpoint of the schedule and
 // restore from it. A restore from a decoded checkpoint, into a fresh or a

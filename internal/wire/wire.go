@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -26,6 +27,17 @@ type Writer struct {
 
 // Bytes returns the encoding so far.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Grow makes room for n more bytes, so an encoder that knows its size
+// up front appends without reallocating.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
+// extend appends n bytes and returns them for the caller to fill.
+func (w *Writer) extend(n int) []byte {
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	return w.buf[at:]
+}
 
 // Byte appends one raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
@@ -66,15 +78,21 @@ func (w *Writer) Blob(b []byte) {
 // Values appends a logic-value plane, one byte per value, with no length
 // prefix: the reader is told the length.
 func (w *Writer) Values(v []logic.V) {
-	for _, x := range v {
-		w.buf = append(w.buf, byte(x))
+	dst := w.extend(len(v))
+	for i, x := range v {
+		dst[i] = byte(x)
 	}
 }
 
 // Bools appends a flag plane, one 0/1 byte per flag, with no length prefix.
 func (w *Writer) Bools(v []bool) {
-	for _, x := range v {
-		w.Bool(x)
+	dst := w.extend(len(v))
+	for i, x := range v {
+		if x {
+			dst[i] = 1
+		} else {
+			dst[i] = 0
+		}
 	}
 }
 
