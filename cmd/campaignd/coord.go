@@ -166,24 +166,6 @@ func (g *registry) ping() {
 	}
 }
 
-// idle reports whether the coordinator has nothing left to serve: at
-// least one sweep was ever submitted and all still-registered ones are
-// terminal (a purged sweep leaves the registry but still counts as having
-// been served).
-func (g *registry) idle() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.submitted {
-		return false
-	}
-	for _, sr := range g.order {
-		if !capi.TerminalState(sr.state) {
-			return false
-		}
-	}
-	return true
-}
-
 // submit registers a sweep and starts its run goroutine. Submission is
 // idempotent on the sweep fingerprint: a live or done duplicate returns
 // the existing resource; a cancelled or failed one is replaced by a
@@ -795,7 +777,9 @@ func (g *registry) quarantinedWorkerCount() int {
 }
 
 // liveSweeps returns the sweeps in submission order plus whether the
-// coordinator is drained (something was submitted, everything terminal).
+// coordinator is drained: something was submitted, and every sweep still
+// registered is terminal (a purged sweep has left the registry but still
+// counts as having been served).
 func (g *registry) liveSweeps() (order []*sweepRun, drained bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1382,20 +1366,18 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		epoch = prev.Epoch + 1
 	}
 
-	// The journal's one read: the fold every restart and every takeover
-	// resumes from.
+	// The journal's one read, Open's: the fold every restart and every
+	// takeover resumes from.
 	var store *runstore.Store
 	replayed := &runstore.Fold{}
 	deposed := make(chan struct{})
 	stopLeader := func() {}
 	if opts.journal != "" {
 		var err error
-		if replayed, err = runstore.Replay(opts.journal); err != nil {
-			return err
-		}
 		if store, err = runstore.Open(opts.journal); err != nil {
 			return err
 		}
+		replayed = store.Fold()
 		store.SetMetrics(rm)
 		defer store.Close()
 		me := runstore.LeaderLease{
@@ -1480,10 +1462,30 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		}
 	}
 
+	// Shutdown waits for in-flight requests but takes a connection that
+	// has not sent one for idle only once it is 5 s old; close those when
+	// shutdown starts, so a silent dial cannot stall the exit.
+	var freshMu sync.Mutex
+	fresh := map[net.Conn]bool{}
 	// Answer requests only once the startup sweeps are registered: a client
 	// that connects the moment the socket is bound must not be told the
 	// sweep this coordinator was started to run does not exist.
-	srv := &http.Server{Handler: g.mux()}
+	srv := &http.Server{Handler: g.mux(), ConnState: func(c net.Conn, st http.ConnState) {
+		freshMu.Lock()
+		defer freshMu.Unlock()
+		if st == http.StateNew {
+			fresh[c] = true
+		} else {
+			delete(fresh, c)
+		}
+	}}
+	srv.RegisterOnShutdown(func() {
+		freshMu.Lock()
+		defer freshMu.Unlock()
+		for c := range fresh {
+			c.Close()
+		}
+	})
 	defer srv.Close()
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- srv.Serve(ln) }()
@@ -1511,20 +1513,21 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 loop:
 	for {
 		var linger, poll <-chan time.Time
+		_, drained := g.liveSweeps()
 		switch {
 		case drainDeadline != nil:
 			if g.leasedShards() == 0 {
 				break loop
 			}
 			poll = drainPoll.C
-		case g.idle():
+		case drained:
 			linger = time.After(opts.linger)
 		}
 		select {
 		case <-g.changed:
 		case <-poll:
 		case <-linger:
-			if g.idle() {
+			if _, drained := g.liveSweeps(); drained {
 				break loop
 			}
 		case <-drainDeadline:

@@ -482,6 +482,39 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServeExitIgnoresSilentConn: a client that connects and never sends
+// a request must not hold up serve's exit after a drain signal — the HTTP
+// server's Shutdown would otherwise wait until that connection is 5 s old.
+func TestServeExitIgnoresSilentConn(t *testing.T) {
+	url, serveErr, stop := startServe(t, serveOpts{shards: 1, leaseTTL: time.Minute}, io.Discard)
+	silent, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// A request on a second connection: answering it means the server has
+	// accepted the silent connection queued before it.
+	resp, err := http.Get(url + "/v1/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	stop()
+	start := time.Now()
+	select {
+	case err := <-serveErr:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve never returned after the drain signal")
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("serve returned %v after the drain signal with one silent connection open, want under 1s", d)
+	}
+}
+
 // TestWorkerMaxOffline: a worker pointed at a dead coordinator with
 // -max-offline must give up with a non-zero exit once the unreachable
 // streak exceeds the window — not spin through its attempt budget.

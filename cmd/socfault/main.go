@@ -143,24 +143,23 @@ func parseFlags(args []string) (*cliConfig, error) {
 	}
 	if *journal != "" && !*resume {
 		// Refuse to silently double-run a campaign (or grid) whose journal
-		// already holds results; the user either wants -resume or a fresh
-		// file.
-		fps := map[string]bool{}
+		// already holds shards a resume would restore; the user either
+		// wants -resume or a fresh file.
+		spec := sweep.CampaignGrid(cfg.spec).Spec
 		if cfg.grid != nil {
-			var err error
-			if fps, err = cfg.grid.Spec.Fingerprints(); err != nil {
-				return nil, err
-			}
-		} else {
-			fp, err := cfg.spec.Fingerprint()
-			if err != nil {
-				return nil, err
-			}
-			fps[fp] = true
+			spec = cfg.grid.Spec
 		}
-		n, err := runstore.CountAny(*journal, fps)
+		fps, err := spec.Fingerprints()
 		if err != nil {
 			return nil, err
+		}
+		held, _, err := runstore.LoadAll(*journal)
+		if err != nil {
+			return nil, err
+		}
+		n := 0
+		for fp := range fps {
+			n += len(held[fp])
 		}
 		if n > 0 {
 			return nil, fmt.Errorf("journal %s already records %d shards of this run; pass -resume to continue it or remove the file", *journal, n)

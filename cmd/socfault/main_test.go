@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/inject"
 	"repro/internal/runstore"
 	"repro/internal/shard"
 	"repro/internal/socgen"
@@ -105,6 +108,51 @@ func TestParseFlagsRefusesStaleJournalWithoutResume(t *testing.T) {
 	// A journal holding only a different campaign's shards is fine.
 	if _, err := parseFlags([]string{"-journal", journal, "-seed", "99"}); err != nil {
 		t.Fatalf("journal of a different campaign rejected: %v", err)
+	}
+}
+
+// TestParseFlagsCountsWhatReplayRestores: the stale-journal refusal
+// counts exactly the shards a resume would restore. A journal whose only
+// record fails its checksum, and one whose first record's injections do
+// not decode (which ends the journal before the good record behind it),
+// both restore nothing, so neither may refuse a fresh run.
+func TestParseFlagsCountsWhatReplayRestores(t *testing.T) {
+	cfg, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := cfg.spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := &shard.Partial{Index: 0, Start: 0, End: 1, Injections: []inject.Injection{{CellID: 3, Path: "u.g", TimePS: 10}}}
+	if err := damaged.Stamp(); err != nil {
+		t.Fatal(err)
+	}
+	damaged.Injections[0].TimePS++
+	line, err := json.Marshal(runstore.Record{Fingerprint: fp, Partial: damaged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string]string{
+		"checksum mismatch": string(line) + "\n",
+		"undecodable injections": `{"fingerprint":"` + fp + `","partial":{"index":0,"start":0,"end":1,"injections":"torn"}}` + "\n" +
+			`{"fingerprint":"` + fp + `","partial":{"index":1,"start":1,"end":2}}` + "\n",
+	} {
+		journal := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(journal, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		held, _, err := runstore.LoadAll(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(held[fp]) != 0 {
+			t.Fatalf("%s: replay restores %d shards, want 0", name, len(held[fp]))
+		}
+		if _, err := parseFlags([]string{"-journal", journal}); err != nil {
+			t.Errorf("%s: a journal that restores nothing refused a fresh run: %v", name, err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package inject
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"repro/internal/sim"
 	"repro/internal/vcd"
@@ -33,18 +32,18 @@ const (
 	goldenVersion byte   = 1
 )
 
-// EncodeGolden writes the campaign's golden-run artifact to w.
-// goldenEvals is the Result.GoldenEvals the golden run reported; it
-// travels with the artifact so an adopting process can report the same
-// simulation cost accounting. A campaign adopted for planning writes the
-// artifact it adopted, which carries its own eval count.
-func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
+// EncodeGolden returns the campaign's golden-run artifact. goldenEvals is
+// the Result.GoldenEvals the golden run reported; it travels with the
+// artifact so an adopting process can report the same simulation cost
+// accounting. A campaign adopted for planning returns the artifact it
+// adopted, which carries its own eval count; those bytes are the
+// campaign's, and the caller must not modify them.
+func (c *Campaign) EncodeGolden(goldenEvals uint64) ([]byte, error) {
 	if c.planArtifact != nil {
-		_, err := w.Write(c.planArtifact)
-		return err
+		return c.planArtifact, nil
 	}
 	if c.golden == nil {
-		return fmt.Errorf("inject: campaign has no golden signature to encode")
+		return nil, fmt.Errorf("inject: campaign has no golden signature to encode")
 	}
 	// Size every checkpoint first: the writer is allocated once, and each
 	// checkpoint is appended in place behind its length prefix.
@@ -53,7 +52,7 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 	for i := range c.ckpts {
 		n, err := sim.EncodedLen(c.ckpts[i].ck)
 		if err != nil {
-			return fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
+			return nil, fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
 		}
 		lens[i] = n
 		size += n + 32
@@ -80,21 +79,20 @@ func (c *Campaign) EncodeGolden(w io.Writer, goldenEvals uint64) error {
 		e.U64(gc.time)
 		e.Int(lens[i])
 		if err := sim.AppendCheckpoint(&e, gc.ck); err != nil {
-			return fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
+			return nil, fmt.Errorf("inject: encode golden checkpoint %d: %w", i, err)
 		}
 		e.Bool(gc.vcdState != nil)
 		if gc.vcdState != nil {
 			nested.Reset()
 			if err := gc.vcdState.Encode(&nested); err != nil {
-				return fmt.Errorf("inject: encode golden VCD state %d: %w", i, err)
+				return nil, fmt.Errorf("inject: encode golden VCD state %d: %w", i, err)
 			}
 			e.Blob(nested.Bytes())
 			e.Int(gc.vcdPrefix)
 		}
 	}
 	e.Blob(c.goldenVCDDump)
-	_, err := w.Write(e.Bytes())
-	return err
+	return e.Bytes(), nil
 }
 
 // adoptGolden decodes and validates a golden artifact into c, returning
@@ -112,7 +110,7 @@ func (c *Campaign) adoptGolden(raw []byte) (uint64, error) { return c.adopt(raw,
 // state, and does not parse the dump. Its checks are a subset of
 // adoptGolden's: whatever adoptGolden accepts, it accepts too, and a
 // stale-pitch or stale-codec artifact is still refused. The campaign keeps
-// raw as its golden encoding (EncodeGolden writes it back), so the caller
+// raw as its golden encoding (EncodeGolden returns it), so the caller
 // must not modify raw afterwards; RunJobs refuses to run.
 func (c *Campaign) adoptGoldenPlan(raw []byte) (uint64, error) { return c.adopt(raw, true) }
 

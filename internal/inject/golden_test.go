@@ -21,11 +21,11 @@ import (
 func encodeGoldenFor(t testing.TB, opts Options) (*SoCRun, []byte) {
 	t.Helper()
 	run := prep(t, 1, opts)
-	var buf bytes.Buffer
-	if err := run.Campaign.EncodeGolden(&buf, run.Result.GoldenEvals); err != nil {
+	blob, err := run.Campaign.EncodeGolden(run.Result.GoldenEvals)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return run, buf.Bytes()
+	return run, blob
 }
 
 func prepFromGolden(t *testing.T, opts Options, blob []byte) *SoCRun {
@@ -250,8 +250,7 @@ func FuzzAdoptGolden(f *testing.F) {
 			planJobs := slices.Clone(c.DrawJobs())
 			if planErr == nil {
 				planSig = c.golden.slab
-				var again bytes.Buffer
-				if err := c.EncodeGolden(&again, planEvals); err != nil || !bytes.Equal(again.Bytes(), blob) {
+				if again, err := c.EncodeGolden(planEvals); err != nil || !bytes.Equal(again, blob) {
 					t.Fatalf("artifact adopted for planning re-encodes differently (err %v)", err)
 				}
 				if c.RunJobs(&Result{}, 0, min(1, len(c.DrawJobs()))) == nil {
@@ -272,11 +271,11 @@ func FuzzAdoptGolden(f *testing.F) {
 			for i := range in {
 				in[i] = ^in[i]
 			}
-			var again bytes.Buffer
-			if err := c.EncodeGolden(&again, evals); err != nil {
+			again, err := c.EncodeGolden(evals)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(again.Bytes(), blob) {
+			if !bytes.Equal(again, blob) {
 				t.Fatal("adopted artifact re-encodes differently")
 			}
 			_ = c.RunJobs(&Result{}, 0, min(3, len(c.DrawJobs())))

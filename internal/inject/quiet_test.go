@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 	"time"
@@ -40,15 +39,15 @@ func TestQuietProofAgrees(t *testing.T) {
 			jumps += warm.Campaign.tally.jumps.Load()
 			wall += time.Duration(warm.Campaign.tally.wall.Load())
 
-			var blob bytes.Buffer
-			if err := warm.Campaign.EncodeGolden(&blob, warm.Result.GoldenEvals); err != nil {
+			blob, err := warm.Campaign.EncodeGolden(warm.Result.GoldenEvals)
+			if err != nil {
 				t.Fatal(err)
 			}
 			cfg, err := socgen.ConfigByIndex(soc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adopted, err := PrepareSoCFromGolden(cfg, riscv.MemcpyProgram(8), fault.DefaultDB(), opts, blob.Bytes())
+			adopted, err := PrepareSoCFromGolden(cfg, riscv.MemcpyProgram(8), fault.DefaultDB(), opts, blob)
 			if err != nil {
 				t.Fatal(err)
 			}

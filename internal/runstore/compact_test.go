@@ -58,8 +58,8 @@ func TestTerminalMarkerHidesRecords(t *testing.T) {
 	if len(all["fp-b"]) != 1 {
 		t.Fatalf("marker for fp-a touched fp-b: %v", all["fp-b"])
 	}
-	if n, err := Count(path, "fp-a"); err != nil || n != 1 {
-		t.Fatalf("Count(fp-a) = %d, %v; want 1 (marker-dead records must not count)", n, err)
+	if n, err := restored(path, "fp-a"); err != nil || n != 1 {
+		t.Fatalf("restored(fp-a) = %d, %v; want 1 (marker-dead records must not count)", n, err)
 	}
 }
 
@@ -190,10 +190,10 @@ func TestPurgeEmptyAndUnknown(t *testing.T) {
 	}
 }
 
-// TestCountAnyDedupesAndHonorsMarkers: the probe must agree with Load —
-// duplicate (campaign, shard) records count once, marked records not at
-// all.
-func TestCountAnyDedupesAndHonorsMarkers(t *testing.T) {
+// TestRestoredDedupesAndHonorsMarkers: the refusal count must agree with
+// Load — duplicate (campaign, shard) records count once, marked records
+// not at all.
+func TestRestoredDedupesAndHonorsMarkers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	st, err := Open(path)
 	if err != nil {
@@ -217,12 +217,12 @@ func TestCountAnyDedupesAndHonorsMarkers(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := CountAny(path, map[string]bool{"fp-a": true, "fp-b": true})
+	n, err := restored(path, "fp-a", "fp-b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("CountAny = %d, want 2 (fp-a's two distinct shards; duplicate and marked records excluded)", n)
+		t.Fatalf("restored = %d, want 2 (fp-a's two distinct shards; duplicate and marked records excluded)", n)
 	}
 }
 

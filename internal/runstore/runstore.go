@@ -7,14 +7,22 @@
 //
 // The journal is crash-tolerant, not transactional: each record is one
 // JSON document followed by a newline, written with a single Write call,
-// and Replay stops at the first undecodable record — a torn tail from a
-// crash mid-append costs at most that one shard, which simply runs again.
+// and the first record that does not decode ends the journal — a torn
+// tail from a crash mid-append costs at most that one shard, which simply
+// runs again.
+//
+// Every read goes through one decode pass (scan) and one liveness rule
+// (Fold): the same fold yields what a restart restores and marks which
+// records a compaction may drop, so Open, Purge, Replay and LoadAll
+// cannot disagree about what the journal holds.
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/shard"
@@ -66,6 +74,7 @@ type Store struct {
 	f    *os.File
 	path string
 	m    *Metrics
+	fold *Fold
 	// openCompacted remembers whether Open's compaction rewrote the file,
 	// so SetMetrics can count it (metrics attach after Open returns).
 	openCompacted bool
@@ -84,203 +93,103 @@ func (s *Store) SetMetrics(m *Metrics) {
 	}
 }
 
-// Open opens (creating if needed) a journal for appending. Any torn
-// tail — the partial record of an append interrupted by a crash — is
-// truncated first: appending after garbage would otherwise hide every
-// subsequent record from Replay (which stops at the first undecodable
-// byte), silently losing the work of a long-lived
-// coordinator that survives its own crash-restart. The journal is then
-// compacted: shard records covered by a later terminal marker, records
-// superseded by a later record of the same (campaign, range), and the
-// markers themselves are rewritten away — a long-lived coordinator's
-// journal holds only the shards that could still resume something.
+// Open opens (creating if needed) a journal for appending, after reading
+// it once: the fold of its records is kept for Fold, so the caller
+// restores from the same pass. A torn tail — the partial record of an
+// append interrupted by a crash — is cut: appending after garbage would
+// otherwise hide every later record from readers, silently losing the
+// work of a long-lived coordinator that survives its own crash-restart.
+// The records the fold marks dead are then rewritten away, so the journal
+// holds only what could still resume something.
 func Open(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	fold, compacted, err := compact(path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %v", err)
 	}
-	if err := truncateTornTail(f, path); err != nil {
-		f.Close()
-		return nil, err
-	}
-	changed, err := compactFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if changed {
-		// The compaction replaced the file; the append handle must follow.
-		f.Close()
-		if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644); err != nil {
-			return nil, fmt.Errorf("runstore: %v", err)
-		}
-	}
-	return &Store{f: f, path: path, openCompacted: changed}, nil
+	return &Store{f: f, path: path, fold: fold, openCompacted: compacted}, nil
 }
 
-// dedupeKey identifies a shard record for supersession: the replay fold
-// keys partials by (campaign, plan range) with last-record-wins, so
-// earlier records under the same key are dead weight compaction may drop.
-func dedupeKey(fp string, p *shard.Partial) string {
-	return fmt.Sprintf("%s#%d-%d", fp, p.Start, p.End)
-}
+// Fold returns the journal as Open read it, before this store appended
+// anything: the state a restarted coordinator or a resumed run restores.
+func (s *Store) Fold() *Fold { return s.fold }
 
-// compactFile rewrites the journal without its dead records and reports
-// whether anything changed. Dead are: shard records of campaigns a later
-// terminal marker covers, shard records superseded by a later record of
-// the same (campaign, plan range), and every marker (markers only exist
-// to kill earlier records; once those are gone the marker is too).
-// Records appended after a marker are live. The rewrite goes through a
-// temp file renamed into place, so a crash mid-compaction leaves either
-// the old or the new journal, never a torn one.
-func compactFile(path string) (bool, error) {
-	in, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("runstore: %v", err)
+// compact reads and folds the journal at path, then brings the file in
+// line with the fold: rewritten with only its live records when any are
+// dead, else cut just past its last record that decodes. The rewrite
+// writes the live records' bytes as read, through a temp file renamed into
+// place, so a crash mid-compaction leaves either the old or the new
+// journal, never a torn one. A missing file is an empty journal.
+func compact(path string) (*Fold, bool, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, false, fmt.Errorf("runstore: %v", err)
 	}
-	var dead []bool
-	liveByFP := map[string][]int{}
-	lastByKey := map[string]int{}
-	type sweepAt struct {
-		idx   int
-		state string
-	}
-	lastSweep := map[string]sweepAt{}
-	dec := json.NewDecoder(in)
-	for i := 0; ; i++ {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		dead = append(dead, false)
-		if len(rec.Terminal) > 0 {
-			dead[i] = true
-			for _, fp := range rec.Terminal {
-				for _, j := range liveByFP[fp] {
-					dead[j] = true
-				}
-				delete(liveByFP, fp)
+	fold, lines, end := scan(data)
+	if !slices.Contains(fold.dead, true) {
+		if end < len(data) {
+			if err := os.Truncate(path, int64(end)); err != nil {
+				return nil, false, fmt.Errorf("runstore: truncating torn tail: %v", err)
 			}
-			continue
 		}
-		if rec.Sweep != nil {
-			// Last sweep record per sweep fingerprint wins; earlier ones are
-			// dead, and a terminally-stated winner dies below.
-			if prev, ok := lastSweep[rec.Sweep.Fingerprint]; ok {
-				dead[prev.idx] = true
-			}
-			lastSweep[rec.Sweep.Fingerprint] = sweepAt{idx: i, state: rec.Sweep.State}
-			continue
-		}
-		if rec.Partial == nil {
-			dead[i] = true // defensive: decodable but empty record
-			continue
-		}
-		key := dedupeKey(rec.Fingerprint, rec.Partial)
-		if j, ok := lastByKey[key]; ok {
-			dead[j] = true
-		}
-		lastByKey[key] = i
-		liveByFP[rec.Fingerprint] = append(liveByFP[rec.Fingerprint], i)
+		return fold, false, nil
 	}
-	in.Close()
-	for _, s := range lastSweep {
-		if s.state != SweepStateRunning {
-			dead[s.idx] = true
+	// A sweep's latest record takes its first one's place, so the rewrite
+	// keeps the first-submission order Sweeps reports.
+	for _, sw := range fold.sweeps {
+		lines[sw.first] = lines[sw.last]
+	}
+	live := make([]byte, 0, end)
+	for i, line := range lines {
+		if !fold.dead[i] {
+			live = append(append(live, line...), '\n')
 		}
 	}
-	anyDead := false
-	for _, d := range dead {
-		anyDead = anyDead || d
+	tmp := path + ".compact"
+	out, err := os.Create(tmp)
+	if err == nil {
+		_, err = out.Write(live)
+		if err == nil {
+			err = out.Sync()
+		}
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if !anyDead {
-		return false, nil
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	in, err = os.Open(path)
 	if err != nil {
-		return false, fmt.Errorf("runstore: %v", err)
+		os.Remove(tmp)
+		return nil, false, fmt.Errorf("runstore: compacting: %v", err)
 	}
-	defer in.Close()
-	tmpPath := path + ".compact"
-	out, err := os.Create(tmpPath)
-	if err != nil {
-		return false, fmt.Errorf("runstore: %v", err)
-	}
-	defer os.Remove(tmpPath)
-	dec = json.NewDecoder(in)
-	for i := 0; i < len(dead); i++ {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		if dead[i] {
-			continue
-		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			out.Close()
-			return false, fmt.Errorf("runstore: re-encoding record %d: %v", i, err)
-		}
-		if _, err := out.Write(append(line, '\n')); err != nil {
-			out.Close()
-			return false, fmt.Errorf("runstore: %v", err)
-		}
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return false, fmt.Errorf("runstore: %v", err)
-	}
-	if err := out.Close(); err != nil {
-		return false, fmt.Errorf("runstore: %v", err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		return false, fmt.Errorf("runstore: %v", err)
-	}
-	return true, nil
+	return fold, true, nil
 }
 
-// truncateTornTail scans the journal and cuts everything after the last
-// decodable record (and its trailing newline). A fully garbled file
-// truncates to empty — the journal then behaves like a fresh one.
-func truncateTornTail(f *os.File, path string) error {
-	r, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	defer r.Close()
-	size, err := r.Seek(0, 2)
-	if err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	if _, err := r.Seek(0, 0); err != nil {
-		return fmt.Errorf("runstore: %v", err)
-	}
-	dec := json.NewDecoder(r)
-	var good int64
+// scan is the journal's one decode pass: it folds the records of data in
+// file order up to the first that does not decode, and returns the fold,
+// each folded record's bytes (leading whitespace trimmed) and the offset
+// just past the last folded record, its newline included.
+func scan(data []byte) (f *Fold, lines [][]byte, end int) {
+	f = &Fold{Partials: shard.MemPartials{}, sweeps: map[string]sweepAt{}, shards: map[string]map[[2]int][]int{}}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
 		var rec Record
-		if err := dec.Decode(&rec); err != nil {
+		if dec.Decode(&rec) != nil {
 			break
 		}
-		good = dec.InputOffset()
+		off := int(dec.InputOffset())
+		lines = append(lines, bytes.TrimLeft(data[end:off], " \t\r\n"))
+		f.apply(rec)
+		end = off
 	}
-	// Keep the record separator so the journal stays one-record-per-line.
-	if good < size {
-		one := make([]byte, 1)
-		if n, _ := r.ReadAt(one, good); n == 1 && one[0] == '\n' {
-			good++
-		}
+	if end < len(data) && data[end] == '\n' {
+		end++
 	}
-	if good == size {
-		return nil
-	}
-	if err := f.Truncate(good); err != nil {
-		return fmt.Errorf("runstore: truncating torn tail: %v", err)
-	}
-	return nil
+	return f, lines, end
 }
 
 // Path returns the journal's file path.
@@ -335,29 +244,29 @@ func (s *Store) MarkTerminal(fingerprints []string) error {
 	return s.append(Record{Terminal: fingerprints})
 }
 
-// Purge is MarkTerminal plus an eager in-place compaction: the named
-// campaigns' records are gone from disk when Purge returns, not merely at
-// the next Open. This is what DELETE /v1/sweeps/{fp}?purge=1 rides.
+// Purge is MarkTerminal plus an eager compaction, the one Open performs:
+// the named campaigns' records are gone from disk when Purge returns, not
+// merely at the next Open. This is what DELETE /v1/sweeps/{fp}?purge=1
+// rides.
 func (s *Store) Purge(fingerprints []string) error {
 	if err := s.MarkTerminal(fingerprints); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed, err := compactFile(s.path)
-	if err != nil {
+	_, compacted, err := compact(s.path)
+	if err != nil || !compacted {
 		return err
 	}
-	if changed {
-		f, err := os.OpenFile(s.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("runstore: %v", err)
-		}
-		s.f.Close()
-		s.f = f
-		if s.m != nil {
-			s.m.Compactions.Inc()
-		}
+	// The compaction replaced the file; the append handle must follow.
+	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("runstore: %v", err)
+	}
+	s.f.Close()
+	s.f = f
+	if s.m != nil {
+		s.m.Compactions.Inc()
 	}
 	return nil
 }
@@ -369,9 +278,10 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-// Fold is the journal's one replay: records applied in file order yield
-// the state a coordinator resumes from — at a restart and at a standby's
-// takeover alike. The zero value is an empty journal.
+// Fold is the journal's one liveness rule: records applied in file order
+// yield the state a coordinator resumes from — at a restart and at a
+// standby's takeover alike — and mark which records a compaction may
+// drop. The zero value is an empty journal.
 type Fold struct {
 	// Partials holds every restorable shard result, by campaign and plan
 	// range. Last record wins — deterministic execution makes duplicates
@@ -383,35 +293,71 @@ type Fold struct {
 	// skipped: the shard simply re-simulates, which is always correct.
 	Dropped int
 
-	sweeps map[string]SweepRecord
 	order  []string
+	sweeps map[string]sweepAt
+	// dead marks, per record in file order, what a compaction may drop;
+	// shards holds, per campaign and plan range, the records a later
+	// verified record for that range supersedes.
+	dead   []bool
+	shards map[string]map[[2]int][]int
 }
 
-// apply folds one record in.
+// sweepAt is a sweep's latest registration record and the positions of
+// its first and latest records.
+type sweepAt struct {
+	rec         SweepRecord
+	first, last int
+}
+
+// apply folds the next record in. Dead are: every terminal marker (it
+// exists only to kill earlier records) and the shard records of the
+// campaigns it names; a shard record superseded by a later verified one
+// for the same (campaign, range); every sweep record but a sweep's first,
+// which carries its latest state and dies once that state is not running;
+// and a record of no kind at all. A record that fails its checksum
+// restores nothing, but stays on disk until a later record supersedes it.
 func (f *Fold) apply(rec Record) {
+	i := len(f.dead)
+	f.dead = append(f.dead, true)
 	switch {
 	case len(rec.Terminal) > 0:
-		// A terminal marker kills everything recorded so far for those
-		// campaigns; records appended after it are live again.
+		// Records appended after the marker are live again.
 		for _, fp := range rec.Terminal {
 			delete(f.Partials, fp)
+			for _, at := range f.shards[fp] {
+				for _, j := range at {
+					f.dead[j] = true
+				}
+			}
+			delete(f.shards, fp)
 		}
 	case rec.Sweep != nil:
-		if f.sweeps == nil {
-			f.sweeps = map[string]SweepRecord{}
-		}
-		if _, seen := f.sweeps[rec.Sweep.Fingerprint]; !seen {
+		// The sweep's first record stands for its latest (see compact).
+		sw, seen := f.sweeps[rec.Sweep.Fingerprint]
+		if !seen {
 			f.order = append(f.order, rec.Sweep.Fingerprint)
+			sw.first = i
 		}
-		f.sweeps[rec.Sweep.Fingerprint] = *rec.Sweep
+		sw.rec, sw.last = *rec.Sweep, i
+		f.sweeps[rec.Sweep.Fingerprint] = sw
+		f.dead[sw.first] = rec.Sweep.State != SweepStateRunning
 	case rec.Partial != nil:
+		f.dead[i] = false
+		byRange := f.shards[rec.Fingerprint]
+		if byRange == nil {
+			byRange = map[[2]int][]int{}
+			f.shards[rec.Fingerprint] = byRange
+		}
+		k := [2]int{rec.Partial.Start, rec.Partial.End}
 		if rec.Partial.Verify() != nil {
 			f.Dropped++
+			byRange[k] = append(byRange[k], i)
 			return
 		}
-		if f.Partials == nil {
-			f.Partials = shard.MemPartials{}
+		for _, j := range byRange[k] {
+			f.dead[j] = true
 		}
+		byRange[k] = []int{i}
 		f.Partials.PutPartial(rec.Fingerprint, rec.Partial)
 	}
 }
@@ -423,7 +369,7 @@ func (f *Fold) apply(rec Record) {
 func (f *Fold) Sweeps() []SweepRecord {
 	out := make([]SweepRecord, 0, len(f.order))
 	for _, fp := range f.order {
-		out = append(out, f.sweeps[fp])
+		out = append(out, f.sweeps[fp].rec)
 	}
 	return out
 }
@@ -435,23 +381,12 @@ func (f *Fold) Sweeps() []SweepRecord {
 // silently: it is the expected torn tail of a crashed append, and
 // everything before it is intact.
 func Replay(path string) (*Fold, error) {
-	f := &Fold{Partials: shard.MemPartials{}}
-	in, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return f, nil
-		}
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("runstore: %v", err)
 	}
-	defer in.Close()
-	dec := json.NewDecoder(in)
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return f, nil
-		}
-		f.apply(rec)
-	}
+	f, _, _ := scan(data)
+	return f, nil
 }
 
 // LoadAll replays a journal and returns just the shard results: every
@@ -463,69 +398,4 @@ func LoadAll(path string) (all shard.MemPartials, dropped int, err error) {
 		return nil, 0, err
 	}
 	return f.Partials, f.Dropped, nil
-}
-
-// CountAny reports how many distinct restorable shards the journal
-// records for any of the given fingerprints — the existence probe a
-// sweep CLI uses to refuse silently double-running a journaled grid.
-// Terminal-marked and duplicate records are excluded, so the count
-// agrees with what Replay would restore. Like Count it only decodes each
-// record's identity, never the injections.
-func CountAny(path string, fingerprints map[string]bool) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("runstore: %v", err)
-	}
-	defer f.Close()
-	perFP := map[string]map[[2]int]bool{}
-	dec := json.NewDecoder(f)
-	for {
-		var rec struct {
-			Fingerprint string `json:"fingerprint"`
-			Partial     *struct {
-				Start int `json:"start"`
-				End   int `json:"end"`
-			} `json:"partial"`
-			Terminal []string `json:"terminal"`
-		}
-		if err := dec.Decode(&rec); err != nil {
-			break // EOF or torn tail, same as Replay
-		}
-		if len(rec.Terminal) > 0 {
-			// Marked-terminal records no longer resume anything; probing
-			// must agree with what Replay would restore.
-			for _, fp := range rec.Terminal {
-				delete(perFP, fp)
-			}
-			continue
-		}
-		if rec.Partial == nil || !fingerprints[rec.Fingerprint] {
-			continue
-		}
-		// Dedupe by plan range exactly as the replay fold does (last record
-		// wins there; for counting, first seen is equivalent), so the probe
-		// never reports more records than are restorable.
-		set := perFP[rec.Fingerprint]
-		if set == nil {
-			set = map[[2]int]bool{}
-			perFP[rec.Fingerprint] = set
-		}
-		set[[2]int{rec.Partial.Start, rec.Partial.End}] = true
-	}
-	n := 0
-	for _, set := range perFP {
-		n += len(set)
-	}
-	return n, nil
-}
-
-// Count reports how many journal records carry the fingerprint — the
-// cheap existence probe CLI validation uses. Like CountAny it never
-// decodes the partials themselves, so probing a journal of thousands of
-// injections per shard costs only a token scan.
-func Count(path, fingerprint string) (int, error) {
-	return CountAny(path, map[string]bool{fingerprint: true})
 }

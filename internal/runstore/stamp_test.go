@@ -1,9 +1,14 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/shard"
@@ -75,14 +80,36 @@ func TestJournalStampShape(t *testing.T) {
 	}
 }
 
-// FuzzReplay feeds arbitrary bytes to Replay as a journal file. Replay
-// must never panic, and every partial it keeps that carries a checksum
-// must re-encode to bytes whose Sum equals that checksum.
+// damagedCold is stampedCold with one verdict's time changed after
+// stamping: it decodes, but fails its checksum.
+var damagedCold = strings.Replace(stampedCold, `"time_ps":24100`, `"time_ps":24101`, 1)
+
+// FuzzReplay feeds arbitrary bytes to the journal readers. Replay must
+// never panic, and every partial it keeps that carries a checksum must
+// re-encode to bytes whose Sum equals that checksum. The restore state
+// must match a record-by-record reference; socfault's refusal count must
+// equal the shards Replay restores; and Open — its own fold and the file
+// it leaves — and a Purge of fuzzer-chosen campaigns (bit i of purge picks
+// the i-th in sorted order, bit 7 one the journal never names) must
+// restore the same partials and running sweeps, less the purged campaigns.
 func FuzzReplay(f *testing.F) {
-	f.Add([]byte(stampedFull + "\n" + stampedCold + "\n"))
-	f.Add([]byte(stampedCold + "\n" + stampedFull))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		fold, err := Replay(writeJournal(t, raw))
+	f.Add([]byte(stampedFull+"\n"+stampedCold+"\n"), uint8(0))
+	f.Add([]byte(stampedCold+"\n"+stampedFull), uint8(1))
+	f.Add([]byte(strings.Join([]string{
+		stampedFull, damagedCold, stampedCold, damagedCold,
+		`{"sweep":{"fingerprint":"s1","name":"first","state":"running"}}`,
+		`{"sweep":{"fingerprint":"s2","state":"running"}}`,
+		`{"sweep":{"fingerprint":"s1","state":"done"}}`,
+		`{"sweep":{"fingerprint":"s1","name":"again","state":"running"}}`,
+		`{"fingerprint":"beef","partial":{"index":0,"start":0,"end":1}}`,
+		`{"terminal":["beef"]}`,
+		`{"fingerprint":"beef","partial":{"index":1,"start":1,"end":2}}`,
+		`{"fingerprint":"c0ffee","partial":{"index":0,"start":0,"end":2,"injections":"torn"}}`,
+		stampedFull,
+	}, "\n")+"\n"), uint8(0x83))
+	f.Fuzz(func(t *testing.T, raw []byte, purge uint8) {
+		path := writeJournal(t, raw)
+		fold, err := Replay(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +131,123 @@ func FuzzReplay(f *testing.F) {
 				}
 			}
 		}
+
+		ref := restorable(raw)
+		if len(fold.Partials) != len(ref) {
+			t.Fatalf("replay restores %d campaigns, the reference %d", len(fold.Partials), len(ref))
+		}
+		var fps []string
+		want := 0
+		for fp, ranges := range ref {
+			fps = append(fps, fp)
+			want += len(ranges)
+			for _, p := range fold.Partials[fp] {
+				if !ranges[[2]int{p.Start, p.End}] {
+					t.Fatalf("campaign %s: replay restores [%d,%d), the reference does not", fp, p.Start, p.End)
+				}
+			}
+			if len(fold.Partials[fp]) != len(ranges) {
+				t.Fatalf("campaign %s: replay restores %d shards, the reference %d", fp, len(fold.Partials[fp]), len(ranges))
+			}
+		}
+		slices.Sort(fps)
+		if n, err := restored(path, fps...); err != nil || n != want {
+			t.Fatalf("refusal count %d (err %v), replay restores %d shards", n, err, want)
+		}
+
+		st, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Fold().Dropped != fold.Dropped {
+			t.Fatalf("Open dropped %d records, Replay %d", st.Fold().Dropped, fold.Dropped)
+		}
+		sameRestore(t, "Open's fold", fold, st.Fold())
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Replay(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRestore(t, "replay after Open", fold, opened)
+
+		var chosen []string
+		for i, fp := range fps {
+			if i < 7 && purge&(1<<i) != 0 {
+				chosen = append(chosen, fp)
+			}
+		}
+		if purge&0x80 != 0 {
+			chosen = append(chosen, "never-journaled")
+		}
+		if st, err = Open(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Purge(chosen); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		purged, err := Replay(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := *fold
+		kept.Partials = maps.Clone(fold.Partials)
+		for _, fp := range chosen {
+			delete(kept.Partials, fp)
+		}
+		sameRestore(t, "replay after Purge", &kept, purged)
 	})
+}
+
+// restorable is the reference restore rule, decoded record by record on
+// its own: per campaign, the plan ranges of the records that pass their
+// checksum and no later terminal marker names, up to the first record
+// that does not decode.
+func restorable(raw []byte) map[string]map[[2]int]bool {
+	out := map[string]map[[2]int]bool{}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for {
+		var rec Record
+		if dec.Decode(&rec) != nil {
+			return out
+		}
+		switch {
+		case len(rec.Terminal) > 0:
+			for _, fp := range rec.Terminal {
+				delete(out, fp)
+			}
+		case rec.Sweep != nil:
+		case rec.Partial != nil && rec.Partial.Verify() == nil:
+			if out[rec.Fingerprint] == nil {
+				out[rec.Fingerprint] = map[[2]int]bool{}
+			}
+			out[rec.Fingerprint][[2]int{rec.Partial.Start, rec.Partial.End}] = true
+		}
+	}
+}
+
+// sameRestore fails the test unless got restores what want does: the same
+// partials, and the same running sweeps in the same order.
+func sameRestore(t *testing.T, what string, want, got *Fold) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Partials, got.Partials) {
+		t.Fatalf("%s restores other partials than the journal's replay", what)
+	}
+	running := func(f *Fold) (out []SweepRecord) {
+		for _, sw := range f.Sweeps() {
+			if sw.State == SweepStateRunning {
+				out = append(out, sw)
+			}
+		}
+		return out
+	}
+	if w, g := running(want), running(got); !reflect.DeepEqual(w, g) {
+		t.Fatalf("%s has running sweeps %+v, the journal's replay %+v", what, g, w)
+	}
 }
 
 // sweepSingle is a journaled single-campaign sweep registration whose

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"bytes"
-
 	"repro/internal/fault"
 	"repro/internal/inject"
 	"repro/internal/riscv"
@@ -41,11 +39,7 @@ func (LocalBuilder) Build(cs CampaignSpec, tune func(*inject.Options)) (*Built, 
 // stable under content addressing and equal across every campaign sharing
 // a GoldenFingerprint.
 func EncodeBuilt(b *Built) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := b.Run.Campaign.EncodeGolden(&buf, b.Run.Result.GoldenEvals); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b.Run.Campaign.EncodeGolden(b.Run.Result.GoldenEvals)
 }
 
 // BuildFromGolden is BuildLocal with the golden run adopted from a

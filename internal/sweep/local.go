@@ -46,19 +46,9 @@ func RunLocal(ss SweepSpec, o LocalOptions) (map[string]*inject.Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	held := shard.MemPartials{}
-	if o.Resume && o.Journal != "" {
-		var dropped int
-		var err error
-		if held, dropped, err = runstore.LoadAll(o.Journal); err != nil {
-			return nil, err
-		}
-		if dropped > 0 {
-			logf("sweep: journal %s: skipped %d record(s) with integrity checksum mismatch; those shards re-simulate", o.Journal, dropped)
-		}
-	}
 	// A run that asked for a journal must not outlive it: the first failed
-	// append aborts the sweep.
+	// append aborts the sweep. A resume restores what Open read.
+	held := shard.MemPartials{}
 	var store *runstore.Store
 	if o.Journal != "" {
 		var err error
@@ -66,6 +56,13 @@ func RunLocal(ss SweepSpec, o LocalOptions) (map[string]*inject.Result, error) {
 			return nil, err
 		}
 		defer store.Close()
+		if o.Resume {
+			fold := store.Fold()
+			held = fold.Partials
+			if fold.Dropped > 0 {
+				logf("sweep: journal %s: skipped %d record(s) with integrity checksum mismatch; those shards re-simulate", o.Journal, fold.Dropped)
+			}
+		}
 	}
 
 	results := make(map[string]*inject.Result, len(ss.Items))

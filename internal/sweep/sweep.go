@@ -109,8 +109,9 @@ func (ss SweepSpec) Fingerprint() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Fingerprints returns the member campaign fingerprints as a set — the
-// shape runstore.CountAny consumes.
+// Fingerprints returns the member campaign fingerprints as a set: the
+// campaigns whose journaled shards make socfault refuse a run without
+// -resume.
 func (ss SweepSpec) Fingerprints() (map[string]bool, error) {
 	out := make(map[string]bool, len(ss.Items))
 	for _, it := range ss.Items {
