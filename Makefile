@@ -128,9 +128,12 @@ watch-smoke:
 	$(GO) test ./cmd/campaignd -race -run '^(TestWatchMatchesPoll|TestFleetFederation)$$' -count=1 -v
 
 # lake-smoke is the artifact-lake gate: the lake's builder tests (a
-# worker's builder is fetch-only — a miss builds locally and uploads
-# nothing — while the coordinator's builder publishes, and heals a key
-# bound to a poisoned or stale-codec artifact), then two workers share
+# worker's builder is fetch-only — a miss, or a reply damaged in flight,
+# builds locally and uploads nothing — while the coordinator's builder
+# publishes, and heals a key bound to a poisoned or stale-codec
+# artifact) and the one read endpoint's surface tests (GET answers a
+# key's bytes under their sha256; a malformed key is 400, a miss 404,
+# any other method 405, a failed store 503), then two workers share
 # one golden build through the coordinator's lake (exactly one "golden"
 # span fleet-wide, worker lake hits nonzero, worker golden misses zero),
 # a resubmitted sweep on the same lake completes with zero re-simulated
@@ -141,7 +144,7 @@ watch-smoke:
 # the single-flight gate: it runs three times, so a second build of a
 # shared golden that slips through only by luck of timing fails here.
 lake-smoke:
-	$(GO) test -race ./internal/lake -run '^TestBuilder' -count=1 -v
+	$(GO) test -race ./internal/lake -run '^(TestBuilder|TestHTTP)' -count=1 -v
 	$(GO) test ./cmd/campaignd -race -run '^(TestLakeCrossSweepReuse|TestLakeChaosMidSweep)$$' -count=1 -v
 	$(GO) test ./cmd/campaignd -race -run '^TestLakeGoldenSharedOnce$$' -count=3 -v
 

@@ -302,7 +302,7 @@ func TestServeSweepEndToEnd(t *testing.T) {
 	}
 
 	var serveOut bytes.Buffer
-	url, serveErr, _ := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,
@@ -326,18 +326,19 @@ func TestServeSweepEndToEnd(t *testing.T) {
 	go func() { workErr <- work(ctx, workOpts{url: url, name: "w1", poll: 25 * time.Millisecond, out: &w1Out}) }()
 	go func() { workErr <- work(ctx, workOpts{url: url, name: "w2", poll: 25 * time.Millisecond, out: &w2Out}) }()
 
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("sweep serve: %v\n%s", err, serveOut.String())
-		}
-	case <-ctx.Done():
-		t.Fatalf("sweep never completed; serve output:\n%s\nw1:\n%s\nw2:\n%s", serveOut.String(), w1Out.String(), w2Out.String())
-	}
 	for i := 0; i < 2; i++ {
-		if err := <-workErr; err != nil {
-			t.Fatalf("worker: %v", err)
+		select {
+		case err := <-workErr:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		case <-ctx.Done():
+			t.Fatalf("sweep never completed; serve output:\n%s\nw1:\n%s\nw2:\n%s", serveOut.String(), w1Out.String(), w2Out.String())
 		}
+	}
+	stop()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("sweep serve: %v\n%s", err, serveOut.String())
 	}
 
 	// The restarted coordinator must have loaded the prior incarnation's
@@ -1079,7 +1080,11 @@ func TestRecordWritesEachPlaceOnce(t *testing.T) {
 
 	const fp = "fp-record"
 	partial := func(path string, start int) *shard.Partial {
-		return &shard.Partial{Start: start, End: start + 1, Injections: []inject.Injection{{CellID: start, Path: path}}}
+		p := &shard.Partial{Start: start, End: start + 1, Injections: []inject.Injection{{CellID: start, Path: path}}}
+		if err := p.Stamp(); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 	// expect checks where a range stands: the partial memory holds, the
 	// path the journal's replay and the lake answer ("" = absent), and
@@ -1102,7 +1107,7 @@ func TestRecordWritesEachPlaceOnce(t *testing.T) {
 		if got := pathOf(loaded.GetPartial(fp, want.Start, want.End)); got != journaled {
 			t.Fatalf("%s: journal replays %q, want %q", step, got, journaled)
 		}
-		if got := pathOf(lake.NewStorePartials(lk).GetPartial(fp, want.Start, want.End)); got != inLake {
+		if got := pathOf(lk.GetPartial(fp, want.Start, want.End)); got != inLake {
 			t.Fatalf("%s: lake answers %q, want %q", step, got, inLake)
 		}
 		raw, err := os.ReadFile(journal)
@@ -1150,5 +1155,9 @@ func sfpOf(t *testing.T, ss sweep.SweepSpec) string {
 
 // stubSpecPartial is a minimal journalable shard record.
 func stubSpecPartial() *shard.Partial {
-	return &shard.Partial{Index: 0, Start: 0, End: 1, Injections: []inject.Injection{{CellID: 1, Path: "stub"}}}
+	p := &shard.Partial{Index: 0, Start: 0, End: 1, Injections: []inject.Injection{{CellID: 1, Path: "stub"}}}
+	if err := p.Stamp(); err != nil {
+		panic(err)
+	}
+	return p
 }

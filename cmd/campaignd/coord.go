@@ -152,7 +152,7 @@ func (g *registry) GetPartial(fp string, start, end int) *shard.Partial {
 	p := g.journaled.GetPartial(fp, start, end)
 	g.mu.Unlock()
 	if p == nil && g.lake != nil {
-		p = lake.NewStorePartials(g.lake).GetPartial(fp, start, end)
+		p = g.lake.GetPartial(fp, start, end)
 	}
 	return p
 }

@@ -363,7 +363,7 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 
 	// Phase 1: a clean journaled run establishes the reference journal.
 	serveOut1 := &safeBuf{}
-	url1, serveErr1, _ := startServe(t, serveOpts{
+	url1, serveErr1, stop1 := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,
@@ -377,15 +377,16 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 		w1Err <- work(ctx, workOpts{url: url1, name: "jw1", poll: 25 * time.Millisecond, out: w1Out})
 	}()
 	select {
-	case err := <-serveErr1:
+	case err := <-w1Err:
 		if err != nil {
-			t.Fatalf("phase-1 serve: %v\n%s", err, serveOut1.String())
+			t.Fatalf("phase-1 worker: %v", err)
 		}
 	case <-ctx.Done():
 		t.Fatalf("phase-1 sweep never completed:\n%s\n%s", serveOut1.String(), w1Out.String())
 	}
-	if err := <-w1Err; err != nil {
-		t.Fatalf("phase-1 worker: %v", err)
+	stop1()
+	if err := <-serveErr1; err != nil {
+		t.Fatalf("phase-1 serve: %v\n%s", err, serveOut1.String())
 	}
 	got1, err := os.ReadFile(out1)
 	if err != nil {
@@ -434,7 +435,7 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 	// Phase 2: replay must skip exactly the damaged record, re-simulate
 	// that one shard through the worker, and render identical bytes.
 	serveOut2 := &safeBuf{}
-	url2, serveErr2, _ := startServe(t, serveOpts{
+	url2, serveErr2, stop2 := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		journal:  journal,
@@ -448,15 +449,16 @@ func TestJournalCorruptRecordReplay(t *testing.T) {
 		w2Err <- work(ctx, workOpts{url: url2, name: "jw2", poll: 25 * time.Millisecond, out: w2Out})
 	}()
 	select {
-	case err := <-serveErr2:
+	case err := <-w2Err:
 		if err != nil {
-			t.Fatalf("phase-2 serve: %v\n%s", err, serveOut2.String())
+			t.Fatalf("phase-2 worker: %v", err)
 		}
 	case <-ctx.Done():
 		t.Fatalf("phase-2 sweep never completed:\n%s\n%s", serveOut2.String(), w2Out.String())
 	}
-	if err := <-w2Err; err != nil {
-		t.Fatalf("phase-2 worker: %v", err)
+	stop2()
+	if err := <-serveErr2; err != nil {
+		t.Fatalf("phase-2 serve: %v\n%s", err, serveOut2.String())
 	}
 
 	if !strings.Contains(serveOut2.String(), "journal records failed their integrity checksum") {

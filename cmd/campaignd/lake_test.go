@@ -83,7 +83,7 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 	outPath := filepath.Join(dir, "grid.txt")
 	coordTr := obs.NewTracer()
 	var serveOut bytes.Buffer
-	url, serveErr, _ := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		lakeDir:  filepath.Join(dir, "lake"),
@@ -108,19 +108,20 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 		}()
 	}
 
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serve: %v\n%s", err, serveOut.String())
-		}
-	case <-ctx.Done():
-		t.Fatalf("sweep never completed; serve output:\n%s\nw1:\n%s\nw2:\n%s",
-			serveOut.String(), outs[0].String(), outs[1].String())
-	}
 	for i := 0; i < 2; i++ {
-		if err := <-workErr; err != nil {
-			t.Fatalf("worker: %v", err)
+		select {
+		case err := <-workErr:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		case <-ctx.Done():
+			t.Fatalf("sweep never completed; serve output:\n%s\nw1:\n%s\nw2:\n%s",
+				serveOut.String(), outs[0].String(), outs[1].String())
 		}
+	}
+	stop()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
 
 	// Built exactly once fleet-wide: the coordinator's one build is the
@@ -145,6 +146,14 @@ func TestLakeGoldenSharedOnce(t *testing.T) {
 	for i, reg := range regs {
 		if n := counterValue(t, reg, `lake_misses_total{kind="golden"}`); n != 0 {
 			t.Fatalf("worker %d recorded %v golden lake misses, want 0", i+1, n)
+		}
+	}
+	// Each golden fetch is one request: the worker's lake GETs number
+	// exactly its golden hits.
+	for i, reg := range regs {
+		gets := counterValue(t, reg, `capi_request_seconds_count{method="GET",path="/v1/lake/{key}"}`)
+		if hits := counterValue(t, reg, `lake_hits_total{kind="golden"}`); gets != hits {
+			t.Fatalf("worker %d made %v lake requests for %v golden fetches, want one each", i+1, gets, hits)
 		}
 	}
 
@@ -208,7 +217,6 @@ func TestLakeCrossSweepReuse(t *testing.T) {
 		shards:   2,
 		lakeDir:  lakeDir,
 		leaseTTL: time.Minute,
-		linger:   time.Second,
 		outPath:  out2,
 		obsReg:   reg2,
 		tracer:   tr2,
@@ -262,7 +270,7 @@ func TestLakeChaosMidSweep(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "grid.txt")
 	var serveOut bytes.Buffer
-	url, serveErr, _ := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		grid:     &grid,
 		shards:   2,
 		lake:     st,
@@ -307,19 +315,20 @@ func TestLakeChaosMidSweep(t *testing.T) {
 		workErr <- work(ctx, workOpts{url: url, name: "w2", poll: 25 * time.Millisecond, lake: true, out: &w2Out})
 	}()
 
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serve: %v\n%s", err, serveOut.String())
-		}
-	case <-ctx.Done():
-		t.Fatalf("sweep never completed after lake failure:\n%s\nw1:\n%s\nw2:\n%s",
-			serveOut.String(), w1Out.String(), w2Out.String())
-	}
 	for i := 0; i < 2; i++ {
-		if err := <-workErr; err != nil {
-			t.Fatalf("worker: %v", err)
+		select {
+		case err := <-workErr:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		case <-ctx.Done():
+			t.Fatalf("sweep never completed after lake failure:\n%s\nw1:\n%s\nw2:\n%s",
+				serveOut.String(), w1Out.String(), w2Out.String())
 		}
+	}
+	stop()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
 
 	got, err := os.ReadFile(outPath)

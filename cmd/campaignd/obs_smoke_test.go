@@ -219,7 +219,7 @@ func TestSpeculationObserved(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	reg := obs.NewRegistry()
 	serveOut := &safeBuf{}
-	url, serveErr, _ := startServe(t, serveOpts{
+	url, serveErr, stop := startServe(t, serveOpts{
 		grid:   gridPtr(sweep.CampaignGrid(cs)),
 		shards: 5,
 		// Long shard leases: only speculation — never expiry — may free
@@ -247,15 +247,16 @@ func TestSpeculationObserved(t *testing.T) {
 	}()
 
 	select {
-	case err := <-serveErr:
+	case err := <-workDone:
 		if err != nil {
-			t.Fatalf("serve: %v\n%s", err, serveOut.String())
+			t.Fatalf("worker: %v\n%s", err, wOut.String())
 		}
 	case <-ctx.Done():
 		t.Fatalf("campaign never completed; serve:\n%s\nworker:\n%s", serveOut.String(), wOut.String())
 	}
-	if err := <-workDone; err != nil {
-		t.Fatalf("worker: %v\n%s", err, wOut.String())
+	stop()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v\n%s", err, serveOut.String())
 	}
 
 	got := readResultJSON(t, outPath)

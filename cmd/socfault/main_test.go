@@ -18,6 +18,17 @@ import (
 // TestParseFlagsValidation pins the upfront flag validation: every broken
 // flag or combination must fail fast with an actionable message instead
 // of panicking deep inside the campaign.
+// stampedPartial is a minimal journalable shard record: a resume would
+// restore it.
+func stampedPartial(t *testing.T) *shard.Partial {
+	t.Helper()
+	p := &shard.Partial{Index: 0, Start: 0, End: 1}
+	if err := p.Stamp(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestParseFlagsValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -95,7 +106,7 @@ func TestParseFlagsRefusesStaleJournalWithoutResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(specFP, &shard.Partial{Index: 0, Start: 0, End: 1}); err != nil {
+	if err := st.Append(specFP, stampedPartial(t)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -220,7 +231,7 @@ func TestParseFlagsRefusesStaleSweepJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(fp, &shard.Partial{Index: 0, Start: 0, End: 1}); err != nil {
+	if err := st.Append(fp, stampedPartial(t)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

@@ -3,7 +3,10 @@ package capi
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,10 +54,8 @@ func normPath(path string) string {
 	}
 	// Lake keys are multi-segment ("golden/<fp>"), so the whole remainder
 	// collapses to one placeholder.
-	for _, pfx := range []string{"/v1/lake/keys/", "/v1/artifacts/"} {
-		if rest, ok := strings.CutPrefix(path, pfx); ok && rest != "" {
-			return pfx + "{id}"
-		}
+	if rest, ok := strings.CutPrefix(path, "/v1/lake/"); ok && rest != "" {
+		return "/v1/lake/{key}"
 	}
 	for pfx, ph := range map[string]string{
 		"/v1/sweeps/":  "{fp}",
@@ -107,46 +108,57 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.BaseURL, "/") + path
 }
 
-// do performs one exchange: in (if non-nil) is sent as JSON, a 2xx body
-// is decoded into out (if non-nil), and any error status is decoded
-// from the envelope into a typed *Error. The returned status lets
-// callers distinguish meaningful non-error statuses (204, 410).
-func (c *Client) do(ctx context.Context, method, path string, in, out any) (int, error) {
+// do performs one exchange. in is the request body: nil sends none, a
+// string is sent verbatim as exposition text, anything else as JSON. A
+// 2xx reply other than 204 fills out: *[]byte takes the raw body, any
+// other non-nil out is decoded from JSON. Any error status comes back as
+// a typed *Error decoded from the envelope. The response is returned with
+// its body consumed, so callers can read its status and headers.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) (*http.Response, error) {
 	var body io.Reader
-	if in != nil {
+	contentType := ""
+	switch in := in.(type) {
+	case nil:
+	case string:
+		body, contentType = strings.NewReader(in), obs.ContentType
+	default:
 		b, err := json.Marshal(in)
 		if err != nil {
-			return 0, fmt.Errorf("capi: encoding %s %s: %v", method, path, err)
+			return nil, fmt.Errorf("capi: encoding %s %s: %v", method, path, err)
 		}
-		body = bytes.NewReader(b)
+		body, contentType = bytes.NewReader(b), "application/json"
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
 	if err != nil {
-		return 0, fmt.Errorf("capi: %v", err)
+		return nil, fmt.Errorf("capi: %v", err)
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	start := time.Now()
 	resp, err := c.httpClient().Do(req)
 	c.observe(method, path, start)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	// 410 Gone is not an error here: on the lease path it is the
-	// protocol's "coordinator drained" signal, carried as a bare status.
-	// (The results endpoint's cancelled-sweep 410 travels the raw-body
-	// path in resultsOnce, which decodes the envelope itself.)
-	if resp.StatusCode >= 400 && resp.StatusCode != http.StatusGone {
-		return resp.StatusCode, decodeError(resp)
+	if resp.StatusCode >= 400 {
+		return resp, decodeError(resp)
 	}
-	if out != nil && resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusGone {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("capi: decoding %s %s reply: %v", method, path, err)
+	switch out := out.(type) {
+	case nil:
+	case *[]byte:
+		if *out, err = io.ReadAll(resp.Body); err != nil {
+			return resp, fmt.Errorf("capi: reading %s %s reply: %v", method, path, err)
+		}
+	default:
+		if resp.StatusCode != http.StatusNoContent {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				return resp, fmt.Errorf("capi: decoding %s %s reply: %v", method, path, err)
+			}
 		}
 	}
-	return resp.StatusCode, nil
+	return resp, nil
 }
 
 // decodeError lifts an error reply into a typed *Error, tolerating
@@ -251,14 +263,14 @@ func (c *Client) retryLoop(ctx context.Context, what string, fn func() error) er
 }
 
 // doRetry is do with the transient-failure retry loop.
-func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) (int, error) {
-	var status int
+func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) (*http.Response, error) {
+	var resp *http.Response
 	err := c.retryLoop(ctx, method+" "+path, func() error {
 		var err error
-		status, err = c.do(ctx, method, path, in, out)
+		resp, err = c.do(ctx, method, path, in, out)
 		return err
 	})
-	return status, err
+	return resp, err
 }
 
 // LeaseOutcome classifies a successful lease exchange.
@@ -276,21 +288,22 @@ const (
 )
 
 // Lease asks for a shard (retrying). The outcome is only meaningful
-// when err is nil; the lease is non-nil only for LeaseGranted.
+// when err is nil; the lease is non-nil only for LeaseGranted. A bare 410
+// is the protocol's "coordinator drained" signal.
 func (c *Client) Lease(ctx context.Context, worker string) (*shard.Lease, LeaseOutcome, error) {
 	var l shard.Lease
-	status, err := c.doRetry(ctx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: worker}, &l)
+	resp, err := c.doRetry(ctx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: worker}, &l)
+	var e *Error
+	if errors.As(err, &e) && e.Status == http.StatusGone {
+		return nil, LeaseDrained, nil
+	}
 	if err != nil {
 		return nil, LeaseIdle, err
 	}
-	switch status {
-	case http.StatusOK:
-		return &l, LeaseGranted, nil
-	case http.StatusGone:
-		return nil, LeaseDrained, nil
-	default: // 204
+	if resp.StatusCode == http.StatusNoContent {
 		return nil, LeaseIdle, nil
 	}
+	return &l, LeaseGranted, nil
 }
 
 // Complete delivers a shard result for a held lease (retrying) — a
@@ -379,33 +392,10 @@ func (c *Client) Purge(ctx context.Context, fingerprint string) (SweepStatus, er
 // CodeCancelled.
 func (c *Client) Results(ctx context.Context, fingerprint string) ([]byte, error) {
 	var b []byte
-	err := c.retryLoop(ctx, "fetching results", func() error {
-		var err error
-		b, err = c.resultsOnce(ctx, fingerprint)
-		return err
-	})
-	if err != nil {
+	if _, err := c.doRetry(ctx, http.MethodGet, "/v1/sweeps/"+fingerprint+"/results", nil, &b); err != nil {
 		return nil, err
 	}
 	return b, nil
-}
-
-func (c *Client) resultsOnce(ctx context.Context, fingerprint string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/sweeps/"+fingerprint+"/results"), nil)
-	if err != nil {
-		return nil, fmt.Errorf("capi: %v", err)
-	}
-	start := time.Now()
-	resp, err := c.httpClient().Do(req)
-	c.observe(http.MethodGet, "/v1/sweeps/"+fingerprint+"/results", start)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // PushMetrics pushes one worker's metrics exposition text to the
@@ -419,59 +409,30 @@ func (c *Client) PushMetrics(ctx context.Context, worker, text string, interval 
 	if interval > 0 {
 		path += "?interval=" + url.QueryEscape(interval.String())
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), strings.NewReader(text))
-	if err != nil {
-		return fmt.Errorf("capi: %v", err)
-	}
-	req.Header.Set("Content-Type", obs.ContentType)
-	start := time.Now()
-	resp, err := c.httpClient().Do(req)
-	c.observe(http.MethodPost, path, start)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return decodeError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
+	_, err := c.do(ctx, http.MethodPost, path, text, nil)
+	return err
 }
 
-// GetArtifact downloads a blob from the artifact lake by content address
-// (single attempt — a miss or failure means "build locally", so retrying
-// only delays the fallback).
-func (c *Client) GetArtifact(ctx context.Context, hash string) ([]byte, error) {
-	path := "/v1/artifacts/" + hash
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-	if err != nil {
-		return nil, fmt.Errorf("capi: %v", err)
-	}
-	start := time.Now()
-	resp, err := c.httpClient().Do(req)
-	c.observe(http.MethodGet, path, start)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// LakeResolve maps a lake key ("golden/<fp>", "partial/<fp>/<a>-<b>") to
-// the blob hash it names; ok is false on a clean miss (404).
-func (c *Client) LakeResolve(ctx context.Context, key string) (string, bool, error) {
-	var reply LakeKeyReply
-	_, err := c.do(ctx, http.MethodGet, "/v1/lake/keys/"+key, nil, &reply)
-	if e, isErr := err.(*Error); isErr && e.Status == http.StatusNotFound {
-		return "", false, nil
+// LakeGet fetches the artifact-lake blob bound to key ("golden/<fp>",
+// "partial/<fp>/<a>-<b>") in one request (single attempt — a miss or
+// failure means "build locally", so retrying only delays the fallback).
+// ok is false on a clean miss: a 404, or bytes that do not hash to the
+// sha256 the reply's ETag names (see WriteBlob), so damage in flight is
+// never adopted.
+func (c *Client) LakeGet(ctx context.Context, key string) (data []byte, ok bool, err error) {
+	resp, err := c.do(ctx, http.MethodGet, "/v1/lake/"+key, nil, &data)
+	var e *Error
+	if errors.As(err, &e) && e.Status == http.StatusNotFound {
+		return nil, false, nil
 	}
 	if err != nil {
-		return "", false, err
+		return nil, false, err
 	}
-	return reply.Hash, true, nil
+	sum := sha256.Sum256(data)
+	if resp.Header.Get("ETag") != strconv.Quote(hex.EncodeToString(sum[:])) {
+		return nil, false, nil
+	}
+	return data, true, nil
 }
 
 // WaitSweep polls the sweep until it reaches a terminal state (done,

@@ -279,9 +279,10 @@ func TestClientClampsHostileRetryAfter(t *testing.T) {
 	}
 }
 
-// TestNormPath pins the metric-label path normalization: fingerprints
-// and worker names collapse to placeholders so capi_request_seconds
-// enumerates endpoints, never identities, and query strings are
+// TestNormPath pins the metric-label path normalization: fingerprints,
+// worker names and lake keys collapse to placeholders so
+// capi_request_seconds enumerates endpoints, never identities, and query
+// strings are
 // stripped (the ?watch=1 stream shares its resource's label).
 func TestNormPath(t *testing.T) {
 	cases := map[string]string{
@@ -292,6 +293,8 @@ func TestNormPath(t *testing.T) {
 		"/v1/sweeps/abc123def456/results":       "/v1/sweeps/{fp}/results",
 		"/v1/workers/w-07/metrics":              "/v1/workers/{name}/metrics",
 		"/v1/workers/w%2F7/metrics?interval=5s": "/v1/workers/{name}/metrics",
+		"/v1/lake/golden/abc123def456":          "/v1/lake/{key}",
+		"/v1/lake/partial/abc123def456/0-4":     "/v1/lake/{key}",
 	}
 	for in, want := range cases {
 		if got := normPath(in); got != want {

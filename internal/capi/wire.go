@@ -33,16 +33,16 @@
 //	                                push; merged view at GET /metrics/fleet)
 //
 // Coordinators serving an artifact lake (-lake-dir) additionally expose
-// its read-only surface: blobs are raw bytes keyed by their sha256, and
-// keys are durable names resolved to blob hashes. The coordinator is the
-// lake's only writer (it publishes every golden before the campaign's
-// shards can be leased, and every accepted partial), so any other method
-// on these paths answers 405. Every lake endpoint answers 503 +
-// Retry-After while the store is unavailable; lake clients treat any
-// error as a cache miss and compute locally.
+// its read-only surface: one GET per durable key ("golden/<fp>",
+// "partial/<fp>/<a>-<b>"), answered with the raw bytes the key is bound
+// to and their sha256 in the ETag header, which the client checks. The
+// coordinator is the lake's only writer (it publishes every golden before
+// the campaign's shards can be leased, and every accepted partial), so
+// any other method answers 405 and a malformed key 400. The endpoint
+// answers 503 + Retry-After while the store is unavailable; lake clients
+// treat any error as a cache miss and compute locally.
 //
-//	GET    /v1/artifacts/{hash}     -> 200 raw blob, or 404
-//	GET    /v1/lake/keys/{key...}   -> 200 LakeKeyReply, or 404
+//	GET    /v1/lake/{key...}        -> 200 raw blob + ETag, or 404
 //
 // Every error reply is the JSON envelope {"error":{"code","message"}}
 // with Content-Type application/json and a meaningful status code.
@@ -182,11 +182,6 @@ type RenewReply struct {
 	ExpiresAt time.Time `json:"expires_at"`
 }
 
-// LakeKeyReply resolves a lake key to the blob hash it names.
-type LakeKeyReply struct {
-	Hash string `json:"hash"`
-}
-
 // Error is the uniform error envelope, and doubles as the typed error
 // the Client returns for any coordinator refusal: Status is the HTTP
 // status, Code a stable machine-readable slug, Message the human text.
@@ -259,6 +254,16 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	// Encoding a struct of two strings cannot fail; ignore the writer's
 	// error as net/http handlers conventionally do.
 	json.NewEncoder(w).Encode(errorBody{Err: Error{Code: code, Message: fmt.Sprintf(format, args...)}})
+}
+
+// WriteBlob replies with raw artifact bytes, naming their sha256 (hash)
+// in the ETag header; Client.LakeGet refuses a body that does not hash
+// to it.
+func WriteBlob(w http.ResponseWriter, hash string, data []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Header().Set("ETag", strconv.Quote(hash))
+	w.Write(data)
 }
 
 // WriteJSON replies with v as JSON.

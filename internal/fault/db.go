@@ -232,12 +232,3 @@ func DefaultDB() *DB {
 	}
 	return db
 }
-
-// ExpectedUpsets converts a flux (particles/cm²/s), a cross-section (cm²)
-// and an exposure time (simulated picoseconds scaled by timeScale, the
-// acceleration factor between simulated time and real exposure) into the
-// mean number of upsets for one cell.
-func ExpectedUpsets(flux, xsect float64, durationPS uint64, timeScale float64) float64 {
-	seconds := float64(durationPS) * 1e-12 * timeScale
-	return flux * xsect * seconds
-}

@@ -168,18 +168,6 @@ func TestSEUSubSplit(t *testing.T) {
 	}
 }
 
-func TestExpectedUpsets(t *testing.T) {
-	// flux 5e8 p/cm²/s on xsect 2e-8 cm² for 1e6 ps scaled 1e6x ->
-	// 5e8*2e-8*1e-12*1e6*1e6 = 10 upsets.
-	got := ExpectedUpsets(5e8, 2e-8, 1e6, 1e6)
-	if math.Abs(got-10) > 1e-9 {
-		t.Errorf("ExpectedUpsets = %g, want 10", got)
-	}
-	if ExpectedUpsets(0, 1, 1, 1) != 0 {
-		t.Error("zero flux must give zero upsets")
-	}
-}
-
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	db := DefaultDB()
 	var buf bytes.Buffer

@@ -349,17 +349,3 @@ func RankByCorrelation(m *Matrix, labels []bool) []int {
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx
 }
-
-// FrequencyCount tallies how many nodes fall into each distinct value of a
-// feature column — the paper's "analyze the sensitive circuit node list
-// data by frequency count" step.
-func FrequencyCount(m *Matrix, col int) (map[float64]int, error) {
-	if col < 0 || len(m.Rows) > 0 && col >= len(m.Rows[0]) {
-		return nil, fmt.Errorf("features: column %d out of range", col)
-	}
-	out := map[float64]int{}
-	for _, r := range m.Rows {
-		out[r[col]]++
-	}
-	return out, nil
-}

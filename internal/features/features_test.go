@@ -192,20 +192,6 @@ func TestRankByCorrelation(t *testing.T) {
 	}
 }
 
-func TestFrequencyCount(t *testing.T) {
-	m := &Matrix{Names: []string{"a"}, Rows: [][]float64{{1}, {2}, {1}, {1}}}
-	fc, err := FrequencyCount(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc[1] != 3 || fc[2] != 1 {
-		t.Errorf("frequency %v", fc)
-	}
-	if _, err := FrequencyCount(m, 5); err == nil {
-		t.Error("bad column must fail")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := &Matrix{Names: []string{"a"}, Rows: [][]float64{{1}}}
 	c := m.Clone()

@@ -131,7 +131,7 @@ func TestGoldenArtifactRejectsCorruptAndMismatched(t *testing.T) {
 // TestDecodersBoundCountsByInput feeds each of the three artifact decoders
 // a few dozen bytes whose header is valid and whose first element count is
 // enormous. Blobs reach these decoders from disk and over the wire (a
-// lake directory another process filled, GET /v1/artifacts; the hash
+// lake directory another process filled, GET /v1/lake/{key...}; the hash
 // check proves integrity, not sanity), so the count must be refused
 // against the bytes that remain — before anything is sized by it. Bounded by a constant instead, the checkpoint rows allocated
 // 2^28 queue entries (12 GiB) ahead of the first element read.

@@ -2,45 +2,13 @@ package lake
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"time"
 
 	"repro/internal/capi"
 	"repro/internal/inject"
 	"repro/internal/shard"
 )
-
-// backend abstracts where the lake is read from: in-process (the
-// coordinator owns the Store) or across the wire (workers speak capi to
-// the coordinator's lake endpoints). Builder and Partials read through
-// either identically; only the coordinator writes, straight to its Store.
-type backend interface {
-	resolve(ctx context.Context, key string) (hash string, ok bool, err error)
-	fetch(ctx context.Context, hash string) ([]byte, error)
-}
-
-// storeBackend serves a coordinator-local Store.
-type storeBackend struct{ s *Store }
-
-func (b storeBackend) resolve(_ context.Context, key string) (string, bool, error) {
-	hash, ok := b.s.Resolve(key)
-	return hash, ok, nil
-}
-
-func (b storeBackend) fetch(_ context.Context, hash string) ([]byte, error) {
-	return b.s.Get(hash)
-}
-
-// clientBackend speaks the lake endpoints through a capi.Client.
-type clientBackend struct{ c *capi.Client }
-
-func (b clientBackend) resolve(ctx context.Context, key string) (string, bool, error) {
-	return b.c.LakeResolve(ctx, key)
-}
-
-func (b clientBackend) fetch(ctx context.Context, hash string) ([]byte, error) {
-	return b.c.GetArtifact(ctx, hash)
-}
 
 // Builder is the lake-backed shard.Builder: fetch a campaign's golden
 // artifact, and build locally on any miss or lake error — the lake
@@ -60,25 +28,42 @@ func (b clientBackend) fetch(ctx context.Context, hash string) ([]byte, error) {
 // checkpoint's header, which still refuses a stale pitch or codec, but
 // decodes no checkpoint. Workers adopt in full.
 type Builder struct {
-	lake backend
-	// store is the coordinator's Store, which receives the artifact of
-	// every local build; nil on workers.
-	store *Store
+	// read returns the blob bound to a key; ErrNotFound is a clean miss,
+	// any other error a lake failure.
+	read func(key string) ([]byte, error)
+	// adopt turns a fetched artifact into a campaign.
+	adopt func(shard.CampaignSpec, func(*inject.Options), []byte) (*shard.Built, error)
+	// publish, when set, receives the artifact of every local build.
+	publish func(key string, blob []byte) error
 	// m, when non-nil, counts golden hits/misses on the caller's registry
-	// (workers; a coordinator-local Store counts its own).
+	// (workers, so -push federates them; a coordinator-local Store counts
+	// its own).
 	m *Metrics
 }
 
-// NewStoreBuilder returns the coordinator's Builder over its Store.
+// NewStoreBuilder returns the coordinator's Builder over its Store: it
+// reads the store in process, adopts for planning and publishes.
 func NewStoreBuilder(s *Store) *Builder {
-	return &Builder{lake: storeBackend{s: s}, store: s}
+	read := func(key string) ([]byte, error) {
+		_, blob, err := s.lookup(key)
+		return blob, err
+	}
+	return &Builder{read: read, adopt: shard.BuildForPlanning, publish: s.publish}
 }
 
 // NewClientBuilder returns a worker's fetch-only Builder speaking to a
-// remote lake through c. m (may be nil) receives this process's
-// hit/miss/fetch counts. The worker name is unused: workers never write.
+// remote lake through c: one GET per golden, adopted in full. m (may be
+// nil) receives this process's hit/miss/fetch counts. The worker name is
+// unused: workers never write.
 func NewClientBuilder(c *capi.Client, _ string, m *Metrics) *Builder {
-	return &Builder{lake: clientBackend{c: c}, m: m}
+	read := func(key string) ([]byte, error) {
+		blob, ok, err := c.LakeGet(context.TODO(), key)
+		if err == nil && !ok {
+			err = ErrNotFound
+		}
+		return blob, err
+	}
+	return &Builder{read: read, adopt: shard.BuildFromGolden, m: m}
 }
 
 // Build implements shard.Builder.
@@ -95,102 +80,37 @@ func (b *Builder) Build(cs shard.CampaignSpec, tune func(*inject.Options)) (*sha
 	if err != nil {
 		return nil, false, err
 	}
-	if b.store != nil {
+	if b.publish != nil {
 		if blob, err := shard.EncodeBuilt(built); err == nil {
 			// A failed publish is swallowed: the next build of this golden
 			// simulates again, which is exactly the no-lake behavior.
-			_ = b.store.publish(key, blob)
+			_ = b.publish(key, blob)
 		}
 	}
 	return built, false, nil
 }
 
 // fetch adopts the artifact published under key, or returns nil. A lake
-// error counts nothing; a missing, unreadable, corrupt or mismatched
-// artifact counts one golden miss and must never install wrong golden
-// state.
+// error counts nothing; a missing, corrupt or mismatched artifact counts
+// one golden miss and must never install wrong golden state.
 func (b *Builder) fetch(cs shard.CampaignSpec, tune func(*inject.Options), key string) *shard.Built {
-	ctx := context.Background()
 	start := time.Now()
-	hash, ok, err := b.lake.resolve(ctx, key)
-	if err != nil {
+	blob, err := b.read(key)
+	if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil
 	}
-	if ok {
-		if blob, err := b.lake.fetch(ctx, hash); err == nil {
-			adopt := shard.BuildFromGolden
-			if b.store != nil {
-				adopt = shard.BuildForPlanning
-			}
-			if built, err := adopt(cs, tune, blob); err == nil {
-				b.m.Hit("golden")
-				b.m.ObserveFetch(time.Since(start))
-				return built
-			}
+	if err == nil {
+		if built, err := b.adopt(cs, tune, blob); err == nil {
+			b.m.hit("golden")
+			b.m.observeFetch(time.Since(start))
+			return built
 		}
 	}
-	b.m.Miss("golden")
+	b.m.miss("golden")
 	return nil
 }
 
-// Partials is the lake-backed shard.PartialCache: finished shard
-// results the coordinator published (Store.PutPartial), reused by
-// overlapping future sweeps without re-simulation. Every lake error
-// reads as a miss.
-type Partials struct {
-	lake backend
-	m    *Metrics
-}
-
-// NewStorePartials returns a PartialCache over a coordinator-local Store.
-func NewStorePartials(s *Store) *Partials {
-	return &Partials{lake: storeBackend{s: s}}
-}
-
-// NewClientPartials returns a PartialCache speaking to a remote lake.
-func NewClientPartials(c *capi.Client, m *Metrics) *Partials {
-	return &Partials{lake: clientBackend{c: c}, m: m}
-}
-
-// GetPartial implements shard.PartialCache.
-func (p *Partials) GetPartial(fp string, start, end int) *shard.Partial {
-	ctx := context.Background()
-	key := PartialKey(fp, start, end)
-	t0 := time.Now()
-	hash, ok, err := p.lake.resolve(ctx, key)
-	if err != nil || !ok {
-		p.m.Miss("partial")
-		return nil
-	}
-	blob, err := p.lake.fetch(ctx, hash)
-	if err != nil {
-		p.m.Miss("partial")
-		return nil
-	}
-	var partial shard.Partial
-	if err := json.Unmarshal(blob, &partial); err != nil {
-		p.m.Miss("partial")
-		return nil
-	}
-	// A published object that does not actually describe (fp, start, end)
-	// must never be adopted — it would silently corrupt a merge. The same
-	// goes for a blob whose integrity checksum no longer matches its
-	// bytes: a damaged lake object reads as a miss and re-simulates.
-	if partial.Start != start || partial.End != end || partial.Verify() != nil {
-		p.m.Miss("partial")
-		return nil
-	}
-	p.m.Hit("partial")
-	p.m.ObserveFetch(time.Since(t0))
-	return &partial
-}
-
-// PutPartial publishes partial under (fp, its plan range); a failed
-// publish is swallowed.
-func (s *Store) PutPartial(fp string, partial *shard.Partial) {
-	blob, err := json.Marshal(partial)
-	if err != nil {
-		return
-	}
-	_ = s.publish(PartialKey(fp, partial.Start, partial.End), blob)
-}
+// NewClientPartials returns an empty partial cache. Workers hold no
+// finished partials: the coordinator restores them from its own store
+// (Store.GetPartial), and Executor.SetPartialCache ignores its argument.
+func NewClientPartials(*capi.Client, *Metrics) shard.MemPartials { return shard.MemPartials{} }

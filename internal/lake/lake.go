@@ -9,7 +9,7 @@
 // least-recently-used blobs are evicted — together with every key that
 // references them — except while pinned by an in-flight read. The
 // coordinator that owns the store is its only writer; workers read it
-// over two GET endpoints (see Register).
+// over one GET endpoint, a key per request (see Register).
 //
 // The lake is an accelerator, never a correctness dependency. Every
 // consumer treats any lake error (including a deliberately failed store,
@@ -22,12 +22,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/shard"
 )
 
 // DefaultMaxBytes bounds the store when the caller does not: large
@@ -39,8 +42,8 @@ const DefaultMaxBytes = 4 << 30
 // chaos hook lake smoke tests use to kill the lake mid-sweep.
 var ErrUnavailable = fmt.Errorf("lake: store unavailable")
 
-// ErrNotFound marks a clean miss: no such blob, or a blob dropped after
-// failing content verification. Consumers compute locally.
+// ErrNotFound marks a clean miss: no such key or blob, or a blob dropped
+// after failing content verification. Consumers compute locally.
 var ErrNotFound = fmt.Errorf("not found")
 
 // ErrBadRequest marks a malformed key or hash.
@@ -329,27 +332,33 @@ func (s *Store) Link(key, hash string) error {
 	return nil
 }
 
-// Resolve maps key to its blob hash. Hit/miss metrics are labeled by the
-// key's kind (its first path segment).
-func (s *Store) Resolve(key string) (string, bool) {
+// lookup returns the blob bound to key and its hash, verified against
+// its content address by Get, and counts one hit or miss for the key's
+// kind. An unbound key, or one whose blob fails verification (Get drops
+// the blob and its keys), is a miss: ErrNotFound. A lake failure counts
+// nothing.
+func (s *Store) lookup(key string) (string, []byte, error) {
 	if s.unavailable() {
-		return "", false
+		return "", nil, ErrUnavailable
+	}
+	if key == "" {
+		return "", nil, fmt.Errorf("lake: empty key: %w", ErrBadRequest)
 	}
 	s.mu.Lock()
 	hash, ok := s.keys[key]
-	if ok {
-		if b := s.blobs[hash]; b != nil {
-			s.useClock++
-			b.lastUse = s.useClock
-		}
-	}
 	s.mu.Unlock()
+	var data []byte
+	err := fmt.Errorf("lake: no artifact for key %q: %w", key, ErrNotFound)
 	if ok {
+		data, err = s.Get(hash)
+	}
+	switch {
+	case err == nil:
 		s.met().hit(kindOf(key))
-	} else {
+	case errors.Is(err, ErrNotFound):
 		s.met().miss(kindOf(key))
 	}
-	return hash, ok
+	return hash, data, err
 }
 
 // kindOf extracts the artifact kind from a key ("golden/ab12.." ->
@@ -363,13 +372,40 @@ func kindOf(key string) string {
 
 // publish stores data and durably binds key to it: the one write path,
 // taken only by the coordinator (Builder after a local golden build,
-// PutPartial for a finished shard).
+// PutPartial for a finished shard). lookup is the one read path.
 func (s *Store) publish(key string, data []byte) error {
 	hash, err := s.Put(data)
 	if err != nil {
 		return err
 	}
 	return s.Link(key, hash)
+}
+
+// PutPartial publishes partial under (fp, its plan range); a failed
+// publish is swallowed.
+func (s *Store) PutPartial(fp string, partial *shard.Partial) {
+	blob, err := json.Marshal(partial)
+	if err != nil {
+		return
+	}
+	_ = s.publish(PartialKey(fp, partial.Start, partial.End), blob)
+}
+
+// GetPartial implements shard.PartialCache over the partials PutPartial
+// published, reused by overlapping future sweeps without re-simulation.
+// Every lake error reads as a miss, and so does a blob that does not
+// decode, does not describe exactly (fp, start, end) or fails its
+// integrity checksum: adopting it would silently corrupt a merge.
+func (s *Store) GetPartial(fp string, start, end int) *shard.Partial {
+	_, blob, err := s.lookup(PartialKey(fp, start, end))
+	if err != nil {
+		return nil
+	}
+	var p shard.Partial
+	if json.Unmarshal(blob, &p) != nil || p.Start != start || p.End != end || p.Verify() != nil {
+		return nil
+	}
+	return &p
 }
 
 // Bytes reports the store's current blob footprint.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/capi"
@@ -38,6 +39,14 @@ func (s *Store) Head(hash string) (int64, bool) {
 		return 0, false
 	}
 	return b.size, true
+}
+
+// resolve reports the hash key is bound to, counting nothing.
+func resolve(s *Store, key string) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hash, ok := s.keys[key]
+	return hash, ok
 }
 
 // goldenKeyOf is the lake key of a campaign's golden artifact, failing
@@ -99,7 +108,7 @@ func TestStoreDurableAcrossReopen(t *testing.T) {
 	}
 
 	s2 := openStore(t, dir, 0)
-	got, ok := s2.Resolve(key)
+	got, ok := resolve(s2, key)
 	if !ok || got != hash {
 		t.Fatalf("reopened store resolved %q to (%s, %v)", key, got, ok)
 	}
@@ -131,7 +140,7 @@ func TestStoreRejectsCorruptBlob(t *testing.T) {
 	if _, ok := s.Head(hash); ok {
 		t.Fatal("corrupted blob still present after failed verification")
 	}
-	if _, ok := s.Resolve("golden/fp"); ok {
+	if _, ok := resolve(s, "golden/fp"); ok {
 		t.Fatal("key still resolves to a dropped blob")
 	}
 }
@@ -198,8 +207,8 @@ func TestStoreFailChaosHook(t *testing.T) {
 	if _, ok := s.Head(hash); ok {
 		t.Fatal("Head on failed store reported presence")
 	}
-	if _, ok := s.Resolve("golden/fp"); ok {
-		t.Fatal("Resolve on failed store reported a hit")
+	if _, _, err := s.lookup("golden/fp"); err == nil {
+		t.Fatal("lookup on failed store reported a hit")
 	}
 	s.Fail(false)
 	if _, err := s.Get(hash); err != nil {
@@ -218,9 +227,9 @@ func TestStoreMetrics(t *testing.T) {
 	if err := s.Link("golden/fp", hash); err != nil {
 		t.Fatal(err)
 	}
-	s.Resolve("golden/fp")
-	s.Resolve("golden/absent")
-	s.Resolve("partial/fp/0-4")
+	s.lookup("golden/fp")
+	s.lookup("golden/absent")
+	s.lookup("partial/fp/0-4")
 	if m.Hits("golden") != 1 || m.Misses("golden") != 1 || m.Misses("partial") != 1 {
 		t.Fatalf("hit/miss counts: golden %d/%d partial -/%d",
 			m.Hits("golden"), m.Misses("golden"), m.Misses("partial"))
@@ -248,30 +257,23 @@ func TestHTTPArtifactSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.GetArtifact(ctx, hash)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("GET: %v", err)
-	}
 
 	key := GoldenKey("fpHTTP")
-	if _, ok, err := c.LakeResolve(ctx, key); err != nil || ok {
-		t.Fatalf("resolve before link: %v, %v", ok, err)
+	if _, ok, err := c.LakeGet(ctx, key); err != nil || ok {
+		t.Fatalf("GET before link: %v, %v", ok, err)
 	}
 	if err := s.Link(key, hash); err != nil {
 		t.Fatal(err)
 	}
-	gotHash, ok, err := c.LakeResolve(ctx, key)
-	if err != nil || !ok || gotHash != hash {
-		t.Fatalf("resolve after link: %s, %v, %v", gotHash, ok, err)
+	got, ok, err := c.LakeGet(ctx, key)
+	if err != nil || !ok || !bytes.Equal(got, data) {
+		t.Fatalf("GET after link: %q, %v, %v", got, ok, err)
 	}
 
-	// A failed store answers 503 on every route.
+	// A failed store answers 503.
 	s.Fail(true)
-	if _, err := c.GetArtifact(ctx, hash); err == nil {
+	if _, _, err := c.LakeGet(ctx, key); err == nil {
 		t.Fatal("GET succeeded on a failed store")
-	}
-	if _, _, err := c.LakeResolve(ctx, key); err == nil {
-		t.Fatal("resolve succeeded on a failed store")
 	}
 }
 
@@ -301,7 +303,7 @@ func TestBuilderShareAndFallback(t *testing.T) {
 	if fetched {
 		t.Fatal("first builder claims it fetched from an empty lake")
 	}
-	if _, ok := s.Resolve(goldenKeyOf(t, cs)); !ok {
+	if _, ok := resolve(s, goldenKeyOf(t, cs)); !ok {
 		t.Fatal("first build did not publish its golden artifact")
 	}
 
@@ -378,11 +380,64 @@ func TestBuilderWorkerNeverPublishes(t *testing.T) {
 	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
 		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
 	}
-	if _, ok := s.Resolve(goldenKeyOf(t, cs)); ok {
+	if _, ok := resolve(s, goldenKeyOf(t, cs)); ok {
 		t.Fatal("worker published its golden key")
 	}
 	if n := s.Bytes(); n != 0 {
 		t.Fatalf("worker uploaded %d bytes to the lake", n)
+	}
+}
+
+// TestBuilderDamagedReplyIsMiss: a lake reply whose body was damaged in
+// flight no longer hashes to its ETag, so the worker's one GET reads as a
+// golden miss and the worker builds locally — the same campaign the
+// undamaged artifact would have given.
+func TestBuilderDamagedReplyIsMiss(t *testing.T) {
+	s := openStore(t, t.TempDir(), 0)
+	cs := lakeSpec()
+	if _, _, err := NewStoreBuilder(s).Build(cs, nil); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	s.Register(mux)
+	var gets atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		body[len(body)/2] ^= 1
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	defer srv.Close()
+	m := NewMetrics(obs.NewRegistry())
+	built, fetched, err := NewClientBuilder(capi.NewClient(srv.URL), "worker-1", m).Build(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetched || built == nil {
+		t.Fatalf("damaged reply: fetched=%v, built=%v; want a local build", fetched, built != nil)
+	}
+	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
+		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Fatalf("golden fetch made %d requests, want 1", n)
+	}
+	local, err := shard.BuildLocal(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := shard.EncodeBuilt(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := shard.EncodeBuilt(built); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("campaign built past a damaged reply differs from BuildLocal's (err %v)", err)
 	}
 }
 
@@ -417,14 +472,14 @@ func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
 		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
 	}
-	if got, ok := s.Resolve(key); !ok || got != hash {
+	if got, ok := resolve(s, key); !ok || got != hash {
 		t.Fatal("worker's builder rewrote the poisoned key")
 	}
 
 	if _, fetched, err := NewStoreBuilder(s).Build(cs, nil); err != nil || fetched {
 		t.Fatalf("store builder on a poisoned key: fetched=%v err=%v", fetched, err)
 	}
-	healed, ok := s.Resolve(key)
+	healed, ok := resolve(s, key)
 	if !ok || healed == hash {
 		t.Fatal("key not healed after local rebuild")
 	}
@@ -491,7 +546,7 @@ func TestBuilderHealsStaleCodecArtifact(t *testing.T) {
 	if !bytes.Equal(rebuilt, fresh) {
 		t.Fatal("campaign built past a stale artifact differs from BuildLocal's")
 	}
-	healedHash, ok := s.Resolve(key)
+	healedHash, ok := resolve(s, key)
 	if !ok || healedHash == staleHash {
 		t.Fatal("key not healed after local rebuild")
 	}
@@ -622,7 +677,7 @@ func TestBuilderPlanningAdoption(t *testing.T) {
 	if _, fetched, err := NewStoreBuilder(s).Build(cs, nil); err != nil || fetched {
 		t.Fatalf("store builder on a pitch-2 artifact: fetched=%v err=%v, want a local build", fetched, err)
 	}
-	healedHash, ok := s.Resolve(key)
+	healedHash, ok := resolve(s, key)
 	if !ok || healedHash == staleHash {
 		t.Fatal("key not healed after local rebuild")
 	}
@@ -633,23 +688,25 @@ func TestBuilderPlanningAdoption(t *testing.T) {
 
 func TestPartialsRoundTripAndValidation(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
-	p := NewStorePartials(s)
 	orig := &shard.Partial{
 		Index: 2, Start: 8, End: 12,
 		Injections: nil,
 		Work:       inject.Work{InjectEvals: 77},
 	}
 	orig.Injections = make([]inject.Injection, 4)
+	if err := orig.Stamp(); err != nil {
+		t.Fatal(err)
+	}
 	s.PutPartial("fpP", orig)
 
-	got := p.GetPartial("fpP", 8, 12)
+	got := s.GetPartial("fpP", 8, 12)
 	if got == nil {
 		t.Fatal("published partial not found")
 	}
 	if got.InjectEvals != 77 || got.Start != 8 || got.End != 12 || len(got.Injections) != 4 {
 		t.Fatalf("round-tripped partial mangled: %+v", got)
 	}
-	if p.GetPartial("fpP", 0, 8) != nil {
+	if s.GetPartial("fpP", 0, 8) != nil {
 		t.Fatal("wrong-range lookup returned a partial")
 	}
 
@@ -661,12 +718,12 @@ func TestPartialsRoundTripAndValidation(t *testing.T) {
 	if err := s.Link(PartialKey("fpQ", 0, 4), bad); err != nil {
 		t.Fatal(err)
 	}
-	if p.GetPartial("fpQ", 0, 4) != nil {
+	if s.GetPartial("fpQ", 0, 4) != nil {
 		t.Fatal("garbage partial adopted")
 	}
 
 	s.Fail(true)
-	if p.GetPartial("fpP", 8, 12) != nil {
+	if s.GetPartial("fpP", 8, 12) != nil {
 		t.Fatal("dead lake returned a partial")
 	}
 	s.PutPartial("fpP", orig) // must not panic or error
@@ -696,22 +753,18 @@ func TestHTTPRejectsBadInput(t *testing.T) {
 			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
 		}
 	}
-	blob := "/v1/artifacts/" + HashOf([]byte("absent"))
-	check(http.MethodGet, "/v1/artifacts/nothex", "", http.StatusBadRequest)
-	check(http.MethodGet, blob, "", http.StatusNotFound)
-	check(http.MethodGet, "/v1/lake/keys/absent/key", "", http.StatusNotFound)
-	// The coordinator is the lake's only writer: every other method on
-	// either path is refused, even carrying a well-formed upload, and
-	// nothing lands in the store.
-	bodies := map[string]string{
-		blob:                     "absent",
-		"/v1/lake/keys/some/key": `{"hash":"` + HashOf([]byte("absent")) + `"}`,
+	check(http.MethodGet, "/v1/lake/", "", http.StatusBadRequest)
+	check(http.MethodGet, "/v1/lake/absent/key", "", http.StatusNotFound)
+	// The coordinator is the lake's only writer: every other method is
+	// refused, even carrying a well-formed upload, and nothing lands in
+	// the store.
+	for _, method := range []string{http.MethodPut, http.MethodPost, http.MethodHead} {
+		check(method, "/v1/lake/some/key", "absent", http.StatusMethodNotAllowed)
 	}
-	for path, body := range bodies {
-		for _, method := range []string{http.MethodPut, http.MethodPost, http.MethodHead} {
-			check(method, path, body, http.StatusMethodNotAllowed)
-		}
-	}
+	// A failed store answers 503 + Retry-After.
+	s.Fail(true)
+	check(http.MethodGet, "/v1/lake/absent/key", "", http.StatusServiceUnavailable)
+	s.Fail(false)
 	if n := s.Bytes(); n != 0 {
 		t.Fatalf("refused requests stored %d bytes", n)
 	}

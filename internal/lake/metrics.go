@@ -72,18 +72,13 @@ func (m *Metrics) evicted() {
 	m.evicts.Inc()
 }
 
-// ObserveFetch records one fetch's wall time.
-func (m *Metrics) ObserveFetch(d time.Duration) {
+// observeFetch records one fetch's wall time.
+func (m *Metrics) observeFetch(d time.Duration) {
 	if m == nil {
 		return
 	}
 	m.fetch.Observe(d.Seconds())
 }
-
-// Hit and Miss expose the counters to lake clients (workers count their
-// own hits/misses against their own registry so -push federates them).
-func (m *Metrics) Hit(kind string)  { m.hit(kind) }
-func (m *Metrics) Miss(kind string) { m.miss(kind) }
 
 // Hits returns the current hit count for kind (test hook).
 func (m *Metrics) Hits(kind string) uint64 {

@@ -224,18 +224,3 @@ func (v Vec) Clone() Vec {
 	copy(c, v)
 	return c
 }
-
-// KnownEqual reports whether all mutually known bit positions agree; it is
-// the comparison used when diffing golden vs faulty traces where X means
-// "don't care yet".
-func (v Vec) KnownEqual(o Vec) bool {
-	if len(v) != len(o) {
-		return false
-	}
-	for i := range v {
-		if v[i].IsKnown() && o[i].IsKnown() && v[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}

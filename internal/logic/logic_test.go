@@ -141,21 +141,6 @@ func TestVecEqualClone(t *testing.T) {
 	}
 }
 
-func TestKnownEqual(t *testing.T) {
-	a := ParseVec("1x10")
-	b := ParseVec("1110")
-	if !a.KnownEqual(b) {
-		t.Error("X positions must be ignored by KnownEqual")
-	}
-	c := ParseVec("0x10")
-	if a.KnownEqual(c) {
-		t.Error("known mismatch must be detected")
-	}
-	if a.KnownEqual(ParseVec("111")) {
-		t.Error("width mismatch must not be equal")
-	}
-}
-
 func TestDeMorganProperty(t *testing.T) {
 	vals := []V{L0, L1, X, Z}
 	for _, a := range vals {

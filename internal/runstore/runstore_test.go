@@ -15,6 +15,9 @@ func stubPartial(index, start, end int) *shard.Partial {
 	for i := start; i < end; i++ {
 		p.Injections = append(p.Injections, inject.Injection{CellID: i, Path: "stub", TimePS: uint64(i), SoftError: i%2 == 0})
 	}
+	if err := p.Stamp(); err != nil {
+		panic(err)
+	}
 	return p
 }
 

@@ -82,8 +82,8 @@ type Partial struct {
 	// fields above (Index excluded — see Sum). The executor stamps it at
 	// execution time; Queue.Complete, journal replay and lake promotion
 	// re-verify, so corruption anywhere downstream surfaces as a typed
-	// refusal and a re-simulation, never as wrong merged output. Empty on
-	// records from before checksums existed.
+	// refusal and a re-simulation, never as wrong merged output. A partial
+	// without one fails Verify.
 	Checksum string `json:"checksum,omitempty"`
 }
 

@@ -65,12 +65,11 @@ func (p *Partial) Stamp() error {
 
 // Verify recomputes the checksum and compares it to the stamp, returning
 // an *IntegrityError (errors.Is ErrIntegrity) on mismatch. An unstamped
-// partial verifies vacuously: journals and lake blobs written before
-// checksums existed, and workers that predate them, stay loadable — the
-// integrity layer tightens what it can see, it does not invalidate
-// history.
+// partial mismatches like any other: a damaged "checksum" key decodes to
+// an empty stamp, so a record without one reads as damaged and its shard
+// re-simulates.
 func (p *Partial) Verify() error {
-	if p == nil || p.Checksum == "" {
+	if p == nil {
 		return nil
 	}
 	sum, err := p.Sum()

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -20,8 +22,8 @@ func stamped(t *testing.T, sp Spec) *Partial {
 
 // TestPartialChecksumStampVerify pins the integrity stamp's contract:
 // verification passes on untouched bytes, fails typed on any payload
-// mutation, ignores the plan-local Index, and stays vacuous for
-// pre-checksum records.
+// mutation, ignores the plan-local Index, and refuses an unstamped
+// record as damaged.
 func TestPartialChecksumStampVerify(t *testing.T) {
 	specs := queueSpecs(t)
 	p := stamped(t, specs[1])
@@ -54,10 +56,11 @@ func TestPartialChecksumStampVerify(t *testing.T) {
 	if err := p2.Verify(); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("mutated injection verified: %v", err)
 	}
-	// Pre-checksum records verify vacuously: history stays loadable.
+	// An unstamped record is damaged, not vacuously valid.
 	legacy := fakePartial(specs[1])
-	if err := legacy.Verify(); err != nil {
-		t.Fatalf("unstamped legacy partial rejected: %v", err)
+	legacy.Checksum = ""
+	if err := legacy.Verify(); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("unstamped partial verified: %v", err)
 	}
 	if err := (*Partial)(nil).Verify(); err != nil {
 		t.Fatalf("nil partial rejected: %v", err)
@@ -144,6 +147,40 @@ func TestQueueIntegrityRejectRequeues(t *testing.T) {
 	}
 	if !q.Done() {
 		t.Fatal("queue not done after the clean retry")
+	}
+}
+
+// TestQueueRefusesUnstampedCompletion: a completion whose "checksum" key
+// was damaged in flight decodes with no stamp at all (the unknown key is
+// dropped), and must be refused like any other checksum mismatch — not
+// verified vacuously, which would merge the flipped verdict it carries.
+func TestQueueRefusesUnstampedCompletion(t *testing.T) {
+	specs := queueSpecs(t)
+	q := NewQueue(specs[:1], time.Minute)
+	now := time.Unix(1000, 0)
+	l, ok := q.Lease("w1", now)
+	if !ok {
+		t.Fatal("lease refused")
+	}
+	p := stamped(t, l.Spec)
+	p.Injections[0].SoftError = !p.Injections[0].SoftError
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(raw, []byte(`"checksum"`)) != 1 {
+		t.Fatalf("encoded partial has no single checksum key: %s", raw)
+	}
+	raw = bytes.Replace(raw, []byte(`"checksum"`), []byte(`"checksux"`), 1)
+	var damaged Partial
+	if err := json.Unmarshal(raw, &damaged); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Complete(l.ID, 0, &damaged, now); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("unstamped completion not refused with ErrIntegrity: %v", err)
+	}
+	if pr := q.Progress(now); pr.IntegrityRejects != 1 || pr.Pending != 1 {
+		t.Fatalf("progress %+v, want 1 integrity reject and the shard pending", pr)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestAdopt(t *testing.T) {
 		adopts bool
 	}{
 		{"intact", func() *Partial { return stamped(t, sp) }, true},
-		{"unstamped legacy record", func() *Partial { return fakePartial(sp) }, true},
+		{"unstamped legacy record", func() *Partial { p := fakePartial(sp); p.Checksum = ""; return p }, false},
 		{"foreign plan index", func() *Partial { p := stamped(t, sp); p.Index = 7; return p }, true},
 		{"miss", func() *Partial { return nil }, false},
 		{"wrong range", func() *Partial { p := stamped(t, sp); p.End++; return p }, false},

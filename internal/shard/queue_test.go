@@ -31,6 +31,9 @@ func fakePartial(sp Spec) *Partial {
 	for i := sp.Start; i < sp.End; i++ {
 		p.Injections = append(p.Injections, injectionStub(i))
 	}
+	if err := p.Stamp(); err != nil {
+		panic(err)
+	}
 	return p
 }
 

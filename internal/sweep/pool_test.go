@@ -57,6 +57,9 @@ func fakePartial(sp shard.Spec) *shard.Partial {
 	for i := sp.Start; i < sp.End; i++ {
 		p.Injections = append(p.Injections, inject.Injection{CellID: i, Path: "stub", TimePS: uint64(i)})
 	}
+	if err := p.Stamp(); err != nil {
+		panic(err)
+	}
 	return p
 }
 

@@ -525,6 +525,9 @@ func TestPoolCancel(t *testing.T) {
 	}
 	p := &shard.Partial{Index: held.Spec.Index, Start: held.Spec.Start, End: held.Spec.End,
 		Injections: make([]inject.Injection, held.Spec.End-held.Spec.Start)}
+	if err := p.Stamp(); err != nil {
+		t.Fatal(err)
+	}
 	if err := pool.Complete(held.Spec.Fingerprint, held.ID, 0, p, now.Add(time.Second)); err != nil {
 		t.Fatalf("completion of a leased shard refused after cancel: %v", err)
 	}

@@ -97,43 +97,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1 (mean 1). Scale by
-// 1/λ for other rates; used for Poisson inter-arrival fault times.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method below mean 30 and a normal approximation above (adequate
-// for expected fault-event counts).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		n := int(mean + math.Sqrt(mean)*r.NormFloat64() + 0.5)
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

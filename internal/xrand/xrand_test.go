@@ -98,43 +98,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(6)
-	const draws = 200000
-	var sum float64
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential draw negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exp mean %v too far from 1", mean)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(8)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		const draws = 50000
-		var sum float64
-		for i := 0; i < draws; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / draws
-		if math.Abs(got-mean) > mean*0.05+0.05 {
-			t.Errorf("Poisson(%v) empirical mean %v", mean, got)
-		}
-	}
-	if New(1).Poisson(0) != 0 {
-		t.Error("Poisson(0) must be 0")
-	}
-	if New(1).Poisson(-2) != 0 {
-		t.Error("Poisson(negative) must be 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	p := r.Perm(50)
