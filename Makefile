@@ -72,7 +72,10 @@ loc:
 # an engine restored from the cursor's checkpoint take the same fault at
 # t, some of them on a transition in flight at t, and must stay equal
 # value for value, queue for queue and eval for eval after every step.
-# -fuzzminimizetime 1x stops
+# FuzzParse is the VCD parser's: no panic on any bytes, and a change
+# sequence driven through the writer, whole or resumed midway from its
+# State, parses back to every written value, the resumed dump
+# byte-identical to the whole one. -fuzzminimizetime 1x stops
 # the fuzzer spending the budget minimizing inputs that are merely
 # interesting, not failing.
 fuzz-smoke:
@@ -82,6 +85,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzQuietProof$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzForkAgrees$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzDecodeWriterState$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/runstore -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1x
 

@@ -73,14 +73,15 @@ func (w *Work) Add(o Work) {
 	w.WordEvals += o.WordEvals
 }
 
-// worker is one injection worker's reusable simulation context: checkpoint
-// starts restore a single engine instead of reconstructing one. Its Work
-// is everything but InjectWall, which RunJobs times around the whole
+// worker is one injection worker's reusable simulation context: every
+// start resets a single engine instead of constructing one — a checkpoint
+// start restores it, a cold start returns it to power-on. Its Work is
+// everything but InjectWall, which RunJobs times around the whole
 // fan-out.
 type worker struct {
 	Work
 	c     *Campaign
-	eng   sim.Engine   // built on the first checkpoint start
+	eng   sim.Engine   // built on the first start
 	lanes *sim.LaneSim // built on the first lane group
 	// cursor is the golden cursor signature-detector checkpoint starts
 	// fork from (fork.go). RunJobs sets it on an EventSim campaign; a
@@ -245,23 +246,23 @@ func bit(b bool) uint64 {
 	return 0
 }
 
-// start readies the engine a run begins on: a fresh one with the stimulus
-// applied when ckIdx < 0; else the worker's engine forked from its golden
-// cursor at inj's strike when the worker has a cursor and det is the
-// signature detector (fork.go), and restored to golden checkpoint ckIdx
-// otherwise.
+// start readies the worker's engine for a run: at power-on with the
+// stimulus applied when ckIdx < 0; else forked from its golden cursor at
+// inj's strike when the worker has a cursor and det is the signature
+// detector (fork.go), and restored to golden checkpoint ckIdx otherwise.
 func (w *worker) start(inj *Injection, ckIdx int, det detector) (sim.Engine, *goldenCheckpoint, error) {
 	c := w.c
-	if ckIdx < 0 {
-		eng, err := c.coldEngine()
-		return eng, nil, err
-	}
 	if w.eng == nil {
 		eng, err := sim.New(c.opts.Engine, c.flat)
 		if err != nil {
 			return nil, nil, err
 		}
 		w.eng = eng
+	} else if ckIdx < 0 {
+		w.eng.Reset() // a new engine is at power-on already
+	}
+	if ckIdx < 0 {
+		return w.eng, nil, c.plan.Apply(w.eng)
 	}
 	rec := &c.ckpts[ckIdx]
 	var err error
@@ -286,7 +287,8 @@ func (w *worker) restore(ck *sim.Checkpoint) error {
 }
 
 // coldEngine builds a fresh engine at t=0 with the workload stimulus
-// applied: the set-up the golden run and every cold start share.
+// applied: the set-up of the one-shot golden and change-log runs. A
+// worker's cold start resets its own engine instead (worker.start).
 func (c *Campaign) coldEngine() (sim.Engine, error) {
 	eng, err := sim.New(c.opts.Engine, c.flat)
 	if err != nil {
@@ -493,28 +495,55 @@ func (c *Campaign) goldenTrace() (*vcd.Trace, error) {
 // reads the last change strictly before sampleTime(k); a LevelSim observer
 // runs once its time step has settled, so it reads the changes at
 // sampleTime(k) too. (No stimulus is scheduled at a sampling instant.)
+// compareCaptured reads every cycle in turn, through one cursor per signal.
 func (c *Campaign) sampled(s *vcd.Signal, k int) logic.V {
+	return (&cursor{s: s}).at(c.sampleInstant(k))
+}
+
+// sampleInstant is the last instant whose changes cycle k's sample sees.
+func (c *Campaign) sampleInstant(k int) uint64 {
 	tm := c.sampleTime(k)
 	if c.opts.Engine == sim.KindEvent {
 		tm--
 	}
-	return s.At(tm)[0]
+	return tm
 }
 
-// compareCaptured diffs two VCD traces at the sampling instants.
+// compareCaptured diffs two VCD traces at the sampling instants, each
+// signal walked by one forward cursor per trace.
 func (c *Campaign) compareCaptured(golden, faulty *vcd.Trace) bool {
 	for name, gs := range golden.Signals {
 		fs, ok := faulty.Signals[name]
 		if !ok {
 			return true
 		}
+		g, f := cursor{s: gs}, cursor{s: fs}
 		for k := 2; k <= c.cycles(); k++ {
-			if c.sampled(gs, k) != c.sampled(fs, k) {
+			tm := c.sampleInstant(k)
+			if g.at(tm) != f.at(tm) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// cursor reads a dumped signal's first bit at non-decreasing instants:
+// the value of the last change at or before the instant, X before the
+// first one — Signal.At's answer without a search per instant.
+type cursor struct {
+	s *vcd.Signal
+	i int // samples at or before the last instant read
+}
+
+func (c *cursor) at(t uint64) logic.V {
+	for c.i < len(c.s.Samples) && c.s.Samples[c.i].Time <= t {
+		c.i++
+	}
+	if c.i == 0 {
+		return logic.X
+	}
+	return c.s.Samples[c.i-1].Val[0]
 }
 
 // VerifyWithVCD re-executes one recorded injection with the paper's

@@ -25,11 +25,9 @@ func (s *Store) handleGet(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusMethodNotAllowed, capi.CodeBadRequest, "method %s not allowed", r.Method)
 		return
 	}
-	start := time.Now()
 	hash, data, err := s.lookup(strings.TrimPrefix(r.URL.Path, "/v1/lake/"))
 	switch {
 	case err == nil:
-		s.met().observeFetch(time.Since(start))
 		capi.WriteBlob(w, hash, data)
 	case errors.Is(err, ErrUnavailable):
 		capi.WriteUnavailable(w, time.Second, "artifact lake unavailable")

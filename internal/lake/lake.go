@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/shard"
 )
@@ -334,10 +335,11 @@ func (s *Store) Link(key, hash string) error {
 
 // lookup returns the blob bound to key and its hash, verified against
 // its content address by Get, and counts one hit or miss for the key's
-// kind. An unbound key, or one whose blob fails verification (Get drops
-// the blob and its keys), is a miss: ErrNotFound. A lake failure counts
-// nothing.
+// kind; a hit's wall time goes into lake_fetch_seconds. An unbound key, or
+// one whose blob fails verification (Get drops the blob and its keys), is
+// a miss: ErrNotFound. A lake failure counts nothing.
 func (s *Store) lookup(key string) (string, []byte, error) {
+	start := time.Now()
 	if s.unavailable() {
 		return "", nil, ErrUnavailable
 	}
@@ -355,6 +357,7 @@ func (s *Store) lookup(key string) (string, []byte, error) {
 	switch {
 	case err == nil:
 		s.met().hit(kindOf(key))
+		s.met().observeFetch(time.Since(start))
 	case errors.Is(err, ErrNotFound):
 		s.met().miss(kindOf(key))
 	}

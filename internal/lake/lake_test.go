@@ -2,6 +2,7 @@ package lake
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,15 @@ func TestStoreFailChaosHook(t *testing.T) {
 	}
 }
 
+// hits and misses read m's counters for kind from its registry.
+func hits(m *Metrics, kind string) uint64 {
+	return m.reg.NewCounter("lake_hits_total", "", "kind", kind).Value()
+}
+
+func misses(m *Metrics, kind string) uint64 {
+	return m.reg.NewCounter("lake_misses_total", "", "kind", kind).Value()
+}
+
 func TestStoreMetrics(t *testing.T) {
 	s := openStore(t, t.TempDir(), 0)
 	m := NewMetrics(obs.NewRegistry())
@@ -230,9 +240,9 @@ func TestStoreMetrics(t *testing.T) {
 	s.lookup("golden/fp")
 	s.lookup("golden/absent")
 	s.lookup("partial/fp/0-4")
-	if m.Hits("golden") != 1 || m.Misses("golden") != 1 || m.Misses("partial") != 1 {
+	if hits(m, "golden") != 1 || misses(m, "golden") != 1 || misses(m, "partial") != 1 {
 		t.Fatalf("hit/miss counts: golden %d/%d partial -/%d",
-			m.Hits("golden"), m.Misses("golden"), m.Misses("partial"))
+			hits(m, "golden"), misses(m, "golden"), misses(m, "partial"))
 	}
 }
 
@@ -317,8 +327,8 @@ func TestBuilderShareAndFallback(t *testing.T) {
 	if !fetched {
 		t.Fatal("second builder rebuilt a published campaign")
 	}
-	if m.Hits("golden") != 1 {
-		t.Fatalf("client hit count %d, want 1", m.Hits("golden"))
+	if hits(m, "golden") != 1 {
+		t.Fatalf("client hit count %d, want 1", hits(m, "golden"))
 	}
 	specs, err := shard.Plan(cs, 1, 4)
 	if err != nil {
@@ -377,7 +387,7 @@ func TestBuilderWorkerNeverPublishes(t *testing.T) {
 	if fetched || built == nil {
 		t.Fatalf("Build on an empty lake: fetched=%v, built=%v", fetched, built != nil)
 	}
-	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
+	if h, mi := hits(m, "golden"), misses(m, "golden"); h != 0 || mi != 1 {
 		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
 	}
 	if _, ok := resolve(s, goldenKeyOf(t, cs)); ok {
@@ -422,7 +432,7 @@ func TestBuilderDamagedReplyIsMiss(t *testing.T) {
 	if fetched || built == nil {
 		t.Fatalf("damaged reply: fetched=%v, built=%v; want a local build", fetched, built != nil)
 	}
-	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
+	if h, mi := hits(m, "golden"), misses(m, "golden"); h != 0 || mi != 1 {
 		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
 	}
 	if n := gets.Load(); n != 1 {
@@ -469,7 +479,7 @@ func TestBuilderRejectsPoisonedArtifact(t *testing.T) {
 	if built == nil {
 		t.Fatal("no campaign built")
 	}
-	if h, mi := m.Hits("golden"), m.Misses("golden"); h != 0 || mi != 1 {
+	if h, mi := hits(m, "golden"), misses(m, "golden"); h != 0 || mi != 1 {
 		t.Fatalf("builder counted %d golden hits and %d misses, want 0 and 1", h, mi)
 	}
 	if got, ok := resolve(s, key); !ok || got != hash {
@@ -727,6 +737,59 @@ func TestPartialsRoundTripAndValidation(t *testing.T) {
 		t.Fatal("dead lake returned a partial")
 	}
 	s.PutPartial("fpP", orig) // must not panic or error
+}
+
+// TestFetchObservedOnStoreReads: lake_fetch_seconds counts the
+// coordinator's own reads, one observation per hit whoever reads — a
+// store builder's adoption, a partial restored by GetPartial, a GET
+// served to a worker — and none for a miss.
+func TestFetchObservedOnStoreReads(t *testing.T) {
+	s := openStore(t, t.TempDir(), 0)
+	m := NewMetrics(obs.NewRegistry())
+	s.SetMetrics(m)
+	cs := lakeSpec()
+	local, err := shard.BuildLocal(cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := shard.EncodeBuilt(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.publish(goldenKeyOf(t, cs), blob); err != nil {
+		t.Fatal(err)
+	}
+	p := &shard.Partial{Start: 0, End: 4, Injections: make([]inject.Injection, 4)}
+	if err := p.Stamp(); err != nil {
+		t.Fatal(err)
+	}
+	s.PutPartial("fpO", p)
+
+	steps := []struct {
+		name string
+		read func() bool
+		adds uint64
+	}{
+		{"store-builder adoption", func() bool {
+			_, fetched, err := NewStoreBuilder(s).Build(cs, nil)
+			return err == nil && fetched
+		}, 1},
+		{"GetPartial", func() bool { return s.GetPartial("fpO", 0, 4) != nil }, 1},
+		{"GetPartial miss", func() bool { return s.GetPartial("fpO", 4, 8) == nil }, 0},
+		{"GET served to a worker", func() bool {
+			_, ok, err := lakeServer(t, s).LakeGet(context.Background(), PartialKey("fpO", 0, 4))
+			return err == nil && ok
+		}, 1},
+	}
+	for _, st := range steps {
+		before := m.fetch.Count()
+		if !st.read() {
+			t.Fatalf("%s: read did not go as planned", st.name)
+		}
+		if got := m.fetch.Count() - before; got != st.adds {
+			t.Fatalf("%s: lake_fetch_seconds took %d observations, want %d", st.name, got, st.adds)
+		}
+	}
 }
 
 // TestHTTPRejectsBadInput covers the read-only surface's refusal paths.

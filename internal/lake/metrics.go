@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -9,14 +8,11 @@ import (
 
 // Metrics is the lake's obs instrumentation. The same metric names are
 // used on coordinators (store-side) and workers (client-side), so
-// `/metrics/fleet` federation sums hits and misses fleet-wide.
+// `/metrics/fleet` federation sums hits and misses fleet-wide. The hit and
+// miss counters are one series per artifact kind, got or created on the
+// registry at each count.
 type Metrics struct {
-	reg *obs.Registry
-
-	mu     sync.Mutex
-	hits   map[string]*obs.Counter
-	misses map[string]*obs.Counter
-
+	reg    *obs.Registry
 	evicts *obs.Counter
 	fetch  *obs.Histogram
 }
@@ -24,45 +20,27 @@ type Metrics struct {
 // NewMetrics registers the lake_* metric family on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		reg:    reg,
-		hits:   map[string]*obs.Counter{},
-		misses: map[string]*obs.Counter{},
+		reg: reg,
 		evicts: reg.NewCounter("lake_evictions_total",
 			"Artifact-lake blobs evicted by the size bound."),
 		fetch: reg.NewHistogram("lake_fetch_seconds",
-			"Artifact-lake fetch latency (resolve + blob read).",
+			"Artifact-lake read latency of hits: a coordinator's verified store read (resolve, blob read, verify), a worker's lake GET plus adoption.",
 			obs.DurationBuckets),
 	}
 }
 
 func (m *Metrics) hit(kind string) {
-	if m == nil {
-		return
+	if m != nil {
+		m.reg.NewCounter("lake_hits_total",
+			"Artifact-lake key resolutions that found an artifact.", "kind", kind).Inc()
 	}
-	m.mu.Lock()
-	c, ok := m.hits[kind]
-	if !ok {
-		c = m.reg.NewCounter("lake_hits_total",
-			"Artifact-lake key resolutions that found an artifact.", "kind", kind)
-		m.hits[kind] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
 }
 
 func (m *Metrics) miss(kind string) {
-	if m == nil {
-		return
+	if m != nil {
+		m.reg.NewCounter("lake_misses_total",
+			"Artifact-lake key resolutions that found nothing.", "kind", kind).Inc()
 	}
-	m.mu.Lock()
-	c, ok := m.misses[kind]
-	if !ok {
-		c = m.reg.NewCounter("lake_misses_total",
-			"Artifact-lake key resolutions that found nothing.", "kind", kind)
-		m.misses[kind] = c
-	}
-	m.mu.Unlock()
-	c.Inc()
 }
 
 func (m *Metrics) evicted() {
@@ -78,28 +56,6 @@ func (m *Metrics) observeFetch(d time.Duration) {
 		return
 	}
 	m.fetch.Observe(d.Seconds())
-}
-
-// Hits returns the current hit count for kind (test hook).
-func (m *Metrics) Hits(kind string) uint64 {
-	m.mu.Lock()
-	c := m.hits[kind]
-	m.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Value()
-}
-
-// Misses returns the current miss count for kind (test hook).
-func (m *Metrics) Misses(kind string) uint64 {
-	m.mu.Lock()
-	c := m.misses[kind]
-	m.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Value()
 }
 
 func (m *Metrics) setBytesFunc(fn func() float64) {

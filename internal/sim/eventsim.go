@@ -36,14 +36,24 @@ type EventSim struct {
 	log *ChangeLog
 }
 
-// NewEventSim returns an event-driven engine with all nets and states at X.
+// NewEventSim returns an event-driven engine at power-on (see Reset).
 func NewEventSim(f *netlist.Flat) *EventSim {
 	s := &EventSim{core: newCore(KindEvent, f), pending: make([]int32, len(f.Nets))}
 	s.driven = s.netPlanes[1]
+	s.Reset()
+	return s
+}
+
+// Reset implements Engine. Power-on is every net and state at X but the
+// storage initZeroState picks, with the tie cells' constants and the
+// zeroed storage's outputs queued at time zero.
+func (s *EventSim) Reset() {
+	s.reset()
+	s.phase, s.running, s.log = 0, false, nil
 	for i := range s.pending {
 		s.pending[i] = -1
 	}
-	p := s.prog
+	f, p := s.flat, s.prog
 	for i := range f.Cells {
 		cid := int32(i)
 		def := p.Def(cid)
@@ -69,7 +79,6 @@ func NewEventSim(f *netlist.Flat) *EventSim {
 			}
 		}
 	}
-	return s
 }
 
 // initZeroState reports whether a cell's power-on state is initialized

@@ -50,6 +50,37 @@ func TestRestoreRunZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestResetRunZeroAllocs pins a worker's cold start: once an engine has
+// run one faulty replay from power-on, resetting it and replaying again,
+// stimulus and fault included, allocates nothing.
+func TestResetRunZeroAllocs(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			const last = 12
+			eng := mk()
+			n1, ff0 := netID(t, eng.Flat(), "n1"), cellIDByPath(t, eng, "u_ff0")
+			var err error
+			cold := func() {
+				eng.Reset()
+				setupCounter(t, eng, last*period)
+				eng.ScheduleForce(5100, n1, logic.L1)
+				eng.ScheduleRelease(5700, n1)
+				if err = eng.ScheduleFlip(5300, ff0); err == nil {
+					err = eng.Run(last * period)
+				}
+			}
+			cold() // warm: the arena and buffers reach their size
+			allocs := testing.AllocsPerRun(20, cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("Reset + cold Run: %v allocations per run, want 0", allocs)
+			}
+		})
+	}
+}
+
 // checkQueue checks EventSim's scheduler invariants: the unconsumed run
 // is sorted; every bucket chain holds one time in strictly ascending key
 // order and ends at its tail; the bucket heap is ordered on its chains'

@@ -35,7 +35,7 @@ type capture struct {
 	next logic.V
 }
 
-// NewLevelSim returns a levelized engine with all nets and states at X.
+// NewLevelSim returns a levelized engine at power-on (see Reset).
 func NewLevelSim(f *netlist.Flat) *LevelSim {
 	s := &LevelSim{
 		core:    newCore(KindLevel, f),
@@ -43,14 +43,23 @@ func NewLevelSim(f *netlist.Flat) *LevelSim {
 	}
 	s.inputVal, s.forcedVal = s.netPlanes[1], s.netPlanes[2]
 	s.prevClk = s.cellPlanes[1]
-	// Same register-initialization policy as EventSim (see initZeroState):
-	// un-resettable storage powers up at 0.
-	for _, c := range f.Cells {
+	s.Reset()
+	return s
+}
+
+// Reset implements Engine. Power-on is every net and state at X but the
+// storage initZeroState picks, the same register-initialization policy as
+// EventSim's, and nothing queued. scratch needs no reset: every settle
+// starts by copying cur into it.
+func (s *LevelSim) Reset() {
+	s.reset()
+	clear(s.fns) // left over when a step failed
+	s.fns = s.fns[:0]
+	for _, c := range s.flat.Cells {
 		if initZeroState(c.Def) {
 			s.state[c.ID] = logic.L0
 		}
 	}
-	return s
 }
 
 // ScheduleInput implements Engine.

@@ -79,6 +79,12 @@ type Engine interface {
 	// RestoreDelta is a synonym for Restore, kept for callers that still
 	// use the name (the benchmark harness's restore probe).
 	RestoreDelta(*Checkpoint) error
+	// Reset returns the engine to power-on, as its constructor leaves it:
+	// every net at X, storage at its initial state, nothing queued but the
+	// power-on events, time and eval counter zero, no callbacks. It is not
+	// a restore: it runs the constructor's own code, reusing the engine's
+	// planes and queue arena. Not to be called inside Run.
+	Reset()
 	// MatchesCheckpoint reports whether the engine's present state is
 	// indistinguishable from the checkpoint (ignoring callbacks and the
 	// eval counter), i.e. whether its future evolution is guaranteed
@@ -165,7 +171,8 @@ type netCallbacks struct {
 	fns []NetCallback
 }
 
-// newCore allocates the planes of a kind-engine over f, every value at X.
+// newCore allocates the planes of a kind-engine over f; reset gives them
+// their power-on values.
 func newCore(kind EngineKind, f *netlist.Flat) core {
 	layout := planeLayout[kind]
 	c := core{
@@ -186,11 +193,32 @@ func newPlanes(n, size int) [][]logic.V {
 	planes := make([][]logic.V, n)
 	for i := range planes {
 		planes[i] = make([]logic.V, size)
-		for j := range planes[i] {
-			planes[i][j] = logic.X
-		}
 	}
 	return planes
+}
+
+// reset is the half of power-on every engine shares: every plane value
+// at X, nothing forced, the clock and eval counter at zero, the queue
+// empty with its sequence numbers starting over, and no callbacks. The
+// planes and the queue's arena are kept, written in place.
+func (c *core) reset() {
+	for _, p := range c.netPlanes {
+		fillX(p)
+	}
+	for _, p := range c.cellPlanes {
+		fillX(p)
+	}
+	clear(c.forced)
+	c.q.setRun(c.q.drop())
+	c.q.seq = 0
+	c.now, c.cellEvals = 0, 0
+	c.dropCallbacks()
+}
+
+func fillX(p []logic.V) {
+	for i := range p {
+		p[i] = logic.X
+	}
 }
 
 // OnNetChange implements Engine.

@@ -1,12 +1,14 @@
 // Package vcd implements the IEEE-1364 Value Change Dump format: a writer
 // that the simulator dumps monitored signals into, a parser, and a trace
-// comparator. The comparator is the soft-error detector of the framework:
-// a fault injection is classified as a soft error exactly when the faulty
-// run's VCD diverges from the golden run's VCD on a monitored output.
+// comparator. The soft-error detector of the framework's VCD method is
+// the injection pipeline's (inject's compareCaptured): it reads a parsed
+// faulty trace and the golden one at the sampling instants. Compare, which
+// reports every divergence at every change time, serves the tests.
 package vcd
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -17,27 +19,26 @@ import (
 )
 
 // Writer emits a VCD file incrementally. Declare all signals before the
-// first Dump call; Dump times must be non-decreasing.
+// header; Change times must be non-decreasing. A change costs one
+// name lookup and no allocation: the signals are indexed as they are
+// declared, each one's last value is compared and overwritten in place,
+// and the lines are appended to the buffered output without formatting.
 type Writer struct {
 	w        *bufio.Writer
-	ids      map[string]string // signal name -> VCD id code
-	widths   map[string]int
-	order    []string
-	last     map[string]logic.Vec
+	index    map[string]int // signal name -> declaration index
+	names    []string       // by declaration index, as are ids, widths, last
+	ids      []string       // VCD id codes
+	widths   []int
+	last     []logic.Vec // last emitted value; nil while none is known
 	headerOK bool
 	curTime  uint64
 	timeSet  bool
-	err      error
+	num      [20]byte // a timestamp's digits
 }
 
 // NewWriter returns a Writer targeting w with a 1ps timescale.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{
-		w:      bufio.NewWriter(w),
-		ids:    map[string]string{},
-		widths: map[string]int{},
-		last:   map[string]logic.Vec{},
-	}
+	return &Writer{w: bufio.NewWriter(w), index: map[string]int{}}
 }
 
 // idCode converts an index to the printable-ASCII short code VCD uses.
@@ -61,16 +62,23 @@ func (vw *Writer) Declare(name string, width int) error {
 	if vw.headerOK {
 		return fmt.Errorf("vcd: Declare after header written")
 	}
-	if _, dup := vw.ids[name]; dup {
+	if _, dup := vw.index[name]; dup {
 		return fmt.Errorf("vcd: duplicate signal %q", name)
 	}
 	if width < 1 {
 		return fmt.Errorf("vcd: signal %q has width %d", name, width)
 	}
-	vw.ids[name] = idCode(len(vw.order))
-	vw.widths[name] = width
-	vw.order = append(vw.order, name)
+	vw.add(name, idCode(len(vw.names)), width, nil)
 	return nil
+}
+
+// add indexes one signal.
+func (vw *Writer) add(name, id string, width int, last logic.Vec) {
+	vw.index[name] = len(vw.names)
+	vw.names = append(vw.names, name)
+	vw.ids = append(vw.ids, id)
+	vw.widths = append(vw.widths, width)
+	vw.last = append(vw.last, last)
 }
 
 // WriteHeader emits the declaration section and the initial $dumpvars block
@@ -83,18 +91,17 @@ func (vw *Writer) WriteHeader(design string) error {
 	fmt.Fprintf(vw.w, "$version\n  repro/internal/vcd (%s)\n$end\n", design)
 	fmt.Fprintf(vw.w, "$timescale 1ps $end\n")
 	fmt.Fprintf(vw.w, "$scope module %s $end\n", sanitizeScope(design))
-	for _, name := range vw.order {
-		fmt.Fprintf(vw.w, "$var wire %d %s %s $end\n", vw.widths[name], vw.ids[name], name)
+	for i, name := range vw.names {
+		fmt.Fprintf(vw.w, "$var wire %d %s %s $end\n", vw.widths[i], vw.ids[i], name)
 	}
 	fmt.Fprintf(vw.w, "$upscope $end\n$enddefinitions $end\n$dumpvars\n")
-	for _, name := range vw.order {
-		x := logic.NewVec(vw.widths[name])
-		vw.emit(name, x)
-		vw.last[name] = x
+	for i, width := range vw.widths {
+		vw.last[i] = logic.NewVec(width)
+		vw.emit(i, vw.last[i])
 	}
 	fmt.Fprintf(vw.w, "$end\n")
 	vw.headerOK = true
-	return vw.err
+	return nil
 }
 
 func sanitizeScope(s string) string {
@@ -109,43 +116,58 @@ func sanitizeScope(s string) string {
 	}, s)
 }
 
-func (vw *Writer) emit(name string, v logic.Vec) {
-	id := vw.ids[name]
+// emit writes signal i's value line: a scalar as value and id code, any
+// other width as b, the bits MSB first, a space and the id code. The
+// bufio.Writer keeps its first write error; Flush and Close report it.
+func (vw *Writer) emit(i int, v logic.Vec) {
 	if len(v) == 1 {
-		fmt.Fprintf(vw.w, "%c%s\n", v[0].Rune(), id)
-		return
+		vw.w.WriteByte(v[0].Rune())
+	} else {
+		vw.w.WriteByte('b')
+		for j := len(v) - 1; j >= 0; j-- {
+			vw.w.WriteByte(v[j].Rune())
+		}
+		vw.w.WriteByte(' ')
 	}
-	fmt.Fprintf(vw.w, "b%s %s\n", v.String(), id)
+	vw.w.WriteString(vw.ids[i])
+	vw.w.WriteByte('\n')
 }
 
 // Change records a new value for a declared signal at time t (picoseconds).
 // Values equal to the previous dump are suppressed, as real dumpers do.
+// v is read, never kept.
 func (vw *Writer) Change(t uint64, name string, v logic.Vec) error {
 	if !vw.headerOK {
 		return fmt.Errorf("vcd: Change before header")
 	}
-	id, ok := vw.ids[name]
+	i, ok := vw.index[name]
 	if !ok {
 		return fmt.Errorf("vcd: change on undeclared signal %q", name)
 	}
-	_ = id
-	if len(v) != vw.widths[name] {
-		return fmt.Errorf("vcd: signal %q width %d, change has %d bits", name, vw.widths[name], len(v))
+	if len(v) != vw.widths[i] {
+		return fmt.Errorf("vcd: signal %q width %d, change has %d bits", name, vw.widths[i], len(v))
 	}
 	if vw.timeSet && t < vw.curTime {
 		return fmt.Errorf("vcd: time moved backwards: %d < %d", t, vw.curTime)
 	}
-	if prev, ok := vw.last[name]; ok && prev.Equal(v) {
+	last := vw.last[i]
+	if last != nil && last.Equal(v) {
 		return nil
 	}
 	if !vw.timeSet || t != vw.curTime {
-		fmt.Fprintf(vw.w, "#%d\n", t)
+		vw.w.WriteByte('#')
+		vw.w.Write(strconv.AppendUint(vw.num[:0], t, 10))
+		vw.w.WriteByte('\n')
 		vw.curTime = t
 		vw.timeSet = true
 	}
-	vw.emit(name, v)
-	vw.last[name] = v.Clone()
-	return vw.err
+	vw.emit(i, v)
+	if last == nil || cap(last) < len(v) {
+		last = make(logic.Vec, len(v))
+	}
+	vw.last[i] = last[:len(v)]
+	copy(vw.last[i], v)
+	return nil
 }
 
 // Flush pushes buffered output to the underlying writer without
@@ -185,19 +207,17 @@ func (vw *Writer) State() *WriterState {
 	st := &WriterState{
 		Time:    vw.curTime,
 		TimeSet: vw.timeSet,
-		Widths:  make(map[string]int, len(vw.widths)),
-		Last:    make(map[string]logic.Vec, len(vw.last)),
-		order:   append([]string(nil), vw.order...),
-		ids:     make(map[string]string, len(vw.ids)),
+		Widths:  make(map[string]int, len(vw.names)),
+		Last:    make(map[string]logic.Vec, len(vw.names)),
+		order:   append([]string(nil), vw.names...),
+		ids:     make(map[string]string, len(vw.names)),
 	}
-	for n, w := range vw.widths {
-		st.Widths[n] = w
-	}
-	for n, v := range vw.last {
-		st.Last[n] = v.Clone()
-	}
-	for n, id := range vw.ids {
-		st.ids[n] = id
+	for i, n := range vw.names {
+		st.Widths[n] = vw.widths[i]
+		st.ids[n] = vw.ids[i]
+		if vw.last[i] != nil {
+			st.Last[n] = vw.last[i].Clone()
+		}
 	}
 	return st
 }
@@ -212,15 +232,12 @@ func ResumeWriter(w io.Writer, st *WriterState) *Writer {
 	vw.headerOK = true
 	vw.curTime = st.Time
 	vw.timeSet = st.TimeSet
-	vw.order = append([]string(nil), st.order...)
-	for n, width := range st.Widths {
-		vw.widths[n] = width
-	}
-	for n, v := range st.Last {
-		vw.last[n] = v.Clone()
-	}
-	for n, id := range st.ids {
-		vw.ids[n] = id
+	for _, n := range st.order {
+		var last logic.Vec
+		if v, ok := st.Last[n]; ok {
+			last = v.Clone()
+		}
+		vw.add(n, st.ids[n], st.Widths[n], last)
 	}
 	return vw
 }
@@ -236,16 +253,24 @@ type Signal struct {
 	Name    string
 	Width   int
 	Samples []Sample
+	// x is the all-X value before the first sample, when Parse made one;
+	// n counts the changes Parse found for the signal.
+	x logic.Vec
+	n int
 }
 
 // At returns the signal's value at time t (the most recent change at or
-// before t). Before the first sample the value is all-X.
+// before t). Before the first sample the value is all-X. The result is
+// the trace's own storage: read it, do not modify it.
 func (s *Signal) At(t uint64) logic.Vec {
 	idx := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].Time > t })
-	if idx == 0 {
-		return logic.NewVec(s.Width)
+	if idx > 0 {
+		return s.Samples[idx-1].Val
 	}
-	return s.Samples[idx-1].Val
+	if s.x != nil {
+		return s.x
+	}
+	return logic.NewVec(s.Width)
 }
 
 // Trace is a parsed VCD file.
@@ -255,94 +280,195 @@ type Trace struct {
 	Signals map[string]*Signal
 }
 
+// maxLine is the longest line Parse accepts, newline excluded: a longer
+// one fails with bufio.ErrTooLong, as a bufio.Scanner of that limit does.
+const maxLine = 1<<24 - 1
+
+// maxXWidth bounds the signals Parse gives a ready all-X value for At:
+// a declared width costs no memory until a wider signal is read before
+// its first sample.
+const maxXWidth = 64
+
 // Parse reads a VCD stream produced by Writer (or any conforming dumper
 // using the subset: $var wire, scalar and b-vector changes, #timestamps).
+// It reads the whole stream (a *bytes.Buffer without a copy) and scans its
+// lines in place. The value section is read twice: once to check it and
+// count each signal's changes, then to fill the histories, every one cut
+// from one sample slab and every value from one value slab.
 func Parse(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	tr := &Trace{Signals: map[string]*Signal{}}
-	byID := map[string]*Signal{}
-	var now uint64
-	inDefs := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if inDefs {
-			switch {
-			case strings.HasPrefix(line, "$var"):
-				// $var wire <width> <id> <name...> $end
-				fields := strings.Fields(line)
-				if len(fields) < 6 || fields[len(fields)-1] != "$end" {
-					return nil, fmt.Errorf("vcd: malformed $var: %q", line)
-				}
-				width, err := strconv.Atoi(fields[2])
-				if err != nil || width < 1 {
-					return nil, fmt.Errorf("vcd: bad width in %q", line)
-				}
-				id := fields[3]
-				name := strings.Join(fields[4:len(fields)-1], " ")
-				sig := &Signal{Name: name, Width: width}
-				tr.Signals[name] = sig
-				byID[id] = sig
-			case strings.HasPrefix(line, "$enddefinitions"):
-				inDefs = false
-			case strings.HasPrefix(line, "$scope"):
-				fields := strings.Fields(line)
-				if len(fields) >= 3 && tr.Design == "" {
-					tr.Design = fields[2]
-				}
-			}
-			continue
-		}
-		switch {
-		case line[0] == '#':
-			t, err := strconv.ParseUint(line[1:], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("vcd: bad timestamp %q", line)
-			}
-			now = t
-			if t > tr.EndTime {
-				tr.EndTime = t
-			}
-		case line[0] == 'b' || line[0] == 'B':
-			sp := strings.IndexByte(line, ' ')
-			if sp < 0 {
-				return nil, fmt.Errorf("vcd: malformed vector change %q", line)
-			}
-			val := logic.ParseVec(line[1:sp])
-			id := strings.TrimSpace(line[sp+1:])
-			sig, ok := byID[id]
-			if !ok {
-				return nil, fmt.Errorf("vcd: change for unknown id %q", id)
-			}
-			if len(val) < sig.Width {
-				// VCD allows dropped leading zeros; left-extend.
-				ext := logic.NewVec(sig.Width)
-				for i := range val {
-					ext[i] = val[i]
-				}
-				for i := len(val); i < sig.Width; i++ {
-					ext[i] = logic.L0
-				}
-				val = ext
-			}
-			sig.Samples = append(sig.Samples, Sample{Time: now, Val: val})
-		case line[0] == '0' || line[0] == '1' || line[0] == 'x' || line[0] == 'X' || line[0] == 'z' || line[0] == 'Z':
-			id := line[1:]
-			sig, ok := byID[id]
-			if !ok {
-				return nil, fmt.Errorf("vcd: change for unknown id %q", id)
-			}
-			sig.Samples = append(sig.Samples, Sample{Time: now, Val: logic.Vec{logic.FromRune(line[0])}})
-		case line[0] == '$':
-			// $dumpvars / $end markers inside the value section.
-		default:
-			return nil, fmt.Errorf("vcd: unrecognized line %q", line)
+	var data []byte
+	if b, ok := r.(*bytes.Buffer); ok {
+		data = b.Next(b.Len())
+	} else {
+		var err error
+		if data, err = io.ReadAll(r); err != nil {
+			return nil, err
 		}
 	}
-	return tr, sc.Err()
+	p := parser{tr: &Trace{Signals: map[string]*Signal{}}, byID: map[string]*Signal{}}
+	body, err := p.defs(data)
+	if err == nil {
+		err = p.values(body, false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, sig := range p.byID {
+		total += sig.n
+		if sig.Width <= maxXWidth {
+			p.need += sig.Width
+		}
+	}
+	p.slab = make(logic.Vec, 0, p.need)
+	hist := make([]Sample, total)
+	for _, sig := range p.byID {
+		sig.Samples, hist = hist[:0:sig.n], hist[sig.n:]
+		if sig.Width <= maxXWidth {
+			sig.x = p.vec(sig.Width)
+			for i := range sig.x {
+				sig.x[i] = logic.X
+			}
+		}
+	}
+	if err := p.values(body, true); err != nil {
+		return nil, err
+	}
+	return p.tr, nil
+}
+
+// parser is one Parse: the trace, its signals by id code, and the values
+// the trace's samples and X vectors are cut from.
+type parser struct {
+	tr   *Trace
+	byID map[string]*Signal
+	need int       // values the samples and X vectors hold
+	slab logic.Vec // their storage, need long
+}
+
+// line cuts data's first line, trimmed, and returns the rest; a line
+// longer than maxLine is an error.
+func line(data []byte) (l, rest []byte, err error) {
+	l = data
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		l, rest = data[:i], data[i+1:]
+	}
+	if len(l) > maxLine {
+		return nil, nil, bufio.ErrTooLong
+	}
+	return bytes.TrimSpace(l), rest, nil
+}
+
+// defs reads the declaration section up to $enddefinitions and returns
+// what follows it.
+func (p *parser) defs(data []byte) ([]byte, error) {
+	for len(data) > 0 {
+		l, rest, err := line(data)
+		if err != nil {
+			return nil, err
+		}
+		data = rest
+		switch {
+		case bytes.HasPrefix(l, []byte("$var")):
+			// $var wire <width> <id> <name...> $end
+			fields := strings.Fields(string(l))
+			if len(fields) < 6 || fields[len(fields)-1] != "$end" {
+				return nil, fmt.Errorf("vcd: malformed $var: %q", l)
+			}
+			width, err := strconv.Atoi(fields[2])
+			if err != nil || width < 1 {
+				return nil, fmt.Errorf("vcd: bad width in %q", l)
+			}
+			name := strings.Join(fields[4:len(fields)-1], " ")
+			sig := &Signal{Name: name, Width: width}
+			p.tr.Signals[name] = sig
+			p.byID[fields[3]] = sig
+		case bytes.HasPrefix(l, []byte("$enddefinitions")):
+			return data, nil
+		case bytes.HasPrefix(l, []byte("$scope")):
+			fields := strings.Fields(string(l))
+			if len(fields) >= 3 && p.tr.Design == "" {
+				p.tr.Design = fields[2]
+			}
+		}
+	}
+	return nil, nil
+}
+
+// values reads the value section: timestamps, scalar and vector changes,
+// and $ markers. Without fill it checks every line and counts each
+// signal's changes and the values they hold; with fill, on a checked
+// section, it appends the changes to the histories.
+func (p *parser) values(body []byte, fill bool) error {
+	var now uint64
+	for len(body) > 0 {
+		l, rest, err := line(body)
+		if err != nil {
+			return err
+		}
+		body = rest
+		if len(l) == 0 {
+			continue
+		}
+		var sig *Signal
+		var bits []byte // the change's bits, LSB last
+		var n int       // the values it holds
+		switch c := l[0]; {
+		case c == '#':
+			t, err := strconv.ParseUint(string(l[1:]), 10, 64)
+			if err != nil {
+				return fmt.Errorf("vcd: bad timestamp %q", l)
+			}
+			now = t
+			p.tr.EndTime = max(p.tr.EndTime, t)
+			continue
+		case c == 'b' || c == 'B':
+			sp := bytes.IndexByte(l, ' ')
+			if sp < 0 {
+				return fmt.Errorf("vcd: malformed vector change %q", l)
+			}
+			id := bytes.TrimSpace(l[sp+1:])
+			if sig = p.byID[string(id)]; sig == nil {
+				return fmt.Errorf("vcd: change for unknown id %q", id)
+			}
+			// A vector may drop leading zeros: it is left-extended with 0
+			// to the signal's width.
+			bits = l[1:sp]
+			n = max(len(bits), sig.Width)
+		case c == '0' || c == '1' || c == 'x' || c == 'X' || c == 'z' || c == 'Z':
+			if sig = p.byID[string(l[1:])]; sig == nil {
+				return fmt.Errorf("vcd: change for unknown id %q", l[1:])
+			}
+			bits, n = l[:1], 1
+		case c == '$':
+			// $dumpvars / $end markers inside the value section.
+			continue
+		default:
+			return fmt.Errorf("vcd: unrecognized line %q", l)
+		}
+		if !fill {
+			sig.n++
+			p.need += n
+			continue
+		}
+		val := p.vec(n)
+		for i := range val {
+			val[i] = logic.L0
+			if i < len(bits) {
+				val[i] = logic.FromRune(bits[len(bits)-1-i])
+			}
+		}
+		sig.Samples = append(sig.Samples, Sample{Time: now, Val: val})
+	}
+	return nil
+}
+
+// vec cuts n values from the slab, full-capped so no append reaches the
+// next one.
+func (p *parser) vec(n int) logic.Vec {
+	k := len(p.slab)
+	p.slab = p.slab[:k+n]
+	return p.slab[k : k+n : k+n]
 }
 
 // Mismatch describes one divergence between two traces.

@@ -2,6 +2,7 @@ package vcd
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -203,8 +204,9 @@ func TestCompareSubsetOfSignals(t *testing.T) {
 	}
 }
 
-func TestParseLeadingZeroExtension(t *testing.T) {
-	src := `$timescale 1ps $end
+// leadingZeroDump changes an 8-bit bus with a vector that drops its
+// leading zeros.
+const leadingZeroDump = `$timescale 1ps $end
 $scope module top $end
 $var wire 8 ! bus $end
 $upscope $end
@@ -212,7 +214,18 @@ $enddefinitions $end
 #5
 b101 !
 `
-	tr, err := Parse(strings.NewReader(src))
+
+// malformedDumps are inputs Parse must refuse.
+var malformedDumps = []string{
+	"$var wire $end\n$enddefinitions $end\n",
+	"$enddefinitions $end\n#abc\n",
+	"$enddefinitions $end\n1?\n",
+	"$enddefinitions $end\nb101\n",
+	"$enddefinitions $end\nqqq\n",
+}
+
+func TestParseLeadingZeroExtension(t *testing.T) {
+	tr, err := Parse(strings.NewReader(leadingZeroDump))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +239,7 @@ b101 !
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"$var wire $end\n$enddefinitions $end\n",
-		"$enddefinitions $end\n#abc\n",
-		"$enddefinitions $end\n1?\n",
-		"$enddefinitions $end\nb101\n",
-		"$enddefinitions $end\nqqq\n",
-	}
-	for _, src := range cases {
+	for _, src := range malformedDumps {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("malformed VCD accepted: %q", src)
 		}
@@ -257,5 +263,48 @@ func TestSignalAtBinarySearch(t *testing.T) {
 		if got := s.At(i); got[0] != want {
 			t.Fatalf("At(%d) = %v, want %v", i, got[0], want)
 		}
+	}
+}
+
+// TestChangeAndParseAllocateNothingPerChange: once a writer's signals
+// have a last value, Change allocates nothing, whatever it writes; and
+// Parse allocates as much for a dump of many changes as for one of few.
+func TestChangeAndParseAllocateNothingPerChange(t *testing.T) {
+	dump := func(changes int) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		_ = w.Declare("s", 1)
+		_ = w.Declare("bus", 4)
+		_ = w.WriteHeader("d")
+		for i := range changes {
+			_ = w.Change(uint64(10*i), "s", logic.Vec{logic.V(i % 4)})
+			_ = w.Change(uint64(10*i+5), "bus", logic.VecFromUint(uint64(i), 4))
+		}
+		_ = w.Close(uint64(10 * changes))
+		return buf.Bytes()
+	}
+
+	w := NewWriter(io.Discard)
+	_ = w.Declare("s", 1)
+	_ = w.WriteHeader("d")
+	now := uint64(0)
+	if a := testing.AllocsPerRun(1000, func() {
+		now++
+		if err := w.Change(now, "s", logic.Vec{logic.V(now % 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Change allocates %.1f times per change", a)
+	}
+
+	parse := func(b []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Parse(bytes.NewBuffer(b)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := parse(dump(10)), parse(dump(1000)); few != many {
+		t.Errorf("Parse allocates %.0f times on 20 changes, %.0f on 2000", few, many)
 	}
 }

@@ -2,7 +2,7 @@
 // over a simulation engine, mirroring the IEEE Std 1364-2005 mechanisms the
 // paper uses to drive Synopsys VCS and OSS-CVC: object handles looked up by
 // hierarchical name, value access, force/release (vpi_put_value with the
-// vpiForceFlag), and value-change/after-delay callbacks. The fault-injection
+// vpiForceFlag), and value-change and at-time callbacks. The fault-injection
 // campaign talks to the simulator exclusively through this interface, so it
 // works unchanged against either engine — the role VPI plays for the paper's
 // two commercial/open simulators.
@@ -46,10 +46,6 @@ func New(eng sim.Engine) *Interface {
 
 // Engine returns the bound engine.
 func (v *Interface) Engine() sim.Engine { return v.eng }
-
-// SimTime returns the current simulation time in picoseconds, like
-// vpi_get_time.
-func (v *Interface) SimTime() uint64 { return v.eng.Now() }
 
 // HandleByName resolves a hierarchical name to a handle, like
 // vpi_handle_by_name: net names resolve to ObjNet, sequential-cell instance
@@ -141,34 +137,7 @@ func (v *Interface) CbValueChange(h *Handle, fn func(t uint64, val logic.V)) err
 	return nil
 }
 
-// CbAfterDelay registers a one-shot callback d picoseconds from now, like
-// vpi_register_cb with cbAfterDelay.
-func (v *Interface) CbAfterDelay(d uint64, fn func()) {
-	v.eng.At(v.eng.Now()+d, fn)
-}
-
 // CbAtTime registers a one-shot callback at absolute time t.
 func (v *Interface) CbAtTime(t uint64, fn func()) {
 	v.eng.At(t, fn)
-}
-
-// SaveState captures the bound engine's complete execution state, playing
-// the role of the $save PLI system task. The returned checkpoint is
-// immutable and may be restored by any session over the same design and
-// engine kind. On EventSim a state saved between runs normalises its
-// in-flight transitions to phase 0: events scheduled after restoring it
-// order behind those transitions at equal instants, as they would on the
-// saving engine itself. That continues the saving engine; it does not
-// resume as a golden checkpoint taken inside a run, where those events
-// order ahead (sim.Engine.Snapshot).
-func (v *Interface) SaveState() *sim.Checkpoint {
-	return v.eng.Snapshot()
-}
-
-// RestoreState resets the bound engine to a previously saved checkpoint,
-// playing the role of the $restart PLI system task. Like a simulator
-// restart, registered callbacks do not survive: the caller re-registers
-// the observers (and fault actions) the resumed run needs.
-func (v *Interface) RestoreState(ck *sim.Checkpoint) error {
-	return v.eng.Restore(ck)
 }

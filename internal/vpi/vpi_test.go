@@ -172,57 +172,3 @@ func TestFlipRegViaVPI(t *testing.T) {
 		t.Errorf("flipped state = %v, want 0 (was 1)", sampled)
 	}
 }
-
-func TestCbAfterDelay(t *testing.T) {
-	v, _ := session(t)
-	fired := uint64(0)
-	v.CbAfterDelay(500, func() { fired = v.SimTime() })
-	runClocked(t, v, 1000)
-	if fired != 500 {
-		t.Errorf("cbAfterDelay fired at %d, want 500", fired)
-	}
-}
-
-func TestSimTime(t *testing.T) {
-	v, _ := session(t)
-	if v.SimTime() != 0 {
-		t.Error("time must start at 0")
-	}
-	runClocked(t, v, 1234)
-	if v.SimTime() != 1234 {
-		t.Errorf("time = %d, want 1234", v.SimTime())
-	}
-}
-
-func TestSaveRestoreStateViaVPI(t *testing.T) {
-	// Run to 2500, save, run to the end; a second session restored from the
-	// checkpoint must land in the same final state.
-	v, f := session(t)
-	var ck *sim.Checkpoint
-	v.CbAtTime(2500, func() { ck = v.SaveState() })
-	runClocked(t, v, 5000)
-	if ck == nil {
-		t.Fatal("SaveState callback never fired")
-	}
-	if ck.TimePS != 2500 {
-		t.Fatalf("checkpoint at %dps, want 2500", ck.TimePS)
-	}
-	hq, _ := v.HandleByName("q")
-	want, _ := v.GetValue(hq)
-
-	v2 := New(sim.NewEventSim(f))
-	if err := v2.RestoreState(ck); err != nil {
-		t.Fatal(err)
-	}
-	if v2.SimTime() != 2500 {
-		t.Fatalf("restored time = %d, want 2500", v2.SimTime())
-	}
-	if err := v2.Engine().Run(5000); err != nil {
-		t.Fatal(err)
-	}
-	hq2, _ := v2.HandleByName("q")
-	got, _ := v2.GetValue(hq2)
-	if got != want {
-		t.Errorf("restored run ends with q=%v, cold run q=%v", got, want)
-	}
-}
