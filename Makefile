@@ -75,7 +75,10 @@ loc:
 # FuzzParse is the VCD parser's: no panic on any bytes, and a change
 # sequence driven through the writer, whole or resumed midway from its
 # State, parses back to every written value, the resumed dump
-# byte-identical to the whole one. -fuzzminimizetime 1x stops
+# byte-identical to the whole one. FuzzParseText is the metrics
+# ingest's: no panic on any text, a worker push Fleet.Push accepts leaves
+# the federated exposition parseable, and a refused one leaves the fleet
+# as it was. -fuzzminimizetime 1x stops
 # the fuzzer spending the budget minimizing inputs that are merely
 # interesting, not failing.
 fuzz-smoke:
@@ -88,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/vcd -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/inject -run '^$$' -fuzz '^FuzzAdoptGolden$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/runstore -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 10s -fuzzminimizetime 1x
 
 # sweep-smoke runs a tiny two-campaign sweep (SoC1 at two LETs) through
 # the campaignd coordinator with a live worker and asserts the rendered

@@ -62,6 +62,13 @@ type sweepRun struct {
 	finished chan struct{} // closed when the run goroutine exits
 }
 
+// halt stops the sweep: its pool leases nothing more and its build and
+// merge loops end. Idempotent.
+func (sr *sweepRun) halt() {
+	sr.pool.Cancel()
+	sr.stopOnce.Do(func() { close(sr.stop) })
+}
+
 // registry is the coordinator's sweep table plus everything the
 // handlers share: the journal, the clock, and the change signal the
 // serve loop blocks on.
@@ -87,13 +94,17 @@ type registry struct {
 	tracer    *obs.Tracer   // shard-lifecycle span journal; nil = tracing off
 	lake      *lake.Store   // fleet-wide artifact lake; nil = disabled
 	builder   shard.Builder // campaign construction backend: local, or lake-backed when lake is set
-	initial   *sweepRun     // the self-submitted sweep, if any
+	initial   *sweepRun     // the self-submitted sweep, if any; set before any sweep runs
 	outPath   string        // initial sweep's rendered-output file
 	outDir    string        // initial sweep's per-campaign JSON directory
 	submitted bool          // a sweep was ever submitted (survives purges)
 	draining  bool          // graceful shutdown: leases and submissions answer 503 + Retry-After
 	dead      bool          // crash-stopped (deposed or test-killed): no further journal writes
 	changed   chan struct{}
+	// recording is held shared by a completion from its acceptance to its
+	// record, and exclusively by markJournalTerminal: the pool can report a
+	// campaign done before the last completion's handler has journaled it.
+	recording sync.RWMutex
 
 	// Worker health, guarded by its own mutex: the pool's audit hooks run
 	// while the pool lock is held, so they must not call back into any
@@ -318,8 +329,7 @@ func (g *registry) markDead() {
 	live := append([]*sweepRun(nil), g.order...)
 	g.mu.Unlock()
 	for _, sr := range live {
-		sr.pool.Cancel()
-		sr.stopOnce.Do(func() { close(sr.stop) })
+		sr.halt()
 	}
 	g.ping()
 }
@@ -352,8 +362,7 @@ func (g *registry) cancel(sr *sweepRun) string {
 	}
 	sr.state = capi.StateCancelled
 	g.mu.Unlock()
-	sr.pool.Cancel()
-	sr.stopOnce.Do(func() { close(sr.stop) })
+	sr.halt()
 	g.ping()
 	g.log.Info("sweep cancelled", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp))
 	return capi.StateCancelled
@@ -382,7 +391,7 @@ func (g *registry) run(sr *sweepRun) {
 	g.mu.Lock()
 	sr.state = state
 	g.mu.Unlock()
-	if state == capi.StateDone && sr != g.initialSweep() {
+	if state == capi.StateDone && sr != g.initial {
 		// An API-submitted sweep that merged and rendered has delivered:
 		// its results travel over GET /v1/sweeps/{fp}/results, and the
 		// journaled shards' only remaining use is speeding up an identical
@@ -400,8 +409,7 @@ func (g *registry) run(sr *sweepRun) {
 		// A failed sweep will never merge: stop its builder and refuse its
 		// pending shards to the fleet, exactly as a cancel does — workers
 		// must not burn hours on shards routed into a dead resource.
-		sr.pool.Cancel()
-		sr.stopOnce.Do(func() { close(sr.stop) })
+		sr.halt()
 		g.log.Error("sweep failed", "sweep", sr.grid.Spec.Name, "fp", shard.Short(sr.fp), "err", err)
 	}
 	g.ping()
@@ -618,13 +626,6 @@ func (g *registry) openCampaign(sr *sweepRun, i int, b *shard.Built, keep func(i
 	return nil
 }
 
-// initialSweep returns the self-submitted sweep, if any.
-func (g *registry) initialSweep() *sweepRun {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.initial
-}
-
 // droppableFingerprints returns the subset of sr's campaign fingerprints
 // whose journal records may be marked dead on sr's behalf: campaigns
 // another sweep has since taken over are its resumability now, and the
@@ -653,8 +654,10 @@ func (g *registry) droppableFingerprints(sr *sweepRun) []string {
 }
 
 // markJournalTerminal appends a terminal marker for the sweep's
-// droppable campaigns.
+// droppable campaigns, after every partial already accepted is recorded.
 func (g *registry) markJournalTerminal(sr *sweepRun) {
+	g.recording.Lock()
+	defer g.recording.Unlock()
 	g.mu.Lock()
 	store, _ := g.durable()
 	fps := g.droppableFingerprints(sr)
@@ -859,13 +862,11 @@ func (g *registry) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Created:     created,
 	}
 	g.mu.Unlock()
+	w.Header().Set("Content-Type", "application/json")
 	if created {
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(reply)
-		return
 	}
-	capi.WriteJSON(w, reply)
+	json.NewEncoder(w).Encode(reply)
 }
 
 func (g *registry) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1056,6 +1057,8 @@ func (g *registry) handleComplete(w http.ResponseWriter, r *http.Request) {
 		capi.WriteError(w, http.StatusConflict, capi.CodeConflict, "completion names unknown campaign %.12s", fp)
 		return
 	}
+	g.recording.RLock()
+	defer g.recording.RUnlock()
 	if err := sr.pool.Complete(fp, req.LeaseID, req.Epoch, req.Partial, g.now()); err != nil {
 		if errors.Is(err, shard.ErrStaleEpoch) {
 			// A completion leased by a deposed coordinator for a shard this
@@ -1151,7 +1154,8 @@ type serveOpts struct {
 	outDir   string // sweep: per-campaign result JSON directory
 
 	// Failover knobs (zero values pick the defaults below).
-	addr       string        // listen address a promoted standby rebinds
+	follow     bool          // wait out the journal's leader lease, then take over (-standby)
+	addr       string        // a follower's listen address when the lease names none
 	leaderTTL  time.Duration // leader-lease duration; renewed at a third of it
 	drainGrace time.Duration // graceful-drain bound on waiting out leased shards
 
@@ -1167,10 +1171,6 @@ type serveOpts struct {
 	tracer    *obs.Tracer   // span journal; nil = created iff tracePath is set
 	debugAddr string        // pprof + /metrics side server; "" = off
 	tracePath string        // Chrome trace_event JSON written on exit; "" = off
-
-	// epoch is a promoted standby's leader epoch, already written to the
-	// lease file; 0 = claim one at startup.
-	epoch uint64
 
 	// Control channels; nil channels never fire.
 	signals <-chan os.Signal // graceful drain trigger (SIGINT/SIGTERM)
@@ -1269,8 +1269,8 @@ func runServe(args []string) error {
 		if single || isSweep {
 			return fmt.Errorf("-standby takes no campaign or sweep flags; the registry is rebuilt from the journal")
 		}
-		opts.journal = *follow
-		return standby(opts, os.Stdout)
+		opts.journal, opts.follow = *follow, true
+		return serve(opts, nil, os.Stdout)
 	}
 
 	switch {
@@ -1318,16 +1318,19 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// serve runs the coordinator on an accepted listener. Sweeps arrive as
-// POST /v1/sweeps submissions or as the one self-submission opts.grid
-// describes; each drives itself to a terminal state. serve exits once
-// the registry is idle — at least one sweep was submitted and all are
-// terminal — and stays idle through the -linger grace window (new
-// submissions revive it; lingering also lets polling workers observe
-// the 410 drained signal instead of a dead socket). Split from runServe
-// so the end-to-end tests can drive it on an ephemeral port.
-func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
+// serve runs the coordinator. Sweeps arrive as POST /v1/sweeps
+// submissions or as the one self-submission opts.grid describes; each
+// drives itself to a terminal state. serve exits once the registry is
+// idle — at least one sweep was submitted and all are terminal — and
+// stays idle through the -linger grace window (new submissions revive
+// it; lingering also lets polling workers observe the 410 drained
+// signal instead of a dead socket). A leader serves on ln; a follower
+// (opts.follow) passes nil and binds the leader's address once it has
+// taken the lease over. Split from runServe so the end-to-end tests can
+// drive it on an ephemeral port.
+func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) (err error) {
 	stdout := &syncWriter{w: rawStdout}
+	lg := newLogger(stdout)
 	if opts.leaderTTL <= 0 {
 		opts.leaderTTL = defaultLeaderTTL
 	}
@@ -1337,61 +1340,71 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 
 	// Observability: serve always has a registry (GET /metrics is part of
 	// the API surface); the tracer only exists when someone will read it.
-	reg := opts.obsReg
-	if reg == nil {
-		reg = obs.NewRegistry()
+	// The debug server starts before the claim, so a follower's serves
+	// while it waits and goes on serving after the takeover.
+	reg, tracer, doneObs, err := observe(opts.obsReg, opts.tracer, opts.debugAddr, opts.tracePath, lg)
+	if err != nil {
+		return err
 	}
-	tracer := opts.tracer
-	if tracer == nil && opts.tracePath != "" {
-		tracer = obs.NewTracer()
-	}
+	defer doneObs()
 	rm := runstore.NewMetrics(reg)
 
 	// Leadership: with a journal, serve runs under a fenced epoch recorded
-	// in the journal's .leader file and stamped on every lease. A promoted
-	// standby arrives with its epoch already written (opts.epoch); a fresh
-	// leader claims the file's epoch + 1, and refuses a journal another
-	// leader still holds before it reads or compacts the file.
-	epoch := opts.epoch
-	leaderPath := opts.journal + leaderSuffix
-	if opts.journal != "" && epoch == 0 {
-		prev, err := runstore.ReadLeaderLease(leaderPath)
-		if err != nil {
-			return err
-		}
-		if prev.Epoch > 0 && !prev.Expired(time.Now()) {
-			return fmt.Errorf("journal %s is led by %s (epoch %d) until %s; use -standby to take over on expiry",
-				opts.journal, prev.Owner, prev.Epoch, prev.ExpiresAt.Format(time.RFC3339))
-		}
-		epoch = prev.Epoch + 1
-	}
-
-	// The journal's one read, Open's: the fold every restart and every
-	// takeover resumes from.
+	// in the journal's .leader file and stamped on every lease. The claim
+	// comes before the journal is opened and before a follower binds, so
+	// the fence lands first; from then on every exit but a crash-stop
+	// releases the lease, a start-up error included.
+	var lease *leaderLease
 	var store *runstore.Store
 	replayed := &runstore.Fold{}
+	epoch := uint64(0)
 	deposed := make(chan struct{})
-	stopLeader := func() {}
 	if opts.journal != "" {
-		var err error
+		addr := opts.addr
+		if ln != nil {
+			addr = ln.Addr().String()
+		}
+		if lease, err = claimLease(opts.journal, opts.leaderTTL, opts.follow, addr, opts.signals, lg); lease == nil {
+			return err
+		}
+		defer func() {
+			if errors.Is(err, errCrashStopped) {
+				// Crash-stopped: the lease is left to run out, as a dead
+				// process's would, so the takeover clock a standby watches is real.
+				lease.stop()
+			} else if rerr := lease.release(); rerr != nil {
+				lg.Warn("leader lease release failed", "err", rerr)
+			} else {
+				lg.Info("leadership released", "epoch", epoch)
+			}
+		}()
+		epoch, addr = lease.me.Epoch, lease.me.Addr
+		rm.LeaderEpoch.Set(float64(epoch))
+		lease.renew(rm, deposed)
+		if ln == nil {
+			// The dead leader's socket may linger (its process dying slowly,
+			// or a zombie that has not yet noticed the fence); keep trying.
+			bindDeadline := time.Now().Add(10 * opts.leaderTTL)
+			for {
+				if ln, err = net.Listen("tcp", addr); err == nil {
+					break
+				}
+				if time.Now().After(bindDeadline) {
+					return fmt.Errorf("standby takeover: %s never freed: %v", addr, err)
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			defer ln.Close()
+			lg.Info("standby taking over", "expiredEpoch", epoch-1, "epoch", epoch, "addr", addr)
+		}
+		// The journal's one read, Open's: the fold every restart and every
+		// takeover resumes from.
 		if store, err = runstore.Open(opts.journal); err != nil {
 			return err
 		}
 		replayed = store.Fold()
 		store.SetMetrics(rm)
 		defer store.Close()
-		me := runstore.LeaderLease{
-			Epoch:     epoch,
-			Owner:     defaultWorkerName(),
-			Addr:      ln.Addr().String(),
-			ExpiresAt: time.Now().Add(opts.leaderTTL),
-		}
-		if err := runstore.WriteLeaderLease(leaderPath, me); err != nil {
-			return err
-		}
-		rm.LeaderEpoch.Set(float64(epoch))
-		stopLeader = startLeaderRenewal(leaderPath, me, opts.leaderTTL, rm, deposed)
-		defer stopLeader()
 	}
 
 	g := newRegistry(opts, epoch, store, replayed.Partials, stdout)
@@ -1410,7 +1423,6 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	// on, off, or failing mid-sweep.
 	lakeStore := opts.lake
 	if lakeStore == nil && opts.lakeDir != "" {
-		var err error
 		if lakeStore, err = lake.Open(opts.lakeDir, opts.lakeMax); err != nil {
 			return err
 		}
@@ -1420,21 +1432,6 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		g.lake = lakeStore
 		g.builder = lake.NewStoreBuilder(lakeStore)
 		g.log.Info("artifact lake attached", "dir", lakeStore.Dir(), "bytes", lakeStore.Bytes())
-	}
-	if opts.tracePath != "" {
-		defer func() {
-			if err := tracer.WriteFile(opts.tracePath); err != nil {
-				g.log.Warn("trace write failed", "path", opts.tracePath, "err", err)
-			}
-		}()
-	}
-	if opts.debugAddr != "" {
-		dbgAddr, stopDebug, err := startDebugServer(opts.debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopDebug()
-		g.log.Info("debug server listening", "addr", dbgAddr)
 	}
 	g.log.Info("serving", "addr", ln.Addr().String(), "lease", opts.leaseTTL, "shards", opts.shards)
 
@@ -1450,14 +1447,13 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 		if rec.State != runstore.SweepStateRunning {
 			continue
 		}
+		// An unreadable or refused registry record must not sink the sweeps
+		// that do rebuild: serve what can be served, say what cannot.
 		grid, err := gridFromRecord(rec)
-		if err != nil {
-			// An unreadable registry record must not sink the sweeps that do
-			// decode: serve what can be served, say what cannot.
-			g.log.Warn("journaled sweep not rebuilt", "fp", shard.Short(rec.Fingerprint), "err", err)
-			continue
+		if err == nil {
+			_, _, err = g.submit(grid, rec.Params, false)
 		}
-		if _, _, err := g.submit(grid, rec.Params, false); err != nil {
+		if err != nil {
 			g.log.Warn("journaled sweep not rebuilt", "fp", shard.Short(rec.Fingerprint), "err", err)
 		}
 	}
@@ -1491,13 +1487,12 @@ func serve(opts serveOpts, ln net.Listener, rawStdout io.Writer) error {
 	go func() { srvErr <- srv.Serve(ln) }()
 
 	// crashStop tears down as an abruptly dead process would: no drain, no
-	// journal writes, and — critically — no leader-lease release, so the
-	// takeover clock a standby watches runs out for real.
+	// journal writes, and — critically — no leader-lease release (the
+	// deferred release checks for errCrashStopped).
 	crashStop := func(reason string) error {
 		g.markDead()
-		stopLeader()
 		srv.Close()
-		return fmt.Errorf("crash-stopped: %s", reason)
+		return fmt.Errorf("%w: %s", errCrashStopped, reason)
 	}
 
 	// Serve until idle (every submitted sweep terminal and the linger
@@ -1517,6 +1512,7 @@ loop:
 		switch {
 		case drainDeadline != nil:
 			if g.leasedShards() == 0 {
+				g.log.Info("drained")
 				break loop
 			}
 			poll = drainPoll.C
@@ -1552,20 +1548,6 @@ loop:
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		g.log.Warn("shutdown", "err", err)
 	}
-	if opts.journal != "" {
-		// A clean exit hands leadership over immediately: rewrite the lease
-		// already expired so a standby needn't wait out the TTL. Addr stays:
-		// the promoted standby inherits it, so workers keep their URL across
-		// planned restarts too, not just crashes.
-		stopLeader()
-		release := runstore.LeaderLease{Epoch: epoch, Owner: defaultWorkerName(), Addr: ln.Addr().String(), ExpiresAt: time.Now()}
-		if err := runstore.WriteLeaderLease(leaderPath, release); err != nil {
-			g.log.Warn("leader lease release failed", "err", err)
-		}
-	}
-	if drainDeadline != nil {
-		g.log.Info("drained; leadership released")
-	}
 
 	// The self-submitted sweep is the batch job serve was asked to run;
 	// its failure is serve's failure. Submitted sweeps report theirs
@@ -1578,51 +1560,107 @@ loop:
 	return nil
 }
 
-// startLeaderRenewal heartbeats the leader lease at a third of its TTL.
-// Each tick first reads the file: a higher epoch there means a standby
-// (correctly, per the expiry this leader let happen) took over — the
-// deposed channel closes and this incarnation must crash-stop, never
-// write again. Successful heartbeats drive runstore_leader_renewals_total
-// and refresh runstore_leader_epoch. The returned stop is idempotent and
-// returns only once the heartbeat goroutine has exited, so no renewal
-// can land after it — in particular not on top of the expired lease a
-// clean exit writes next to release leadership.
-func startLeaderRenewal(path string, me runstore.LeaderLease, ttl time.Duration, m *runstore.Metrics, deposed chan<- struct{}) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	var once sync.Once
-	interval := ttl / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// errCrashStopped ends serve the way a dead process ends: the lease is
+// not released.
+var errCrashStopped = errors.New("crash-stopped")
+
+// leaderLease is a coordinator's hold on its journal's lease file
+// (journal + leaderSuffix). claimLease takes it, renew heartbeats it and
+// release hands it back: they are the file's only reads and writes.
+type leaderLease struct {
+	path string
+	ttl  time.Duration
+	me   runstore.LeaderLease
+	stop func() // set by renew: ends the heartbeat and waits for it
+}
+
+// claimLease reads the lease file and writes the next epoch. A live
+// lease refuses a leader; a follower waits it out, and also waits while
+// the file is at epoch 0, because a follower follows a leader and never
+// founds one. A follower polls at a quarter of the TTL and takes over the
+// lease's address, or addr when it names none; signalled while waiting it
+// returns a nil lease and no error, having written nothing.
+func claimLease(journal string, ttl time.Duration, follow bool, addr string, signals <-chan os.Signal, log *slog.Logger) (*leaderLease, error) {
+	path := journal + leaderSuffix
+	poll := max(ttl/4, 10*time.Millisecond)
+	announced := ^uint64(0) // no epoch yet: the first read is announced, epoch 0 included
+	for {
+		cur, err := runstore.ReadLeaderLease(path)
+		if err != nil {
+			return nil, err
+		}
+		now := time.Now()
+		live := cur.Epoch > 0 && !cur.Expired(now)
+		if !follow && live {
+			return nil, fmt.Errorf("journal %s is led by %s (epoch %d) until %s; use -standby to take over on expiry",
+				journal, cur.Owner, cur.Epoch, cur.ExpiresAt.Format(time.RFC3339))
+		}
+		if !follow || (cur.Epoch > 0 && !live) {
+			me := runstore.LeaderLease{Epoch: cur.Epoch + 1, Owner: defaultWorkerName(), Addr: addr, ExpiresAt: now.Add(ttl)}
+			if follow && cur.Addr != "" {
+				me.Addr = cur.Addr
+			}
+			if err := runstore.WriteLeaderLease(path, me); err != nil {
+				return nil, err
+			}
+			return &leaderLease{path: path, ttl: ttl, me: me}, nil
+		}
+		if cur.Epoch != announced {
+			log.Info("standby following leader", "journal", journal, "owner", cur.Owner, "epoch", cur.Epoch, "addr", cur.Addr)
+			announced = cur.Epoch
+		}
+		select {
+		case <-time.After(poll):
+		case sig := <-signals:
+			log.Info("standby exiting without taking over", "signal", sig.String())
+			return nil, nil
+		}
 	}
+}
+
+// renew heartbeats the lease at a third of its TTL; until stop returns
+// the heartbeat owns l.me. Each tick first reads the file: a higher epoch
+// there means a standby (correctly, per the expiry this leader let
+// happen) took over — deposed closes and this incarnation must
+// crash-stop, never write again. Successful heartbeats drive
+// runstore_leader_renewals_total (m may be nil); the epoch gauge is set
+// once, at the claim, since a lease's epoch never changes.
+func (l *leaderLease) renew(m *runstore.Metrics, deposed chan<- struct{}) {
+	done, finished := make(chan struct{}), make(chan struct{})
+	l.stop = func() { close(done); <-finished }
 	go func() {
 		defer close(finished)
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(max(l.ttl/3, 10*time.Millisecond))
 		defer ticker.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-ticker.C:
-				cur, err := runstore.ReadLeaderLease(path)
-				if err == nil && cur.Epoch > me.Epoch {
+				cur, err := runstore.ReadLeaderLease(l.path)
+				if err == nil && cur.Epoch > l.me.Epoch {
 					close(deposed)
 					return
 				}
-				me.ExpiresAt = time.Now().Add(ttl)
-				if err := runstore.WriteLeaderLease(path, me); err != nil {
+				l.me.ExpiresAt = time.Now().Add(l.ttl)
+				if err := runstore.WriteLeaderLease(l.path, l.me); err != nil {
 					fmt.Fprintln(os.Stderr, "campaignd: leader lease renewal:", err)
 				} else if m != nil {
 					m.LeaderRenewals.Inc()
-					m.LeaderEpoch.Set(float64(me.Epoch))
 				}
 			}
 		}
 	}()
-	return func() {
-		once.Do(func() { close(done) })
-		<-finished
-	}
+}
+
+// release hands leadership over at once: it stops the heartbeat, waits
+// for it — so no renewal lands on top — and rewrites the lease expired.
+// Epoch and Addr stay, so a promoted standby inherits the address and
+// workers keep their URL across planned restarts too, not just crashes.
+func (l *leaderLease) release() error {
+	l.stop()
+	l.me.ExpiresAt = time.Now()
+	return runstore.WriteLeaderLease(l.path, l.me)
 }
 
 // gridFromRecord rebuilds a submitted sweep from its journal record —
@@ -1640,101 +1678,6 @@ func gridFromRecord(rec runstore.SweepRecord) (sweep.Grid, error) {
 		return sweep.Grid{}, err
 	}
 	return params.Grid()
-}
-
-// standby watches a leader's lease file and takes over the moment the
-// lease expires: it claims the next epoch (fencing the old leader's
-// leases), rebinds the leader's address, and serves the journal exactly
-// as a restart would — serve replays it, so journaled shards restore and
-// only the remainder is ever simulated again.
-func standby(opts serveOpts, rawStdout io.Writer) error {
-	logger := newLogger(&syncWriter{w: rawStdout})
-	if opts.leaderTTL <= 0 {
-		opts.leaderTTL = defaultLeaderTTL
-	}
-	leaderPath := opts.journal + leaderSuffix
-	if opts.debugAddr != "" {
-		// The debug server outlives the takeover: serve gets its registry and
-		// debugAddr="", so it does not fight for the same port.
-		if opts.obsReg == nil {
-			opts.obsReg = obs.NewRegistry()
-		}
-		dbgAddr, stopDebug, err := startDebugServer(opts.debugAddr, opts.obsReg)
-		if err != nil {
-			return err
-		}
-		defer stopDebug()
-		opts.debugAddr = ""
-		logger.Info("debug server listening", "addr", dbgAddr)
-	}
-
-	poll := opts.leaderTTL / 4
-	if poll < 10*time.Millisecond {
-		poll = 10 * time.Millisecond
-	}
-	logger.Info("standby following", "journal", opts.journal, "leaderLease", opts.leaderTTL)
-	announced := uint64(0)
-	var lease runstore.LeaderLease
-	for {
-		var err error
-		if lease, err = runstore.ReadLeaderLease(leaderPath); err != nil {
-			return err
-		}
-		// Epoch 0 means no leader has ever led this journal; a standby
-		// follows, it does not found. Wait for a leader to appear.
-		if lease.Epoch > 0 && lease.Expired(time.Now()) {
-			break
-		}
-		if lease.Epoch != announced {
-			logger.Info("standby following leader", "owner", lease.Owner, "epoch", lease.Epoch, "addr", lease.Addr)
-			announced = lease.Epoch
-		}
-		select {
-		case <-time.After(poll):
-		case sig := <-opts.signals:
-			logger.Info("standby exiting without taking over", "signal", sig.String())
-			return nil
-		}
-	}
-
-	// Take over. Write the fenced epoch first — a zombie leader's next
-	// renewal tick reads it and crash-stops — then fight it for the socket.
-	epoch := lease.Epoch + 1
-	addr := opts.addr
-	if lease.Addr != "" {
-		addr = lease.Addr
-	}
-	me := runstore.LeaderLease{
-		Epoch:     epoch,
-		Owner:     defaultWorkerName(),
-		Addr:      addr,
-		ExpiresAt: time.Now().Add(opts.leaderTTL),
-	}
-	if err := runstore.WriteLeaderLease(leaderPath, me); err != nil {
-		return err
-	}
-
-	// The dead leader's socket may linger (its process dying slowly, or a
-	// zombie that has not yet noticed the fence); keep trying the bind.
-	var ln net.Listener
-	var err error
-	bindDeadline := time.Now().Add(10 * opts.leaderTTL)
-	for {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		if time.Now().After(bindDeadline) {
-			return fmt.Errorf("standby takeover: %s never freed: %v", addr, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	logger.Info("standby taking over", "expiredEpoch", lease.Epoch, "epoch", epoch, "addr", addr)
-
-	takeover := opts
-	takeover.grid = nil
-	takeover.params = nil
-	takeover.epoch = epoch
-	return serve(takeover, ln, rawStdout)
 }
 
 func writeResultJSON(path string, res *inject.Result) error {

@@ -159,7 +159,7 @@ func driveFixture(t *testing.T) (*gatedBuilder, lockedBuffer, *sweepRun, chan er
 	go func() { driveErr <- g.drive(sr) }()
 	// A failed assertion must not leave drive blocked on a gate.
 	t.Cleanup(func() {
-		sr.stopOnce.Do(func() { close(sr.stop) })
+		sr.halt()
 		fb.release("a", "b", "c", "d")
 	})
 	return fb, lb, sr, driveErr
@@ -215,7 +215,7 @@ func TestDriveOpensInSweepOrder(t *testing.T) {
 		if got := fmt.Sprint(lb.opened()); got != "[a b c d]" {
 			t.Errorf("campaigns opened in order %s, want sweep order [a b c d]", got)
 		}
-		sr.stopOnce.Do(func() { close(sr.stop) })
+		sr.halt()
 		waitCancelled(t, driveErr)
 		fb.mu.Lock()
 		defer fb.mu.Unlock()
@@ -232,7 +232,7 @@ func TestDriveOpensInSweepOrder(t *testing.T) {
 		for range 3 {
 			nextKey(t, fb.started)
 		}
-		sr.stopOnce.Do(func() { close(sr.stop) })
+		sr.halt()
 		select {
 		case err := <-driveErr:
 			t.Fatalf("drive returned (%v) with three builds still running", err)

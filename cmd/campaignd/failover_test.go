@@ -142,7 +142,8 @@ func TestCoordinatorFailover(t *testing.T) {
 	standbyErr := make(chan error, 1)
 	standbySig := make(chan os.Signal, 1)
 	go func() {
-		standbyErr <- standby(serveOpts{
+		standbyErr <- serve(serveOpts{
+			follow:    true,
 			shards:    2,
 			journal:   journal,
 			leaseTTL:  time.Minute,
@@ -150,7 +151,7 @@ func TestCoordinatorFailover(t *testing.T) {
 			linger:    10 * time.Second,
 			obsReg:    reg,
 			signals:   standbySig,
-		}, standbyOut)
+		}, nil, standbyOut)
 	}()
 
 	// Two live workers ride through the failover on their retry budgets.
@@ -563,11 +564,10 @@ func TestLeaderReleaseStaysExpired(t *testing.T) {
 		if err := runstore.WriteLeaderLease(path, me); err != nil {
 			t.Fatal(err)
 		}
-		stop := startLeaderRenewal(path, me, ttl, nil, make(chan struct{}))
+		l := &leaderLease{path: path, ttl: ttl, me: me}
+		l.renew(nil, make(chan struct{}))
 		time.Sleep(9*time.Millisecond + time.Duration(round)*50*time.Microsecond)
-		stop()
-		me.ExpiresAt = time.Now()
-		if err := runstore.WriteLeaderLease(path, me); err != nil {
+		if err := l.release(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(ttl / 2)
@@ -624,4 +624,141 @@ func TestServeRefusesLedJournalUntouched(t *testing.T) {
 	if !bytes.Equal(after, before) {
 		t.Fatalf("refused serve rewrote the led journal:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
+}
+
+// TestClaimLease pins the one claim rule both roles start through, on a
+// temp lease file with no HTTP: a leader claims the next epoch unless the
+// lease is live, and then leaves the file byte-identical; a follower waits
+// while the file is at epoch 0 or the lease is live, then claims epoch + 1
+// at the leader's address; a follower signalled while waiting writes
+// nothing; and a start-up error after the claim releases the lease.
+func TestClaimLease(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	// follow runs a follower's claim in the background.
+	follow := func(journal string, sig chan os.Signal, out io.Writer) chan *leaderLease {
+		got := make(chan *leaderLease, 1)
+		go func() {
+			l, err := claimLease(journal, ttl, true, "127.0.0.1:1", sig, newLogger(out))
+			if err != nil {
+				t.Error(err)
+			}
+			got <- l
+		}()
+		return got
+	}
+	// sameLease compares leases as the file stores them (no monotonic clock).
+	sameLease := func(a, b runstore.LeaderLease) bool {
+		return a.Epoch == b.Epoch && a.Owner == b.Owner && a.Addr == b.Addr && a.ExpiresAt.Equal(b.ExpiresAt)
+	}
+	// stillWaiting fails unless the follower waits out several polls.
+	stillWaiting := func(got chan *leaderLease) {
+		t.Helper()
+		select {
+		case l := <-got:
+			t.Fatalf("follower claimed %+v, want it waiting", l)
+		case <-time.After(ttl):
+		}
+	}
+
+	t.Run("epoch0", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "grid.jsonl")
+		sig := make(chan os.Signal, 1)
+		got := follow(journal, sig, io.Discard)
+		stillWaiting(got)
+		sig <- os.Interrupt
+		if l := <-got; l != nil {
+			t.Fatalf("signalled follower claimed %+v", l)
+		}
+		l, err := claimLease(journal, ttl, false, "127.0.0.1:2", nil, newLogger(io.Discard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := runstore.ReadLeaderLease(journal + leaderSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.me.Epoch != 1 || !sameLease(file, l.me) || file.Addr != "127.0.0.1:2" || file.Expired(time.Now()) {
+			t.Fatalf("leader at epoch 0 claimed %+v, file holds %+v; want a live epoch 1 at its address", l.me, file)
+		}
+	})
+
+	t.Run("live", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "grid.jsonl")
+		live := runstore.LeaderLease{Epoch: 3, Owner: "leader", Addr: "127.0.0.1:7777", ExpiresAt: time.Now().Add(2 * ttl)}
+		if err := runstore.WriteLeaderLease(journal+leaderSuffix, live); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(journal + leaderSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := claimLease(journal, ttl, false, "127.0.0.1:2", nil, newLogger(io.Discard)); err == nil || !strings.Contains(err.Error(), "use -standby") {
+			t.Fatalf("leader under a live lease returned %v, want the live-lease refusal", err)
+		}
+		if after, _ := os.ReadFile(journal + leaderSuffix); !bytes.Equal(after, before) {
+			t.Fatalf("refused leader rewrote the lease:\n%s\nwant\n%s", after, before)
+		}
+		out := &safeBuf{}
+		l := <-follow(journal, nil, out)
+		if now := time.Now(); l == nil || !live.Expired(now) {
+			t.Fatalf("follower claimed %+v at %v, before the lease expired at %v", l, now, live.ExpiresAt)
+		}
+		file, err := runstore.ReadLeaderLease(journal + leaderSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.me.Epoch != 4 || !sameLease(file, l.me) || file.Addr != live.Addr {
+			t.Fatalf("follower claimed %+v, file holds %+v; want epoch 4 at %s", l.me, file, live.Addr)
+		}
+		if s := out.String(); strings.Count(s, "standby following leader") != 1 {
+			t.Fatalf("follower log wants one following line per epoch:\n%s", s)
+		}
+	})
+
+	t.Run("signalled", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "grid.jsonl")
+		live := runstore.LeaderLease{Epoch: 1, Owner: "leader", ExpiresAt: time.Now().Add(time.Minute)}
+		if err := runstore.WriteLeaderLease(journal+leaderSuffix, live); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(journal + leaderSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := make(chan os.Signal, 1)
+		got := follow(journal, sig, io.Discard)
+		stillWaiting(got)
+		sig <- os.Interrupt
+		if l := <-got; l != nil {
+			t.Fatalf("signalled follower claimed %+v", l)
+		}
+		if after, _ := os.ReadFile(journal + leaderSuffix); !bytes.Equal(after, before) {
+			t.Fatalf("signalled follower rewrote the lease:\n%s\nwant\n%s", after, before)
+		}
+	})
+
+	t.Run("startup-error", func(t *testing.T) {
+		dir := t.TempDir()
+		journal := filepath.Join(dir, "grid.jsonl")
+		notDir := filepath.Join(dir, "lake")
+		if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		err = serve(serveOpts{shards: 1, journal: journal, lakeDir: notDir, leaseTTL: time.Minute, leaderTTL: time.Minute}, ln, io.Discard)
+		if err == nil {
+			t.Fatal("serve on an unopenable lake returned nil")
+		}
+		file, err := runstore.ReadLeaderLease(journal + leaderSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file.Epoch != 1 || !file.Expired(time.Now()) {
+			t.Fatalf("lease after a failed start-up %+v, want epoch 1 released", file)
+		}
+	})
 }

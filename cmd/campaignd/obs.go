@@ -47,3 +47,32 @@ func startDebugServer(addr string, reg *obs.Registry) (boundAddr string, stop fu
 	go srv.Serve(ln)
 	return ln.Addr().String(), func() { srv.Close() }, nil
 }
+
+// observe sets up one process's instrumentation, the same in both modes:
+// the metrics registry (reg, or a new one), the span journal (tracer, or
+// a new one when tracePath is set) and the -debug-addr side server. done
+// stops the server and writes the trace; call it on exit.
+func observe(reg *obs.Registry, tracer *obs.Tracer, debugAddr, tracePath string, log *slog.Logger) (_ *obs.Registry, _ *obs.Tracer, done func(), err error) {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	if tracer == nil && tracePath != "" {
+		tracer = obs.NewTracer()
+	}
+	stopDebug := func() {}
+	if debugAddr != "" {
+		var addr string
+		if addr, stopDebug, err = startDebugServer(debugAddr, reg); err != nil {
+			return nil, nil, nil, err
+		}
+		log.Info("debug server listening", "addr", addr)
+	}
+	return reg, tracer, func() {
+		stopDebug()
+		if tracePath != "" {
+			if err := tracer.WriteFile(tracePath); err != nil {
+				log.Warn("trace write failed", "path", tracePath, "err", err)
+			}
+		}
+	}, nil
+}

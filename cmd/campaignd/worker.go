@@ -99,29 +99,11 @@ const idleBackoffFactor = 20
 // without one, for maxConsecutiveFailures rounds).
 func work(ctx context.Context, opts workOpts) error {
 	logger := newLogger(opts.out).With("worker", opts.name)
-	reg := opts.obsReg
-	if reg == nil {
-		reg = obs.NewRegistry()
+	reg, tracer, doneObs, err := observe(opts.obsReg, opts.tracer, opts.debugAddr, opts.tracePath, logger)
+	if err != nil {
+		return err
 	}
-	tracer := opts.tracer
-	if tracer == nil && opts.tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-	if opts.tracePath != "" {
-		defer func() {
-			if err := tracer.WriteFile(opts.tracePath); err != nil {
-				logger.Warn("trace write failed", "path", opts.tracePath, "err", err)
-			}
-		}()
-	}
-	if opts.debugAddr != "" {
-		dbgAddr, stopDebug, err := startDebugServer(opts.debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopDebug()
-		logger.Info("debug server listening", "addr", dbgAddr)
-	}
+	defer doneObs()
 
 	exec := shard.NewExecutor()
 	exec.SetMetrics(shard.NewMetrics(reg), tracer)

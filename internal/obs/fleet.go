@@ -77,8 +77,9 @@ func (f *Fleet) SetQuarantined(count func() int) {
 // default. The push is rejected — atomically, the previous snapshot kept —
 // if the text fails the strict parser, any series already carries a
 // `worker` label, any family name collides with the fleet's own
-// `fleet_*` series, or a family's declared type conflicts with the type
-// another worker pushed for the same family.
+// `fleet_*` series, a family's declared type conflicts with the type
+// another worker pushed for the same family, or a histogram family one of
+// the two declares would claim a sample the other pushed outside it.
 func (f *Fleet) Push(worker, text string, interval time.Duration) error {
 	if worker == "" {
 		return fmt.Errorf("fleet push: empty worker name")
@@ -112,6 +113,12 @@ func (f *Fleet) Push(worker, text string, interval time.Duration) error {
 					worker, name, kind, other, have)
 			}
 		}
+		if name, fam, ok := strayMember(sc, e.scrape); ok {
+			return fmt.Errorf("fleet push from %q: series %s falls in histogram %s, which worker %q declares", worker, name, fam, other)
+		}
+		if name, fam, ok := strayMember(e.scrape, sc); ok {
+			return fmt.Errorf("fleet push from %q: histogram %s claims series %s, which worker %q pushed outside it", worker, fam, name, other)
+		}
 	}
 	staleAfter := f.stale
 	if interval > 0 {
@@ -125,6 +132,19 @@ func (f *Fleet) Push(worker, text string, interval time.Duration) error {
 	e.pushes++
 	f.workers[worker] = e
 	return nil
+}
+
+// strayMember returns a sample of a that b's histogram TYPE lines claim
+// for a family a does not declare a histogram. Merged, the sample would
+// sit in b's histogram under a's worker label without the bucket set the
+// parser demands, and the federated exposition would fail to parse.
+func strayMember(a, b *Scrape) (name, family string, ok bool) {
+	for _, s := range a.Series {
+		if fam := familyOf(s.Name, b.Types); fam != s.Name && a.Types[fam] != "histogram" {
+			return s.Name, fam, true
+		}
+	}
+	return "", "", false
 }
 
 // Workers returns the number of live and stale workers at now.

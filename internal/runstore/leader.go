@@ -16,6 +16,9 @@ import (
 // coordinator grants — a deposed leader that observes a higher epoch in
 // the file must stop serving immediately.
 //
+// This package keeps only the file I/O; the coordinator's claim, renewal
+// and release (cmd/campaignd) are its only readers and writers.
+//
 // The file coordinates processes sharing a filesystem, matching the
 // journal's own model (the journal is the source of truth a standby
 // replays when it takes over). It is advisory against clock skew the way

@@ -11,8 +11,8 @@ type Metrics struct {
 	Compactions *obs.Counter
 	// LeaderEpoch is the coordinator incarnation currently holding the
 	// journal's leader lease; LeaderRenewals counts its heartbeat writes.
-	// Both are driven by campaignd's renewal loop, not by runstore itself
-	// — the lease file is written through WriteLeaderLease free functions.
+	// Both are driven by campaignd's lease claim and renewal loop, not by
+	// runstore itself — the lease file is written through WriteLeaderLease.
 	LeaderEpoch    *obs.Gauge
 	LeaderRenewals *obs.Counter
 }

@@ -155,7 +155,7 @@ type Executor struct {
 	m        *Metrics
 	tracer   *obs.Tracer
 	tune     func(*inject.Options)
-	builder  Builder
+	builder  Builder // never nil: LocalBuilder unless SetBuilder installs another
 
 	// execMu serializes actual shard simulation: a shard already fans out
 	// over all cores internally, so concurrent simulations would only
@@ -176,18 +176,22 @@ type buildState struct {
 	err  error
 }
 
-// NewExecutor returns an empty executor.
+// NewExecutor returns an empty executor that builds campaigns locally.
 func NewExecutor() *Executor {
 	return &Executor{
 		built:    map[string]*Built{},
 		building: map[string]*buildState{},
 		pins:     map[string]int{},
+		builder:  LocalBuilder{},
 	}
 }
 
 // SetBuilder installs the campaign-construction backend; nil restores
 // the default local build.
 func (e *Executor) SetBuilder(b Builder) {
+	if b == nil {
+		b = LocalBuilder{}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.builder = b
@@ -352,14 +356,7 @@ func (e *Executor) campaignFor(fp string, sp Spec) (*Built, error) {
 		e.mu.Unlock()
 
 		start := time.Now()
-		var b *Built
-		var fetched bool
-		var err error
-		if builder != nil {
-			b, fetched, err = builder.Build(sp.Campaign, tune)
-		} else {
-			b, err = BuildLocal(sp.Campaign, tune)
-		}
+		b, fetched, err := builder.Build(sp.Campaign, tune)
 		if err == nil && !fetched {
 			// Only a real local golden build earns the span — a fetch from
 			// the artifact lake is not a build, which is what lets traces

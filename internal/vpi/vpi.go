@@ -44,9 +44,6 @@ func New(eng sim.Engine) *Interface {
 	return &Interface{eng: eng}
 }
 
-// Engine returns the bound engine.
-func (v *Interface) Engine() sim.Engine { return v.eng }
-
 // HandleByName resolves a hierarchical name to a handle, like
 // vpi_handle_by_name: net names resolve to ObjNet, sequential-cell instance
 // paths resolve to ObjReg.

@@ -28,9 +28,11 @@ func dutFlat(t *testing.T) *netlist.Flat {
 	return f
 }
 
-func session(t *testing.T) (*Interface, *netlist.Flat) {
-	f := dutFlat(t)
-	return New(sim.NewEventSim(f)), f
+// session binds a VPI session to a fresh engine on the test design and
+// returns both.
+func session(t *testing.T) (*Interface, sim.Engine) {
+	eng := sim.NewEventSim(dutFlat(t))
+	return New(eng), eng
 }
 
 func TestHandleByName(t *testing.T) {
@@ -58,7 +60,8 @@ func TestHandleByName(t *testing.T) {
 }
 
 func TestDirectHandles(t *testing.T) {
-	v, f := session(t)
+	v, eng := session(t)
+	f := eng.Flat()
 	if _, err := v.NetHandle(0); err != nil {
 		t.Error(err)
 	}
@@ -75,24 +78,24 @@ func TestDirectHandles(t *testing.T) {
 	}
 }
 
-func runClocked(t *testing.T, v *Interface, until uint64) {
+func runClocked(t *testing.T, eng sim.Engine, until uint64) {
 	t.Helper()
-	f := v.Engine().Flat()
+	f := eng.Flat()
 	clk, _ := f.NetByName("clk")
 	din, _ := f.NetByName("d")
-	if err := sim.DriveClock(v.Engine(), clk.ID, 1000, 1000, until); err != nil {
+	if err := sim.DriveClock(eng, clk.ID, 1000, 1000, until); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Engine().ScheduleInput(0, din.ID, logic.L0); err != nil {
+	if err := eng.ScheduleInput(0, din.ID, logic.L0); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Engine().Run(until); err != nil {
+	if err := eng.Run(until); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestGetValueAndCallbacks(t *testing.T) {
-	v, _ := session(t)
+	v, eng := session(t)
 	hq, err := v.HandleByName("q")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +104,7 @@ func TestGetValueAndCallbacks(t *testing.T) {
 	if err := v.CbValueChange(hq, func(uint64, logic.V) { changes++ }); err != nil {
 		t.Fatal(err)
 	}
-	runClocked(t, v, 3000)
+	runClocked(t, eng, 3000)
 	val, err := v.GetValue(hq)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +127,7 @@ func TestGetValueAndCallbacks(t *testing.T) {
 }
 
 func TestForceReleaseViaVPI(t *testing.T) {
-	v, _ := session(t)
+	v, eng := session(t)
 	hdn, _ := v.HandleByName("dn")
 	if err := v.Force(hdn, 1400, logic.L0); err != nil {
 		t.Fatal(err)
@@ -132,7 +135,7 @@ func TestForceReleaseViaVPI(t *testing.T) {
 	if err := v.Release(hdn, 2600); err != nil {
 		t.Fatal(err)
 	}
-	runClocked(t, v, 4000)
+	runClocked(t, eng, 4000)
 	// Forced 0 spans the edge at 2000; q captures 0 there, then recaptures
 	// 1 at 3000 after release.
 	hq, _ := v.HandleByName("q")
@@ -153,7 +156,7 @@ func TestForceReleaseViaVPI(t *testing.T) {
 }
 
 func TestFlipRegViaVPI(t *testing.T) {
-	v, _ := session(t)
+	v, eng := session(t)
 	hff, _ := v.HandleByName("u_ff")
 	if err := v.FlipReg(hff, 2500); err != nil {
 		t.Fatal(err)
@@ -167,7 +170,7 @@ func TestFlipRegViaVPI(t *testing.T) {
 		s, _ := v.GetValue(hff)
 		sampled = s
 	})
-	runClocked(t, v, 2800)
+	runClocked(t, eng, 2800)
 	if sampled != logic.L0 {
 		t.Errorf("flipped state = %v, want 0 (was 1)", sampled)
 	}
